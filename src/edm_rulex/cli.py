@@ -208,16 +208,15 @@ def cmd_train(args) -> int:
     master = int(_pick(args, conf, "seed", 0))
     out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
     schema, records, _meta, csv_path = _load_dataset(args)
+    hidden = _pick(args, conf, "hidden", None)
     config = TrainConfig(
         learning_rate=float(_pick(args, conf, "rate", 0.2)),
         momentum=float(_pick(args, conf, "momentum", 0.9)),
         max_epochs=int(_pick(args, conf, "epochs", 5000)),
         target_mse=float(_pick(args, conf, "mse_target", 0.01)),
-        hidden_size=_pick(args, conf, "hidden", None),
+        hidden_size=None if hidden is None else int(hidden),
         seed=derive_seed(master, "train"),
     )
-    if config.hidden_size is not None:
-        config.hidden_size = int(config.hidden_size)
     encoded = encode_dataset(records, schema)
     net = init_network(schema, config)
     result = train(net, encoded, config)

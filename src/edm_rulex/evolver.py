@@ -1,16 +1,17 @@
 """Genetic search over fixed-length binary chromosomes.
 
-Maximizes an arbitrary pure fitness function with tournament selection,
-single-point crossover, per-bit mutation, and elitism.  Chromosomes are
+Maximizes an arbitrary pure population fitness with tournament selection,
+single-point crossover, per-bit mutation, and elitism.  Each generation is
+array code over the whole population: one fitness call, one matrix of
+tournament draws, one crossover mask, one mutation mask.  Chromosomes are
 unconstrained bit strings; segments may be multi-hot or empty, the decoder
-gives them meaning.  Runs are deterministic for a fixed seed, and because
-fitness must be pure, evaluation order never affects the result.
+gives them meaning.  Fitness must be pure; runs are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,63 +58,82 @@ class EvolutionResult:
 
 
 def select_tournament(
-    population: Sequence[np.ndarray] | np.ndarray,
     fitnesses: Sequence[float] | np.ndarray,
     k: int,
+    n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Best of k uniform draws with replacement; ties go to the lowest index."""
-    if len(population) == 0:
+    """Indices of n tournament winners, each the best of k uniform draws with
+    replacement.  The draws are one (n, k) matrix; ties go to the lowest
+    drawn index."""
+    fits = np.asarray(fitnesses, dtype=float)
+    if fits.shape[0] == 0:
         raise ValidationError("cannot select from an empty population")
     if k < 1:
         raise ValidationError(f"tournament size must be >= 1, got {k}")
-    fits = np.asarray(fitnesses, dtype=float)
-    draws = rng.integers(0, len(population), size=k)
-    best = draws[fits[draws] == fits[draws].max()].min()
-    return population[int(best)]
+    draws = rng.integers(0, fits.shape[0], size=(n, k))
+    drawn = fits[draws]
+    is_best = drawn == drawn.max(axis=1, keepdims=True)
+    return np.where(is_best, draws, fits.shape[0]).min(axis=1)
 
 
-def crossover_point(a: np.ndarray, b: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Swap suffixes at the cut; bit multiset per position is preserved."""
+def crossover_point(
+    a: np.ndarray, b: np.ndarray, cuts, coins
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-point crossover of paired rows: pair i swaps its suffixes from
+    cuts[i] on where coins[i] is set and passes through unchanged otherwise.
+    The bits at each position are conserved across the pair."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"parents differ in length: {a.shape} vs {b.shape}")
-    if not 1 <= cut < a.shape[0]:
-        raise ValidationError(f"cut must be in [1, {a.shape[0]}), got {cut}")
-    return (
-        np.concatenate([a[:cut], b[cut:]]),
-        np.concatenate([b[:cut], a[cut:]]),
-    )
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValidationError(f"parent batches differ in shape: {a.shape} vs {b.shape}")
+    cuts = np.asarray(cuts)
+    coins = np.asarray(coins, dtype=bool)
+    if cuts.shape != (a.shape[0],) or coins.shape != (a.shape[0],):
+        raise ValidationError(
+            f"need one cut and one coin per pair ({a.shape[0]}), "
+            f"got shapes {cuts.shape} and {coins.shape}"
+        )
+    if cuts.size and not (cuts.min() >= 1 and cuts.max() < a.shape[1]):
+        raise ValidationError(f"cuts must be in [1, {a.shape[1]}), got {cuts.tolist()}")
+    swap = (np.arange(a.shape[1]) >= cuts[:, None]) & coins[:, None]
+    return np.where(swap, b, a), np.where(swap, a, b)
 
 
-def mutate_bits(c: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability p."""
+def mutate_bits(pop: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit independently with probability p: one Bernoulli mask of
+    the population's shape, XORed onto it."""
     if not 0 <= p <= 1:
         raise ValidationError(f"mutation probability must be in [0,1], got {p}")
-    c = np.asarray(c, dtype=np.uint8)
-    if p >= 1.0:
-        return 1 - c
-    flips = rng.random(c.shape[0]) < p
-    return np.where(flips, 1 - c, c).astype(np.uint8)
+    pop = np.asarray(pop, dtype=np.uint8)
+    return pop ^ (rng.random(pop.shape) < p).astype(np.uint8)
 
 
 def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
-    fits = np.empty(population.shape[0])
-    for i, chrom in enumerate(population):
-        value = float(fitness(chrom))
-        if not math.isfinite(value):
-            raise NumericError(
-                f"fitness returned non-finite value {value!r} "
-                f"for chromosome {chrom.tolist()}"
-            )
-        fits[i] = value
+    fits = np.asarray(fitness(population), dtype=float)
+    if fits.shape != (population.shape[0],):
+        raise ValidationError(
+            f"fitness must return one value per chromosome, shape "
+            f"({population.shape[0]},); got shape {fits.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(fits))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"fitness returned non-finite value {float(fits[i])!r} "
+            f"for chromosome {population[i].tolist()}"
+        )
     return fits
 
 
-def evolve(fitness: Callable[[np.ndarray], float], bit_length: int, config: GaConfig) -> EvolutionResult:
+def evolve(
+    fitness: Callable[[np.ndarray], np.ndarray], bit_length: int, config: GaConfig
+) -> EvolutionResult:
     """Run the full loop: initialize, then (select, cross, mutate, elitism)
     per generation.
+
+    ``fitness`` scores a whole population at once: it takes a ``uint8[P, B]``
+    matrix and returns ``float[P]``, so each generation costs one call.
 
     The history records the best fitness seen so far after each generation,
     so it is non-decreasing; the returned best never exceeds the true
@@ -122,27 +142,25 @@ def evolve(fitness: Callable[[np.ndarray], float], bit_length: int, config: GaCo
     if bit_length < 1:
         raise ValidationError(f"bit length must be >= 1, got {bit_length}")
     rng = np.random.default_rng(config.seed)
-    pop = rng.integers(0, 2, size=(config.population_size, bit_length), dtype=np.uint8)
+    size = config.population_size
+    n_children = size - config.elitism
+    pairs = (n_children + 1) // 2
+    pop = rng.integers(0, 2, size=(size, bit_length), dtype=np.uint8)
     fits = _evaluate(fitness, pop)
     champ_idx = int(np.argmax(fits))
     champion = pop[champ_idx].copy()
     champion_fitness = float(fits[champ_idx])
     history: list[float] = []
     for gen in range(config.generations):
-        elite_order = np.argsort(-fits, kind="stable")[: config.elitism]
-        children = [pop[i].copy() for i in elite_order]
-        while len(children) < config.population_size:
-            p1 = select_tournament(pop, fits, config.tournament_size, rng)
-            p2 = select_tournament(pop, fits, config.tournament_size, rng)
-            if bit_length > 1 and rng.random() < config.crossover_prob:
-                cut = int(rng.integers(1, bit_length))
-                c1, c2 = crossover_point(p1, p2, cut)
-            else:
-                c1, c2 = p1.copy(), p2.copy()
-            children.append(mutate_bits(c1, config.mutation_prob, rng))
-            if len(children) < config.population_size:
-                children.append(mutate_bits(c2, config.mutation_prob, rng))
-        pop = np.stack(children)
+        elite = pop[np.argsort(-fits, kind="stable")[: config.elitism]]
+        parents = pop[select_tournament(fits, config.tournament_size, 2 * pairs, rng)]
+        p1, p2 = parents[:pairs], parents[pairs:]
+        if bit_length > 1:
+            coins = rng.random(pairs) < config.crossover_prob
+            cuts = rng.integers(1, bit_length, size=pairs)
+            p1, p2 = crossover_point(p1, p2, cuts, coins)
+        children = np.concatenate([p1, p2])[:n_children]
+        pop = np.concatenate([elite, mutate_bits(children, config.mutation_prob, rng)])
         fits = _evaluate(fitness, pop)
         gen_best = int(np.argmax(fits))
         if fits[gen_best] > champion_fitness:

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValidationError(f"max epochs must be >= 1, got {self.max_epochs}")
         if self.target_mse <= 0:
             raise ValidationError(f"target mse must be > 0, got {self.target_mse}")
+        if self.hidden_size is not None and self.hidden_size < 1:
+            raise ValidationError(f"hidden size must be >= 1, got {self.hidden_size}")
 
     def resolve_hidden(self, input_size: int) -> int:
         if self.hidden_size is not None:
@@ -117,28 +119,39 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
 
 
 def _as_input(net: Network, bits) -> np.ndarray:
-    x = np.asarray(bits, dtype=float).ravel()
-    if x.shape != (net.input_size,):
+    x = np.asarray(bits, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != net.input_size:
         raise ValidationError(
-            f"input length {x.shape[0]} does not match network input size {net.input_size}"
+            f"input length {x.shape[-1] if x.ndim else 0} does not match "
+            f"network input size {net.input_size}"
         )
     return x
 
 
 def forward(net: Network, bits) -> np.ndarray:
-    """Output activations for one bit string; every component in (0,1)."""
+    """Output activations, every component in (0,1): ``(O,)`` for one bit
+    string ``(B,)``, ``(P, O)`` for a population ``(P, B)``.
+
+    The products are ``np.einsum`` rather than BLAS, whose reduction order
+    can depend on the batch size; here each row's result is the same bits
+    whether it is passed alone or with any number of others.
+    """
     x = _as_input(net, bits)
-    h = sigmoid(net.v @ x + net.b_h)
-    return sigmoid(net.w @ h + net.b_o)
+    rows = np.atleast_2d(x)
+    h = sigmoid(np.einsum("pi,hi->ph", rows, net.v) + net.b_h)
+    y = sigmoid(np.einsum("ph,oh->po", h, net.w) + net.b_o)
+    return y if x.ndim == 2 else y[0]
 
 
-def class_score(net: Network, chromosome, class_index: int) -> float:
-    """The output activation of one class node; pure, safe to call concurrently."""
+def class_score(net: Network, chromosome, class_index: int):
+    """The output activation of one class node: a float for one chromosome,
+    a ``float[P]`` array for a population.  Pure, safe to call concurrently."""
     if not 0 <= class_index < net.output_size:
         raise ValidationError(
             f"class index {class_index} out of range for {net.output_size} outputs"
         )
-    return float(forward(net, chromosome)[class_index])
+    y = forward(net, chromosome)[..., class_index]
+    return float(y) if y.ndim == 0 else y
 
 
 def _targets(net: Network, dataset: Sequence[EncodedVector]) -> tuple[np.ndarray, np.ndarray]:

@@ -230,11 +230,12 @@ def extract_ruleset(
 ) -> RuleSet:
     """Sequential covering driven by the trained network.
 
-    Per class: evolve a chromosome maximizing that class's output, decode,
-    refine against the class's working set, accept if confidence clears the
-    threshold, then drop the records the accepted rule explains (antecedent
-    and consequent both match) and repeat.  A class's loop also ends on a
-    duplicate or zero-progress rule, since the fitness surface is fixed.
+    Per class: evolve a chromosome maximizing that class's output (one
+    batched forward pass per generation), decode, refine against the class's
+    working set, accept if confidence clears the threshold, then drop the
+    records the accepted rule explains (antecedent and consequent both match)
+    and repeat.  A class's loop also ends on a duplicate or zero-progress
+    rule, since the fitness surface is fixed.
 
     The GA seed for class k, round r derives from the config seed as
     derive_seed(seed, "class-k", r), so class loops are independent and
@@ -243,6 +244,14 @@ def extract_ruleset(
     """
     if len(dataset) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
+    if per_class_rule_budget < 0:
+        raise ValidationError(f"rule budget must be >= 0, got {per_class_rule_budget}")
+    if not 0 <= confidence_threshold <= 1:
+        raise ValidationError(
+            f"confidence threshold must be in [0,1], got {confidence_threshold}"
+        )
+    if not epsilon >= 0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     if net.input_size != schema.total_predictive_bits or net.output_size != schema.target_bits:
         raise ValidationError(
             "network sizes do not match the schema; was it trained on this layout?"
@@ -259,7 +268,7 @@ def extract_ruleset(
                 break
             cfg = replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no))
             result: EvolutionResult = evolve(
-                lambda bits: class_score(net, bits, k), schema.total_predictive_bits, cfg
+                lambda pop: class_score(net, pop, k), schema.total_predictive_bits, cfg
             )
             raw_rule = replace(
                 decode_chromosome(result.best_chromosome, schema, k),

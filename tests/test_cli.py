@@ -161,6 +161,37 @@ def test_extract_schema_mismatch(full_run, tmp_path, capsys):
     assert "schema mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hidden", ["0", "-1"])
+def test_train_rejects_empty_hidden_layer(full_run, tmp_path, capsys, hidden):
+    rc = run("train", "--data", full_run / "cohort.csv", "--out", tmp_path, "--seed", "0", "--hidden", hidden)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "hidden size" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--budget", "-1", "budget"),
+        ("--confidence", "1.5", "confidence"),
+        ("--epsilon", "-1", "epsilon"),
+    ],
+)
+def test_extract_rejects_bad_options(full_run, tmp_path, capsys, flag, value, field):
+    rc = run(
+        "extract",
+        "--data", full_run / "cohort.csv",
+        "--model", full_run / "model.json",
+        "--out", tmp_path,
+        "--seed", "0",
+        flag, value,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "ruleset.json").exists()
+
+
 def test_extract_single_class_dataset(tmp_path):
     planted = tmp_path / "planted.json"
     planted.write_text(json.dumps({"rules": [{"when": {}, "then": "P"}], "noise": 0.0}))

@@ -12,8 +12,8 @@ from edm_rulex.evolver import (
 )
 
 
-def popcount(bits):
-    return float(np.sum(bits))
+def popcount(pop):
+    return pop.sum(axis=1).astype(float)
 
 
 def test_onemax_reaches_all_ones():
@@ -24,16 +24,18 @@ def test_onemax_reaches_all_ones():
 
 
 def test_constant_fitness_terminates():
-    result = evolve(lambda bits: 1.0, 8, GaConfig(population_size=10, generations=15, seed=0))
+    result = evolve(
+        lambda pop: np.ones(len(pop)), 8, GaConfig(population_size=10, generations=15, seed=0)
+    )
     assert result.best_fitness == 1.0
     assert result.history == [1.0] * 15
     assert result.generations == 15
 
 
 def test_history_non_decreasing():
-    def lumpy(bits):  # pure but deliberately rugged
-        x = int("".join(map(str, bits.tolist())), 2)
-        return float((x * 2654435761) % 997)
+    def lumpy(pop):  # pure but deliberately rugged
+        x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[1])[::-1])
+        return ((x * 2654435761) % 997).astype(float)
 
     result = evolve(lumpy, 14, GaConfig(population_size=30, generations=40, seed=3))
     assert all(a <= b for a, b in zip(result.history, result.history[1:]))
@@ -49,23 +51,47 @@ def test_deterministic():
 
 
 def test_non_finite_fitness_aborts():
-    def bad(bits):
-        return float("nan") if bits[0] else 0.0
+    def bad(pop):
+        return np.where(pop[:, 0] == 1, np.nan, 0.0)
 
     with pytest.raises(NumericError, match="chromosome"):
         evolve(bad, 4, GaConfig(population_size=8, generations=5, seed=0))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda pop: float(pop.sum()),
+        lambda pop: pop.sum(axis=1)[:-1].astype(float),
+        lambda pop: pop.astype(float),
+    ],
+    ids=["scalar", "short", "matrix"],
+)
+def test_fitness_wrong_shape_rejected(wrong):
+    with pytest.raises(ValidationError, match="shape"):
+        evolve(wrong, 6, GaConfig(population_size=8, generations=3, seed=0))
+
+
+def test_one_fitness_call_per_generation():
+    calls = []
+
+    def counted(pop):
+        calls.append(pop.shape)
+        return popcount(pop)
+
+    evolve(counted, 5, GaConfig(population_size=9, generations=7, seed=0))
+    assert calls == [(9, 5)] * 8
 
 
 def test_soundness_against_enumeration():
     rng = np.random.default_rng(99)
     weights = rng.normal(size=12)
 
-    def fitness(bits):
-        return float(np.asarray(bits) @ weights)
+    def fitness(pop):
+        return np.asarray(pop, dtype=float) @ weights
 
-    exhaustive = max(
-        fitness((i >> np.arange(12)) & 1) for i in range(2**12)
-    )
+    everything = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
+    exhaustive = fitness(everything).max()
     for seed in range(5):
         result = evolve(fitness, 12, GaConfig(population_size=40, generations=40, seed=seed))
         assert result.best_fitness <= exhaustive + 1e-12
@@ -73,70 +99,78 @@ def test_soundness_against_enumeration():
 
 def test_tournament_prefers_best():
     rng = np.random.default_rng(0)
-    population = [np.array([i], dtype=np.uint8) for i in range(4)]
     fitnesses = [0.1, 0.9, 0.4, 0.2]
-    wins = sum(
-        select_tournament(population, fitnesses, 64, rng)[0] == 1 for _ in range(10**4)
-    )
+    winners = select_tournament(fitnesses, 64, 10**4, rng)
     # P(best in 64 draws with replacement) = 1 - (3/4)^64 ~ 1 - 1e-8
-    assert wins >= 9900
+    assert (winners == 1).sum() >= 9900
 
 
 def test_tournament_single_member():
     rng = np.random.default_rng(0)
-    only = np.array([1, 0], dtype=np.uint8)
-    assert select_tournament([only], [0.5], 3, rng) is only
+    assert select_tournament([0.5], 3, 10, rng).tolist() == [0] * 10
 
 
 def test_tournament_tie_lowest_index():
     # with equal fitnesses the winner is the lowest drawn index
-    population = [np.array([i], dtype=np.uint8) for i in range(5)]
     for seed in range(50):
-        draws = np.random.default_rng(seed).integers(0, 5, size=7)
-        winner = select_tournament(
-            population, [1.0] * 5, 7, np.random.default_rng(seed)
-        )
-        assert winner[0] == draws.min()
+        draws = np.random.default_rng(seed).integers(0, 5, size=(20, 7))
+        winners = select_tournament([1.0] * 5, 7, 20, np.random.default_rng(seed))
+        assert np.array_equal(winners, draws.min(axis=1))
+    # and among tied best draws only, not the lowest draw overall
+    fitnesses = np.array([0.0, 2.0, 0.0, 2.0, 1.0])
+    for seed in range(50):
+        draws = np.random.default_rng(seed).integers(0, 5, size=(20, 4))
+        winners = select_tournament(fitnesses, 4, 20, np.random.default_rng(seed))
+        for row, winner in zip(draws, winners):
+            best = fitnesses[row].max()
+            assert winner == row[fitnesses[row] == best].min()
 
 
 def test_crossover_examples():
-    a = np.array([1, 1, 1, 1], dtype=np.uint8)
-    b = np.array([0, 0, 0, 0], dtype=np.uint8)
-    c1, c2 = crossover_point(a, b, 2)
-    assert c1.tolist() == [1, 1, 0, 0]
-    assert c2.tolist() == [0, 0, 1, 1]
-    c1, c2 = crossover_point(a, a, 1)
+    a = np.array([[1, 1, 1, 1]], dtype=np.uint8)
+    b = np.array([[0, 0, 0, 0]], dtype=np.uint8)
+    c1, c2 = crossover_point(a, b, [2], [True])
+    assert c1.tolist() == [[1, 1, 0, 0]]
+    assert c2.tolist() == [[0, 0, 1, 1]]
+    c1, c2 = crossover_point(a, a, [1], [True])
     assert np.array_equal(c1, a) and np.array_equal(c2, a)
+    c1, c2 = crossover_point(np.vstack([a, a]), np.vstack([b, b]), [1, 3], [False, True])
+    assert c1.tolist() == [[1, 1, 1, 1], [1, 1, 1, 0]]
+    assert c2.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1]]
     with pytest.raises(ValidationError):
-        crossover_point(a, b, 0)
+        crossover_point(a, b, [0], [True])
     with pytest.raises(ValidationError):
-        crossover_point(a, b, 4)
+        crossover_point(a, b, [4], [True])
     with pytest.raises(ValidationError):
-        crossover_point(a, b[:3], 1)
+        crossover_point(a, b[:, :3], [1], [True])
+    with pytest.raises(ValidationError):
+        crossover_point(a, b, [1, 2], [True, True])
 
 
 def test_crossover_conserves_bits():
     rng = np.random.default_rng(4)
     for _ in range(10**4):
         length = int(rng.integers(2, 20))
-        a = rng.integers(0, 2, length, dtype=np.uint8)
-        b = rng.integers(0, 2, length, dtype=np.uint8)
-        cut = int(rng.integers(1, length))
-        c1, c2 = crossover_point(a, b, cut)
+        pairs = int(rng.integers(1, 12))
+        a = rng.integers(0, 2, (pairs, length), dtype=np.uint8)
+        b = rng.integers(0, 2, (pairs, length), dtype=np.uint8)
+        cuts = rng.integers(1, length, pairs)
+        coins = rng.random(pairs) < 0.5
+        c1, c2 = crossover_point(a, b, cuts, coins)
         assert np.array_equal(c1 + c2, a + b)
 
 
 def test_mutate_edges():
     rng = np.random.default_rng(0)
-    c = rng.integers(0, 2, 64, dtype=np.uint8)
+    c = rng.integers(0, 2, (8, 64), dtype=np.uint8)
     assert np.array_equal(mutate_bits(c, 0.0, rng), c)
     assert np.array_equal(mutate_bits(c, 1.0, rng), 1 - c)
 
 
 def test_mutate_flip_rate():
     rng = np.random.default_rng(8)
-    c = np.zeros(1000, dtype=np.uint8)
-    flips = [mutate_bits(c, 0.02, rng).sum() for _ in range(1000)]
+    c = np.zeros((1000, 1000), dtype=np.uint8)
+    flips = mutate_bits(c, 0.02, rng).sum(axis=1)
     assert 15 <= np.mean(flips) <= 25
 
 
@@ -160,4 +194,4 @@ def test_zero_generations_returns_initial_best():
     result = evolve(popcount, 6, GaConfig(population_size=12, generations=0, seed=2))
     assert isinstance(result, EvolutionResult)
     assert result.history == []
-    assert result.best_fitness == popcount(result.best_chromosome)
+    assert result.best_fitness == popcount(result.best_chromosome[None])[0]

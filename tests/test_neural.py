@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
     batch_loss,
     enumerate_class_scores,
@@ -110,6 +112,51 @@ def test_class_score_matches_forward():
         class_score(net, bits, 2)
 
 
+def test_forward_population_shapes():
+    rng = np.random.default_rng(3)
+    net = Network(
+        v=rng.normal(size=(4, 7)),
+        b_h=rng.normal(size=4),
+        w=rng.normal(size=(3, 4)),
+        b_o=rng.normal(size=3),
+    )
+    pop = rng.integers(0, 2, (9, 7), dtype=np.uint8)
+    y = forward(net, pop)
+    assert y.shape == (9, 3)
+    assert np.array_equal(y[4], forward(net, pop[4]))
+    scores = class_score(net, pop, 2)
+    assert isinstance(scores, np.ndarray) and scores.shape == (9,)
+    assert isinstance(class_score(net, pop[0], 2), float)
+    with pytest.raises(ValidationError, match="length"):
+        forward(net, pop[:, :6])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bits=st.integers(1, 60),
+    hidden=st.integers(1, 20),
+    outputs=st.integers(1, 5),
+    rows=st.integers(1, 130),
+    scale=st.floats(0.1, 5.0),
+)
+def test_class_score_batch_equals_single(seed, bits, hidden, outputs, rows, scale):
+    # each row's score is the same bits whether scored alone or in a batch of any size
+    rng = np.random.default_rng(seed)
+    net = Network(
+        v=rng.normal(scale=scale, size=(hidden, bits)),
+        b_h=rng.normal(size=hidden),
+        w=rng.normal(scale=scale, size=(outputs, hidden)),
+        b_o=rng.normal(size=outputs),
+    )
+    pop = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
+    k = int(rng.integers(outputs))
+    batch = class_score(net, pop, k)
+    assert batch.shape == (rows,)
+    for i in range(rows):
+        assert batch[i] == class_score(net, pop[i], k)
+
+
 def test_class_score_argmax_matches_enumeration():
     schema = twelve_bit_schema()
     rng = np.random.default_rng(17)
@@ -204,6 +251,12 @@ def test_gradients_match_finite_differences():
 def test_train_empty_dataset():
     with pytest.raises(ValidationError, match="empty"):
         train(zero_net(3, 2, 2), [], TrainConfig())
+
+
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_train_config_rejects_empty_hidden_layer(hidden):
+    with pytest.raises(ValidationError, match="hidden size"):
+        TrainConfig(hidden_size=hidden)
 
 
 def test_train_divergence_reports_rate():

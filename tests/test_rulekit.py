@@ -257,6 +257,22 @@ def test_extract_empty_dataset(toy_schema):
         extract_ruleset(net, [], toy_schema)
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        (dict(per_class_rule_budget=-1), "budget"),
+        (dict(confidence_threshold=1.5), "confidence"),
+        (dict(confidence_threshold=-0.1), "confidence"),
+        (dict(epsilon=-1.0), "epsilon"),
+    ],
+)
+def test_extract_rejects_bad_options(toy_schema, kwargs, field):
+    net = init_network(toy_schema, TrainConfig(seed=0))
+    records = random_records(toy_schema, 10, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match=field):
+        extract_ruleset(net, records, toy_schema, **kwargs)
+
+
 def test_format_rule_reference_grammar():
     schema = studydata.default_student_schema()
     rule1 = Rule(terms=(("Unit 1", ("F",)),), consequent="F")
