@@ -5,8 +5,9 @@ the SHA-256 of its effective config and of its inputs, and derives its seed
 from one master seed, so a whole run is pinned by a single integer and two
 runs of the same config produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O
-failure.  Set EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
+Exit codes: 0 success, 1 failed target checks (``report --strict`` only),
+2 validation failure, 3 numeric failure, 4 I/O failure.  Set
+EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -413,9 +414,16 @@ def cmd_stats(args) -> int:
     }
 
     blocks: dict = {}
+    skipped: dict = {}
     for block_name, dims in studydata.MEASURE_BLOCKS.items():
         present = [d for d in dims if d in col]
         if len(present) != len(dims):
+            skipped[block_name] = [d for d in dims if d not in col]
+            print(
+                f"warning: stats skips block {block_name!r}; the raw table lacks "
+                f"{', '.join(skipped[block_name])}",
+                file=sys.stderr,
+            )
             continue
         idx = [col[d] for d in present]
         per_group = [groups[t][:, idx] for t in tokens]
@@ -445,6 +453,8 @@ def cmd_stats(args) -> int:
             "alpha": cronbach_alpha(raw_matrix[:, idx]),
         }
     sections["blocks"] = blocks
+    if skipped:
+        sections["skipped_blocks"] = skipped
 
     control_dims = [d for d in studydata.MEASURE_BLOCKS["interaction"] if d in col]
     partials: dict = {"control": "+".join(control_dims) or "none", "groups": {}}
@@ -674,6 +684,9 @@ def cmd_report(args) -> int:
     text = "\n".join(lines)
     (run_dir / "report.txt").write_text(text, encoding="utf-8")
     print(f"wrote {run_dir / 'report.txt'}")
+    if args.strict and not all_ok:
+        print("error: target checks failed (see report.txt)", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -741,6 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("run_dir", help="directory holding the run artifacts")
+    p.add_argument(
+        "--strict", action="store_true", help="exit 1 when any target check fails"
+    )
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -23,8 +23,13 @@ from .schema import AttributeSchema, EncodedVector
 log = logging.getLogger(__name__)
 
 
+# Pre-activations are clipped here so exp never overflows; a unit whose
+# pre-activation reaches the clip is saturated and training reports it.
+SIGMOID_CLIP = 500.0
+
+
 def sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
+    return 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
 
 
 @dataclass
@@ -168,12 +173,17 @@ def _targets(net: Network, dataset: Sequence[EncodedVector]) -> tuple[np.ndarray
     return x, t
 
 
+def _batch_pass(net: Network, x: np.ndarray):
+    """Hidden and output pre-activations and the outputs for a batch."""
+    u_h = x @ net.v.T + net.b_h
+    u_o = sigmoid(u_h) @ net.w.T + net.b_o
+    return u_h, u_o, sigmoid(u_o)
+
+
 def dataset_mse(net: Network, dataset: Sequence[EncodedVector]) -> float:
     """Mean squared output error over all patterns and output units."""
     x, t = _targets(net, dataset)
-    h = sigmoid(x @ net.v.T + net.b_h)
-    y = sigmoid(h @ net.w.T + net.b_o)
-    return float(np.mean((y - t) ** 2))
+    return float(np.mean((_batch_pass(net, x)[2] - t) ** 2))
 
 
 def loss_and_gradients(net: Network, dataset: Sequence[EncodedVector]):
@@ -206,6 +216,8 @@ def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -
     Pattern order is reshuffled once per epoch from the seeded generator, so
     training is deterministic for a fixed config.  The mse history records the
     full-dataset mse after each epoch; only the final value is a contract.
+    A non-finite mse, or a pre-activation over the dataset that reaches the
+    sigmoid clip after an epoch, is a NumericError.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
@@ -239,12 +251,20 @@ def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -
             net.b_o += vel["b_o"]
             net.v += vel["v"]
             net.b_h += vel["b_h"]
-        mse = dataset_mse(net, dataset)
+        u_h, u_o, y = _batch_pass(net, x)
+        mse = float(np.mean((y - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss); "
                 "try a smaller learning rate"
             )
+        for layer, u in (("hidden", u_h), ("output", u_o)):
+            if np.abs(u).max() >= SIGMOID_CLIP:
+                raise NumericError(
+                    f"training saturated at epoch {epoch + 1}: a {layer} layer "
+                    f"pre-activation reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
+                    "try a smaller learning rate"
+                )
         history.append(mse)
         epochs_run = epoch + 1
         if mse <= config.target_mse:

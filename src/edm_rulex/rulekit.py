@@ -73,12 +73,20 @@ class RuleSet:
                 return rule.consequent
         return self.default
 
-    def accuracy(self, dataset: Sequence[StudentRecord], schema: AttributeSchema) -> float:
+    def accuracy(self, dataset, schema: AttributeSchema) -> float:
+        """Share of records whose first matching rule (else the default)
+        names their target level; ``dataset`` is records or a DatasetIndex.
+        A rule naming a token outside the schema is a ValidationError."""
         if len(dataset) == 0:
             raise ValidationError("accuracy needs a non-empty dataset")
-        target = schema.target.name
-        hits = sum(self.predict(r) == r.values[target] for r in dataset)
-        return hits / len(dataset)
+        index = _as_index(dataset, schema)
+        predicted = np.full(len(index), schema.target.level_index(self.default))
+        unclaimed = np.ones(len(index), dtype=bool)
+        for rule in self.rules:
+            claimed = unclaimed & index.antecedent_mask(rule)
+            predicted[claimed] = schema.target.level_index(rule.consequent)
+            unclaimed &= ~claimed
+        return int((predicted == index.target_codes).sum()) / len(index)
 
 
 class DatasetIndex:
@@ -90,21 +98,30 @@ class DatasetIndex:
         names = [a.name for a in schema.attributes]
         self.column = {name: j for j, name in enumerate(names)}
         self.codes = np.empty((len(self.records), len(names)), dtype=np.int16)
-        for i, record in enumerate(self.records):
-            for j, attr in enumerate(schema.attributes):
-                self.codes[i, j] = attr.level_index(record.values[attr.name])
+        for j, attr in enumerate(schema.attributes):
+            code = {token: k for k, token in enumerate(attr.levels)}
+            try:
+                self.codes[:, j] = [code[r.values[attr.name]] for r in self.records]
+            except KeyError:
+                for r in self.records:  # raise the error that names the token
+                    attr.level_index(r.values[attr.name])
+                raise
         self.target_codes = self.codes[:, self.column[schema.target.name]]
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def antecedent_mask(self, rule: Rule) -> np.ndarray:
-        mask = np.ones(len(self.records), dtype=bool)
-        for attr_name, levels in rule.terms:
+    def term_misses(self, rule: Rule) -> np.ndarray:
+        """``bool[N, T]``: entry (n, j) is true when record n fails term j."""
+        misses = np.empty((len(self.records), len(rule.terms)), dtype=bool)
+        for j, (attr_name, levels) in enumerate(rule.terms):
             attr = self.schema.attribute(attr_name)
             allowed = [attr.level_index(t) for t in levels]
-            mask &= np.isin(self.codes[:, self.column[attr_name]], allowed)
-        return mask
+            misses[:, j] = np.isin(self.codes[:, self.column[attr_name]], allowed, invert=True)
+        return misses
+
+    def antecedent_mask(self, rule: Rule) -> np.ndarray:
+        return ~self.term_misses(rule).any(axis=1)
 
     def consequent_mask(self, rule: Rule) -> np.ndarray:
         return self.target_codes == self.schema.target.level_index(rule.consequent)
@@ -160,7 +177,7 @@ def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) ->
 
     A rule matching nothing has confidence 0 and is flagged vacuous.
     """
-    index = _as_index(dataset, schema) if not isinstance(dataset, DatasetIndex) else dataset
+    index = _as_index(dataset, schema)
     if len(index) == 0:
         raise ValidationError("evaluate_rule needs a non-empty dataset")
     ante = index.antecedent_mask(rule)
@@ -193,22 +210,40 @@ def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsi
     accepting a drop only when confidence falls by at most epsilon relative
     to the current rule; ties resolve to the earliest attribute in schema
     order.  The returned rule carries metrics recomputed on this dataset.
+
+    The term-miss matrix is built once.  A record matches the rule without
+    term j exactly when it misses no kept term other than j, so with a
+    per-record count of missed kept terms every drop is scored from the
+    records that miss none (they match every candidate) and those that
+    miss one (they match only the candidate dropping that term).
     """
-    index = _as_index(dataset, schema) if not isinstance(dataset, DatasetIndex) else dataset
-    current = rule
-    current_conf = evaluate_rule(current, index).confidence
-    while current.terms:
-        best_candidate = None
-        best_conf = -1.0
-        for attr_name, _ in current.terms:  # terms follow schema order
-            candidate = current.without_term(attr_name)
-            conf = evaluate_rule(candidate, index).confidence
-            if conf > best_conf:
-                best_candidate, best_conf = candidate, conf
-        if best_candidate is not None and best_conf >= current_conf - epsilon:
-            current, current_conf = best_candidate, best_conf
-        else:
+    index = _as_index(dataset, schema)
+    names = [attr_name for attr_name, _ in rule.terms]
+    attrs = list(dict.fromkeys(names))
+    misses = index.term_misses(rule)
+    if len(attrs) < len(names):  # a repeated attribute's terms drop together
+        misses = np.stack([misses[:, [n == a for n in names]].any(axis=1) for a in attrs], axis=1)
+    target = index.consequent_mask(rule)
+    miss_count = misses.sum(axis=1)
+    kept = list(range(len(attrs)))
+
+    def confidence(hits, support):
+        return hits / support if support else 0.0
+
+    while kept:
+        matched, one_miss = miss_count == 0, miss_count == 1
+        support_now, hits_now = int(matched.sum()), int((matched & target).sum())
+        lone = misses[one_miss][:, kept]
+        support = support_now + lone.sum(axis=0)
+        hits = hits_now + lone[target[one_miss]].sum(axis=0)
+        confs = [confidence(h, s) for h, s in zip(hits.tolist(), support.tolist())]
+        best = int(np.argmax(confs))  # first maximum: the earliest term
+        if confs[best] < confidence(hits_now, support_now) - epsilon:
             break
+        miss_count -= misses[:, kept[best]]
+        del kept[best]
+    kept_attrs = {attrs[j] for j in kept}
+    current = replace(rule, terms=tuple(t for t in rule.terms if t[0] in kept_attrs))
     return _with_metrics(current, evaluate_rule(current, index))
 
 

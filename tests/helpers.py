@@ -78,3 +78,49 @@ def random_records(schema: AttributeSchema, n: int, rng) -> list:
         values = {a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes}
         out.append(StudentRecord(values))
     return out
+
+
+def _count(rule, records, target: str) -> tuple[int, int]:
+    """(support, hits) of a rule by raw set membership over the records."""
+    matches = [r for r in records if all(r.values[a] in ls for a, ls in rule.terms)]
+    return len(matches), sum(r.values[target] == rule.consequent for r in matches)
+
+
+def _confidence(rule, records, target: str) -> float:
+    support, hits = _count(rule, records, target)
+    return hits / support if support else 0.0
+
+
+def reference_refine(rule, records, schema: AttributeSchema, epsilon: float = 0.0):
+    """Greedy backward elimination that re-counts every candidate drop from
+    scratch: the oracle for rulekit.refine_rule.
+
+    Each step tries dropping each remaining term (all terms of its attribute)
+    and keeps the candidate of highest confidence, the earliest on a tie; the
+    drop is accepted when confidence falls by at most epsilon.  Returns the
+    rule with support, confidence, coverage and vacuity of the final terms.
+    """
+    from dataclasses import replace
+
+    target = schema.target.name
+    current = rule
+    current_conf = _confidence(current, records, target)
+    while current.terms:
+        best_candidate, best_conf = None, -1.0
+        for attr_name, _ in current.terms:
+            candidate = current.without_term(attr_name)
+            conf = _confidence(candidate, records, target)
+            if conf > best_conf:
+                best_candidate, best_conf = candidate, conf
+        if best_conf >= current_conf - epsilon:
+            current, current_conf = best_candidate, best_conf
+        else:
+            break
+    support, hits = _count(current, records, target)
+    return replace(
+        current,
+        support=support,
+        confidence=hits / support if support else 0.0,
+        coverage=support / len(records),
+        vacuous=support == 0,
+    )

@@ -129,6 +129,20 @@ def test_train_toy_separable_reaches_target(tmp_path):
     assert log["final_mse"] < 0.01
 
 
+def test_train_reports_saturation(full_run, tmp_path, capsys):
+    # a huge step drives pre-activations to the sigmoid clip, which used to
+    # hide the divergence behind a finite mse and exit 0
+    rc = run(
+        "train", "--data", full_run / "cohort.csv", "--out", tmp_path, "--seed", "0",
+        "--rate", "1e6", "--epochs", "5",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "saturated" in err and "layer" in err and "smaller learning rate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_extract_recovers_planted_rule_text(full_run):
     text = (full_run / "rules.txt").read_text()
     assert "If Unit 1 = F → Then Reasoning = F" in text.splitlines()
@@ -225,6 +239,57 @@ def test_stats_direction_and_schema(full_run):
     jsonschema.validate(stats, schema_doc)
 
 
+def test_stats_default_schema_skips_nothing(full_run, capsys):
+    sections = json.loads((full_run / "stats.json").read_text())["sections"]
+    assert "skipped_blocks" not in sections
+    assert set(sections["blocks"]) == {"learning_skills", "motivation", "interaction"}
+
+
+def test_stats_names_skipped_blocks(tmp_path, capsys):
+    from edm_rulex import studydata
+
+    # a custom schema with every learning-skill scale but only two
+    # motivation scales and no interaction scale
+    kept = studydata.LEARNING_SKILLS + ("Challenge", "Ambition")
+    schema = [{"name": "Gender", "levels": ["Ma", "Fe"], "role": "predictive"}]
+    schema += [{"name": d, "levels": ["L", "M", "H"], "role": "predictive"} for d in kept]
+    schema += [{"name": "Reasoning", "levels": ["F", "P", "G", "V.G"], "role": "target"}]
+    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    full = studydata.default_population_spec(seed=3).to_dict()
+    cols = [full["dimensions"].index(d) for d in kept + ("Reasoning",)]
+    spec = dict(full, dimensions=[full["dimensions"][j] for j in cols])
+    spec["groups"] = {
+        token: {
+            "n": g["n"],
+            "means": [g["means"][j] for j in cols],
+            "sds": [g["sds"][j] for j in cols],
+            "correlation": [[g["correlation"][i][j] for j in cols] for i in cols],
+        }
+        for token, g in full["groups"].items()
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert run(
+        "generate", "--spec", tmp_path / "spec.json", "--schema", tmp_path / "schema.json",
+        "--seed", "3", "--out", tmp_path,
+    ) == 0
+    capsys.readouterr()
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 0
+    err = capsys.readouterr().err
+    missing_motivation = [d for d in studydata.MOTIVATION if d not in kept]
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "'motivation'" in warnings[0] and all(d in warnings[0] for d in missing_motivation)
+    assert "'interaction'" in warnings[1] and all(d in warnings[1] for d in studydata.INTERACTION)
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert list(stats["sections"]["blocks"]) == ["learning_skills"]
+    assert stats["sections"]["skipped_blocks"] == {
+        "motivation": missing_motivation,
+        "interaction": list(studydata.INTERACTION),
+    }
+    with resources.files("edm_rulex.data").joinpath("stats_report.schema.json").open() as fh:
+        jsonschema.validate(stats, json.load(fh))
+
+
 def test_stats_insufficient_data(tmp_path, capsys):
     assert run("generate", "--out", tmp_path, "--seed", "2", "--n", "2") == 0
     assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
@@ -248,6 +313,26 @@ def test_report_complete(full_run):
     ):
         assert section in text
     assert "[FAIL]" not in text
+
+
+def test_report_strict_passes(full_run, capsys):
+    assert run("report", "--strict", full_run) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_report_strict_exit_code_on_failed_checks(full_run, tmp_path, capsys):
+    failing = tmp_path / "failing"
+    shutil.copytree(full_run, failing)
+    # move one generation target far from the cohort's mean
+    meta = json.loads((failing / "cohort.meta.json").read_text())
+    meta["population_spec"]["groups"]["Ma"]["means"][0] += 1000.0
+    (failing / "cohort.meta.json").write_text(json.dumps(meta))
+    assert run("report", failing) == 0
+    assert "Overall target checks: FAIL" in (failing / "report.txt").read_text()
+    capsys.readouterr()
+    assert run("report", "--strict", failing) == 1
+    assert "target checks failed" in capsys.readouterr().err
+    assert "Overall target checks: FAIL" in (failing / "report.txt").read_text()
 
 
 def test_report_missing_artifact(full_run, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import random_records
+from helpers import random_records, reference_refine, twelve_bit_schema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edm_rulex import studydata
 from edm_rulex.errors import ValidationError
@@ -162,6 +164,171 @@ def test_refine_never_lowers_confidence_beyond_epsilon(toy_schema):
         before = evaluate_rule(rule, records, toy_schema).confidence
         refined = refine_rule(rule, records, toy_schema, epsilon=0.0)
         assert refined.confidence >= before - 1e-12
+
+
+@st.composite
+def twelve_bit_records(draw, max_size=40):
+    """Records over twelve_bit_schema, level indices drawn per attribute."""
+    schema = twelve_bit_schema()
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, len(a.levels) - 1) for a in schema.attributes)),
+            min_size=1,
+            max_size=max_size,
+        )
+    )
+    return schema, [
+        StudentRecord({a.name: a.levels[i] for a, i in zip(schema.attributes, row)})
+        for row in rows
+    ]
+
+
+CHROMOSOME = st.lists(st.integers(0, 1), min_size=12, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=twelve_bit_records(),
+    chromosome=CHROMOSOME,
+    class_index=st.integers(0, 1),
+    epsilon=st.sampled_from([0.0, 0.05, 1.0]),
+    indexed=st.booleans(),
+)
+def test_refine_matches_reference(data, chromosome, class_index, epsilon, indexed):
+    schema, records = data
+    rule = decode_chromosome(np.array(chromosome, dtype=np.uint8), schema, class_index)
+    dataset = DatasetIndex(schema, records) if indexed else records
+    got = refine_rule(rule, dataset, schema, epsilon=epsilon)
+    want = reference_refine(rule, records, schema, epsilon)
+    fields = ("terms", "support", "confidence", "coverage", "vacuous")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+def test_refine_tie_drops_earliest_term(toy_schema):
+    # dropping A and dropping B both leave confidence 0.5, equal to the
+    # current rule's; the earliest term (A) goes, and the empty rule (3/7)
+    # is then rejected
+    rows = [
+        ("a1", "b1", "t1"), ("a1", "b1", "t2"),
+        ("a2", "b1", "t1"), ("a2", "b1", "t2"),
+        ("a1", "b2", "t1"), ("a1", "b2", "t2"),
+        ("a3", "b2", "t2"),
+    ]
+    records = [StudentRecord({"A": a, "B": b, "T": t}) for a, b, t in rows]
+    rule = Rule(terms=(("A", ("a1",)), ("B", ("b1",))), consequent="t1")
+    refined = refine_rule(rule, records, toy_schema)
+    assert refined.terms == (("B", ("b1",)),)
+    assert (refined.support, refined.confidence) == (4, 0.5)
+    assert refined == reference_refine(rule, records, toy_schema)
+
+
+def test_refine_candidates_without_support(toy_schema):
+    # no record has A = a3 or B = b2: the rule and both one-term drops match
+    # nothing (confidence 0), so every drop is accepted down to the empty rule
+    records = [
+        StudentRecord({"A": "a1", "B": "b1", "T": "t1"}),
+        StudentRecord({"A": "a2", "B": "b1", "T": "t2"}),
+    ]
+    rule = Rule(terms=(("A", ("a3",)), ("B", ("b2",))), consequent="t1")
+    assert evaluate_rule(rule, records, toy_schema).vacuous
+    refined = refine_rule(rule, records, toy_schema)
+    assert refined.terms == ()
+    assert (refined.support, refined.confidence, refined.vacuous) == (2, 0.5, False)
+    assert refined == reference_refine(rule, records, toy_schema)
+    # one drop without support, one with: the supported drop wins
+    rule = Rule(terms=(("A", ("a1",)), ("B", ("b2",))), consequent="t1")
+    refined = refine_rule(rule, records, toy_schema)
+    assert refined == reference_refine(rule, records, toy_schema)
+    assert refined.terms == (("A", ("a1",)),)
+
+
+def test_refine_repeated_attribute_drops_together(toy_schema):
+    rng = np.random.default_rng(11)
+    records = random_records(toy_schema, 60, rng)
+    rule = Rule(
+        terms=(("A", ("a1", "a2")), ("B", ("b1",)), ("A", ("a2", "a3"))), consequent="t2"
+    )
+    for epsilon in (0.0, 0.05, 1.0):
+        got = refine_rule(rule, records, toy_schema, epsilon=epsilon)
+        assert got == reference_refine(rule, records, toy_schema, epsilon)
+
+
+def test_refine_evaluates_the_rule_once(toy_schema, monkeypatch):
+    from edm_rulex import rulekit
+
+    calls = []
+    original = rulekit.evaluate_rule
+    monkeypatch.setattr(
+        rulekit, "evaluate_rule", lambda *a, **k: calls.append(a) or original(*a, **k)
+    )
+    records = random_records(toy_schema, 80, np.random.default_rng(4))
+    rule = Rule(terms=(("A", ("a1", "a3")), ("B", ("b2",))), consequent="t1")
+    refine_rule(rule, records, toy_schema, epsilon=1.0)
+    assert len(calls) == 1
+
+
+def test_refine_empty_dataset(toy_schema):
+    with pytest.raises(ValidationError, match="non-empty"):
+        refine_rule(Rule(terms=(), consequent="t1"), [], toy_schema)
+
+
+def test_index_codes_and_unknown_token(toy_schema):
+    records = [
+        StudentRecord({"A": "a3", "B": "b1", "T": "t2"}),
+        StudentRecord({"A": "a1", "B": "b2", "T": "t1"}),
+    ]
+    index = DatasetIndex(toy_schema, records)
+    assert index.codes.tolist() == [[2, 0, 1], [0, 1, 0]]
+    assert index.target_codes.tolist() == [1, 0]
+    records.append(StudentRecord({"A": "a1", "B": "b7", "T": "t1"}))
+    with pytest.raises(ValidationError, match="b7"):
+        DatasetIndex(toy_schema, records)
+
+
+def test_term_misses_columns(toy_schema):
+    records = [
+        StudentRecord({"A": "a1", "B": "b1", "T": "t1"}),
+        StudentRecord({"A": "a2", "B": "b2", "T": "t2"}),
+        StudentRecord({"A": "a3", "B": "b1", "T": "t1"}),
+    ]
+    index = DatasetIndex(toy_schema, records)
+    rule = Rule(terms=(("A", ("a1", "a3")), ("B", ("b1",))), consequent="t1")
+    misses = index.term_misses(rule)
+    assert misses.dtype == bool
+    assert misses.tolist() == [[False, False], [True, True], [False, False]]
+    assert index.antecedent_mask(rule).tolist() == [True, False, True]
+    assert index.term_misses(Rule(terms=(), consequent="t1")).shape == (3, 0)
+    assert index.antecedent_mask(Rule(terms=(), consequent="t1")).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=twelve_bit_records(max_size=60),
+    rules=st.lists(st.tuples(CHROMOSOME, st.integers(0, 1)), max_size=5),
+    default=st.integers(0, 1),
+    indexed=st.booleans(),
+)
+def test_accuracy_matches_predict_loop(data, rules, default, indexed):
+    schema, records = data
+    levels = schema.target.levels
+    ruleset = RuleSet(
+        rules=tuple(
+            decode_chromosome(np.array(c, dtype=np.uint8), schema, k) for c, k in rules
+        ),
+        default=levels[default],
+    )
+    expected = sum(ruleset.predict(r) == r.values["T"] for r in records) / len(records)
+    dataset = DatasetIndex(schema, records) if indexed else records
+    assert ruleset.accuracy(dataset, schema) == expected
+
+
+def test_accuracy_rejects_unknown_consequent(toy_schema):
+    records = random_records(toy_schema, 5, np.random.default_rng(0))
+    ruleset = RuleSet(rules=(Rule(terms=(), consequent="t9"),), default="t1")
+    with pytest.raises(ValidationError, match="t9"):
+        ruleset.accuracy(records, toy_schema)
+    with pytest.raises(ValidationError, match="non-empty"):
+        ruleset.accuracy([], toy_schema)
 
 
 def test_majority_class(toy_schema):
