@@ -11,7 +11,15 @@ partial correlation, reliability, factor rotation) on any cohort.
 from .errors import NumericError, ValidationError
 from .evolver import EvolutionResult, GaConfig, evolve
 from .neural import Network, TrainConfig, TrainResult, class_score, forward, init_network, train
-from .rulekit import Rule, RuleSet, decode_chromosome, extract_ruleset, format_rule, refine_rule
+from .rulekit import (
+    Rule,
+    RuleSet,
+    decode_chromosome,
+    extract_ruleset,
+    format_rule,
+    parse_rule,
+    refine_rule,
+)
 from .schema import (
     Attribute,
     AttributeSchema,
@@ -56,6 +64,7 @@ __all__ = [
     "init_network",
     "load_schema",
     "parse_dataset_csv",
+    "parse_rule",
     "plant_rules",
     "refine_rule",
     "sample_population",

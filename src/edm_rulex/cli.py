@@ -41,7 +41,7 @@ from .psychostats import (
     t_test,
     t_test_from_summary,
 )
-from .rulekit import RuleSet, extract_ruleset, format_rule, ruleset_to_dict
+from .rulekit import DatasetIndex, RuleSet, extract_ruleset, format_rule, ruleset_to_dict
 from .schema import (
     AttributeSchema,
     encode_dataset,
@@ -301,9 +301,10 @@ def cmd_extract(args) -> int:
     confidence = float(_pick(args, conf, "confidence", 0.7))
     epsilon = float(_pick(args, conf, "epsilon", 0.0))
     budget = int(_pick(args, conf, "budget", 5))
+    index = DatasetIndex(schema, records)
     ruleset = extract_ruleset(
         net,
-        records,
+        index,
         schema,
         ga_config=ga,
         per_class_rule_budget=budget,
@@ -337,7 +338,7 @@ def cmd_extract(args) -> int:
         "model": model_path.name,
         "model_hash": effective["model_hash"],
     }
-    doc["training_accuracy"] = ruleset.accuracy(records, schema)
+    doc["training_accuracy"] = ruleset.accuracy(index, schema)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "ruleset.json", doc)
     lines = [format_rule(r, schema) for r in ruleset.rules]

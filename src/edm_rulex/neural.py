@@ -28,8 +28,20 @@ log = logging.getLogger(__name__)
 SIGMOID_CLIP = 500.0
 
 
-def sigmoid(u):
-    return 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
+def sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-u))`` with ``u`` clipped to +-SIGMOID_CLIP, written into
+    ``out`` when given (``out`` may be ``u`` itself).
+
+    Each step is one ufunc working in place on the first step's result, so
+    training can run it on preallocated buffers; the values are the same
+    bits as ``1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))``.
+    """
+    s = np.minimum(u, SIGMOID_CLIP, out=out)
+    np.maximum(s, -SIGMOID_CLIP, out=s)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
 
 
 @dataclass
@@ -209,6 +221,16 @@ def loss_and_gradients(net: Network, dataset: Sequence[EncodedVector]):
     return loss, grads
 
 
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views into ``flat``, one per shape."""
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return out
+
+
 def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -> TrainResult:
     """Per-pattern gradient descent with momentum until the mse target or the
     epoch budget.
@@ -218,41 +240,63 @@ def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -
     full-dataset mse after each epoch; only the final value is a contract.
     A non-finite mse, or a pre-activation over the dataset that reaches the
     sigmoid clip after an epoch, is a NumericError.
+
+    The weights, their velocities and the per-pattern gradient each live in
+    one flat vector, with the layers as views into it, and every update
+    writes into buffers allocated once, so the momentum step is three
+    whole-vector operations.  Each element sees the same floating-point
+    operations in the same order as ``vel = mom * vel - lr * grad;
+    theta += vel`` on fresh arrays.  The caller's arrays in ``net`` get the
+    weights back after every epoch and hold the trained values at the end.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
     x, t = _targets(net, dataset)
     rng = np.random.default_rng(config.seed)
     lr, mom = config.learning_rate, config.momentum
-    vel = {
-        "v": np.zeros_like(net.v),
-        "b_h": np.zeros_like(net.b_h),
-        "w": np.zeros_like(net.w),
-        "b_o": np.zeros_like(net.b_o),
-    }
+    layers = (net.v, net.b_h, net.w, net.b_o)
+    shapes = [a.shape for a in layers]
+    theta = np.concatenate([a.ravel() for a in layers])
+    vel = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    v, b_h, w, b_o = _views(theta, shapes)
+    # the output and hidden deltas are the bias gradients
+    g_v, d_h, g_w, d_o = _views(grad, shapes)
+    w_t, d_h_col, d_o_col = w.T, d_h[:, None], d_o[:, None]
+    h, slope_h = np.empty_like(b_h), np.empty_like(b_h)
+    y, slope_o = np.empty_like(b_o), np.empty_like(b_o)
     history: list[float] = []
     epochs_run = 0
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(dataset))
         for i in order:
-            xi, ti = x[i], t[i]
-            h = sigmoid(net.v @ xi + net.b_h)
-            y = sigmoid(net.w @ h + net.b_o)
-            d_o = (y - ti) * y * (1 - y)
-            d_h = (net.w.T @ d_o) * h * (1 - h)
-            for name, grad in (
-                ("w", np.outer(d_o, h)),
-                ("b_o", d_o),
-                ("v", np.outer(d_h, xi)),
-                ("b_h", d_h),
-            ):
-                vel[name] = mom * vel[name] - lr * grad
-            net.w += vel["w"]
-            net.b_o += vel["b_o"]
-            net.v += vel["v"]
-            net.b_h += vel["b_h"]
-        u_h, u_o, y = _batch_pass(net, x)
-        mse = float(np.mean((y - t) ** 2))
+            xi = x[i]
+            np.dot(v, xi, out=h)
+            h += b_h
+            sigmoid(h, out=h)
+            np.dot(w, h, out=y)
+            y += b_o
+            sigmoid(y, out=y)
+            # d_o = (y - t) * y * (1 - y)
+            np.subtract(y, t[i], out=d_o)
+            d_o *= y
+            np.subtract(1.0, y, out=slope_o)
+            d_o *= slope_o
+            # d_h = (w.T @ d_o) * h * (1 - h)
+            np.dot(w_t, d_o, out=d_h)
+            d_h *= h
+            np.subtract(1.0, h, out=slope_h)
+            d_h *= slope_h
+            np.multiply(d_o_col, h, out=g_w)
+            np.multiply(d_h_col, xi, out=g_v)
+            vel *= mom
+            grad *= lr
+            vel -= grad
+            theta += vel
+        for dst, src in zip(layers, (v, b_h, w, b_o)):
+            dst[...] = src
+        u_h, u_o, y_all = _batch_pass(net, x)
+        mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss); "

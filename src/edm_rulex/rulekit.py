@@ -256,7 +256,7 @@ def majority_class(dataset, schema: AttributeSchema) -> str:
 
 def extract_ruleset(
     net: Network,
-    dataset: Sequence[StudentRecord],
+    dataset: Sequence[StudentRecord] | DatasetIndex,
     schema: AttributeSchema,
     ga_config: GaConfig | None = None,
     per_class_rule_budget: int = DEFAULT_RULE_BUDGET,
@@ -275,7 +275,9 @@ def extract_ruleset(
     The GA seed for class k, round r derives from the config seed as
     derive_seed(seed, "class-k", r), so class loops are independent and
     reproducible.  Accepted rules carry metrics recomputed against the full
-    dataset; working-set confidences live in the audit entries.
+    dataset; working-set confidences live in the audit entries.  ``dataset``
+    is records or a DatasetIndex of them, so a caller that scores the
+    ruleset afterwards can build the index once.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
@@ -292,7 +294,7 @@ def extract_ruleset(
             "network sizes do not match the schema; was it trained on this layout?"
         )
     ga_config = ga_config or GaConfig()
-    full = DatasetIndex(schema, dataset)
+    full = _as_index(dataset, schema)
     rules: list[Rule] = []
     audit: list[dict] = []
     for k, class_token in enumerate(schema.target.levels):
@@ -358,16 +360,87 @@ def format_rule(rule: Rule, schema: AttributeSchema) -> str:
     """Render the rule grammar, e.g. ``If Unit 1 = F → Then Reasoning = F``.
 
     Terms follow schema attribute order and levels follow schema level order;
-    an empty antecedent renders as ``If true``.
+    a term naming several levels is parenthesised, as in ``If (Unit 1 = F or
+    Unit 1 = P) and Unit 3 = F → ...``, so AND-before-OR precedence reads it
+    as written.  An empty antecedent renders as ``If true``.  ``parse_rule``
+    reads the text back.
     """
     order = {a.name: i for i, a in enumerate(schema.attributes)}
     parts = []
     for attr_name, levels in sorted(rule.terms, key=lambda t: order[t[0]]):
         attr = schema.attribute(attr_name)
         ordered = [t for t in attr.levels if t in levels]
-        parts.append(" or ".join(f"{attr_name} = {t}" for t in ordered))
+        text = " or ".join(f"{attr_name} = {t}" for t in ordered)
+        parts.append(f"({text})" if len(ordered) > 1 else text)
     antecedent = " and ".join(parts) if parts else "true"
     return f"If {antecedent} → Then {schema.target.name} = {rule.consequent}"
+
+
+def parse_rule(text: str, schema: AttributeSchema) -> Rule:
+    """Read back a rule written by ``format_rule``.
+
+    The schema's attribute names and level tokens are the vocabulary, so they
+    may contain spaces.  A parenthesised group is one term: levels of one
+    attribute joined by ``or``.  Text outside the grammar, an unknown name or
+    token, or an ``or`` outside parentheses is a ValidationError.
+    """
+    body = text.strip()
+    antecedent, sep, consequent = body.removeprefix("If ").rpartition(" → Then ")
+    if not body.startswith("If ") or not sep:
+        raise ValidationError(f"rule text must read 'If ... → Then ...': {text!r}")
+    target = schema.target
+    token = consequent.removeprefix(f"{target.name} = ")
+    if token == consequent or token not in target.levels:
+        raise ValidationError(
+            f"rule consequent {consequent!r} is not '{target.name} = <level>' "
+            f"with a level in {list(target.levels)}"
+        )
+    if antecedent == "true":
+        return Rule(terms=(), consequent=token)
+    attrs = sorted(schema.predictive, key=lambda a: len(a.name), reverse=True)
+
+    def literal(pos: int, stops: tuple[str, ...]) -> tuple[str, str, int]:
+        """The ``name = level`` at pos, which must end at a stop or the end."""
+        for attr in attrs:
+            head = f"{attr.name} = "
+            if not antecedent.startswith(head, pos):
+                continue
+            start = pos + len(head)
+            for level in sorted(attr.levels, key=len, reverse=True):
+                end = start + len(level)
+                if antecedent.startswith(level, start) and (
+                    end == len(antecedent) or antecedent.startswith(stops, end)
+                ):
+                    return attr.name, level, end
+        raise ValidationError(
+            f"expected '<attribute> = <level>' at {antecedent[pos:]!r} in rule {text!r}"
+        )
+
+    terms, pos = [], 0
+    while True:
+        if antecedent.startswith("(", pos):
+            name, level, pos = literal(pos + 1, (" or ", ")"))
+            levels = [level]
+            while antecedent.startswith(" or ", pos):
+                other, level, pos = literal(pos + 4, (" or ", ")"))
+                if other != name:
+                    raise ValidationError(
+                        f"'or' joins levels of one attribute, got {name!r} and "
+                        f"{other!r} in rule {text!r}"
+                    )
+                levels.append(level)
+            if not antecedent.startswith(")", pos):
+                raise ValidationError(f"unclosed '(' in rule {text!r}")
+            pos += 1
+        else:
+            name, level, pos = literal(pos, (" and ",))
+            levels = [level]
+        terms.append((name, tuple(levels)))
+        if pos == len(antecedent):
+            return Rule(terms=tuple(terms), consequent=token)
+        if not antecedent.startswith(" and ", pos):
+            raise ValidationError(f"expected ' and ' at {antecedent[pos:]!r} in rule {text!r}")
+        pos += 5
 
 
 def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:

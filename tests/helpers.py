@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from edm_rulex.neural import Network, forward
+from edm_rulex.errors import NumericError
+from edm_rulex.neural import SIGMOID_CLIP, Network, TrainResult, forward
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
 
@@ -124,3 +125,56 @@ def reference_refine(rule, records, schema: AttributeSchema, epsilon: float = 0.
         coverage=support / len(records),
         vacuous=support == 0,
     )
+
+
+def _reference_sigmoid(u):
+    return 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
+
+
+def reference_train(net: Network, dataset, config) -> TrainResult:
+    """Per-pattern gradient descent with momentum on fresh arrays for every
+    update, with a dict of velocities: the oracle for neural.train, which
+    must give the same weights and mse history bit for bit."""
+    x = np.stack([np.asarray(v.bits, dtype=float) for v in dataset])
+    t = np.zeros((len(dataset), net.output_size))
+    for i, v in enumerate(dataset):
+        t[i, v.target_index] = 1.0
+    rng = np.random.default_rng(config.seed)
+    lr, mom = config.learning_rate, config.momentum
+    vel = {
+        "v": np.zeros_like(net.v),
+        "b_h": np.zeros_like(net.b_h),
+        "w": np.zeros_like(net.w),
+        "b_o": np.zeros_like(net.b_o),
+    }
+    history: list[float] = []
+    epochs_run = 0
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(dataset))
+        for i in order:
+            xi, ti = x[i], t[i]
+            h = _reference_sigmoid(net.v @ xi + net.b_h)
+            y = _reference_sigmoid(net.w @ h + net.b_o)
+            d_o = (y - ti) * y * (1 - y)
+            d_h = (net.w.T @ d_o) * h * (1 - h)
+            for name, grad in (
+                ("w", np.outer(d_o, h)),
+                ("b_o", d_o),
+                ("v", np.outer(d_h, xi)),
+                ("b_h", d_h),
+            ):
+                vel[name] = mom * vel[name] - lr * grad
+            net.w += vel["w"]
+            net.b_o += vel["b_o"]
+            net.v += vel["v"]
+            net.b_h += vel["b_h"]
+        u_h = x @ net.v.T + net.b_h
+        u_o = _reference_sigmoid(u_h) @ net.w.T + net.b_o
+        mse = float(np.mean((_reference_sigmoid(u_o) - t) ** 2))
+        if not np.isfinite(mse) or max(np.abs(u_h).max(), np.abs(u_o).max()) >= SIGMOID_CLIP:
+            raise NumericError(f"reference training failed at epoch {epoch + 1}")
+        history.append(mse)
+        epochs_run = epoch + 1
+        if mse <= config.target_mse:
+            break
+    return TrainResult(network=net, mse_history=history, epochs_run=epochs_run)

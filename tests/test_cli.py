@@ -5,8 +5,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from edm_rulex import cli
-from edm_rulex.schema import write_dataset_csv
+from edm_rulex import cli, rulekit
+from edm_rulex.rulekit import parse_rule
+from edm_rulex.schema import load_schema, write_dataset_csv
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
 
@@ -157,6 +158,41 @@ def test_extract_rules_sorted_by_class_then_confidence(full_run):
         (levels.index(r["consequent"]), -r["confidence"]) for r in ruleset["rules"]
     ]
     assert keys == sorted(keys)
+
+
+def test_rules_txt_parses_back_to_ruleset(full_run):
+    schema = load_schema(json.loads((full_run / "cohort.meta.json").read_text())["schema"])
+    ruleset = json.loads((full_run / "ruleset.json").read_text())
+    *lines, default = (full_run / "rules.txt").read_text().splitlines()
+    assert default == f"Default Reasoning = {ruleset['default']}"
+    assert len(lines) == len(ruleset["rules"])
+    for line, doc in zip(lines, ruleset["rules"]):
+        parsed = parse_rule(line, schema)
+        assert parsed.consequent == doc["consequent"]
+        assert sorted(parsed.terms) == sorted((t["attribute"], tuple(t["levels"])) for t in doc["terms"])
+
+
+def test_extract_builds_one_dataset_index(full_run, tmp_path, monkeypatch):
+    builds = []
+    original = rulekit.DatasetIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(rulekit.DatasetIndex, "__init__", counting_init)
+    rc = run(
+        "extract",
+        "--data", full_run / "cohort.csv",
+        "--model", full_run / "model.json",
+        "--out", tmp_path,
+        "--seed", "13",
+        "--pop", "20",
+        "--generations", "5",
+        "--budget", "1",
+    )
+    assert rc == 0
+    assert len(builds) == 1
 
 
 def test_extract_schema_mismatch(full_run, tmp_path, capsys):

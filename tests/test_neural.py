@@ -10,12 +10,14 @@ from helpers import (
     finite_diff_gradients,
     gradient_errors,
     random_records,
+    reference_train,
     twelve_bit_schema,
 )
 
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.neural import (
+    SIGMOID_CLIP,
     Network,
     TrainConfig,
     class_score,
@@ -27,9 +29,10 @@ from edm_rulex.neural import (
     network_from_dict,
     network_to_dict,
     save_network,
+    sigmoid,
     train,
 )
-from edm_rulex.schema import encode_dataset
+from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, encode_dataset
 
 
 def zero_net(inputs, hidden, outputs):
@@ -325,3 +328,96 @@ def test_config_validation():
     ):
         with pytest.raises(ValidationError):
             TrainConfig(**bad)
+
+
+LAYERS = ("v", "b_h", "w", "b_o")
+
+
+def assert_same_training(got, expected):
+    # bit for bit: tobytes also tells -0.0 from 0.0
+    for name in LAYERS:
+        assert getattr(got.network, name).tobytes() == getattr(expected.network, name).tobytes()
+    assert got.mse_history == expected.mse_history
+    assert got.epochs_run == expected.epochs_run
+
+
+def test_sigmoid_matches_clipped_formula():
+    rng = np.random.default_rng(12)
+    edges = [0.0, -0.0, 1e-300, -1e-300, SIGMOID_CLIP, -SIGMOID_CLIP, 499.999, -499.999, 1e6, -1e6]
+    u = np.concatenate([edges, rng.normal(scale=40, size=500), rng.normal(scale=800, size=500)])
+    expected = 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
+    assert sigmoid(u).tobytes() == expected.tobytes()
+    buf = u.copy()
+    assert sigmoid(buf, out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    levels=st.lists(st.integers(2, 4), min_size=1, max_size=5),
+    classes=st.integers(2, 4),
+    n_records=st.integers(1, 25),
+    hidden=st.integers(1, 8),
+    learning_rate=st.floats(0.01, 2.0),
+    momentum=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    max_epochs=st.integers(1, 6),
+    target_mse=st.sampled_from([1e-9, 0.05, 0.2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_train_equals_reference_bit_for_bit(
+    levels, classes, n_records, hidden, learning_rate, momentum, max_epochs, target_mse, seed
+):
+    schema = AttributeSchema(
+        tuple(Attribute(f"A{j}", tuple(f"a{j}_{k}" for k in range(m))) for j, m in enumerate(levels))
+        + (Attribute("T", tuple(f"t{k}" for k in range(classes)), ROLE_TARGET),)
+    )
+    encoded = encode_dataset(random_records(schema, n_records, np.random.default_rng(seed)), schema)
+    cfg = TrainConfig(
+        learning_rate=learning_rate,
+        momentum=momentum,
+        max_epochs=max_epochs,
+        target_mse=target_mse,
+        hidden_size=hidden,
+        seed=seed,
+    )
+    try:
+        expected = reference_train(init_network(schema, cfg), encoded, cfg)
+    except NumericError:
+        with pytest.raises(NumericError):
+            train(init_network(schema, cfg), encoded, cfg)
+        return
+    assert_same_training(train(init_network(schema, cfg), encoded, cfg), expected)
+
+
+def test_train_equals_reference_when_stopping_at_target():
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 1, np.random.default_rng(0)), schema)
+    cfg = TrainConfig(max_epochs=500, seed=1)
+    result = train(init_network(schema, cfg), encoded, cfg)
+    assert result.epochs_run < cfg.max_epochs and result.final_mse <= cfg.target_mse
+    assert_same_training(result, reference_train(init_network(schema, cfg), encoded, cfg))
+
+
+def test_train_writes_into_callers_arrays():
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 20, np.random.default_rng(4)), schema)
+    cfg = TrainConfig(max_epochs=3, seed=5)
+    net = init_network(schema, cfg)
+    arrays = {name: getattr(net, name) for name in LAYERS}
+    before = {name: a.copy() for name, a in arrays.items()}
+    result = train(net, encoded, cfg)
+    assert result.network is net
+    expected = reference_train(init_network(schema, cfg), encoded, cfg).network
+    for name, a in arrays.items():
+        assert getattr(net, name) is a
+        assert not np.array_equal(a, before[name])
+        assert a.tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_emits_no_runtime_warning():
+    schema = studydata.default_student_schema()
+    encoded = encode_dataset(random_records(schema, 60, np.random.default_rng(9)), schema)
+    cfg = TrainConfig(max_epochs=5, seed=2)
+    result = train(init_network(schema, cfg), encoded, cfg)
+    assert result.epochs_run == 5 and np.isfinite(result.final_mse)

@@ -17,6 +17,7 @@ from edm_rulex.rulekit import (
     extract_ruleset,
     format_rule,
     majority_class,
+    parse_rule,
     refine_rule,
     rule_matches,
     ruleset_from_dict,
@@ -449,7 +450,60 @@ def test_format_rule_reference_grammar():
     empty = Rule(terms=(), consequent="P")
     assert format_rule(empty, schema) == "If true → Then Reasoning = P"
     disjunction = Rule(terms=(("Unit 1", ("P", "F")),), consequent="F")
-    assert format_rule(disjunction, schema) == "If Unit 1 = F or Unit 1 = P → Then Reasoning = F"
+    assert format_rule(disjunction, schema) == "If (Unit 1 = F or Unit 1 = P) → Then Reasoning = F"
+
+
+def test_format_rule_groups_multi_level_terms():
+    schema = studydata.default_student_schema()
+    rule = Rule(terms=(("Unit 3", ("F",)), ("Unit 1", ("P", "F"))), consequent="F")
+    text = "If (Unit 1 = F or Unit 1 = P) and Unit 3 = F → Then Reasoning = F"
+    assert format_rule(rule, schema) == text
+    assert parse_rule(text, schema) == Rule(
+        terms=(("Unit 1", ("F", "P")), ("Unit 3", ("F",))), consequent="F"
+    )
+
+
+@st.composite
+def study_rules(draw):
+    schema = studydata.default_student_schema()
+    attrs = draw(st.permutations(schema.predictive))
+    terms = []
+    for attr in attrs[: draw(st.integers(0, len(attrs)))]:
+        keep = draw(st.lists(st.booleans(), min_size=len(attr.levels), max_size=len(attr.levels)))
+        levels = tuple(t for t, k in zip(attr.levels, keep) if k)
+        if levels:
+            terms.append((attr.name, levels))
+    return Rule(terms=tuple(terms), consequent=draw(st.sampled_from(schema.target.levels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=study_rules())
+def test_parse_rule_round_trip(rule):
+    # attribute names such as "Summing and taking notes" contain " and "
+    schema = studydata.default_student_schema()
+    parsed = parse_rule(format_rule(rule, schema), schema)
+    assert parsed.consequent == rule.consequent
+    assert sorted(parsed.terms) == sorted(rule.terms)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Unit 1 = F → Then Reasoning = F", "If"),
+        ("If Unit 1 = F", "Then"),
+        ("If Unit 1 = F → Then Reasoning = X", "consequent"),
+        ("If Unit 1 = F → Then Unit 2 = F", "consequent"),
+        ("If Unit 1 = F or Unit 1 = P → Then Reasoning = F", "attribute"),
+        ("If (Unit 1 = F or Unit 2 = P) → Then Reasoning = F", "one attribute"),
+        ("If (Unit 1 = F or Unit 1 = P → Then Reasoning = F", "unclosed"),
+        ("If Unit 9 = F → Then Reasoning = F", "attribute"),
+        ("If Unit 1 = X → Then Reasoning = F", "attribute"),
+        ("If (Unit 1 = F) Unit 2 = F → Then Reasoning = F", "and"),
+    ],
+)
+def test_parse_rule_rejects_text_outside_grammar(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_rule(text, studydata.default_student_schema())
 
 
 def test_ruleset_first_match_and_default(toy_schema):
@@ -485,7 +539,7 @@ def test_ruleset_json_round_trip(toy_schema):
     back = ruleset_from_dict(doc)
     assert back.rules == ruleset.rules
     assert back.default == ruleset.default
-    assert doc["rules"][0]["text"] == "If A = a1 or A = a3 → Then T = t1"
+    assert doc["rules"][0]["text"] == "If (A = a1 or A = a3) → Then T = t1"
 
 
 def test_ruleset_fidelity_to_network():
