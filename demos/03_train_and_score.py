@@ -54,9 +54,9 @@ for unit1 in ("F", "P", "G", "V.G"):
     print(f"  Unit 1 = {unit1:3s} -> score toward Reasoning=F: "
           f"{class_score(result.network, bits, f_index):.3f}")
 
-accuracy = np.mean(
-    [int(np.argmax(
-        [class_score(result.network, v.bits, k) for k in range(schema.target_bits)]
-    )) == v.target_index for v in encoded]
+# one population call per class scores every encoded record at once
+scores = np.stack(
+    [class_score(result.network, encoded.bits, k) for k in range(schema.target_bits)], axis=1
 )
+accuracy = np.mean(np.argmax(scores, axis=1) == encoded.target)
 print(f"\ntraining accuracy: {accuracy:.3f}")

@@ -49,7 +49,7 @@ net = train(init_network(schema, tc), encoded, tc).network
 
 ruleset = extract_ruleset(
     net,
-    records,
+    encoded,  # the same bit matrix the network was trained on
     schema,
     ga_config=GaConfig(population_size=100, generations=60, seed=2),
     per_class_rule_budget=4,
@@ -59,7 +59,7 @@ print("extracted rules (confidence / support):")
 for rule in ruleset.rules:
     print(f"  [{rule.confidence:.2f} / {rule.support:4d}] {format_rule(rule, schema)}")
 print(f"  default class: {ruleset.default}")
-print(f"  training accuracy: {ruleset.accuracy(records, schema):.3f}")
+print(f"  training accuracy: {ruleset.accuracy(encoded, schema):.3f}")
 print()
 
 print("extraction audit:")

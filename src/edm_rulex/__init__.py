@@ -23,9 +23,11 @@ from .rulekit import (
 from .schema import (
     Attribute,
     AttributeSchema,
+    DatasetIndex,
     DiscretizationSpec,
     EncodedVector,
     StudentRecord,
+    encode_dataset,
     encode_record,
     load_schema,
     parse_dataset_csv,
@@ -38,6 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Attribute",
     "AttributeSchema",
+    "DatasetIndex",
     "DiscretizationSpec",
     "EncodedVector",
     "EvolutionResult",
@@ -56,6 +59,7 @@ __all__ = [
     "decode_chromosome",
     "default_population_spec",
     "default_student_schema",
+    "encode_dataset",
     "encode_record",
     "evolve",
     "extract_ruleset",

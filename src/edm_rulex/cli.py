@@ -74,13 +74,18 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_json(path: Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path} is not valid JSON: {e}") from None
 
 
 def _stage_config(args, stage: str) -> dict:
     """Stage section of --config, if any."""
     if getattr(args, "config", None):
         doc = _read_json(Path(args.config))
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config {args.config} must be a JSON object")
         section = doc.get(stage, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config section {stage!r} must be an object")
@@ -429,18 +434,13 @@ def cmd_stats(args) -> int:
         idx = [col[d] for d in present]
         per_group = [groups[t][:, idx] for t in tokens]
         wres = manova_wilks(per_group)
-        univariate = {}
-        levene = {}
-        for d in present:
-            series = [groups[t][:, col[d]] for t in tokens]
-            row = _anova_from_groups(series)
-            univariate[d] = row
-            lv = levene_w(series)
+        series = {d: [groups[t][:, col[d]] for t in tokens] for d in present}
+        series["Total"] = [g.sum(axis=1) for g in per_group]
+        univariate, levene = {}, {}
+        for d, samples in series.items():
+            univariate[d] = _anova_from_groups(samples)
+            lv = levene_w(samples)
             levene[d] = {"w": lv.w, "df": list(lv.df), "p": lv.p}
-        totals = [g.sum(axis=1) for g in per_group]
-        univariate["Total"] = _anova_from_groups(totals)
-        lv = levene_w(totals)
-        levene["Total"] = {"w": lv.w, "df": list(lv.df), "p": lv.p}
         blocks[block_name] = {
             "wilks": {
                 "lambda": wres.wilks_lambda,

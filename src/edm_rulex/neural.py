@@ -13,12 +13,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .schema import AttributeSchema, EncodedVector
+from .schema import AttributeSchema, DatasetIndex
 
 log = logging.getLogger(__name__)
 
@@ -171,18 +171,15 @@ def class_score(net: Network, chromosome, class_index: int):
     return float(y) if y.ndim == 0 else y
 
 
-def _targets(net: Network, dataset: Sequence[EncodedVector]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([np.asarray(v.bits, dtype=float) for v in dataset])
-    if x.shape[1] != net.input_size:
+def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's bits as floats and its class indices as one-hot rows."""
+    sizes = (dataset.bits.shape[1], dataset.schema.target_bits)
+    if sizes != (net.input_size, net.output_size):
         raise ValidationError(
-            f"dataset encoded with {x.shape[1]} bits, network expects {net.input_size}"
+            f"dataset has {sizes[0]} bits and {sizes[1]} classes, "
+            f"network expects {net.input_size} and {net.output_size}"
         )
-    t = np.zeros((len(dataset), net.output_size))
-    for i, v in enumerate(dataset):
-        if not 0 <= v.target_index < net.output_size:
-            raise ValidationError(f"target index {v.target_index} out of range")
-        t[i, v.target_index] = 1.0
-    return x, t
+    return dataset.bits.astype(float), np.eye(net.output_size)[dataset.target]
 
 
 def _batch_pass(net: Network, x: np.ndarray):
@@ -192,19 +189,19 @@ def _batch_pass(net: Network, x: np.ndarray):
     return u_h, u_o, sigmoid(u_o)
 
 
-def dataset_mse(net: Network, dataset: Sequence[EncodedVector]) -> float:
+def dataset_mse(net: Network, dataset: DatasetIndex) -> float:
     """Mean squared output error over all patterns and output units."""
-    x, t = _targets(net, dataset)
+    x, t = _arrays(net, dataset)
     return float(np.mean((_batch_pass(net, x)[2] - t) ** 2))
 
 
-def loss_and_gradients(net: Network, dataset: Sequence[EncodedVector]):
+def loss_and_gradients(net: Network, dataset: DatasetIndex):
     """Mean half-squared error over the dataset and its analytic gradients.
 
     Returns (loss, {"v": dV, "b_h": ..., "w": ..., "b_o": ...}) averaged over
     patterns, matching what finite differences of the same loss give.
     """
-    x, t = _targets(net, dataset)
+    x, t = _arrays(net, dataset)
     n = x.shape[0]
     h = sigmoid(x @ net.v.T + net.b_h)
     y = sigmoid(h @ net.w.T + net.b_o)
@@ -231,7 +228,7 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
-def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -> TrainResult:
+def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResult:
     """Per-pattern gradient descent with momentum until the mse target or the
     epoch budget.
 
@@ -251,7 +248,7 @@ def train(net: Network, dataset: Sequence[EncodedVector], config: TrainConfig) -
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    x, t = _targets(net, dataset)
+    x, t = _arrays(net, dataset)
     rng = np.random.default_rng(config.seed)
     lr, mom = config.learning_rate, config.momentum
     layers = (net.v, net.b_h, net.w, net.b_o)

@@ -12,7 +12,7 @@ threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .evolver import EvolutionResult, GaConfig, evolve
 from .neural import Network, class_score
-from .schema import AttributeSchema, StudentRecord
+from .schema import AttributeSchema, DatasetIndex, StudentRecord
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -43,9 +43,6 @@ class Rule:
     vacuous: bool = False
     fitness: float | None = None
     chromosome: tuple[int, ...] | None = None
-
-    def term_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.terms)
 
     def without_term(self, attr: str) -> "Rule":
         return replace(self, terms=tuple(t for t in self.terms if t[0] != attr))
@@ -86,59 +83,14 @@ class RuleSet:
             claimed = unclaimed & index.antecedent_mask(rule)
             predicted[claimed] = schema.target.level_index(rule.consequent)
             unclaimed &= ~claimed
-        return int((predicted == index.target_codes).sum()) / len(index)
+        return int((predicted == index.target).sum()) / len(index)
 
 
-class DatasetIndex:
-    """Records encoded once as a level-index matrix for fast rule matching."""
-
-    def __init__(self, schema: AttributeSchema, records: Sequence[StudentRecord]):
-        self.schema = schema
-        self.records = list(records)
-        names = [a.name for a in schema.attributes]
-        self.column = {name: j for j, name in enumerate(names)}
-        self.codes = np.empty((len(self.records), len(names)), dtype=np.int16)
-        for j, attr in enumerate(schema.attributes):
-            code = {token: k for k, token in enumerate(attr.levels)}
-            try:
-                self.codes[:, j] = [code[r.values[attr.name]] for r in self.records]
-            except KeyError:
-                for r in self.records:  # raise the error that names the token
-                    attr.level_index(r.values[attr.name])
-                raise
-        self.target_codes = self.codes[:, self.column[schema.target.name]]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def term_misses(self, rule: Rule) -> np.ndarray:
-        """``bool[N, T]``: entry (n, j) is true when record n fails term j."""
-        misses = np.empty((len(self.records), len(rule.terms)), dtype=bool)
-        for j, (attr_name, levels) in enumerate(rule.terms):
-            attr = self.schema.attribute(attr_name)
-            allowed = [attr.level_index(t) for t in levels]
-            misses[:, j] = np.isin(self.codes[:, self.column[attr_name]], allowed, invert=True)
-        return misses
-
-    def antecedent_mask(self, rule: Rule) -> np.ndarray:
-        return ~self.term_misses(rule).any(axis=1)
-
-    def consequent_mask(self, rule: Rule) -> np.ndarray:
-        return self.target_codes == self.schema.target.level_index(rule.consequent)
-
-    def subset(self, keep: np.ndarray) -> "DatasetIndex":
-        sub = object.__new__(DatasetIndex)
-        sub.schema = self.schema
-        sub.records = [r for r, k in zip(self.records, keep) if k]
-        sub.column = self.column
-        sub.codes = self.codes[keep]
-        sub.target_codes = self.target_codes[keep]
-        return sub
-
-
-def _as_index(dataset, schema: AttributeSchema) -> DatasetIndex:
+def _as_index(dataset, schema: AttributeSchema | None) -> DatasetIndex:
     if isinstance(dataset, DatasetIndex):
         return dataset
+    if schema is None:
+        raise ValidationError("a dataset of records needs its schema; pass schema= or a DatasetIndex")
     return DatasetIndex(schema, dataset)
 
 
@@ -193,16 +145,6 @@ def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) ->
     )
 
 
-def _with_metrics(rule: Rule, metrics: RuleMetrics) -> Rule:
-    return replace(
-        rule,
-        support=metrics.support,
-        confidence=metrics.confidence,
-        coverage=metrics.coverage,
-        vacuous=metrics.vacuous,
-    )
-
-
 def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsilon: float = DEFAULT_EPSILON) -> Rule:
     """Greedy backward elimination of redundant terms.
 
@@ -244,13 +186,13 @@ def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsi
         del kept[best]
     kept_attrs = {attrs[j] for j in kept}
     current = replace(rule, terms=tuple(t for t in rule.terms if t[0] in kept_attrs))
-    return _with_metrics(current, evaluate_rule(current, index))
+    return replace(current, **asdict(evaluate_rule(current, index)))
 
 
 def majority_class(dataset, schema: AttributeSchema) -> str:
     """Most frequent target token; ties resolve to schema level order."""
     index = _as_index(dataset, schema)
-    counts = np.bincount(index.target_codes, minlength=schema.target_bits)
+    counts = np.bincount(index.target, minlength=schema.target_bits)
     return schema.target.levels[int(np.argmax(counts))]
 
 
@@ -300,8 +242,7 @@ def extract_ruleset(
     for k, class_token in enumerate(schema.target.levels):
         working = full
         for round_no in range(per_class_rule_budget):
-            remaining = int((working.target_codes == k).sum())
-            if remaining == 0:
+            if not (working.target == k).any():
                 break
             cfg = replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no))
             result: EvolutionResult = evolve(
@@ -321,26 +262,22 @@ def extract_ruleset(
                 "decoded_terms": [list(t) for t in raw_rule.terms],
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
-                "accepted": False,
             }
-            if refined.confidence is None or refined.confidence < confidence_threshold:
-                entry["outcome"] = "rejected: confidence below threshold"
-                audit.append(entry)
-                break
-            key = (refined.terms, refined.consequent)
-            if any((r.terms, r.consequent) == key for r in rules):
-                entry["outcome"] = "stopped: duplicate rule"
-                audit.append(entry)
-                break
             explained = working.antecedent_mask(refined) & working.consequent_mask(refined)
-            if not explained.any():
-                entry["outcome"] = "stopped: rule explains no remaining records"
-                audit.append(entry)
-                break
-            entry["accepted"] = True
-            entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
+            if refined.confidence < confidence_threshold:
+                stop = "rejected: confidence below threshold"
+            elif any((r.terms, r.consequent) == (refined.terms, refined.consequent) for r in rules):
+                stop = "stopped: duplicate rule"
+            elif not explained.any():
+                stop = "stopped: rule explains no remaining records"
+            else:
+                stop = None
+            entry["accepted"] = stop is None
+            entry["outcome"] = stop or f"accepted, removed {int(explained.sum())} records"
             audit.append(entry)
-            rules.append(replace(_with_metrics(refined, evaluate_rule(refined, full)), fitness=refined.fitness))
+            if stop:
+                break
+            rules.append(replace(refined, **asdict(evaluate_rule(refined, full))))
             working = working.subset(~explained)
             log.info(
                 "class %s round %d: %s (confidence %.3f)",

@@ -4,7 +4,9 @@ A schema is an ordered list of categorical attributes, each with an ordered
 level list and a role (predictive or target).  Predictive attributes are laid
 out as contiguous bit segments, one bit per level, which gives every valid
 record a fixed-length one-hot-per-segment encoding and gives the genetic
-search its chromosome layout.
+search its chromosome layout.  A dataset is encoded once, into a
+``DatasetIndex``: the bit matrix that training reads and rules are matched
+against.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ class AttributeSchema:
                 return a
         raise ValidationError(f"schema has no attribute named {name!r}")
 
+    def level_bits(self, name: str, levels: Iterable[str]) -> list[int]:
+        """Layout positions of the given levels of predictive attribute ``name``."""
+        attr = self.attribute(name)
+        if attr.role != ROLE_PREDICTIVE:
+            raise ValidationError(f"attribute {name!r} is the target and has no bits")
+        offset, _ = self.segments[name]
+        return [offset + attr.level_index(t) for t in levels]
+
     def validate_record(self, record: "StudentRecord") -> None:
         """Check that the record carries exactly the schema's attributes with
         known tokens."""
@@ -134,9 +144,6 @@ class EncodedVector:
 
     bits: np.ndarray  # uint8, shape (total_predictive_bits,)
     target_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -273,8 +280,64 @@ def decode_vector(vec: EncodedVector, schema: AttributeSchema) -> StudentRecord:
     return StudentRecord(values=values)
 
 
-def encode_dataset(records: Iterable[StudentRecord], schema: AttributeSchema) -> list[EncodedVector]:
-    return [encode_record(r, schema) for r in records]
+class DatasetIndex:
+    """A dataset encoded once: ``bits`` is ``uint8[N, B]``, each record's
+    one-hot-per-segment bit string in the chromosome layout, and ``target``
+    is ``intp[N]``, each record's class index.  Training reads the two
+    arrays; a rule term is missed where none of its level bits is set."""
+
+    def __init__(self, schema: AttributeSchema, records: Iterable[StudentRecord]):
+        records = list(records)
+        self.schema = schema
+        self.bits = np.zeros((len(records), schema.total_predictive_bits), dtype=np.uint8)
+        try:  # one attribute column at a time
+            for attr in schema.attributes:
+                code = {token: k for k, token in enumerate(attr.levels)}
+                column = np.array([code[r.values[attr.name]] for r in records], dtype=np.intp)
+                if attr.role == ROLE_TARGET:
+                    self.target = column
+                else:
+                    self.bits[np.arange(len(records)), schema.segments[attr.name][0] + column] = 1
+            valid = all(len(r.values) == len(schema.attributes) for r in records)
+        except KeyError:
+            valid = False
+        if not valid:
+            for r in records:  # raise the first record's own error
+                schema.validate_record(r)
+
+    @classmethod
+    def from_arrays(cls, schema: AttributeSchema, bits, target) -> "DatasetIndex":
+        """An index over given arrays, taken as they are (bits need not be one-hot)."""
+        index = object.__new__(cls)
+        index.schema = schema
+        index.bits = np.asarray(bits, dtype=np.uint8)
+        index.target = np.asarray(target, dtype=np.intp)
+        return index
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def term_misses(self, rule) -> np.ndarray:
+        """``bool[N, T]``: true where record n has none of term j's level bits set."""
+        misses = np.empty((len(self), len(rule.terms)), dtype=bool)
+        for j, (name, levels) in enumerate(rule.terms):
+            misses[:, j] = ~self.bits[:, self.schema.level_bits(name, levels)].any(axis=1)
+        return misses
+
+    def antecedent_mask(self, rule) -> np.ndarray:
+        return ~self.term_misses(rule).any(axis=1)
+
+    def consequent_mask(self, rule) -> np.ndarray:
+        return self.target == self.schema.target.level_index(rule.consequent)
+
+    def subset(self, keep: np.ndarray) -> "DatasetIndex":
+        return DatasetIndex.from_arrays(self.schema, self.bits[keep], self.target[keep])
+
+
+def encode_dataset(records: Iterable[StudentRecord], schema: AttributeSchema) -> DatasetIndex:
+    """Encode a dataset: the bit matrix row i is ``encode_record(records[i]).bits``.
+    A record ``validate_record`` rejects raises its ValidationError."""
+    return DatasetIndex(schema, records)
 
 
 def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:

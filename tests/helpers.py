@@ -4,16 +4,16 @@ import numpy as np
 
 from edm_rulex.errors import NumericError
 from edm_rulex.neural import SIGMOID_CLIP, Network, TrainResult, forward
-from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
+from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
 
 
 def batch_loss(net: Network, dataset) -> float:
     # mean over patterns of 0.5 * sum squared output error, via forward() only
     total = 0.0
-    for vec in dataset:
-        y = forward(net, vec.bits)
+    for bits, target_index in zip(dataset.bits, dataset.target):
+        y = forward(net, bits)
         t = np.zeros(net.output_size)
-        t[vec.target_index] = 1.0
+        t[target_index] = 1.0
         total += 0.5 * float(((y - t) ** 2).sum())
     return total / len(dataset)
 
@@ -71,6 +71,20 @@ def twelve_bit_schema() -> AttributeSchema:
             Attribute("T", ("t1", "t2"), ROLE_TARGET),
         )
     )
+
+
+def random_bit_dataset(n: int, rng) -> DatasetIndex:
+    """n patterns of 6 random bits (not one-hot) with random classes of 2,
+    drawn pattern by pattern: the bits, then the class."""
+    schema = AttributeSchema(
+        (
+            Attribute("A", ("a1", "a2", "a3")),
+            Attribute("B", ("b1", "b2", "b3")),
+            Attribute("T", ("t1", "t2"), ROLE_TARGET),
+        )
+    )
+    rows = [(rng.integers(0, 2, 6, dtype=np.uint8), int(rng.integers(2))) for _ in range(n)]
+    return DatasetIndex.from_arrays(schema, [b for b, _ in rows], [k for _, k in rows])
 
 
 def random_records(schema: AttributeSchema, n: int, rng) -> list:
@@ -135,10 +149,10 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
     """Per-pattern gradient descent with momentum on fresh arrays for every
     update, with a dict of velocities: the oracle for neural.train, which
     must give the same weights and mse history bit for bit."""
-    x = np.stack([np.asarray(v.bits, dtype=float) for v in dataset])
+    x = dataset.bits.astype(float)
     t = np.zeros((len(dataset), net.output_size))
-    for i, v in enumerate(dataset):
-        t[i, v.target_index] = 1.0
+    for i, target_index in enumerate(dataset.target):
+        t[i, target_index] = 1.0
     rng = np.random.default_rng(config.seed)
     lr, mom = config.learning_rate, config.momentum
     vel = {

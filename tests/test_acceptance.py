@@ -10,6 +10,7 @@ import numpy as np
 from helpers import (
     finite_diff_gradients,
     gradient_errors,
+    random_bit_dataset,
     random_records,
     twelve_bit_schema,
 )
@@ -102,12 +103,7 @@ def test_criterion_4_ga_optimality_oracle():
 
 def test_criterion_5_gradient_check():
     rng = np.random.default_rng(4242)
-    from edm_rulex.schema import EncodedVector
-
-    dataset = [
-        EncodedVector(bits=rng.integers(0, 2, 6, dtype=np.uint8), target_index=int(rng.integers(2)))
-        for _ in range(10)
-    ]
+    dataset = random_bit_dataset(10, rng)
     worst = 0.0
     for _ in range(20):
         net = Network(

@@ -379,6 +379,15 @@ def test_report_missing_artifact(full_run, tmp_path, capsys):
     assert "model.json" in capsys.readouterr().err
 
 
+def test_report_corrupt_json_artifact(full_run, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    (broken / "train_log.json").write_text('{"epochs_run": 3,')
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert "train_log.json" in err and "not valid JSON" in err
+
+
 def test_report_deterministic(full_run):
     before = (full_run / "report.txt").read_bytes()
     assert run("report", full_run) == 0
@@ -402,6 +411,18 @@ def test_config_file_supplies_defaults(tmp_path):
     assert run("generate", "--config", config) == 0
     rows = (tmp_path / "gen" / "cohort.csv").read_text().strip().splitlines()
     assert len(rows) == 31
+
+
+@pytest.mark.parametrize(
+    "text, message", [("{seed: 7}", "not valid JSON"), ("[7]", "must be a JSON object")]
+)
+def test_train_rejects_invalid_config_json(full_run, tmp_path, capsys, text, message):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    assert run("train", "--config", config, "--data", full_run / "cohort.csv", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and message in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_unknown_spec_path(tmp_path, capsys):

@@ -9,6 +9,7 @@ from helpers import (
     enumerate_class_scores,
     finite_diff_gradients,
     gradient_errors,
+    random_bit_dataset,
     random_records,
     reference_train,
     twelve_bit_schema,
@@ -223,19 +224,13 @@ def test_train_separable_toy_task():
     encoded = encode_dataset(records, schema)
     cfg = TrainConfig(seed=3)
     result = train(init_network(schema, cfg), encoded, cfg)
-    for vec in encoded:
-        assert int(np.argmax(forward(result.network, vec.bits))) == vec.target_index
+    for bits, target_index in zip(encoded.bits, encoded.target):
+        assert int(np.argmax(forward(result.network, bits))) == target_index
 
 
 def test_gradients_match_finite_differences():
-    schema = twelve_bit_schema()  # reshaped below to 6-3-2
     rng = np.random.default_rng(42)
-    from edm_rulex.schema import EncodedVector
-
-    dataset = [
-        EncodedVector(bits=rng.integers(0, 2, 6, dtype=np.uint8), target_index=int(rng.integers(2)))
-        for _ in range(8)
-    ]
+    dataset = random_bit_dataset(8, rng)  # a 6-3-2 network below
     worst = 0.0
     for draw in range(5):
         net = Network(
@@ -311,10 +306,10 @@ def test_dataset_mse_matches_forward():
     encoded = encode_dataset(random_records(schema, 10, rng), schema)
     net = init_network(schema, TrainConfig(seed=0))
     manual = 0.0
-    for vec in encoded:
-        y = forward(net, vec.bits)
+    for bits, target_index in zip(encoded.bits, encoded.target):
+        y = forward(net, bits)
         t = np.zeros(net.output_size)
-        t[vec.target_index] = 1
+        t[target_index] = 1
         manual += float(((y - t) ** 2).sum()) / net.output_size
     assert math.isclose(dataset_mse(net, encoded), manual / len(encoded), rel_tol=1e-12)
 

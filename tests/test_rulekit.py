@@ -279,11 +279,30 @@ def test_index_codes_and_unknown_token(toy_schema):
         StudentRecord({"A": "a1", "B": "b2", "T": "t1"}),
     ]
     index = DatasetIndex(toy_schema, records)
-    assert index.codes.tolist() == [[2, 0, 1], [0, 1, 0]]
-    assert index.target_codes.tolist() == [1, 0]
+    assert index.bits.tolist() == [[0, 0, 1, 1, 0], [1, 0, 0, 0, 1]]
+    assert index.target.tolist() == [1, 0]
     records.append(StudentRecord({"A": "a1", "B": "b7", "T": "t1"}))
     with pytest.raises(ValidationError, match="b7"):
         DatasetIndex(toy_schema, records)
+
+
+def test_index_rejects_record_without_attribute(toy_schema):
+    records = [
+        StudentRecord({"A": "a1", "B": "b1", "T": "t1"}),
+        StudentRecord({"B": "b2", "T": "t2"}),
+    ]
+    with pytest.raises(ValidationError, match=r"missing=\['A'\]"):
+        DatasetIndex(toy_schema, records)
+
+
+def test_evaluate_rule_needs_schema_for_records(toy_schema):
+    records = random_records(toy_schema, 5, np.random.default_rng(0))
+    rule = Rule(terms=(("A", ("a1",)),), consequent="t1")
+    with pytest.raises(ValidationError, match="schema"):
+        evaluate_rule(rule, records)
+    assert evaluate_rule(rule, DatasetIndex(toy_schema, records)) == evaluate_rule(
+        rule, records, toy_schema
+    )
 
 
 def test_term_misses_columns(toy_schema):
@@ -557,7 +576,8 @@ def test_ruleset_fidelity_to_network():
     tc = TrainConfig(max_epochs=3, seed=0)
     net = train(init_network(schema, tc), encoded, tc).network
     net_hits = sum(
-        int(np.argmax(forward(net, v.bits))) == v.target_index for v in encoded
+        int(np.argmax(forward(net, bits))) == target_index
+        for bits, target_index in zip(encoded.bits, encoded.target)
     )
     net_accuracy = net_hits / len(encoded)
     ruleset = extract_ruleset(

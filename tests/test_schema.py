@@ -1,18 +1,25 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edm_rulex import studydata
 from edm_rulex.errors import ValidationError
 from edm_rulex.schema import (
+    ROLE_TARGET,
+    Attribute,
+    AttributeSchema,
     DimensionCuts,
     DiscretizationSpec,
     StudentRecord,
     decode_vector,
     discretize_record,
     discretize_value,
+    encode_dataset,
     encode_record,
     load_schema,
     parse_dataset_csv,
@@ -140,6 +147,45 @@ def test_encoding_is_stable():
     b = encode_record(rec, schema)
     assert a.bits.tobytes() == b.bits.tobytes() and a.target_index == b.target_index
     assert schema_hash(schema) == schema_hash(studydata.default_student_schema())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    classes=st.integers(1, 4),
+    draws=st.lists(st.lists(st.integers(0, 4), min_size=7, max_size=7), max_size=30),
+)
+def test_encode_dataset_rows_equal_encode_record(levels, classes, draws):
+    schema = AttributeSchema(
+        tuple(Attribute(f"A{j}", tuple(f"a{j}_{k}" for k in range(m))) for j, m in enumerate(levels))
+        + (Attribute("T", tuple(f"t{k}" for k in range(classes)), ROLE_TARGET),)
+    )
+    records = [
+        StudentRecord({a.name: a.levels[d % len(a.levels)] for a, d in zip(schema.attributes, draw)})
+        for draw in draws
+    ]
+    data = encode_dataset(records, schema)
+    assert data.bits.dtype == np.uint8
+    assert data.bits.shape == (len(records), schema.total_predictive_bits)
+    assert len(data) == len(records)
+    for i, record in enumerate(records):
+        vec = encode_record(record, schema)
+        assert data.bits[i].tolist() == vec.bits.tolist()
+        assert data.target[i] == vec.target_index
+
+
+def test_encode_dataset_keeps_record_errors(toy_schema):
+    good = StudentRecord({"A": "a1", "B": "b1", "T": "t1"})
+    for bad in (
+        StudentRecord({"A": "a9", "B": "b1", "T": "t1"}),
+        StudentRecord({"A": "a1", "B": "b1", "T": "t7"}),
+        StudentRecord({"A": "a1", "T": "t1"}),
+        StudentRecord({"A": "a1", "B": "b1", "T": "t1", "C": "c1"}),
+    ):
+        with pytest.raises(ValidationError) as expected:
+            toy_schema.validate_record(bad)
+        with pytest.raises(ValidationError, match=re.escape(str(expected.value))):
+            encode_dataset([good, bad, good], toy_schema)
 
 
 def test_parse_csv_valid(toy_schema):
