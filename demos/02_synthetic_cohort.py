@@ -21,9 +21,9 @@ for token, rows in cohort.groups.items():
     print(f"  group {token}: {rows.shape[0]} rows x {rows.shape[1]} raw dimensions")
 
 disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-records = discretize_cohort(cohort, disc, schema)
-reasoning = [r.values["Reasoning"] for r in records]
-print(f"  reasoning level counts: { {t: reasoning.count(t) for t in schema.target.levels} }")
+index = discretize_cohort(cohort, disc, schema)  # the encoded cohort: bits and class indices
+counts = np.bincount(index.target, minlength=schema.target_bits).tolist()
+print(f"  reasoning level counts: { dict(zip(schema.target.levels, counts)) }")
 print()
 
 print("== a large cohort recovers the generation targets ==")

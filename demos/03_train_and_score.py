@@ -20,7 +20,7 @@ from edm_rulex import (
     train,
 )
 from edm_rulex import studydata
-from edm_rulex.schema import encode_dataset, encode_record
+from edm_rulex.schema import encode_record
 from edm_rulex.synthgen import default_discretization
 
 schema = default_student_schema()
@@ -31,8 +31,7 @@ planted = PlantedRuleSpec(
     pairs=(((("Unit 1", ("F",)),), "F"), ((), "P")),
     noise=0.0,
 )
-records = plant_rules(cohort, planted, disc, schema, seed=4)
-encoded = encode_dataset(records, schema)
+encoded = plant_rules(cohort, planted, disc, schema, seed=4)  # a DatasetIndex
 
 config = TrainConfig(max_epochs=300, target_mse=0.005, seed=0)
 net = init_network(schema, config)

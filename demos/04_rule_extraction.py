@@ -21,7 +21,6 @@ from edm_rulex import (
     train,
 )
 from edm_rulex import studydata
-from edm_rulex.schema import encode_dataset
 from edm_rulex.synthgen import default_discretization
 
 schema = default_student_schema()
@@ -36,14 +35,13 @@ planted = PlantedRuleSpec(
     ),
     noise=0.0,
 )
-records = plant_rules(cohort, planted, disc, schema, seed=1)
+encoded = plant_rules(cohort, planted, disc, schema, seed=1)  # a DatasetIndex
 print("planted ground truth:")
 print("  Unit 1 = F            -> Reasoning = F")
 print("  Unit 2 = F            -> Reasoning = F")
 print("  otherwise             -> Reasoning = P")
 print()
 
-encoded = encode_dataset(records, schema)
 tc = TrainConfig(max_epochs=200, target_mse=1e-5, seed=0)
 net = train(init_network(schema, tc), encoded, tc).network
 

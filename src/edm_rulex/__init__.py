@@ -31,6 +31,7 @@ from .schema import (
     encode_record,
     load_schema,
     parse_dataset_csv,
+    read_index_csv,
 )
 from .studydata import default_population_spec, default_student_schema
 from .synthgen import PlantedRuleSpec, PopulationSpec, plant_rules, sample_population
@@ -70,6 +71,7 @@ __all__ = [
     "parse_dataset_csv",
     "parse_rule",
     "plant_rules",
+    "read_index_csv",
     "refine_rule",
     "sample_population",
     "train",

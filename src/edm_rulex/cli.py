@@ -41,14 +41,10 @@ from .psychostats import (
     t_test,
     t_test_from_summary,
 )
-from .rulekit import DatasetIndex, RuleSet, extract_ruleset, format_rule, ruleset_to_dict
-from .schema import (
-    AttributeSchema,
-    encode_dataset,
-    load_schema,
-    parse_dataset_csv,
-    schema_hash,
-)
+from .rulekit import RuleSet, extract_ruleset, format_ruleset, ruleset_to_dict
+from .schema import AttributeSchema, load_schema, read_index_csv, schema_hash
+# perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
+from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
 from .synthgen import (
     GroupSpec,
     PlantedRuleSpec,
@@ -127,8 +123,8 @@ def _load_dataset(args):
     csv_path = Path(args.data)
     meta = _sibling_meta(csv_path)
     schema = _resolve_schema(args, meta)
-    records = parse_dataset_csv(csv_path.read_text(encoding="utf-8"), schema)
-    return schema, records, meta, csv_path
+    index = read_index_csv(csv_path.read_text(encoding="utf-8"), schema)
+    return schema, index, meta, csv_path
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +189,15 @@ def cmd_generate(args) -> int:
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, maxima, studydata.GRADE_FRACTIONS)
     if planted is not None:
-        records = plant_rules(cohort, planted, disc, schema, derive_seed(master, "generate-labels"))
+        index = plant_rules(cohort, planted, disc, schema, derive_seed(master, "generate-labels"))
     else:
-        records = discretize_cohort(cohort, disc, schema)
+        index = discretize_cohort(cohort, disc, schema)
     meta = build_metadata(spec, schema, disc, planted)
     meta["master_seed"] = master
     meta["config_hash"] = config_hash(effective)
     meta["population_spec"] = spec.to_dict()
-    paths = write_cohort(out / "cohort", schema, records, cohort, meta)
-    print(f"wrote {paths['csv']} ({len(records)} rows), {paths['raw']}, {paths['meta']}")
+    paths = write_cohort(out / "cohort", index, cohort, meta)
+    print(f"wrote {paths['csv']} ({len(index)} rows), {paths['raw']}, {paths['meta']}")
     return 0
 
 
@@ -213,7 +209,7 @@ def cmd_train(args) -> int:
     conf = _stage_config(args, "train")
     master = int(_pick(args, conf, "seed", 0))
     out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
-    schema, records, _meta, csv_path = _load_dataset(args)
+    schema, index, _meta, csv_path = _load_dataset(args)
     hidden = _pick(args, conf, "hidden", None)
     config = TrainConfig(
         learning_rate=float(_pick(args, conf, "rate", 0.2)),
@@ -223,9 +219,8 @@ def cmd_train(args) -> int:
         hidden_size=None if hidden is None else int(hidden),
         seed=derive_seed(master, "train"),
     )
-    encoded = encode_dataset(records, schema)
     net = init_network(schema, config)
-    result = train(net, encoded, config)
+    result = train(net, index, config)
     effective = {
         "stage": "train",
         "master_seed": master,
@@ -285,7 +280,7 @@ def cmd_extract(args) -> int:
     conf = _stage_config(args, "extract")
     master = int(_pick(args, conf, "seed", 0))
     out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
-    schema, records, _meta, csv_path = _load_dataset(args)
+    schema, index, _meta, csv_path = _load_dataset(args)
     model_path = Path(_pick(args, conf, "model", None) or _fail("--model is required"))
     net = load_network(model_path)
     trained_on = net.metadata.get("schema_hash")
@@ -306,7 +301,6 @@ def cmd_extract(args) -> int:
     confidence = float(_pick(args, conf, "confidence", 0.7))
     epsilon = float(_pick(args, conf, "epsilon", 0.0))
     budget = int(_pick(args, conf, "budget", 5))
-    index = DatasetIndex(schema, records)
     ruleset = extract_ruleset(
         net,
         index,
@@ -346,9 +340,7 @@ def cmd_extract(args) -> int:
     doc["training_accuracy"] = ruleset.accuracy(index, schema)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "ruleset.json", doc)
-    lines = [format_rule(r, schema) for r in ruleset.rules]
-    lines.append(f"Default {schema.target.name} = {ruleset.default}")
-    (out / "rules.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / "rules.txt").write_text(format_ruleset(ruleset, schema), encoding="utf-8")
     print(
         f"wrote {out / 'ruleset.json'} ({len(ruleset.rules)} rules, "
         f"training accuracy {doc['training_accuracy']:.3f})"
@@ -360,13 +352,13 @@ def cmd_extract(args) -> int:
 # stats
 
 
-def _gender_split(schema, records, raw_matrix, group_by: str):
-    attr = schema.attribute(group_by)
+def _gender_split(index, raw_matrix, group_by: str):
+    codes = index.column(group_by)
     groups: dict[str, np.ndarray] = {}
-    for token in attr.levels:
-        idx = [i for i, r in enumerate(records) if r.values[group_by] == token]
-        if idx:
-            groups[token] = raw_matrix[idx]
+    for k, token in enumerate(index.schema.attribute(group_by).levels):
+        rows = raw_matrix[codes == k]
+        if len(rows):
+            groups[token] = rows
     if len(groups) < 2:
         raise ValidationError(
             f"need at least 2 non-empty {group_by!r} groups for group statistics"
@@ -380,22 +372,22 @@ def cmd_stats(args) -> int:
     conf = _stage_config(args, "stats")
     out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
     group_by = _pick(args, conf, "group_by", studydata.GENDER)
-    schema, records, _meta, csv_path = _load_dataset(args)
+    schema, index, _meta, csv_path = _load_dataset(args)
     raw_path = csv_path.with_suffix("").with_suffix(".raw.csv")
     if not raw_path.exists():
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
         )
     raw_dims, raw_matrix = parse_raw_csv(raw_path.read_text(encoding="utf-8"))
-    if raw_matrix.shape[0] != len(records):
+    if raw_matrix.shape[0] != len(index):
         raise ValidationError(
-            f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(records)}"
+            f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}"
         )
     col = {d: j for j, d in enumerate(raw_dims)}
     target_dim = schema.target.name
     if target_dim not in col:
         raise ValidationError(f"raw table lacks the target dimension {target_dim!r}")
-    groups = _gender_split(schema, records, raw_matrix, group_by)
+    groups = _gender_split(index, raw_matrix, group_by)
     tokens = list(groups)
 
     # target comparison across the first two groups
@@ -563,6 +555,15 @@ def cmd_report(args) -> int:
         problems.append("stats.json was computed from a different cohort.csv")
     if problems:
         raise ValidationError("artifact hash mismatch: " + "; ".join(problems))
+    md = model.get("metadata", {})
+    if not isinstance(train_log, dict):
+        raise ValidationError("train_log.json must be an object with final_mse and epochs_run")
+    for field in ("final_mse", "epochs_run"):
+        if train_log.get(field) != md.get(field):
+            raise ValidationError(
+                f"train_log.json {field} {train_log.get(field)!r} does not match "
+                f"model.json metadata {field} {md.get(field)!r}"
+            )
 
     lines: list[str] = []
     lines.append("edm-rulex run report")
@@ -582,7 +583,6 @@ def cmd_report(args) -> int:
         + ", ".join(f"{k}={n_per_group[k]}" for k in group_order)
         + f"; generator {meta.get('generator', '?')}; spec {meta.get('spec_hash', '?')[:12]}"
     )
-    md = model.get("metadata", {})
     lines.append(
         f"Model: {model.get('input_size')}-{model.get('hidden_size')}-{model.get('output_size')}, "
         f"final mse {md.get('final_mse', float('nan')):.5f} after {md.get('epochs_run', '?')} epochs"

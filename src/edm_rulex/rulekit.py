@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .evolver import EvolutionResult, GaConfig, evolve
 from .neural import Network, class_score
-from .schema import AttributeSchema, DatasetIndex, StudentRecord
+from .schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord
 from .util import derive_seed
 
 log = logging.getLogger(__name__)
@@ -64,11 +64,36 @@ class RuleSet:
     default: str
     audit: tuple[dict, ...] = ()
 
-    def predict(self, record: StudentRecord) -> str:
+    def predict_index(self, index: DatasetIndex) -> np.ndarray:
+        """``intp[N]``: each record's class index under the first matching
+        rule, else the default.  A rule naming an attribute or token outside
+        the index's schema is a ValidationError."""
+        target = index.schema.target
+        predicted = np.full(len(index), target.level_index(self.default), dtype=np.intp)
+        unclaimed = np.ones(len(index), dtype=bool)
         for rule in self.rules:
-            if rule_matches(rule, record):
-                return rule.consequent
-        return self.default
+            claimed = unclaimed & index.antecedent_mask(rule)
+            predicted[claimed] = target.level_index(rule.consequent)
+            unclaimed &= ~claimed
+        return predicted
+
+    def predict(self, record: StudentRecord, schema: AttributeSchema | None = None) -> str:
+        """The class token ``predict_index`` gives one record.  Without a
+        schema, one is read off the record and the rules: each attribute a
+        rule names takes the record's token and the rules' levels."""
+        if schema is None:
+            levels: dict[str, list] = {}
+            for rule in self.rules:
+                for attr, named in rule.terms:
+                    if attr in record.values:  # else predict_index names the attribute
+                        levels.setdefault(attr, [record.values[attr]]).extend(named)
+            classes = dict.fromkeys([r.consequent for r in self.rules] + [self.default])
+            target = Attribute("\0class", tuple(classes), ROLE_TARGET)  # no record attribute's name
+            attrs = tuple(Attribute(a, tuple(dict.fromkeys(ls))) for a, ls in levels.items())
+            schema = AttributeSchema(attrs + (target,))
+            values = {a: record.values[a] for a in levels}
+            record = StudentRecord({**values, target.name: self.default})
+        return schema.target.levels[int(self.predict_index(DatasetIndex(schema, [record]))[0])]
 
     def accuracy(self, dataset, schema: AttributeSchema) -> float:
         """Share of records whose first matching rule (else the default)
@@ -77,13 +102,7 @@ class RuleSet:
         if len(dataset) == 0:
             raise ValidationError("accuracy needs a non-empty dataset")
         index = _as_index(dataset, schema)
-        predicted = np.full(len(index), schema.target.level_index(self.default))
-        unclaimed = np.ones(len(index), dtype=bool)
-        for rule in self.rules:
-            claimed = unclaimed & index.antecedent_mask(rule)
-            predicted[claimed] = schema.target.level_index(rule.consequent)
-            unclaimed &= ~claimed
-        return int((predicted == index.target).sum()) / len(index)
+        return int((self.predict_index(index) == index.target).sum()) / len(index)
 
 
 def _as_index(dataset, schema: AttributeSchema | None) -> DatasetIndex:
@@ -117,11 +136,6 @@ def decode_chromosome(bits, schema: AttributeSchema, class_index: int) -> Rule:
         consequent=schema.target.levels[class_index],
         chromosome=tuple(int(b) for b in bits),
     )
-
-
-def rule_matches(rule: Rule, record: StudentRecord) -> bool:
-    """True iff every term's level set contains the record's level."""
-    return all(record.values.get(attr) in levels for attr, levels in rule.terms)
 
 
 def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) -> RuleMetrics:
@@ -378,6 +392,28 @@ def parse_rule(text: str, schema: AttributeSchema) -> Rule:
         if not antecedent.startswith(" and ", pos):
             raise ValidationError(f"expected ' and ' at {antecedent[pos:]!r} in rule {text!r}")
         pos += 5
+
+
+def format_ruleset(ruleset: RuleSet, schema: AttributeSchema) -> str:
+    """The ``rules.txt`` text: one ``format_rule`` line per rule, in order,
+    then ``Default <target> = <level>``."""
+    lines = [format_rule(r, schema) for r in ruleset.rules]
+    lines.append(f"Default {schema.target.name} = {ruleset.default}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_ruleset(text: str, schema: AttributeSchema) -> RuleSet:
+    """Read back ``format_ruleset``'s text: each rule line through
+    ``parse_rule``, and the default from the last line."""
+    lines = text.splitlines()
+    head = f"Default {schema.target.name} = "
+    default = lines[-1].removeprefix(head) if lines else ""
+    if not lines or not lines[-1].startswith(head) or default not in schema.target.levels:
+        raise ValidationError(
+            f"the last line of a ruleset must read '{head}<level>' with a level in "
+            f"{list(schema.target.levels)}, got {lines[-1] if lines else ''!r}"
+        )
+    return RuleSet(rules=tuple(parse_rule(line, schema) for line in lines[:-1]), default=default)
 
 
 def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:

@@ -4,9 +4,15 @@ A schema is an ordered list of categorical attributes, each with an ordered
 level list and a role (predictive or target).  Predictive attributes are laid
 out as contiguous bit segments, one bit per level, which gives every valid
 record a fixed-length one-hot-per-segment encoding and gives the genetic
-search its chromosome layout.  A dataset is encoded once, into a
-``DatasetIndex``: the bit matrix that training reads and rules are matched
-against.
+search its chromosome layout.
+
+A dataset is encoded once, into a ``DatasetIndex``: the bit matrix that
+training reads and rules are matched against, plus the class vector.  It is
+built from level codes, one integer column per attribute: ``discretize_column``
+turns a raw score column into codes, ``read_index_csv`` turns the token
+columns of a dataset CSV into codes, and ``write_index_csv`` writes an index
+back as tokens.  ``parse_dataset_csv`` and ``write_dataset_csv`` are the same
+reader and writer seen as ``StudentRecord`` lists.
 """
 
 from __future__ import annotations
@@ -43,10 +49,15 @@ class Attribute:
         if len(set(self.levels)) != len(self.levels):
             raise ValidationError(f"attribute {self.name!r} has duplicate level tokens")
 
+    @cached_property
+    def code(self) -> dict[str, int]:
+        """Level token -> its index in ``levels``."""
+        return {token: k for k, token in enumerate(self.levels)}
+
     def level_index(self, token: str) -> int:
         try:
-            return self.levels.index(token)
-        except ValueError:
+            return self.code[token]
+        except KeyError:
             raise ValidationError(
                 f"unknown token {token!r} for attribute {self.name!r}; "
                 f"expected one of {list(self.levels)}"
@@ -132,10 +143,9 @@ class AttributeSchema:
 
 @dataclass(frozen=True)
 class StudentRecord:
-    """One student: a level token per attribute, plus optional raw scores."""
+    """One student: a level token per attribute."""
 
     values: Mapping[str, str]
-    raw: Mapping[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -235,16 +245,18 @@ def discretize_value(score: float, cuts: DimensionCuts) -> str:
     return cuts.tokens[idx]
 
 
-def discretize_record(
-    raw: Mapping[str, float], spec: DiscretizationSpec
-) -> dict[str, str]:
-    """Discretize every raw dimension of one record to level tokens."""
-    out = {}
-    for name, score in raw.items():
-        if name not in spec.dimensions:
-            raise ValidationError(f"no discretization entry for raw dimension {name!r}")
-        out[name] = discretize_value(float(score), spec.dimensions[name])
-    return out
+def discretize_column(scores: np.ndarray, cuts: DimensionCuts, name: str) -> np.ndarray:
+    """Band index of every score of raw dimension ``name``, as ``discretize_value``
+    maps one score: ``intp[N]`` into ``cuts.tokens``."""
+    scores = np.asarray(scores, dtype=float)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValidationError(
+            f"dimension {name!r}, row {row + 1}: "
+            f"cannot discretize non-finite score {float(scores[row])!r}"
+        )
+    return np.searchsorted(np.asarray(cuts.cuts), scores, side="right")
 
 
 def encode_record(record: StudentRecord, schema: AttributeSchema) -> EncodedVector:
@@ -284,26 +296,24 @@ class DatasetIndex:
     """A dataset encoded once: ``bits`` is ``uint8[N, B]``, each record's
     one-hot-per-segment bit string in the chromosome layout, and ``target``
     is ``intp[N]``, each record's class index.  Training reads the two
-    arrays; a rule term is missed where none of its level bits is set."""
+    arrays; a rule term is missed where none of its level bits is set.
 
-    def __init__(self, schema: AttributeSchema, records: Iterable[StudentRecord]):
-        records = list(records)
+    ``rows`` is either the records or their level codes, ``intp[N, A]`` with
+    one column per schema attribute in schema order.  A record that
+    ``validate_record`` rejects raises its ValidationError."""
+
+    def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
+        codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))
+        widths = np.array([len(a.levels) for a in schema.attributes])
+        fits = codes.ndim == 2 and codes.shape[1] == len(widths)
+        if not (fits and ((codes >= 0) & (codes < widths)).all()):
+            raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
+        predictive = np.flatnonzero([a.role == ROLE_PREDICTIVE for a in schema.attributes])
+        offsets = np.array([schema.segments[a.name][0] for a in schema.predictive], dtype=np.intp)
         self.schema = schema
-        self.bits = np.zeros((len(records), schema.total_predictive_bits), dtype=np.uint8)
-        try:  # one attribute column at a time
-            for attr in schema.attributes:
-                code = {token: k for k, token in enumerate(attr.levels)}
-                column = np.array([code[r.values[attr.name]] for r in records], dtype=np.intp)
-                if attr.role == ROLE_TARGET:
-                    self.target = column
-                else:
-                    self.bits[np.arange(len(records)), schema.segments[attr.name][0] + column] = 1
-            valid = all(len(r.values) == len(schema.attributes) for r in records)
-        except KeyError:
-            valid = False
-        if not valid:
-            for r in records:  # raise the first record's own error
-                schema.validate_record(r)
+        self.bits = np.zeros((len(codes), schema.total_predictive_bits), dtype=np.uint8)
+        self.bits[np.arange(len(codes))[:, None], codes[:, predictive] + offsets] = 1
+        self.target = codes[:, schema.attributes.index(schema.target)].astype(np.intp)
 
     @classmethod
     def from_arrays(cls, schema: AttributeSchema, bits, target) -> "DatasetIndex":
@@ -316,6 +326,29 @@ class DatasetIndex:
 
     def __len__(self) -> int:
         return len(self.target)
+
+    def column(self, name: str) -> np.ndarray:
+        """``intp[N]``: every record's level index of attribute ``name``."""
+        attr = self.schema.attribute(name)
+        if attr.role == ROLE_TARGET:
+            return self.target
+        offset, width = self.schema.segments[name]
+        segment = self.bits[:, offset : offset + width]
+        if not (segment.sum(axis=1) == 1).all():
+            raise ValidationError(f"segment for {name!r} is not one-hot in every row")
+        return segment.argmax(axis=1)
+
+    def tokens(self) -> list[list[str]]:
+        """One level-token column per schema attribute, in schema order."""
+        return [
+            np.asarray(a.levels, dtype=object)[self.column(a.name)].tolist()
+            for a in self.schema.attributes
+        ]
+
+    def records(self) -> list[StudentRecord]:
+        """The records the index encodes (bits must be one-hot)."""
+        names = [a.name for a in self.schema.attributes]
+        return [StudentRecord(values=dict(zip(names, row))) for row in zip(*self.tokens())]
 
     def term_misses(self, rule) -> np.ndarray:
         """``bool[N, T]``: true where record n has none of term j's level bits set."""
@@ -334,16 +367,34 @@ class DatasetIndex:
         return DatasetIndex.from_arrays(self.schema, self.bits[keep], self.target[keep])
 
 
+def _record_codes(schema: AttributeSchema, records: list[StudentRecord]) -> np.ndarray:
+    """Level codes of records, one attribute column at a time; the first record
+    ``validate_record`` rejects raises its own error."""
+    codes = np.empty((len(records), len(schema.attributes)), dtype=np.intp)
+    try:
+        for j, attr in enumerate(schema.attributes):
+            codes[:, j] = [attr.code[r.values[attr.name]] for r in records]
+        valid = all(len(r.values) == len(schema.attributes) for r in records)
+    except KeyError:
+        valid = False
+    if not valid:
+        for r in records:
+            schema.validate_record(r)
+    return codes
+
+
 def encode_dataset(records: Iterable[StudentRecord], schema: AttributeSchema) -> DatasetIndex:
     """Encode a dataset: the bit matrix row i is ``encode_record(records[i]).bits``.
     A record ``validate_record`` rejects raises its ValidationError."""
     return DatasetIndex(schema, records)
 
 
-def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:
-    """Parse a level-token CSV whose header is the schema's attribute names.
+def read_index_csv(text: str, schema: AttributeSchema) -> DatasetIndex:
+    """Read a level-token CSV whose header is the schema's attribute names.
 
-    The first violation is reported with its data row number (1-based) and the
+    Tokens become level codes one column at a time.  The first bad row (in
+    row order; blank lines count as rows and are skipped) is reported with
+    its data row number (1-based) and, for an unknown token, the earliest
     offending attribute.
     """
     reader = csv.reader(io.StringIO(text))
@@ -353,34 +404,50 @@ def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]
         raise ValidationError("dataset CSV is empty") from None
     expected = [a.name for a in schema.attributes]
     if header != expected:
-        raise ValidationError(
-            f"header mismatch: expected {expected}, got {header}"
-        )
-    records = []
-    for rownum, row in enumerate(reader, start=1):
+        raise ValidationError(f"header mismatch: expected {expected}, got {header}")
+    lines = list(reader)
+    rows = [row for row in lines if row]
+    if any(len(row) != len(expected) for row in rows):
+        _raise_first_row_error(lines, schema)
+    codes = np.empty((len(rows), len(expected)), dtype=np.intp)
+    try:
+        for j, (attr, column) in enumerate(zip(schema.attributes, zip(*rows))):
+            codes[:, j] = list(map(attr.code.__getitem__, column))
+    except KeyError:
+        _raise_first_row_error(lines, schema)
+    return DatasetIndex(schema, codes)
+
+
+def _raise_first_row_error(lines: list[list[str]], schema: AttributeSchema):
+    """Raise the error of the first row that is ragged or has an unknown token."""
+    for rownum, row in enumerate(lines, start=1):
         if not row:
             continue
-        if len(row) != len(expected):
+        if len(row) != len(schema.attributes):
             raise ValidationError(
-                f"row {rownum}: expected {len(expected)} columns, got {len(row)}"
+                f"row {rownum}: expected {len(schema.attributes)} columns, got {len(row)}"
             )
-        values = {}
         for attr, token in zip(schema.attributes, row):
-            if token not in attr.levels:
+            if token not in attr.code:
                 raise ValidationError(
                     f"row {rownum}, attribute {attr.name!r}: unknown token {token!r}"
                 )
-            values[attr.name] = token
-        records.append(StudentRecord(values=values))
-    return records
+
+
+def write_index_csv(index: DatasetIndex) -> str:
+    """Render an index as the schema-conformant token CSV (byte-stable)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([a.name for a in index.schema.attributes])
+    writer.writerows(zip(*index.tokens()))
+    return buf.getvalue()
+
+
+def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:
+    """``read_index_csv`` as records."""
+    return read_index_csv(text, schema).records()
 
 
 def write_dataset_csv(records: Iterable[StudentRecord], schema: AttributeSchema) -> str:
-    """Render records as the schema-conformant CSV (byte-stable)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([a.name for a in schema.attributes])
-    for record in records:
-        schema.validate_record(record)
-        writer.writerow([record.values[a.name] for a in schema.attributes])
-    return buf.getvalue()
+    """``write_index_csv`` of the records' index."""
+    return write_index_csv(DatasetIndex(schema, records))

@@ -1,10 +1,14 @@
 """Synthetic cohort generation from per-group summary statistics.
 
 Cohorts are drawn per group (gender) from a correlated Gaussian whose means,
-spreads, and correlation matrix are explicit inputs, then discretized into
-level tokens.  Labels come either from discretizing the target's raw score or
-from a planted rule list, the latter giving the extraction pipeline a known
-ground truth to recover.
+spreads, and correlation matrix are explicit inputs.  The cohort then moves
+as columns: each raw dimension is discretized into a level-code column in
+one step, the group token fills the group attribute's column, and the
+records are encoded once into a ``DatasetIndex``.  Labels come either from
+discretizing the target's raw score or from a planted rule list, matched
+over that index by ``RuleSet.predict_index``; the latter gives the
+extraction pipeline a known ground truth to recover.  ``write_cohort``
+writes the index's token CSV and the raw score table from the arrays.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -18,21 +22,23 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .rulekit import Rule, RuleSet
 from .schema import (
     AttributeSchema,
+    DatasetIndex,
     DimensionCuts,
     DiscretizationSpec,
-    StudentRecord,
-    discretize_record,
+    discretize_column,
     schema_document,
     schema_hash,
-    write_dataset_csv,
+    write_index_csv,
 )
 from .util import config_hash
 
@@ -128,6 +134,11 @@ class RawCohort:
 
     dimensions: tuple[str, ...]
     groups: Mapping[str, np.ndarray]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Every group's rows stacked in group order: the cohort's record order."""
+        return np.concatenate(list(self.groups.values()), axis=0)
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,7 @@ def default_discretization(
     Three-level attributes get pooled-sample tertiles; graded attributes
     (four levels) get fixed fractions of the dimension's maximum score.
     """
-    pooled = np.concatenate([cohort.groups[t] for t in cohort.groups], axis=0)
+    pooled = cohort.matrix
     dims: dict[str, DimensionCuts] = {}
     by_name = {a.name: a for a in schema.attributes}
     for j, dim in enumerate(cohort.dimensions):
@@ -294,28 +305,38 @@ def _group_attribute(cohort: RawCohort, schema: AttributeSchema):
     return candidates[0]
 
 
-def _iter_raw_rows(cohort: RawCohort):
-    for token, rows in cohort.groups.items():
-        for row in rows:
-            yield token, dict(zip(cohort.dimensions, (float(x) for x in row)))
+def _cohort_codes(
+    cohort: RawCohort, disc: DiscretizationSpec, schema: AttributeSchema, labelled: bool
+) -> np.ndarray:
+    """Level codes of the cohort's records, one column per schema attribute:
+    the group token, or the bands of the attribute's raw dimension.  With
+    ``labelled`` the caller supplies the target and its column stays 0."""
+    group_attr = _group_attribute(cohort, schema)
+    scored = {d for d in cohort.dimensions if d in disc.dimensions} | {group_attr.name}
+    if labelled:
+        scored.add(schema.target.name)
+    missing = [a.name for a in schema.attributes if a.name not in scored]
+    if missing:
+        raise ValidationError(f"raw cohort provides no scores for attributes {missing}")
+    matrix = cohort.matrix
+    codes = np.zeros((len(matrix), len(schema.attributes)), dtype=np.intp)
+    for j, attr in enumerate(schema.attributes):
+        if attr is group_attr:
+            group_codes = [attr.level_index(token) for token in cohort.groups]
+            codes[:, j] = np.repeat(group_codes, [len(rows) for rows in cohort.groups.values()])
+        elif not (labelled and attr is schema.target):
+            cuts = disc.dimensions[attr.name]
+            scores = matrix[:, cohort.dimensions.index(attr.name)]
+            bands = discretize_column(scores, cuts, attr.name)
+            codes[:, j] = np.array([attr.level_index(t) for t in cuts.tokens])[bands]
+    return codes
 
 
 def discretize_cohort(
     cohort: RawCohort, disc: DiscretizationSpec, schema: AttributeSchema
-) -> list[StudentRecord]:
-    """Build records whose target token comes from the target's raw score."""
-    group_attr = _group_attribute(cohort, schema)
-    records = []
-    for token, raw in _iter_raw_rows(cohort):
-        values = discretize_record(
-            {k: v for k, v in raw.items() if k in disc.dimensions}, disc
-        )
-        values[group_attr.name] = token
-        missing = [a.name for a in schema.attributes if a.name not in values]
-        if missing:
-            raise ValidationError(f"raw cohort provides no scores for attributes {missing}")
-        records.append(StudentRecord(values=values, raw=raw))
-    return records
+) -> DatasetIndex:
+    """Encode the cohort; each target level comes from the target's raw score."""
+    return DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=False))
 
 
 def plant_rules(
@@ -324,68 +345,74 @@ def plant_rules(
     disc: DiscretizationSpec,
     schema: AttributeSchema,
     seed: int,
-) -> list[StudentRecord]:
+) -> DatasetIndex:
     """Label records by the first matching planted pair, with optional noise.
 
-    Predictive tokens come from discretization exactly as in
-    discretize_cohort; only the target is overridden.
+    Predictive levels come from discretization exactly as in
+    discretize_cohort; only the target is overridden.  With noise, each
+    record in order draws whether it flips and, if so, which other level
+    it takes, so the draws do not depend on how the labels were matched.
     """
-    for terms, label in planted.pairs:
-        schema.target.level_index(label)
-        for attr_name, levels in terms:
-            attr = schema.attribute(attr_name)
-            for token in levels:
-                attr.level_index(token)
-    group_attr = _group_attribute(cohort, schema)
-    rng = np.random.default_rng(seed)
-    target = schema.target
-    records = []
-    for token, raw in _iter_raw_rows(cohort):
-        values = discretize_record(
-            {k: v for k, v in raw.items() if k in disc.dimensions}, disc
-        )
-        values[group_attr.name] = token
-        label = None
-        for terms, then in planted.pairs:
-            if all(values.get(attr) in levels for attr, levels in terms):
-                label = then
-                break
-        assert label is not None  # catch-all guarantees a match
-        if planted.noise > 0 and rng.random() < planted.noise:
-            others = [t for t in target.levels if t != label]
-            label = others[int(rng.integers(0, len(others)))]
-        values[target.name] = label
-        missing = [a.name for a in schema.attributes if a.name not in values]
-        if missing:
-            raise ValidationError(f"raw cohort provides no scores for attributes {missing}")
-        records.append(StudentRecord(values=values, raw=raw))
-    return records
+    truth = RuleSet(
+        rules=tuple(Rule(terms=terms, consequent=then) for terms, then in planted.pairs),
+        default=planted.pairs[-1][1],
+    )
+    index = DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=True))
+    target = truth.predict_index(index)
+    if planted.noise > 0:
+        rng = np.random.default_rng(seed)
+        for i, label in enumerate(target.tolist()):
+            if rng.random() < planted.noise:
+                other = int(rng.integers(0, schema.target_bits - 1))
+                target[i] = other + (other >= label)  # the other levels, in level order
+    return DatasetIndex.from_arrays(schema, index.bits, target)
 
 
 def write_raw_csv(cohort: RawCohort) -> str:
     """Raw score table as CSV with full float precision (byte-stable)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cohort.dimensions)
-    for _, raw in _iter_raw_rows(cohort):
-        writer.writerow([repr(raw[d]) for d in cohort.dimensions])
+    csv.writer(buf, lineterminator="\n").writerow(cohort.dimensions)
+    # a float's repr() never needs CSV quoting
+    buf.writelines(",".join(map(repr, row)) + "\n" for row in cohort.matrix.tolist())
     return buf.getvalue()
 
 
 def parse_raw_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    reader = csv.reader(io.StringIO(text))
+    """Header and ``float[N, D]`` table of a raw score CSV.  A cell that is not
+    a number, or a row of the wrong width, is a ValidationError naming the
+    first such row (1-based, blank lines counted) and column."""
+    header_line, _, body = text.partition("\n")
+    if not header_line:
+        raise ValidationError("raw CSV is empty")
+    header = tuple(next(csv.reader([header_line])))
+    if not body.strip():
+        return header, np.empty((0, len(header)))
     try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ValidationError("raw CSV is empty") from None
-    rows = [[float(x) for x in row] for row in reader if row]
-    return header, np.asarray(rows, dtype=float)
+        matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        if matrix.shape[1] == len(header):
+            return header, matrix
+    except ValueError:
+        pass
+    for rownum, row in enumerate(csv.reader(io.StringIO(body)), start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValidationError(
+                f"raw CSV row {rownum}: expected {len(header)} columns, got {len(row)}"
+            )
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"raw CSV row {rownum}, column {name!r}: {cell!r} is not a number"
+                ) from None
+    raise ValidationError("raw CSV is not a table of numbers")
 
 
 def write_cohort(
     stem: str | Path,
-    schema: AttributeSchema,
-    records: Sequence[StudentRecord],
+    index: DatasetIndex,
     cohort: RawCohort,
     meta: Mapping,
 ) -> dict[str, Path]:
@@ -397,7 +424,7 @@ def write_cohort(
         "raw": stem.with_suffix(".raw.csv"),
         "meta": stem.with_suffix(".meta.json"),
     }
-    paths["csv"].write_text(write_dataset_csv(records, schema), encoding="utf-8")
+    paths["csv"].write_text(write_index_csv(index), encoding="utf-8")
     paths["raw"].write_text(write_raw_csv(cohort), encoding="utf-8")
     paths["meta"].write_text(
         json.dumps(dict(meta), sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -1,12 +1,14 @@
 import json
 import shutil
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from edm_rulex import cli, rulekit
-from edm_rulex.rulekit import parse_rule
+from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
 from edm_rulex.schema import load_schema, write_dataset_csv
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
@@ -170,6 +172,16 @@ def test_rules_txt_parses_back_to_ruleset(full_run):
         parsed = parse_rule(line, schema)
         assert parsed.consequent == doc["consequent"]
         assert sorted(parsed.terms) == sorted((t["attribute"], tuple(t["levels"])) for t in doc["terms"])
+
+
+def test_rules_txt_reads_back_as_a_whole(full_run):
+    schema = load_schema(json.loads((full_run / "cohort.meta.json").read_text())["schema"])
+    recorded = ruleset_from_dict(json.loads((full_run / "ruleset.json").read_text()))
+    back = parse_ruleset((full_run / "rules.txt").read_text(), schema)
+    assert back.default == recorded.default
+    assert [(r.terms, r.consequent) for r in back.rules] == [
+        (r.terms, r.consequent) for r in recorded.rules
+    ]
 
 
 def test_extract_builds_one_dataset_index(full_run, tmp_path, monkeypatch):
@@ -386,6 +398,64 @@ def test_report_corrupt_json_artifact(full_run, tmp_path, capsys):
     assert run("report", broken) == 2
     err = capsys.readouterr().err
     assert "train_log.json" in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("stage", ["stats", "report"])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda cells: [cells[0], "oops", *cells[2:]],
+            "row 3, column 'Management of study time': 'oops' is not a number",
+        ),
+        (lambda cells: cells[:-1], "row 3: expected 24 columns, got 23"),
+    ],
+)
+def test_malformed_raw_csv_exits_2(full_run, tmp_path, capsys, stage, corrupt, message):
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    lines = (broken / "cohort.raw.csv").read_text().splitlines()
+    lines[3] = ",".join(corrupt(lines[3].split(",")))
+    (broken / "cohort.raw.csv").write_text("\n".join(lines) + "\n")
+    if stage == "stats":
+        assert run("stats", "--data", broken / "cohort.csv", "--out", broken) == 2
+    else:
+        assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda log: [], "train_log.json must be an object"),
+        (lambda log: {**log, "final_mse": log["final_mse"] * 2}, "final_mse"),
+        (lambda log: {k: v for k, v in log.items() if k != "epochs_run"}, "epochs_run"),
+    ],
+)
+def test_report_checks_train_log_against_model(full_run, tmp_path, capsys, edit, field):
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    log = json.loads((broken / "train_log.json").read_text())
+    (broken / "train_log.json").write_text(json.dumps(edit(log)))
+    assert run("report", broken) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_perfbench_span_patches_resolve():
+    # every package name the benchmark's tracer wraps must still exist
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from spans import SpanRecorder, install
+    finally:
+        sys.path.pop(0)
+    originals = (cli.plant_rules, cli.parse_dataset_csv, rulekit.RuleSet.accuracy)
+    uninstall = install(SpanRecorder())
+    try:
+        assert cli.plant_rules is not originals[0]
+    finally:
+        uninstall()
+    assert (cli.plant_rules, cli.parse_dataset_csv, rulekit.RuleSet.accuracy) == originals
 
 
 def test_report_deterministic(full_run):

@@ -16,10 +16,11 @@ from edm_rulex.rulekit import (
     evaluate_rule,
     extract_ruleset,
     format_rule,
+    format_ruleset,
     majority_class,
     parse_rule,
+    parse_ruleset,
     refine_rule,
-    rule_matches,
     ruleset_from_dict,
     ruleset_to_dict,
 )
@@ -63,14 +64,23 @@ def test_decode_total(toy_schema):
             assert set(levels) <= set(full)
 
 
-def test_rule_matches_basics(toy_schema):
+def matches(rule, records, schema):
+    """Per record: does ``rule`` match?  Read off ``predict_index`` of a
+    one-rule ruleset whose default is another class."""
+    other = next(t for t in schema.target.levels if t != rule.consequent)
+    ruleset = RuleSet(rules=(rule,), default=other)
+    k = schema.target.level_index(rule.consequent)
+    return (ruleset.predict_index(DatasetIndex(schema, records)) == k).tolist()
+
+
+def test_predict_index_basics(toy_schema):
     record = StudentRecord({"A": "a2", "B": "b1", "T": "t1"})
-    assert rule_matches(Rule(terms=(), consequent="t1"), record)
-    assert rule_matches(Rule(terms=(("A", ("a2",)),), consequent="t1"), record)
-    assert not rule_matches(Rule(terms=(("A", ("a1",)),), consequent="t1"), record)
+    assert matches(Rule(terms=(), consequent="t1"), [record], toy_schema) == [True]
+    assert matches(Rule(terms=(("A", ("a2",)),), consequent="t1"), [record], toy_schema) == [True]
+    assert matches(Rule(terms=(("A", ("a1",)),), consequent="t1"), [record], toy_schema) == [False]
 
 
-def test_rule_matches_brute_force_agreement(toy_schema):
+def test_predict_index_brute_force_agreement(toy_schema):
     rng = np.random.default_rng(1)
     records = random_records(toy_schema, 100, rng)
     for _ in range(100):
@@ -83,14 +93,27 @@ def test_rule_matches_brute_force_agreement(toy_schema):
             if 0 < len(chosen) < len(attr.levels):
                 terms.append((attr.name, chosen))
         rule = Rule(terms=tuple(terms), consequent="t1")
-        for record in records:
+        got = matches(rule, records, toy_schema)
+        for record, matched in zip(records, got):
             # independent evaluation: raw set membership per term
             expected = True
             for attr, levels in rule.terms:
                 if record.values[attr] not in levels:
                     expected = False
                     break
-            assert rule_matches(rule, record) == expected
+            assert matched == expected
+
+
+def test_predict_and_accuracy_reject_an_unknown_attribute_alike(toy_schema):
+    records = random_records(toy_schema, 5, np.random.default_rng(0))
+    ruleset = RuleSet(rules=(Rule(terms=(("Z", ("z1",)),), consequent="t1"),), default="t2")
+    with pytest.raises(ValidationError) as from_accuracy:
+        ruleset.accuracy(records, toy_schema)
+    assert "'Z'" in str(from_accuracy.value)
+    for schema in (toy_schema, None):
+        with pytest.raises(ValidationError) as from_predict:
+            ruleset.predict(records[0], schema)
+        assert str(from_predict.value) == str(from_accuracy.value)
 
 
 def test_evaluate_hand_count(toy_schema):
@@ -368,7 +391,7 @@ def _planted_cohort(n_per_gender, seed, pairs, noise=0.0):
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     planted = PlantedRuleSpec(pairs=pairs, noise=noise)
-    records = plant_rules(cohort, planted, disc, schema, seed=seed + 1)
+    records = plant_rules(cohort, planted, disc, schema, seed=seed + 1).records()
     return schema, records
 
 
@@ -436,6 +459,36 @@ def test_extract_metrics_match_recount():
         assert rule.support == len(matches)
         assert rule.confidence == pytest.approx(len(hits) / len(matches))
         assert rule.coverage == pytest.approx(len(matches) / len(records))
+
+
+def test_ruleset_text_round_trip():
+    pairs = (((("Unit 1", ("F", "P")),), "F"), ((("Unit 2", ("G",)),), "G"), ((), "P"))
+    schema, records = _planted_cohort(60, seed=4, pairs=pairs)
+    tc = TrainConfig(max_epochs=40, seed=1)
+    net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
+    ruleset = extract_ruleset(
+        net, records, schema, ga_config=GaConfig(population_size=30, generations=15, seed=3)
+    )
+    assert ruleset.rules
+    back = parse_ruleset(format_ruleset(ruleset, schema), schema)
+    assert [(r.terms, r.consequent) for r in back.rules] == [
+        (r.terms, r.consequent) for r in ruleset.rules
+    ]
+    assert back.default == ruleset.default
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "last line"),
+        ("If Unit 1 = F → Then Reasoning = F\n", "last line"),
+        ("Default Reasoning = X\n", "last line"),
+        ("If Unit 9 = F → Then Reasoning = F\nDefault Reasoning = P\n", "Unit 9"),
+    ],
+)
+def test_parse_ruleset_rejects_bad_text(text, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_ruleset(text, studydata.default_student_schema())
 
 
 def test_extract_empty_dataset(toy_schema):
@@ -571,7 +624,7 @@ def test_ruleset_fidelity_to_network():
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     from edm_rulex.synthgen import discretize_cohort
 
-    records = discretize_cohort(cohort, disc, schema)
+    records = discretize_cohort(cohort, disc, schema).records()
     encoded = encode_dataset(records, schema)
     tc = TrainConfig(max_epochs=3, seed=0)
     net = train(init_network(schema, tc), encoded, tc).network

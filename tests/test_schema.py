@@ -16,16 +16,20 @@ from edm_rulex.schema import (
     DimensionCuts,
     DiscretizationSpec,
     StudentRecord,
+    DatasetIndex,
     decode_vector,
-    discretize_record,
+    discretize_column,
     discretize_value,
     encode_dataset,
     encode_record,
     load_schema,
     parse_dataset_csv,
+    read_index_csv,
     schema_hash,
     write_dataset_csv,
+    write_index_csv,
 )
+from edm_rulex.synthgen import RawCohort, discretize_cohort
 
 
 def test_load_schema_layout(toy_schema):
@@ -84,9 +88,41 @@ def test_discretize_grade_bands():
 
 
 def test_discretize_missing_entry():
-    spec = DiscretizationSpec({"x": DimensionCuts((0.5,), ("lo", "hi"))})
+    # raw dimension y has no cut points, so attribute y gets no levels
+    schema = AttributeSchema(
+        (
+            Attribute("G", ("g",)),
+            Attribute("x", ("lo", "hi")),
+            Attribute("y", ("lo", "hi")),
+            Attribute("T", ("lo", "hi"), ROLE_TARGET),
+        )
+    )
+    cuts = DimensionCuts((0.5,), ("lo", "hi"))
+    spec = DiscretizationSpec({"x": cuts, "T": cuts})
+    cohort = RawCohort(("x", "y", "T"), {"g": np.array([[0.1, 0.2, 0.7]])})
     with pytest.raises(ValidationError, match="y"):
-        discretize_record({"x": 0.1, "y": 0.2}, spec)
+        discretize_cohort(cohort, spec, schema)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_discretize_column_equals_discretize_value(data):
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    cut_list = data.draw(st.lists(finite, min_size=1, max_size=4, unique=True).map(sorted))
+    cuts = DimensionCuts(tuple(cut_list), tuple(f"b{k}" for k in range(len(cut_list) + 1)))
+    # scores exactly at a cut, just beside one, and anywhere
+    near = st.sampled_from(cut_list).flatmap(
+        lambda c: st.sampled_from([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
+    )
+    scores = data.draw(st.lists(st.one_of(near, finite), max_size=40))
+    bands = discretize_column(np.array(scores, dtype=float), cuts, "x")
+    assert [cuts.tokens[b] for b in bands] == [discretize_value(s, cuts) for s in scores]
+
+
+def test_discretize_column_names_dimension_of_non_finite_score():
+    cuts = DimensionCuts((0.5,), ("lo", "hi"))
+    with pytest.raises(ValidationError, match=r"'Unit 3', row 2: .*inf"):
+        discretize_column(np.array([0.1, np.inf, np.nan]), cuts, "Unit 3")
 
 
 def test_empirical_tertiles_uniform():
@@ -229,3 +265,40 @@ def test_csv_round_trip(toy_schema):
     ]
     text = write_dataset_csv(records, toy_schema)
     assert parse_dataset_csv(text, toy_schema) == records
+
+
+def test_read_index_csv_equals_index_of_parsed_records():
+    schema = studydata.default_student_schema()
+    rng = np.random.default_rng(5)
+    records = [
+        StudentRecord({a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes})
+        for _ in range(300)
+    ]
+    text = write_dataset_csv(records, schema)
+    index = read_index_csv(text, schema)
+    expected = DatasetIndex(schema, parse_dataset_csv(text, schema))
+    assert index.bits.dtype == np.uint8 and index.target.dtype == np.intp
+    assert np.array_equal(index.bits, expected.bits)
+    assert np.array_equal(index.target, expected.target)
+    assert write_index_csv(index) == text
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a late column of an early row wins over an early column of a later row
+        (["a1,b9,t1", "a9,b1,t1"], "row 1, attribute 'B': unknown token 'b9'"),
+        # within a row, the earliest attribute
+        (["a1,b1,t1", "a9,b9,t9"], "row 2, attribute 'A': unknown token 'a9'"),
+        # a ragged row does not hide an earlier bad token, nor a bad token an earlier ragged row
+        (["a1,b1,t1", "a1,b1,t9", "a1,b1"], "row 2, attribute 'T': unknown token 't9'"),
+        (["a1,b1", "a9,b1,t1"], "row 1: expected 3 columns, got 2"),
+        # blank lines count as rows
+        (["a1,b1,t1", "", "a1,b2,t1,x"], "row 3: expected 3 columns, got 4"),
+    ],
+)
+def test_read_index_csv_reports_first_bad_row(toy_schema, rows, message):
+    text = "A,B,T\n" + "\n".join(rows) + "\n"
+    for read in (read_index_csv, parse_dataset_csv):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            read(text, toy_schema)

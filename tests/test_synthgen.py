@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,18 +6,20 @@ import pytest
 
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
+from edm_rulex.schema import read_index_csv, write_index_csv
 from edm_rulex.synthgen import (
     GroupSpec,
     PlantedRuleSpec,
     PopulationSpec,
+    RawCohort,
     cholesky_factor,
     default_discretization,
     discretize_cohort,
     nearest_pd_correlation,
+    parse_raw_csv,
     plant_rules,
     sample_population,
     tertile_cuts,
-    write_dataset_csv,
     write_raw_csv,
 )
 
@@ -116,8 +119,8 @@ def test_generation_deterministic():
         spec = studydata.default_population_spec(seed=21)
         cohort = sample_population(spec)
         disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-        records = discretize_cohort(cohort, disc, schema)
-        outputs.append(write_dataset_csv(records, schema) + write_raw_csv(cohort))
+        index = discretize_cohort(cohort, disc, schema)
+        outputs.append(write_index_csv(index) + write_raw_csv(cohort))
     assert outputs[0] == outputs[1]
 
 
@@ -161,7 +164,7 @@ def test_plant_rules_noiseless():
     spec = studydata.default_population_spec(n_male=300, n_female=300, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    records = plant_rules(cohort, _unit1_planted(), disc, schema, seed=0)
+    records = plant_rules(cohort, _unit1_planted(), disc, schema, seed=0).records()
     assert len(records) == 600
     for r in records:
         expected = "F" if r.values["Unit 1"] == "F" else "P"
@@ -173,8 +176,8 @@ def test_plant_rules_noise_fraction():
     spec = studydata.default_population_spec(n_male=5000, n_female=5000, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    clean = plant_rules(cohort, _unit1_planted(0.0), disc, schema, seed=0)
-    noisy = plant_rules(cohort, _unit1_planted(0.1), disc, schema, seed=123)
+    clean = plant_rules(cohort, _unit1_planted(0.0), disc, schema, seed=0).records()
+    noisy = plant_rules(cohort, _unit1_planted(0.1), disc, schema, seed=123).records()
     flipped = sum(
         a.values["Reasoning"] != b.values["Reasoning"] for a, b in zip(clean, noisy)
     )
@@ -187,7 +190,7 @@ def test_plant_rules_catch_all_only():
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     planted = PlantedRuleSpec(pairs=(((), "G"),), noise=0.0)
-    records = plant_rules(cohort, planted, disc, schema, seed=0)
+    records = plant_rules(cohort, planted, disc, schema, seed=0).records()
     assert {r.values["Reasoning"] for r in records} == {"G"}
 
 
@@ -212,20 +215,76 @@ def test_sample_population_propagates_cholesky_failure():
 
 def test_cohort_write_read_round_trip(tmp_path):
     from edm_rulex.schema import parse_dataset_csv
-    from edm_rulex.synthgen import build_metadata, parse_raw_csv, write_cohort
+    from edm_rulex.synthgen import build_metadata, write_cohort
 
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_male=250, n_female=250, seed=7)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    records = discretize_cohort(cohort, disc, schema)
-    paths = write_cohort(
-        tmp_path / "cohort", schema, records, cohort, build_metadata(spec, schema, disc)
-    )
+    index = discretize_cohort(cohort, disc, schema)
+    records = index.records()
+    paths = write_cohort(tmp_path / "cohort", index, cohort, build_metadata(spec, schema, disc))
     parsed = parse_dataset_csv(paths["csv"].read_text(), schema)
     assert len(parsed) == 500
     assert [r.values for r in parsed] == [r.values for r in records]
+    back = read_index_csv(paths["csv"].read_text(), schema)
+    assert np.array_equal(back.bits, index.bits) and np.array_equal(back.target, index.target)
     dims, raw = parse_raw_csv(paths["raw"].read_text())
     assert dims == cohort.dimensions
     stacked = np.vstack([cohort.groups["Ma"], cohort.groups["Fe"]])
     assert np.array_equal(raw, stacked)  # repr() round-trips floats exactly
+
+
+def test_noisy_planted_cohort_bytes():
+    # SHA-256 of this cohort as written before labelling moved to
+    # RuleSet.predict_index; it pins the per-record order of the noise draws
+    schema = studydata.default_student_schema()
+    spec = studydata.default_population_spec(n_male=40, n_female=40, seed=3)
+    cohort = sample_population(spec)
+    disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
+    planted = PlantedRuleSpec.from_dict(
+        {
+            "rules": [
+                {"when": {"Unit 1": ["F"]}, "then": "F"},
+                {"when": {"Unit 3": ["V.G"], "Gender": ["Fe"]}, "then": "V.G"},
+                {"when": {"Unit 5": ["G", "V.G"]}, "then": "G"},
+                {"when": {}, "then": "P"},
+            ],
+            "noise": 0.1,
+        }
+    )
+    text = write_index_csv(plant_rules(cohort, planted, disc, schema, seed=11))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "5fd46c07b180d45d33f3f8669acaf246fddcc55d13a3b67d30593a728741c26f"
+
+
+def test_plant_rules_rejects_unknown_planted_token():
+    schema = studydata.default_student_schema()
+    spec = studydata.default_population_spec(n_male=5, n_female=5, seed=2)
+    cohort = sample_population(spec)
+    disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
+    planted = PlantedRuleSpec(pairs=(((("Unit 1", ("X",)),), "F"), ((), "P")), noise=0.0)
+    with pytest.raises(ValidationError, match="'X'"):
+        plant_rules(cohort, planted, disc, schema, seed=0)
+
+
+def test_raw_csv_round_trips_doubles_exactly():
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 300, (200, 3))
+    cohort = RawCohort(("a", "b", "c"), {"g": values})
+    dims, matrix = parse_raw_csv(write_raw_csv(cohort))
+    assert dims == ("a", "b", "c")
+    assert matrix.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1.0,2.0\n3.0,oops\n", "row 2, column 'b': 'oops' is not a number"),
+        ("1.0,2.0\n3.0\n4.0,x\n", "row 2: expected 2 columns, got 1"),
+        ("1.0\n", "row 1: expected 2 columns, got 1"),
+    ],
+)
+def test_parse_raw_csv_names_bad_row_and_column(body, message):
+    with pytest.raises(ValidationError, match=message):
+        parse_raw_csv("a,b\n" + body)
