@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,32 +69,62 @@ class RuleSet:
         """``intp[N]``: each record's class index under the first matching
         rule, else the default.  A rule naming an attribute or token outside
         the index's schema is a ValidationError."""
-        target = index.schema.target
-        predicted = np.full(len(index), target.level_index(self.default), dtype=np.intp)
-        unclaimed = np.ones(len(index), dtype=bool)
-        for rule in self.rules:
-            claimed = unclaimed & index.antecedent_mask(rule)
-            predicted[claimed] = target.level_index(rule.consequent)
-            unclaimed &= ~claimed
-        return predicted
+        classes, terms, owner = self._matcher(index.schema)
+        missed = (index.bits @ terms == 0) @ owner  # per record and rule: terms missed
+        return classes[(missed == 0).argmax(axis=1)]  # the first rule that misses none
 
-    def predict(self, record: StudentRecord, schema: AttributeSchema | None = None) -> str:
-        """The class token ``predict_index`` gives one record.  Without a
-        schema, one is read off the record and the rules: each attribute a
-        rule names takes the record's token and the rules' levels."""
-        if schema is None:
-            levels: dict[str, list] = {}
-            for rule in self.rules:
-                for attr, named in rule.terms:
-                    if attr in record.values:  # else predict_index names the attribute
-                        levels.setdefault(attr, [record.values[attr]]).extend(named)
-            classes = dict.fromkeys([r.consequent for r in self.rules] + [self.default])
-            target = Attribute("\0class", tuple(classes), ROLE_TARGET)  # no record attribute's name
-            attrs = tuple(Attribute(a, tuple(dict.fromkeys(ls))) for a, ls in levels.items())
-            schema = AttributeSchema(attrs + (target,))
-            values = {a: record.values[a] for a in levels}
-            record = StudentRecord({**values, target.name: self.default})
-        return schema.target.levels[int(self.predict_index(DatasetIndex(schema, [record]))[0])]
+    @cached_property
+    def _matchers(self) -> dict:
+        return {}
+
+    def _matcher(self, schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rules under ``schema``, built once per schema: class codes
+        ``intp[R + 1]``; ``float32[B, T]``, 1 at the layout positions of each
+        rule term's levels (rules in order, so ``bits @ terms == 0`` marks the
+        terms a record misses); and ``float32[T, R + 1]``, 1 where term t
+        belongs to rule r.  The default is rule R, which has no terms."""
+        matcher = self._matchers.get(schema)
+        if matcher is None:
+            target = schema.target
+            default = target.level_index(self.default)
+            classes = [target.level_index(rule.consequent) for rule in self.rules] + [default]
+            flat = [term for rule in self.rules for term in rule.terms]
+            terms = np.zeros((schema.total_predictive_bits, len(flat)), dtype=np.float32)
+            for t, (name, levels) in enumerate(flat):
+                terms[schema.level_bits(name, levels), t] = 1
+            widths = [len(rule.terms) for rule in self.rules]
+            owner = np.repeat(np.eye(len(widths), len(widths) + 1, dtype=np.float32), widths, axis=0)
+            matcher = self._matchers[schema] = (np.array(classes, dtype=np.intp), terms, owner)
+        return matcher
+
+    @cached_property
+    def _record_schema(self) -> AttributeSchema:
+        """The schema ``predict`` reads a lone record against: each attribute a
+        rule names, with the rules' levels and one last level standing for
+        every other token, and a target of the classes the rules can give."""
+        levels: dict[str, dict] = {}
+        for rule in self.rules:
+            for attr, named in rule.terms:
+                levels.setdefault(attr, {}).update(dict.fromkeys(named))
+        attrs = tuple(  # the last level is longer than every rule level, so none of them
+            Attribute(a, (*ls, "\0" * (1 + max(map(len, ls), default=0))))
+            for a, ls in levels.items()
+        )
+        classes = dict.fromkeys([r.consequent for r in self.rules] + [self.default])
+        return AttributeSchema(attrs + (Attribute("\0class", tuple(classes), ROLE_TARGET),))
+
+    def predict(self, record: StudentRecord) -> str:
+        """The class token ``predict_index`` gives one record, coded against
+        ``_record_schema``.  A rule naming an attribute the record lacks is a
+        ValidationError, as it is for ``accuracy``."""
+        schema = self._record_schema
+        try:
+            row = [a.code.get(record.values[a.name], len(a.levels) - 1) for a in schema.predictive]
+        except KeyError as missing:
+            raise ValidationError(f"schema has no attribute named {missing.args[0]!r}") from None
+        row.append(0)  # the target column, which predict_index does not read
+        index = DatasetIndex(schema, np.array([row], dtype=np.intp))
+        return schema.target.levels[int(self.predict_index(index)[0])]
 
     def accuracy(self, dataset, schema: AttributeSchema) -> float:
         """Share of records whose first matching rule (else the default)

@@ -57,7 +57,7 @@ class Attribute:
     def level_index(self, token: str) -> int:
         try:
             return self.code[token]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable token
             raise ValidationError(
                 f"unknown token {token!r} for attribute {self.name!r}; "
                 f"expected one of {list(self.levels)}"
@@ -106,9 +106,18 @@ class AttributeSchema:
             offset += len(a.levels)
         return out
 
-    @property
+    @cached_property
     def total_predictive_bits(self) -> int:
         return sum(len(a.levels) for a in self.predictive)
+
+    @cached_property
+    def code_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """For level codes ``intp[N, A]``: every attribute's level count, the
+        predictive columns, their segment offsets, and the target column."""
+        widths = np.array([len(a.levels) for a in self.attributes], dtype=np.intp)
+        predictive = np.flatnonzero([a.role == ROLE_PREDICTIVE for a in self.attributes])
+        offsets = np.array([self.segments[a.name][0] for a in self.predictive], dtype=np.intp)
+        return widths, predictive, offsets, self.attributes.index(self.target)
 
     @property
     def target_bits(self) -> int:
@@ -304,16 +313,14 @@ class DatasetIndex:
 
     def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
         codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))
-        widths = np.array([len(a.levels) for a in schema.attributes])
+        widths, predictive, offsets, target = schema.code_layout
         fits = codes.ndim == 2 and codes.shape[1] == len(widths)
         if not (fits and ((codes >= 0) & (codes < widths)).all()):
             raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
-        predictive = np.flatnonzero([a.role == ROLE_PREDICTIVE for a in schema.attributes])
-        offsets = np.array([schema.segments[a.name][0] for a in schema.predictive], dtype=np.intp)
         self.schema = schema
         self.bits = np.zeros((len(codes), schema.total_predictive_bits), dtype=np.uint8)
         self.bits[np.arange(len(codes))[:, None], codes[:, predictive] + offsets] = 1
-        self.target = codes[:, schema.attributes.index(schema.target)].astype(np.intp)
+        self.target = codes[:, target].astype(np.intp)
 
     @classmethod
     def from_arrays(cls, schema: AttributeSchema, bits, target) -> "DatasetIndex":
@@ -373,9 +380,10 @@ def _record_codes(schema: AttributeSchema, records: list[StudentRecord]) -> np.n
     codes = np.empty((len(records), len(schema.attributes)), dtype=np.intp)
     try:
         for j, attr in enumerate(schema.attributes):
-            codes[:, j] = [attr.code[r.values[attr.name]] for r in records]
+            code, name = attr.code, attr.name
+            codes[:, j] = [code[r.values[name]] for r in records]
         valid = all(len(r.values) == len(schema.attributes) for r in records)
-    except KeyError:
+    except (KeyError, TypeError):
         valid = False
     if not valid:
         for r in records:

@@ -497,3 +497,11 @@ def test_train_rejects_invalid_config_json(full_run, tmp_path, capsys, text, mes
 
 def test_unknown_spec_path(tmp_path, capsys):
     assert run("generate", "--spec", tmp_path / "nope.json", "--out", tmp_path, "--seed", "1") == 4
+
+
+def test_generate_rejects_a_nested_list_level(tmp_path, capsys):
+    planted = tmp_path / "planted.json"
+    rules = [{"when": {"Unit 1": [["F"]]}, "then": "F"}, {"when": {}, "then": "P"}]
+    planted.write_text(json.dumps({"rules": rules, "noise": 0.0}))
+    assert run("generate", "--out", tmp_path, "--seed", "5", "--n", "60", "--planted", planted) == 2
+    assert "unknown token ['F'] for attribute 'Unit 1'" in capsys.readouterr().err

@@ -110,10 +110,9 @@ def test_predict_and_accuracy_reject_an_unknown_attribute_alike(toy_schema):
     with pytest.raises(ValidationError) as from_accuracy:
         ruleset.accuracy(records, toy_schema)
     assert "'Z'" in str(from_accuracy.value)
-    for schema in (toy_schema, None):
-        with pytest.raises(ValidationError) as from_predict:
-            ruleset.predict(records[0], schema)
-        assert str(from_predict.value) == str(from_accuracy.value)
+    with pytest.raises(ValidationError) as from_predict:
+        ruleset.predict(records[0])
+    assert str(from_predict.value) == str(from_accuracy.value)
 
 
 def test_evaluate_hand_count(toy_schema):
