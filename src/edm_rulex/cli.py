@@ -13,7 +13,6 @@ EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -32,14 +31,12 @@ from .neural import (
     train,
 )
 from .psychostats import (
-    anova_row_from_summary,
     cronbach_alpha,
     levene_w,
     manova_wilks,
     partial_r,
     significance_label,
     t_test,
-    t_test_from_summary,
 )
 from .rulekit import RuleSet, extract_ruleset, format_ruleset, ruleset_to_dict
 from .schema import AttributeSchema, load_schema, read_index_csv, schema_hash
@@ -57,29 +54,17 @@ from .synthgen import (
     sample_population,
     write_cohort,
 )
-from .util import config_hash, derive_seed, file_sha256
+from .util import config_hash, derive_seed, file_sha256, read_json, write_json
 
 log = logging.getLogger(__name__)
 
 STUDY_DEFAULT_SPEC = "study-default"
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _read_json(path: Path):
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e}") from None
-
-
 def _stage_config(args, stage: str) -> dict:
     """Stage section of --config, if any."""
     if getattr(args, "config", None):
-        doc = _read_json(Path(args.config))
+        doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ValidationError(f"config {args.config} must be a JSON object")
         section = doc.get(stage, {})
@@ -94,13 +79,17 @@ def _stage_config(args, stage: str) -> dict:
     return {}
 
 
-def _pick(args, conf: dict, name: str, default):
+def _pick(args, conf: dict, name: str, kind: type, default=None):
+    """The flag's value, else the config's, converted to ``kind``; else ``default``."""
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if conf.get(name) is not None:
-        return conf[name]
-    return default
+    if value is None:
+        value = conf.get(name)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name!r} must be {kind.__name__}, got {value!r}") from None
 
 
 def _resolve_schema(args, meta: dict | None) -> AttributeSchema:
@@ -115,7 +104,7 @@ def _resolve_schema(args, meta: dict | None) -> AttributeSchema:
 def _sibling_meta(csv_path: Path) -> dict | None:
     meta_path = csv_path.with_suffix("").with_suffix(".meta.json")
     if meta_path.exists():
-        return _read_json(meta_path)
+        return read_json(meta_path)
     return None
 
 
@@ -155,28 +144,28 @@ def _rescale_groups(spec: PopulationSpec, total: int) -> PopulationSpec:
 
 def cmd_generate(args) -> int:
     conf = _stage_config(args, "generate")
-    master = int(_pick(args, conf, "seed", 0))
-    out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
-    spec_arg = _pick(args, conf, "spec", STUDY_DEFAULT_SPEC)
-    n = _pick(args, conf, "n", None)
-    planted_path = _pick(args, conf, "planted", None)
+    master = _pick(args, conf, "seed", int, 0)
+    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
+    spec_arg = _pick(args, conf, "spec", str, STUDY_DEFAULT_SPEC)
+    n = _pick(args, conf, "n", int)
+    planted_path = _pick(args, conf, "planted", str)
 
     if spec_arg == STUDY_DEFAULT_SPEC:
         spec = studydata.default_population_spec()
         maxima = dict(studydata.SCORE_MAXIMA)
     else:
-        doc = _read_json(Path(spec_arg))
+        doc = read_json(spec_arg)
         spec = PopulationSpec.from_dict(doc)
         maxima = {k: float(v) for k, v in doc.get("score_maxima", {}).items()}
         maxima = maxima or dict(studydata.SCORE_MAXIMA)
     if n is not None:
-        spec = _rescale_groups(spec, int(n))
+        spec = _rescale_groups(spec, n)
     spec = PopulationSpec(spec.dimensions, spec.groups, derive_seed(master, "generate"))
 
     schema = _resolve_schema(args, None)
     planted = None
     if planted_path:
-        planted = PlantedRuleSpec.from_dict(_read_json(Path(planted_path)))
+        planted = PlantedRuleSpec.from_dict(read_json(planted_path))
 
     effective = {
         "stage": "generate",
@@ -207,16 +196,15 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     conf = _stage_config(args, "train")
-    master = int(_pick(args, conf, "seed", 0))
-    out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
+    master = _pick(args, conf, "seed", int, 0)
+    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
     schema, index, _meta, csv_path = _load_dataset(args)
-    hidden = _pick(args, conf, "hidden", None)
     config = TrainConfig(
-        learning_rate=float(_pick(args, conf, "rate", 0.2)),
-        momentum=float(_pick(args, conf, "momentum", 0.9)),
-        max_epochs=int(_pick(args, conf, "epochs", 5000)),
-        target_mse=float(_pick(args, conf, "mse_target", 0.01)),
-        hidden_size=None if hidden is None else int(hidden),
+        learning_rate=_pick(args, conf, "rate", float, 0.2),
+        momentum=_pick(args, conf, "momentum", float, 0.9),
+        max_epochs=_pick(args, conf, "epochs", int, 5000),
+        target_mse=_pick(args, conf, "mse_target", float, 0.01),
+        hidden_size=_pick(args, conf, "hidden", int),
         seed=derive_seed(master, "train"),
     )
     net = init_network(schema, config)
@@ -244,8 +232,8 @@ def cmd_train(args) -> int:
         "epochs_run": result.epochs_run,
     }
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "model.json", network_to_dict(net))
-    _write_json(
+    write_json(out / "model.json", network_to_dict(net))
+    write_json(
         out / "train_log.json",
         {
             "config_hash": net.metadata["config_hash"],
@@ -278,10 +266,10 @@ def _sorted_ruleset(ruleset: RuleSet, schema: AttributeSchema) -> RuleSet:
 
 def cmd_extract(args) -> int:
     conf = _stage_config(args, "extract")
-    master = int(_pick(args, conf, "seed", 0))
-    out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
+    master = _pick(args, conf, "seed", int, 0)
+    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
     schema, index, _meta, csv_path = _load_dataset(args)
-    model_path = Path(_pick(args, conf, "model", None) or _fail("--model is required"))
+    model_path = Path(_pick(args, conf, "model", str) or _fail("--model is required"))
     net = load_network(model_path)
     trained_on = net.metadata.get("schema_hash")
     if trained_on is not None and trained_on != schema_hash(schema):
@@ -290,17 +278,17 @@ def cmd_extract(args) -> int:
             f"model has {trained_on[:12]}..., dataset has {schema_hash(schema)[:12]}..."
         )
     ga = GaConfig(
-        population_size=int(_pick(args, conf, "pop", 100)),
-        generations=int(_pick(args, conf, "generations", 200)),
-        crossover_prob=float(_pick(args, conf, "crossover", 0.8)),
-        mutation_prob=float(_pick(args, conf, "mutation", 0.02)),
-        tournament_size=int(_pick(args, conf, "tournament", 3)),
-        elitism=int(_pick(args, conf, "elitism", 2)),
+        population_size=_pick(args, conf, "pop", int, 100),
+        generations=_pick(args, conf, "generations", int, 200),
+        crossover_prob=_pick(args, conf, "crossover", float, 0.8),
+        mutation_prob=_pick(args, conf, "mutation", float, 0.02),
+        tournament_size=_pick(args, conf, "tournament", int, 3),
+        elitism=_pick(args, conf, "elitism", int, 2),
         seed=derive_seed(master, "extract"),
     )
-    confidence = float(_pick(args, conf, "confidence", 0.7))
-    epsilon = float(_pick(args, conf, "epsilon", 0.0))
-    budget = int(_pick(args, conf, "budget", 5))
+    confidence = _pick(args, conf, "confidence", float, 0.7)
+    epsilon = _pick(args, conf, "epsilon", float, 0.0)
+    budget = _pick(args, conf, "budget", int, 5)
     ruleset = extract_ruleset(
         net,
         index,
@@ -339,7 +327,7 @@ def cmd_extract(args) -> int:
     }
     doc["training_accuracy"] = ruleset.accuracy(index, schema)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "ruleset.json", doc)
+    write_json(out / "ruleset.json", doc)
     (out / "rules.txt").write_text(format_ruleset(ruleset, schema), encoding="utf-8")
     print(
         f"wrote {out / 'ruleset.json'} ({len(ruleset.rules)} rules, "
@@ -370,8 +358,8 @@ def _gender_split(index, raw_matrix, group_by: str):
 
 def cmd_stats(args) -> int:
     conf = _stage_config(args, "stats")
-    out = Path(_pick(args, conf, "out", None) or _fail("--out is required"))
-    group_by = _pick(args, conf, "group_by", studydata.GENDER)
+    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
+    group_by = _pick(args, conf, "group_by", str, studydata.GENDER)
     schema, index, _meta, csv_path = _load_dataset(args)
     raw_path = csv_path.with_suffix("").with_suffix(".raw.csv")
     if not raw_path.exists():
@@ -487,7 +475,7 @@ def cmd_stats(args) -> int:
         "sections": sections,
     }
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "stats.json", report)
+    write_json(out / "stats.json", report)
     print(f"wrote {out / 'stats.json'}")
     return 0
 
@@ -535,11 +523,11 @@ def cmd_report(args) -> int:
     missing = [name for name in REQUIRED_ARTIFACTS if not (run_dir / name).exists()]
     if missing:
         raise ValidationError(f"missing run artifacts: {', '.join(missing)}")
-    meta = _read_json(run_dir / "cohort.meta.json")
-    model = _read_json(run_dir / "model.json")
-    train_log = _read_json(run_dir / "train_log.json")
-    ruleset = _read_json(run_dir / "ruleset.json")
-    stats = _read_json(run_dir / "stats.json")
+    meta = read_json(run_dir / "cohort.meta.json")
+    model = read_json(run_dir / "model.json")
+    train_log = read_json(run_dir / "train_log.json")
+    ruleset = read_json(run_dir / "ruleset.json")
+    stats = read_json(run_dir / "stats.json")
 
     # integrity: recorded input hashes must match the files on disk
     cohort_hash = file_sha256(run_dir / "cohort.csv")
@@ -597,73 +585,40 @@ def cmd_report(args) -> int:
     lines.append(f"  Ruleset training accuracy: {ruleset.get('training_accuracy', float('nan')):.3f}")
     lines.append("")
 
-    tt = stats["sections"]["target_group_ttest"]
     lines.append("Cohort statistics")
-    group_bits = ", ".join(
-        f"{tok}: mean {g['mean']:.2f} sd {g['sd']:.2f} (n={g['n']})"
-        for tok, g in tt["groups"].items()
-    )
-    lines.append(f"  target by group: {group_bits}")
-    lines.append(
-        f"  t = {tt['t']:.3f}, df = {tt['df']:.1f}, p = {tt['p']:.2e} ({tt['significance']})"
-    )
-    for block, entry in stats["sections"]["blocks"].items():
-        w = entry["wilks"]
+    try:
+        tt = stats["sections"]["target_group_ttest"]
+        group_bits = ", ".join(
+            f"{tok}: mean {g['mean']:.2f} sd {g['sd']:.2f} (n={g['n']})"
+            for tok, g in tt["groups"].items()
+        )
+        lines.append(f"  target by group: {group_bits}")
         lines.append(
-            f"  {block}: Wilks lambda {w['lambda']:.3f}, F({w['df'][0]},{w['df'][1]}) = "
-            f"{w['f']:.2f}, p = {w['p']:.2e}, eta^2 = {w['eta_squared']:.3f}, "
-            f"alpha = {entry['alpha']:.3f}"
+            f"  t = {tt['t']:.3f}, df = {tt['df']:.1f}, p = {tt['p']:.2e} ({tt['significance']})"
         )
-    lines.append("")
-
-    lines.append("Reference target checks")
-    all_ok = True
-    m = studydata.REASONING_MOMENTS
-    tres = t_test_from_summary(
-        m[studydata.MALE][0], m[studydata.MALE][1], studydata.N_MALE,
-        m[studydata.FEMALE][0], m[studydata.FEMALE][1], studydata.N_FEMALE,
-        method="welch",
-    )
-    all_ok &= _check(
-        abs(tres.t - studydata.REASONING_T_REPORTED) <= 0.05 and tres.p < 0.01,
-        f"target t (welch, from summary) {tres.t:.3f} vs {studydata.REASONING_T_REPORTED} "
-        f"(tol 0.05), p {tres.p:.1e} < 0.01",
-        lines,
-    )
-    for dim, (ss_h, ss_e, df_h, df_e, f_ref, eta_ref) in studydata.ANOVA_LEARNING_SKILLS.items():
-        row = anova_row_from_summary(ss_h, ss_e, df_h, df_e)
-        ok = abs(row.f - f_ref) <= 0.1 and abs(row.eta_squared - eta_ref) <= 0.01
-        all_ok &= _check(
-            ok,
-            f"learning skills / {dim}: F {row.f:.2f} vs {f_ref} (tol 0.1), "
-            f"eta^2 {row.eta_squared:.3f} vs {eta_ref} (tol 0.01)",
-            lines,
-        )
-    for block, (lam, eta_ref) in studydata.WILKS_REPORTED.items():
-        all_ok &= _check(
-            abs((1 - lam) - eta_ref) <= 0.005,
-            f"Wilks identity / {block}: 1 - {lam} = {1 - lam:.3f} vs eta {eta_ref} (tol 0.005)",
-            lines,
-        )
-    lines.append("")
-    lines.append("Recomputed reference rows (informational)")
-    for title, table in (
-        ("motivation", studydata.ANOVA_MOTIVATION),
-        ("interaction", studydata.ANOVA_INTERACTION),
-    ):
-        for dim, (ss_h, ss_e, df_h, df_e, f_ref, eta_ref) in table.items():
-            row = anova_row_from_summary(ss_h, ss_e, df_h, df_e)
+        for block, entry in stats["sections"]["blocks"].items():
+            w = entry["wilks"]
             lines.append(
-                f"  {title} / {dim}: F {row.f:.2f} (printed {f_ref}), "
-                f"eta^2 {row.eta_squared:.3f} (printed {eta_ref})"
+                f"  {block}: Wilks lambda {w['lambda']:.3f}, F({w['df'][0]},{w['df'][1]}) = "
+                f"{w['f']:.2f}, p = {w['p']:.2e}, eta^2 = {w['eta_squared']:.3f}, "
+                f"alpha = {entry['alpha']:.3f}"
             )
+    except KeyError as e:
+        raise ValidationError(f"stats.json lacks the field {e.args[0]!r}") from None
     lines.append("")
 
+    all_ok = True
     lines.append("Cohort means vs generation targets (3 SE tolerance at cohort n)")
     pop_spec = meta.get("population_spec")
     if pop_spec:
         spec = PopulationSpec.from_dict(pop_spec)
         _, raw_matrix = parse_raw_csv((run_dir / "cohort.raw.csv").read_text(encoding="utf-8"))
+        spec_rows = sum(g.n for g in spec.groups.values())
+        if spec_rows != raw_matrix.shape[0]:
+            raise ValidationError(
+                f"cohort.meta.json population_spec has {spec_rows} rows in its groups, "
+                f"cohort.raw.csv has {raw_matrix.shape[0]}"
+            )
         offset = 0
         for token, g in spec.groups.items():
             rows = raw_matrix[offset : offset + g.n]

@@ -8,7 +8,6 @@ the genetic search climbs.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .schema import AttributeSchema, DatasetIndex
+from .util import read_json
 
 log = logging.getLogger(__name__)
 
@@ -328,13 +328,16 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(doc: Mapping) -> Network:
-    net = Network(
-        v=np.asarray(doc["v"], dtype=float),
-        b_h=np.asarray(doc["b_h"], dtype=float),
-        w=np.asarray(doc["w"], dtype=float),
-        b_o=np.asarray(doc["b_o"], dtype=float),
-        metadata=dict(doc.get("metadata", {})),
-    )
+    try:
+        net = Network(
+            v=np.asarray(doc["v"], dtype=float),
+            b_h=np.asarray(doc["b_h"], dtype=float),
+            w=np.asarray(doc["w"], dtype=float),
+            b_o=np.asarray(doc["b_o"], dtype=float),
+            metadata=dict(doc.get("metadata", {})),
+        )
+    except KeyError as e:
+        raise ValidationError(f"network document lacks the field {e.args[0]!r}") from None
     declared = (doc.get("input_size"), doc.get("hidden_size"), doc.get("output_size"))
     actual = (net.input_size, net.hidden_size, net.output_size)
     if tuple(d for d in declared if d is not None) and declared != actual:
@@ -342,11 +345,5 @@ def network_from_dict(doc: Mapping) -> Network:
     return net
 
 
-def save_network(net: Network, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(network_to_dict(net), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def load_network(path: str | Path) -> Network:
-    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return network_from_dict(read_json(path))

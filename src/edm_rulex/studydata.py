@@ -5,8 +5,9 @@ The default schema describes a 97-student expert-system course cohort through
 motivation scales, 3 classroom-interaction scales, 5 unit grades) and one
 target, the logical-reasoning grade.  The summary statistics below (per-gender
 means, standard errors, variance decompositions, reasoning correlations) are
-the published values for that cohort and drive both the default synthetic
-generator and the report's target checks.
+the published values for that cohort and drive the default synthetic
+generator; the tests recompute the published t value and variance rows from
+them.
 
 Group sizes follow the per-gender counts implied by the reported error
 degrees of freedom (95 = 49 + 48 - 2): 49 male, 48 female.
@@ -57,22 +58,6 @@ UNITS = ("Unit 1", "Unit 2", "Unit 3", "Unit 4", "Unit 5")
 SCALE_ATTRIBUTES = LEARNING_SKILLS + MOTIVATION + INTERACTION
 GENDER = "Gender"
 REASONING = "Reasoning"
-
-# Alternate attribute spellings seen in rule text; mapped, not asserted
-# identical ("Maintaining learning" never appears in the measure lists).
-ATTRIBUTE_ALIASES = {
-    "Maintaining learning": "Continuation of study",
-    "Time management": "Management of study time",
-    "The potential class": "Potential of the classroom",
-    "The desire to work": "Desire to work",
-    "Management of the study time": "Management of study time",
-    "The use of computer & Internet": "Use of computer & Internet",
-}
-
-
-def resolve_attribute_name(name: str) -> str:
-    return ATTRIBUTE_ALIASES.get(name, name)
-
 
 def default_student_schema() -> AttributeSchema:
     """The bundled default schema (24 predictive attributes + Reasoning)."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +39,7 @@ from .schema import (
     schema_hash,
     write_index_csv,
 )
-from .util import config_hash
+from .util import config_hash, write_json
 
 log = logging.getLogger(__name__)
 
@@ -105,23 +104,25 @@ class PopulationSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PopulationSpec":
-        order = doc.get("group_order", list(doc["groups"]))
-        if sorted(order) != sorted(doc["groups"]):
-            raise ValidationError("group_order does not match the groups mapping")
-        groups = {
-            token: GroupSpec(
-                n=int(doc["groups"][token]["n"]),
-                means=tuple(float(x) for x in doc["groups"][token]["means"]),
-                sds=tuple(float(x) for x in doc["groups"][token]["sds"]),
-                correlation=tuple(
-                    tuple(float(x) for x in row) for row in doc["groups"][token]["correlation"]
-                ),
-            )
-            for token in order
-        }
-        return PopulationSpec(
-            dimensions=tuple(doc["dimensions"]), groups=groups, seed=int(doc.get("seed", 0))
-        )
+        try:
+            order = doc.get("group_order", list(doc["groups"]))
+            if sorted(order) != sorted(doc["groups"]):
+                raise ValidationError("group_order does not match the groups mapping")
+            groups = {
+                token: GroupSpec(
+                    n=int(doc["groups"][token]["n"]),
+                    means=tuple(float(x) for x in doc["groups"][token]["means"]),
+                    sds=tuple(float(x) for x in doc["groups"][token]["sds"]),
+                    correlation=tuple(
+                        tuple(float(x) for x in row) for row in doc["groups"][token]["correlation"]
+                    ),
+                )
+                for token in order
+            }
+            dimensions = tuple(doc["dimensions"])
+        except KeyError as e:
+            raise ValidationError(f"population spec lacks the field {e.args[0]!r}") from None
+        return PopulationSpec(dimensions=dimensions, groups=groups, seed=int(doc.get("seed", 0)))
 
 
 def spec_hash(spec: PopulationSpec) -> str:
@@ -173,13 +174,16 @@ class PlantedRuleSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PlantedRuleSpec":
-        pairs = tuple(
-            (
-                tuple(sorted((attr, tuple(levels)) for attr, levels in rule["when"].items())),
-                str(rule["then"]),
+        try:
+            pairs = tuple(
+                (
+                    tuple(sorted((attr, tuple(levels)) for attr, levels in rule["when"].items())),
+                    str(rule["then"]),
+                )
+                for rule in doc["rules"]
             )
-            for rule in doc["rules"]
-        )
+        except KeyError as e:
+            raise ValidationError(f"planted rule spec lacks the field {e.args[0]!r}") from None
         return PlantedRuleSpec(pairs=pairs, noise=float(doc.get("noise", 0.0)))
 
 
@@ -426,9 +430,7 @@ def write_cohort(
     }
     paths["csv"].write_text(write_index_csv(index), encoding="utf-8")
     paths["raw"].write_text(write_raw_csv(cohort), encoding="utf-8")
-    paths["meta"].write_text(
-        json.dumps(dict(meta), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(paths["meta"], dict(meta))
     return paths
 
 

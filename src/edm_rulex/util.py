@@ -1,8 +1,9 @@
-"""Hashing and seed derivation for reproducible runs.
+"""Hashing, seed derivation and JSON artifact I/O for reproducible runs.
 
 Every run artifact embeds the SHA-256 of the canonical JSON of the config
 that produced it, and all stage seeds are derived from one master seed so a
-single integer pins the whole pipeline.
+single integer pins the whole pipeline.  Every JSON artifact is written and
+read through ``write_json`` and ``read_json``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 from typing import Any
+
+from .errors import ValidationError
 
 
 def canonical_json(obj: Any) -> str:
@@ -43,3 +46,18 @@ def derive_seed(master: int, stage: str, index: int | None = None) -> int:
     text = f"{master}:{stage}" if index is None else f"{master}:{stage}:{index}"
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write ``obj`` as an artifact: sorted keys, two-space indent, final newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; invalid JSON is a ValidationError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path} is not valid JSON: {e}") from None

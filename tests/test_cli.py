@@ -1,6 +1,7 @@
 import json
 import shutil
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -357,10 +358,30 @@ def test_report_complete(full_run):
         "Artifacts and config hashes",
         "Extracted rules",
         "Cohort statistics",
-        "Reference target checks",
+        "Cohort means vs generation targets",
+        "Overall target checks: PASS",
     ):
         assert section in text
     assert "[FAIL]" not in text
+    # the report is about the run: the paper's constant reference rows are tested elsewhere
+    assert "Reference target checks" not in text
+    assert "Recomputed reference rows" not in text
+
+
+def test_report_rejects_a_population_spec_that_does_not_fit_the_raw_table(
+    full_run, tmp_path, capsys
+):
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    meta = json.loads((broken / "cohort.meta.json").read_text())
+    meta["population_spec"]["groups"]["Ma"]["n"] += 5
+    (broken / "cohort.meta.json").write_text(json.dumps(meta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert "population_spec" in err and "805" in err and "800" in err
+    assert "Traceback" not in err
 
 
 def test_report_strict_passes(full_run, capsys):
@@ -505,3 +526,55 @@ def test_generate_rejects_a_nested_list_level(tmp_path, capsys):
     planted.write_text(json.dumps({"rules": rules, "noise": 0.0}))
     assert run("generate", "--out", tmp_path, "--seed", "5", "--n", "60", "--planted", planted) == 2
     assert "unknown token ['F'] for attribute 'Unit 1'" in capsys.readouterr().err
+
+
+def _write(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return path
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        ("corrupt model", "model.json"),
+        ("model without v", "'v'"),
+        ("spec without groups", "'groups'"),
+        ("planted rule without when", "'when'"),
+        ("config epochs not a number", "'epochs'"),
+        ("stats without sections", "'sections'"),
+    ],
+)
+def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
+    from edm_rulex import studydata
+
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    data, model = run_dir / "cohort.csv", run_dir / "model.json"
+    out = tmp_path / "out"
+    if case == "corrupt model":
+        _write(model, '{"v": [')
+        argv = ("extract", "--data", data, "--model", model, "--out", out)
+    elif case == "model without v":
+        _write(model, _without(json.loads(model.read_text()), "v"))
+        argv = ("extract", "--data", data, "--model", model, "--out", out)
+    elif case == "spec without groups":
+        spec = _without(studydata.default_population_spec().to_dict(), "groups")
+        argv = ("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out)
+    elif case == "planted rule without when":
+        planted = {"rules": [{"then": "F"}, {"when": {}, "then": "P"}], "noise": 0.0}
+        argv = ("generate", "--planted", _write(tmp_path / "planted.json", planted), "--out", out)
+    elif case == "config epochs not a number":
+        config = _write(tmp_path / "config.json", {"train": {"epochs": "abc"}})
+        argv = ("train", "--config", config, "--data", data, "--out", out)
+    else:
+        stats = run_dir / "stats.json"
+        _write(stats, _without(json.loads(stats.read_text()), "sections"))
+        argv = ("report", run_dir)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()

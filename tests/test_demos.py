@@ -1,6 +1,7 @@
-"""Every narrative demo runs to completion."""
+"""Every narrative demo, and the README's library quickstart, runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,11 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library quickstart)", "exec"), {})
+    assert "→ Then Reasoning =" in capsys.readouterr().out

@@ -29,11 +29,11 @@ from edm_rulex.neural import (
     loss_and_gradients,
     network_from_dict,
     network_to_dict,
-    save_network,
     sigmoid,
     train,
 )
 from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, encode_dataset
+from edm_rulex.util import write_json
 
 
 def zero_net(inputs, hidden, outputs):
@@ -290,7 +290,7 @@ def test_network_json_round_trip(tmp_path):
         metadata={"note": "round trip"},
     )
     path = tmp_path / "net.json"
-    save_network(net, path)
+    write_json(path, network_to_dict(net))
     back = load_network(path)
     assert np.array_equal(back.v, net.v) and np.array_equal(back.b_o, net.b_o)
     assert back.metadata == net.metadata
