@@ -5,6 +5,9 @@ the SHA-256 of its effective config and of its inputs, and derives its seed
 from one master seed, so a whole run is pinned by a single integer and two
 runs of the same config produce byte-identical artifacts.
 
+Each stage's options are declared once, in ``OPTIONS``: the flag, the
+``--config`` key, the type and the default (the library's) all come from it.
+
 Exit codes: 0 success, 1 failed target checks (``report --strict`` only),
 2 validation failure, 3 numeric failure, 4 I/O failure.  Set
 EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
@@ -13,6 +16,7 @@ EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -20,16 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import studydata
+from . import rulekit, studydata
 from .errors import NumericError, ValidationError
 from .evolver import GaConfig
-from .neural import (
-    TrainConfig,
-    init_network,
-    load_network,
-    network_to_dict,
-    train,
-)
+from .neural import TrainConfig, init_network, load_network, network_to_dict, train
 from .psychostats import (
     cronbach_alpha,
     levene_w,
@@ -42,78 +40,127 @@ from .rulekit import RuleSet, extract_ruleset, format_ruleset, ruleset_to_dict
 from .schema import AttributeSchema, load_schema, read_index_csv, schema_hash
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
 from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
-from .synthgen import (
-    GroupSpec,
-    PlantedRuleSpec,
-    PopulationSpec,
-    build_metadata,
-    default_discretization,
-    discretize_cohort,
-    parse_raw_csv,
-    plant_rules,
-    sample_population,
-    write_cohort,
-)
-from .util import config_hash, derive_seed, file_sha256, read_json, write_json
+from .synthgen import PlantedRuleSpec, PopulationSpec, build_metadata, default_discretization
+from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, sample_population, write_cohort
+from .util import config_hash, derive_seed, file_sha256, read_field, read_json, write_json
 
 log = logging.getLogger(__name__)
 
 STUDY_DEFAULT_SPEC = "study-default"
+REQUIRED = object()  # the default of an option that has none
+
+_SEED = ("seed", int, 0, "master seed (stage seeds derive from it)")
+_OUT = ("out", Path, REQUIRED, "output directory")
+_DATA = ("data", Path, REQUIRED, "cohort CSV path")
+_SCHEMA = ("schema", Path, None, "schema JSON path (default: the one in the cohort's .meta.json "
+           "sidecar, else the built-in student schema)")
+
+# stage -> (name, type, default, help).  The flag is --name (with '-' for '_'),
+# the --config section key is name; the flag wins over the key, the key over
+# the default.  Path options are files; the others make up the config hash.
+OPTIONS = {
+    "generate": (
+        _SEED,
+        _OUT,
+        ("spec", str, STUDY_DEFAULT_SPEC, f"'{STUDY_DEFAULT_SPEC}' or a population spec JSON path"),
+        ("n", int, None, "total cohort size, split across groups (default: the spec's sizes)"),
+        ("planted", Path, None, "planted rule spec JSON for ground-truth labels"),
+        _SCHEMA,
+    ),
+    "train": (
+        _SEED,
+        _OUT,
+        _DATA,
+        _SCHEMA,
+        ("hidden", int, TrainConfig.hidden_size, "hidden width (default: 2*ceil(sqrt(inputs)))"),
+        ("rate", float, TrainConfig.learning_rate, "learning rate"),
+        ("momentum", float, TrainConfig.momentum, "momentum"),
+        ("epochs", int, TrainConfig.max_epochs, "epoch budget"),
+        ("mse_target", float, TrainConfig.target_mse, "stop at this mse"),
+    ),
+    "extract": (
+        _SEED,
+        _OUT,
+        _DATA,
+        ("model", Path, REQUIRED, "model JSON path"),
+        _SCHEMA,
+        ("pop", int, GaConfig.population_size, "GA population size"),
+        ("generations", int, GaConfig.generations, "GA generations"),
+        ("crossover", float, GaConfig.crossover_prob, "crossover probability"),
+        ("mutation", float, GaConfig.mutation_prob, "per-bit mutation probability"),
+        ("tournament", int, GaConfig.tournament_size, "tournament size"),
+        ("elitism", int, GaConfig.elitism, "elite count"),
+        ("confidence", float, rulekit.DEFAULT_CONFIDENCE_THRESHOLD, "rule acceptance threshold"),
+        ("epsilon", float, rulekit.DEFAULT_EPSILON, "refinement confidence slack"),
+        ("budget", int, rulekit.DEFAULT_RULE_BUDGET, "rules per class"),
+    ),
+    "stats": (
+        _OUT,
+        ("data", Path, REQUIRED, "cohort CSV path (needs the .raw.csv sidecar)"),
+        _SCHEMA,
+        ("group_by", str, studydata.GENDER, "grouping attribute"),
+    ),
+}
 
 
-def _stage_config(args, stage: str) -> dict:
-    """Stage section of --config, if any."""
-    if getattr(args, "config", None):
+def _options(args, stage: str) -> dict:
+    """The stage's options, each from its flag, else its ``--config`` key, else
+    its default, converted to its type.  ``schema`` comes back as the schema:
+    the ``--schema`` file's, else the one in the cohort's sidecar meta, else
+    the built-in student schema."""
+    conf = {}
+    if args.config:
         doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ValidationError(f"config {args.config} must be a JSON object")
         section = doc.get(stage, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config section {stage!r} must be an object")
-        merged = dict(section)
-        if "seed" in doc and merged.get("seed") is None:
-            merged.setdefault("seed", doc["seed"])
-        if "out" in doc:
-            merged.setdefault("out", doc["out"])
-        return merged
-    return {}
+        conf = {key: doc[key] for key in ("seed", "out") if key in doc}
+        conf.update(section)
+    options = {}
+    for name, kind, default, _ in OPTIONS[stage]:
+        value = getattr(args, name)
+        if value is None:
+            value = conf.get(name)
+        if value is None:
+            if default is REQUIRED:
+                raise ValidationError(f"--{name.replace('_', '-')} (config key {name!r}) is required")
+            options[name] = default
+            continue
+        try:
+            options[name] = kind(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name!r} must be {kind.__name__}, got {value!r}") from None
+    if options["schema"]:
+        options["schema"] = load_schema(options["schema"].read_text(encoding="utf-8"))
+        return options
+    sidecar = options.get("data") and options["data"].with_suffix("").with_suffix(".meta.json")
+    meta = read_json(sidecar) if sidecar and sidecar.exists() else {}
+    schema = read_field(meta, "schema", load_schema, str(sidecar), None)
+    options["schema"] = schema or studydata.default_student_schema()
+    return options
 
 
-def _pick(args, conf: dict, name: str, kind: type, default=None):
-    """The flag's value, else the config's, converted to ``kind``; else ``default``."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = conf.get(name)
-    if value is None:
-        return default
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name!r} must be {kind.__name__}, got {value!r}") from None
+def _provenance(stage: str, options: dict, **resolved) -> tuple[str, dict]:
+    """``(config_hash, inputs)`` of a stage's artifact.  The hash covers the
+    stage's non-file options by value, with ``resolved`` values in their
+    place, the schema by hash, and the input files.  A path in ``resolved`` is
+    an input file: ``inputs`` records its name under its key and its SHA-256
+    under the key plus ``_hash``."""
+    values = {name: options[name] for name, kind, _, _ in OPTIONS[stage] if kind is not Path}
+    inputs = {}
+    for key, value in resolved.items():
+        if isinstance(value, Path):
+            inputs[key], inputs[f"{key}_hash"] = value.name, file_sha256(value)
+        else:
+            values[key] = value
+    values.update(stage=stage, schema_hash=schema_hash(options["schema"]), inputs=inputs)
+    return config_hash(values), inputs
 
 
-def _resolve_schema(args, meta: dict | None) -> AttributeSchema:
-    path = getattr(args, "schema", None)
-    if path:
-        return load_schema(Path(path).read_text(encoding="utf-8"))
-    if meta and meta.get("schema"):
-        return load_schema(meta["schema"])
-    return studydata.default_student_schema()
-
-
-def _sibling_meta(csv_path: Path) -> dict | None:
-    meta_path = csv_path.with_suffix("").with_suffix(".meta.json")
-    if meta_path.exists():
-        return read_json(meta_path)
-    return None
-
-
-def _load_dataset(args):
-    csv_path = Path(args.data)
-    meta = _sibling_meta(csv_path)
-    schema = _resolve_schema(args, meta)
-    index = read_index_csv(csv_path.read_text(encoding="utf-8"), schema)
-    return schema, index, meta, csv_path
+def _read_cohort(options: dict):
+    return read_index_csv(options["data"].read_text(encoding="utf-8"), options["schema"])
 
 
 # ---------------------------------------------------------------------------
@@ -123,69 +170,46 @@ def _load_dataset(args):
 def _rescale_groups(spec: PopulationSpec, total: int) -> PopulationSpec:
     if total < 1:
         raise ValidationError(f"cohort size must be >= 1, got {total}")
-    base_total = sum(g.n for g in spec.groups.values())
-    tokens = list(spec.groups)
-    counts: dict[str, int] = {}
-    acc = 0
-    for i, token in enumerate(tokens):
-        if i == len(tokens) - 1:
-            counts[token] = total - acc
-        else:
-            counts[token] = round(total * spec.groups[token].n / base_total)
-            acc += counts[token]
+    sizes = [g.n for g in spec.groups.values()]
+    counts = [round(total * n / sum(sizes)) for n in sizes[:-1]]
+    counts = dict(zip(spec.groups, counts + [total - sum(counts)]))
     if any(c < 1 for c in counts.values()):
         raise ValidationError(f"cohort size {total} leaves an empty group: {counts}")
-    groups = {
-        token: GroupSpec(counts[token], g.means, g.sds, g.correlation)
-        for token, g in spec.groups.items()
-    }
+    groups = {token: dataclasses.replace(g, n=counts[token]) for token, g in spec.groups.items()}
     return PopulationSpec(spec.dimensions, groups, spec.seed)
 
 
 def cmd_generate(args) -> int:
-    conf = _stage_config(args, "generate")
-    master = _pick(args, conf, "seed", int, 0)
-    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
-    spec_arg = _pick(args, conf, "spec", str, STUDY_DEFAULT_SPEC)
-    n = _pick(args, conf, "n", int)
-    planted_path = _pick(args, conf, "planted", str)
-
-    if spec_arg == STUDY_DEFAULT_SPEC:
+    opts = _options(args, "generate")
+    if opts["spec"] == STUDY_DEFAULT_SPEC:
         spec = studydata.default_population_spec()
         maxima = dict(studydata.SCORE_MAXIMA)
     else:
-        doc = read_json(spec_arg)
+        doc = read_json(opts["spec"])
         spec = PopulationSpec.from_dict(doc)
-        maxima = {k: float(v) for k, v in doc.get("score_maxima", {}).items()}
+        maxima = read_field(doc, "score_maxima", lambda m: {k: float(v) for k, v in m.items()},
+                            "population spec", {})
         maxima = maxima or dict(studydata.SCORE_MAXIMA)
-    if n is not None:
-        spec = _rescale_groups(spec, n)
-    spec = PopulationSpec(spec.dimensions, spec.groups, derive_seed(master, "generate"))
+    if opts["n"] is not None:
+        spec = _rescale_groups(spec, opts["n"])
+    spec = PopulationSpec(spec.dimensions, spec.groups, derive_seed(opts["seed"], "generate"))
+    schema = opts["schema"]
+    planted = PlantedRuleSpec.from_dict(read_json(opts["planted"])) if opts["planted"] else None
 
-    schema = _resolve_schema(args, None)
-    planted = None
-    if planted_path:
-        planted = PlantedRuleSpec.from_dict(read_json(planted_path))
-
-    effective = {
-        "stage": "generate",
-        "master_seed": master,
-        "spec": spec.to_dict(),
-        "planted": planted.to_dict() if planted else None,
-        "score_maxima": maxima,
-        "schema_hash": schema_hash(schema),
-    }
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, maxima, studydata.GRADE_FRACTIONS)
     if planted is not None:
-        index = plant_rules(cohort, planted, disc, schema, derive_seed(master, "generate-labels"))
+        seed = derive_seed(opts["seed"], "generate-labels")
+        index = plant_rules(cohort, planted, disc, schema, seed)
     else:
         index = discretize_cohort(cohort, disc, schema)
     meta = build_metadata(spec, schema, disc, planted)
-    meta["master_seed"] = master
-    meta["config_hash"] = config_hash(effective)
+    meta["master_seed"] = opts["seed"]
     meta["population_spec"] = spec.to_dict()
-    paths = write_cohort(out / "cohort", index, cohort, meta)
+    meta["config_hash"], _ = _provenance(
+        "generate", opts, spec=meta["population_spec"], planted=meta["planted"], score_maxima=maxima
+    )
+    paths = write_cohort(opts["out"] / "cohort", index, cohort, meta)
     print(f"wrote {paths['csv']} ({len(index)} rows), {paths['raw']}, {paths['meta']}")
     return 0
 
@@ -195,57 +219,32 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    conf = _stage_config(args, "train")
-    master = _pick(args, conf, "seed", int, 0)
-    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
-    schema, index, _meta, csv_path = _load_dataset(args)
+    opts = _options(args, "train")
+    schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
     config = TrainConfig(
-        learning_rate=_pick(args, conf, "rate", float, 0.2),
-        momentum=_pick(args, conf, "momentum", float, 0.9),
-        max_epochs=_pick(args, conf, "epochs", int, 5000),
-        target_mse=_pick(args, conf, "mse_target", float, 0.01),
-        hidden_size=_pick(args, conf, "hidden", int),
-        seed=derive_seed(master, "train"),
+        learning_rate=opts["rate"],
+        momentum=opts["momentum"],
+        max_epochs=opts["epochs"],
+        target_mse=opts["mse_target"],
+        hidden_size=opts["hidden"],
+        seed=derive_seed(opts["seed"], "train"),
     )
     net = init_network(schema, config)
     result = train(net, index, config)
-    effective = {
-        "stage": "train",
-        "master_seed": master,
-        "learning_rate": config.learning_rate,
-        "momentum": config.momentum,
-        "max_epochs": config.max_epochs,
-        "target_mse": config.target_mse,
-        "hidden_size": config.resolve_hidden(schema.total_predictive_bits),
-        "dataset": csv_path.name,
-        "dataset_hash": file_sha256(csv_path),
-        "schema_hash": schema_hash(schema),
-    }
+    digest, inputs = _provenance("train", opts, dataset=opts["data"], hidden=net.hidden_size)
     net.metadata = {
-        "config_hash": config_hash(effective),
-        "master_seed": master,
+        "config_hash": digest,
+        "master_seed": opts["seed"],
         "train_seed": config.seed,
-        "schema_hash": effective["schema_hash"],
-        "dataset": csv_path.name,
-        "dataset_hash": effective["dataset_hash"],
+        "schema_hash": schema_hash(schema),
+        "inputs": inputs,
         "final_mse": result.final_mse,
         "epochs_run": result.epochs_run,
     }
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "model.json", network_to_dict(net))
-    write_json(
-        out / "train_log.json",
-        {
-            "config_hash": net.metadata["config_hash"],
-            "epochs_run": result.epochs_run,
-            "final_mse": result.final_mse,
-            "mse_history": result.mse_history,
-        },
-    )
-    print(
-        f"wrote {out / 'model.json'} "
-        f"(mse {result.final_mse:.5f} after {result.epochs_run} epochs)"
-    )
+    train_log = {k: net.metadata[k] for k in ("config_hash", "epochs_run", "final_mse")}
+    write_json(out / "train_log.json", {**train_log, "mse_history": result.mse_history})
+    print(f"wrote {out / 'model.json'} (mse {result.final_mse:.5f} after {result.epochs_run} epochs)")
     return 0
 
 
@@ -254,23 +253,16 @@ def cmd_train(args) -> int:
 
 
 def _sorted_ruleset(ruleset: RuleSet, schema: AttributeSchema) -> RuleSet:
-    class_order = {token: i for i, token in enumerate(schema.target.levels)}
-    rules = tuple(
-        sorted(
-            ruleset.rules,
-            key=lambda r: (class_order[r.consequent], -(r.confidence or 0.0)),
-        )
-    )
-    return RuleSet(rules=rules, default=ruleset.default, audit=ruleset.audit)
+    """Rules by class in level order, then by descending confidence."""
+    level = schema.target.levels.index
+    rules = sorted(ruleset.rules, key=lambda r: (level(r.consequent), -(r.confidence or 0.0)))
+    return dataclasses.replace(ruleset, rules=tuple(rules))
 
 
 def cmd_extract(args) -> int:
-    conf = _stage_config(args, "extract")
-    master = _pick(args, conf, "seed", int, 0)
-    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
-    schema, index, _meta, csv_path = _load_dataset(args)
-    model_path = Path(_pick(args, conf, "model", str) or _fail("--model is required"))
-    net = load_network(model_path)
+    opts = _options(args, "extract")
+    schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
+    net = load_network(opts["model"])
     trained_on = net.metadata.get("schema_hash")
     if trained_on is not None and trained_on != schema_hash(schema):
         raise ValidationError(
@@ -278,55 +270,29 @@ def cmd_extract(args) -> int:
             f"model has {trained_on[:12]}..., dataset has {schema_hash(schema)[:12]}..."
         )
     ga = GaConfig(
-        population_size=_pick(args, conf, "pop", int, 100),
-        generations=_pick(args, conf, "generations", int, 200),
-        crossover_prob=_pick(args, conf, "crossover", float, 0.8),
-        mutation_prob=_pick(args, conf, "mutation", float, 0.02),
-        tournament_size=_pick(args, conf, "tournament", int, 3),
-        elitism=_pick(args, conf, "elitism", int, 2),
-        seed=derive_seed(master, "extract"),
+        population_size=opts["pop"],
+        generations=opts["generations"],
+        crossover_prob=opts["crossover"],
+        mutation_prob=opts["mutation"],
+        tournament_size=opts["tournament"],
+        elitism=opts["elitism"],
+        seed=derive_seed(opts["seed"], "extract"),
     )
-    confidence = _pick(args, conf, "confidence", float, 0.7)
-    epsilon = _pick(args, conf, "epsilon", float, 0.0)
-    budget = _pick(args, conf, "budget", int, 5)
     ruleset = extract_ruleset(
         net,
         index,
         schema,
         ga_config=ga,
-        per_class_rule_budget=budget,
-        confidence_threshold=confidence,
-        epsilon=epsilon,
+        per_class_rule_budget=opts["budget"],
+        confidence_threshold=opts["confidence"],
+        epsilon=opts["epsilon"],
     )
     ruleset = _sorted_ruleset(ruleset, schema)
-    effective = {
-        "stage": "extract",
-        "master_seed": master,
-        "pop": ga.population_size,
-        "generations": ga.generations,
-        "crossover": ga.crossover_prob,
-        "mutation": ga.mutation_prob,
-        "tournament": ga.tournament_size,
-        "elitism": ga.elitism,
-        "confidence": confidence,
-        "epsilon": epsilon,
-        "budget": budget,
-        "dataset": csv_path.name,
-        "dataset_hash": file_sha256(csv_path),
-        "model": model_path.name,
-        "model_hash": file_sha256(model_path),
-        "schema_hash": schema_hash(schema),
-    }
     doc = ruleset_to_dict(ruleset, schema)
-    doc["config_hash"] = config_hash(effective)
-    doc["inputs"] = {
-        "dataset": csv_path.name,
-        "dataset_hash": effective["dataset_hash"],
-        "model": model_path.name,
-        "model_hash": effective["model_hash"],
-    }
+    doc["config_hash"], doc["inputs"] = _provenance(
+        "extract", opts, dataset=opts["data"], model=opts["model"]
+    )
     doc["training_accuracy"] = ruleset.accuracy(index, schema)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "ruleset.json", doc)
     (out / "rules.txt").write_text(format_ruleset(ruleset, schema), encoding="utf-8")
     print(
@@ -357,11 +323,9 @@ def _gender_split(index, raw_matrix, group_by: str):
 
 
 def cmd_stats(args) -> int:
-    conf = _stage_config(args, "stats")
-    out = Path(_pick(args, conf, "out", str) or _fail("--out is required"))
-    group_by = _pick(args, conf, "group_by", str, studydata.GENDER)
-    schema, index, _meta, csv_path = _load_dataset(args)
-    raw_path = csv_path.with_suffix("").with_suffix(".raw.csv")
+    opts = _options(args, "stats")
+    schema, index = opts["schema"], _read_cohort(opts)
+    raw_path = opts["data"].with_suffix("").with_suffix(".raw.csv")
     if not raw_path.exists():
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
@@ -375,7 +339,7 @@ def cmd_stats(args) -> int:
     target_dim = schema.target.name
     if target_dim not in col:
         raise ValidationError(f"raw table lacks the target dimension {target_dim!r}")
-    groups = _gender_split(index, raw_matrix, group_by)
+    groups = _gender_split(index, raw_matrix, opts["group_by"])
     tokens = list(groups)
 
     # target comparison across the first two groups
@@ -457,26 +421,10 @@ def cmd_stats(args) -> int:
             partials["groups"][token] = entry
     sections["partial_correlations"] = partials
 
-    effective = {
-        "stage": "stats",
-        "group_by": group_by,
-        "dataset": csv_path.name,
-        "dataset_hash": file_sha256(csv_path),
-        "raw_hash": file_sha256(raw_path),
-        "schema_hash": schema_hash(schema),
-    }
-    report = {
-        "config_hash": config_hash(effective),
-        "inputs": {
-            "dataset": csv_path.name,
-            "dataset_hash": effective["dataset_hash"],
-            "raw_hash": effective["raw_hash"],
-        },
-        "sections": sections,
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "stats.json", report)
-    print(f"wrote {out / 'stats.json'}")
+    digest, inputs = _provenance("stats", opts, dataset=opts["data"], raw=raw_path)
+    stats = {"config_hash": digest, "inputs": inputs, "sections": sections}
+    write_json(opts["out"] / "stats.json", stats)
+    print(f"wrote {opts['out'] / 'stats.json'}")
     return 0
 
 
@@ -502,20 +450,9 @@ def _anova_from_groups(series) -> dict:
 
 
 REQUIRED_ARTIFACTS = (
-    "cohort.csv",
-    "cohort.raw.csv",
-    "cohort.meta.json",
-    "model.json",
-    "train_log.json",
-    "ruleset.json",
-    "rules.txt",
-    "stats.json",
+    "cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json", "train_log.json",
+    "ruleset.json", "rules.txt", "stats.json",
 )
-
-
-def _check(line_ok: bool, text: str, lines: list[str]) -> bool:
-    lines.append(f"  [{'PASS' if line_ok else 'FAIL'}] {text}")
-    return line_ok
 
 
 def cmd_report(args) -> int:
@@ -523,29 +460,31 @@ def cmd_report(args) -> int:
     missing = [name for name in REQUIRED_ARTIFACTS if not (run_dir / name).exists()]
     if missing:
         raise ValidationError(f"missing run artifacts: {', '.join(missing)}")
-    meta = read_json(run_dir / "cohort.meta.json")
-    model = read_json(run_dir / "model.json")
-    train_log = read_json(run_dir / "train_log.json")
-    ruleset = read_json(run_dir / "ruleset.json")
-    stats = read_json(run_dir / "stats.json")
+    names = [name for name in REQUIRED_ARTIFACTS if name.endswith(".json")]
+    meta, model, train_log, ruleset, stats = docs = [read_json(run_dir / name) for name in names]
+    for name, doc in zip(names, docs):
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{name} must be an object, got {type(doc).__name__}")
+    md = model.get("metadata", {})
 
-    # integrity: recorded input hashes must match the files on disk
-    cohort_hash = file_sha256(run_dir / "cohort.csv")
-    model_hash = file_sha256(run_dir / "model.json")
+    # integrity: every recorded input is a file of this run, unchanged since
+    on_disk = {name: file_sha256(run_dir / name) for name in REQUIRED_ARTIFACTS}
     problems = []
-    if model.get("metadata", {}).get("dataset_hash") != cohort_hash:
-        problems.append("model.json was trained on a different cohort.csv")
-    if ruleset.get("inputs", {}).get("dataset_hash") != cohort_hash:
-        problems.append("ruleset.json was extracted from a different cohort.csv")
-    if ruleset.get("inputs", {}).get("model_hash") != model_hash:
-        problems.append("ruleset.json was extracted from a different model.json")
-    if stats.get("inputs", {}).get("dataset_hash") != cohort_hash:
-        problems.append("stats.json was computed from a different cohort.csv")
+    for artifact, inputs in (
+        ("model.json", md.get("inputs")),
+        ("ruleset.json", ruleset.get("inputs")),
+        ("stats.json", stats.get("inputs")),
+    ):
+        files = {k: v for k, v in (inputs or {}).items() if f"{k}_hash" in inputs}
+        if not files:
+            problems.append(f"{artifact} records no input files")
+        for key, name in files.items():
+            if name not in on_disk:
+                problems.append(f"{artifact} input {key} {name!r} is not a file of this run")
+            elif inputs[f"{key}_hash"] != on_disk[name]:
+                problems.append(f"{artifact} was made from a different {name}")
     if problems:
         raise ValidationError("artifact hash mismatch: " + "; ".join(problems))
-    md = model.get("metadata", {})
-    if not isinstance(train_log, dict):
-        raise ValidationError("train_log.json must be an object with final_mse and epochs_run")
     for field in ("final_mse", "epochs_run"):
         if train_log.get(field) != md.get(field):
             raise ValidationError(
@@ -558,10 +497,9 @@ def cmd_report(args) -> int:
     lines.append("====================")
     lines.append("")
     lines.append("Artifacts and config hashes")
-    lines.append(f"  cohort.meta.json  {meta.get('config_hash', '?')}")
-    lines.append(f"  model.json        {model.get('metadata', {}).get('config_hash', '?')}")
-    lines.append(f"  ruleset.json      {ruleset.get('config_hash', '?')}")
-    lines.append(f"  stats.json        {stats.get('config_hash', '?')}")
+    for name, doc in (("cohort.meta.json", meta), ("model.json", md), ("ruleset.json", ruleset),
+                      ("stats.json", stats)):
+        lines.append(f"  {name:<18}{doc.get('config_hash', '?')}")
     lines.append(f"  master seed       {meta.get('master_seed', '?')}")
     lines.append("")
     n_per_group = meta.get("n_per_group", {})
@@ -612,7 +550,13 @@ def cmd_report(args) -> int:
     pop_spec = meta.get("population_spec")
     if pop_spec:
         spec = PopulationSpec.from_dict(pop_spec)
-        _, raw_matrix = parse_raw_csv((run_dir / "cohort.raw.csv").read_text(encoding="utf-8"))
+        raw_dims, raw_matrix = parse_raw_csv((run_dir / "cohort.raw.csv").read_text("utf-8"))
+        col = {d: j for j, d in enumerate(raw_dims)}
+        missing = [d for d in spec.dimensions if d not in col]
+        if missing:
+            raise ValidationError(
+                f"cohort.raw.csv lacks the population_spec dimensions {', '.join(missing)}"
+            )
         spec_rows = sum(g.n for g in spec.groups.values())
         if spec_rows != raw_matrix.shape[0]:
             raise ValidationError(
@@ -627,11 +571,12 @@ def cmd_report(args) -> int:
                 if g.sds[j] == 0:
                     continue
                 tol = 3 * g.sds[j] / (g.n**0.5)
-                sample = float(rows[:, j].mean())
-                all_ok &= _check(
-                    abs(sample - g.means[j]) <= tol,
-                    f"{token} / {dim}: mean {sample:.3f} vs {g.means[j]:.3f} (tol {tol:.3f})",
-                    lines,
+                sample = float(rows[:, col[dim]].mean())
+                ok = abs(sample - g.means[j]) <= tol
+                all_ok &= ok
+                lines.append(
+                    f"  [{'PASS' if ok else 'FAIL'}] {token} / {dim}: "
+                    f"mean {sample:.3f} vs {g.means[j]:.3f} (tol {tol:.3f})"
                 )
     lines.append("")
     lines.append(f"Overall target checks: {'PASS' if all_ok else 'FAIL'}")
@@ -646,75 +591,35 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _fail(message: str):
-    raise ValidationError(message)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="edm-rulex",
-        description="rule extraction and cohort statistics pipeline",
+        prog="edm-rulex", description="rule extraction and cohort statistics pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file with per-stage sections")
-        p.add_argument("--seed", type=int, help="master seed (stage seeds derive from it)")
-        p.add_argument("--out", help="output directory")
-
-    p = sub.add_parser("generate", help="generate a synthetic cohort")
-    common(p)
-    p.add_argument("--spec", help=f"'{STUDY_DEFAULT_SPEC}' or a population spec JSON path")
-    p.add_argument("--n", type=int, help="total cohort size (split across groups)")
-    p.add_argument("--planted", help="planted rule spec JSON for ground-truth labels")
-    p.add_argument("--schema", help="schema JSON path (default: built-in student schema)")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train the network on a cohort CSV")
-    common(p)
-    p.add_argument("--data", required=True, help="cohort CSV path")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--hidden", type=int, help="hidden layer width")
-    p.add_argument("--rate", type=float, help="learning rate")
-    p.add_argument("--momentum", type=float, help="momentum")
-    p.add_argument("--epochs", type=int, help="epoch budget")
-    p.add_argument("--mse-target", dest="mse_target", type=float, help="stop at this mse")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("extract", help="extract a ruleset from a trained model")
-    common(p)
-    p.add_argument("--data", required=True, help="cohort CSV path")
-    p.add_argument("--model", help="model JSON path")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--pop", type=int, help="GA population size")
-    p.add_argument("--generations", type=int, help="GA generations")
-    p.add_argument("--crossover", type=float, help="crossover probability")
-    p.add_argument("--mutation", type=float, help="per-bit mutation probability")
-    p.add_argument("--tournament", type=int, help="tournament size")
-    p.add_argument("--elitism", type=int, help="elite count")
-    p.add_argument("--confidence", type=float, help="rule acceptance threshold")
-    p.add_argument("--epsilon", type=float, help="refinement confidence slack")
-    p.add_argument("--budget", type=int, help="rules per class")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("stats", help="statistical report for a cohort with raw scores")
-    common(p)
-    p.add_argument("--data", required=True, help="cohort CSV path (needs .raw.csv sidecar)")
-    p.add_argument("--schema", help="schema JSON path")
-    p.add_argument("--group-by", dest="group_by", help="grouping attribute (default Gender)")
-    p.set_defaults(func=cmd_stats)
+    for stage, func, about in (
+        ("generate", cmd_generate, "generate a synthetic cohort"),
+        ("train", cmd_train, "train the network on a cohort CSV"),
+        ("extract", cmd_extract, "extract a ruleset from a trained model"),
+        ("stats", cmd_stats, "statistical report for a cohort with raw scores"),
+    ):
+        p = sub.add_parser(stage, help=about)
+        p.add_argument("--config", help="JSON config: top-level seed and out, a section per stage")
+        for name, _, default, text in OPTIONS[stage]:
+            if default is REQUIRED:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default: {default})"
+            p.add_argument("--" + name.replace("_", "-"), help=text)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("run_dir", help="directory holding the run artifacts")
-    p.add_argument(
-        "--strict", action="store_true", help="exit 1 when any target check fails"
-    )
+    p.add_argument("--strict", action="store_true", help="exit 1 when any target check fails")
     p.set_defaults(func=cmd_report)
-
     return parser
 
 

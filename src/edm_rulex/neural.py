@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .schema import AttributeSchema, DatasetIndex
-from .util import read_json
+from .util import read_field, read_json
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +99,8 @@ class Network:
         return self.w.shape[0]
 
     def __post_init__(self):
+        if (self.v.ndim, self.b_h.ndim, self.w.ndim, self.b_o.ndim) != (2, 1, 2, 1):
+            raise ValidationError("network needs matrices v and w and bias vectors b_h and b_o")
         if self.v.shape[0] != self.b_h.shape[0] or self.w.shape[1] != self.v.shape[0]:
             raise ValidationError("inconsistent layer shapes")
         if self.w.shape[0] != self.b_o.shape[0]:
@@ -328,16 +330,11 @@ def network_to_dict(net: Network) -> dict:
 
 
 def network_from_dict(doc: Mapping) -> Network:
-    try:
-        net = Network(
-            v=np.asarray(doc["v"], dtype=float),
-            b_h=np.asarray(doc["b_h"], dtype=float),
-            w=np.asarray(doc["w"], dtype=float),
-            b_o=np.asarray(doc["b_o"], dtype=float),
-            metadata=dict(doc.get("metadata", {})),
-        )
-    except KeyError as e:
-        raise ValidationError(f"network document lacks the field {e.args[0]!r}") from None
+    arrays = {
+        name: read_field(doc, name, lambda x: np.asarray(x, dtype=float), "network document")
+        for name in ("v", "b_h", "w", "b_o")
+    }
+    net = Network(**arrays, metadata=read_field(doc, "metadata", dict, "network document", {}))
     declared = (doc.get("input_size"), doc.get("hidden_size"), doc.get("output_size"))
     actual = (net.input_size, net.hidden_size, net.output_size)
     if tuple(d for d in declared if d is not None) and declared != actual:

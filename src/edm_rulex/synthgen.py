@@ -39,7 +39,7 @@ from .schema import (
     schema_hash,
     write_index_csv,
 )
-from .util import config_hash, write_json
+from .util import config_hash, read_field, write_json
 
 log = logging.getLogger(__name__)
 
@@ -104,25 +104,29 @@ class PopulationSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PopulationSpec":
-        try:
-            order = doc.get("group_order", list(doc["groups"]))
-            if sorted(order) != sorted(doc["groups"]):
-                raise ValidationError("group_order does not match the groups mapping")
-            groups = {
-                token: GroupSpec(
-                    n=int(doc["groups"][token]["n"]),
-                    means=tuple(float(x) for x in doc["groups"][token]["means"]),
-                    sds=tuple(float(x) for x in doc["groups"][token]["sds"]),
-                    correlation=tuple(
-                        tuple(float(x) for x in row) for row in doc["groups"][token]["correlation"]
-                    ),
-                )
-                for token in order
-            }
-            dimensions = tuple(doc["dimensions"])
-        except KeyError as e:
-            raise ValidationError(f"population spec lacks the field {e.args[0]!r}") from None
-        return PopulationSpec(dimensions=dimensions, groups=groups, seed=int(doc.get("seed", 0)))
+        what = "population spec"
+        groups = read_field(doc, "groups", dict, what)
+        order = read_field(doc, "group_order", list, what, list(groups))
+        if sorted(order, key=str) != sorted(groups):
+            raise ValidationError("group_order does not match the groups mapping")
+
+        def floats(values):
+            return tuple(float(x) for x in values)
+
+        def group(token: str) -> GroupSpec:
+            g, where = groups[token], f"{what} group {token!r}"
+            return GroupSpec(
+                n=read_field(g, "n", int, where),
+                means=read_field(g, "means", floats, where),
+                sds=read_field(g, "sds", floats, where),
+                correlation=read_field(g, "correlation", lambda m: tuple(map(floats, m)), where),
+            )
+
+        return PopulationSpec(
+            dimensions=read_field(doc, "dimensions", tuple, what),
+            groups={token: group(token) for token in order},
+            seed=read_field(doc, "seed", int, what, 0),
+        )
 
 
 def spec_hash(spec: PopulationSpec) -> str:
@@ -174,17 +178,16 @@ class PlantedRuleSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PlantedRuleSpec":
-        try:
-            pairs = tuple(
-                (
-                    tuple(sorted((attr, tuple(levels)) for attr, levels in rule["when"].items())),
-                    str(rule["then"]),
-                )
-                for rule in doc["rules"]
-            )
-        except KeyError as e:
-            raise ValidationError(f"planted rule spec lacks the field {e.args[0]!r}") from None
-        return PlantedRuleSpec(pairs=pairs, noise=float(doc.get("noise", 0.0)))
+        def when(terms):
+            return tuple(sorted((attr, tuple(levels)) for attr, levels in terms.items()))
+
+        def pair(i: int, rule) -> tuple:
+            where = f"planted rule {i}"
+            return read_field(rule, "when", when, where), read_field(rule, "then", str, where)
+
+        what = "planted rule spec"
+        pairs = tuple(pair(i, rule) for i, rule in enumerate(read_field(doc, "rules", list, what)))
+        return PlantedRuleSpec(pairs=pairs, noise=read_field(doc, "noise", float, what, 0.0))
 
 
 def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
@@ -230,26 +233,22 @@ def nearest_pd_correlation(matrix: np.ndarray, floor: float = 1e-6) -> np.ndarra
     return repaired
 
 
-def sample_population(spec: PopulationSpec, repair: bool = True) -> RawCohort:
+def sample_population(spec: PopulationSpec) -> RawCohort:
     """Draw each group's raw score table from its correlated Gaussian.
 
     Rows are ``mean + sd * (L @ z)`` with z standard normal from the seeded
-    generator; deterministic for a fixed spec.  When ``repair`` is on,
-    non-positive-definite correlation inputs are first repaired by eigenvalue
-    clipping; otherwise the Cholesky failure propagates.
+    generator; deterministic for a fixed spec.  A correlation matrix that is
+    not positive definite is first repaired by eigenvalue clipping.
     """
     rng = np.random.default_rng(spec.seed)
     groups: dict[str, np.ndarray] = {}
     for token, g in spec.groups.items():
         corr = np.asarray(g.correlation, dtype=float)
-        if repair:
-            try:
-                lower = cholesky_factor(corr)
-            except NumericError:
-                log.info("group %s: correlation repaired to nearest PD", token)
-                lower = cholesky_factor(nearest_pd_correlation(corr))
-        else:
+        try:
             lower = cholesky_factor(corr)
+        except NumericError:
+            log.info("group %s: correlation repaired to nearest PD", token)
+            lower = cholesky_factor(nearest_pd_correlation(corr))
         z = rng.standard_normal((g.n, len(spec.dimensions)))
         rows = np.asarray(g.means) + (z @ lower.T) * np.asarray(g.sds)
         groups[token] = rows

@@ -3,7 +3,8 @@
 Every run artifact embeds the SHA-256 of the canonical JSON of the config
 that produced it, and all stage seeds are derived from one master seed so a
 single integer pins the whole pipeline.  Every JSON artifact is written and
-read through ``write_json`` and ``read_json``.
+read through ``write_json`` and ``read_json``; ``read_field`` takes one field
+of a parsed document and names it when it is missing or does not convert.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from .errors import ValidationError
 
@@ -61,3 +62,22 @@ def read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path} is not valid JSON: {e}") from None
+
+
+_ABSENT = object()
+
+
+def read_field(doc: Any, key: str, convert, what: str, default: Any = _ABSENT) -> Any:
+    """``convert(doc[key])``, or ``default`` when ``key`` is absent and one is
+    given.  A ``doc`` that is not an object, a missing key, or a value that
+    ``convert`` rejects is a ValidationError naming ``what`` and ``key``."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is not _ABSENT:
+            return default
+        raise ValidationError(f"{what} lacks the field {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError, AttributeError):
+        raise ValidationError(f"{what} field {key!r} does not convert: {doc[key]!r}") from None

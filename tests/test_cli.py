@@ -441,9 +441,51 @@ def test_malformed_raw_csv_exits_2(full_run, tmp_path, capsys, stage, corrupt, m
     if stage == "stats":
         assert run("stats", "--data", broken / "cohort.csv", "--out", broken) == 2
     else:
+        # stats.json recorded the raw table's hash, so report stops before parsing it
         assert run("report", broken) == 2
+        message = "hash mismatch: stats.json was made from a different cohort.raw.csv"
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _check_lines(report):
+    return [line for line in report.read_text().splitlines() if line.startswith("  [")]
+
+
+@pytest.mark.parametrize("reshape", ["cut Unit 5", "swap Unit 4 and Unit 5"])
+def test_report_reads_raw_columns_by_name(full_run, tmp_path, capsys, reshape):
+    reshaped = tmp_path / "reshaped"
+    shutil.copytree(full_run, reshaped)
+    raw = reshaped / "cohort.raw.csv"
+    rows = [line.split(",") for line in raw.read_text().splitlines()]
+    u4, u5 = rows[0].index("Unit 4"), rows[0].index("Unit 5")
+    order = list(range(len(rows[0])))
+    if reshape.startswith("cut"):
+        del order[u5]
+    else:
+        order[u4], order[u5] = u5, u4
+    raw.write_text("".join(",".join(row[j] for j in order) + "\n" for row in rows))
+    # stats records the reshaped table's hash, so report reaches the table itself
+    assert run("stats", "--data", reshaped / "cohort.csv", "--out", reshaped) == 0
+    capsys.readouterr()
+    if reshape.startswith("cut"):
+        assert run("report", reshaped) == 2
+        err = capsys.readouterr().err
+        assert "cohort.raw.csv" in err and "Unit 5" in err and "Traceback" not in err
+    else:
+        assert run("report", reshaped) == 0
+        assert _check_lines(reshaped / "report.txt") == _check_lines(full_run / "report.txt")
+
+
+def test_report_rejects_a_raw_table_edited_after_stats(full_run, tmp_path, capsys):
+    stale = tmp_path / "stale"
+    shutil.copytree(full_run, stale)
+    lines = (stale / "cohort.raw.csv").read_text().splitlines()
+    lines[3] = ",".join(["1.0", *lines[3].split(",")[1:]])
+    (stale / "cohort.raw.csv").write_text("\n".join(lines) + "\n")
+    assert run("report", stale) == 2
+    err = capsys.readouterr().err
+    assert "hash mismatch" in err and "cohort.raw.csv" in err
 
 
 @pytest.mark.parametrize(
@@ -494,6 +536,25 @@ def test_report_hash_mismatch(full_run, tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+def test_report_rejects_an_input_from_outside_the_run(full_run, tmp_path, capsys):
+    moved = tmp_path / "moved"
+    shutil.copytree(full_run, moved)
+    model = json.loads((moved / "model.json").read_text())
+    model["metadata"]["inputs"]["dataset"] = "elsewhere.csv"
+    (moved / "model.json").write_text(json.dumps(model))
+    assert run("report", moved) == 2
+    assert "model.json input dataset 'elsewhere.csv' is not a file of this run" in capsys.readouterr().err
+
+
+def test_report_accepts_a_schema_from_outside_the_run(full_run, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(full_run, run_dir)
+    meta = json.loads((run_dir / "cohort.meta.json").read_text())
+    schema = _write(tmp_path / "schema.json", meta["schema"])
+    assert run("stats", "--data", run_dir / "cohort.csv", "--schema", schema, "--out", run_dir) == 0
+    assert run("report", "--strict", run_dir) == 0
+
+
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -514,6 +575,74 @@ def test_train_rejects_invalid_config_json(full_run, tmp_path, capsys, text, mes
     err = capsys.readouterr().err
     assert "bad.json" in err and message in err
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A 60-record cohort, a 3-epoch model and the files every option can name,
+    each unlike its option's default: a spec with other means, and a schema
+    that calls Gender "Sex" and drops Unit 5, with no sidecar meta, so only
+    --schema names it."""
+    from edm_rulex import studydata
+    from edm_rulex.schema import schema_document
+
+    d = tmp_path_factory.mktemp("small")
+    spec = studydata.default_population_spec().to_dict()
+    spec["groups"]["Ma"]["means"][0] += 1.0
+    _write(d / "spec.json", spec)
+    _write(d / "planted.json", PLANTED)
+    schema = schema_document(studydata.default_student_schema())
+    schema = [{**a, "name": "Sex"} if a["name"] == "Gender" else a for a in schema]
+    _write(d / "schema.json", [a for a in schema if a["name"] != "Unit 5"])
+    assert run("generate", "--out", d, "--seed", "5", "--n", "60", "--schema", d / "schema.json") == 0
+    (d / "cohort.meta.json").unlink()
+    assert run(
+        "train", "--data", d / "cohort.csv", "--schema", d / "schema.json", "--out", d,
+        "--seed", "5", "--epochs", "3",
+    ) == 0
+    return d
+
+
+def _option_values(d):
+    """A value for every option in cli.OPTIONS but --out, small enough to run fast."""
+    cohort = {"data": d / "cohort.csv", "schema": d / "schema.json"}
+    return {
+        "generate": {
+            "seed": 3, "spec": d / "spec.json", "n": 40, "planted": d / "planted.json",
+            "schema": d / "schema.json",
+        },
+        "train": {
+            "seed": 3, **cohort, "hidden": 4, "rate": 0.1, "momentum": 0.5, "epochs": 3,
+            "mse_target": 0.5,
+        },
+        "extract": {
+            "seed": 3, **cohort, "model": d / "model.json", "pop": 10, "generations": 3,
+            "crossover": 0.5, "mutation": 0.1, "tournament": 2, "elitism": 1, "confidence": 0.5,
+            "epsilon": 0.1, "budget": 1,
+        },
+        "stats": {**cohort, "group_by": "Sex"},
+    }
+
+
+@pytest.mark.parametrize(
+    "stage, option",
+    [(stage, name) for stage, options in cli.OPTIONS.items() for name, *_ in options],
+)
+def test_config_key_and_flag_give_the_same_artifacts(small_run, tmp_path, stage, option):
+    for how in ("flag", "config"):
+        flags = {**_option_values(small_run)[stage], "out": tmp_path / how}
+        section = {} if how == "flag" else {option: flags.pop(option)}
+        config = tmp_path / f"{how}.json"
+        config.write_text(json.dumps({stage: section}, default=str))
+        argv = [stage, "--config", config]
+        for name, value in flags.items():
+            argv += [f"--{name.replace('_', '-')}", value]
+        assert run(*argv) == 0
+    by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+    names = sorted(path.name for path in by_flag.iterdir())
+    assert names and names == sorted(path.name for path in by_config.iterdir())
+    for name in names:
+        assert (by_flag / name).read_bytes() == (by_config / name).read_bytes(), name
 
 
 def test_unknown_spec_path(tmp_path, capsys):
@@ -546,6 +675,10 @@ def _without(doc, key):
         ("planted rule without when", "'when'"),
         ("config epochs not a number", "'epochs'"),
         ("stats without sections", "'sections'"),
+        ("model not an object", "network document must be a JSON object, got list"),
+        ("model w not a matrix", "network needs matrices v and w"),
+        ("spec not an object", "population spec must be a JSON object, got list"),
+        ("spec group n not a number", "group 'Ma' field 'n' does not convert: 'abc'"),
     ],
 )
 def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
@@ -555,14 +688,23 @@ def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
     shutil.copytree(full_run, run_dir)
     data, model = run_dir / "cohort.csv", run_dir / "model.json"
     out = tmp_path / "out"
-    if case == "corrupt model":
-        _write(model, '{"v": [')
+    model_edits = {
+        "corrupt model": lambda doc: '{"v": [',
+        "model without v": lambda doc: _without(doc, "v"),
+        "model not an object": lambda doc: [1, 2],
+        "model w not a matrix": lambda doc: {**doc, "w": doc["b_o"]},
+    }
+    if case in model_edits:
+        _write(model, model_edits[case](json.loads(model.read_text())))
         argv = ("extract", "--data", data, "--model", model, "--out", out)
-    elif case == "model without v":
-        _write(model, _without(json.loads(model.read_text()), "v"))
-        argv = ("extract", "--data", data, "--model", model, "--out", out)
-    elif case == "spec without groups":
-        spec = _without(studydata.default_population_spec().to_dict(), "groups")
+    elif case.startswith("spec"):
+        spec = studydata.default_population_spec().to_dict()
+        if case == "spec without groups":
+            spec = _without(spec, "groups")
+        elif case == "spec not an object":
+            spec = []
+        else:
+            spec["groups"]["Ma"]["n"] = "abc"
         argv = ("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out)
     elif case == "planted rule without when":
         planted = {"rules": [{"then": "F"}, {"when": {}, "then": "P"}], "noise": 0.0}

@@ -205,12 +205,11 @@ def test_tertile_example():
     assert abs(lo - 1 / 3) < 0.01 and abs(hi - 2 / 3) < 0.01
 
 
-def test_sample_population_propagates_cholesky_failure():
+def test_sample_population_repairs_a_non_pd_correlation():
     bad = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
     spec = _spec(["a", "b", "c"], 10, [0, 0, 0], [1, 1, 1], bad)
-    sample_population(spec, repair=True)  # repaired silently
-    with pytest.raises(NumericError, match="positive definite"):
-        sample_population(spec, repair=False)
+    rows = sample_population(spec).groups["g"]  # repaired silently
+    assert rows.shape == (10, 3) and np.all(np.isfinite(rows))
 
 
 def test_cohort_write_read_round_trip(tmp_path):
