@@ -116,6 +116,13 @@ def _options(args, stage: str) -> dict:
         section = doc.get(stage, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config section {stage!r} must be an object")
+        names = [name for name, *_ in OPTIONS[stage]]
+        unknown = [key for key in section if key not in names]
+        if unknown:
+            raise ValidationError(
+                f"config section {stage!r} has no option named {', '.join(map(repr, unknown))}; "
+                f"{stage} takes {', '.join(names)}"
+            )
         conf = {key: doc[key] for key in ("seed", "out") if key in doc}
         conf.update(section)
     options = {}
@@ -324,7 +331,14 @@ def _gender_split(index, raw_matrix, group_by: str):
 
 def cmd_stats(args) -> int:
     opts = _options(args, "stats")
-    schema, index = opts["schema"], _read_cohort(opts)
+    schema = opts["schema"]
+    levels = schema.attribute(opts["group_by"]).levels
+    if len(levels) != 2:
+        raise ValidationError(
+            f"--group-by {opts['group_by']!r} has {len(levels)} levels; "
+            "the group statistics compare exactly 2"
+        )
+    index = _read_cohort(opts)
     raw_path = opts["data"].with_suffix("").with_suffix(".raw.csv")
     if not raw_path.exists():
         raise ValidationError(

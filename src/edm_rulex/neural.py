@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 # Pre-activations are clipped here so exp never overflows; a unit whose
 # pre-activation reaches the clip is saturated and training reports it.
 SIGMOID_CLIP = 500.0
+# An output activation within this of 0 or 1 is saturated: its slope y(1-y)
+# is below it too, so per-pattern updates barely move it.
+SATURATION_TOL = 1e-3
 
 
 def sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -139,7 +142,7 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
 
 def _as_input(net: Network, bits) -> np.ndarray:
     x = np.asarray(bits, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != net.input_size:
+    if x.ndim == 0 or x.shape[-1] != net.input_size:
         raise ValidationError(
             f"input length {x.shape[-1] if x.ndim else 0} does not match "
             f"network input size {net.input_size}"
@@ -149,28 +152,40 @@ def _as_input(net: Network, bits) -> np.ndarray:
 
 def forward(net: Network, bits) -> np.ndarray:
     """Output activations, every component in (0,1): ``(O,)`` for one bit
-    string ``(B,)``, ``(P, O)`` for a population ``(P, B)``.
+    string ``(B,)``, ``(..., O)`` for a batch ``(..., B)`` such as a
+    population ``(P, B)`` or a stack of them ``(R, P, B)``.
 
     The products are ``np.einsum`` rather than BLAS, whose reduction order
     can depend on the batch size; here each row's result is the same bits
     whether it is passed alone or with any number of others.
     """
     x = _as_input(net, bits)
-    rows = np.atleast_2d(x)
+    rows = x.reshape(-1, x.shape[-1])
     h = sigmoid(np.einsum("pi,hi->ph", rows, net.v) + net.b_h)
     y = sigmoid(np.einsum("ph,oh->po", h, net.w) + net.b_o)
-    return y if x.ndim == 2 else y[0]
+    return y.reshape(*x.shape[:-1], net.output_size)
 
 
-def class_score(net: Network, chromosome, class_index: int):
+def class_score(net: Network, chromosome, class_index):
     """The output activation of one class node: a float for one chromosome,
-    a ``float[P]`` array for a population.  Pure, safe to call concurrently."""
-    if not 0 <= class_index < net.output_size:
+    a ``float[P]`` array for a population.  ``class_index`` may also hold one
+    class per run, ``intp[R]``, for a stack of populations ``(R, P, B)``:
+    row r of the ``float[R, P]`` result is class ``class_index[r]``.  Pure,
+    safe to call concurrently."""
+    k = np.asarray(class_index)
+    if k.ndim > 1 or ((k < 0) | (k >= net.output_size)).any():
         raise ValidationError(
             f"class index {class_index} out of range for {net.output_size} outputs"
         )
-    y = forward(net, chromosome)[..., class_index]
-    return float(y) if y.ndim == 0 else y
+    y = forward(net, chromosome)
+    if k.ndim == 0:
+        y = y[..., class_index]
+        return float(y) if y.ndim == 0 else y
+    if y.ndim < 2 or y.shape[0] != k.shape[0]:
+        raise ValidationError(
+            f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {y.shape[:-1]}"
+        )
+    return y[np.arange(k.shape[0]), ..., k]
 
 
 def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +253,11 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     training is deterministic for a fixed config.  The mse history records the
     full-dataset mse after each epoch; only the final value is a contract.
     A non-finite mse, or a pre-activation over the dataset that reaches the
-    sigmoid clip after an epoch, is a NumericError.
+    sigmoid clip after an epoch, is a NumericError.  So is a network that
+    ends saturated short of the clip: every output activation over the
+    dataset within SATURATION_TOL of 0 or 1, with the same rounded outputs,
+    and so one prediction, for every record of a dataset with several
+    classes.
 
     The weights, their velocities and the per-pattern gradient each live in
     one flat vector, with the layers as views into it, and every update
@@ -312,6 +331,17 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
         epochs_run = epoch + 1
         if mse <= config.target_mse:
             break
+    given = y_all > 0.5  # what a saturated output says for each record
+    if (
+        (np.minimum(y_all, 1.0 - y_all) < SATURATION_TOL).all()
+        and (given == given[0]).all()
+        and (t != t[0]).any()
+    ):
+        raise NumericError(
+            f"training saturated after {epochs_run} epochs: every output layer activation is "
+            f"within {SATURATION_TOL:g} of 0 or 1 and the network gives every record the same "
+            "output, though the records have several classes; try a smaller learning rate"
+        )
     log.info("trained %d epochs, final mse %.5f", epochs_run, history[-1])
     return TrainResult(network=net, mse_history=history, epochs_run=epochs_run)
 

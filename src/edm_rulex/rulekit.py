@@ -4,9 +4,9 @@ A rule is an AND across attributes of OR-sets of levels within each
 attribute.  Set bits of a chromosome segment name the included levels;
 all-zero and all-one segments carry no constraint and yield no term, which is
 how attributes disappear from rules.  Extraction runs one genetic search per
-class per round under sequential covering, refines away redundant terms by
-greedy backward elimination, and keeps rules that clear a confidence
-threshold.
+class per round under sequential covering, each round's searches in
+lockstep, refines away redundant terms by greedy backward elimination, and
+keeps rules that clear a confidence threshold.
 """
 
 from __future__ import annotations
@@ -252,19 +252,25 @@ def extract_ruleset(
 ) -> RuleSet:
     """Sequential covering driven by the trained network.
 
-    Per class: evolve a chromosome maximizing that class's output (one
-    batched forward pass per generation), decode, refine against the class's
-    working set, accept if confidence clears the threshold, then drop the
-    records the accepted rule explains (antecedent and consequent both match)
-    and repeat.  A class's loop also ends on a duplicate or zero-progress
-    rule, since the fitness surface is fixed.
+    Per class: evolve a chromosome maximizing that class's output, decode,
+    refine against the class's working set, accept if confidence clears the
+    threshold, then drop the records the accepted rule explains (antecedent
+    and consequent both match) and repeat.  A class's loop also ends on a
+    duplicate or zero-progress rule, since the fitness surface is fixed.
 
     The GA seed for class k, round r derives from the config seed as
-    derive_seed(seed, "class-k", r), so class loops are independent and
-    reproducible.  Accepted rules carry metrics recomputed against the full
-    dataset; working-set confidences live in the audit entries.  ``dataset``
-    is records or a DatasetIndex of them, so a caller that scores the
-    ruleset afterwards can build the index once.
+    derive_seed(seed, "class-k", r), and a run depends only on the network,
+    k and that seed, never on the working set.  So the loops go round by
+    round: in round r, the GA runs of every class whose loop is still going
+    evolve in lockstep (one forward pass over all their populations per
+    generation), and each class then refines, accepts and covers on its own.
+    Each class's rules and audit entries are joined in class order at the
+    end, so the ruleset is the one class-by-class loops would give.
+
+    Accepted rules carry metrics recomputed against the full dataset;
+    working-set confidences live in the audit entries.  ``dataset`` is
+    records or a DatasetIndex of them, so a caller that scores the ruleset
+    afterwards can build the index once.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
@@ -282,22 +288,28 @@ def extract_ruleset(
         )
     ga_config = ga_config or GaConfig()
     full = _as_index(dataset, schema)
-    rules: list[Rule] = []
-    audit: list[dict] = []
-    for k, class_token in enumerate(schema.target.levels):
-        working = full
-        for round_no in range(per_class_rule_budget):
-            if not (working.target == k).any():
-                break
-            cfg = replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no))
-            result: EvolutionResult = evolve(
-                lambda pop: class_score(net, pop, k), schema.total_predictive_bits, cfg
-            )
+    classes = range(schema.target_bits)
+    working = [full for _ in classes]  # each class's records not yet explained
+    rules: list[list[Rule]] = [[] for _ in classes]
+    audit: list[list[dict]] = [[] for _ in classes]
+    live = list(classes)
+    for round_no in range(per_class_rule_budget):
+        live = [k for k in live if (working[k].target == k).any()]
+        if not live:
+            break
+        cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
+        targets = np.array(live)
+        results: list[EvolutionResult] = evolve(
+            lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, cfgs
+        )
+        going = []
+        for k, cfg, result in zip(live, cfgs, results):
+            class_token = schema.target.levels[k]
             raw_rule = replace(
                 decode_chromosome(result.best_chromosome, schema, k),
                 fitness=result.best_fitness,
             )
-            refined = refine_rule(raw_rule, working, epsilon=epsilon)
+            refined = refine_rule(raw_rule, working[k], epsilon=epsilon)
             entry = {
                 "class": class_token,
                 "round": round_no,
@@ -308,10 +320,10 @@ def extract_ruleset(
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
             }
-            explained = working.antecedent_mask(refined) & working.consequent_mask(refined)
+            explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
             if refined.confidence < confidence_threshold:
                 stop = "rejected: confidence below threshold"
-            elif any((r.terms, r.consequent) == (refined.terms, refined.consequent) for r in rules):
+            elif any(r.terms == refined.terms for r in rules[k]):
                 stop = "stopped: duplicate rule"
             elif not explained.any():
                 stop = "stopped: rule explains no remaining records"
@@ -319,11 +331,12 @@ def extract_ruleset(
                 stop = None
             entry["accepted"] = stop is None
             entry["outcome"] = stop or f"accepted, removed {int(explained.sum())} records"
-            audit.append(entry)
+            audit[k].append(entry)
             if stop:
-                break
-            rules.append(replace(refined, **asdict(evaluate_rule(refined, full))))
-            working = working.subset(~explained)
+                continue
+            rules[k].append(replace(refined, **asdict(evaluate_rule(refined, full))))
+            working[k] = working[k].subset(~explained)
+            going.append(k)
             log.info(
                 "class %s round %d: %s (confidence %.3f)",
                 class_token,
@@ -331,10 +344,11 @@ def extract_ruleset(
                 entry["outcome"],
                 refined.confidence,
             )
+        live = going
     return RuleSet(
-        rules=tuple(rules),
+        rules=tuple(rule for per_class in rules for rule in per_class),
         default=majority_class(full, schema),
-        audit=tuple(audit),
+        audit=tuple(entry for per_class in audit for entry in per_class),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import sys
@@ -720,3 +721,62 @@ def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def study_run(tmp_path_factory):
+    """The paper-sized default cohort at seed 7, trained a pinned 20 epochs."""
+    d = tmp_path_factory.mktemp("study")
+    assert run("generate", "--n", "97", "--seed", "7", "--out", d) == 0
+    assert run(
+        "train", "--data", d / "cohort.csv", "--epochs", "20", "--mse-target", "1e-9",
+        "--seed", "7", "--out", d,
+    ) == 0
+    return d
+
+
+def test_budget_5_ruleset_bytes(study_run, tmp_path):
+    # SHA-256 of ruleset.json as written when each class's GA runs were
+    # evolved one at a time, class after class; with budget 5 the classes
+    # leave covering in different rounds, so it pins the round-major join
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
+        shutil.copy(study_run / name, tmp_path / name)
+    assert run(
+        "extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
+        "--budget", "5", "--seed", "7", "--out", tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "ruleset.json").read_text())
+    rounds = {}
+    for entry in doc["audit"]:
+        rounds[entry["class"]] = rounds.get(entry["class"], 0) + 1
+    assert rounds == {"F": 3, "P": 3, "G": 5, "V.G": 3}
+    digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
+    assert digest == "4feea41a85b15ce8853325a9906a2383e6e3bfba7226dfc7090cfaf3f650faa2"
+
+
+def test_train_saturated_short_of_the_clip_exits_3(study_run, tmp_path, capsys):
+    # at rate 5 every output sinks to about 0 for every record long before
+    # the sigmoid clip: mse 0.25 and one answer for a four-class cohort
+    rc = run(
+        "train", "--data", study_run / "cohort.csv", "--rate", "5", "--epochs", "50",
+        "--seed", "7", "--out", tmp_path,
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "saturated" in err and "output layer" in err and "smaller learning rate" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_config_key_naming_no_option_exits_2(tmp_path, capsys):
+    config = _write(tmp_path / "config.json", {"generate": {"N": 30}})
+    assert run("generate", "--config", config, "--seed", "7", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config section 'generate' has no option named 'N'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_stats_group_by_needs_two_levels(study_run, tmp_path, capsys):
+    assert run("stats", "--data", study_run / "cohort.csv", "--group-by", "Unit 1", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "--group-by 'Unit 1' has 4 levels" in err and "exactly 2" in err
+    assert not (tmp_path / "stats.json").exists()

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.evolver import (
@@ -195,3 +199,100 @@ def test_zero_generations_returns_initial_best():
     assert isinstance(result, EvolutionResult)
     assert result.history == []
     assert result.best_fitness == popcount(result.best_chromosome[None])[0]
+
+
+def _hashed(pop, mult):
+    """A rugged, pure integer fitness: each chromosome read as a binary
+    number, scrambled by ``mult``.  Exact in any batch."""
+    x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[-1], dtype=np.int64))
+    return ((x * mult) % 997).astype(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True),
+    size=st.integers(2, 24),
+    bits=st.integers(1, 20),
+    generations=st.integers(0, 12),
+    elitism=st.integers(0, 23),
+    tournament=st.integers(1, 4),
+    crossover=st.floats(0, 1),
+    mutation=st.floats(0, 0.3),
+)
+@example(seeds=[3], size=2, bits=1, generations=0, elitism=0, tournament=1, crossover=1.0, mutation=0.1)
+@example(
+    seeds=[0, 1, 2, 3, 4, 5], size=7, bits=1, generations=6, elitism=0, tournament=3,
+    crossover=0.8, mutation=0.2,
+)
+@example(
+    seeds=[9, 4], size=10, bits=12, generations=8, elitism=0, tournament=2, crossover=0.5,
+    mutation=0.05,
+)
+def test_lockstep_runs_equal_lone_runs(
+    seeds, size, bits, generations, elitism, tournament, crossover, mutation
+):
+    base = GaConfig(
+        population_size=size,
+        generations=generations,
+        elitism=min(elitism, size - 1),
+        tournament_size=tournament,
+        crossover_prob=crossover,
+        mutation_prob=mutation,
+    )
+    configs = [replace(base, seed=seed) for seed in seeds]
+    mults = np.array([2654435761 + 2 * r for r in range(len(seeds))])  # a surface per run
+    batch = evolve(lambda pop: _hashed(pop, mults[:, None]), bits, configs)
+    assert len(batch) == len(configs)
+    for config, mult, got in zip(configs, mults, batch):
+        alone = evolve(lambda pop: _hashed(pop, mult), bits, config)
+        assert np.array_equal(got.best_chromosome, alone.best_chromosome)
+        assert got.best_fitness == alone.best_fitness
+        assert got.history == alone.history
+        assert got.generations == alone.generations == generations
+
+
+def test_lockstep_non_finite_fitness_names_run_and_chromosome():
+    seen = []
+
+    def bad_in_run_1(pop):
+        seen.append(pop.copy())
+        fits = pop.sum(axis=-1).astype(float)
+        fits[1][pop[1, :, 0] == 1] = np.inf
+        return fits
+
+    configs = [GaConfig(population_size=8, generations=5, seed=s) for s in (0, 1, 2)]
+    with pytest.raises(NumericError) as err:
+        evolve(bad_in_run_1, 4, configs)
+    first = seen[-1][1][seen[-1][1][:, 0] == 1][0]
+    assert f"chromosome {first.tolist()} of run 1" in str(err.value)
+    assert "inf" in str(err.value)
+
+
+def test_lockstep_one_fitness_call_per_generation():
+    calls = []
+
+    def counted(pop):
+        calls.append(pop.shape)
+        return pop.sum(axis=-1).astype(float)
+
+    configs = [GaConfig(population_size=9, generations=7, seed=s) for s in range(3)]
+    evolve(counted, 5, configs)
+    assert calls == [(3, 9, 5)] * 8
+
+
+@pytest.mark.parametrize(
+    "configs, message",
+    [
+        ([], "at least one config"),
+        ([GaConfig(seed=1), GaConfig(seed=2, generations=3)], "only in their seeds"),
+    ],
+)
+def test_lockstep_rejects_configs(configs, message):
+    with pytest.raises(ValidationError, match=message):
+        evolve(lambda pop: pop.sum(axis=-1).astype(float), 4, configs)
+
+
+def test_lockstep_fitness_wrong_shape_rejected():
+    configs = [GaConfig(population_size=6, generations=2, seed=s) for s in range(2)]
+    with pytest.raises(ValidationError, match=r"shape \(2, 6\)"):
+        evolve(lambda pop: pop[0].sum(axis=-1).astype(float), 4, configs)

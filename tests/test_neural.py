@@ -135,6 +135,29 @@ def test_forward_population_shapes():
         forward(net, pop[:, :6])
 
 
+def test_class_score_one_class_per_run():
+    # a stack of populations, each scored on its own class, in one forward pass
+    rng = np.random.default_rng(5)
+    net = Network(
+        v=rng.normal(size=(4, 7)),
+        b_h=rng.normal(size=4),
+        w=rng.normal(size=(3, 4)),
+        b_o=rng.normal(size=3),
+    )
+    stack = rng.integers(0, 2, (4, 9, 7), dtype=np.uint8)
+    classes = [2, 0, 2, 1]
+    assert forward(net, stack).shape == (4, 9, 3)
+    scores = class_score(net, stack, classes)
+    assert scores.shape == (4, 9)
+    for r, k in enumerate(classes):
+        assert np.array_equal(scores[r], class_score(net, stack[r], k))
+    assert np.array_equal(class_score(net, stack[:, 0], classes), scores[:, 0])
+    with pytest.raises(ValidationError, match="out of range"):
+        class_score(net, stack, [0, 1, 3, 0])
+    with pytest.raises(ValidationError, match="stack of 3 runs"):
+        class_score(net, stack, [0, 1, 2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -417,6 +417,43 @@ def test_extract_recovers_planted_rule():
     assert equivalent, [format_rule(r, schema) for r in ruleset.rules]
 
 
+def test_extract_evolves_each_round_in_lockstep(monkeypatch):
+    # one evolve call per covering round, over the classes still covering,
+    # with the fitness reached through rulekit.class_score
+    from edm_rulex import rulekit
+
+    pairs = (((("Unit 1", ("F",)),), "F"), ((), "P"))
+    schema, records = _planted_cohort(150, seed=3, pairs=pairs)
+    tc = TrainConfig(max_epochs=60, seed=2)
+    net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
+    batches, scored = [], []
+    evolve, class_score = rulekit.evolve, rulekit.class_score
+
+    def counted_evolve(fitness, bit_length, configs):
+        batches.append([c.seed for c in configs])
+        return evolve(fitness, bit_length, configs)
+
+    def counted_score(net, pop, classes):
+        scored.append(list(classes))
+        return class_score(net, pop, classes)
+
+    monkeypatch.setattr(rulekit, "evolve", counted_evolve)
+    monkeypatch.setattr(rulekit, "class_score", counted_score)
+    ruleset = extract_ruleset(
+        net, records, schema, ga_config=GaConfig(population_size=20, generations=4, seed=8),
+        per_class_rule_budget=3,
+    )
+    rounds = {}
+    for entry in ruleset.audit:
+        rounds.setdefault(entry["round"], []).append(entry["ga_seed"])
+    assert batches == [rounds[r] for r in sorted(rounds)]
+    assert len(scored) == 5 * len(batches)
+    tokens = schema.target.levels
+    for r in sorted(rounds):
+        classes = [tokens.index(e["class"]) for e in ruleset.audit if e["round"] == r]
+        assert classes in scored
+
+
 def test_extract_single_class_dataset():
     pairs = (((), "G"),)
     schema, records = _planted_cohort(40, seed=9, pairs=pairs)
