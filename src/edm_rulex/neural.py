@@ -38,10 +38,13 @@ def sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Each step is one ufunc working in place on the first step's result, so
     training can run it on preallocated buffers; the values are the same
     bits as ``1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))``.
+    Only the lower clip is applied, to ``-u``: above +SIGMOID_CLIP,
+    ``exp(-u)`` is below ``exp(-500)``, about 7e-218, which vanishes against
+    the 1 it is added to, so clipped or not the result is exactly 1.0.  A NaN
+    stays NaN.
     """
-    s = np.minimum(u, SIGMOID_CLIP, out=out)
-    np.maximum(s, -SIGMOID_CLIP, out=s)
-    np.negative(s, out=s)
+    s = np.negative(u, out=out)
+    np.minimum(s, SIGMOID_CLIP, out=s)
     np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
@@ -58,6 +61,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN passes every comparison below, and inf steps or stops nothing
+        for name, value in (
+            ("learning rate", self.learning_rate),
+            ("target mse", self.target_mse),
+            ("init scale", self.init_scale),
+        ):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ValidationError(f"learning rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
@@ -189,14 +200,14 @@ def class_score(net: Network, chromosome, class_index):
 
 
 def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:
-    """The dataset's bits as floats and its class indices as one-hot rows."""
+    """The dataset's bits and its class indices as one-hot float rows."""
     sizes = (dataset.bits.shape[1], dataset.schema.target_bits)
     if sizes != (net.input_size, net.output_size):
         raise ValidationError(
             f"dataset has {sizes[0]} bits and {sizes[1]} classes, "
             f"network expects {net.input_size} and {net.output_size}"
         )
-    return dataset.bits.astype(float), np.eye(net.output_size)[dataset.target]
+    return dataset.bits, np.eye(net.output_size)[dataset.target]
 
 
 def _batch_pass(net: Network, x: np.ndarray):
@@ -259,61 +270,97 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     and so one prediction, for every record of a dataset with several
     classes.
 
-    The weights, their velocities and the per-pattern gradient each live in
-    one flat vector, with the layers as views into it, and every update
-    writes into buffers allocated once, so the momentum step is three
-    whole-vector operations.  Each element sees the same floating-point
-    operations in the same order as ``vel = mom * vel - lr * grad;
-    theta += vel`` on fresh arrays.  The caller's arrays in ``net`` get the
-    weights back after every epoch and hold the trained values at the end.
+    The weights, their velocities and the per-pattern step each live in one
+    flat vector, with the layers as views into it, and every update writes
+    into buffers allocated once: 25 numpy calls per pattern, with the
+    functions bound to locals and the constants held as 0-d arrays, which
+    numpy takes without converting a Python object per call.  Each weight
+    sees the same floating-point operations in the same order as
+    ``vel = mom * vel - lr * grad; theta += vel`` on fresh arrays, so the
+    weights are the same bits.  Signs are laid out so that no negation costs
+    a call; rounding to nearest is symmetric under negation, so an operation
+    on negated operands gives the negated result:
+
+    - the inputs are kept as ``-x``, so ``v @ (-x) - b_h`` is the negated
+      hidden pre-activation that the sigmoid's ``exp`` takes;
+    - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
+      in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
+      ``1 - y``;
+    - ``step`` holds ``-dE/dtheta``, so the momentum step is ``vel *= mom;
+      step *= lr; vel += step; theta += vel``; ``-h`` turns the deltas into
+      ``-dE/dw`` and ``-dE/db_h``, and ``+x`` (the dataset's own bits) then
+      gives ``-dE/dv``;
+    - ``theta`` stores ``-b_o``, so the output delta ``dE/db_o`` is its
+      step, ``-dE/d(-b_o)``, and ``w @ (-h) + (-b_o)`` is the negated output
+      pre-activation.
+
+    The two outer products are matrix products with an inner dimension of
+    one, so each element is the one rounded product.  Such a product and
+    ``t - y`` may give a zero of the other sign than the textbook update; a
+    zero's sign changes no nonzero value downstream, and reaches a weight
+    only where that weight and its velocity are both exactly zero.
+
+    The caller's arrays in ``net`` get the weights back after every epoch and
+    hold the trained values at the end; ``dataset`` is not modified.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
-    x, t = _arrays(net, dataset)
+    bits, t = _arrays(net, dataset)
+    x_neg = np.negative(bits, dtype=float)  # the one float copy of the rows
+    bits_rows = bits[:, None, :]  # row i as a (1, B) matrix
     rng = np.random.default_rng(config.seed)
-    lr, mom = config.learning_rate, config.momentum
-    layers = (net.v, net.b_h, net.w, net.b_o)
-    shapes = [a.shape for a in layers]
-    theta = np.concatenate([a.ravel() for a in layers])
+    lr, mom = np.array(config.learning_rate, dtype=float), np.array(config.momentum, dtype=float)
+    one, minus_one, clip = np.array(1.0), np.array(-1.0), np.array(SIGMOID_CLIP)
+    shapes = [a.shape for a in (net.v, net.b_h, net.w, net.b_o)]
+    theta = np.concatenate([net.v.ravel(), net.b_h, net.w.ravel(), -net.b_o])
     vel = np.zeros_like(theta)
-    grad = np.empty_like(theta)
-    v, b_h, w, b_o = _views(theta, shapes)
-    # the output and hidden deltas are the bias gradients
-    g_v, d_h, g_w, d_o = _views(grad, shapes)
-    w_t, d_h_col, d_o_col = w.T, d_h[:, None], d_o[:, None]
-    h, slope_h = np.empty_like(b_h), np.empty_like(b_h)
-    y, slope_o = np.empty_like(b_o), np.empty_like(b_o)
+    step = np.empty_like(theta)
+    v, b_h, w, b_o_neg = _views(theta, shapes)
+    # the bias slots of the step are the deltas: -d_h for b_h, d_o for -b_o
+    step_v, d_h_neg, step_w, d_o = _views(step, shapes)
+    hidden, outputs = len(b_h), len(d_o)
+    act_neg, slope = np.empty(hidden + outputs), np.empty(hidden + outputs)
+    h_neg, y_neg = act_neg[:hidden], act_neg[hidden:]
+    slope_h, slope_o = slope[:hidden], slope[hidden:]
+    s_h, s_o = np.empty(hidden), np.empty(outputs)
+    w_t, d_h_col, d_o_col, h_neg_row = w.T, d_h_neg[:, None], d_o[:, None], h_neg[None, :]
+    dot, add, sub, mul, div = np.dot, np.add, np.subtract, np.multiply, np.divide
+    exp, minimum = np.exp, np.minimum
     history: list[float] = []
     epochs_run = 0
     for epoch in range(config.max_epochs):
-        order = rng.permutation(len(dataset))
-        for i in order:
-            xi = x[i]
-            np.dot(v, xi, out=h)
-            h += b_h
-            sigmoid(h, out=h)
-            np.dot(w, h, out=y)
-            y += b_o
-            sigmoid(y, out=y)
-            # d_o = (y - t) * y * (1 - y)
-            np.subtract(y, t[i], out=d_o)
-            d_o *= y
-            np.subtract(1.0, y, out=slope_o)
-            d_o *= slope_o
-            # d_h = (w.T @ d_o) * h * (1 - h)
-            np.dot(w_t, d_o, out=d_h)
-            d_h *= h
-            np.subtract(1.0, h, out=slope_h)
-            d_h *= slope_h
-            np.multiply(d_o_col, h, out=g_w)
-            np.multiply(d_h_col, xi, out=g_v)
-            vel *= mom
-            grad *= lr
-            vel -= grad
-            theta += vel
-        for dst, src in zip(layers, (v, b_h, w, b_o)):
-            dst[...] = src
-        u_h, u_o, y_all = _batch_pass(net, x)
+        for i in rng.permutation(len(dataset)).tolist():
+            # s = 1 + exp(-u) and the activation -1 / s, hidden then output
+            dot(v, x_neg[i], s_h)
+            sub(s_h, b_h, s_h)
+            minimum(s_h, clip, out=s_h)
+            exp(s_h, s_h)
+            add(s_h, one, s_h)
+            div(minus_one, s_h, h_neg)
+            dot(w, h_neg, s_o)
+            add(s_o, b_o_neg, s_o)
+            minimum(s_o, clip, out=s_o)
+            exp(s_o, s_o)
+            add(s_o, one, s_o)
+            div(minus_one, s_o, y_neg)
+            add(act_neg, one, slope)
+            # d_o = (t - y) * (-y) * (1 - y)
+            add(y_neg, t[i], d_o)
+            mul(d_o, y_neg, d_o)
+            mul(d_o, slope_o, d_o)
+            # -d_h = (w.T @ d_o) * (-h) * (1 - h)
+            dot(w_t, d_o, d_h_neg)
+            mul(d_h_neg, h_neg, d_h_neg)
+            mul(d_h_neg, slope_h, d_h_neg)
+            dot(d_o_col, h_neg_row, step_w)
+            dot(d_h_col, bits_rows[i], step_v)
+            mul(vel, mom, vel)
+            mul(step, lr, step)
+            add(vel, step, vel)
+            add(theta, vel, theta)
+        net.v[...], net.b_h[...], net.w[...] = v, b_h, w
+        np.negative(b_o_neg, out=net.b_o)
+        u_h, u_o, y_all = _batch_pass(net, bits)
         mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(

@@ -767,6 +767,29 @@ def test_train_saturated_short_of_the_clip_exits_3(study_run, tmp_path, capsys):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--rate", "nan", "learning rate"),
+        ("--rate", "inf", "learning rate"),
+        ("--mse-target", "nan", "target mse"),
+        ("--mse-target", "inf", "target mse"),
+    ],
+)
+def test_train_rejects_non_finite_options(study_run, tmp_path, capsys, flag, value, name):
+    # NaN passed every range check: --rate nan trained and exited 3 as a
+    # divergence, and --mse-target nan trained the whole budget and exited 0
+    rc = run(
+        "train", "--data", study_run / "cohort.csv", flag, value, "--epochs", "2",
+        "--seed", "7", "--out", tmp_path,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{name} must be finite, got {value}" in err and "Traceback" not in err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_config_key_naming_no_option_exits_2(tmp_path, capsys):
     config = _write(tmp_path / "config.json", {"generate": {"N": 30}})
     assert run("generate", "--config", config, "--seed", "7", "--out", tmp_path / "out") == 2

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -348,13 +349,27 @@ def test_config_validation():
             TrainConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "field, name",
+    [("learning_rate", "learning rate"), ("target_mse", "target mse"), ("init_scale", "init scale")],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(field, name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        TrainConfig(**{field: value})
+
+
 LAYERS = ("v", "b_h", "w", "b_o")
 
 
-def assert_same_training(got, expected):
+def assert_same_weights(got, expected):
     # bit for bit: tobytes also tells -0.0 from 0.0
     for name in LAYERS:
-        assert getattr(got.network, name).tobytes() == getattr(expected.network, name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def assert_same_training(got, expected):
+    assert_same_weights(got.network, expected.network)
     assert got.mse_history == expected.mse_history
     assert got.epochs_run == expected.epochs_run
 
@@ -362,12 +377,15 @@ def assert_same_training(got, expected):
 def test_sigmoid_matches_clipped_formula():
     rng = np.random.default_rng(12)
     edges = [0.0, -0.0, 1e-300, -1e-300, SIGMOID_CLIP, -SIGMOID_CLIP, 499.999, -499.999, 1e6, -1e6]
+    # exp overflows past 709.78 and underflows to 0 past 745.13
+    edges += [np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0]
     u = np.concatenate([edges, rng.normal(scale=40, size=500), rng.normal(scale=800, size=500)])
     expected = 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
     assert sigmoid(u).tobytes() == expected.tobytes()
     buf = u.copy()
     assert sigmoid(buf, out=buf) is buf
     assert buf.tobytes() == expected.tobytes()
+    assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -380,10 +398,11 @@ def test_sigmoid_matches_clipped_formula():
     momentum=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
     max_epochs=st.integers(1, 6),
     target_mse=st.sampled_from([1e-9, 0.05, 0.2]),
+    init_scale=st.sampled_from([0.5, 0.0, 50.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_train_equals_reference_bit_for_bit(
-    levels, classes, n_records, hidden, learning_rate, momentum, max_epochs, target_mse, seed
+    levels, classes, n_records, hidden, learning_rate, momentum, max_epochs, target_mse, init_scale, seed
 ):
     schema = AttributeSchema(
         tuple(Attribute(f"A{j}", tuple(f"a{j}_{k}" for k in range(m))) for j, m in enumerate(levels))
@@ -396,15 +415,55 @@ def test_train_equals_reference_bit_for_bit(
         max_epochs=max_epochs,
         target_mse=target_mse,
         hidden_size=hidden,
+        init_scale=init_scale,
         seed=seed,
     )
+    oracle, net = init_network(schema, cfg), init_network(schema, cfg)
     try:
-        expected = reference_train(init_network(schema, cfg), encoded, cfg)
+        expected = reference_train(oracle, encoded, cfg)
     except NumericError:
         with pytest.raises(NumericError):
-            train(init_network(schema, cfg), encoded, cfg)
+            train(net, encoded, cfg)
+        # both stop after the same epoch, with its weights in the caller's arrays
+        if all(np.isfinite(getattr(oracle, name)).all() for name in LAYERS):
+            assert_same_weights(net, oracle)
         return
-    assert_same_training(train(init_network(schema, cfg), encoded, cfg), expected)
+    try:
+        result = train(net, encoded, cfg)
+    except NumericError as e:
+        # the oracle has no check for a network saturated short of the clip
+        assert "saturated after" in str(e)
+        assert_same_weights(net, oracle)
+        return
+    assert_same_training(result, expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_through_the_sigmoid_clip_equals_reference():
+    # two hidden units and their outgoing weights scaled into the thousands
+    # drive hidden and output pre-activations past both signs of the clip
+    # within the first epoch, so updates run the clipped and the saturated
+    # (y exactly 1.0) sigmoid while the other units keep learning
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 30, np.random.default_rng(21)), schema)
+    cfg = TrainConfig(hidden_size=6, max_epochs=3, seed=12)
+    start = init_network(schema, cfg)
+    start.v[:2] *= 4000.0
+    start.w[:, :2] *= 4000.0
+    u_h = encoded.bits @ start.v.T + start.b_h
+    u_o = sigmoid(u_h) @ start.w.T + start.b_o
+    for u in (u_h, u_o):
+        assert u.max() > SIGMOID_CLIP and u.min() < -SIGMOID_CLIP
+    assert (sigmoid(u_o) == 1.0).any()
+    oracle, net = copy.deepcopy(start), copy.deepcopy(start)
+    with pytest.raises(NumericError, match="reference training failed at epoch 1"):
+        reference_train(oracle, encoded, cfg)
+    with pytest.raises(NumericError, match="saturated at epoch 1"):
+        train(net, encoded, cfg)
+    for name in LAYERS:
+        assert np.isfinite(getattr(oracle, name)).all()
+        assert not np.array_equal(getattr(net, name), getattr(start, name))
+    assert_same_weights(net, oracle)
 
 
 def test_train_equals_reference_when_stopping_at_target():
@@ -432,7 +491,18 @@ def test_train_writes_into_callers_arrays():
         assert a.tobytes() == getattr(expected, name).tobytes()
 
 
+def test_train_leaves_the_dataset_unchanged():
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 20, np.random.default_rng(6)), schema)
+    bits, target = encoded.bits.copy(), encoded.target.copy()
+    cfg = TrainConfig(max_epochs=3, seed=5)
+    train(init_network(schema, cfg), encoded, cfg)
+    assert encoded.bits.dtype == bits.dtype and encoded.bits.tobytes() == bits.tobytes()
+    assert encoded.target.dtype == target.dtype and encoded.target.tobytes() == target.tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 def test_train_emits_no_runtime_warning():
     schema = studydata.default_student_schema()
     encoded = encode_dataset(random_records(schema, 60, np.random.default_rng(9)), schema)
