@@ -9,13 +9,7 @@ uses later.
 import numpy as np
 
 from edm_rulex import default_student_schema
-from edm_rulex.schema import (
-    DimensionCuts,
-    decode_vector,
-    discretize_value,
-    encode_record,
-    StudentRecord,
-)
+from edm_rulex.schema import DatasetIndex, DimensionCuts, StudentRecord, discretize_value
 
 schema = default_student_schema()
 
@@ -41,22 +35,23 @@ print("== encoding one record ==")
 values = {a.name: a.levels[0] for a in schema.attributes}
 values.update({"Gender": "Fe", "Ambition": "H", "Unit 1": "G", "Reasoning": "P"})
 record = StudentRecord(values)
-vec = encode_record(record, schema)
-print(f"  bits ({vec.bits.size} total): {''.join(map(str, vec.bits[:24]))}...")
-print(f"  target index: {vec.target_index} ({schema.target.levels[vec.target_index]})")
+index = DatasetIndex(schema, [record])  # a dataset of one record
+bits, target = index.bits[0], int(index.target[0])
+print(f"  bits ({bits.size} total): {''.join(map(str, bits[:24]))}...")
+print(f"  target index: {target} ({schema.target.levels[target]})")
 
 gender_offset, gender_width = schema.segments["Gender"]
-print(f"  Gender segment bits: {vec.bits[gender_offset:gender_offset + gender_width]}")
+print(f"  Gender segment bits: {bits[gender_offset:gender_offset + gender_width]}")
 
-back = decode_vector(vec, schema)
-print(f"  decode(encode(record)) == record: {back.values == record.values}")
+back = index.records()[0]
+print(f"  the index row reads back as the record: {back == record}")
 print()
 
 print("== round trip over random records ==")
 rng = np.random.default_rng(0)
-ok = 0
-for _ in range(500):
-    sample = {a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes}
-    rec = StudentRecord(sample)
-    ok += decode_vector(encode_record(rec, schema), schema).values == rec.values
-print(f"  {ok}/500 records survive encode -> decode unchanged")
+records = [
+    StudentRecord({a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes})
+    for _ in range(500)
+]
+ok = sum(back == rec for back, rec in zip(DatasetIndex(schema, records).records(), records))
+print(f"  {ok}/500 records read back unchanged from their index rows")

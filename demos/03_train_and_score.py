@@ -8,19 +8,19 @@ output activation is the fitness surface the genetic search will climb.
 import numpy as np
 
 from edm_rulex import (
+    DatasetIndex,
     PlantedRuleSpec,
     StudentRecord,
     TrainConfig,
-    class_score,
     default_population_spec,
     default_student_schema,
+    forward,
     init_network,
     plant_rules,
     sample_population,
     train,
 )
 from edm_rulex import studydata
-from edm_rulex.schema import encode_record
 from edm_rulex.synthgen import default_discretization
 
 schema = default_student_schema()
@@ -49,13 +49,11 @@ f_index = schema.target.levels.index("F")
 base = {a.name: a.levels[1 if len(a.levels) > 2 else 0] for a in schema.predictive}
 for unit1 in ("F", "P", "G", "V.G"):
     probe = dict(base, **{"Unit 1": unit1, "Reasoning": "P"})
-    bits = encode_record(StudentRecord(probe), schema).bits
+    bits = DatasetIndex(schema, [StudentRecord(probe)]).bits[0]  # one chromosome
     print(f"  Unit 1 = {unit1:3s} -> score toward Reasoning=F: "
-          f"{class_score(result.network, bits, f_index):.3f}")
+          f"{forward(result.network, bits)[f_index]:.3f}")
 
-# one population call per class scores every encoded record at once
-scores = np.stack(
-    [class_score(result.network, encoded.bits, k) for k in range(schema.target_bits)], axis=1
-)
+# one forward call scores every class of every encoded record at once
+scores = forward(result.network, encoded.bits)
 accuracy = np.mean(np.argmax(scores, axis=1) == encoded.target)
 print(f"\ntraining accuracy: {accuracy:.3f}")

@@ -113,6 +113,13 @@ def _options(args, stage: str) -> dict:
         doc = read_json(args.config)
         if not isinstance(doc, dict):
             raise ValidationError(f"config {args.config} must be a JSON object")
+        allowed = ("seed", "out", *OPTIONS)
+        unknown = [key for key in doc if key not in allowed]
+        if unknown:
+            raise ValidationError(
+                f"config {args.config} has no key named {', '.join(map(repr, unknown))}; "
+                f"its top-level keys are {', '.join(allowed)}"
+            )
         section = doc.get(stage, {})
         if not isinstance(section, dict):
             raise ValidationError(f"config section {stage!r} must be an object")
@@ -271,6 +278,10 @@ def cmd_extract(args) -> int:
     schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
     net = load_network(opts["model"])
     trained_on = net.metadata.get("schema_hash")
+    if trained_on is not None and not isinstance(trained_on, str):
+        raise ValidationError(
+            f"{opts['model']}: metadata.schema_hash must be a string, got {trained_on!r}"
+        )
     if trained_on is not None and trained_on != schema_hash(schema):
         raise ValidationError(
             "schema mismatch between model and dataset: "
@@ -288,7 +299,6 @@ def cmd_extract(args) -> int:
     ruleset = extract_ruleset(
         net,
         index,
-        schema,
         ga_config=ga,
         per_class_rule_budget=opts["budget"],
         confidence_threshold=opts["confidence"],

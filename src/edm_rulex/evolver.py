@@ -5,13 +5,13 @@ single-point crossover, per-bit mutation, and elitism.  Each generation is
 array code over the whole population: one fitness call, one matrix of
 tournament draws, one crossover mask, one mutation mask.
 
-Several runs that differ only in their seeds can go in lockstep: their
-populations form one stack ``uint8[R, P, B]``, each generation makes one
-fitness call for the whole stack, and every operator is one array operation
-over it.  Each run keeps its own generator and draws from it the same shapes
-in the same order as it would alone, so with a fitness that scores a row the
-same in any batch, each run's result is bit for bit its lone result.  A
-single run is the stack with R = 1.
+``evolve`` takes runs that differ only in their seeds and runs them in
+lockstep: their populations form one stack ``uint8[R, P, B]``, each
+generation makes one fitness call for the whole stack, and every operator is
+one array operation over it.  Each run keeps its own generator and draws from
+it the same shapes in the same order at any R, so with a fitness that scores
+a row the same in any batch, each run's result is bit for bit the one it
+gives alone, as the stack with R = 1.
 
 Chromosomes are unconstrained bit strings; segments may be multi-hot or
 empty, the decoder gives them meaning.  Fitness must be pure; runs are
@@ -143,8 +143,8 @@ def mutate_bits(pop: np.ndarray, p: float, rng: np.random.Generator | _Lockstep)
 
 
 def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
-    """``fitness(population)`` as floats, one per chromosome: ``float[P]``
-    for ``uint8[P, B]``, ``float[R, P]`` for a stack ``uint8[R, P, B]``."""
+    """``fitness(population)`` as floats, one per chromosome: ``float[R, P]``
+    for a stack ``uint8[R, P, B]``."""
     fits = np.asarray(fitness(population), dtype=float)
     if fits.shape != population.shape[:-1]:
         raise ValidationError(
@@ -153,10 +153,9 @@ def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(fits).all():
         at = tuple(np.argwhere(~np.isfinite(fits))[0])
-        run = f" of run {at[0]}" if fits.ndim == 2 else ""
         raise NumericError(
             f"fitness returned non-finite value {float(fits[at])!r} "
-            f"for chromosome {population[at].tolist()}{run}"
+            f"for chromosome {population[at].tolist()} of run {at[0]}"
         )
     return fits
 
@@ -164,25 +163,22 @@ def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
 def evolve(
     fitness: Callable[[np.ndarray], np.ndarray],
     bit_length: int,
-    config: GaConfig | Sequence[GaConfig],
-) -> EvolutionResult | list[EvolutionResult]:
+    configs: Sequence[GaConfig],
+) -> list[EvolutionResult]:
     """Run the full loop: initialize, then (select, cross, mutate, elitism)
-    per generation.
+    per generation, for one run per config.
 
-    With one ``config``, ``fitness`` scores a whole population at once: it
-    takes a ``uint8[P, B]`` matrix and returns ``float[P]``, so each
-    generation costs one call.  With a sequence of configs that differ only
-    in their seeds, the runs go in lockstep: ``fitness`` takes the stack
-    ``uint8[R, P, B]`` and returns ``float[R, P]``, still one call per
-    generation, and the result is a list with one entry per config, each
-    equal to that config's lone run.
+    The configs may differ only in their seeds, and the runs go in lockstep:
+    ``fitness`` takes the stack ``uint8[R, P, B]`` and returns
+    ``float[R, P]``, so each generation costs one call.  The result has one
+    entry per config, each equal to that config's run in a stack of one,
+    ``evolve(fitness, B, [config])[0]``.
 
     The history records the best fitness seen so far after each generation,
     so it is non-decreasing; the returned best never exceeds the true
     maximum because it is always one of the evaluated chromosomes.
     """
-    lone = isinstance(config, GaConfig)
-    configs = [config] if lone else list(config)
+    configs = list(configs)
     if not configs:
         raise ValidationError("evolve needs at least one config")
     cfg = configs[0]
@@ -197,11 +193,8 @@ def evolve(
     each = np.arange(runs)
     first = (each * size)[:, None]  # each run's first row in the flattened stack
 
-    def score(pop):
-        return _evaluate(fitness, pop[0] if lone else pop).reshape(runs, size)
-
     pop = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
-    fits = score(pop)
+    fits = _evaluate(fitness, pop)
     best = fits.argmax(axis=1)
     champion, champion_fitness = pop[each, best], fits[each, best]
     history: list[np.ndarray] = []
@@ -216,7 +209,7 @@ def evolve(
             p1, p2 = crossover_point(p1, p2, cuts, coins)
         children = np.concatenate([p1, p2], axis=1)[:, :n_children]
         pop = np.concatenate([elite, mutate_bits(children, cfg.mutation_prob, rng)], axis=1)
-        fits = score(pop)
+        fits = _evaluate(fitness, pop)
         best = fits.argmax(axis=1)
         best_fitness = fits[each, best]
         better = best_fitness > champion_fitness
@@ -225,7 +218,7 @@ def evolve(
         history.append(champion_fitness)
         log.debug("generation %d best %s", gen + 1, champion_fitness)
     histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
-    results = [
+    return [
         EvolutionResult(
             best_chromosome=champion[r],
             best_fitness=float(champion_fitness[r]),
@@ -234,4 +227,3 @@ def evolve(
         )
         for r in range(runs)
     ]
-    return results[0] if lone else results

@@ -177,21 +177,20 @@ def forward(net: Network, bits) -> np.ndarray:
     return y.reshape(*x.shape[:-1], net.output_size)
 
 
-def class_score(net: Network, chromosome, class_index):
-    """The output activation of one class node: a float for one chromosome,
-    a ``float[P]`` array for a population.  ``class_index`` may also hold one
-    class per run, ``intp[R]``, for a stack of populations ``(R, P, B)``:
-    row r of the ``float[R, P]`` result is class ``class_index[r]``.  Pure,
-    safe to call concurrently."""
-    k = np.asarray(class_index)
-    if k.ndim > 1 or ((k < 0) | (k >= net.output_size)).any():
+def class_score(net: Network, stack, classes) -> np.ndarray:
+    """One class node's activations per run: for a stack of populations
+    ``(R, P, B)`` and ``classes`` of shape ``intp[R]``, row r of the
+    ``float[R, P]`` result is class ``classes[r]``'s output over run r's
+    population.  One chromosome's score is ``forward(net, bits)[..., k]``.
+    Pure, safe to call concurrently."""
+    k = np.asarray(classes)
+    if k.ndim != 1:
         raise ValidationError(
-            f"class index {class_index} out of range for {net.output_size} outputs"
+            f"classes must hold one class index per run, shape (R,); got shape {k.shape}"
         )
-    y = forward(net, chromosome)
-    if k.ndim == 0:
-        y = y[..., class_index]
-        return float(y) if y.ndim == 0 else y
+    if ((k < 0) | (k >= net.output_size)).any():
+        raise ValidationError(f"class index {classes} out of range for {net.output_size} outputs")
+    y = forward(net, stack)
     if y.ndim < 2 or y.shape[0] != k.shape[0]:
         raise ValidationError(
             f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {y.shape[:-1]}"

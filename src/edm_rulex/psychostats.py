@@ -341,8 +341,6 @@ def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaRow:
     df_e = pooled.size - len(arrs)
     if ss_e == 0:
         raise NumericError("zero error sum of squares: F is undefined")
-    if ss_h == 0:
-        return AnovaRow(0.0, ss_e, df_h, df_e, 0.0, ss_e / df_e, 0.0, 1.0, 0.0)
     return anova_row_from_summary(ss_h, ss_e, df_h, df_e)
 
 
@@ -392,15 +390,12 @@ def manova_wilks(groups: Sequence[np.ndarray]) -> ManovaResult:
     wilks = float(np.exp(logdet_e - logdet_t))
     wilks = min(wilks, 1.0)
     df = (p, n_total - p - 1)
-    if wilks == 1.0:
-        f = 0.0
-    else:
-        f = (df[1] / df[0]) * (1.0 - wilks) / wilks
+    f = (df[1] / df[0]) * (1.0 - wilks) / wilks
     return ManovaResult(
         wilks_lambda=wilks,
-        f=float(f),
+        f=f,
         df=df,
-        p=p_value_f(float(f), *df),
+        p=p_value_f(f, *df),
         eta_squared=1.0 - wilks,
     )
 

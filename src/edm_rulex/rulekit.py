@@ -14,12 +14,12 @@ from __future__ import annotations
 import logging
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .evolver import EvolutionResult, GaConfig, evolve
+from .evolver import GaConfig, evolve
 from .neural import Network, class_score
 from .schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord
 from .util import derive_seed
@@ -44,9 +44,6 @@ class Rule:
     vacuous: bool = False
     fitness: float | None = None
     chromosome: tuple[int, ...] | None = None
-
-    def without_term(self, attr: str) -> "Rule":
-        return replace(self, terms=tuple(t for t in self.terms if t[0] != attr))
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,12 @@ class RuleSet:
 
 
 def _as_index(dataset, schema: AttributeSchema | None) -> DatasetIndex:
+    """``dataset`` as an index: a DatasetIndex as it is, records through
+    ``schema``.  An index built on another schema than a given one is a
+    ValidationError, since its bits would be read under the wrong names."""
     if isinstance(dataset, DatasetIndex):
+        if schema is not None and schema != dataset.schema:
+            raise ValidationError("the DatasetIndex was built on another schema than the one given")
         return dataset
     if schema is None:
         raise ValidationError("a dataset of records needs its schema; pass schema= or a DatasetIndex")
@@ -190,13 +192,13 @@ def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) ->
     )
 
 
-def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsilon: float = DEFAULT_EPSILON) -> Rule:
+def refine_rule(rule: Rule, index: DatasetIndex, epsilon: float = DEFAULT_EPSILON) -> Rule:
     """Greedy backward elimination of redundant terms.
 
     Repeatedly drops the term whose removal gives the highest confidence,
     accepting a drop only when confidence falls by at most epsilon relative
     to the current rule; ties resolve to the earliest attribute in schema
-    order.  The returned rule carries metrics recomputed on this dataset.
+    order.  The returned rule carries metrics recomputed on the index.
 
     The term-miss matrix is built once.  A record matches the rule without
     term j exactly when it misses no kept term other than j, so with a
@@ -204,7 +206,6 @@ def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsi
     records that miss none (they match every candidate) and those that
     miss one (they match only the candidate dropping that term).
     """
-    index = _as_index(dataset, schema)
     names = [attr_name for attr_name, _ in rule.terms]
     attrs = list(dict.fromkeys(names))
     misses = index.term_misses(rule)
@@ -234,17 +235,16 @@ def refine_rule(rule: Rule, dataset, schema: AttributeSchema | None = None, epsi
     return replace(current, **asdict(evaluate_rule(current, index)))
 
 
-def majority_class(dataset, schema: AttributeSchema) -> str:
+def majority_class(index: DatasetIndex) -> str:
     """Most frequent target token; ties resolve to schema level order."""
-    index = _as_index(dataset, schema)
+    schema = index.schema
     counts = np.bincount(index.target, minlength=schema.target_bits)
     return schema.target.levels[int(np.argmax(counts))]
 
 
 def extract_ruleset(
     net: Network,
-    dataset: Sequence[StudentRecord] | DatasetIndex,
-    schema: AttributeSchema,
+    index: DatasetIndex,
     ga_config: GaConfig | None = None,
     per_class_rule_budget: int = DEFAULT_RULE_BUDGET,
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
@@ -267,12 +267,11 @@ def extract_ruleset(
     Each class's rules and audit entries are joined in class order at the
     end, so the ruleset is the one class-by-class loops would give.
 
-    Accepted rules carry metrics recomputed against the full dataset;
-    working-set confidences live in the audit entries.  ``dataset`` is
-    records or a DatasetIndex of them, so a caller that scores the ruleset
-    afterwards can build the index once.
+    Accepted rules carry metrics recomputed against the full index;
+    working-set confidences live in the audit entries.  Rules are decoded
+    under ``index.schema``.
     """
-    if len(dataset) == 0:
+    if len(index) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
     if per_class_rule_budget < 0:
         raise ValidationError(f"rule budget must be >= 0, got {per_class_rule_budget}")
@@ -282,14 +281,14 @@ def extract_ruleset(
         )
     if not epsilon >= 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
+    schema = index.schema
     if net.input_size != schema.total_predictive_bits or net.output_size != schema.target_bits:
         raise ValidationError(
             "network sizes do not match the schema; was it trained on this layout?"
         )
     ga_config = ga_config or GaConfig()
-    full = _as_index(dataset, schema)
     classes = range(schema.target_bits)
-    working = [full for _ in classes]  # each class's records not yet explained
+    working = [index for _ in classes]  # each class's records not yet explained
     rules: list[list[Rule]] = [[] for _ in classes]
     audit: list[list[dict]] = [[] for _ in classes]
     live = list(classes)
@@ -299,7 +298,7 @@ def extract_ruleset(
             break
         cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
         targets = np.array(live)
-        results: list[EvolutionResult] = evolve(
+        results = evolve(
             lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, cfgs
         )
         going = []
@@ -334,7 +333,7 @@ def extract_ruleset(
             audit[k].append(entry)
             if stop:
                 continue
-            rules[k].append(replace(refined, **asdict(evaluate_rule(refined, full))))
+            rules[k].append(replace(refined, **asdict(evaluate_rule(refined, index))))
             working[k] = working[k].subset(~explained)
             going.append(k)
             log.info(
@@ -347,7 +346,7 @@ def extract_ruleset(
         live = going
     return RuleSet(
         rules=tuple(rule for per_class in rules for rule in per_class),
-        default=majority_class(full, schema),
+        default=majority_class(index),
         audit=tuple(entry for per_class in audit for entry in per_class),
     )
 

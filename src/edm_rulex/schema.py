@@ -11,8 +11,9 @@ training reads and rules are matched against, plus the class vector.  It is
 built from level codes, one integer column per attribute: ``discretize_column``
 turns a raw score column into codes, ``read_index_csv`` turns the token
 columns of a dataset CSV into codes, and ``write_index_csv`` writes an index
-back as tokens.  ``parse_dataset_csv`` and ``write_dataset_csv`` are the same
-reader and writer seen as ``StudentRecord`` lists.
+back as tokens; ``DatasetIndex.records`` gives the rows back as
+``StudentRecord`` values, and ``parse_dataset_csv`` is the reader seen that
+way.
 """
 
 from __future__ import annotations
@@ -198,14 +199,6 @@ class DiscretizationSpec:
             for name, dc in self.dimensions.items()
         }
 
-    @staticmethod
-    def from_dict(doc: Mapping) -> "DiscretizationSpec":
-        dims = {
-            name: DimensionCuts(tuple(entry["cuts"]), tuple(entry["tokens"]))
-            for name, entry in doc.items()
-        }
-        return DiscretizationSpec(dims)
-
 
 def load_schema(document: str | Sequence[Mapping]) -> AttributeSchema:
     """Build a schema from its JSON document.
@@ -276,29 +269,6 @@ def encode_record(record: StudentRecord, schema: AttributeSchema) -> EncodedVect
         offset, _ = schema.segments[a.name]
         bits[offset + a.level_index(record.values[a.name])] = 1
     return EncodedVector(bits=bits, target_index=schema.target.level_index(record.values[schema.target.name]))
-
-
-def decode_vector(vec: EncodedVector, schema: AttributeSchema) -> StudentRecord:
-    """Invert encode_record.  Requires exactly one set bit per segment."""
-    bits = np.asarray(vec.bits, dtype=np.uint8)
-    if bits.shape != (schema.total_predictive_bits,):
-        raise ValidationError(
-            f"bit string has length {bits.shape}, schema expects {schema.total_predictive_bits}"
-        )
-    values: dict[str, str] = {}
-    for a in schema.predictive:
-        offset, width = schema.segments[a.name]
-        seg = bits[offset : offset + width]
-        on = np.flatnonzero(seg)
-        if len(on) != 1:
-            raise ValidationError(
-                f"segment for {a.name!r} is not one-hot ({seg.tolist()}); cannot decode a record"
-            )
-        values[a.name] = a.levels[int(on[0])]
-    if not 0 <= vec.target_index < schema.target_bits:
-        raise ValidationError(f"target index {vec.target_index} out of range")
-    values[schema.target.name] = schema.target.levels[vec.target_index]
-    return StudentRecord(values=values)
 
 
 class DatasetIndex:
@@ -454,8 +424,3 @@ def write_index_csv(index: DatasetIndex) -> str:
 def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:
     """``read_index_csv`` as records."""
     return read_index_csv(text, schema).records()
-
-
-def write_dataset_csv(records: Iterable[StudentRecord], schema: AttributeSchema) -> str:
-    """``write_index_csv`` of the records' index."""
-    return write_index_csv(DatasetIndex(schema, records))

@@ -123,7 +123,7 @@ def reference_refine(rule, records, schema: AttributeSchema, epsilon: float = 0.
     while current.terms:
         best_candidate, best_conf = None, -1.0
         for attr_name, _ in current.terms:
-            candidate = current.without_term(attr_name)
+            candidate = replace(current, terms=tuple(t for t in current.terms if t[0] != attr_name))
             conf = _confidence(candidate, records, target)
             if conf > best_conf:
                 best_candidate, best_conf = candidate, conf

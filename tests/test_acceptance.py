@@ -17,7 +17,15 @@ from helpers import (
 
 from edm_rulex import cli, studydata
 from edm_rulex.evolver import GaConfig, evolve
-from edm_rulex.neural import Network, TrainConfig, class_score, init_network, loss_and_gradients, train
+from edm_rulex.neural import (
+    Network,
+    TrainConfig,
+    class_score,
+    forward,
+    init_network,
+    loss_and_gradients,
+    train,
+)
 from edm_rulex.psychostats import (
     anova_oneway,
     anova_row_from_summary,
@@ -83,16 +91,16 @@ def test_criterion_4_ga_optimality_oracle():
 
     start = time.time()
     true_max = max(
-        class_score(net, (i >> np.arange(12)) & 1, 0) for i in range(2**12)
+        forward(net, (i >> np.arange(12)) & 1)[0] for i in range(2**12)
     )
     hits = 0
     sound = True
     for seed in range(100):
         result = evolve(
-            lambda bits: class_score(net, bits, 0),
+            lambda stack: class_score(net, stack, [0]),
             12,
-            GaConfig(population_size=100, generations=60, mutation_prob=0.05, seed=seed),
-        )
+            [GaConfig(population_size=100, generations=60, mutation_prob=0.05, seed=seed)],
+        )[0]
         sound = sound and result.best_fitness <= true_max
         if result.best_fitness == true_max:
             hits += 1

@@ -11,7 +11,7 @@ import pytest
 
 from edm_rulex import cli, rulekit
 from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
-from edm_rulex.schema import load_schema, write_dataset_csv
+from edm_rulex.schema import DatasetIndex, load_schema, write_index_csv
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
 
@@ -110,7 +110,7 @@ def test_train_toy_separable_reaches_target(tmp_path):
         for a in ("a1", "a2")
         for b in ("b1", "b2")
     ]
-    (tmp_path / "toy.csv").write_text(write_dataset_csv(records, schema))
+    (tmp_path / "toy.csv").write_text(write_index_csv(DatasetIndex(schema, records)))
     (tmp_path / "toy.schema.json").write_text(
         json.dumps(
             [
@@ -223,6 +223,18 @@ def test_extract_schema_mismatch(full_run, tmp_path, capsys):
     )
     assert rc == 2
     assert "schema mismatch" in capsys.readouterr().err
+
+
+def test_extract_rejects_a_non_string_schema_hash(full_run, tmp_path, capsys):
+    model = json.loads((full_run / "model.json").read_text())
+    model["metadata"]["schema_hash"] = 12345
+    wrong = _write(tmp_path / "wrong_model.json", model)
+    out = tmp_path / "out"
+    rc = run("extract", "--data", full_run / "cohort.csv", "--model", wrong, "--out", out, "--seed", "0")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "metadata.schema_hash must be a string, got 12345" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("hidden", ["0", "-1"])
@@ -803,3 +815,13 @@ def test_stats_group_by_needs_two_levels(study_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--group-by 'Unit 1' has 4 levels" in err and "exactly 2" in err
     assert not (tmp_path / "stats.json").exists()
+
+
+def test_config_top_level_key_naming_no_stage_exits_2(full_run, tmp_path, capsys):
+    # a misspelled section or top-level key was ignored: train ran on its defaults
+    config = _write(tmp_path / "config.json", {"trian": {"epochs": 3}, "sed": 5})
+    out = tmp_path / "out"
+    assert run("train", "--config", config, "--data", full_run / "cohort.csv", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config.json has no key named 'trian', 'sed'" in err and "Traceback" not in err
+    assert not out.exists()

@@ -17,20 +17,20 @@ from edm_rulex.evolver import (
 
 
 def popcount(pop):
-    return pop.sum(axis=1).astype(float)
+    return pop.sum(axis=-1).astype(float)
 
 
 def test_onemax_reaches_all_ones():
     for seed in range(20):
-        result = evolve(popcount, 16, GaConfig(seed=seed))
+        result = evolve(popcount, 16, [GaConfig(seed=seed)])[0]
         assert result.best_fitness == 16.0
         assert result.best_chromosome.sum() == 16
 
 
 def test_constant_fitness_terminates():
     result = evolve(
-        lambda pop: np.ones(len(pop)), 8, GaConfig(population_size=10, generations=15, seed=0)
-    )
+        lambda pop: np.ones(pop.shape[:-1]), 8, [GaConfig(population_size=10, generations=15, seed=0)]
+    )[0]
     assert result.best_fitness == 1.0
     assert result.history == [1.0] * 15
     assert result.generations == 15
@@ -38,17 +38,17 @@ def test_constant_fitness_terminates():
 
 def test_history_non_decreasing():
     def lumpy(pop):  # pure but deliberately rugged
-        x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[1])[::-1])
+        x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[-1])[::-1])
         return ((x * 2654435761) % 997).astype(float)
 
-    result = evolve(lumpy, 14, GaConfig(population_size=30, generations=40, seed=3))
+    result = evolve(lumpy, 14, [GaConfig(population_size=30, generations=40, seed=3)])[0]
     assert all(a <= b for a, b in zip(result.history, result.history[1:]))
 
 
 def test_deterministic():
     cfg = GaConfig(population_size=20, generations=25, seed=1234)
-    a = evolve(popcount, 12, cfg)
-    b = evolve(popcount, 12, cfg)
+    a = evolve(popcount, 12, [cfg])[0]
+    b = evolve(popcount, 12, [cfg])[0]
     assert a.best_fitness == b.best_fitness
     assert np.array_equal(a.best_chromosome, b.best_chromosome)
     assert a.history == b.history
@@ -56,24 +56,24 @@ def test_deterministic():
 
 def test_non_finite_fitness_aborts():
     def bad(pop):
-        return np.where(pop[:, 0] == 1, np.nan, 0.0)
+        return np.where(pop[..., 0] == 1, np.nan, 0.0)
 
     with pytest.raises(NumericError, match="chromosome"):
-        evolve(bad, 4, GaConfig(population_size=8, generations=5, seed=0))
+        evolve(bad, 4, [GaConfig(population_size=8, generations=5, seed=0)])
 
 
 @pytest.mark.parametrize(
     "wrong",
     [
         lambda pop: float(pop.sum()),
-        lambda pop: pop.sum(axis=1)[:-1].astype(float),
+        lambda pop: pop.sum(axis=-1)[..., :-1].astype(float),
         lambda pop: pop.astype(float),
     ],
     ids=["scalar", "short", "matrix"],
 )
 def test_fitness_wrong_shape_rejected(wrong):
     with pytest.raises(ValidationError, match="shape"):
-        evolve(wrong, 6, GaConfig(population_size=8, generations=3, seed=0))
+        evolve(wrong, 6, [GaConfig(population_size=8, generations=3, seed=0)])
 
 
 def test_one_fitness_call_per_generation():
@@ -83,8 +83,8 @@ def test_one_fitness_call_per_generation():
         calls.append(pop.shape)
         return popcount(pop)
 
-    evolve(counted, 5, GaConfig(population_size=9, generations=7, seed=0))
-    assert calls == [(9, 5)] * 8
+    evolve(counted, 5, [GaConfig(population_size=9, generations=7, seed=0)])
+    assert calls == [(1, 9, 5)] * 8
 
 
 def test_soundness_against_enumeration():
@@ -97,7 +97,7 @@ def test_soundness_against_enumeration():
     everything = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
     exhaustive = fitness(everything).max()
     for seed in range(5):
-        result = evolve(fitness, 12, GaConfig(population_size=40, generations=40, seed=seed))
+        result = evolve(fitness, 12, [GaConfig(population_size=40, generations=40, seed=seed)])[0]
         assert result.best_fitness <= exhaustive + 1e-12
 
 
@@ -195,7 +195,7 @@ def test_config_validation(kwargs):
 
 
 def test_zero_generations_returns_initial_best():
-    result = evolve(popcount, 6, GaConfig(population_size=12, generations=0, seed=2))
+    result = evolve(popcount, 6, [GaConfig(population_size=12, generations=0, seed=2)])[0]
     assert isinstance(result, EvolutionResult)
     assert result.history == []
     assert result.best_fitness == popcount(result.best_chromosome[None])[0]
@@ -244,7 +244,7 @@ def test_lockstep_runs_equal_lone_runs(
     batch = evolve(lambda pop: _hashed(pop, mults[:, None]), bits, configs)
     assert len(batch) == len(configs)
     for config, mult, got in zip(configs, mults, batch):
-        alone = evolve(lambda pop: _hashed(pop, mult), bits, config)
+        alone = evolve(lambda pop: _hashed(pop, mult), bits, [config])[0]
         assert np.array_equal(got.best_chromosome, alone.best_chromosome)
         assert got.best_fitness == alone.best_fitness
         assert got.history == alone.history

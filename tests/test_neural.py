@@ -111,10 +111,17 @@ def test_class_score_matches_forward():
         b_o=rng.normal(size=2),
     )
     bits = rng.integers(0, 2, 6)
-    assert class_score(net, bits, 1) == forward(net, bits)[1]
-    assert class_score(zero_net(6, 2, 2), bits, 0) == 0.5
+    assert class_score(net, bits[None, None], [1])[0, 0] == forward(net, bits)[1]
+    assert class_score(zero_net(6, 2, 2), bits[None, None], [0])[0, 0] == 0.5
     with pytest.raises(ValidationError):
-        class_score(net, bits, 2)
+        class_score(net, bits[None, None], [2])
+
+
+@pytest.mark.parametrize("classes", [1, np.intp(1), [[1]]], ids=["int", "0-d", "2-d"])
+def test_class_score_takes_one_class_per_run_only(classes):
+    net = zero_net(6, 2, 2)
+    with pytest.raises(ValidationError, match="one class index per run"):
+        class_score(net, np.zeros((1, 3, 6), dtype=np.uint8), classes)
 
 
 def test_forward_population_shapes():
@@ -129,9 +136,8 @@ def test_forward_population_shapes():
     y = forward(net, pop)
     assert y.shape == (9, 3)
     assert np.array_equal(y[4], forward(net, pop[4]))
-    scores = class_score(net, pop, 2)
-    assert isinstance(scores, np.ndarray) and scores.shape == (9,)
-    assert isinstance(class_score(net, pop[0], 2), float)
+    scores = class_score(net, pop[None], [2])
+    assert isinstance(scores, np.ndarray) and scores.shape == (1, 9)
     with pytest.raises(ValidationError, match="length"):
         forward(net, pop[:, :6])
 
@@ -151,7 +157,7 @@ def test_class_score_one_class_per_run():
     scores = class_score(net, stack, classes)
     assert scores.shape == (4, 9)
     for r, k in enumerate(classes):
-        assert np.array_equal(scores[r], class_score(net, stack[r], k))
+        assert np.array_equal(scores[r], class_score(net, stack[r : r + 1], [k])[0])
     assert np.array_equal(class_score(net, stack[:, 0], classes), scores[:, 0])
     with pytest.raises(ValidationError, match="out of range"):
         class_score(net, stack, [0, 1, 3, 0])
@@ -179,10 +185,10 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, rows, scal
     )
     pop = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
     k = int(rng.integers(outputs))
-    batch = class_score(net, pop, k)
+    batch = class_score(net, pop[None], [k])[0]
     assert batch.shape == (rows,)
     for i in range(rows):
-        assert batch[i] == class_score(net, pop[i], k)
+        assert batch[i] == forward(net, pop[i])[k]
 
 
 def test_class_score_argmax_matches_enumeration():
@@ -198,7 +204,7 @@ def test_class_score_argmax_matches_enumeration():
     best_loop, best_val = 0, -1.0
     for i in range(2**12):
         bits = (i >> np.arange(12)) & 1
-        val = class_score(net, bits, 0)
+        val = forward(net, bits)[0]
         if val > best_val:
             best_loop, best_val = i, val
     assert best_loop == best

@@ -24,7 +24,7 @@ from edm_rulex.rulekit import (
     ruleset_from_dict,
     ruleset_to_dict,
 )
-from edm_rulex.schema import StudentRecord, encode_dataset
+from edm_rulex.schema import Attribute, AttributeSchema, StudentRecord, encode_dataset
 from edm_rulex.synthgen import (
     PlantedRuleSpec,
     default_discretization,
@@ -153,7 +153,7 @@ def test_refine_drops_redundant_term(toy_schema):
         records.append(StudentRecord({"A": a, "B": b, "T": "t1" if a == "a1" else "t2"}))
     rule = Rule(terms=(("A", ("a1",)), ("B", ("b1",))), consequent="t1")
     before = evaluate_rule(rule, records, toy_schema).confidence
-    refined = refine_rule(rule, records, toy_schema)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records))
     assert refined.terms == (("A", ("a1",)),)
     assert refined.confidence == before == 1.0
 
@@ -166,7 +166,7 @@ def test_refine_keeps_essential_term(toy_schema):
         StudentRecord({"A": "a3", "B": "b2", "T": "t2"}),
     ]
     rule = Rule(terms=(("A", ("a1",)),), consequent="t1")
-    refined = refine_rule(rule, records, toy_schema)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records))
     assert refined.terms == rule.terms
 
 
@@ -174,7 +174,7 @@ def test_refine_epsilon_one_drops_everything(toy_schema):
     rng = np.random.default_rng(5)
     records = random_records(toy_schema, 50, rng)
     rule = Rule(terms=(("A", ("a1",)), ("B", ("b2",))), consequent="t1")
-    refined = refine_rule(rule, records, toy_schema, epsilon=1.0)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records), epsilon=1.0)
     assert refined.terms == ()
 
 
@@ -185,7 +185,7 @@ def test_refine_never_lowers_confidence_beyond_epsilon(toy_schema):
         chromosome = rng.integers(0, 2, 5, dtype=np.uint8)
         rule = decode_chromosome(chromosome, toy_schema, int(rng.integers(2)))
         before = evaluate_rule(rule, records, toy_schema).confidence
-        refined = refine_rule(rule, records, toy_schema, epsilon=0.0)
+        refined = refine_rule(rule, DatasetIndex(toy_schema, records), epsilon=0.0)
         assert refined.confidence >= before - 1e-12
 
 
@@ -215,13 +215,11 @@ CHROMOSOME = st.lists(st.integers(0, 1), min_size=12, max_size=12)
     chromosome=CHROMOSOME,
     class_index=st.integers(0, 1),
     epsilon=st.sampled_from([0.0, 0.05, 1.0]),
-    indexed=st.booleans(),
 )
-def test_refine_matches_reference(data, chromosome, class_index, epsilon, indexed):
+def test_refine_matches_reference(data, chromosome, class_index, epsilon):
     schema, records = data
     rule = decode_chromosome(np.array(chromosome, dtype=np.uint8), schema, class_index)
-    dataset = DatasetIndex(schema, records) if indexed else records
-    got = refine_rule(rule, dataset, schema, epsilon=epsilon)
+    got = refine_rule(rule, DatasetIndex(schema, records), epsilon=epsilon)
     want = reference_refine(rule, records, schema, epsilon)
     fields = ("terms", "support", "confidence", "coverage", "vacuous")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
@@ -239,7 +237,7 @@ def test_refine_tie_drops_earliest_term(toy_schema):
     ]
     records = [StudentRecord({"A": a, "B": b, "T": t}) for a, b, t in rows]
     rule = Rule(terms=(("A", ("a1",)), ("B", ("b1",))), consequent="t1")
-    refined = refine_rule(rule, records, toy_schema)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records))
     assert refined.terms == (("B", ("b1",)),)
     assert (refined.support, refined.confidence) == (4, 0.5)
     assert refined == reference_refine(rule, records, toy_schema)
@@ -254,13 +252,13 @@ def test_refine_candidates_without_support(toy_schema):
     ]
     rule = Rule(terms=(("A", ("a3",)), ("B", ("b2",))), consequent="t1")
     assert evaluate_rule(rule, records, toy_schema).vacuous
-    refined = refine_rule(rule, records, toy_schema)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records))
     assert refined.terms == ()
     assert (refined.support, refined.confidence, refined.vacuous) == (2, 0.5, False)
     assert refined == reference_refine(rule, records, toy_schema)
     # one drop without support, one with: the supported drop wins
     rule = Rule(terms=(("A", ("a1",)), ("B", ("b2",))), consequent="t1")
-    refined = refine_rule(rule, records, toy_schema)
+    refined = refine_rule(rule, DatasetIndex(toy_schema, records))
     assert refined == reference_refine(rule, records, toy_schema)
     assert refined.terms == (("A", ("a1",)),)
 
@@ -272,7 +270,7 @@ def test_refine_repeated_attribute_drops_together(toy_schema):
         terms=(("A", ("a1", "a2")), ("B", ("b1",)), ("A", ("a2", "a3"))), consequent="t2"
     )
     for epsilon in (0.0, 0.05, 1.0):
-        got = refine_rule(rule, records, toy_schema, epsilon=epsilon)
+        got = refine_rule(rule, DatasetIndex(toy_schema, records), epsilon=epsilon)
         assert got == reference_refine(rule, records, toy_schema, epsilon)
 
 
@@ -286,13 +284,13 @@ def test_refine_evaluates_the_rule_once(toy_schema, monkeypatch):
     )
     records = random_records(toy_schema, 80, np.random.default_rng(4))
     rule = Rule(terms=(("A", ("a1", "a3")), ("B", ("b2",))), consequent="t1")
-    refine_rule(rule, records, toy_schema, epsilon=1.0)
+    refine_rule(rule, DatasetIndex(toy_schema, records), epsilon=1.0)
     assert len(calls) == 1
 
 
 def test_refine_empty_dataset(toy_schema):
     with pytest.raises(ValidationError, match="non-empty"):
-        refine_rule(Rule(terms=(), consequent="t1"), [], toy_schema)
+        refine_rule(Rule(terms=(), consequent="t1"), DatasetIndex(toy_schema, []))
 
 
 def test_index_codes_and_unknown_token(toy_schema):
@@ -325,6 +323,18 @@ def test_evaluate_rule_needs_schema_for_records(toy_schema):
     assert evaluate_rule(rule, DatasetIndex(toy_schema, records)) == evaluate_rule(
         rule, records, toy_schema
     )
+
+
+def test_index_on_another_schema_is_rejected(toy_schema):
+    # same layout, other names: reading the index's bits under them would
+    # give wrong counts, not an error
+    renamed = AttributeSchema((Attribute("X", ("a1", "a2", "a3")), *toy_schema.attributes[1:]))
+    index = DatasetIndex(toy_schema, random_records(toy_schema, 5, np.random.default_rng(0)))
+    rule = Rule(terms=(("X", ("a1",)),), consequent="t1")
+    with pytest.raises(ValidationError, match="another schema"):
+        evaluate_rule(rule, index, renamed)
+    with pytest.raises(ValidationError, match="another schema"):
+        RuleSet(rules=(rule,), default="t1").accuracy(index, renamed)
 
 
 def test_term_misses_columns(toy_schema):
@@ -379,9 +389,9 @@ def test_majority_class(toy_schema):
         StudentRecord({"A": "a1", "B": "b1", "T": "t2"}),
         StudentRecord({"A": "a1", "B": "b1", "T": "t1"}),
     ]
-    assert majority_class(records, toy_schema) == "t2"
+    assert majority_class(DatasetIndex(toy_schema, records)) == "t2"
     # tie resolves to schema level order
-    assert majority_class(records[1:], toy_schema) == "t1"
+    assert majority_class(DatasetIndex(toy_schema, records[1:])) == "t1"
 
 
 def _planted_cohort(n_per_gender, seed, pairs, noise=0.0):
@@ -402,8 +412,7 @@ def test_extract_recovers_planted_rule():
     net = train(init_network(schema, tc), encoded, tc).network
     ruleset = extract_ruleset(
         net,
-        records,
-        schema,
+        encoded,
         ga_config=GaConfig(population_size=60, generations=40, seed=5),
         per_class_rule_budget=3,
     )
@@ -440,7 +449,8 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     monkeypatch.setattr(rulekit, "evolve", counted_evolve)
     monkeypatch.setattr(rulekit, "class_score", counted_score)
     ruleset = extract_ruleset(
-        net, records, schema, ga_config=GaConfig(population_size=20, generations=4, seed=8),
+        net, DatasetIndex(schema, records),
+        ga_config=GaConfig(population_size=20, generations=4, seed=8),
         per_class_rule_budget=3,
     )
     rounds = {}
@@ -462,8 +472,7 @@ def test_extract_single_class_dataset():
     net = train(init_network(schema, net_cfg), encoded, net_cfg).network
     ruleset = extract_ruleset(
         net,
-        records,
-        schema,
+        encoded,
         ga_config=GaConfig(population_size=30, generations=15, seed=2),
         per_class_rule_budget=2,
     )
@@ -482,8 +491,7 @@ def test_extract_metrics_match_recount():
     net = train(init_network(schema, tc), encoded, tc).network
     ruleset = extract_ruleset(
         net,
-        records,
-        schema,
+        encoded,
         ga_config=GaConfig(population_size=40, generations=25, seed=8),
         per_class_rule_budget=2,
     )
@@ -503,7 +511,8 @@ def test_ruleset_text_round_trip():
     tc = TrainConfig(max_epochs=40, seed=1)
     net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
     ruleset = extract_ruleset(
-        net, records, schema, ga_config=GaConfig(population_size=30, generations=15, seed=3)
+        net, DatasetIndex(schema, records),
+        ga_config=GaConfig(population_size=30, generations=15, seed=3)
     )
     assert ruleset.rules
     back = parse_ruleset(format_ruleset(ruleset, schema), schema)
@@ -530,7 +539,7 @@ def test_parse_ruleset_rejects_bad_text(text, message):
 def test_extract_empty_dataset(toy_schema):
     net = init_network(toy_schema, TrainConfig(seed=0))
     with pytest.raises(ValidationError, match="empty"):
-        extract_ruleset(net, [], toy_schema)
+        extract_ruleset(net, DatasetIndex(toy_schema, []))
 
 
 @pytest.mark.parametrize(
@@ -546,7 +555,7 @@ def test_extract_rejects_bad_options(toy_schema, kwargs, field):
     net = init_network(toy_schema, TrainConfig(seed=0))
     records = random_records(toy_schema, 10, np.random.default_rng(0))
     with pytest.raises(ValidationError, match=field):
-        extract_ruleset(net, records, toy_schema, **kwargs)
+        extract_ruleset(net, DatasetIndex(toy_schema, records), **kwargs)
 
 
 def test_format_rule_reference_grammar():
@@ -671,8 +680,7 @@ def test_ruleset_fidelity_to_network():
     net_accuracy = net_hits / len(encoded)
     ruleset = extract_ruleset(
         net,
-        records,
-        schema,
+        encoded,
         ga_config=GaConfig(population_size=100, generations=60, seed=1),
         per_class_rule_budget=12,
     )
