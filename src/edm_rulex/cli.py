@@ -36,13 +36,15 @@ from .psychostats import (
     significance_label,
     t_test,
 )
-from .rulekit import RuleSet, extract_ruleset, format_ruleset, ruleset_to_dict
-from .schema import AttributeSchema, load_schema, read_index_csv, schema_hash
+from .rulekit import RuleSet, extract_ruleset, format_ruleset, parse_ruleset
+from .rulekit import ruleset_from_dict, ruleset_to_dict
+from .schema import SCHEMA_SHAPE, AttributeSchema, load_schema, read_index_csv, schema_hash
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
 from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
-from .synthgen import PlantedRuleSpec, PopulationSpec, build_metadata, default_discretization
+from .synthgen import PLANTED_SPEC_SHAPE, POPULATION_SPEC_SHAPE, PlantedRuleSpec, PopulationSpec
+from .synthgen import build_metadata, default_discretization
 from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, sample_population, write_cohort
-from .util import config_hash, derive_seed, file_sha256, read_field, read_json, write_json
+from .util import config_hash, derive_seed, file_sha256, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -105,31 +107,24 @@ OPTIONS = {
 
 def _options(args, stage: str) -> dict:
     """The stage's options, each from its flag, else its ``--config`` key, else
-    its default, converted to its type.  ``schema`` comes back as the schema:
-    the ``--schema`` file's, else the one in the cohort's sidecar meta, else
-    the built-in student schema."""
+    its default, as its type.  ``schema`` comes back as the schema: the
+    ``--schema`` file's, else the one in the cohort's sidecar meta, else the
+    built-in student schema."""
     conf = {}
     if args.config:
-        doc = read_json(args.config)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"config {args.config} must be a JSON object")
-        allowed = ("seed", "out", *OPTIONS)
-        unknown = [key for key in doc if key not in allowed]
-        if unknown:
-            raise ValidationError(
-                f"config {args.config} has no key named {', '.join(map(repr, unknown))}; "
-                f"its top-level keys are {', '.join(allowed)}"
-            )
-        section = doc.get(stage, {})
-        if not isinstance(section, dict):
-            raise ValidationError(f"config section {stage!r} must be an object")
-        names = [name for name, *_ in OPTIONS[stage]]
-        unknown = [key for key in section if key not in names]
-        if unknown:
-            raise ValidationError(
-                f"config section {stage!r} has no option named {', '.join(map(repr, unknown))}; "
-                f"{stage} takes {', '.join(names)}"
-            )
+        shape = {f"{s}?": {f"{name}?": str if kind is Path else kind for name, kind, *_ in options}
+                 for s, options in OPTIONS.items()}
+        doc = read_json(args.config, {"seed?": int, "out?": str, **shape})
+        section, names = doc.get(stage, {}), [name for name, *_ in OPTIONS[stage]]
+        for keys, allowed, what, listing in (
+            (doc, ("seed", "out", *OPTIONS), f"config {args.config} has no key", "its top-level keys are"),
+            (section, names, f"config section {stage!r} has no option", f"{stage} takes"),
+        ):
+            unknown = [key for key in keys if key not in allowed]
+            if unknown:
+                raise ValidationError(
+                    f"{what} named {', '.join(map(repr, unknown))}; {listing} {', '.join(allowed)}"
+                )
         conf = {key: doc[key] for key in ("seed", "out") if key in doc}
         conf.update(section)
     options = {}
@@ -142,17 +137,15 @@ def _options(args, stage: str) -> dict:
                 raise ValidationError(f"--{name.replace('_', '-')} (config key {name!r}) is required")
             options[name] = default
             continue
-        try:
-            options[name] = kind(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{name!r} must be {kind.__name__}, got {value!r}") from None
+        options[name] = kind(value)
     if options["schema"]:
-        options["schema"] = load_schema(options["schema"].read_text(encoding="utf-8"))
+        options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
         return options
     sidecar = options.get("data") and options["data"].with_suffix("").with_suffix(".meta.json")
-    meta = read_json(sidecar) if sidecar and sidecar.exists() else {}
-    schema = read_field(meta, "schema", load_schema, str(sidecar), None)
-    options["schema"] = schema or studydata.default_student_schema()
+    meta = read_json(sidecar, {"schema?": SCHEMA_SHAPE}) if sidecar and sidecar.exists() else {}
+    options["schema"] = (
+        load_schema(meta["schema"]) if "schema" in meta else studydata.default_student_schema()
+    )
     return options
 
 
@@ -199,16 +192,17 @@ def cmd_generate(args) -> int:
         spec = studydata.default_population_spec()
         maxima = dict(studydata.SCORE_MAXIMA)
     else:
-        doc = read_json(opts["spec"])
+        doc = read_json(opts["spec"], {**POPULATION_SPEC_SHAPE, "score_maxima?": {str: float}})
         spec = PopulationSpec.from_dict(doc)
-        maxima = read_field(doc, "score_maxima", lambda m: {k: float(v) for k, v in m.items()},
-                            "population spec", {})
+        maxima = {k: float(v) for k, v in doc.get("score_maxima", {}).items()}
         maxima = maxima or dict(studydata.SCORE_MAXIMA)
     if opts["n"] is not None:
         spec = _rescale_groups(spec, opts["n"])
     spec = PopulationSpec(spec.dimensions, spec.groups, derive_seed(opts["seed"], "generate"))
     schema = opts["schema"]
-    planted = PlantedRuleSpec.from_dict(read_json(opts["planted"])) if opts["planted"] else None
+    planted = None
+    if opts["planted"]:
+        planted = PlantedRuleSpec.from_dict(read_json(opts["planted"], PLANTED_SPEC_SHAPE))
 
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, maxima, studydata.GRADE_FRACTIONS)
@@ -278,10 +272,6 @@ def cmd_extract(args) -> int:
     schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
     net = load_network(opts["model"])
     trained_on = net.metadata.get("schema_hash")
-    if trained_on is not None and not isinstance(trained_on, str):
-        raise ValidationError(
-            f"{opts['model']}: metadata.schema_hash must be a string, got {trained_on!r}"
-        )
     if trained_on is not None and trained_on != schema_hash(schema):
         raise ValidationError(
             "schema mismatch between model and dataset: "
@@ -479,27 +469,59 @@ REQUIRED_ARTIFACTS = (
 )
 
 
+_INPUTS = {str: str}  # each input's file name, and its SHA-256 under its key plus _hash
+_WILKS = {"lambda": float, "df": (float, float), "f": float, "p": float, "eta_squared": float}
+# the fields of each JSON artifact that report reads
+REPORT_SHAPES = {
+    "cohort.meta.json": {"config_hash": str, "master_seed": int, "group_order": [str],
+                         "n_per_group": {str: int}, "generator": str, "spec_hash": str,
+                         "schema": SCHEMA_SHAPE, "population_spec?": POPULATION_SPEC_SHAPE},
+    "model.json": {"input_size": int, "hidden_size": int, "output_size": int, "metadata": {
+        "config_hash": str, "inputs": _INPUTS, "final_mse": float, "epochs_run": int}},
+    "train_log.json": {"final_mse": float, "epochs_run": int},
+    "ruleset.json": {"config_hash": str, "inputs": _INPUTS, "default": str,
+                     "rules": [{"text": str, "confidence": float, "support": int}],
+                     "training_accuracy": float},
+    "stats.json": {"config_hash": str, "inputs": _INPUTS, "sections": {
+        "target_group_ttest": {"groups": {str: {"mean": float, "sd": float, "n": int}},
+                               "t": float, "df": float, "p": float, "significance": str},
+        "blocks": {str: {"wilks": _WILKS, "alpha": float}}}},
+}
+
+
+def _check_rules_txt(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
+    """``rules.txt`` must parse back to ``ruleset.json``'s rules, in order, and its default."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        written = parse_ruleset(text, schema)
+    except ValidationError as e:
+        raise ValidationError(f"{path.name} does not parse: {e}") from None
+    got, want = ([(r.terms, r.consequent) for r in rs.rules] + [rs.default]
+                 for rs in (written, ruleset_from_dict(ruleset)))
+    # one entry per line, the default last, so a shorter list differs within its length
+    for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
+        if a != b:
+            raise ValidationError(f"{path.name} line {n} {line!r} differs from ruleset.json")
+
+
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     missing = [name for name in REQUIRED_ARTIFACTS if not (run_dir / name).exists()]
     if missing:
         raise ValidationError(f"missing run artifacts: {', '.join(missing)}")
-    names = [name for name in REQUIRED_ARTIFACTS if name.endswith(".json")]
-    meta, model, train_log, ruleset, stats = docs = [read_json(run_dir / name) for name in names]
-    for name, doc in zip(names, docs):
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{name} must be an object, got {type(doc).__name__}")
-    md = model.get("metadata", {})
+    docs = (read_json(run_dir / name, shape) for name, shape in REPORT_SHAPES.items())
+    meta, model, train_log, ruleset, stats = docs
+    md = model["metadata"]
 
     # integrity: every recorded input is a file of this run, unchanged since
     on_disk = {name: file_sha256(run_dir / name) for name in REQUIRED_ARTIFACTS}
     problems = []
     for artifact, inputs in (
-        ("model.json", md.get("inputs")),
-        ("ruleset.json", ruleset.get("inputs")),
-        ("stats.json", stats.get("inputs")),
+        ("model.json", md["inputs"]),
+        ("ruleset.json", ruleset["inputs"]),
+        ("stats.json", stats["inputs"]),
     ):
-        files = {k: v for k, v in (inputs or {}).items() if f"{k}_hash" in inputs}
+        files = {k: v for k, v in inputs.items() if f"{k}_hash" in inputs}
         if not files:
             problems.append(f"{artifact} records no input files")
         for key, name in files.items():
@@ -510,70 +532,59 @@ def cmd_report(args) -> int:
     if problems:
         raise ValidationError("artifact hash mismatch: " + "; ".join(problems))
     for field in ("final_mse", "epochs_run"):
-        if train_log.get(field) != md.get(field):
+        if train_log[field] != md[field]:
             raise ValidationError(
-                f"train_log.json {field} {train_log.get(field)!r} does not match "
-                f"model.json metadata {field} {md.get(field)!r}"
+                f"train_log.json {field} {train_log[field]!r} does not match "
+                f"model.json metadata {field} {md[field]!r}"
             )
+    group_order, n_per_group = meta["group_order"], meta["n_per_group"]
+    if sorted(group_order) != sorted(n_per_group):
+        raise ValidationError(f"cohort.meta.json group_order {group_order} does not match n_per_group")
+    _check_rules_txt(run_dir / "rules.txt", ruleset, load_schema(meta["schema"]))
 
-    lines: list[str] = []
-    lines.append("edm-rulex run report")
-    lines.append("====================")
-    lines.append("")
-    lines.append("Artifacts and config hashes")
+    lines = ["edm-rulex run report", "====================", "", "Artifacts and config hashes"]
     for name, doc in (("cohort.meta.json", meta), ("model.json", md), ("ruleset.json", ruleset),
                       ("stats.json", stats)):
-        lines.append(f"  {name:<18}{doc.get('config_hash', '?')}")
-    lines.append(f"  master seed       {meta.get('master_seed', '?')}")
-    lines.append("")
-    n_per_group = meta.get("n_per_group", {})
-    group_order = meta.get("group_order", list(n_per_group))
+        lines.append(f"  {name:<18}{doc['config_hash']}")
+    lines += [f"  master seed       {meta['master_seed']}", ""]
     lines.append(
         "Cohort: "
         + ", ".join(f"{k}={n_per_group[k]}" for k in group_order)
-        + f"; generator {meta.get('generator', '?')}; spec {meta.get('spec_hash', '?')[:12]}"
+        + f"; generator {meta['generator']}; spec {meta['spec_hash'][:12]}"
     )
     lines.append(
-        f"Model: {model.get('input_size')}-{model.get('hidden_size')}-{model.get('output_size')}, "
-        f"final mse {md.get('final_mse', float('nan')):.5f} after {md.get('epochs_run', '?')} epochs"
+        f"Model: {model['input_size']}-{model['hidden_size']}-{model['output_size']}, "
+        f"final mse {md['final_mse']:.5f} after {md['epochs_run']} epochs"
     )
-    lines.append("")
-    lines.append("Extracted rules (confidence, support)")
-    for rule in ruleset.get("rules", []):
-        lines.append(
-            f"  {rule['text']}   ({rule['confidence']:.3f}, {rule['support']})"
-        )
-    lines.append(f"  Default class: {ruleset.get('default')}")
-    lines.append(f"  Ruleset training accuracy: {ruleset.get('training_accuracy', float('nan')):.3f}")
-    lines.append("")
+    lines += ["", "Extracted rules (confidence, support)"]
+    for rule in ruleset["rules"]:
+        lines.append(f"  {rule['text']}   ({rule['confidence']:.3f}, {rule['support']})")
+    lines.append(f"  Default class: {ruleset['default']}")
+    lines += [f"  Ruleset training accuracy: {ruleset['training_accuracy']:.3f}", ""]
 
     lines.append("Cohort statistics")
-    try:
-        tt = stats["sections"]["target_group_ttest"]
-        group_bits = ", ".join(
-            f"{tok}: mean {g['mean']:.2f} sd {g['sd']:.2f} (n={g['n']})"
-            for tok, g in tt["groups"].items()
-        )
-        lines.append(f"  target by group: {group_bits}")
+    tt = stats["sections"]["target_group_ttest"]
+    group_bits = ", ".join(
+        f"{tok}: mean {g['mean']:.2f} sd {g['sd']:.2f} (n={g['n']})"
+        for tok, g in tt["groups"].items()
+    )
+    lines.append(f"  target by group: {group_bits}")
+    lines.append(
+        f"  t = {tt['t']:.3f}, df = {tt['df']:.1f}, p = {tt['p']:.2e} ({tt['significance']})"
+    )
+    for block, entry in stats["sections"]["blocks"].items():
+        w = entry["wilks"]
         lines.append(
-            f"  t = {tt['t']:.3f}, df = {tt['df']:.1f}, p = {tt['p']:.2e} ({tt['significance']})"
+            f"  {block}: Wilks lambda {w['lambda']:.3f}, F({w['df'][0]},{w['df'][1]}) = "
+            f"{w['f']:.2f}, p = {w['p']:.2e}, eta^2 = {w['eta_squared']:.3f}, "
+            f"alpha = {entry['alpha']:.3f}"
         )
-        for block, entry in stats["sections"]["blocks"].items():
-            w = entry["wilks"]
-            lines.append(
-                f"  {block}: Wilks lambda {w['lambda']:.3f}, F({w['df'][0]},{w['df'][1]}) = "
-                f"{w['f']:.2f}, p = {w['p']:.2e}, eta^2 = {w['eta_squared']:.3f}, "
-                f"alpha = {entry['alpha']:.3f}"
-            )
-    except KeyError as e:
-        raise ValidationError(f"stats.json lacks the field {e.args[0]!r}") from None
     lines.append("")
 
     all_ok = True
     lines.append("Cohort means vs generation targets (3 SE tolerance at cohort n)")
-    pop_spec = meta.get("population_spec")
-    if pop_spec:
-        spec = PopulationSpec.from_dict(pop_spec)
+    if "population_spec" in meta:
+        spec = PopulationSpec.from_dict(meta["population_spec"])
         raw_dims, raw_matrix = parse_raw_csv((run_dir / "cohort.raw.csv").read_text("utf-8"))
         col = {d: j for j, d in enumerate(raw_dims)}
         missing = [d for d in spec.dimensions if d not in col]
@@ -602,9 +613,7 @@ def cmd_report(args) -> int:
                     f"  [{'PASS' if ok else 'FAIL'}] {token} / {dim}: "
                     f"mean {sample:.3f} vs {g.means[j]:.3f} (tol {tol:.3f})"
                 )
-    lines.append("")
-    lines.append(f"Overall target checks: {'PASS' if all_ok else 'FAIL'}")
-    lines.append("")
+    lines += ["", f"Overall target checks: {'PASS' if all_ok else 'FAIL'}", ""]
 
     text = "\n".join(lines)
     (run_dir / "report.txt").write_text(text, encoding="utf-8")
@@ -632,12 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(stage, help=about)
         p.add_argument("--config", help="JSON config: top-level seed and out, a section per stage")
-        for name, _, default, text in OPTIONS[stage]:
+        for name, kind, default, text in OPTIONS[stage]:
             if default is REQUIRED:
                 text += " (required)"
             elif default is not None:
                 text += f" (default: {default})"
-            p.add_argument("--" + name.replace("_", "-"), help=text)
+            p.add_argument("--" + name.replace("_", "-"), type=kind, help=text)
         p.set_defaults(func=func)
 
     p = sub.add_parser("report", help="summarize a run directory")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .schema import AttributeSchema, DatasetIndex
-from .util import read_field, read_json
+from .util import check, read_json
 
 log = logging.getLogger(__name__)
 
@@ -405,12 +405,17 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+NETWORK_SHAPE = {"v": [[float]], "b_h": [float], "w": [[float]], "b_o": [float], "input_size?": int,
+                 "hidden_size?": int, "output_size?": int, "metadata?": {"schema_hash?": str}}
+
+
 def network_from_dict(doc: Mapping) -> Network:
-    arrays = {
-        name: read_field(doc, name, lambda x: np.asarray(x, dtype=float), "network document")
-        for name in ("v", "b_h", "w", "b_o")
-    }
-    net = Network(**arrays, metadata=read_field(doc, "metadata", dict, "network document", {}))
+    doc = check(doc, NETWORK_SHAPE, "network document")
+    try:
+        arrays = {name: np.asarray(doc[name], dtype=float) for name in ("v", "b_h", "w", "b_o")}
+    except ValueError:
+        raise ValidationError("network document: v and w must be rectangular matrices") from None
+    net = Network(**arrays, metadata=doc.get("metadata", {}))
     declared = (doc.get("input_size"), doc.get("hidden_size"), doc.get("output_size"))
     actual = (net.input_size, net.hidden_size, net.output_size)
     if tuple(d for d in declared if d is not None) and declared != actual:
@@ -419,4 +424,4 @@ def network_from_dict(doc: Mapping) -> Network:
 
 
 def load_network(path: str | Path) -> Network:
-    return network_from_dict(read_json(path))
+    return network_from_dict(read_json(path, NETWORK_SHAPE))

@@ -22,7 +22,7 @@ from .errors import ValidationError
 from .evolver import GaConfig, evolve
 from .neural import Network, class_score
 from .schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord
-from .util import derive_seed
+from .util import check, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -481,7 +481,13 @@ def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:
     }
 
 
+RULESET_SHAPE = {"default": str, "audit?": [{str: object}], "rules": [{
+    "terms": [{"attribute": str, "levels": [str]}], "consequent": str, "support?": int,
+    "confidence?": float, "coverage?": float, "vacuous?": bool, "fitness?": float, "chromosome?": [int]}]}
+
+
 def ruleset_from_dict(doc: Mapping) -> RuleSet:
+    doc = check(doc, RULESET_SHAPE, "ruleset document")
     rules = tuple(
         Rule(
             terms=tuple((t["attribute"], tuple(t["levels"])) for t in r["terms"]),
@@ -489,9 +495,9 @@ def ruleset_from_dict(doc: Mapping) -> RuleSet:
             support=r.get("support"),
             confidence=r.get("confidence"),
             coverage=r.get("coverage"),
-            vacuous=bool(r.get("vacuous", False)),
+            vacuous=r.get("vacuous", False),
             fitness=r.get("fitness"),
-            chromosome=tuple(r["chromosome"]) if r.get("chromosome") else None,
+            chromosome=tuple(r["chromosome"]) if "chromosome" in r else None,
         )
         for r in doc["rules"]
     )

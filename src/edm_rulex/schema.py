@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .util import config_hash
+from .util import check, config_hash
 
 ROLE_PREDICTIVE = "predictive"
 ROLE_TARGET = "target"
@@ -200,31 +199,14 @@ class DiscretizationSpec:
         }
 
 
-def load_schema(document: str | Sequence[Mapping]) -> AttributeSchema:
-    """Build a schema from its JSON document.
+SCHEMA_SHAPE = [{"name": str, "levels": [str], "role?": str}]
 
-    The document is a list of ``{"name": ..., "levels": [...], "role": ...}``
-    objects, or the JSON text of one.  Role defaults to predictive.
-    """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"schema document is not valid JSON: {e}") from None
-    if not isinstance(document, Sequence) or isinstance(document, (str, bytes)):
-        raise ValidationError("schema document must be a list of attribute objects")
-    attrs = []
-    for entry in document:
-        try:
-            attrs.append(
-                Attribute(
-                    name=str(entry["name"]),
-                    levels=tuple(str(t) for t in entry["levels"]),
-                    role=str(entry.get("role", ROLE_PREDICTIVE)),
-                )
-            )
-        except KeyError as e:
-            raise ValidationError(f"schema attribute entry missing key {e}") from None
+
+def load_schema(document: list[Mapping]) -> AttributeSchema:
+    """Build a schema from its JSON document: a list of ``{"name": ...,
+    "levels": [...], "role": ...}`` objects.  Role defaults to predictive."""
+    document = check(document, SCHEMA_SHAPE, "schema document")
+    attrs = (Attribute(e["name"], tuple(e["levels"]), e.get("role", ROLE_PREDICTIVE)) for e in document)
     return AttributeSchema(tuple(attrs))
 
 

@@ -39,7 +39,7 @@ from .schema import (
     schema_hash,
     write_index_csv,
 )
-from .util import config_hash, read_field, write_json
+from .util import check, config_hash, write_json
 
 log = logging.getLogger(__name__)
 
@@ -75,9 +75,9 @@ class PopulationSpec:
                 raise ValidationError(f"group {token!r}: means/sds length != {d}")
             if any(s < 0 for s in g.sds):
                 raise ValidationError(f"group {token!r}: negative sd")
-            c = np.asarray(g.correlation, dtype=float)
-            if c.shape != (d, d):
+            if len(g.correlation) != d or any(len(row) != d for row in g.correlation):
                 raise ValidationError(f"group {token!r}: correlation must be {d}x{d}")
+            c = np.asarray(g.correlation, dtype=float)
             if not np.allclose(c, c.T, atol=1e-12):
                 raise ValidationError(f"group {token!r}: correlation matrix not symmetric")
             if not np.allclose(np.diag(c), 1.0, atol=1e-12):
@@ -104,29 +104,25 @@ class PopulationSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PopulationSpec":
-        what = "population spec"
-        groups = read_field(doc, "groups", dict, what)
-        order = read_field(doc, "group_order", list, what, list(groups))
-        if sorted(order, key=str) != sorted(groups):
+        doc = check(doc, POPULATION_SPEC_SHAPE, "population spec")
+        groups = doc["groups"]
+        order = doc.get("group_order", list(groups))
+        if sorted(order) != sorted(groups):
             raise ValidationError("group_order does not match the groups mapping")
 
-        def floats(values):
-            return tuple(float(x) for x in values)
-
-        def group(token: str) -> GroupSpec:
-            g, where = groups[token], f"{what} group {token!r}"
-            return GroupSpec(
-                n=read_field(g, "n", int, where),
-                means=read_field(g, "means", floats, where),
-                sds=read_field(g, "sds", floats, where),
-                correlation=read_field(g, "correlation", lambda m: tuple(map(floats, m)), where),
-            )
+        def group(g: Mapping) -> GroupSpec:
+            means, sds = tuple(map(float, g["means"])), tuple(map(float, g["sds"]))
+            return GroupSpec(g["n"], means, sds, tuple(tuple(map(float, r)) for r in g["correlation"]))
 
         return PopulationSpec(
-            dimensions=read_field(doc, "dimensions", tuple, what),
-            groups={token: group(token) for token in order},
-            seed=read_field(doc, "seed", int, what, 0),
+            dimensions=tuple(doc["dimensions"]),
+            groups={token: group(groups[token]) for token in order},
+            seed=doc.get("seed", 0),
         )
+
+
+POPULATION_SPEC_SHAPE = {"dimensions": [str], "group_order?": [str], "seed?": int, "groups": {
+    str: {"n": int, "means": [float], "sds": [float], "correlation": [[float]]}}}
 
 
 def spec_hash(spec: PopulationSpec) -> str:
@@ -178,16 +174,15 @@ class PlantedRuleSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PlantedRuleSpec":
-        def when(terms):
-            return tuple(sorted((attr, tuple(levels)) for attr, levels in terms.items()))
+        doc = check(doc, PLANTED_SPEC_SHAPE, "planted rule spec")
+        pairs = tuple(
+            (tuple(sorted((attr, tuple(ls)) for attr, ls in rule["when"].items())), rule["then"])
+            for rule in doc["rules"]
+        )
+        return PlantedRuleSpec(pairs=pairs, noise=float(doc.get("noise", 0.0)))
 
-        def pair(i: int, rule) -> tuple:
-            where = f"planted rule {i}"
-            return read_field(rule, "when", when, where), read_field(rule, "then", str, where)
 
-        what = "planted rule spec"
-        pairs = tuple(pair(i, rule) for i, rule in enumerate(read_field(doc, "rules", list, what)))
-        return PlantedRuleSpec(pairs=pairs, noise=read_field(doc, "noise", float, what, 0.0))
+PLANTED_SPEC_SHAPE = {"rules": [{"when": {str: [str]}, "then": str}], "noise?": float}
 
 
 def cholesky_factor(matrix: np.ndarray) -> np.ndarray:

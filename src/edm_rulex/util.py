@@ -3,16 +3,18 @@
 Every run artifact embeds the SHA-256 of the canonical JSON of the config
 that produced it, and all stage seeds are derived from one master seed so a
 single integer pins the whole pipeline.  Every JSON artifact is written and
-read through ``write_json`` and ``read_json``; ``read_field`` takes one field
-of a parsed document and names it when it is missing or does not convert.
+read through ``write_json`` and ``read_json``, which holds the document to
+the shape its reader declares (``check``): no value is converted on read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ValidationError
 
@@ -56,28 +58,47 @@ def write_json(path: str | Path, obj: Any) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; invalid JSON is a ValidationError naming the file."""
+def read_json(path: str | Path, shape: Any = object) -> Any:
+    """Parse a JSON file and ``check`` it against ``shape``; invalid JSON is a
+    ValidationError naming the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path} is not valid JSON: {e}") from None
+    return check(doc, shape, str(path))
 
 
-_ABSENT = object()
-
-
-def read_field(doc: Any, key: str, convert, what: str, default: Any = _ABSENT) -> Any:
-    """``convert(doc[key])``, or ``default`` when ``key`` is absent and one is
-    given.  A ``doc`` that is not an object, a missing key, or a value that
-    ``convert`` rejects is a ValidationError naming ``what`` and ``key``."""
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        if default is not _ABSENT:
-            return default
-        raise ValidationError(f"{what} lacks the field {key!r}")
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError, AttributeError):
-        raise ValidationError(f"{what} field {key!r} does not convert: {doc[key]!r}") from None
+def check(value: Any, shape: Any, where: str) -> Any:
+    """``value`` held to ``shape``: ``str``, ``bool``, ``int`` (not a bool),
+    ``float`` (a finite int or float, not a bool), ``object`` (any value),
+    ``[item]``, ``(item, ...)`` (a list of exactly those), ``{str: item}`` (an
+    object with any keys), or a dict of field shapes, where a name ending in
+    ``?`` may be absent or null (and a null one is dropped); other fields pass.
+    A misfit is a ValidationError naming ``where`` and the field's path."""
+    if isinstance(shape, dict):
+        ok, kind = isinstance(value, dict), "a JSON object"
+    elif isinstance(shape, (list, tuple)):
+        ok = isinstance(value, list) and (isinstance(shape, list) or len(value) == len(shape))
+        kind = "a list" if isinstance(shape, list) else f"a list of {len(shape)}"
+    elif shape is float:
+        ok, kind = type(value) in (int, float) and abs(value) <= sys.float_info.max, "float"
+    else:
+        ok, kind = type(value) is int if shape is int else isinstance(value, shape), shape.__name__
+    if not ok:
+        raise ValidationError(f"{where} must be {kind}, got {reprlib.repr(value)}")
+    if isinstance(shape, (list, tuple)):
+        items = shape * len(value) if isinstance(shape, list) else shape
+        return [check(x, s, f"{where}[{i}]") for i, (x, s) in enumerate(zip(value, items))]
+    if isinstance(shape, dict) and str in shape:
+        return {k: check(v, shape[str], f"{where}[{k!r}]") for k, v in value.items()}
+    if isinstance(shape, dict):
+        value = dict(value)
+        for name, item in shape.items():
+            key = name.removesuffix("?")
+            if key != name and value.get(key) is None:
+                value.pop(key, None)
+            elif key not in value:
+                raise ValidationError(f"{where} lacks the field {key!r}")
+            else:
+                value[key] = check(value[key], item, f"{where}.{key}")
+    return value

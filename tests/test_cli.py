@@ -233,7 +233,7 @@ def test_extract_rejects_a_non_string_schema_hash(full_run, tmp_path, capsys):
     rc = run("extract", "--data", full_run / "cohort.csv", "--model", wrong, "--out", out, "--seed", "0")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "metadata.schema_hash must be a string, got 12345" in err and "Traceback" not in err
+    assert "wrong_model.json.metadata.schema_hash must be str, got 12345" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -504,7 +504,7 @@ def test_report_rejects_a_raw_table_edited_after_stats(full_run, tmp_path, capsy
 @pytest.mark.parametrize(
     "edit, field",
     [
-        (lambda log: [], "train_log.json must be an object"),
+        (lambda log: [], "train_log.json must be a JSON object"),
         (lambda log: {**log, "final_mse": log["final_mse"] * 2}, "final_mse"),
         (lambda log: {k: v for k, v in log.items() if k != "epochs_run"}, "epochs_run"),
     ],
@@ -667,7 +667,7 @@ def test_generate_rejects_a_nested_list_level(tmp_path, capsys):
     rules = [{"when": {"Unit 1": [["F"]]}, "then": "F"}, {"when": {}, "then": "P"}]
     planted.write_text(json.dumps({"rules": rules, "noise": 0.0}))
     assert run("generate", "--out", tmp_path, "--seed", "5", "--n", "60", "--planted", planted) == 2
-    assert "unknown token ['F'] for attribute 'Unit 1'" in capsys.readouterr().err
+    assert "planted.json.rules[0].when['Unit 1'][0] must be str, got ['F']" in capsys.readouterr().err
 
 
 def _write(path, doc):
@@ -686,12 +686,12 @@ def _without(doc, key):
         ("model without v", "'v'"),
         ("spec without groups", "'groups'"),
         ("planted rule without when", "'when'"),
-        ("config epochs not a number", "'epochs'"),
+        ("config epochs not a number", "config.json.train.epochs must be int, got 'abc'"),
         ("stats without sections", "'sections'"),
-        ("model not an object", "network document must be a JSON object, got list"),
-        ("model w not a matrix", "network needs matrices v and w"),
-        ("spec not an object", "population spec must be a JSON object, got list"),
-        ("spec group n not a number", "group 'Ma' field 'n' does not convert: 'abc'"),
+        ("model not an object", "model.json must be a JSON object, got [1, 2]"),
+        ("model w not a matrix", "model.json.w[0] must be a list"),
+        ("spec not an object", "spec.json must be a JSON object, got []"),
+        ("spec group n not a number", "spec.json.groups['Ma'].n must be int, got 'abc'"),
     ],
 )
 def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
@@ -825,3 +825,106 @@ def test_config_top_level_key_naming_no_stage_exits_2(full_run, tmp_path, capsys
     err = capsys.readouterr().err
     assert "config.json has no key named 'trian', 'sed'" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _set(doc, path, value):
+    """``doc`` with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "artifact, path, value, field",
+    [
+        ("ruleset.json", ("rules",), None, "ruleset.json.rules must be a list, got None"),
+        ("ruleset.json", ("rules", 0), None, "ruleset.json.rules[0] must be a JSON object, got None"),
+        ("ruleset.json", ("rules", 0, "confidence"), None, "ruleset.json.rules[0].confidence must be float"),
+        ("ruleset.json", ("rules", 0, "confidence"), "x", "ruleset.json.rules[0].confidence must be float"),
+        ("ruleset.json", ("rules", 0, "confidence"), [], "ruleset.json.rules[0].confidence must be float"),
+        ("stats.json", ("sections",), None, "stats.json.sections must be a JSON object, got None"),
+        ("stats.json", ("sections", "blocks"), None, "stats.json.sections.blocks must be a JSON object"),
+        ("stats.json", ("sections", "blocks", "motivation", "alpha"), None, "'motivation'].alpha must be float"),
+        ("stats.json", ("sections", "blocks", "motivation", "alpha"), "x", "'motivation'].alpha must be float"),
+        ("stats.json", ("sections", "blocks", "motivation", "alpha"), [], "'motivation'].alpha must be float"),
+        ("stats.json", ("sections", "blocks", "motivation", "wilks", "df"), [], "wilks.df must be a list of 2"),
+        ("stats.json", ("sections", "blocks", "motivation", "wilks", "p"), "x", "wilks.p must be float, got 'x'"),
+    ],
+)
+def test_report_names_the_malformed_field(full_run, tmp_path, capsys, artifact, path, value, field):
+    # each of these was a raw traceback (TypeError, KeyError or IndexError)
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    _write(broken / artifact, _set(json.loads((broken / artifact).read_text()), path, value))
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, path, value, field",
+    [
+        ("spec.json", ("groups", "Ma", "n"), 1.5, "spec.json.groups['Ma'].n must be int, got 1.5"),
+        ("spec.json", ("groups", "Ma", "n"), True, "spec.json.groups['Ma'].n must be int, got True"),
+        ("spec.json", ("seed",), 2.7, "spec.json.seed must be int, got 2.7"),
+        ("config.json", ("seed",), 1.9, "config.json.seed must be int, got 1.9"),
+        ("config.json", ("generate", "n"), 30.7, "config.json.generate.n must be int, got 30.7"),
+        ("planted.json", ("noise",), "0.1", "planted.json.noise must be float, got '0.1'"),
+        ("planted.json", ("rules", 0, "when"), "F", "planted.json.rules[0].when must be a JSON object"),
+        ("planted.json", ("rules", 0, "when", "Unit 1"), "F", "when['Unit 1'] must be a list, got 'F'"),
+    ],
+)
+def test_generate_converts_no_json_value(tmp_path, capsys, name, path, value, field):
+    # each of these was converted on read (int(1.5), float("0.1"), a string
+    # iterated as a level list) and generated a cohort
+    from edm_rulex import studydata
+
+    docs = {
+        "spec.json": studydata.default_population_spec().to_dict(),
+        "config.json": {"seed": 5, "generate": {"n": 60}},
+        "planted.json": PLANTED,
+    }
+    docs[name] = _set(docs[name], path, value)
+    spec, config, planted = (_write(tmp_path / file, doc) for file, doc in docs.items())
+    out = tmp_path / "out"
+    assert run("generate", "--spec", spec, "--config", config, "--planted", planted, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_rejects_a_ragged_correlation_matrix(tmp_path, capsys):
+    # np.asarray raised a ValueError traceback on the inhomogeneous rows
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec().to_dict()
+    spec["groups"]["Fe"]["correlation"][3] = [1.0]
+    out = tmp_path / "out"
+    assert run("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "group 'Fe': correlation must be 24x24" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: ["garbage"], "rules.txt does not parse"),
+        (lambda lines: lines[:1] + lines[-1:], "rules.txt line 2 'Default Reasoning = "),
+        (lambda lines: lines[1:2] + lines[:1] + lines[2:], "rules.txt line 1 "),
+        (lambda lines: lines[:-1] + ["Default Reasoning = V.G"], "'Default Reasoning = V.G' differs"),
+    ],
+)
+def test_report_checks_rules_txt_against_ruleset(full_run, tmp_path, capsys, edit, line):
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    lines = (broken / "rules.txt").read_text().splitlines()
+    assert len(lines) >= 3 and lines[0] != lines[1] and lines[-1] != "Default Reasoning = V.G"
+    (broken / "rules.txt").write_text("\n".join(edit(lines)) + "\n")
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert line in err and "Traceback" not in err

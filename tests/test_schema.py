@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -31,12 +30,10 @@ from edm_rulex.synthgen import RawCohort, discretize_cohort
 
 
 def test_load_schema_layout(toy_schema):
-    doc = json.dumps(
-        [
-            {"name": "A", "levels": ["a1", "a2", "a3"], "role": "predictive"},
-            {"name": "T", "levels": ["t1", "t2"], "role": "target"},
-        ]
-    )
+    doc = [
+        {"name": "A", "levels": ["a1", "a2", "a3"], "role": "predictive"},
+        {"name": "T", "levels": ["t1", "t2"], "role": "target"},
+    ]
     schema = load_schema(doc)
     assert schema.total_predictive_bits == 3
     assert schema.target_bits == 2
@@ -72,7 +69,7 @@ def test_default_schema_shape():
 )
 def test_bad_schema_documents(attrs):
     with pytest.raises(ValidationError):
-        load_schema(json.dumps(attrs))
+        load_schema(attrs)
 
 
 def test_discretize_grade_bands():
