@@ -166,8 +166,15 @@ def _provenance(stage: str, options: dict, **resolved) -> tuple[str, dict]:
     return config_hash(values), inputs
 
 
+def _read_csv(read, path: Path, *args):
+    """``read(stream, *args)`` on the cohort CSV at ``path``; a UTF-8 byte
+    order mark before the header is skipped."""
+    with open(path, encoding="utf-8-sig") as stream:
+        return read(stream, *args)
+
+
 def _read_cohort(options: dict):
-    return read_index_csv(options["data"].read_text(encoding="utf-8"), options["schema"])
+    return _read_csv(read_index_csv, options["data"], options["schema"])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +351,7 @@ def cmd_stats(args) -> int:
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
         )
-    raw_dims, raw_matrix = parse_raw_csv(raw_path.read_text(encoding="utf-8"))
+    raw_dims, raw_matrix = _read_csv(parse_raw_csv, raw_path)
     if raw_matrix.shape[0] != len(index):
         raise ValidationError(
             f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}"
@@ -585,7 +592,7 @@ def cmd_report(args) -> int:
     lines.append("Cohort means vs generation targets (3 SE tolerance at cohort n)")
     if "population_spec" in meta:
         spec = PopulationSpec.from_dict(meta["population_spec"])
-        raw_dims, raw_matrix = parse_raw_csv((run_dir / "cohort.raw.csv").read_text("utf-8"))
+        raw_dims, raw_matrix = _read_csv(parse_raw_csv, run_dir / "cohort.raw.csv")
         col = {d: j for j, d in enumerate(raw_dims)}
         missing = [d for d in spec.dimensions if d not in col]
         if missing:

@@ -140,6 +140,11 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
     input_size = schema.total_predictive_bits
     output_size = schema.target_bits
     hidden = config.resolve_hidden(input_size)
+    if hidden * max(input_size, output_size) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"hidden size {hidden} is too large: a layer of {hidden} x "
+            f"{max(input_size, output_size)} weights exceeds the largest array numpy can index"
+        )
     rng = np.random.default_rng(config.seed)
     r_v = config.init_scale / math.sqrt(input_size)
     r_w = config.init_scale / math.sqrt(hidden)
@@ -209,9 +214,11 @@ def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray
     return dataset.bits, np.eye(net.output_size)[dataset.target]
 
 
-def _batch_pass(net: Network, x: np.ndarray):
-    """Hidden and output pre-activations and the outputs for a batch."""
-    u_h = x @ net.v.T + net.b_h
+def _batch_pass(net: Network, x_neg: np.ndarray):
+    """Hidden and output pre-activations and the outputs for a batch given
+    as its negated float rows ``-x``.  Negation is exact, so ``b_h - (-x) @
+    v.T`` is the same bits as ``x @ v.T + b_h``."""
+    u_h = net.b_h - x_neg @ net.v.T
     u_o = sigmoid(u_h) @ net.w.T + net.b_o
     return u_h, u_o, sigmoid(u_o)
 
@@ -219,7 +226,7 @@ def _batch_pass(net: Network, x: np.ndarray):
 def dataset_mse(net: Network, dataset: DatasetIndex) -> float:
     """Mean squared output error over all patterns and output units."""
     x, t = _arrays(net, dataset)
-    return float(np.mean((_batch_pass(net, x)[2] - t) ** 2))
+    return float(np.mean((_batch_pass(net, np.negative(x, dtype=float))[2] - t) ** 2))
 
 
 def loss_and_gradients(net: Network, dataset: DatasetIndex):
@@ -281,7 +288,8 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     on negated operands gives the negated result:
 
     - the inputs are kept as ``-x``, so ``v @ (-x) - b_h`` is the negated
-      hidden pre-activation that the sigmoid's ``exp`` takes;
+      hidden pre-activation that the sigmoid's ``exp`` takes; the pass over
+      the dataset after each epoch reads the same ``-x``;
     - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
       in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
       ``1 - y``;
@@ -359,7 +367,7 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
             add(theta, vel, theta)
         net.v[...], net.b_h[...], net.w[...] = v, b_h, w
         np.negative(b_o_neg, out=net.b_o)
-        u_h, u_o, y_all = _batch_pass(net, bits)
+        u_h, u_o, y_all = _batch_pass(net, x_neg)
         mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(

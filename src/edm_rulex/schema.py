@@ -10,19 +10,20 @@ A dataset is encoded once, into a ``DatasetIndex``: the bit matrix that
 training reads and rules are matched against, plus the class vector.  It is
 built from level codes, one integer column per attribute: ``discretize_column``
 turns a raw score column into codes, ``read_index_csv`` turns the token
-columns of a dataset CSV into codes, and ``write_index_csv`` writes an index
-back as tokens; ``DatasetIndex.records`` gives the rows back as
-``StudentRecord`` values, and ``parse_dataset_csv`` is the reader seen that
-way.
+columns of a dataset CSV stream into codes, and ``write_index_csv`` writes an
+index back as tokens to a stream, both a chunk of rows at a time;
+``DatasetIndex.records`` gives the rows back as ``StudentRecord`` values, and
+``parse_dataset_csv`` is the reader seen that way, on the CSV's text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -31,6 +32,10 @@ from .util import check, config_hash
 
 ROLE_PREDICTIVE = "predictive"
 ROLE_TARGET = "target"
+
+# Rows per chunk when a cohort CSV is read or written: a reader or writer
+# holds one chunk's text and token lists besides the arrays.
+CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -349,38 +354,47 @@ def encode_dataset(records: Iterable[StudentRecord], schema: AttributeSchema) ->
     return DatasetIndex(schema, records)
 
 
-def read_index_csv(text: str, schema: AttributeSchema) -> DatasetIndex:
+def read_index_csv(stream: TextIO, schema: AttributeSchema) -> DatasetIndex:
     """Read a level-token CSV whose header is the schema's attribute names.
 
-    Tokens become level codes one column at a time.  The first bad row (in
-    row order; blank lines count as rows and are skipped) is reported with
-    its data row number (1-based) and, for an unknown token, the earliest
-    offending attribute.
+    The rows are read ``CHUNK_ROWS`` at a time, and each chunk's tokens
+    become level codes one column at a time, so the stream's text is never
+    held whole.  The first bad row (in row order; blank lines count as rows
+    and are skipped) is reported with its data row number (1-based) and, for
+    an unknown token, the earliest offending attribute.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("dataset CSV is empty") from None
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
+        raise ValidationError("dataset CSV is empty")
     expected = [a.name for a in schema.attributes]
     if header != expected:
         raise ValidationError(f"header mismatch: expected {expected}, got {header}")
-    lines = list(reader)
+    chunks = [np.empty((0, len(expected)), dtype=np.intp)]
+    read = 0  # data rows before the chunk, blank lines included
+    while lines := list(itertools.islice(reader, CHUNK_ROWS)):
+        chunks.append(_chunk_codes(lines, read, schema))
+        read += len(lines)
+    return DatasetIndex(schema, np.concatenate(chunks))
+
+
+def _chunk_codes(lines: list[list[str]], read: int, schema: AttributeSchema) -> np.ndarray:
+    """Level codes of a chunk of CSV rows that follows ``read`` data rows."""
     rows = [row for row in lines if row]
-    if any(len(row) != len(expected) for row in rows):
-        _raise_first_row_error(lines, schema)
-    codes = np.empty((len(rows), len(expected)), dtype=np.intp)
+    if any(len(row) != len(schema.attributes) for row in rows):
+        _raise_first_row_error(lines, read, schema)
+    codes = np.empty((len(rows), len(schema.attributes)), dtype=np.intp)
     try:
         for j, (attr, column) in enumerate(zip(schema.attributes, zip(*rows))):
             codes[:, j] = list(map(attr.code.__getitem__, column))
     except KeyError:
-        _raise_first_row_error(lines, schema)
-    return DatasetIndex(schema, codes)
+        _raise_first_row_error(lines, read, schema)
+    return codes
 
 
-def _raise_first_row_error(lines: list[list[str]], schema: AttributeSchema):
+def _raise_first_row_error(lines: list[list[str]], read: int, schema: AttributeSchema):
     """Raise the error of the first row that is ragged or has an unknown token."""
-    for rownum, row in enumerate(lines, start=1):
+    for rownum, row in enumerate(lines, start=read + 1):
         if not row:
             continue
         if len(row) != len(schema.attributes):
@@ -394,15 +408,17 @@ def _raise_first_row_error(lines: list[list[str]], schema: AttributeSchema):
                 )
 
 
-def write_index_csv(index: DatasetIndex) -> str:
-    """Render an index as the schema-conformant token CSV (byte-stable)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def write_index_csv(index: DatasetIndex, out: TextIO) -> None:
+    """Write an index to ``out`` as the schema-conformant token CSV
+    (byte-stable), ``CHUNK_ROWS`` rows at a time."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow([a.name for a in index.schema.attributes])
-    writer.writerows(zip(*index.tokens()))
-    return buf.getvalue()
+    for start in range(0, len(index), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        chunk = DatasetIndex.from_arrays(index.schema, index.bits[rows], index.target[rows])
+        writer.writerows(zip(*chunk.tokens()))
 
 
 def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:
-    """``read_index_csv`` as records."""
-    return read_index_csv(text, schema).records()
+    """``read_index_csv`` of the CSV text, as records."""
+    return read_index_csv(io.StringIO(text), schema).records()

@@ -8,7 +8,8 @@ records are encoded once into a ``DatasetIndex``.  Labels come either from
 discretizing the target's raw score or from a planted rule list, matched
 over that index by ``RuleSet.predict_index``; the latter gives the
 extraction pipeline a known ground truth to recover.  ``write_cohort``
-writes the index's token CSV and the raw score table from the arrays.
+writes the index's token CSV and the raw score table from the arrays,
+straight to their files, a chunk of rows at a time.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -18,18 +19,19 @@ promised within one implementation, statistical agreement across them.
 from __future__ import annotations
 
 import csv
-import io
 import logging
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
 from .rulekit import Rule, RuleSet
 from .schema import (
+    CHUNK_ROWS,
     AttributeSchema,
     DatasetIndex,
     DimensionCuts,
@@ -366,32 +368,42 @@ def plant_rules(
     return DatasetIndex.from_arrays(schema, index.bits, target)
 
 
-def write_raw_csv(cohort: RawCohort) -> str:
-    """Raw score table as CSV with full float precision (byte-stable)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cohort.dimensions)
-    # a float's repr() never needs CSV quoting
-    buf.writelines(",".join(map(repr, row)) + "\n" for row in cohort.matrix.tolist())
-    return buf.getvalue()
+def write_raw_csv(cohort: RawCohort, out: TextIO) -> None:
+    """Write the raw score table to ``out`` as CSV with full float precision
+    (byte-stable), ``CHUNK_ROWS`` rows at a time."""
+    csv.writer(out, lineterminator="\n").writerow(cohort.dimensions)
+    matrix = cohort.matrix
+    for start in range(0, len(matrix), CHUNK_ROWS):
+        rows = matrix[start : start + CHUNK_ROWS].tolist()
+        # a float's repr() never needs CSV quoting
+        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def parse_raw_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header and ``float[N, D]`` table of a raw score CSV.  A cell that is not
-    a number, or a row of the wrong width, is a ValidationError naming the
-    first such row (1-based, blank lines counted) and column."""
-    header_line, _, body = text.partition("\n")
+def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and ``float[N, D]`` table of a raw score CSV stream, which must
+    be seekable.  A cell that is not a number, or a row of the wrong width, is
+    a ValidationError naming the first such row (1-based, blank lines
+    counted) and column.
+
+    ``np.loadtxt`` reads the rows from the stream; only when it fails is the
+    stream read again from the first row, to find the row to report."""
+    header_line = stream.readline().removesuffix("\n")
     if not header_line:
         raise ValidationError("raw CSV is empty")
     header = tuple(next(csv.reader([header_line])))
-    if not body.strip():
-        return header, np.empty((0, len(header)))
+    body = stream.tell()
     try:
-        matrix = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            matrix = np.loadtxt(stream, delimiter=",", ndmin=2, comments=None)
+        if matrix.size == 0:
+            return header, np.empty((0, len(header)))
         if matrix.shape[1] == len(header):
             return header, matrix
     except ValueError:
         pass
-    for rownum, row in enumerate(csv.reader(io.StringIO(body)), start=1):
+    stream.seek(body)
+    for rownum, row in enumerate(csv.reader(stream), start=1):
         if not row:
             continue
         if len(row) != len(header):
@@ -422,8 +434,10 @@ def write_cohort(
         "raw": stem.with_suffix(".raw.csv"),
         "meta": stem.with_suffix(".meta.json"),
     }
-    paths["csv"].write_text(write_index_csv(index), encoding="utf-8")
-    paths["raw"].write_text(write_raw_csv(cohort), encoding="utf-8")
+    with open(paths["csv"], "w", encoding="utf-8") as out:
+        write_index_csv(index, out)
+    with open(paths["raw"], "w", encoding="utf-8") as out:
+        write_raw_csv(cohort, out)
     write_json(paths["meta"], dict(meta))
     return paths
 

@@ -35,7 +35,12 @@ def config_hash(obj: Any) -> str:
 
 
 def file_sha256(path: str | Path) -> str:
-    return sha256_hex(Path(path).read_bytes())
+    """SHA-256 of a file's bytes, read a block at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def derive_seed(master: int, stage: str, index: int | None = None) -> int:

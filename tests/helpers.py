@@ -1,5 +1,7 @@
 """Independent oracles shared by module tests and the acceptance suite."""
 
+import io
+
 import numpy as np
 
 from edm_rulex.errors import NumericError
@@ -192,3 +194,10 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
         if mse <= config.target_mse:
             break
     return TrainResult(network=net, mse_history=history, epochs_run=epochs_run)
+
+
+def written(write, obj) -> str:
+    """The text that a stream writer such as ``write_index_csv`` writes for ``obj``."""
+    out = io.StringIO()
+    write(obj, out)
+    return out.getvalue()

@@ -14,6 +14,8 @@ from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
 from edm_rulex.schema import DatasetIndex, load_schema, write_index_csv
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
+from helpers import written
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -110,7 +112,7 @@ def test_train_toy_separable_reaches_target(tmp_path):
         for a in ("a1", "a2")
         for b in ("b1", "b2")
     ]
-    (tmp_path / "toy.csv").write_text(write_index_csv(DatasetIndex(schema, records)))
+    (tmp_path / "toy.csv").write_text(written(write_index_csv, DatasetIndex(schema, records)))
     (tmp_path / "toy.schema.json").write_text(
         json.dumps(
             [
@@ -808,6 +810,44 @@ def test_config_key_naming_no_option_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config section 'generate' has no option named 'N'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_byte_order_mark_changes_no_result(study_run, tmp_path):
+    # with a BOM, stats skipped the learning_skills block (its first raw
+    # column read as '\ufeffManagement') and train exited 2 on the header
+    plain, bom = tmp_path / "plain", tmp_path / "bom"
+    bom.mkdir()
+    assert run("stats", "--data", study_run / "cohort.csv", "--out", plain) == 0
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json"):
+        text = (study_run / name).read_text(encoding="utf-8")
+        (bom / name).write_text(("\ufeff" if name.endswith(".csv") else "") + text, encoding="utf-8")
+    assert run(
+        "train", "--data", bom / "cohort.csv", "--epochs", "20", "--mse-target", "1e-9",
+        "--seed", "7", "--out", bom,
+    ) == 0
+    assert run("stats", "--data", bom / "cohort.csv", "--out", bom) == 0
+    stats = [json.loads((d / "stats.json").read_text()) for d in (plain, bom)]
+    assert stats[0]["sections"] == stats[1]["sections"]
+    assert "skipped_blocks" not in stats[1]["sections"]
+    models = [json.loads((d / "model.json").read_text()) for d in (study_run, bom)]
+    for name in ("v", "b_h", "w", "b_o"):
+        assert models[0][name] == models[1][name]
+
+
+@pytest.mark.parametrize("hidden", [10**40, 10**400])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_rejects_a_hidden_width_numpy_cannot_allocate(study_run, tmp_path, capsys, hidden, via):
+    # 10**400 overflowed math.sqrt in init_network and 10**40 exceeded
+    # numpy's largest dimension, each as a traceback
+    if via == "flag":
+        option = ["--hidden", hidden]
+    else:
+        option = ["--config", _write(tmp_path / "config.json", {"train": {"hidden": hidden}})]
+    out = tmp_path / "out"
+    assert run("train", "--data", study_run / "cohort.csv", *option, "--seed", "7", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"hidden size {hidden} is too large" in err and "Traceback" not in err
+    assert not (out / "model.json").exists()
 
 
 def test_stats_group_by_needs_two_levels(study_run, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -27,6 +28,8 @@ from edm_rulex.schema import (
     write_index_csv,
 )
 from edm_rulex.synthgen import RawCohort, discretize_cohort
+
+from helpers import written
 
 
 def test_load_schema_layout(toy_schema):
@@ -259,7 +262,7 @@ def test_csv_round_trip(toy_schema):
         )
         for _ in range(50)
     ]
-    text = write_index_csv(DatasetIndex(toy_schema, records))
+    text = written(write_index_csv, DatasetIndex(toy_schema, records))
     assert parse_dataset_csv(text, toy_schema) == records
 
 
@@ -270,13 +273,13 @@ def test_read_index_csv_equals_index_of_parsed_records():
         StudentRecord({a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes})
         for _ in range(300)
     ]
-    text = write_index_csv(DatasetIndex(schema, records))
-    index = read_index_csv(text, schema)
+    text = written(write_index_csv, DatasetIndex(schema, records))
+    index = read_index_csv(io.StringIO(text), schema)
     expected = DatasetIndex(schema, parse_dataset_csv(text, schema))
     assert index.bits.dtype == np.uint8 and index.target.dtype == np.intp
     assert np.array_equal(index.bits, expected.bits)
     assert np.array_equal(index.target, expected.target)
-    assert write_index_csv(index) == text
+    assert written(write_index_csv, index) == text
 
 
 @pytest.mark.parametrize(
@@ -295,6 +298,7 @@ def test_read_index_csv_equals_index_of_parsed_records():
 )
 def test_read_index_csv_reports_first_bad_row(toy_schema, rows, message):
     text = "A,B,T\n" + "\n".join(rows) + "\n"
-    for read in (read_index_csv, parse_dataset_csv):
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            read(text, toy_schema)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        read_index_csv(io.StringIO(text), toy_schema)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_dataset_csv(text, toy_schema)

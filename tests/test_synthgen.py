@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -22,6 +23,8 @@ from edm_rulex.synthgen import (
     tertile_cuts,
     write_raw_csv,
 )
+
+from helpers import written
 
 
 def _spec(dims, n, means, sds, corr, seed=0, token="g"):
@@ -120,7 +123,7 @@ def test_generation_deterministic():
         cohort = sample_population(spec)
         disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
         index = discretize_cohort(cohort, disc, schema)
-        outputs.append(write_index_csv(index) + write_raw_csv(cohort))
+        outputs.append(written(write_index_csv, index) + written(write_raw_csv, cohort))
     assert outputs[0] == outputs[1]
 
 
@@ -226,9 +229,11 @@ def test_cohort_write_read_round_trip(tmp_path):
     parsed = parse_dataset_csv(paths["csv"].read_text(), schema)
     assert len(parsed) == 500
     assert [r.values for r in parsed] == [r.values for r in records]
-    back = read_index_csv(paths["csv"].read_text(), schema)
+    with open(paths["csv"], encoding="utf-8") as stream:
+        back = read_index_csv(stream, schema)
     assert np.array_equal(back.bits, index.bits) and np.array_equal(back.target, index.target)
-    dims, raw = parse_raw_csv(paths["raw"].read_text())
+    with open(paths["raw"], encoding="utf-8") as stream:
+        dims, raw = parse_raw_csv(stream)
     assert dims == cohort.dimensions
     stacked = np.vstack([cohort.groups["Ma"], cohort.groups["Fe"]])
     assert np.array_equal(raw, stacked)  # repr() round-trips floats exactly
@@ -252,7 +257,7 @@ def test_noisy_planted_cohort_bytes():
             "noise": 0.1,
         }
     )
-    text = write_index_csv(plant_rules(cohort, planted, disc, schema, seed=11))
+    text = written(write_index_csv, plant_rules(cohort, planted, disc, schema, seed=11))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "5fd46c07b180d45d33f3f8669acaf246fddcc55d13a3b67d30593a728741c26f"
 
@@ -271,7 +276,7 @@ def test_raw_csv_round_trips_doubles_exactly():
     rng = np.random.default_rng(8)
     values = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 300, (200, 3))
     cohort = RawCohort(("a", "b", "c"), {"g": values})
-    dims, matrix = parse_raw_csv(write_raw_csv(cohort))
+    dims, matrix = parse_raw_csv(io.StringIO(written(write_raw_csv, cohort)))
     assert dims == ("a", "b", "c")
     assert matrix.tobytes() == values.tobytes()
 
@@ -286,4 +291,4 @@ def test_raw_csv_round_trips_doubles_exactly():
 )
 def test_parse_raw_csv_names_bad_row_and_column(body, message):
     with pytest.raises(ValidationError, match=message):
-        parse_raw_csv("a,b\n" + body)
+        parse_raw_csv(io.StringIO("a,b\n" + body))
