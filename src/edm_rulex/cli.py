@@ -166,6 +166,9 @@ def _provenance(stage: str, options: dict, **resolved) -> tuple[str, dict]:
     return config_hash(values), inputs
 
 
+_INPUTS = {str: str}  # _provenance's inputs: file names, and their SHA-256 under key + _hash
+
+
 def _read_csv(read, path: Path, *args):
     """``read(stream, *args)`` on the cohort CSV at ``path``; a UTF-8 byte
     order mark before the header is skipped."""
@@ -336,6 +339,21 @@ def _gender_split(index, raw_matrix, group_by: str):
     return groups
 
 
+_PAIR = (int, int)  # integer degrees of freedom (hypothesis, error)
+# stats.json as cmd_stats writes it
+STATS_SHAPE = {"config_hash": str, "inputs": _INPUTS, "sections": {
+    "target_group_ttest": {"groups": {str: {"n": int, "mean": float, "sd": float}}, "t": float,
+                           "df": float, "p": float, "method": str, "significance": str},
+    "blocks": {str: {
+        "wilks": {"lambda": float, "f": float, "df": _PAIR, "p": float, "eta_squared": float},
+        "univariate": {str: {"ss_h": float, "ss_e": float, "df": _PAIR, "ms_h": float, "ms_e": float,
+                             "f": float, "p": float, "eta_squared": float, "significance": str}},
+        "levene": {str: {"w": float, "df": _PAIR, "p": float}},
+        "alpha": float}},
+    "skipped_blocks?": {str: [str]},  # block -> the raw dimensions it lacks
+    "partial_correlations": {"control": str, "groups": {str: {str: float}}}}}
+
+
 def cmd_stats(args) -> int:
     opts = _options(args, "stats")
     schema = opts["schema"]
@@ -476,23 +494,19 @@ REQUIRED_ARTIFACTS = (
 )
 
 
-_INPUTS = {str: str}  # each input's file name, and its SHA-256 under its key plus _hash
-_WILKS = {"lambda": float, "df": (float, float), "f": float, "p": float, "eta_squared": float}
-# the fields of each JSON artifact that report reads
+# the fields of each JSON artifact that report reads; all of stats.json
 REPORT_SHAPES = {
     "cohort.meta.json": {"config_hash": str, "master_seed": int, "group_order": [str],
                          "n_per_group": {str: int}, "generator": str, "spec_hash": str,
                          "schema": SCHEMA_SHAPE, "population_spec?": POPULATION_SPEC_SHAPE},
     "model.json": {"input_size": int, "hidden_size": int, "output_size": int, "metadata": {
         "config_hash": str, "inputs": _INPUTS, "final_mse": float, "epochs_run": int}},
-    "train_log.json": {"final_mse": float, "epochs_run": int},
+    "train_log.json": {"config_hash": str, "final_mse": float, "epochs_run": int,
+                       "mse_history": [float]},
     "ruleset.json": {"config_hash": str, "inputs": _INPUTS, "default": str,
                      "rules": [{"text": str, "confidence": float, "support": int}],
                      "training_accuracy": float},
-    "stats.json": {"config_hash": str, "inputs": _INPUTS, "sections": {
-        "target_group_ttest": {"groups": {str: {"mean": float, "sd": float, "n": int}},
-                               "t": float, "df": float, "p": float, "significance": str},
-        "blocks": {str: {"wilks": _WILKS, "alpha": float}}}},
+    "stats.json": STATS_SHAPE,
 }
 
 
@@ -538,11 +552,17 @@ def cmd_report(args) -> int:
                 problems.append(f"{artifact} was made from a different {name}")
     if problems:
         raise ValidationError("artifact hash mismatch: " + "; ".join(problems))
-    for field in ("final_mse", "epochs_run"):
-        if train_log[field] != md[field]:
+    history = train_log["mse_history"]
+    for field, value, key in (
+        ("config_hash", train_log["config_hash"], "config_hash"),
+        ("final_mse", train_log["final_mse"], "final_mse"),
+        ("epochs_run", train_log["epochs_run"], "epochs_run"),
+        ("mse_history length", len(history), "epochs_run"),
+        ("mse_history[-1]", history[-1] if history else None, "final_mse"),
+    ):
+        if value != md[key]:
             raise ValidationError(
-                f"train_log.json {field} {train_log[field]!r} does not match "
-                f"model.json metadata {field} {md[field]!r}"
+                f"train_log.json {field} {value!r} does not match model.json metadata {key} {md[key]!r}"
             )
     group_order, n_per_group = meta["group_order"], meta["n_per_group"]
     if sorted(group_order) != sorted(n_per_group):

@@ -21,6 +21,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -186,10 +187,19 @@ def evolve(
         raise ValidationError("runs in lockstep may differ only in their seeds")
     if bit_length < 1:
         raise ValidationError(f"bit length must be >= 1, got {bit_length}")
-    rng = _Lockstep([c.seed for c in configs])
     runs, size = len(configs), cfg.population_size
     n_children = size - cfg.elitism
     pairs = (n_children + 1) // 2
+    for name, value, shape in (
+        ("population size", size, (runs, size, bit_length)),
+        ("tournament size", cfg.tournament_size, (runs, 2 * pairs, cfg.tournament_size)),
+    ):
+        if math.prod(shape) > np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"{name} {value} is too large: an array of {' x '.join(map(str, shape))} "
+                "exceeds the largest array numpy can index"
+            )
+    rng = _Lockstep([c.seed for c in configs])
     each = np.arange(runs)
     first = (each * size)[:, None]  # each run's first row in the flattened stack
 

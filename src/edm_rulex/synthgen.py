@@ -73,6 +73,11 @@ class PopulationSpec:
         for token, g in self.groups.items():
             if g.n < 1:
                 raise ValidationError(f"group {token!r}: n must be >= 1, got {g.n}")
+            if g.n * d > np.iinfo(np.intp).max:
+                raise ValidationError(
+                    f"group {token!r}: n {g.n} is too large: a table of {g.n} x {d} scores "
+                    "exceeds the largest array numpy can index"
+                )
             if len(g.means) != d or len(g.sds) != d:
                 raise ValidationError(f"group {token!r}: means/sds length != {d}")
             if any(s < 0 for s in g.sds):
@@ -381,9 +386,9 @@ def write_raw_csv(cohort: RawCohort, out: TextIO) -> None:
 
 def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
     """Header and ``float[N, D]`` table of a raw score CSV stream, which must
-    be seekable.  A cell that is not a number, or a row of the wrong width, is
-    a ValidationError naming the first such row (1-based, blank lines
-    counted) and column.
+    be seekable.  A column named twice, a cell that is not a number, or a row
+    of the wrong width is a ValidationError naming the column, or the first
+    such row (1-based, blank lines counted) and column.
 
     ``np.loadtxt`` reads the rows from the stream; only when it fails is the
     stream read again from the first row, to find the row to report."""
@@ -391,6 +396,9 @@ def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
     if not header_line:
         raise ValidationError("raw CSV is empty")
     header = tuple(next(csv.reader([header_line])))
+    twice = sorted({name for name in header if header.count(name) > 1})
+    if twice:
+        raise ValidationError(f"raw CSV header names {', '.join(map(repr, twice))} more than once")
     body = stream.tell()
     try:
         with warnings.catch_warnings():

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import reprlib
 import sys
 from pathlib import Path
 from typing import Any
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 
 def canonical_json(obj: Any) -> str:
@@ -57,10 +58,31 @@ def derive_seed(master: int, stage: str, index: int | None = None) -> int:
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    """Write ``obj`` as an artifact: sorted keys, two-space indent, final newline."""
+    """Write ``obj`` as an artifact: sorted keys, two-space indent, final newline.
+    A non-finite number, which JSON cannot hold, is a NumericError naming the
+    file and the field, and nothing is written."""
     path = Path(path)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        at = _non_finite(obj, path.name)
+        raise NumericError(f"{path} would hold {at}, and JSON has no non-finite numbers") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _non_finite(obj: Any, where: str) -> str | None:
+    """``path = value`` of the first non-finite float in ``obj``, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else f"{where} = {obj}"
+    if isinstance(obj, dict):
+        items = ((f"{where}.{k}" if str(k).isidentifier() else f"{where}[{k!r}]", v)
+                 for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, at) for at, v in items)), None)
 
 
 def read_json(path: str | Path, shape: Any = object) -> Any:

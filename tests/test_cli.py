@@ -1,15 +1,15 @@
+import csv
 import hashlib
 import json
+import re
 import shutil
 import sys
 import warnings
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import pytest
 
-from edm_rulex import cli, rulekit
+from edm_rulex import cli, rulekit, util
 from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
 from edm_rulex.schema import DatasetIndex, load_schema, write_index_csv
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
@@ -294,13 +294,69 @@ def test_extract_single_class_dataset(tmp_path):
     assert len(ruleset["rules"]) <= 1
 
 
+def _assert_stats_values(stats):
+    """``stats.json`` holds to ``cli.STATS_SHAPE`` and to the ranges of its values."""
+    stats = util.check(stats, cli.STATS_SHAPE, "stats.json")
+    sections, inputs = stats["sections"], stats["inputs"]
+    digests = [stats["config_hash"]] + [v for k, v in inputs.items() if k.endswith("_hash")]
+    assert "dataset_hash" in inputs and all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    tt = sections["target_group_ttest"]
+    assert all(g["n"] >= 2 and g["sd"] >= 0 for g in tt["groups"].values())
+    assert tt["df"] > 0 and tt["method"] in ("pooled", "welch")
+    tests = [tt]
+    for block in sections["blocks"].values():
+        assert 0 < block["wilks"]["lambda"] <= 1 and block["alpha"] <= 1
+        tests += [block["wilks"], *block["univariate"].values(), *block["levene"].values()]
+    for row in tests:
+        assert all(0 <= row[k] <= 1 for k in ("p", "eta_squared") if k in row)
+        assert all(row[k] >= 0 for k in ("f", "w", "ss_h", "ss_e") if k in row)
+        assert row is tt or all(df >= 1 for df in row["df"])
+        assert row.get("significance", "not") in ("0.01", "0.05", "not")
+    skipped = sections.get("skipped_blocks")
+    assert skipped is None or (skipped and all(skipped.values()))
+    partials = sections["partial_correlations"]["groups"].values()
+    assert all(-1 <= r <= 1 for entry in partials for r in entry.values())
+
+
 def test_stats_direction_and_schema(full_run):
     stats = json.loads((full_run / "stats.json").read_text())
     tt = stats["sections"]["target_group_ttest"]
     assert tt["groups"]["Fe"]["mean"] > tt["groups"]["Ma"]["mean"]
-    with resources.files("edm_rulex.data").joinpath("stats_report.schema.json").open() as fh:
-        schema_doc = json.load(fh)
-    jsonschema.validate(stats, schema_doc)
+    _assert_stats_values(stats)
+
+
+_LEVENE = ("sections", "blocks", "motivation", "levene", "Total")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("config_hash",), "abc"),
+        (("inputs", "raw_hash"), "0" * 63),
+        (("sections", "target_group_ttest", "groups", "Ma", "n"), 1),
+        (("sections", "target_group_ttest", "groups", "Ma", "sd"), -0.1),
+        (("sections", "target_group_ttest", "df"), 0.0),
+        (("sections", "target_group_ttest", "p"), 1.5),
+        (("sections", "target_group_ttest", "method"), "student"),
+        (("sections", "target_group_ttest", "significance"), "0.1"),
+        (("sections", "blocks", "motivation", "wilks", "lambda"), 0.0),
+        (("sections", "blocks", "motivation", "wilks", "lambda"), 1.1),
+        (("sections", "blocks", "motivation", "wilks", "eta_squared"), -0.1),
+        (("sections", "blocks", "motivation", "wilks", "df", 0), 0),
+        (("sections", "blocks", "motivation", "univariate", "Total", "ss_e"), -1.0),
+        (("sections", "blocks", "motivation", "univariate", "Total", "significance"), "yes"),
+        ((*_LEVENE, "w"), -1.0),
+        ((*_LEVENE, "p"), -0.1),
+        ((*_LEVENE, "df", 1), 0),
+        (("sections", "blocks", "motivation", "alpha"), 1.2),
+        (("sections", "skipped_blocks"), {"motivation": []}),
+        (("sections", "partial_correlations", "groups", "Fe", "Challenge"), -1.5),
+    ],
+)
+def test_stats_value_check_rejects_each_range(full_run, path, value):
+    stats = _set(json.loads((full_run / "stats.json").read_text()), path, value)
+    with pytest.raises(AssertionError):
+        _assert_stats_values(stats)
 
 
 def test_stats_default_schema_skips_nothing(full_run, capsys):
@@ -350,8 +406,7 @@ def test_stats_names_skipped_blocks(tmp_path, capsys):
         "motivation": missing_motivation,
         "interaction": list(studydata.INTERACTION),
     }
-    with resources.files("edm_rulex.data").joinpath("stats_report.schema.json").open() as fh:
-        jsonschema.validate(stats, json.load(fh))
+    _assert_stats_values(stats)
 
 
 def test_stats_insufficient_data(tmp_path, capsys):
@@ -509,6 +564,11 @@ def test_report_rejects_a_raw_table_edited_after_stats(full_run, tmp_path, capsy
         (lambda log: [], "train_log.json must be a JSON object"),
         (lambda log: {**log, "final_mse": log["final_mse"] * 2}, "final_mse"),
         (lambda log: {k: v for k, v in log.items() if k != "epochs_run"}, "epochs_run"),
+        # a train_log.json of another run, or a history that ends elsewhere, was accepted
+        (lambda log: {**log, "config_hash": "0" * 64}, "train_log.json config_hash '0000"),
+        (lambda log: {**log, "mse_history": []}, "train_log.json mse_history length 0 does not match"),
+        (lambda log: {**log, "mse_history": log["mse_history"][:-1] + [0.5]}, "mse_history[-1] 0.5"),
+        (lambda log: _without(log, "mse_history"), "train_log.json lacks the field 'mse_history'"),
     ],
 )
 def test_report_checks_train_log_against_model(full_run, tmp_path, capsys, edit, field):
@@ -867,15 +927,25 @@ def test_config_top_level_key_naming_no_stage_exits_2(full_run, tmp_path, capsys
     assert not out.exists()
 
 
+DELETE = object()
+
+
 def _set(doc, path, value):
-    """``doc`` with the field at ``path`` (keys and indices) set to ``value``."""
+    """``doc`` with the field at ``path`` (keys and indices) set to ``value``,
+    or removed for ``DELETE``."""
     doc = json.loads(json.dumps(doc))
     *parents, last = path
     target = doc
     for key in parents:
         target = target[key]
-    target[last] = value
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
     return doc
+
+
+_MOTIVATION = ("sections", "blocks", "motivation")
 
 
 @pytest.mark.parametrize(
@@ -893,6 +963,31 @@ def _set(doc, path, value):
         ("stats.json", ("sections", "blocks", "motivation", "alpha"), [], "'motivation'].alpha must be float"),
         ("stats.json", ("sections", "blocks", "motivation", "wilks", "df"), [], "wilks.df must be a list of 2"),
         ("stats.json", ("sections", "blocks", "motivation", "wilks", "p"), "x", "wilks.p must be float, got 'x'"),
+        # report read only the t-test, the Wilks rows and alpha of stats.json
+        ("stats.json", (*_MOTIVATION, "wilks", "df", 0), 8.0, "wilks.df[0] must be int, got 8.0"),
+        ("stats.json", (*_MOTIVATION, "univariate", "Total", "ms_e"), DELETE,
+         "univariate['Total'] lacks the field 'ms_e'"),
+        ("stats.json", (*_MOTIVATION, "univariate", "Total", "df"), [1.0, 95],
+         "univariate['Total'].df[0] must be int, got 1.0"),
+        ("stats.json", (*_MOTIVATION, "univariate", "Total", "significance"), 0.01,
+         "univariate['Total'].significance must be str"),
+        ("stats.json", (*_MOTIVATION, "levene"), DELETE, "['motivation'] lacks the field 'levene'"),
+        ("stats.json", (*_MOTIVATION, "levene", "Total", "w"), "x", "levene['Total'].w must be float, got 'x'"),
+        ("stats.json", (*_MOTIVATION, "levene", "Total", "df"), [1], "levene['Total'].df must be a list of 2"),
+        ("stats.json", ("sections", "target_group_ttest", "method"), DELETE,
+         "target_group_ttest lacks the field 'method'"),
+        ("stats.json", ("sections", "partial_correlations"), None,
+         "stats.json.sections.partial_correlations must be a JSON object, got None"),
+        ("stats.json", ("sections", "partial_correlations"), DELETE,
+         "stats.json.sections lacks the field 'partial_correlations'"),
+        ("stats.json", ("sections", "partial_correlations", "control"), DELETE,
+         "partial_correlations lacks the field 'control'"),
+        ("stats.json", ("sections", "partial_correlations", "groups", "Fe", "Challenge"), "x",
+         "partial_correlations.groups['Fe']['Challenge'] must be float, got 'x'"),
+        ("stats.json", ("sections", "skipped_blocks"), "x",
+         "stats.json.sections.skipped_blocks must be a JSON object, got 'x'"),
+        ("stats.json", ("sections", "skipped_blocks"), {"motivation": "Challenge"},
+         "skipped_blocks['motivation'] must be a list, got 'Challenge'"),
     ],
 )
 def test_report_names_the_malformed_field(full_run, tmp_path, capsys, artifact, path, value, field):
@@ -968,3 +1063,90 @@ def test_report_checks_rules_txt_against_ruleset(full_run, tmp_path, capsys, edi
     assert run("report", broken) == 2
     err = capsys.readouterr().err
     assert line in err and "Traceback" not in err
+
+
+def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):
+    # equal within-group deviations make Levene's W infinite; stats wrote
+    # the bare token Infinity into stats.json and exited 0
+    assert run("generate", "--n", "60", "--seed", "7", "--out", tmp_path) == 0
+    with open(tmp_path / "cohort.csv", encoding="utf-8") as f:
+        genders = [row["Gender"] for row in csv.DictReader(f)]
+    raw = tmp_path / "cohort.raw.csv"
+    lines = raw.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    j = header.index("Management of dispersants")
+    seen = {"Ma": 0, "Fe": 0}
+    for i, gender in enumerate(genders, start=1):
+        cells = lines[i].split(",")
+        cells[j] = "20.0" if seen[gender] % 2 == 0 else ("22.0" if gender == "Ma" else "24.0")
+        seen[gender] += 1
+        lines[i] = ",".join(cells)
+    assert all(count % 2 == 0 for count in seen.values())
+    raw.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "stats.json would hold stats.json.sections.blocks.learning_skills" in err
+    assert "levene['Management of dispersants'].w = inf" in err and "Traceback" not in err
+    assert not (tmp_path / "stats.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["stats", "report"])
+def test_a_raw_header_naming_a_column_twice_exits_2(full_run, tmp_path, capsys, stage):
+    # stats computed 'Management of dispersants' from the second such column
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    raw = broken / "cohort.raw.csv"
+    text = raw.read_text(encoding="utf-8")
+    raw.write_text(text.replace("Management of study time", "Management of dispersants", 1), encoding="utf-8")
+    if stage == "stats":
+        argv = ("stats", "--data", broken / "cohort.csv", "--out", broken)
+    else:
+        # record the edited table's hash, so report reaches the table itself
+        stats = json.loads((broken / "stats.json").read_text())
+        stats["inputs"]["raw_hash"] = util.file_sha256(raw)
+        _write(broken / "stats.json", stats)
+        argv = ("report", broken)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "raw CSV header names 'Management of dispersants' more than once" in err
+    assert "Traceback" not in err
+
+
+HUGE = 10**20  # past numpy's index range, so no array of it is ever asked for
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "stage, option, message",
+    [
+        ("extract", "pop", f"population size {HUGE} is too large"),
+        ("extract", "tournament", f"tournament size {HUGE} is too large"),
+        ("generate", "n", "group 'Ma': n "),
+    ],
+)
+def test_a_size_past_numpy_index_range_exits_2(full_run, tmp_path, capsys, stage, option, message, via):
+    # each of these ended in an OverflowError or ValueError traceback
+    if via == "flag":
+        argv = [f"--{option}", HUGE]
+    else:
+        argv = ["--config", _write(tmp_path / "config.json", {stage: {option: HUGE}})]
+    if stage == "extract":
+        argv += ["--data", full_run / "cohort.csv", "--model", full_run / "model.json"]
+    out = tmp_path / "out"
+    assert run(stage, *argv, "--seed", "7", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert message in err and "is too large" in err and "exceeds the largest array numpy can index" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_spec_group_size_past_numpy_index_range_exits_2(tmp_path, capsys):
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec().to_dict()
+    spec["groups"]["Fe"]["n"] = HUGE
+    out = tmp_path / "out"
+    assert run("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"group 'Fe': n {HUGE} is too large: a table of {HUGE} x 24 scores" in err
+    assert "Traceback" not in err and not out.exists()

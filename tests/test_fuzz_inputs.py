@@ -7,7 +7,8 @@ to null, ``[]``, ``{}``, a scalar of another type or a non-finite number.
 It then runs, in-process, a stage that reads that document.  No exception may
 escape ``cli.main``, and the exit code must be 0, 2, 3 or 4 (exit 1 belongs to
 ``report --strict``, which is not run here).  The CSV inputs get the same
-treatment with a truncated row, an extra column, a BOM and an empty file.
+treatment with a truncated row, an extra column, a BOM, an empty file and a
+header that names a column twice.
 """
 
 import json
@@ -142,8 +143,14 @@ def _empty(lines):
     return []
 
 
+def _duplicate_header(lines):
+    names = lines[0].split(",")
+    names[1] = names[0]
+    return [",".join(names)] + lines[1:]
+
+
 @pytest.mark.parametrize("name", ["cohort.csv", "cohort.raw.csv"])
-@pytest.mark.parametrize("corrupt", [_truncated_row, _extra_column, _bom, _empty])
+@pytest.mark.parametrize("corrupt", [_truncated_row, _extra_column, _bom, _empty, _duplicate_header])
 def test_a_malformed_csv_exits_cleanly(fuzz_run, name, corrupt):
     d, readers = fuzz_run
 
