@@ -21,13 +21,13 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
+from .util import check_indexable
 
 log = logging.getLogger(__name__)
 
@@ -190,15 +190,8 @@ def evolve(
     runs, size = len(configs), cfg.population_size
     n_children = size - cfg.elitism
     pairs = (n_children + 1) // 2
-    for name, value, shape in (
-        ("population size", size, (runs, size, bit_length)),
-        ("tournament size", cfg.tournament_size, (runs, 2 * pairs, cfg.tournament_size)),
-    ):
-        if math.prod(shape) > np.iinfo(np.intp).max:
-            raise ValidationError(
-                f"{name} {value} is too large: an array of {' x '.join(map(str, shape))} "
-                "exceeds the largest array numpy can index"
-            )
+    check_indexable(f"population size {size}", (runs, size, bit_length))
+    check_indexable(f"tournament size {cfg.tournament_size}", (runs, 2 * pairs, cfg.tournament_size))
     rng = _Lockstep([c.seed for c in configs])
     each = np.arange(runs)
     first = (each * size)[:, None]  # each run's first row in the flattened stack

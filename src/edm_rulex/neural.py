@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .schema import AttributeSchema, DatasetIndex
-from .util import check, read_json
+from .util import check, check_indexable, read_json
 
 log = logging.getLogger(__name__)
 
@@ -140,11 +140,7 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
     input_size = schema.total_predictive_bits
     output_size = schema.target_bits
     hidden = config.resolve_hidden(input_size)
-    if hidden * max(input_size, output_size) > np.iinfo(np.intp).max:
-        raise ValidationError(
-            f"hidden size {hidden} is too large: a layer of {hidden} x "
-            f"{max(input_size, output_size)} weights exceeds the largest array numpy can index"
-        )
+    check_indexable(f"hidden size {hidden}", (hidden, max(input_size, output_size)))
     rng = np.random.default_rng(config.seed)
     r_v = config.init_scale / math.sqrt(input_size)
     r_w = config.init_scale / math.sqrt(hidden)

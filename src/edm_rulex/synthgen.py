@@ -41,7 +41,7 @@ from .schema import (
     schema_hash,
     write_index_csv,
 )
-from .util import check, config_hash, write_json
+from .util import check, check_indexable, config_hash, write_json
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +73,7 @@ class PopulationSpec:
         for token, g in self.groups.items():
             if g.n < 1:
                 raise ValidationError(f"group {token!r}: n must be >= 1, got {g.n}")
-            if g.n * d > np.iinfo(np.intp).max:
-                raise ValidationError(
-                    f"group {token!r}: n {g.n} is too large: a table of {g.n} x {d} scores "
-                    "exceeds the largest array numpy can index"
-                )
+            check_indexable(f"group {token!r}: n {g.n}", (g.n, d))
             if len(g.means) != d or len(g.sds) != d:
                 raise ValidationError(f"group {token!r}: means/sds length != {d}")
             if any(s < 0 for s in g.sds):

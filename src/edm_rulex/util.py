@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import NumericError, ValidationError
 
 
@@ -75,14 +77,20 @@ def _non_finite(obj: Any, where: str) -> str | None:
     """``path = value`` of the first non-finite float in ``obj``, else None."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else f"{where} = {obj}"
-    if isinstance(obj, dict):
-        items = ((f"{where}.{k}" if str(k).isidentifier() else f"{where}[{k!r}]", v)
-                 for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = ((f"{where}[{i}]", v) for i, v in enumerate(obj))
-    else:
+    if not isinstance(obj, (dict, list, tuple)):
         return None
-    return next(filter(None, (_non_finite(v, at) for at, v in items)), None)
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return next(filter(None, (_non_finite(v, f"{where}[{k!r}]") for k, v in items)), None)
+
+
+def check_indexable(what: str, shape: tuple[int, ...]) -> None:
+    """A ValidationError ``what is too large`` when an array of ``shape`` has
+    more elements than numpy can index, so no such array is ever asked for."""
+    if math.prod(shape) > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"{what} is too large: an array of {' x '.join(map(str, shape))} "
+            "exceeds the largest array numpy can index"
+        )
 
 
 def read_json(path: str | Path, shape: Any = object) -> Any:

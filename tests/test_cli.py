@@ -299,7 +299,8 @@ def _assert_stats_values(stats):
     stats = util.check(stats, cli.STATS_SHAPE, "stats.json")
     sections, inputs = stats["sections"], stats["inputs"]
     digests = [stats["config_hash"]] + [v for k, v in inputs.items() if k.endswith("_hash")]
-    assert "dataset_hash" in inputs and all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
+    assert {"dataset", "dataset_hash"} <= inputs.keys() and isinstance(inputs["dataset"], str)
+    assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests)
     tt = sections["target_group_ttest"]
     assert all(g["n"] >= 2 and g["sd"] >= 0 for g in tt["groups"].values())
     assert tt["df"] > 0 and tt["method"] in ("pooled", "welch")
@@ -326,6 +327,7 @@ def test_stats_direction_and_schema(full_run):
 
 
 _LEVENE = ("sections", "blocks", "motivation", "levene", "Total")
+DELETE = object()  # _set's value that removes the field
 
 
 @pytest.mark.parametrize(
@@ -351,6 +353,7 @@ _LEVENE = ("sections", "blocks", "motivation", "levene", "Total")
         (("sections", "blocks", "motivation", "alpha"), 1.2),
         (("sections", "skipped_blocks"), {"motivation": []}),
         (("sections", "partial_correlations", "groups", "Fe", "Challenge"), -1.5),
+        (("inputs", "dataset"), DELETE),
     ],
 )
 def test_stats_value_check_rejects_each_range(full_run, path, value):
@@ -927,9 +930,6 @@ def test_config_top_level_key_naming_no_stage_exits_2(full_run, tmp_path, capsys
     assert not out.exists()
 
 
-DELETE = object()
-
-
 def _set(doc, path, value):
     """``doc`` with the field at ``path`` (keys and indices) set to ``value``,
     or removed for ``DELETE``."""
@@ -1086,8 +1086,8 @@ def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 3
     err = capsys.readouterr().err
-    assert "stats.json would hold stats.json.sections.blocks.learning_skills" in err
-    assert "levene['Management of dispersants'].w = inf" in err and "Traceback" not in err
+    assert "stats.json would hold stats.json['sections']['blocks']['learning_skills']" in err
+    assert "['levene']['Management of dispersants']['w'] = inf" in err and "Traceback" not in err
     assert not (tmp_path / "stats.json").exists()
 
 
@@ -1148,5 +1148,5 @@ def test_a_spec_group_size_past_numpy_index_range_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out) == 2
     err = capsys.readouterr().err
-    assert f"group 'Fe': n {HUGE} is too large: a table of {HUGE} x 24 scores" in err
+    assert f"group 'Fe': n {HUGE} is too large: an array of {HUGE} x 24 exceeds" in err
     assert "Traceback" not in err and not out.exists()

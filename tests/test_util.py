@@ -14,5 +14,5 @@ def test_write_json_refuses_a_non_finite_number(tmp_path, value):
     with pytest.raises(NumericError) as info:
         write_json(path, doc)
     assert str(path) in str(info.value)
-    assert f"stats.json.sections.levene['Total (learning)'].w = {value}" in str(info.value)
+    assert f"stats.json['sections']['levene']['Total (learning)']['w'] = {value}" in str(info.value)
     assert not path.exists()
