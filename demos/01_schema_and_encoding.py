@@ -9,7 +9,7 @@ uses later.
 import numpy as np
 
 from edm_rulex import default_student_schema
-from edm_rulex.schema import DatasetIndex, DimensionCuts, StudentRecord, discretize_value
+from edm_rulex.schema import DatasetIndex, DimensionCuts, StudentRecord, discretize_column
 
 schema = default_student_schema()
 
@@ -26,8 +26,9 @@ print()
 
 print("== discretizing raw scores ==")
 grade_cuts = DimensionCuts((50.0, 65.0, 80.0), ("F", "P", "G", "V.G"))
-for score in (43.0, 60.0, 72.0, 80.0, 95.0):
-    print(f"  unit score {score:5.1f} -> {discretize_value(score, grade_cuts)}")
+scores = np.array([43.0, 60.0, 72.0, 80.0, 95.0])
+for score, band in zip(scores, discretize_column(scores, grade_cuts, "Unit 1")):
+    print(f"  unit score {score:5.1f} -> {grade_cuts.tokens[band]}")
 print("  (a boundary score such as 80 joins the upper band)")
 print()
 

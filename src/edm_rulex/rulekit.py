@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 from .evolver import GaConfig, evolve
 from .neural import Network, class_score
-from .schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord
+from .schema import AttributeSchema, DatasetIndex, StudentRecord
 from .util import check, derive_seed
 
 log = logging.getLogger(__name__)
@@ -63,65 +62,27 @@ class RuleSet:
     audit: tuple[dict, ...] = ()
 
     def predict_index(self, index: DatasetIndex) -> np.ndarray:
-        """``intp[N]``: each record's class index under the first matching
-        rule, else the default.  A rule naming an attribute or token outside
-        the index's schema is a ValidationError."""
-        classes, terms, owner = self._matcher(index.schema)
-        missed = (index.bits @ terms == 0) @ owner  # per record and rule: terms missed
-        return classes[(missed == 0).argmax(axis=1)]  # the first rule that misses none
-
-    @cached_property
-    def _matchers(self) -> dict:
-        return {}
-
-    def _matcher(self, schema: AttributeSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rules under ``schema``, built once per schema: class codes
-        ``intp[R + 1]``; ``float32[B, T]``, 1 at the layout positions of each
-        rule term's levels (rules in order, so ``bits @ terms == 0`` marks the
-        terms a record misses); and ``float32[T, R + 1]``, 1 where term t
-        belongs to rule r.  The default is rule R, which has no terms."""
-        matcher = self._matchers.get(schema)
-        if matcher is None:
-            target = schema.target
-            default = target.level_index(self.default)
-            classes = [target.level_index(rule.consequent) for rule in self.rules] + [default]
-            flat = [term for rule in self.rules for term in rule.terms]
-            terms = np.zeros((schema.total_predictive_bits, len(flat)), dtype=np.float32)
-            for t, (name, levels) in enumerate(flat):
-                terms[schema.level_bits(name, levels), t] = 1
-            widths = [len(rule.terms) for rule in self.rules]
-            owner = np.repeat(np.eye(len(widths), len(widths) + 1, dtype=np.float32), widths, axis=0)
-            matcher = self._matchers[schema] = (np.array(classes, dtype=np.intp), terms, owner)
-        return matcher
-
-    @cached_property
-    def _record_schema(self) -> AttributeSchema:
-        """The schema ``predict`` reads a lone record against: each attribute a
-        rule names, with the rules' levels and one last level standing for
-        every other token, and a target of the classes the rules can give."""
-        levels: dict[str, dict] = {}
-        for rule in self.rules:
-            for attr, named in rule.terms:
-                levels.setdefault(attr, {}).update(dict.fromkeys(named))
-        attrs = tuple(  # the last level is longer than every rule level, so none of them
-            Attribute(a, (*ls, "\0" * (1 + max(map(len, ls), default=0))))
-            for a, ls in levels.items()
-        )
-        classes = dict.fromkeys([r.consequent for r in self.rules] + [self.default])
-        return AttributeSchema(attrs + (Attribute("\0class", tuple(classes), ROLE_TARGET),))
+        """``intp[N]``: each record's class index under the first rule whose
+        antecedent it matches, else the default.  A rule naming an attribute
+        or token outside the index's schema is a ValidationError."""
+        target = index.schema.target
+        default = target.level_index(self.default)
+        classes = [target.level_index(rule.consequent) for rule in self.rules] + [default]
+        matched = [index.antecedent_mask(rule) for rule in self.rules]
+        matched.append(np.ones(len(index), dtype=bool))  # the default matches every record
+        return np.array(classes, dtype=np.intp)[np.argmax(matched, axis=0)]
 
     def predict(self, record: StudentRecord) -> str:
-        """The class token ``predict_index`` gives one record, coded against
-        ``_record_schema``.  A rule naming an attribute the record lacks is a
-        ValidationError, as it is for ``accuracy``."""
-        schema = self._record_schema
+        """The class token of the first rule each of whose terms names the
+        record's level of its attribute, else the default.  A rule naming an
+        attribute the record lacks is a ValidationError, as it is for
+        ``accuracy``."""
+        values = record.values
         try:
-            row = [a.code.get(record.values[a.name], len(a.levels) - 1) for a in schema.predictive]
+            hits = [all([values[name] in levels for name, levels in rule.terms]) for rule in self.rules]
         except KeyError as missing:
             raise ValidationError(f"schema has no attribute named {missing.args[0]!r}") from None
-        row.append(0)  # the target column, which predict_index does not read
-        index = DatasetIndex(schema, np.array([row], dtype=np.intp))
-        return schema.target.levels[int(self.predict_index(index)[0])]
+        return next((rule.consequent for rule, hit in zip(self.rules, hits) if hit), self.default)
 
     def accuracy(self, dataset, schema: AttributeSchema) -> float:
         """Share of records whose first matching rule (else the default)

@@ -226,17 +226,10 @@ def schema_hash(schema: AttributeSchema) -> str:
     return config_hash(schema_document(schema))
 
 
-def discretize_value(score: float, cuts: DimensionCuts) -> str:
-    """Map a raw score to its band token (boundaries belong to the upper band)."""
-    if not np.isfinite(score):
-        raise ValidationError(f"cannot discretize non-finite score {score!r}")
-    idx = int(np.searchsorted(np.asarray(cuts.cuts), score, side="right"))
-    return cuts.tokens[idx]
-
-
 def discretize_column(scores: np.ndarray, cuts: DimensionCuts, name: str) -> np.ndarray:
-    """Band index of every score of raw dimension ``name``, as ``discretize_value``
-    maps one score: ``intp[N]`` into ``cuts.tokens``."""
+    """Band index of every score of raw dimension ``name``: ``intp[N]`` into
+    ``cuts.tokens``, a score at a cut point joining the upper band.  A
+    non-finite score is a ValidationError naming the dimension and row."""
     scores = np.asarray(scores, dtype=float)
     finite = np.isfinite(scores)
     if not finite.all():

@@ -14,7 +14,8 @@ degrees of freedom (95 = 49 + 48 - 2): 49 male, 48 female.
 
 The reported spread columns of the per-dimension tables are standard errors
 of the mean (0.2-1.6 at n~48, versus whole-point score sds), so generation
-uses sd = reported value * sqrt(n).
+uses sd = reported value * sqrt(n), with n the published group size, whatever
+group sizes are requested.
 
 The reasoning test is scored out of 20 points; unit grades are percentages.
 Unit-score moments and unit/interaction correlations with reasoning were
@@ -191,19 +192,20 @@ def _loading(dim: str, gender: str) -> float:
     return r / REASONING_LOADING
 
 
-def _moments(dim: str, gender: str, n: int) -> tuple[float, float]:
+def _moments(dim: str, gender: str) -> tuple[float, float]:
     if dim == REASONING:
         return REASONING_MOMENTS[gender]
     if dim in UNITS:
         return UNIT_MOMENTS[dim][gender]
     mean, se = SCALE_MOMENTS[dim][gender]
-    return mean, se * math.sqrt(n)
+    return mean, se * math.sqrt(N_MALE if gender == MALE else N_FEMALE)  # the n the SE was reported at
 
 
 def default_population_spec(
     n_male: int = N_MALE, n_female: int = N_FEMALE, seed: int = 0
 ) -> PopulationSpec:
     """The default generation targets, parameterized by group sizes and seed.
+    The sds are the published cohort's at every group size.
 
     Correlations use a one-factor structure (corr(i,j) = loading_i *
     loading_j off the diagonal), which reproduces every published
@@ -218,7 +220,7 @@ def default_population_spec(
             [1.0 if i == j else loadings[i] * loadings[j] for j in range(len(dims))]
             for i in range(len(dims))
         ]
-        moments = [_moments(d, gender, n) for d in dims]
+        moments = [_moments(d, gender) for d in dims]
         groups[gender] = GroupSpec(
             n=n,
             means=tuple(m for m, _ in moments),

@@ -477,6 +477,24 @@ def test_report_strict_exit_code_on_failed_checks(full_run, tmp_path, capsys):
     assert "Overall target checks: FAIL" in (failing / "report.txt").read_text()
 
 
+def test_target_checks_pass_correct_cohorts():
+    # generate's default cohort at n = 97 under 200 of its seeds: with each
+    # of the 48 checks at 3 SE, 20 of the seeds failed; the family-wise
+    # tolerance fails a correct cohort about 1 time in 400
+    from edm_rulex import studydata
+    from edm_rulex.synthgen import PopulationSpec, sample_population
+
+    base = studydata.default_population_spec()
+    failed = 0
+    for seed in range(200):
+        spec = PopulationSpec(base.dimensions, base.groups, util.derive_seed(seed, "generate"))
+        cohort = sample_population(spec)
+        z, checks = cli.target_checks(spec, cohort.dimensions, cohort.matrix)
+        failed += not all(ok for *_, ok in checks)
+    assert len(checks) == 48 and z == pytest.approx(4.03, abs=0.005)
+    assert failed <= 4  # 2 %
+
+
 def test_report_missing_artifact(full_run, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(full_run, broken)
@@ -1137,6 +1155,26 @@ def test_a_size_past_numpy_index_range_exits_2(full_run, tmp_path, capsys, stage
     assert run(stage, *argv, "--seed", "7", "--out", out) == 2
     err = capsys.readouterr().err
     assert message in err and "is too large" in err and "exceeds the largest array numpy can index" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# Inside numpy's index range, but every array of it that generate or extract
+# asks for needs more than 2**57 bytes, which no address space maps, so the
+# allocation fails before anything is allocated.
+UNMAPPABLE = 10**16
+
+
+@pytest.mark.parametrize("stage, option", [("extract", "pop"), ("generate", "n")])
+def test_a_size_past_the_address_space_exits_3(full_run, tmp_path, capsys, stage, option):
+    # a half cohort's float64 scores of 24 dimensions; one GA run's 76-bit population
+    assert min(UNMAPPABLE // 2 * 24 * 8, UNMAPPABLE * 76) > 2**57
+    argv = [f"--{option}", UNMAPPABLE]
+    if stage == "extract":
+        argv += ["--data", full_run / "cohort.csv", "--model", full_run / "model.json", "--budget", "1"]
+    out = tmp_path / "out"
+    assert run(stage, *argv, "--seed", "7", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
     assert "Traceback" not in err and not out.exists()
 
 

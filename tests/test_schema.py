@@ -18,7 +18,6 @@ from edm_rulex.schema import (
     StudentRecord,
     DatasetIndex,
     discretize_column,
-    discretize_value,
     encode_dataset,
     encode_record,
     load_schema,
@@ -77,12 +76,12 @@ def test_bad_schema_documents(attrs):
 
 def test_discretize_grade_bands():
     cuts = DimensionCuts((50.0, 65.0, 80.0), ("F", "P", "G", "V.G"))
-    assert discretize_value(72, cuts) == "G"
-    assert discretize_value(80, cuts) == "V.G"  # boundary joins the upper band
-    assert discretize_value(49.999, cuts) == "F"
-    assert discretize_value(50, cuts) == "P"
-    with pytest.raises(ValidationError):
-        discretize_value(float("nan"), cuts)
+    below, above = np.nextafter(80.0, -np.inf), np.nextafter(80.0, np.inf)
+    bands = discretize_column(np.array([72, 80, 49.999, 50, below, above]), cuts, "Unit 1")
+    # a boundary score joins the upper band; its neighbours stay on their sides
+    assert [cuts.tokens[b] for b in bands] == ["G", "V.G", "F", "P", "G", "V.G"]
+    with pytest.raises(ValidationError, match=r"'Unit 1', row 1: .*nan"):
+        discretize_column(np.array([float("nan")]), cuts, "Unit 1")
 
 
 def test_discretize_missing_entry():
@@ -102,21 +101,6 @@ def test_discretize_missing_entry():
         discretize_cohort(cohort, spec, schema)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_discretize_column_equals_discretize_value(data):
-    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-    cut_list = data.draw(st.lists(finite, min_size=1, max_size=4, unique=True).map(sorted))
-    cuts = DimensionCuts(tuple(cut_list), tuple(f"b{k}" for k in range(len(cut_list) + 1)))
-    # scores exactly at a cut, just beside one, and anywhere
-    near = st.sampled_from(cut_list).flatmap(
-        lambda c: st.sampled_from([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf)])
-    )
-    scores = data.draw(st.lists(st.one_of(near, finite), max_size=40))
-    bands = discretize_column(np.array(scores, dtype=float), cuts, "x")
-    assert [cuts.tokens[b] for b in bands] == [discretize_value(s, cuts) for s in scores]
-
-
 def test_discretize_column_names_dimension_of_non_finite_score():
     cuts = DimensionCuts((0.5,), ("lo", "hi"))
     with pytest.raises(ValidationError, match=r"'Unit 3', row 2: .*inf"):
@@ -131,7 +115,7 @@ def test_empirical_tertiles_uniform():
     assert math.isclose(cuts[0], 1 / 3, abs_tol=0.01)
     assert math.isclose(cuts[1], 2 / 3, abs_tol=0.01)
     dc = DimensionCuts(cuts, ("L", "M", "H"))
-    assert discretize_value(0.5, dc) == "M"
+    assert dc.tokens[discretize_column(np.array([0.5]), dc, "u")[0]] == "M"
 
 
 def test_discretization_monotone():
@@ -139,7 +123,7 @@ def test_discretization_monotone():
     for _ in range(50):
         cuts = DimensionCuts(tuple(np.sort(rng.normal(size=3))), ("a", "b", "c", "d"))
         scores = np.sort(rng.normal(size=20) * 2)
-        idx = [cuts.tokens.index(discretize_value(s, cuts)) for s in scores]
+        idx = discretize_column(scores, cuts, "x").tolist()
         assert idx == sorted(idx)
 
 

@@ -25,3 +25,16 @@ def test_published_t_value_and_variance_rows_recompute():
                 assert row.eta_squared == pytest.approx(0.0062, abs=5e-5)
             else:
                 assert abs(row.eta_squared - eta_ref) <= 0.01, dim
+
+
+def test_default_spec_spreads_do_not_depend_on_the_requested_group_sizes():
+    # the published SEs were reported at the published group sizes, so every
+    # requested size draws with the published cohort's sds
+    published = studydata.default_population_spec()
+    dispersants = published.dimensions.index("Management of dispersants")
+    assert published.groups[studydata.MALE].sds[dispersants] == pytest.approx(3.521)
+    for n_male, n_female in ((5, 5), (500, 500), (5000, 5000), (2, 48)):
+        spec = studydata.default_population_spec(n_male=n_male, n_female=n_female)
+        for gender in studydata.GENDER_LEVELS:
+            assert spec.groups[gender].sds == published.groups[gender].sds
+            assert spec.groups[gender].means == published.groups[gender].means

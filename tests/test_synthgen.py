@@ -240,26 +240,27 @@ def test_cohort_write_read_round_trip(tmp_path):
 
 
 def test_noisy_planted_cohort_bytes():
-    # SHA-256 of this cohort as written before labelling moved to
-    # RuleSet.predict_index; it pins the per-record order of the noise draws
+    # The records whose label the noise flips depend only on the seed and the
+    # record count, so they are pinned on their own; the SHA-256 then pins the
+    # per-record order of the noise draws, including each flip's new level
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_male=40, n_female=40, seed=3)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    planted = PlantedRuleSpec.from_dict(
-        {
-            "rules": [
-                {"when": {"Unit 1": ["F"]}, "then": "F"},
-                {"when": {"Unit 3": ["V.G"], "Gender": ["Fe"]}, "then": "V.G"},
-                {"when": {"Unit 5": ["G", "V.G"]}, "then": "G"},
-                {"when": {}, "then": "P"},
-            ],
-            "noise": 0.1,
-        }
+    rules = [
+        {"when": {"Unit 1": ["F"]}, "then": "F"},
+        {"when": {"Unit 3": ["V.G"], "Gender": ["Fe"]}, "then": "V.G"},
+        {"when": {"Unit 5": ["G", "V.G"]}, "then": "G"},
+        {"when": {}, "then": "P"},
+    ]
+    clean, noisy = (
+        plant_rules(cohort, PlantedRuleSpec.from_dict({"rules": rules, "noise": noise}), disc, schema, seed=11)
+        for noise in (0.0, 0.1)
     )
-    text = written(write_index_csv, plant_rules(cohort, planted, disc, schema, seed=11))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "5fd46c07b180d45d33f3f8669acaf246fddcc55d13a3b67d30593a728741c26f"
+    flipped = np.flatnonzero(clean.target != noisy.target).tolist()
+    assert flipped == [3, 5, 31, 38, 45, 49, 50, 54, 56, 61, 64, 66, 67]
+    digest = hashlib.sha256(written(write_index_csv, noisy).encode()).hexdigest()
+    assert digest == "c1a2fc8b4669c17a1a9ef7ae86e931827476d8f016dd86eff88f4fd6a2dc422e"
 
 
 def test_plant_rules_rejects_unknown_planted_token():
