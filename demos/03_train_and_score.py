@@ -10,6 +10,8 @@ import numpy as np
 from edm_rulex import (
     DatasetIndex,
     PlantedRuleSpec,
+    Rule,
+    RuleSet,
     StudentRecord,
     TrainConfig,
     default_population_spec,
@@ -28,7 +30,7 @@ spec = default_population_spec(n_male=400, n_female=400, seed=3)
 cohort = sample_population(spec)
 disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
 planted = PlantedRuleSpec(
-    pairs=(((("Unit 1", ("F",)),), "F"), ((), "P")),
+    truth=RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P"),
     noise=0.0,
 )
 encoded = plant_rules(cohort, planted, disc, schema, seed=4)  # a DatasetIndex

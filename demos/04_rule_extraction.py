@@ -10,6 +10,8 @@ repeats.
 from edm_rulex import (
     GaConfig,
     PlantedRuleSpec,
+    Rule,
+    RuleSet,
     TrainConfig,
     default_population_spec,
     default_student_schema,
@@ -27,19 +29,18 @@ schema = default_student_schema()
 spec = default_population_spec(n_male=500, n_female=500, seed=6)
 cohort = sample_population(spec)
 disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-planted = PlantedRuleSpec(
-    pairs=(
-        ((("Unit 1", ("F",)),), "F"),
-        ((("Unit 2", ("F",)),), "F"),
-        ((), "P"),
+truth = RuleSet(
+    rules=(
+        Rule(terms=(("Unit 1", ("F",)),), consequent="F"),
+        Rule(terms=(("Unit 2", ("F",)),), consequent="F"),
     ),
-    noise=0.0,
+    default="P",
 )
-encoded = plant_rules(cohort, planted, disc, schema, seed=1)  # a DatasetIndex
+encoded = plant_rules(cohort, PlantedRuleSpec(truth=truth), disc, schema, seed=1)  # a DatasetIndex
 print("planted ground truth:")
-print("  Unit 1 = F            -> Reasoning = F")
-print("  Unit 2 = F            -> Reasoning = F")
-print("  otherwise             -> Reasoning = P")
+for rule in truth.rules:
+    print(f"  {format_rule(rule, schema)}")
+print(f"  default class: {truth.default}")
 print()
 
 tc = TrainConfig(max_epochs=200, target_mse=1e-5, seed=0)

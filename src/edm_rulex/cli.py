@@ -37,7 +37,7 @@ from .psychostats import (
     significance_label,
     t_test,
 )
-from .rulekit import RuleSet, extract_ruleset, format_ruleset, parse_ruleset
+from .rulekit import extract_ruleset, format_ruleset, parse_ruleset
 from .rulekit import ruleset_from_dict, ruleset_to_dict
 from .schema import SCHEMA_SHAPE, AttributeSchema, load_schema, read_index_csv, schema_hash
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
@@ -271,13 +271,6 @@ def cmd_train(args) -> int:
 # extract
 
 
-def _sorted_ruleset(ruleset: RuleSet, schema: AttributeSchema) -> RuleSet:
-    """Rules by class in level order, then by descending confidence."""
-    level = schema.target.levels.index
-    rules = sorted(ruleset.rules, key=lambda r: (level(r.consequent), -(r.confidence or 0.0)))
-    return dataclasses.replace(ruleset, rules=tuple(rules))
-
-
 def cmd_extract(args) -> int:
     opts = _options(args, "extract")
     schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
@@ -305,7 +298,6 @@ def cmd_extract(args) -> int:
         confidence_threshold=opts["confidence"],
         epsilon=opts["epsilon"],
     )
-    ruleset = _sorted_ruleset(ruleset, schema)
     doc = ruleset_to_dict(ruleset, schema)
     doc["config_hash"], doc["inputs"] = _provenance(
         "extract", opts, dataset=opts["data"], model=opts["model"]

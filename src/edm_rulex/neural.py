@@ -219,12 +219,6 @@ def _batch_pass(net: Network, x_neg: np.ndarray):
     return u_h, u_o, sigmoid(u_o)
 
 
-def dataset_mse(net: Network, dataset: DatasetIndex) -> float:
-    """Mean squared output error over all patterns and output units."""
-    x, t = _arrays(net, dataset)
-    return float(np.mean((_batch_pass(net, np.negative(x, dtype=float))[2] - t) ** 2))
-
-
 def loss_and_gradients(net: Network, dataset: DatasetIndex):
     """Mean half-squared error over the dataset and its analytic gradients.
 

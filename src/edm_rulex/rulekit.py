@@ -12,7 +12,7 @@ keeps rules that clear a confidence threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -33,7 +33,7 @@ DEFAULT_RULE_BUDGET = 5
 @dataclass(frozen=True)
 class Rule:
     """Antecedent terms (attribute, allowed levels), a consequent class token,
-    and the metrics recorded at extraction time."""
+    and the metrics ``evaluate_rule`` sets and extraction records."""
 
     terms: tuple[tuple[str, tuple[str, ...]], ...]
     consequent: str
@@ -43,14 +43,6 @@ class Rule:
     vacuous: bool = False
     fitness: float | None = None
     chromosome: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RuleMetrics:
-    support: int
-    confidence: float
-    coverage: float
-    vacuous: bool
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ def decode_chromosome(bits, schema: AttributeSchema, class_index: int) -> Rule:
     )
 
 
-def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) -> RuleMetrics:
-    """Support, confidence, and coverage of a rule against a dataset.
+def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) -> Rule:
+    """The rule with its support, confidence and coverage against a dataset.
 
     A rule matching nothing has confidence 0 and is flagged vacuous.
     """
@@ -143,9 +135,10 @@ def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) ->
     ante = index.antecedent_mask(rule)
     support = int(ante.sum())
     if support == 0:
-        return RuleMetrics(support=0, confidence=0.0, coverage=0.0, vacuous=True)
+        return replace(rule, support=0, confidence=0.0, coverage=0.0, vacuous=True)
     hits = int((ante & index.consequent_mask(rule)).sum())
-    return RuleMetrics(
+    return replace(
+        rule,
         support=support,
         confidence=hits / support,
         coverage=support / len(index),
@@ -193,7 +186,7 @@ def refine_rule(rule: Rule, index: DatasetIndex, epsilon: float = DEFAULT_EPSILO
         del kept[best]
     kept_attrs = {attrs[j] for j in kept}
     current = replace(rule, terms=tuple(t for t in rule.terms if t[0] in kept_attrs))
-    return replace(current, **asdict(evaluate_rule(current, index)))
+    return evaluate_rule(current, index)
 
 
 def majority_class(index: DatasetIndex) -> str:
@@ -225,8 +218,9 @@ def extract_ruleset(
     round: in round r, the GA runs of every class whose loop is still going
     evolve in lockstep (one forward pass over all their populations per
     generation), and each class then refines, accepts and covers on its own.
-    Each class's rules and audit entries are joined in class order at the
-    end, so the ruleset is the one class-by-class loops would give.
+    At the end the classes are joined in level order: each class's audit
+    entries in round order, as class-by-class loops would give them, and its
+    rules by descending confidence (a stable sort, so ties keep round order).
 
     Accepted rules carry metrics recomputed against the full index;
     working-set confidences live in the audit entries.  Rules are decoded
@@ -294,7 +288,7 @@ def extract_ruleset(
             audit[k].append(entry)
             if stop:
                 continue
-            rules[k].append(replace(refined, **asdict(evaluate_rule(refined, index))))
+            rules[k].append(evaluate_rule(refined, index))
             working[k] = working[k].subset(~explained)
             going.append(k)
             log.info(
@@ -306,7 +300,9 @@ def extract_ruleset(
             )
         live = going
     return RuleSet(
-        rules=tuple(rule for per_class in rules for rule in per_class),
+        rules=tuple(
+            rule for per_class in rules for rule in sorted(per_class, key=lambda r: -r.confidence)
+        ),
         default=majority_class(index),
         audit=tuple(entry for per_class in audit for entry in per_class),
     )

@@ -147,42 +147,42 @@ class RawCohort:
 
 @dataclass(frozen=True)
 class PlantedRuleSpec:
-    """Ordered (antecedent, target level) pairs; first match labels a record.
-
-    The last pair must be a catch-all (empty antecedent).  With probability
-    ``noise`` a label is flipped to a uniformly random other level.
+    """The planted truth: a record takes the level of the first of ``truth``'s
+    rules it matches, else ``truth``'s default (in JSON, the last rule: a
+    catch-all, with an empty ``when``).  With probability ``noise`` a label is
+    flipped to a uniformly random other level.
     """
 
-    pairs: tuple[tuple[tuple[tuple[str, tuple[str, ...]], ...], str], ...]
+    truth: RuleSet
     noise: float = 0.0
 
     def __post_init__(self):
-        if not self.pairs:
-            raise ValidationError("planted rule spec has no pairs")
         if not 0 <= self.noise < 1:
             raise ValidationError(f"noise rate must be in [0,1), got {self.noise}")
-        if self.pairs[-1][0] != ():
-            raise ValidationError(
-                "planted rule spec must end with a catch-all pair (empty antecedent)"
-            )
 
     def to_dict(self) -> dict:
-        return {
-            "rules": [
-                {"when": {attr: list(levels) for attr, levels in terms}, "then": label}
-                for terms, label in self.pairs
-            ],
-            "noise": self.noise,
-        }
+        rules = [
+            {"when": {attr: list(levels) for attr, levels in r.terms}, "then": r.consequent}
+            for r in self.truth.rules
+        ]
+        catch_all = {"when": {}, "then": self.truth.default}
+        return {"rules": [*rules, catch_all], "noise": self.noise}
 
     @staticmethod
     def from_dict(doc: Mapping) -> "PlantedRuleSpec":
         doc = check(doc, PLANTED_SPEC_SHAPE, "planted rule spec")
-        pairs = tuple(
-            (tuple(sorted((attr, tuple(ls)) for attr, ls in rule["when"].items())), rule["then"])
-            for rule in doc["rules"]
+        if not doc["rules"] or doc["rules"][-1]["when"]:
+            raise ValidationError("planted rule spec must end with a catch-all rule (empty 'when')")
+        *rules, catch_all = doc["rules"]
+        for i, rule in enumerate(rules):
+            for attr, levels in rule["when"].items():
+                if not levels:
+                    raise ValidationError(f"planted rule spec.rules[{i}].when[{attr!r}] names no levels")
+        truth = tuple(
+            Rule(tuple(sorted((attr, tuple(ls)) for attr, ls in r["when"].items())), r["then"])
+            for r in rules
         )
-        return PlantedRuleSpec(pairs=pairs, noise=float(doc.get("noise", 0.0)))
+        return PlantedRuleSpec(RuleSet(truth, catch_all["then"]), float(doc.get("noise", 0.0)))
 
 
 PLANTED_SPEC_SHAPE = {"rules": [{"when": {str: [str]}, "then": str}], "noise?": float}
@@ -347,19 +347,16 @@ def plant_rules(
     schema: AttributeSchema,
     seed: int,
 ) -> DatasetIndex:
-    """Label records by the first matching planted pair, with optional noise.
+    """Label records by the planted truth's first matching rule, else its
+    default, with optional noise.
 
     Predictive levels come from discretization exactly as in
     discretize_cohort; only the target is overridden.  With noise, each
     record in order draws whether it flips and, if so, which other level
     it takes, so the draws do not depend on how the labels were matched.
     """
-    truth = RuleSet(
-        rules=tuple(Rule(terms=terms, consequent=then) for terms, then in planted.pairs),
-        default=planted.pairs[-1][1],
-    )
     index = DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=True))
-    target = truth.predict_index(index)
+    target = planted.truth.predict_index(index)
     if planted.noise > 0:
         rng = np.random.default_rng(seed)
         for i, label in enumerate(target.tolist()):

@@ -753,6 +753,18 @@ def test_generate_rejects_a_nested_list_level(tmp_path, capsys):
     assert "planted.json.rules[0].when['Unit 1'][0] must be str, got ['F']" in capsys.readouterr().err
 
 
+def test_generate_rejects_a_planted_term_with_no_levels(tmp_path, capsys):
+    # the term matched no record, so every label came from the catch-all
+    planted = tmp_path / "planted.json"
+    rules = [{"when": {"Unit 1": []}, "then": "G"}, {"when": {}, "then": "P"}]
+    planted.write_text(json.dumps({"rules": rules}))
+    out = tmp_path / "out"
+    assert run("generate", "--out", out, "--seed", "5", "--n", "60", "--planted", planted) == 2
+    err = capsys.readouterr().err
+    assert "rules[0].when['Unit 1'] names no levels" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _write(path, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return path
@@ -847,6 +859,44 @@ def test_budget_5_ruleset_bytes(study_run, tmp_path):
     assert rounds == {"F": 3, "P": 3, "G": 5, "V.G": 3}
     digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
     assert digest == "4feea41a85b15ce8853325a9906a2383e6e3bfba7226dfc7090cfaf3f650faa2"
+
+
+def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
+    # extract_ruleset orders each class's rules by confidence itself, so
+    # ruleset.json holds its rules in the order the library returns them
+    from edm_rulex.evolver import GaConfig
+    from edm_rulex.neural import load_network
+    from edm_rulex.schema import read_index_csv
+
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
+        shutil.copy(study_run / name, tmp_path / name)
+    settings = {"budget": 5, "confidence": 0.5, "epsilon": 0.05}
+    flags = [x for name, value in settings.items() for x in (f"--{name}", value)]
+    assert run(
+        "extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
+        *flags, "--seed", "7", "--out", tmp_path,
+    ) == 0
+    written_rules = json.loads((tmp_path / "ruleset.json").read_text())["rules"]
+    schema = load_schema(json.loads((tmp_path / "cohort.meta.json").read_text())["schema"])
+    with open(tmp_path / "cohort.csv", encoding="utf-8") as stream:
+        index = read_index_csv(stream, schema)
+    ruleset = rulekit.extract_ruleset(
+        load_network(tmp_path / "model.json"), index,
+        ga_config=GaConfig(seed=util.derive_seed(7, "extract")),
+        per_class_rule_budget=settings["budget"],
+        confidence_threshold=settings["confidence"],
+        epsilon=settings["epsilon"],
+    )
+    confidences = {}
+    for rule in ruleset.rules:
+        confidences.setdefault(rule.consequent, set()).add(rule.confidence)
+    assert any(len(c) > 1 for c in confidences.values())  # some class has an order to get wrong
+    keys = [(schema.target.levels.index(r["consequent"]), -r["confidence"]) for r in written_rules]
+    assert keys == sorted(keys)
+    assert [(r.terms, r.consequent) for r in ruleset.rules] == [
+        (tuple((t["attribute"], tuple(t["levels"])) for t in r["terms"]), r["consequent"])
+        for r in written_rules
+    ]
 
 
 def test_train_saturated_short_of_the_clip_exits_3(study_run, tmp_path, capsys):

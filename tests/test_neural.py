@@ -23,7 +23,6 @@ from edm_rulex.neural import (
     Network,
     TrainConfig,
     class_score,
-    dataset_mse,
     forward,
     init_network,
     load_network,
@@ -328,20 +327,6 @@ def test_network_json_round_trip(tmp_path):
     doc["hidden_size"] = 99
     with pytest.raises(ValidationError, match="sizes"):
         network_from_dict(doc)
-
-
-def test_dataset_mse_matches_forward():
-    schema = twelve_bit_schema()
-    rng = np.random.default_rng(3)
-    encoded = encode_dataset(random_records(schema, 10, rng), schema)
-    net = init_network(schema, TrainConfig(seed=0))
-    manual = 0.0
-    for bits, target_index in zip(encoded.bits, encoded.target):
-        y = forward(net, bits)
-        t = np.zeros(net.output_size)
-        t[target_index] = 1
-        manual += float(((y - t) ** 2).sum()) / net.output_size
-    assert math.isclose(dataset_mse(net, encoded), manual / len(encoded), rel_tol=1e-12)
 
 
 def test_config_validation():

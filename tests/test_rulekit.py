@@ -394,19 +394,19 @@ def test_majority_class(toy_schema):
     assert majority_class(DatasetIndex(toy_schema, records[1:])) == "t1"
 
 
-def _planted_cohort(n_per_gender, seed, pairs, noise=0.0):
+def _planted_cohort(n_per_gender, seed, truth, noise=0.0):
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_per_gender, n_per_gender, seed=seed)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    planted = PlantedRuleSpec(pairs=pairs, noise=noise)
+    planted = PlantedRuleSpec(truth=truth, noise=noise)
     records = plant_rules(cohort, planted, disc, schema, seed=seed + 1).records()
     return schema, records
 
 
 def test_extract_recovers_planted_rule():
-    pairs = (((("Unit 1", ("F",)),), "F"), ((), "P"))
-    schema, records = _planted_cohort(300, seed=42, pairs=pairs)
+    truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
+    schema, records = _planted_cohort(300, seed=42, truth=truth)
     encoded = encode_dataset(records, schema)
     tc = TrainConfig(max_epochs=200, seed=0)
     net = train(init_network(schema, tc), encoded, tc).network
@@ -431,8 +431,8 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     # with the fitness reached through rulekit.class_score
     from edm_rulex import rulekit
 
-    pairs = (((("Unit 1", ("F",)),), "F"), ((), "P"))
-    schema, records = _planted_cohort(150, seed=3, pairs=pairs)
+    truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
+    schema, records = _planted_cohort(150, seed=3, truth=truth)
     tc = TrainConfig(max_epochs=60, seed=2)
     net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
     batches, scored = [], []
@@ -465,8 +465,8 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
 
 
 def test_extract_single_class_dataset():
-    pairs = (((), "G"),)
-    schema, records = _planted_cohort(40, seed=9, pairs=pairs)
+    truth = RuleSet(rules=(), default="G")
+    schema, records = _planted_cohort(40, seed=9, truth=truth)
     net_cfg = TrainConfig(max_epochs=50, seed=1)
     encoded = encode_dataset(records, schema)
     net = train(init_network(schema, net_cfg), encoded, net_cfg).network
@@ -484,8 +484,8 @@ def test_extract_single_class_dataset():
 
 
 def test_extract_metrics_match_recount():
-    pairs = (((("Unit 1", ("F",)),), "F"), ((), "P"))
-    schema, records = _planted_cohort(150, seed=3, pairs=pairs)
+    truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
+    schema, records = _planted_cohort(150, seed=3, truth=truth)
     encoded = encode_dataset(records, schema)
     tc = TrainConfig(max_epochs=120, seed=2)
     net = train(init_network(schema, tc), encoded, tc).network
@@ -506,8 +506,14 @@ def test_extract_metrics_match_recount():
 
 
 def test_ruleset_text_round_trip():
-    pairs = (((("Unit 1", ("F", "P")),), "F"), ((("Unit 2", ("G",)),), "G"), ((), "P"))
-    schema, records = _planted_cohort(60, seed=4, pairs=pairs)
+    truth = RuleSet(
+        rules=(
+            Rule(terms=(("Unit 1", ("F", "P")),), consequent="F"),
+            Rule(terms=(("Unit 2", ("G",)),), consequent="G"),
+        ),
+        default="P",
+    )
+    schema, records = _planted_cohort(60, seed=4, truth=truth)
     tc = TrainConfig(max_epochs=40, seed=1)
     net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
     ruleset = extract_ruleset(

@@ -7,6 +7,7 @@ import pytest
 
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
+from edm_rulex.rulekit import Rule, RuleSet
 from edm_rulex.schema import read_index_csv, write_index_csv
 from edm_rulex.synthgen import (
     GroupSpec,
@@ -153,13 +154,8 @@ def test_population_spec_validation(kwargs):
 
 
 def _unit1_planted(noise=0.0):
-    return PlantedRuleSpec(
-        pairs=(
-            ((("Unit 1", ("F",)),), "F"),
-            ((), "P"),
-        ),
-        noise=noise,
-    )
+    truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
+    return PlantedRuleSpec(truth=truth, noise=noise)
 
 
 def test_plant_rules_noiseless():
@@ -192,14 +188,38 @@ def test_plant_rules_catch_all_only():
     spec = studydata.default_population_spec(n_male=5, n_female=5, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    planted = PlantedRuleSpec(pairs=(((), "G"),), noise=0.0)
+    planted = PlantedRuleSpec(truth=RuleSet(rules=(), default="G"), noise=0.0)
     records = plant_rules(cohort, planted, disc, schema, seed=0).records()
     assert {r.values["Reasoning"] for r in records} == {"G"}
 
 
 def test_planted_spec_requires_catch_all():
-    with pytest.raises(ValidationError, match="catch-all"):
-        PlantedRuleSpec(pairs=(((("Unit 1", ("F",)),), "F"),), noise=0.0)
+    for rules in ([], [{"when": {"Unit 1": ["F"]}, "then": "F"}]):
+        with pytest.raises(ValidationError, match="catch-all"):
+            PlantedRuleSpec.from_dict({"rules": rules, "noise": 0.0})
+
+
+def test_planted_spec_json_round_trip():
+    # the last rule is the default; the others are the truth's rules in order
+    doc = {
+        "rules": [
+            {"when": {"Unit 2": ["F"], "Gender": ["Ma"]}, "then": "F"},
+            {"when": {"Unit 5": ["G"]}, "then": "G"},
+            {"when": {"Unit 4": ["G", "V.G"]}, "then": "V.G"},
+            {"when": {}, "then": "P"},
+        ],
+        "noise": 0.25,
+    }
+    planted = PlantedRuleSpec.from_dict(doc)
+    assert planted.truth == RuleSet(
+        rules=(
+            Rule(terms=(("Gender", ("Ma",)), ("Unit 2", ("F",))), consequent="F"),
+            Rule(terms=(("Unit 5", ("G",)),), consequent="G"),
+            Rule(terms=(("Unit 4", ("G", "V.G")),), consequent="V.G"),
+        ),
+        default="P",
+    )
+    assert planted.to_dict() == doc
 
 
 def test_tertile_example():
@@ -268,7 +288,8 @@ def test_plant_rules_rejects_unknown_planted_token():
     spec = studydata.default_population_spec(n_male=5, n_female=5, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    planted = PlantedRuleSpec(pairs=(((("Unit 1", ("X",)),), "F"), ((), "P")), noise=0.0)
+    truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("X",)),), consequent="F"),), default="P")
+    planted = PlantedRuleSpec(truth=truth, noise=0.0)
     with pytest.raises(ValidationError, match="'X'"):
         plant_rules(cohort, planted, disc, schema, seed=0)
 
