@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import logging
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from .schema import SCHEMA_SHAPE, AttributeSchema, load_schema, read_index_csv, 
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
 from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
 from .synthgen import PLANTED_SPEC_SHAPE, POPULATION_SPEC_SHAPE, PlantedRuleSpec, PopulationSpec
-from .synthgen import build_metadata, default_discretization
+from .synthgen import build_metadata, default_discretization, spec_hash, target_checks
 from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, sample_population, write_cohort
 from .util import config_hash, derive_seed, file_sha256, read_json, write_json
 
@@ -224,7 +223,6 @@ def cmd_generate(args) -> int:
         index = discretize_cohort(cohort, disc, schema)
     meta = build_metadata(spec, schema, disc, planted)
     meta["master_seed"] = opts["seed"]
-    meta["population_spec"] = spec.to_dict()
     meta["config_hash"], _ = _provenance(
         "generate", opts, spec=meta["population_spec"], planted=meta["planted"], score_maxima=maxima
     )
@@ -489,9 +487,8 @@ REQUIRED_ARTIFACTS = (
 
 # the fields of each JSON artifact that report reads; all of stats.json
 REPORT_SHAPES = {
-    "cohort.meta.json": {"config_hash": str, "master_seed": int, "group_order": [str],
-                         "n_per_group": {str: int}, "generator": str, "spec_hash": str,
-                         "schema": SCHEMA_SHAPE, "population_spec?": POPULATION_SPEC_SHAPE},
+    "cohort.meta.json": {"config_hash": str, "master_seed": int, "generator": str,
+                         "schema": SCHEMA_SHAPE, "population_spec": POPULATION_SPEC_SHAPE},
     "model.json": {"input_size": int, "hidden_size": int, "output_size": int, "metadata": {
         "config_hash": str, "inputs": _INPUTS, "final_mse": float, "epochs_run": int}},
     "train_log.json": {"config_hash": str, "final_mse": float, "epochs_run": int,
@@ -516,47 +513,6 @@ def _check_rules_txt(path: Path, ruleset: dict, schema: AttributeSchema) -> None
     for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
         if a != b:
             raise ValidationError(f"{path.name} line {n} {line!r} differs from ruleset.json")
-
-
-# A correct cohort fails the whole family of target checks at this rate, the
-# rate at which it fails one 3-SE check.
-TARGET_CHECK_ERROR_RATE = 0.0027
-
-
-def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray):
-    """The cohort's means against its generation targets: ``(z, checks)``,
-    one check ``(group, dimension, sample mean, target mean, tolerance, ok)``
-    per group and dimension of non-zero sd, in spec order; ok when the means
-    differ by at most the tolerance.  Each tolerance is z
-    standard errors at the group's n, with z the Bonferroni bound that holds
-    the family of m checks to ``TARGET_CHECK_ERROR_RATE`` (3.00 at m = 1,
-    4.03 at m = 48).  The raw table's rows are the groups' in spec order, and
-    its columns are read by name."""
-    col = {d: j for j, d in enumerate(raw_dims)}
-    missing = [d for d in spec.dimensions if d not in col]
-    if missing:
-        raise ValidationError(
-            f"cohort.raw.csv lacks the population_spec dimensions {', '.join(missing)}"
-        )
-    spec_rows = sum(g.n for g in spec.groups.values())
-    if spec_rows != raw_matrix.shape[0]:
-        raise ValidationError(
-            f"cohort.meta.json population_spec has {spec_rows} rows in its groups, "
-            f"cohort.raw.csv has {raw_matrix.shape[0]}"
-        )
-    checks, offset = [], 0
-    for token, g in spec.groups.items():
-        rows = raw_matrix[offset : offset + g.n]
-        offset += g.n
-        for j, dim in enumerate(spec.dimensions):
-            if g.sds[j] != 0:
-                sample = float(rows[:, col[dim]].mean())
-                checks.append((token, dim, sample, g.means[j], g.sds[j] / g.n**0.5))
-    z = statistics.NormalDist().inv_cdf(1 - TARGET_CHECK_ERROR_RATE / (2 * max(len(checks), 1)))
-    return z, [
-        (token, dim, sample, mean, z * se, abs(sample - mean) <= z * se)
-        for token, dim, sample, mean, se in checks
-    ]
 
 
 def cmd_report(args) -> int:
@@ -598,9 +554,7 @@ def cmd_report(args) -> int:
             raise ValidationError(
                 f"train_log.json {field} {value!r} does not match model.json metadata {key} {md[key]!r}"
             )
-    group_order, n_per_group = meta["group_order"], meta["n_per_group"]
-    if sorted(group_order) != sorted(n_per_group):
-        raise ValidationError(f"cohort.meta.json group_order {group_order} does not match n_per_group")
+    spec = PopulationSpec.from_dict(meta["population_spec"])
     _check_rules_txt(run_dir / "rules.txt", ruleset, load_schema(meta["schema"]))
 
     lines = ["edm-rulex run report", "====================", "", "Artifacts and config hashes"]
@@ -610,8 +564,8 @@ def cmd_report(args) -> int:
     lines += [f"  master seed       {meta['master_seed']}", ""]
     lines.append(
         "Cohort: "
-        + ", ".join(f"{k}={n_per_group[k]}" for k in group_order)
-        + f"; generator {meta['generator']}; spec {meta['spec_hash'][:12]}"
+        + ", ".join(f"{token}={g.n}" for token, g in spec.groups.items())
+        + f"; generator {meta['generator']}; spec {spec_hash(spec)[:12]}"
     )
     lines.append(
         f"Model: {model['input_size']}-{model['hidden_size']}-{model['output_size']}, "
@@ -642,23 +596,18 @@ def cmd_report(args) -> int:
         )
     lines.append("")
 
+    raw_dims, raw_matrix = _read_csv(parse_raw_csv, run_dir / "cohort.raw.csv")
+    z, checks = target_checks(spec, raw_dims, raw_matrix)
+    lines.append(
+        f"Cohort means vs generation targets ({z:.2f} SE tolerance at cohort n, {len(checks)} checks)"
+    )
     all_ok = True
-    if "population_spec" in meta:
-        spec = PopulationSpec.from_dict(meta["population_spec"])
-        raw_dims, raw_matrix = _read_csv(parse_raw_csv, run_dir / "cohort.raw.csv")
-        z, checks = target_checks(spec, raw_dims, raw_matrix)
+    for token, dim, sample, target, tol, ok in checks:
+        all_ok &= ok
         lines.append(
-            f"Cohort means vs generation targets ({z:.2f} SE tolerance at cohort n, "
-            f"{len(checks)} checks)"
+            f"  [{'PASS' if ok else 'FAIL'}] {token} / {dim}: "
+            f"mean {sample:.3f} vs {target:.3f} (tol {tol:.3f})"
         )
-        for token, dim, sample, target, tol, ok in checks:
-            all_ok &= ok
-            lines.append(
-                f"  [{'PASS' if ok else 'FAIL'}] {token} / {dim}: "
-                f"mean {sample:.3f} vs {target:.3f} (tol {tol:.3f})"
-            )
-    else:
-        lines.append("Cohort means vs generation targets: none, cohort.meta.json has no population_spec")
     lines += ["", f"Overall target checks: {'PASS' if all_ok else 'FAIL'}", ""]
 
     text = "\n".join(lines)

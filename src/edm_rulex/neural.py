@@ -31,19 +31,17 @@ SIGMOID_CLIP = 500.0
 SATURATION_TOL = 1e-3
 
 
-def sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``1 / (1 + exp(-u))`` with ``u`` clipped to +-SIGMOID_CLIP, written into
-    ``out`` when given (``out`` may be ``u`` itself).
+def sigmoid(u: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-u))`` with ``u`` clipped to +-SIGMOID_CLIP.
 
-    Each step is one ufunc working in place on the first step's result, so
-    training can run it on preallocated buffers; the values are the same
-    bits as ``1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))``.
+    Each step works in place on the first step's result; the values are the
+    same bits as ``1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))``.
     Only the lower clip is applied, to ``-u``: above +SIGMOID_CLIP,
     ``exp(-u)`` is below ``exp(-500)``, about 7e-218, which vanishes against
     the 1 it is added to, so clipped or not the result is exactly 1.0.  A NaN
     stays NaN.
     """
-    s = np.negative(u, out=out)
+    s = np.negative(u)
     np.minimum(s, SIGMOID_CLIP, out=s)
     np.exp(s, out=s)
     s += 1.0

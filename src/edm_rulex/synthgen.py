@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import statistics
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +39,6 @@ from .schema import (
     DiscretizationSpec,
     discretize_column,
     schema_document,
-    schema_hash,
     write_index_csv,
 )
 from .util import check, check_indexable, config_hash, write_json
@@ -175,6 +175,9 @@ class PlantedRuleSpec:
             raise ValidationError("planted rule spec must end with a catch-all rule (empty 'when')")
         *rules, catch_all = doc["rules"]
         for i, rule in enumerate(rules):
+            if not rule["when"]:
+                raise ValidationError(f"planted rule spec.rules[{i}] is a catch-all (empty 'when'), "
+                                      "which hides every later rule; only the last rule may be one")
             for attr, levels in rule["when"].items():
                 if not levels:
                     raise ValidationError(f"planted rule spec.rules[{i}].when[{attr!r}] names no levels")
@@ -251,6 +254,47 @@ def sample_population(spec: PopulationSpec) -> RawCohort:
         rows = np.asarray(g.means) + (z @ lower.T) * np.asarray(g.sds)
         groups[token] = rows
     return RawCohort(dimensions=spec.dimensions, groups=groups)
+
+
+# A correct cohort fails the whole family of target checks at this rate, the
+# rate at which it fails one 3-SE check.
+TARGET_CHECK_ERROR_RATE = 0.0027
+
+
+def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray):
+    """The cohort's means against its generation targets: ``(z, checks)``,
+    one check ``(group, dimension, sample mean, target mean, tolerance, ok)``
+    per group and dimension of non-zero sd, in spec order; ok when the means
+    differ by at most the tolerance.  Each tolerance is z standard errors at
+    the group's n, with z the Bonferroni bound that holds the family of m
+    checks to ``TARGET_CHECK_ERROR_RATE`` (3.00 at m = 1, 4.03 at m = 48).
+    The raw table's rows are in ``sample_population``'s order, the groups
+    stacked in spec order; its columns are read by name."""
+    col = {d: j for j, d in enumerate(raw_dims)}
+    missing = [d for d in spec.dimensions if d not in col]
+    if missing:
+        raise ValidationError(
+            f"cohort.raw.csv lacks the population_spec dimensions {', '.join(missing)}"
+        )
+    spec_rows = sum(g.n for g in spec.groups.values())
+    if spec_rows != raw_matrix.shape[0]:
+        raise ValidationError(
+            f"cohort.meta.json population_spec has {spec_rows} rows in its groups, "
+            f"cohort.raw.csv has {raw_matrix.shape[0]}"
+        )
+    checks, offset = [], 0
+    for token, g in spec.groups.items():
+        rows = raw_matrix[offset : offset + g.n]
+        offset += g.n
+        for j, dim in enumerate(spec.dimensions):
+            if g.sds[j] != 0:
+                sample = float(rows[:, col[dim]].mean())
+                checks.append((token, dim, sample, g.means[j], g.sds[j] / g.n**0.5))
+    z = statistics.NormalDist().inv_cdf(1 - TARGET_CHECK_ERROR_RATE / (2 * max(len(checks), 1)))
+    return z, [
+        (token, dim, sample, mean, z * se, abs(sample - mean) <= z * se)
+        for token, dim, sample, mean, se in checks
+    ]
 
 
 def tertile_cuts(values: np.ndarray) -> tuple[float, float]:
@@ -449,15 +493,11 @@ def build_metadata(
     disc: DiscretizationSpec,
     planted: PlantedRuleSpec | None = None,
 ) -> dict:
-    """Sidecar metadata: seed, generator id, spec hash, group sizes, schema."""
+    """Sidecar metadata: generator id, population spec, schema, cuts, planted truth."""
     return {
-        "seed": spec.seed,
         "generator": GENERATOR_ID,
-        "spec_hash": spec_hash(spec),
-        "group_order": list(spec.groups),
-        "n_per_group": {token: g.n for token, g in spec.groups.items()},
+        "population_spec": spec.to_dict(),
         "schema": schema_document(schema),
-        "schema_hash": schema_hash(schema),
         "discretization": disc.to_dict(),
         "planted": planted.to_dict() if planted is not None else None,
     }

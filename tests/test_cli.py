@@ -63,7 +63,13 @@ def test_generate_row_count(tmp_path):
     assert (tmp_path / "cohort.meta.json").exists()
     meta = json.loads((tmp_path / "cohort.meta.json").read_text())
     assert meta["generator"] == "numpy-pcg64"
-    assert meta["n_per_group"] == {"Ma": 49, "Fe": 48}
+    # the spec is recorded once: its seed, group order and sizes live only in population_spec
+    assert set(meta) == {
+        "config_hash", "master_seed", "generator", "population_spec", "schema", "discretization", "planted",
+    }
+    spec = meta["population_spec"]
+    assert spec["group_order"] == ["Ma", "Fe"]
+    assert {token: g["n"] for token, g in spec["groups"].items()} == {"Ma": 49, "Fe": 48}
 
 
 def test_generate_deterministic(tmp_path):
@@ -482,14 +488,14 @@ def test_target_checks_pass_correct_cohorts():
     # of the 48 checks at 3 SE, 20 of the seeds failed; the family-wise
     # tolerance fails a correct cohort about 1 time in 400
     from edm_rulex import studydata
-    from edm_rulex.synthgen import PopulationSpec, sample_population
+    from edm_rulex.synthgen import PopulationSpec, sample_population, target_checks
 
     base = studydata.default_population_spec()
     failed = 0
     for seed in range(200):
         spec = PopulationSpec(base.dimensions, base.groups, util.derive_seed(seed, "generate"))
         cohort = sample_population(spec)
-        z, checks = cli.target_checks(spec, cohort.dimensions, cohort.matrix)
+        z, checks = target_checks(spec, cohort.dimensions, cohort.matrix)
         failed += not all(ok for *_, ok in checks)
     assert len(checks) == 48 and z == pytest.approx(4.03, abs=0.005)
     assert failed <= 4  # 2 %
@@ -762,6 +768,18 @@ def test_generate_rejects_a_planted_term_with_no_levels(tmp_path, capsys):
     assert run("generate", "--out", out, "--seed", "5", "--n", "60", "--planted", planted) == 2
     err = capsys.readouterr().err
     assert "rules[0].when['Unit 1'] names no levels" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_rejects_a_planted_catch_all_before_the_last_rule(tmp_path, capsys):
+    # the first catch-all matched every record, so all 60 were labelled G
+    planted = tmp_path / "planted.json"
+    rules = [{"when": {}, "then": "G"}, {"when": {"Unit 1": ["F"]}, "then": "F"}, {"when": {}, "then": "P"}]
+    planted.write_text(json.dumps({"rules": rules}))
+    out = tmp_path / "out"
+    assert run("generate", "--out", out, "--seed", "1", "--n", "60", "--planted", planted) == 2
+    err = capsys.readouterr().err
+    assert "rules[0] is a catch-all" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -1056,6 +1074,11 @@ _MOTIVATION = ("sections", "blocks", "motivation")
          "stats.json.sections.skipped_blocks must be a JSON object, got 'x'"),
         ("stats.json", ("sections", "skipped_blocks"), {"motivation": "Challenge"},
          "skipped_blocks['motivation'] must be a list, got 'Challenge'"),
+        # without population_spec, report checked no generation target and exited 0
+        ("cohort.meta.json", ("population_spec",), DELETE,
+         "cohort.meta.json lacks the field 'population_spec'"),
+        ("cohort.meta.json", ("population_spec",), None,
+         "cohort.meta.json.population_spec must be a JSON object, got None"),
     ],
 )
 def test_report_names_the_malformed_field(full_run, tmp_path, capsys, artifact, path, value, field):

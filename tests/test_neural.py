@@ -373,9 +373,6 @@ def test_sigmoid_matches_clipped_formula():
     u = np.concatenate([edges, rng.normal(scale=40, size=500), rng.normal(scale=800, size=500)])
     expected = 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
     assert sigmoid(u).tobytes() == expected.tobytes()
-    buf = u.copy()
-    assert sigmoid(buf, out=buf) is buf
-    assert buf.tobytes() == expected.tobytes()
     assert np.isnan(sigmoid(np.array([np.nan]))).all()
 
 

@@ -194,7 +194,9 @@ def test_plant_rules_catch_all_only():
 
 
 def test_planted_spec_requires_catch_all():
-    for rules in ([], [{"when": {"Unit 1": ["F"]}, "then": "F"}]):
+    # a catch-all before the last rule would hide every rule after it
+    early = [{"when": {}, "then": "G"}, {"when": {"Unit 1": ["F"]}, "then": "F"}, {"when": {}, "then": "P"}]
+    for rules in ([], [{"when": {"Unit 1": ["F"]}, "then": "F"}], early):
         with pytest.raises(ValidationError, match="catch-all"):
             PlantedRuleSpec.from_dict({"rules": rules, "noise": 0.0})
 
