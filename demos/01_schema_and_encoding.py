@@ -9,7 +9,7 @@ uses later.
 import numpy as np
 
 from edm_rulex import default_student_schema
-from edm_rulex.schema import DatasetIndex, DimensionCuts, StudentRecord, discretize_column
+from edm_rulex.schema import DatasetIndex, StudentRecord, discretize_column
 
 schema = default_student_schema()
 
@@ -25,10 +25,10 @@ print("  ...")
 print()
 
 print("== discretizing raw scores ==")
-grade_cuts = DimensionCuts((50.0, 65.0, 80.0), ("F", "P", "G", "V.G"))
+unit = schema.attribute("Unit 1")
 scores = np.array([43.0, 60.0, 72.0, 80.0, 95.0])
-for score, band in zip(scores, discretize_column(scores, grade_cuts, "Unit 1")):
-    print(f"  unit score {score:5.1f} -> {grade_cuts.tokens[band]}")
+for score, code in zip(scores, discretize_column(scores, (50.0, 65.0, 80.0), unit)):
+    print(f"  unit score {score:5.1f} -> {unit.levels[code]}")
 print("  (a boundary score such as 80 joins the upper band)")
 print()
 

@@ -24,7 +24,6 @@ from .schema import (
     Attribute,
     AttributeSchema,
     DatasetIndex,
-    DiscretizationSpec,
     EncodedVector,
     StudentRecord,
     encode_dataset,
@@ -42,7 +41,6 @@ __all__ = [
     "Attribute",
     "AttributeSchema",
     "DatasetIndex",
-    "DiscretizationSpec",
     "EncodedVector",
     "EvolutionResult",
     "GaConfig",

@@ -215,7 +215,7 @@ def cmd_generate(args) -> int:
         planted = PlantedRuleSpec.from_dict(read_json(opts["planted"], PLANTED_SPEC_SHAPE))
 
     cohort = sample_population(spec)
-    disc = default_discretization(cohort, schema, maxima, studydata.GRADE_FRACTIONS)
+    disc = default_discretization(cohort, schema, maxima)
     if planted is not None:
         seed = derive_seed(opts["seed"], "generate-labels")
         index = plant_rules(cohort, planted, disc, schema, seed)
@@ -431,7 +431,7 @@ def cmd_stats(args) -> int:
     if skipped:
         sections["skipped_blocks"] = skipped
 
-    control_dims = [d for d in studydata.MEASURE_BLOCKS["interaction"] if d in col]
+    control_dims = studydata.MEASURE_BLOCKS["interaction"] if "interaction" in blocks else ()
     partials: dict = {"control": "+".join(control_dims) or "none", "groups": {}}
     if control_dims:
         for token in tokens:
@@ -439,10 +439,8 @@ def cmd_stats(args) -> int:
             control = rows[:, [col[d] for d in control_dims]].sum(axis=1)
             y = rows[:, col[target_dim]]
             entry = {}
-            for block_name in ("learning_skills", "motivation"):
-                dims = [d for d in studydata.MEASURE_BLOCKS[block_name] if d in col]
-                if not dims:
-                    continue
+            for block_name in [b for b in blocks if b != "interaction"]:
+                dims = studydata.MEASURE_BLOCKS[block_name]
                 for d in dims:
                     entry[d] = partial_r(rows[:, col[d]], y, control)
                 entry[f"Total ({block_name})"] = partial_r(
@@ -597,7 +595,10 @@ def cmd_report(args) -> int:
     lines.append("")
 
     raw_dims, raw_matrix = _read_csv(parse_raw_csv, run_dir / "cohort.raw.csv")
-    z, checks = target_checks(spec, raw_dims, raw_matrix)
+    try:
+        z, checks = target_checks(spec, raw_dims, raw_matrix)
+    except ValidationError as e:
+        raise ValidationError(f"cohort.meta.json population_spec does not fit cohort.raw.csv: {e}") from None
     lines.append(
         f"Cohort means vs generation targets ({z:.2f} SE tolerance at cohort n, {len(checks)} checks)"
     )

@@ -209,8 +209,10 @@ def extract_ruleset(
     Per class: evolve a chromosome maximizing that class's output, decode,
     refine against the class's working set, accept if confidence clears the
     threshold, then drop the records the accepted rule explains (antecedent
-    and consequent both match) and repeat.  A class's loop also ends on a
-    duplicate or zero-progress rule, since the fitness surface is fixed.
+    and consequent both match) and repeat.  A refined rule always explains
+    a remaining record: refinement never stops at confidence 0, and with
+    every term dropped the confidence is the class's share of the working
+    set.  So each accepted rule shrinks the working set and none repeats.
 
     The GA seed for class k, round r derives from the config seed as
     derive_seed(seed, "class-k", r), and a run depends only on the network,
@@ -275,18 +277,14 @@ def extract_ruleset(
                 "working_support": refined.support,
             }
             explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
-            if refined.confidence < confidence_threshold:
-                stop = "rejected: confidence below threshold"
-            elif any(r.terms == refined.terms for r in rules[k]):
-                stop = "stopped: duplicate rule"
-            elif not explained.any():
-                stop = "stopped: rule explains no remaining records"
-            else:
-                stop = None
-            entry["accepted"] = stop is None
-            entry["outcome"] = stop or f"accepted, removed {int(explained.sum())} records"
+            entry["accepted"] = refined.confidence >= confidence_threshold
+            entry["outcome"] = (
+                f"accepted, removed {int(explained.sum())} records"
+                if entry["accepted"]
+                else "rejected: confidence below threshold"
+            )
             audit[k].append(entry)
-            if stop:
+            if not entry["accepted"]:
                 continue
             rules[k].append(evaluate_rule(refined, index))
             working[k] = working[k].subset(~explained)

@@ -21,9 +21,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -170,40 +170,6 @@ class EncodedVector:
     target_index: int
 
 
-@dataclass(frozen=True)
-class DimensionCuts:
-    """Ascending cut points and the level tokens of the bands they bound.
-
-    ``len(tokens) == len(cuts) + 1``; band i is ``[cuts[i-1], cuts[i])``
-    (left-closed), scores below the first cut map to tokens[0] and scores at
-    or above the last cut map to tokens[-1].
-    """
-
-    cuts: tuple[float, ...]
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.cuts, self.cuts[1:])):
-            raise ValidationError(f"cut points must be strictly increasing, got {self.cuts}")
-        if len(self.tokens) != len(self.cuts) + 1:
-            raise ValidationError(
-                f"need {len(self.cuts) + 1} tokens for {len(self.cuts)} cuts, got {len(self.tokens)}"
-            )
-
-
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    """Per raw dimension: the cut points mapping scores to level tokens."""
-
-    dimensions: Mapping[str, DimensionCuts] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            name: {"cuts": list(dc.cuts), "tokens": list(dc.tokens)}
-            for name, dc in self.dimensions.items()
-        }
-
-
 SCHEMA_SHAPE = [{"name": str, "levels": [str], "role?": str}]
 
 
@@ -226,10 +192,18 @@ def schema_hash(schema: AttributeSchema) -> str:
     return config_hash(schema_document(schema))
 
 
-def discretize_column(scores: np.ndarray, cuts: DimensionCuts, name: str) -> np.ndarray:
-    """Band index of every score of raw dimension ``name``: ``intp[N]`` into
-    ``cuts.tokens``, a score at a cut point joining the upper band.  A
-    non-finite score is a ValidationError naming the dimension and row."""
+def discretize_column(scores: np.ndarray, cuts: Sequence[float], attribute: Attribute) -> np.ndarray:
+    """Level code of every score of the attribute's raw dimension: ``intp[N]``,
+    band i of the ascending ``cuts`` being level i and a score at a cut point
+    joining the upper band.  Cuts that do not strictly increase or do not
+    number one fewer than the levels, or a non-finite score, are a
+    ValidationError naming the dimension."""
+    name = attribute.name
+    if len(cuts) != len(attribute.levels) - 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValidationError(
+            f"dimension {name!r}: need {len(attribute.levels) - 1} strictly increasing cut points "
+            f"for its levels {list(attribute.levels)}, got {list(cuts)}"
+        )
     scores = np.asarray(scores, dtype=float)
     finite = np.isfinite(scores)
     if not finite.all():
@@ -238,7 +212,7 @@ def discretize_column(scores: np.ndarray, cuts: DimensionCuts, name: str) -> np.
             f"dimension {name!r}, row {row + 1}: "
             f"cannot discretize non-finite score {float(scores[row])!r}"
         )
-    return np.searchsorted(np.asarray(cuts.cuts), scores, side="right")
+    return np.searchsorted(np.asarray(cuts, dtype=float), scores, side="right")
 
 
 def encode_record(record: StudentRecord, schema: AttributeSchema) -> EncodedVector:

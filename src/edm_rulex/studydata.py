@@ -127,7 +127,6 @@ INTERACTION_REASONING_CORRELATION = 0.20
 
 # Maximum attainable scores for graded dimensions (drives the 50/65/80% bands).
 SCORE_MAXIMA = {**{u: 100.0 for u in UNITS}, REASONING: 20.0}
-GRADE_FRACTIONS = (0.50, 0.65, 0.80)
 
 # Factor loading of the reasoning score on the single latent factor used to
 # build a PD correlation matrix that plants every published correlation

@@ -35,8 +35,6 @@ from .schema import (
     CHUNK_ROWS,
     AttributeSchema,
     DatasetIndex,
-    DimensionCuts,
-    DiscretizationSpec,
     discretize_column,
     schema_document,
     write_index_csv,
@@ -46,6 +44,9 @@ from .util import check, check_indexable, config_hash, write_json
 log = logging.getLogger(__name__)
 
 GENERATOR_ID = "numpy-pcg64"
+
+# A graded (four-level) dimension's cut points, as fractions of its maximum score.
+GRADE_FRACTIONS = (0.50, 0.65, 0.80)
 
 
 @dataclass(frozen=True)
@@ -273,14 +274,11 @@ def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray):
     col = {d: j for j, d in enumerate(raw_dims)}
     missing = [d for d in spec.dimensions if d not in col]
     if missing:
-        raise ValidationError(
-            f"cohort.raw.csv lacks the population_spec dimensions {', '.join(missing)}"
-        )
+        raise ValidationError(f"the raw table lacks the spec's dimensions {', '.join(missing)}")
     spec_rows = sum(g.n for g in spec.groups.values())
     if spec_rows != raw_matrix.shape[0]:
         raise ValidationError(
-            f"cohort.meta.json population_spec has {spec_rows} rows in its groups, "
-            f"cohort.raw.csv has {raw_matrix.shape[0]}"
+            f"the spec has {spec_rows} rows in its groups, the raw table has {raw_matrix.shape[0]}"
         )
     checks, offset = [], 0
     for token, g in spec.groups.items():
@@ -304,38 +302,31 @@ def tertile_cuts(values: np.ndarray) -> tuple[float, float]:
 
 
 def default_discretization(
-    cohort: RawCohort,
-    schema: AttributeSchema,
-    score_maxima: Mapping[str, float],
-    grade_fractions: Sequence[float] = (0.50, 0.65, 0.80),
-) -> DiscretizationSpec:
-    """Cut points for every raw dimension that names a schema attribute.
+    cohort: RawCohort, schema: AttributeSchema, score_maxima: Mapping[str, float]
+) -> dict[str, tuple[float, ...]]:
+    """Ascending cut points for every raw dimension that names a schema
+    attribute; band i is level i of that attribute.
 
-    Three-level attributes get pooled-sample tertiles; graded attributes
-    (four levels) get fixed fractions of the dimension's maximum score.
+    Three-level attributes get pooled-sample tertiles; other attributes get
+    ``GRADE_FRACTIONS`` of the dimension's maximum score.
     """
     pooled = cohort.matrix
-    dims: dict[str, DimensionCuts] = {}
+    cuts: dict[str, tuple[float, ...]] = {}
     by_name = {a.name: a for a in schema.attributes}
     for j, dim in enumerate(cohort.dimensions):
         attr = by_name.get(dim)
         if attr is None:
             continue
         if len(attr.levels) == 3:
-            dims[dim] = DimensionCuts(cuts=tertile_cuts(pooled[:, j]), tokens=attr.levels)
+            cuts[dim] = tertile_cuts(pooled[:, j])
         elif dim in score_maxima:
-            cuts = tuple(f * score_maxima[dim] for f in grade_fractions)
-            if len(cuts) + 1 != len(attr.levels):
-                raise ValidationError(
-                    f"dimension {dim!r}: {len(cuts)} grade cuts do not fit {len(attr.levels)} levels"
-                )
-            dims[dim] = DimensionCuts(cuts=cuts, tokens=attr.levels)
+            cuts[dim] = tuple(f * score_maxima[dim] for f in GRADE_FRACTIONS)
         else:
             raise ValidationError(
                 f"dimension {dim!r} has {len(attr.levels)} levels and no score maximum; "
                 "cannot build default cuts"
             )
-    return DiscretizationSpec(dims)
+    return cuts
 
 
 def _group_attribute(cohort: RawCohort, schema: AttributeSchema):
@@ -351,13 +342,13 @@ def _group_attribute(cohort: RawCohort, schema: AttributeSchema):
 
 
 def _cohort_codes(
-    cohort: RawCohort, disc: DiscretizationSpec, schema: AttributeSchema, labelled: bool
+    cohort: RawCohort, disc: Mapping[str, Sequence[float]], schema: AttributeSchema, labelled: bool
 ) -> np.ndarray:
     """Level codes of the cohort's records, one column per schema attribute:
-    the group token, or the bands of the attribute's raw dimension.  With
+    the group token, or the codes of the attribute's raw dimension.  With
     ``labelled`` the caller supplies the target and its column stays 0."""
     group_attr = _group_attribute(cohort, schema)
-    scored = {d for d in cohort.dimensions if d in disc.dimensions} | {group_attr.name}
+    scored = {d for d in cohort.dimensions if d in disc} | {group_attr.name}
     if labelled:
         scored.add(schema.target.name)
     missing = [a.name for a in schema.attributes if a.name not in scored]
@@ -370,15 +361,13 @@ def _cohort_codes(
             group_codes = [attr.level_index(token) for token in cohort.groups]
             codes[:, j] = np.repeat(group_codes, [len(rows) for rows in cohort.groups.values()])
         elif not (labelled and attr is schema.target):
-            cuts = disc.dimensions[attr.name]
             scores = matrix[:, cohort.dimensions.index(attr.name)]
-            bands = discretize_column(scores, cuts, attr.name)
-            codes[:, j] = np.array([attr.level_index(t) for t in cuts.tokens])[bands]
+            codes[:, j] = discretize_column(scores, disc[attr.name], attr)
     return codes
 
 
 def discretize_cohort(
-    cohort: RawCohort, disc: DiscretizationSpec, schema: AttributeSchema
+    cohort: RawCohort, disc: Mapping[str, Sequence[float]], schema: AttributeSchema
 ) -> DatasetIndex:
     """Encode the cohort; each target level comes from the target's raw score."""
     return DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=False))
@@ -387,7 +376,7 @@ def discretize_cohort(
 def plant_rules(
     cohort: RawCohort,
     planted: PlantedRuleSpec,
-    disc: DiscretizationSpec,
+    disc: Mapping[str, Sequence[float]],
     schema: AttributeSchema,
     seed: int,
 ) -> DatasetIndex:
@@ -490,7 +479,7 @@ def write_cohort(
 def build_metadata(
     spec: PopulationSpec,
     schema: AttributeSchema,
-    disc: DiscretizationSpec,
+    disc: Mapping[str, Sequence[float]],
     planted: PlantedRuleSpec | None = None,
 ) -> dict:
     """Sidecar metadata: generator id, population spec, schema, cuts, planted truth."""
@@ -498,6 +487,6 @@ def build_metadata(
         "generator": GENERATOR_ID,
         "population_spec": spec.to_dict(),
         "schema": schema_document(schema),
-        "discretization": disc.to_dict(),
+        "discretization": {dim: list(cuts) for dim, cuts in disc.items()},
         "planted": planted.to_dict() if planted is not None else None,
     }

@@ -70,6 +70,11 @@ def test_generate_row_count(tmp_path):
     spec = meta["population_spec"]
     assert spec["group_order"] == ["Ma", "Fe"]
     assert {token: g["n"] for token, g in spec["groups"].items()} == {"Ma": 49, "Fe": 48}
+    # a discretization is each raw dimension's cut points; the schema names the levels
+    levels = {a["name"]: a["levels"] for a in meta["schema"]}
+    assert set(meta["discretization"]) == set(spec["dimensions"])
+    for dim, cuts in meta["discretization"].items():
+        assert len(cuts) == len(levels[dim]) - 1 and all(isinstance(c, float) for c in cuts)
 
 
 def test_generate_deterministic(tmp_path):
@@ -78,6 +83,22 @@ def test_generate_deterministic(tmp_path):
         assert run("generate", "--spec", "study-default", "--n", "97", "--seed", "7", "--out", out) == 0
     for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_generate_names_the_dimension_whose_cuts_coincide(tmp_path, capsys):
+    # with sd 0 both tertiles of Challenge are 20, so its three levels get no cut between them
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec().to_dict()
+    j = spec["dimensions"].index("Challenge")
+    for group in spec["groups"].values():
+        group["means"][j], group["sds"][j] = 20.0, 0.0
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("generate", "--spec", tmp_path / "spec.json", "--n", "60", "--seed", "1", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "dimension 'Challenge'" in err and "[20.0, 20.0]" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_rejects_empty_cohort(tmp_path, capsys):
@@ -374,16 +395,15 @@ def test_stats_default_schema_skips_nothing(full_run, capsys):
     assert set(sections["blocks"]) == {"learning_skills", "motivation", "interaction"}
 
 
-def test_stats_names_skipped_blocks(tmp_path, capsys):
+def _generate_with_scales(out, kept):
+    """Generate a seed-3 cohort whose schema and raw table hold only the ``kept`` scales."""
     from edm_rulex import studydata
 
-    # a custom schema with every learning-skill scale but only two
-    # motivation scales and no interaction scale
-    kept = studydata.LEARNING_SKILLS + ("Challenge", "Ambition")
     schema = [{"name": "Gender", "levels": ["Ma", "Fe"], "role": "predictive"}]
     schema += [{"name": d, "levels": ["L", "M", "H"], "role": "predictive"} for d in kept]
     schema += [{"name": "Reasoning", "levels": ["F", "P", "G", "V.G"], "role": "target"}]
-    (tmp_path / "schema.json").write_text(json.dumps(schema))
+    out.mkdir()
+    (out / "schema.json").write_text(json.dumps(schema))
     full = studydata.default_population_spec(seed=3).to_dict()
     cols = [full["dimensions"].index(d) for d in kept + ("Reasoning",)]
     spec = dict(full, dimensions=[full["dimensions"][j] for j in cols])
@@ -396,26 +416,47 @@ def test_stats_names_skipped_blocks(tmp_path, capsys):
         }
         for token, g in full["groups"].items()
     }
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (out / "spec.json").write_text(json.dumps(spec))
     assert run(
-        "generate", "--spec", tmp_path / "spec.json", "--schema", tmp_path / "schema.json",
-        "--seed", "3", "--out", tmp_path,
+        "generate", "--spec", out / "spec.json", "--schema", out / "schema.json",
+        "--seed", "3", "--out", out,
     ) == 0
+
+
+def test_stats_names_skipped_blocks(tmp_path, capsys):
+    from edm_rulex import studydata
+
+    # a custom schema with every learning-skill scale but only two
+    # motivation scales and no interaction scale
+    kept = studydata.LEARNING_SKILLS + ("Challenge", "Ambition")
+    _generate_with_scales(tmp_path / "run", kept)
     capsys.readouterr()
-    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 0
+    assert run("stats", "--data", tmp_path / "run" / "cohort.csv", "--out", tmp_path / "run") == 0
     err = capsys.readouterr().err
     missing_motivation = [d for d in studydata.MOTIVATION if d not in kept]
     warnings = [line for line in err.splitlines() if line.startswith("warning:")]
     assert len(warnings) == 2
     assert "'motivation'" in warnings[0] and all(d in warnings[0] for d in missing_motivation)
     assert "'interaction'" in warnings[1] and all(d in warnings[1] for d in studydata.INTERACTION)
-    stats = json.loads((tmp_path / "stats.json").read_text())
+    stats = json.loads((tmp_path / "run" / "stats.json").read_text())
     assert list(stats["sections"]["blocks"]) == ["learning_skills"]
     assert stats["sections"]["skipped_blocks"] == {
         "motivation": missing_motivation,
         "interaction": list(studydata.INTERACTION),
     }
     _assert_stats_values(stats)
+
+    # with every interaction scale the partial correlations are taken, but
+    # only over the blocks reported: the skipped motivation block has none
+    _generate_with_scales(tmp_path / "control", kept + studydata.INTERACTION)
+    assert run("stats", "--data", tmp_path / "control" / "cohort.csv", "--out", tmp_path / "control") == 0
+    sections = json.loads((tmp_path / "control" / "stats.json").read_text())["sections"]
+    assert set(sections["blocks"]) == {"learning_skills", "interaction"}
+    assert set(sections["skipped_blocks"]) == {"motivation"}
+    partials = sections["partial_correlations"]
+    assert partials["control"] == "+".join(studydata.INTERACTION)
+    for entry in partials["groups"].values():
+        assert set(entry) == {*studydata.LEARNING_SKILLS, "Total (learning_skills)"}
 
 
 def test_stats_insufficient_data(tmp_path, capsys):

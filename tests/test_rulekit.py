@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from helpers import random_records, reference_refine, twelve_bit_schema
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edm_rulex import studydata
@@ -223,6 +223,26 @@ def test_refine_matches_reference(data, chromosome, class_index, epsilon):
     want = reference_refine(rule, records, schema, epsilon)
     fields = ("terms", "support", "confidence", "coverage", "vacuous")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=twelve_bit_records(),
+    chromosome=CHROMOSOME,
+    class_index=st.integers(0, 1),
+    epsilon=st.floats(0.0, 2.0),
+)
+def test_refine_explains_a_record_of_its_class(data, chromosome, class_index, epsilon):
+    # covering relies on this: refinement never stops at confidence 0, and the
+    # empty rule's confidence is the class's share, so every refined rule
+    # explains some record of its class
+    schema, records = data
+    index = DatasetIndex(schema, records)
+    assume((index.target == class_index).any())
+    rule = decode_chromosome(np.array(chromosome, dtype=np.uint8), schema, class_index)
+    refined = refine_rule(rule, index, epsilon=epsilon)
+    assert refined.confidence > 0
+    assert (index.antecedent_mask(refined) & index.consequent_mask(refined)).any()
 
 
 def test_refine_tie_drops_earliest_term(toy_schema):

@@ -13,8 +13,6 @@ from edm_rulex.schema import (
     ROLE_TARGET,
     Attribute,
     AttributeSchema,
-    DimensionCuts,
-    DiscretizationSpec,
     StudentRecord,
     DatasetIndex,
     discretize_column,
@@ -74,14 +72,30 @@ def test_bad_schema_documents(attrs):
         load_schema(attrs)
 
 
+GRADE = Attribute("Unit 1", ("F", "P", "G", "V.G"))
+
+
 def test_discretize_grade_bands():
-    cuts = DimensionCuts((50.0, 65.0, 80.0), ("F", "P", "G", "V.G"))
+    cuts = (50.0, 65.0, 80.0)
     below, above = np.nextafter(80.0, -np.inf), np.nextafter(80.0, np.inf)
-    bands = discretize_column(np.array([72, 80, 49.999, 50, below, above]), cuts, "Unit 1")
+    codes = discretize_column(np.array([72, 80, 49.999, 50, below, above]), cuts, GRADE)
     # a boundary score joins the upper band; its neighbours stay on their sides
-    assert [cuts.tokens[b] for b in bands] == ["G", "V.G", "F", "P", "G", "V.G"]
+    assert [GRADE.levels[c] for c in codes] == ["G", "V.G", "F", "P", "G", "V.G"]
     with pytest.raises(ValidationError, match=r"'Unit 1', row 1: .*nan"):
-        discretize_column(np.array([float("nan")]), cuts, "Unit 1")
+        discretize_column(np.array([float("nan")]), cuts, GRADE)
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [(50.0, 50.0, 80.0), (50.0, 80.0, 65.0), (50.0, 65.0), (50.0, 65.0, 80.0, 90.0), ()],
+)
+def test_discretize_column_rejects_cuts_that_do_not_fit_the_levels(cuts):
+    message = (
+        "dimension 'Unit 1': need 3 strictly increasing cut points for its levels "
+        f"['F', 'P', 'G', 'V.G'], got {list(cuts)}"
+    )
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        discretize_column(np.array([60.0]), cuts, GRADE)
 
 
 def test_discretize_missing_entry():
@@ -94,17 +108,14 @@ def test_discretize_missing_entry():
             Attribute("T", ("lo", "hi"), ROLE_TARGET),
         )
     )
-    cuts = DimensionCuts((0.5,), ("lo", "hi"))
-    spec = DiscretizationSpec({"x": cuts, "T": cuts})
     cohort = RawCohort(("x", "y", "T"), {"g": np.array([[0.1, 0.2, 0.7]])})
     with pytest.raises(ValidationError, match="y"):
-        discretize_cohort(cohort, spec, schema)
+        discretize_cohort(cohort, {"x": (0.5,), "T": (0.5,)}, schema)
 
 
 def test_discretize_column_names_dimension_of_non_finite_score():
-    cuts = DimensionCuts((0.5,), ("lo", "hi"))
     with pytest.raises(ValidationError, match=r"'Unit 3', row 2: .*inf"):
-        discretize_column(np.array([0.1, np.inf, np.nan]), cuts, "Unit 3")
+        discretize_column(np.array([0.1, np.inf, np.nan]), (0.5,), Attribute("Unit 3", ("lo", "hi")))
 
 
 def test_empirical_tertiles_uniform():
@@ -114,16 +125,17 @@ def test_empirical_tertiles_uniform():
     cuts = tuple(np.quantile(sample, [1 / 3, 2 / 3]))
     assert math.isclose(cuts[0], 1 / 3, abs_tol=0.01)
     assert math.isclose(cuts[1], 2 / 3, abs_tol=0.01)
-    dc = DimensionCuts(cuts, ("L", "M", "H"))
-    assert dc.tokens[discretize_column(np.array([0.5]), dc, "u")[0]] == "M"
+    attr = Attribute("u", ("L", "M", "H"))
+    assert attr.levels[discretize_column(np.array([0.5]), cuts, attr)[0]] == "M"
 
 
 def test_discretization_monotone():
     rng = np.random.default_rng(1)
+    attr = Attribute("x", ("a", "b", "c", "d"))
     for _ in range(50):
-        cuts = DimensionCuts(tuple(np.sort(rng.normal(size=3))), ("a", "b", "c", "d"))
+        cuts = tuple(np.sort(rng.normal(size=3)))
         scores = np.sort(rng.normal(size=20) * 2)
-        idx = discretize_column(scores, cuts, "x").tolist()
+        idx = discretize_column(scores, cuts, attr).tolist()
         assert idx == sorted(idx)
 
 

@@ -21,6 +21,7 @@ from edm_rulex.synthgen import (
     parse_raw_csv,
     plant_rules,
     sample_population,
+    target_checks,
     tertile_cuts,
     write_raw_csv,
 )
@@ -316,3 +317,18 @@ def test_raw_csv_round_trips_doubles_exactly():
 def test_parse_raw_csv_names_bad_row_and_column(body, message):
     with pytest.raises(ValidationError, match=message):
         parse_raw_csv(io.StringIO("a,b\n" + body))
+
+
+@pytest.mark.parametrize(
+    "dims, rows, message",
+    [
+        (("x",), 4, "the raw table lacks the spec's dimensions y"),
+        (("x", "y"), 3, "the spec has 4 rows in its groups, the raw table has 3"),
+    ],
+)
+def test_target_checks_name_the_spec_and_table_not_files(dims, rows, message):
+    spec = _spec(["x", "y"], 4, [0.0, 0.0], [1.0, 1.0], np.eye(2))
+    with pytest.raises(ValidationError) as raised:
+        target_checks(spec, dims, np.zeros((rows, len(dims))))
+    assert str(raised.value) == message
+    assert ".csv" not in message and ".json" not in message
