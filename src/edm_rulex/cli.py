@@ -141,7 +141,7 @@ def _options(args, stage: str) -> dict:
     if options["schema"]:
         options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
         return options
-    sidecar = options.get("data") and options["data"].with_suffix("").with_suffix(".meta.json")
+    sidecar = options.get("data") and options["data"].with_suffix(".meta.json")
     meta = read_json(sidecar, {"schema?": SCHEMA_SHAPE}) if sidecar and sidecar.exists() else {}
     options["schema"] = (
         load_schema(meta["schema"]) if "schema" in meta else studydata.default_student_schema()
@@ -355,7 +355,7 @@ def cmd_stats(args) -> int:
             "the group statistics compare exactly 2"
         )
     index = _read_cohort(opts)
-    raw_path = opts["data"].with_suffix("").with_suffix(".raw.csv")
+    raw_path = opts["data"].with_suffix(".raw.csv")
     if not raw_path.exists():
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
@@ -653,10 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("EDM_RULEX_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("EDM_RULEX_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):  # a level's name gives its number
+            raise ValidationError(f"EDM_RULEX_LOG={level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

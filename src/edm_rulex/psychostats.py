@@ -26,6 +26,8 @@ from .errors import NumericError, ValidationError
 _EPS = 1e-16
 _FPMIN = 1e-300
 _MAX_ITER = 500
+_VARIMAX_TOL = 1e-10
+_VARIMAX_MAX_SWEEPS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -43,25 +45,18 @@ def _beta_cont_frac(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise NumericError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
@@ -216,13 +211,7 @@ def partial_r(x: Sequence[float], y: Sequence[float], z: Sequence[float]) -> flo
 
 
 # ---------------------------------------------------------------------------
-# reliability
-
-
-@dataclass(frozen=True)
-class ReliabilityResult:
-    alpha: float
-    test_retest_r: float | None = None
+# Cronbach's alpha
 
 
 def cronbach_alpha(items: np.ndarray) -> float:
@@ -247,17 +236,26 @@ def cronbach_alpha(items: np.ndarray) -> float:
     return k / (k - 1.0) * (1.0 - item_var / total_var)
 
 
-def scale_reliability(items: np.ndarray, retest_totals: np.ndarray | None = None) -> ReliabilityResult:
-    """Alpha plus, when a re-application is available, the test-retest r."""
-    alpha = cronbach_alpha(items)
-    if retest_totals is None:
-        return ReliabilityResult(alpha=alpha)
-    totals = np.asarray(items, dtype=float).sum(axis=1)
-    return ReliabilityResult(alpha=alpha, test_retest_r=pearson_r(totals, retest_totals))
-
-
 # ---------------------------------------------------------------------------
 # variance analysis
+
+
+def _checked_groups(groups: Sequence[Sequence[float]], test: str) -> list[np.ndarray]:
+    arrs = [np.asarray(g, dtype=float) for g in groups]
+    if len(arrs) < 2:
+        raise ValidationError(f"{test} needs at least 2 groups")
+    if any(a.size < 2 for a in arrs):
+        raise ValidationError(f"{test}: every group needs at least 2 values")
+    return arrs
+
+
+def _ss_split(arrs: list[np.ndarray]) -> tuple[float, float, tuple[int, int]]:
+    # Between-group sum n_i (mean_i - grand)^2, within-group sum sum (x_ij - mean_i)^2, their df.
+    grand = np.concatenate(arrs).mean()
+    means = [a.mean() for a in arrs]
+    between = float(sum(a.size * (m - grand) ** 2 for a, m in zip(arrs, means)))
+    within = float(sum(((a - m) ** 2).sum() for a, m in zip(arrs, means)))
+    return between, within, (len(arrs) - 1, sum(a.size for a in arrs) - len(arrs))
 
 
 class LeveneResult(NamedTuple):
@@ -273,25 +271,14 @@ def levene_w(groups: Sequence[Sequence[float]]) -> LeveneResult:
     W = ((N-k)/(k-1)) * sum n_i (zbar_i - zbar)^2 / sum sum (z_ij - zbar_i)^2.
     When every deviation is identical W = 0 with p = 1 by convention.
     """
-    arrs = [np.asarray(g, dtype=float) for g in groups]
-    if len(arrs) < 2:
-        raise ValidationError("Levene test needs at least 2 groups")
-    if any(a.size < 2 for a in arrs):
-        raise ValidationError("every group needs at least 2 values")
-    z = [np.abs(a - a.mean()) for a in arrs]
-    zbars = [zi.mean() for zi in z]
-    grand = float(np.concatenate(z).mean())
-    n_total = sum(a.size for a in arrs)
-    k = len(arrs)
-    num = sum(zi.size * (zb - grand) ** 2 for zi, zb in zip(z, zbars))
-    den = sum(float(((zi - zb) ** 2).sum()) for zi, zb in zip(z, zbars))
-    df = (k - 1, n_total - k)
+    arrs = _checked_groups(groups, "Levene test")
+    num, den, df = _ss_split([np.abs(a - a.mean()) for a in arrs])
     if den == 0:
         if num == 0:
             return LeveneResult(w=0.0, df=df, p=1.0)
         return LeveneResult(w=math.inf, df=df, p=0.0)
-    w = (n_total - k) / (k - 1) * num / den
-    return LeveneResult(w=float(w), df=df, p=p_value_f(float(w), *df))
+    w = df[1] / df[0] * num / den
+    return LeveneResult(w=w, df=df, p=p_value_f(w, *df))
 
 
 @dataclass(frozen=True)
@@ -328,20 +315,9 @@ def anova_row_from_summary(ss_h: float, ss_e: float, df_h: int, df_e: int) -> An
 
 def anova_oneway(groups: Sequence[Sequence[float]]) -> AnovaRow:
     """One-way fixed-effects ANOVA on >= 2 groups of >= 2 values each."""
-    arrs = [np.asarray(g, dtype=float) for g in groups]
-    if len(arrs) < 2:
-        raise ValidationError("ANOVA needs at least 2 groups")
-    if any(a.size < 2 for a in arrs):
-        raise ValidationError("every group needs at least 2 values")
-    pooled = np.concatenate(arrs)
-    grand = pooled.mean()
-    ss_h = float(sum(a.size * (a.mean() - grand) ** 2 for a in arrs))
-    ss_e = float(sum(((a - a.mean()) ** 2).sum() for a in arrs))
-    df_h = len(arrs) - 1
-    df_e = pooled.size - len(arrs)
-    if ss_e == 0:
-        raise NumericError("zero error sum of squares: F is undefined")
-    return anova_row_from_summary(ss_h, ss_e, df_h, df_e)
+    arrs = _checked_groups(groups, "ANOVA")
+    ss_h, ss_e, df = _ss_split(arrs)
+    return anova_row_from_summary(ss_h, ss_e, *df)
 
 
 @dataclass(frozen=True)
@@ -420,18 +396,14 @@ def _varimax_criterion(a: np.ndarray) -> float:
     return float(np.sum(p * (b * b).sum(axis=0) - b.sum(axis=0) ** 2) / p**2)
 
 
-def varimax_rotate(
-    loadings: np.ndarray,
-    normalize: bool = True,
-    tol: float = 1e-10,
-    max_sweeps: int = 1000,
-) -> np.ndarray:
+def varimax_rotate(loadings: np.ndarray) -> np.ndarray:
     """Varimax rotation by iterative pairwise planar rotations.
 
-    Maximizes the variance of squared loadings (Kaiser row normalization by
-    default), sweeping all factor pairs until the criterion gain drops below
-    tol.  Columns come back ordered by explained variance with the dominant
-    loading of each factor made positive, so the output is deterministic.
+    Maximizes the variance of squared loadings over Kaiser row-normalized
+    loadings, sweeping all factor pairs until the criterion gains less than
+    1e-10 (at most 1 000 sweeps).  Columns come back ordered by explained
+    variance with the dominant loading of each factor made positive, so the
+    output is deterministic.
     """
     a = np.array(loadings, dtype=float)
     if a.ndim != 2:
@@ -441,10 +413,9 @@ def varimax_rotate(
         return a
     h = np.sqrt((a * a).sum(axis=1))
     scale = np.where(h > 0, h, 1.0)
-    if normalize:
-        a = a / scale[:, None]
+    a = a / scale[:, None]
     crit = _varimax_criterion(a)
-    for _ in range(max_sweeps):
+    for _ in range(_VARIMAX_MAX_SWEEPS):
         for i in range(k - 1):
             for j in range(i + 1, k):
                 x, y = a[:, i], a[:, j]
@@ -459,11 +430,10 @@ def varimax_rotate(
                 c, s = math.cos(phi), math.sin(phi)
                 a[:, i], a[:, j] = c * x + s * y, -s * x + c * y
         new_crit = _varimax_criterion(a)
-        if new_crit - crit < tol:
+        if new_crit - crit < _VARIMAX_TOL:
             break
         crit = new_crit
-    if normalize:
-        a = a * scale[:, None]
+    a = a * scale[:, None]
     order = np.argsort(-(a * a).sum(axis=0), kind="stable")
     a = a[:, order]
     for j in range(k):

@@ -48,6 +48,8 @@ GENERATOR_ID = "numpy-pcg64"
 # A graded (four-level) dimension's cut points, as fractions of its maximum score.
 GRADE_FRACTIONS = (0.50, 0.65, 0.80)
 
+_EIGEN_FLOOR = 1e-6  # nearest_pd_correlation clips eigenvalues here
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -219,15 +221,15 @@ def cholesky_factor(matrix: np.ndarray) -> np.ndarray:
     return lower
 
 
-def nearest_pd_correlation(matrix: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+def nearest_pd_correlation(matrix: np.ndarray) -> np.ndarray:
     """Repair a symmetric matrix to a positive definite correlation matrix.
 
-    Eigenvalues are clipped at ``floor`` and the result rescaled back to a
-    unit diagonal.
+    Eigenvalues are clipped at 1e-6 and the result rescaled back to a unit
+    diagonal.
     """
     a = np.asarray(matrix, dtype=float)
     vals, vecs = np.linalg.eigh((a + a.T) / 2)
-    clipped = np.clip(vals, floor, None)
+    clipped = np.clip(vals, _EIGEN_FLOOR, None)
     repaired = (vecs * clipped) @ vecs.T
     d = np.sqrt(np.diag(repaired))
     repaired = repaired / np.outer(d, d)
@@ -464,9 +466,9 @@ def write_cohort(
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     paths = {
-        "csv": stem.with_suffix(".csv"),
-        "raw": stem.with_suffix(".raw.csv"),
-        "meta": stem.with_suffix(".meta.json"),
+        "csv": stem.with_name(stem.name + ".csv"),
+        "raw": stem.with_name(stem.name + ".raw.csv"),
+        "meta": stem.with_name(stem.name + ".meta.json"),
     }
     with open(paths["csv"], "w", encoding="utf-8") as out:
         write_index_csv(index, out)

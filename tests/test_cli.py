@@ -472,6 +472,32 @@ def test_stats_requires_raw_sidecar(full_run, tmp_path, capsys):
     assert "raw" in capsys.readouterr().err
 
 
+def test_stats_reads_the_sidecars_of_a_dotted_cohort_name(study_run, tmp_path):
+    # --data X.csv reads X.raw.csv and X.meta.json; cohort.v2.csv read the
+    # cohort.raw.csv of the other cohort in its directory
+    other, mixed = tmp_path / "other", tmp_path / "mixed"
+    assert run("generate", "--n", "97", "--seed", "8", "--out", other) == 0
+    mixed.mkdir()
+    for suffix in ("csv", "raw.csv", "meta.json"):
+        shutil.copy(study_run / f"cohort.{suffix}", mixed / f"cohort.{suffix}")
+        shutil.copy(other / f"cohort.{suffix}", mixed / f"cohort.v2.{suffix}")
+    assert run("stats", "--data", other / "cohort.csv", "--out", tmp_path / "own") == 0
+    assert run("stats", "--data", mixed / "cohort.v2.csv", "--out", tmp_path / "dotted") == 0
+    own, dotted = (json.loads((tmp_path / d / "stats.json").read_text()) for d in ("own", "dotted"))
+    assert dotted["sections"] == own["sections"]
+    assert dotted["inputs"]["raw"] == "cohort.v2.raw.csv"
+
+
+@pytest.mark.parametrize("level, code", [("verbose", 2), ("info", 0)])
+def test_edm_rulex_log_must_name_a_level(full_run, capsys, monkeypatch, level, code):
+    # logging.basicConfig raised ValueError before main's error handling
+    monkeypatch.setenv("EDM_RULEX_LOG", level)
+    assert run("report", full_run) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.splitlines() == ["error: EDM_RULEX_LOG='verbose' is not DEBUG, INFO, WARNING, ERROR or CRITICAL"]
+
+
 def test_report_complete(full_run):
     text = (full_run / "report.txt").read_text()
     for section in (

@@ -19,7 +19,6 @@ from edm_rulex.psychostats import (
     pca_varimax,
     pearson_r,
     reg_inc_beta,
-    scale_reliability,
     significance_label,
     t_test,
     t_test_from_summary,
@@ -231,14 +230,6 @@ def test_alpha_errors():
         cronbach_alpha(np.array([[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]]))
 
 
-def test_scale_reliability_with_retest():
-    rng = np.random.default_rng(4)
-    items = rng.normal(size=(25, 4))
-    retest = items.sum(axis=1) + rng.normal(scale=0.3, size=25)
-    res = scale_reliability(items, retest)
-    assert res.test_retest_r is not None and res.test_retest_r > 0.9
-
-
 # ---------------------------------------------------------------------------
 # variance analysis
 
@@ -267,6 +258,19 @@ def test_levene_against_scipy():
     ref = scipy.stats.levene(*groups, center="mean")
     assert math.isclose(ours.w, ref.statistic, rel_tol=1e-10)
     assert math.isclose(ours.p, ref.pvalue, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("test, name", [(levene_w, "Levene test"), (anova_oneway, "ANOVA")])
+@pytest.mark.parametrize(
+    "groups, problem",
+    [
+        ([[1.0, 2.0, 3.0]], "needs at least 2 groups"),
+        ([[1.0, 2.0], [3.0]], "every group needs at least 2 values"),
+    ],
+)
+def test_group_check_names_the_test(test, name, groups, problem):
+    with pytest.raises(ValidationError, match=f"^{name}:? {problem}$"):
+        test(groups)
 
 
 def test_anova_reference_row():

@@ -262,6 +262,21 @@ def test_cohort_write_read_round_trip(tmp_path):
     assert np.array_equal(raw, stacked)  # repr() round-trips floats exactly
 
 
+def test_write_cohort_appends_the_suffixes_to_a_dotted_stem(tmp_path):
+    # Path.with_suffix replaced the stem's own '.v2', writing cohort.csv
+    from edm_rulex.synthgen import build_metadata, write_cohort
+
+    schema = studydata.default_student_schema()
+    spec = studydata.default_population_spec(n_male=20, n_female=20, seed=7)
+    cohort = sample_population(spec)
+    disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
+    index = discretize_cohort(cohort, disc, schema)
+    paths = write_cohort(tmp_path / "cohort.v2", index, cohort, build_metadata(spec, schema, disc))
+    names = {"csv": "cohort.v2.csv", "raw": "cohort.v2.raw.csv", "meta": "cohort.v2.meta.json"}
+    assert {key: path.name for key, path in paths.items()} == names
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names.values())
+
+
 def test_noisy_planted_cohort_bytes():
     # The records whose label the noise flips depend only on the seed and the
     # record count, so they are pinned on their own; the SHA-256 then pins the
