@@ -16,6 +16,7 @@ EDM_RULEX_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import os
@@ -171,9 +172,13 @@ _INPUTS = {str: str}  # _provenance's inputs: file names, and their SHA-256 unde
 
 def _read_csv(read, path: Path, *args):
     """``read(stream, *args)`` on the cohort CSV at ``path``; a UTF-8 byte
-    order mark before the header is skipped."""
-    with open(path, encoding="utf-8-sig") as stream:
-        return read(stream, *args)
+    order mark before the header is skipped.  Text that is not UTF-8, or a
+    field past ``csv``'s size limit, is a ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as stream:
+            return read(stream, *args)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ValidationError(f"{path} is not a readable CSV: {e}") from None
 
 
 def _read_cohort(options: dict):
@@ -500,10 +505,10 @@ REPORT_SHAPES = {
 
 def _check_rules_txt(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
     """``rules.txt`` must parse back to ``ruleset.json``'s rules, in order, and its default."""
-    text = path.read_text(encoding="utf-8")
     try:
+        text = path.read_text(encoding="utf-8")
         written = parse_ruleset(text, schema)
-    except ValidationError as e:
+    except (UnicodeDecodeError, ValidationError) as e:
         raise ValidationError(f"{path.name} does not parse: {e}") from None
     got, want = ([(r.terms, r.consequent) for r in rs.rules] + [rs.default]
                  for rs in (written, ruleset_from_dict(ruleset)))

@@ -64,7 +64,10 @@ class EvolutionResult:
     best_chromosome: np.ndarray
     best_fitness: float
     history: list[float]  # running best per generation; non-decreasing
-    generations: int
+
+    @property
+    def generations(self) -> int:
+        return len(self.history)
 
 
 class _Lockstep:
@@ -226,7 +229,6 @@ def evolve(
             best_chromosome=champion[r],
             best_fitness=float(champion_fitness[r]),
             history=histories[r],
-            generations=cfg.generations,
         )
         for r in range(runs)
     ]

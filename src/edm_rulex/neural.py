@@ -126,7 +126,10 @@ class Network:
 class TrainResult:
     network: Network
     mse_history: list[float]
-    epochs_run: int
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.mse_history)
 
     @property
     def final_mse(self) -> float:
@@ -217,29 +220,6 @@ def _batch_pass(net: Network, x_neg: np.ndarray):
     return u_h, u_o, sigmoid(u_o)
 
 
-def loss_and_gradients(net: Network, dataset: DatasetIndex):
-    """Mean half-squared error over the dataset and its analytic gradients.
-
-    Returns (loss, {"v": dV, "b_h": ..., "w": ..., "b_o": ...}) averaged over
-    patterns, matching what finite differences of the same loss give.
-    """
-    x, t = _arrays(net, dataset)
-    n = x.shape[0]
-    h = sigmoid(x @ net.v.T + net.b_h)
-    y = sigmoid(h @ net.w.T + net.b_o)
-    e = y - t
-    loss = float(0.5 * np.sum(e**2) / n)
-    d_o = e * y * (1 - y)
-    d_h = (d_o @ net.w) * h * (1 - h)
-    grads = {
-        "w": d_o.T @ h / n,
-        "b_o": d_o.sum(axis=0) / n,
-        "v": d_h.T @ x / n,
-        "b_h": d_h.sum(axis=0) / n,
-    }
-    return loss, grads
-
-
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive reshaped views into ``flat``, one per shape."""
     out, offset = [], 0
@@ -322,7 +302,6 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     dot, add, sub, mul, div = np.dot, np.add, np.subtract, np.multiply, np.divide
     exp, minimum = np.exp, np.minimum
     history: list[float] = []
-    epochs_run = 0
     for epoch in range(config.max_epochs):
         for i in rng.permutation(len(dataset)).tolist():
             # s = 1 + exp(-u) and the activation -1 / s, hidden then output
@@ -370,7 +349,6 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
                     "try a smaller learning rate"
                 )
         history.append(mse)
-        epochs_run = epoch + 1
         if mse <= config.target_mse:
             break
     given = y_all > 0.5  # what a saturated output says for each record
@@ -380,12 +358,12 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
         and (t != t[0]).any()
     ):
         raise NumericError(
-            f"training saturated after {epochs_run} epochs: every output layer activation is "
+            f"training saturated after {len(history)} epochs: every output layer activation is "
             f"within {SATURATION_TOL:g} of 0 or 1 and the network gives every record the same "
             "output, though the records have several classes; try a smaller learning rate"
         )
-    log.info("trained %d epochs, final mse %.5f", epochs_run, history[-1])
-    return TrainResult(network=net, mse_history=history, epochs_run=epochs_run)
+    log.info("trained %d epochs, final mse %.5f", len(history), history[-1])
+    return TrainResult(network=net, mse_history=history)
 
 
 def network_to_dict(net: Network) -> dict:

@@ -40,9 +40,13 @@ class Rule:
     support: int | None = None
     confidence: float | None = None
     coverage: float | None = None
-    vacuous: bool = False
     fitness: float | None = None
     chromosome: tuple[int, ...] | None = None
+
+    @property
+    def vacuous(self) -> bool:
+        """True once evaluated on a dataset none of whose records match."""
+        return self.support == 0
 
 
 @dataclass(frozen=True)
@@ -135,14 +139,13 @@ def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) ->
     ante = index.antecedent_mask(rule)
     support = int(ante.sum())
     if support == 0:
-        return replace(rule, support=0, confidence=0.0, coverage=0.0, vacuous=True)
+        return replace(rule, support=0, confidence=0.0, coverage=0.0)
     hits = int((ante & index.consequent_mask(rule)).sum())
     return replace(
         rule,
         support=support,
         confidence=hits / support,
         coverage=support / len(index),
-        vacuous=False,
     )
 
 
@@ -450,7 +453,6 @@ def ruleset_from_dict(doc: Mapping) -> RuleSet:
             support=r.get("support"),
             confidence=r.get("confidence"),
             coverage=r.get("coverage"),
-            vacuous=r.get("vacuous", False),
             fitness=r.get("fitness"),
             chromosome=tuple(r["chromosome"]) if "chromosome" in r else None,
         )

@@ -71,6 +71,9 @@ class PopulationSpec:
 
     def __post_init__(self):
         d = len(self.dimensions)
+        for name, value in (("dimensions", self.dimensions), ("groups", self.groups)):
+            if not value:
+                raise ValidationError(f"population spec: {name} is empty; it needs at least one entry")
         if len(set(self.dimensions)) != d:
             raise ValidationError("duplicate dimension names in population spec")
         for token, g in self.groups.items():

@@ -1,11 +1,12 @@
 """Independent oracles shared by module tests and the acceptance suite."""
 
+import copy
 import io
 
 import numpy as np
 
 from edm_rulex.errors import NumericError
-from edm_rulex.neural import SIGMOID_CLIP, Network, TrainResult, forward
+from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, forward, train
 from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
 
 
@@ -39,6 +40,22 @@ def finite_diff_gradients(net: Network, dataset, eps: float = 1e-4) -> dict:
             it.iternext()
         grads[name] = g
     return grads
+
+
+def train_step_gradient_error(net: Network, dataset, eps: float = 1e-4) -> float:
+    """Worst ``gradient_errors`` over the patterns between the step that
+    ``train`` takes on each pattern alone and that pattern's finite
+    differences.  At learning rate 1 and no momentum one epoch on one pattern
+    moves each weight by minus its gradient, so ``net - stepped`` is the
+    gradient ``train`` applies."""
+    step = TrainConfig(learning_rate=1.0, momentum=0.0, max_epochs=1, target_mse=1e-300)
+    worst = 0.0
+    for i in range(len(dataset)):
+        pattern = dataset.subset(np.array([i]))
+        stepped = train(copy.deepcopy(net), pattern, step).network
+        applied = {name: getattr(net, name) - getattr(stepped, name) for name in ("v", "b_h", "w", "b_o")}
+        worst = max(worst, gradient_errors(applied, finite_diff_gradients(net, pattern, eps)))
+    return worst
 
 
 def gradient_errors(analytic: dict, numeric: dict):
@@ -139,7 +156,6 @@ def reference_refine(rule, records, schema: AttributeSchema, epsilon: float = 0.
         support=support,
         confidence=hits / support if support else 0.0,
         coverage=support / len(records),
-        vacuous=support == 0,
     )
 
 
@@ -164,7 +180,6 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
         "b_o": np.zeros_like(net.b_o),
     }
     history: list[float] = []
-    epochs_run = 0
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(dataset))
         for i in order:
@@ -190,10 +205,9 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
         if not np.isfinite(mse) or max(np.abs(u_h).max(), np.abs(u_o).max()) >= SIGMOID_CLIP:
             raise NumericError(f"reference training failed at epoch {epoch + 1}")
         history.append(mse)
-        epochs_run = epoch + 1
         if mse <= config.target_mse:
             break
-    return TrainResult(network=net, mse_history=history, epochs_run=epochs_run)
+    return TrainResult(network=net, mse_history=history)
 
 
 def written(write, obj) -> str:

@@ -1328,3 +1328,78 @@ def test_a_spec_group_size_past_numpy_index_range_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"group 'Fe': n {HUGE} is too large: an array of {HUGE} x 24 exceeds" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def _empty_dimensions(spec):
+    spec["dimensions"] = []
+    for g in spec["groups"].values():
+        g["means"], g["sds"], g["correlation"] = [], [], []
+
+
+def _empty_groups(spec):
+    spec["groups"], spec["group_order"] = {}, []
+
+
+@pytest.mark.parametrize("n", [None, "60"])
+@pytest.mark.parametrize(
+    "edit, field", [(_empty_groups, "groups"), (_empty_dimensions, "dimensions")], ids=["groups", "dimensions"]
+)
+def test_generate_rejects_a_spec_with_nothing_to_sample(tmp_path, capsys, edit, field, n):
+    # no groups raised "need at least one array to concatenate"; no dimensions
+    # named no spec field ("cholesky_factor needs a square matrix")
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec().to_dict()
+    edit(spec)
+    out = tmp_path / "out"
+    argv = ["generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out]
+    assert run(*argv, *(["--n", n] if n else [])) == 2
+    err = capsys.readouterr().err
+    assert f"population spec: {field} is empty" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _append_bytes(data):
+    def edit(path):
+        with open(path, "ab") as f:
+            f.write(data)
+    return edit
+
+
+def _second_line_starts_with(data):
+    def edit(path):
+        head, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(head + b"\n" + data + rest)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "stage, name, edit",
+    [
+        ("train", "config.json", lambda path: path.write_bytes(b"\xff\xfe")),
+        ("train", "config.json", lambda path: path.write_text("[" * 100_000)),
+        ("train", "cohort.csv", _second_line_starts_with("é".encode("latin-1"))),
+        ("train", "cohort.csv", _second_line_starts_with(b"x" * 200_000)),
+        ("stats", "cohort.raw.csv", _second_line_starts_with(b"x" * 200_000)),
+        ("report", "rules.txt", _append_bytes(b"\xff")),
+        ("report", "ruleset.json", _append_bytes(b"\xff")),
+    ],
+    ids=["config-not-utf8", "config-nested-past-recursion-limit", "csv-latin1", "csv-long-field",
+         "raw-csv-long-field", "rules-txt-not-utf8", "ruleset-json-not-utf8"],
+)
+def test_input_that_cannot_be_decoded_exits_2(full_run, tmp_path, capsys, stage, name, edit):
+    # each raised UnicodeDecodeError, RecursionError or csv.Error, exit 1
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    edit(broken / name)
+    argv = {
+        "train": ["train", "--data", broken / "cohort.csv", "--out", tmp_path / "out"],
+        "stats": ["stats", "--data", broken / "cohort.csv", "--out", tmp_path / "out"],
+        "report": ["report", broken],
+    }[stage]
+    if name == "config.json":
+        argv += ["--config", broken / name]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
