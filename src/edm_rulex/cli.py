@@ -45,7 +45,7 @@ from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
 from .synthgen import PLANTED_SPEC_SHAPE, POPULATION_SPEC_SHAPE, PlantedRuleSpec, PopulationSpec
 from .synthgen import build_metadata, default_discretization, spec_hash, target_checks
 from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, sample_population, write_cohort
-from .util import config_hash, derive_seed, file_sha256, read_json, write_json
+from .util import check, config_hash, derive_seed, file_sha256, read_json, write_json
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +108,10 @@ OPTIONS = {
 
 def _options(args, stage: str) -> dict:
     """The stage's options, each from its flag, else its ``--config`` key, else
-    its default, as its type.  ``schema`` comes back as the schema: the
-    ``--schema`` file's, else the one in the cohort's sidecar meta, else the
-    built-in student schema."""
+    its default, as its type.  ``meta`` is the cohort's sidecar meta, read
+    once (``{}`` without a cohort or a sidecar).  ``schema`` comes back as the
+    schema: the ``--schema`` file's, else the one in the sidecar meta, else
+    the built-in student schema."""
     conf = {}
     if args.config:
         shape = {f"{s}?": {f"{name}?": str if kind is Path else kind for name, kind, *_ in options}
@@ -139,14 +140,15 @@ def _options(args, stage: str) -> dict:
             options[name] = default
             continue
         options[name] = kind(value)
-    if options["schema"]:
-        options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
-        return options
     sidecar = options.get("data") and options["data"].with_suffix(".meta.json")
     meta = read_json(sidecar, {"schema?": SCHEMA_SHAPE}) if sidecar and sidecar.exists() else {}
-    options["schema"] = (
-        load_schema(meta["schema"]) if "schema" in meta else studydata.default_student_schema()
-    )
+    if options["schema"]:
+        options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
+    elif "schema" in meta:
+        options["schema"] = load_schema(meta["schema"])
+    else:
+        options["schema"] = studydata.default_student_schema()
+    options["meta"] = meta
     return options
 
 
@@ -336,8 +338,9 @@ def _gender_split(index, raw_matrix, group_by: str):
 
 
 _PAIR = (int, int)  # integer degrees of freedom (hypothesis, error)
-# stats.json as cmd_stats writes it
-STATS_SHAPE = {"config_hash": str, "inputs": _INPUTS, "sections": {
+# synthgen.target_checks: z and one (group, dimension, sample, target, tol, ok) per check
+_TARGET_CHECKS = {"z": float, "checks": [(str, str, float, float, float, bool)]}
+_STATS_SECTIONS = {
     "target_group_ttest": {"groups": {str: {"n": int, "mean": float, "sd": float}}, "t": float,
                            "df": float, "p": float, "method": str, "significance": str},
     "blocks": {str: {
@@ -347,7 +350,10 @@ STATS_SHAPE = {"config_hash": str, "inputs": _INPUTS, "sections": {
         "levene": {str: {"w": float, "df": _PAIR, "p": float}},
         "alpha": float}},
     "skipped_blocks?": {str: [str]},  # block -> the raw dimensions it lacks
-    "partial_correlations": {"control": str, "groups": {str: {str: float}}}}}
+    "partial_correlations": {"control": str, "groups": {str: {str: float}}}}
+# stats.json as cmd_stats writes it; no target checks when the cohort's sidecar has no population spec
+STATS_SHAPE = {"config_hash": str, "inputs": _INPUTS,
+               "sections": {**_STATS_SECTIONS, "target_checks?": _TARGET_CHECKS}}
 
 
 def cmd_stats(args) -> int:
@@ -370,6 +376,19 @@ def cmd_stats(args) -> int:
         raise ValidationError(
             f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}"
         )
+    # only stats reads the sidecar's population spec, so only stats checks its shape
+    sidecar = opts["data"].with_suffix(".meta.json")
+    meta = check(opts["meta"], {"population_spec?": POPULATION_SPEC_SHAPE}, str(sidecar))
+    sections: dict = {}
+    if "population_spec" in meta:
+        spec = PopulationSpec.from_dict(meta["population_spec"])
+        try:
+            z, checks = target_checks(spec, raw_dims, raw_matrix)
+        except ValidationError as e:
+            raise ValidationError(
+                f"{sidecar.name} population_spec does not fit {raw_path.name}: {e}"
+            ) from None
+        sections["target_checks"] = {"z": z, "checks": checks}
     col = {d: j for j, d in enumerate(raw_dims)}
     target_dim = schema.target.name
     if target_dim not in col:
@@ -380,22 +399,20 @@ def cmd_stats(args) -> int:
     # target comparison across the first two groups
     a, b = groups[tokens[0]][:, col[target_dim]], groups[tokens[1]][:, col[target_dim]]
     tres = t_test(a, b, method="welch")
-    sections: dict = {
-        "target_group_ttest": {
-            "groups": {
-                token: {
-                    "n": int(rows.shape[0]),
-                    "mean": float(rows[:, col[target_dim]].mean()),
-                    "sd": float(rows[:, col[target_dim]].std(ddof=1)),
-                }
-                for token, rows in groups.items()
-            },
-            "t": tres.t,
-            "df": tres.df,
-            "p": tres.p,
-            "method": tres.method,
-            "significance": significance_label(tres.p),
-        }
+    sections["target_group_ttest"] = {
+        "groups": {
+            token: {
+                "n": int(rows.shape[0]),
+                "mean": float(rows[:, col[target_dim]].mean()),
+                "sd": float(rows[:, col[target_dim]].std(ddof=1)),
+            }
+            for token, rows in groups.items()
+        },
+        "t": tres.t,
+        "df": tres.df,
+        "p": tres.p,
+        "method": tres.method,
+        "significance": significance_label(tres.p),
     }
 
     blocks: dict = {}
@@ -454,7 +471,10 @@ def cmd_stats(args) -> int:
             partials["groups"][token] = entry
     sections["partial_correlations"] = partials
 
-    digest, inputs = _provenance("stats", opts, dataset=opts["data"], raw=raw_path)
+    files = {"dataset": opts["data"], "raw": raw_path}
+    if sidecar.exists():
+        files["meta"] = sidecar
+    digest, inputs = _provenance("stats", opts, **files)
     stats = {"config_hash": digest, "inputs": inputs, "sections": sections}
     write_json(opts["out"] / "stats.json", stats)
     print(f"wrote {opts['out'] / 'stats.json'}")
@@ -488,7 +508,7 @@ REQUIRED_ARTIFACTS = (
 )
 
 
-# the fields of each JSON artifact that report reads; all of stats.json
+# the fields of each JSON artifact that report reads; all of stats.json, target checks required
 REPORT_SHAPES = {
     "cohort.meta.json": {"config_hash": str, "master_seed": int, "generator": str,
                          "schema": SCHEMA_SHAPE, "population_spec": POPULATION_SPEC_SHAPE},
@@ -499,7 +519,7 @@ REPORT_SHAPES = {
     "ruleset.json": {"config_hash": str, "inputs": _INPUTS, "default": str,
                      "rules": [{"text": str, "confidence": float, "support": int}],
                      "training_accuracy": float},
-    "stats.json": STATS_SHAPE,
+    "stats.json": {**STATS_SHAPE, "sections": {**_STATS_SECTIONS, "target_checks": _TARGET_CHECKS}},
 }
 
 
@@ -599,11 +619,8 @@ def cmd_report(args) -> int:
         )
     lines.append("")
 
-    raw_dims, raw_matrix = _read_csv(parse_raw_csv, run_dir / "cohort.raw.csv")
-    try:
-        z, checks = target_checks(spec, raw_dims, raw_matrix)
-    except ValidationError as e:
-        raise ValidationError(f"cohort.meta.json population_spec does not fit cohort.raw.csv: {e}") from None
+    checked = stats["sections"]["target_checks"]
+    z, checks = checked["z"], checked["checks"]
     lines.append(
         f"Cohort means vs generation targets ({z:.2f} SE tolerance at cohort n, {len(checks)} checks)"
     )

@@ -94,11 +94,12 @@ def check_indexable(what: str, shape: tuple[int, ...]) -> None:
 
 
 def read_json(path: str | Path, shape: Any = object) -> Any:
-    """Parse a JSON file and ``check`` it against ``shape``; invalid JSON, text
-    that is not UTF-8, or nesting past Python's recursion limit is a
-    ValidationError naming the file."""
+    """Parse a JSON file and ``check`` it against ``shape``; a UTF-8 byte
+    order mark before the document is skipped.  Invalid JSON, text that is
+    not UTF-8, or nesting past Python's recursion limit is a ValidationError
+    naming the file."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ValidationError(f"{path} is not valid JSON: {e}") from None
     return check(doc, shape, str(path))

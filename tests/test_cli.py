@@ -514,7 +514,7 @@ def test_report_complete(full_run):
     assert "Recomputed reference rows" not in text
 
 
-def test_report_rejects_a_population_spec_that_does_not_fit_the_raw_table(
+def test_stats_rejects_a_population_spec_that_does_not_fit_the_raw_table(
     full_run, tmp_path, capsys
 ):
     broken = tmp_path / "broken"
@@ -524,7 +524,7 @@ def test_report_rejects_a_population_spec_that_does_not_fit_the_raw_table(
     (broken / "cohort.meta.json").write_text(json.dumps(meta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("report", broken) == 2
+        assert run("stats", "--data", broken / "cohort.csv", "--out", broken) == 2
     err = capsys.readouterr().err
     assert "population_spec" in err and "805" in err and "800" in err
     assert "Traceback" not in err
@@ -542,6 +542,8 @@ def test_report_strict_exit_code_on_failed_checks(full_run, tmp_path, capsys):
     meta = json.loads((failing / "cohort.meta.json").read_text())
     meta["population_spec"]["groups"]["Ma"]["means"][0] += 1000.0
     (failing / "cohort.meta.json").write_text(json.dumps(meta))
+    # stats checks the targets and records the edited sidecar's hash
+    assert run("stats", "--data", failing / "cohort.csv", "--out", failing) == 0
     assert run("report", failing) == 0
     assert "Overall target checks: FAIL" in (failing / "report.txt").read_text()
     capsys.readouterr()
@@ -617,7 +619,7 @@ def _check_lines(report):
 
 
 @pytest.mark.parametrize("reshape", ["cut Unit 5", "swap Unit 4 and Unit 5"])
-def test_report_reads_raw_columns_by_name(full_run, tmp_path, capsys, reshape):
+def test_stats_reads_raw_columns_by_name(full_run, tmp_path, capsys, reshape):
     reshaped = tmp_path / "reshaped"
     shutil.copytree(full_run, reshaped)
     raw = reshaped / "cohort.raw.csv"
@@ -629,16 +631,82 @@ def test_report_reads_raw_columns_by_name(full_run, tmp_path, capsys, reshape):
     else:
         order[u4], order[u5] = u5, u4
     raw.write_text("".join(",".join(row[j] for j in order) + "\n" for row in rows))
-    # stats records the reshaped table's hash, so report reaches the table itself
-    assert run("stats", "--data", reshaped / "cohort.csv", "--out", reshaped) == 0
     capsys.readouterr()
     if reshape.startswith("cut"):
-        assert run("report", reshaped) == 2
+        assert run("stats", "--data", reshaped / "cohort.csv", "--out", reshaped) == 2
         err = capsys.readouterr().err
         assert "cohort.raw.csv" in err and "Unit 5" in err and "Traceback" not in err
     else:
+        assert run("stats", "--data", reshaped / "cohort.csv", "--out", reshaped) == 0
         assert run("report", reshaped) == 0
         assert _check_lines(reshaped / "report.txt") == _check_lines(full_run / "report.txt")
+
+
+def test_stats_records_the_target_checks_of_the_raw_table(full_run):
+    from edm_rulex.synthgen import PopulationSpec, parse_raw_csv, target_checks
+
+    meta = json.loads((full_run / "cohort.meta.json").read_text())
+    with open(full_run / "cohort.raw.csv", encoding="utf-8") as stream:
+        raw_dims, raw_matrix = parse_raw_csv(stream)
+    z, checks = target_checks(PopulationSpec.from_dict(meta["population_spec"]), raw_dims, raw_matrix)
+    stats = json.loads((full_run / "stats.json").read_text())
+    assert stats["sections"]["target_checks"] == {"z": z, "checks": [list(c) for c in checks]}
+    assert len(checks) == 48 and all(isinstance(c[5], bool) for c in checks)
+    assert stats["inputs"]["meta"] == "cohort.meta.json"
+    assert stats["inputs"]["meta_hash"] == util.file_sha256(full_run / "cohort.meta.json")
+
+
+def test_report_parses_no_csv(full_run, tmp_path, monkeypatch):
+    import numpy as np
+
+    from edm_rulex import schema, synthgen
+
+    copy = tmp_path / "run"
+    shutil.copytree(full_run, copy)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report parsed a CSV")
+
+    for owner, name in ((cli, "parse_raw_csv"), (synthgen, "parse_raw_csv"), (np, "loadtxt"),
+                        (cli, "read_index_csv"), (schema, "read_index_csv")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert run("report", copy) == 0
+    assert (copy / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+def test_report_rejects_a_meta_edited_after_stats(full_run, tmp_path, capsys):
+    # the target checks in stats.json were taken against the sidecar's spec
+    stale = tmp_path / "stale"
+    shutil.copytree(full_run, stale)
+    meta = json.loads((stale / "cohort.meta.json").read_text())
+    meta["population_spec"]["groups"]["Ma"]["means"][0] += 1000.0
+    (stale / "cohort.meta.json").write_text(json.dumps(meta))
+    assert run("report", stale) == 2
+    err = capsys.readouterr().err
+    assert "hash mismatch: stats.json was made from a different cohort.meta.json" in err
+
+
+def test_stats_without_a_population_spec_records_no_target_checks(full_run, tmp_path, capsys):
+    bare, run_dir = tmp_path / "bare", tmp_path / "run"
+    bare.mkdir()
+    shutil.copytree(full_run, run_dir)
+    for name in ("cohort.csv", "cohort.raw.csv"):
+        shutil.copy(full_run / name, bare / name)
+    # a sidecar without a population spec still gives the schema, so it is an input
+    meta = json.loads((full_run / "cohort.meta.json").read_text())
+    _write(bare / "cohort.meta.json", _without(meta, "population_spec"))
+    assert run("stats", "--data", bare / "cohort.csv", "--out", bare) == 0
+    stats = json.loads((bare / "stats.json").read_text())
+    assert "target_checks" not in stats["sections"] and stats["inputs"]["meta"] == "cohort.meta.json"
+    # with no sidecar, stats reads the built-in schema, and report finds no target checks
+    (bare / "cohort.meta.json").unlink()
+    assert run("stats", "--data", bare / "cohort.csv", "--out", run_dir) == 0
+    stats = json.loads((run_dir / "stats.json").read_text())
+    assert "target_checks" not in stats["sections"] and "meta" not in stats["inputs"]
+    capsys.readouterr()
+    assert run("report", run_dir) == 2
+    err = capsys.readouterr().err
+    assert "stats.json.sections lacks the field 'target_checks'" in err and "Traceback" not in err
 
 
 def test_report_rejects_a_raw_table_edited_after_stats(full_run, tmp_path, capsys):
@@ -872,6 +940,8 @@ def _without(doc, key):
         ("model w not a matrix", "model.json.w[0] must be a list"),
         ("spec not an object", "spec.json must be a JSON object, got []"),
         ("spec group n not a number", "spec.json.groups['Ma'].n must be int, got 'abc'"),
+        ("sidecar spec group n not a number",
+         "cohort.meta.json.population_spec.groups['Ma'].n must be int, got 'abc'"),
     ],
 )
 def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
@@ -905,6 +975,11 @@ def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
     elif case == "config epochs not a number":
         config = _write(tmp_path / "config.json", {"train": {"epochs": "abc"}})
         argv = ("train", "--config", config, "--data", data, "--out", out)
+    elif case.startswith("sidecar"):
+        meta = json.loads((run_dir / "cohort.meta.json").read_text())
+        meta["population_spec"]["groups"]["Ma"]["n"] = "abc"
+        _write(run_dir / "cohort.meta.json", meta)
+        argv = ("stats", "--data", data, "--out", out)
     else:
         stats = run_dir / "stats.json"
         _write(stats, _without(json.loads(stats.read_text()), "sections"))
@@ -1050,6 +1125,27 @@ def test_a_byte_order_mark_changes_no_result(study_run, tmp_path):
         assert models[0][name] == models[1][name]
 
 
+@pytest.mark.parametrize("bom", ["config", "spec", "planted"])
+def test_a_byte_order_mark_in_a_json_input_changes_no_result(tmp_path, bom):
+    # json.loads refused the file: Unexpected UTF-8 BOM (decode using utf-8-sig)
+    from edm_rulex import studydata
+
+    docs = {"config": {"seed": 7, "generate": {"n": 60}}, "planted": PLANTED,
+            "spec": studydata.default_population_spec().to_dict()}
+    for side in ("plain", "bom"):
+        d = tmp_path / side
+        d.mkdir()
+        for name, doc in docs.items():
+            mark = "\ufeff" if side == "bom" and name == bom else ""
+            (d / f"{name}.json").write_text(mark + json.dumps(doc), encoding="utf-8")
+        assert run(
+            "generate", "--config", d / "config.json", "--spec", d / "spec.json",
+            "--planted", d / "planted.json", "--out", d / "run",
+        ) == 0
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json"):
+        assert (tmp_path / "bom" / "run" / name).read_bytes() == (tmp_path / "plain" / "run" / name).read_bytes()
+
+
 @pytest.mark.parametrize("hidden", [10**40, 10**400])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_train_rejects_a_hidden_width_numpy_cannot_allocate(study_run, tmp_path, capsys, hidden, via):
@@ -1146,6 +1242,11 @@ _MOTIVATION = ("sections", "blocks", "motivation")
          "cohort.meta.json lacks the field 'population_spec'"),
         ("cohort.meta.json", ("population_spec",), None,
          "cohort.meta.json.population_spec must be a JSON object, got None"),
+        # report reads the target checks that stats recorded
+        ("stats.json", ("sections", "target_checks"), None,
+         "stats.json.sections.target_checks must be a JSON object, got None"),
+        ("stats.json", ("sections", "target_checks", "checks", 0, 5), "yes",
+         "stats.json.sections.target_checks.checks[0][5] must be bool, got 'yes'"),
     ],
 )
 def test_report_names_the_malformed_field(full_run, tmp_path, capsys, artifact, path, value, field):
@@ -1249,7 +1350,8 @@ def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):
     assert not (tmp_path / "stats.json").exists()
 
 
-@pytest.mark.parametrize("stage", ["stats", "report"])
+# report parses no raw table, so stats is the one stage that reads its header
+@pytest.mark.parametrize("stage", ["stats"])
 def test_a_raw_header_naming_a_column_twice_exits_2(full_run, tmp_path, capsys, stage):
     # stats computed 'Management of dispersants' from the second such column
     broken = tmp_path / "broken"
@@ -1257,15 +1359,7 @@ def test_a_raw_header_naming_a_column_twice_exits_2(full_run, tmp_path, capsys, 
     raw = broken / "cohort.raw.csv"
     text = raw.read_text(encoding="utf-8")
     raw.write_text(text.replace("Management of study time", "Management of dispersants", 1), encoding="utf-8")
-    if stage == "stats":
-        argv = ("stats", "--data", broken / "cohort.csv", "--out", broken)
-    else:
-        # record the edited table's hash, so report reaches the table itself
-        stats = json.loads((broken / "stats.json").read_text())
-        stats["inputs"]["raw_hash"] = util.file_sha256(raw)
-        _write(broken / "stats.json", stats)
-        argv = ("report", broken)
-    assert run(*argv) == 2
+    assert run(stage, "--data", broken / "cohort.csv", "--out", broken) == 2
     err = capsys.readouterr().err
     assert "raw CSV header names 'Management of dispersants' more than once" in err
     assert "Traceback" not in err
