@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import logging
 import os
 import sys
@@ -39,13 +40,14 @@ from .psychostats import (
 )
 from .rulekit import extract_ruleset, format_ruleset, parse_ruleset
 from .rulekit import ruleset_from_dict, ruleset_to_dict
-from .schema import SCHEMA_SHAPE, AttributeSchema, load_schema, read_index_csv, schema_hash
+from .schema import SCHEMA_SHAPE, AttributeSchema, DatasetIndex, load_schema, read_index_csv, schema_hash
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
 from .schema import encode_dataset, parse_dataset_csv  # noqa: F401
-from .synthgen import PLANTED_SPEC_SHAPE, POPULATION_SPEC_SHAPE, PlantedRuleSpec, PopulationSpec
+from .synthgen import COMPANIONS_SHAPE, PLANTED_SPEC_SHAPE, PlantedRuleSpec, PopulationSpec
 from .synthgen import build_metadata, default_discretization, spec_hash, target_checks
-from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, sample_population, write_cohort
-from .util import check, config_hash, derive_seed, file_sha256, read_json, write_json
+from .synthgen import discretize_cohort, parse_raw_csv, plant_rules, read_raw_header
+from .synthgen import sample_population, write_cohort
+from .util import config_hash, derive_seed, file_sha256, read_json, sha256_hex, write_json
 
 log = logging.getLogger(__name__)
 
@@ -111,7 +113,9 @@ def _options(args, stage: str) -> dict:
     its default, as its type.  ``meta`` is the cohort's sidecar meta, read
     once (``{}`` without a cohort or a sidecar).  ``schema`` comes back as the
     schema: the ``--schema`` file's, else the one in the sidecar meta, else
-    the built-in student schema."""
+    the built-in student schema.  ``companions`` is the sidecar's when the
+    schema is the sidecar's too, else ``{}``; ``hashes`` holds each input
+    file's SHA-256 once ``_sha256`` has read it."""
     conf = {}
     if args.config:
         shape = {f"{s}?": {f"{name}?": str if kind is Path else kind for name, kind, *_ in options}
@@ -141,15 +145,24 @@ def _options(args, stage: str) -> dict:
             continue
         options[name] = kind(value)
     sidecar = options.get("data") and options["data"].with_suffix(".meta.json")
-    meta = read_json(sidecar, {"schema?": SCHEMA_SHAPE}) if sidecar and sidecar.exists() else {}
+    shape = {"schema?": SCHEMA_SHAPE, "companions?": COMPANIONS_SHAPE}
+    meta = read_json(sidecar, shape) if sidecar and sidecar.exists() else {}
+    options.update(meta=meta, companions={}, hashes={})
     if options["schema"]:
         options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
     elif "schema" in meta:
         options["schema"] = load_schema(meta["schema"])
+        options["companions"] = meta.get("companions", {})  # their codes are this schema's
     else:
         options["schema"] = studydata.default_student_schema()
-    options["meta"] = meta
     return options
+
+
+def _sha256(options: dict, path: Path) -> str:
+    """SHA-256 of an input file of the stage, read once per stage."""
+    if path not in options["hashes"]:
+        options["hashes"][path] = file_sha256(path)
+    return options["hashes"][path]
 
 
 def _provenance(stage: str, options: dict, **resolved) -> tuple[str, dict]:
@@ -162,7 +175,7 @@ def _provenance(stage: str, options: dict, **resolved) -> tuple[str, dict]:
     inputs = {}
     for key, value in resolved.items():
         if isinstance(value, Path):
-            inputs[key], inputs[f"{key}_hash"] = value.name, file_sha256(value)
+            inputs[key], inputs[f"{key}_hash"] = value.name, _sha256(options, value)
         else:
             values[key] = value
     values.update(stage=stage, schema_hash=schema_hash(options["schema"]), inputs=inputs)
@@ -183,8 +196,35 @@ def _read_csv(read, path: Path, *args):
         raise ValidationError(f"{path} is not a readable CSV: {e}") from None
 
 
-def _read_cohort(options: dict):
-    return _read_csv(read_index_csv, options["data"], options["schema"])
+def _companion(options: dict, path: Path) -> np.ndarray | None:
+    """The table of the CSV at ``path`` as ``generate`` saved it with
+    ``np.save``, or None, to read the CSV instead: when the sidecar's
+    ``companions`` name no array for the CSV's file name, when the array is
+    missing, or when either file's SHA-256 is not the one recorded there."""
+    entry = options["companions"].get(path.name)
+    if entry is None:
+        return None
+    name = entry["npy"]
+    if name in ("", "..") or Path(name).name != name:
+        where = f"{options['data'].with_suffix('.meta.json')}.companions[{path.name!r}].npy"
+        raise ValidationError(f"{where} {name!r} is not a file name")
+    npy = path.with_name(name)
+    if not npy.is_file() or _sha256(options, path) != entry["csv_hash"]:
+        return None
+    data = npy.read_bytes()
+    if sha256_hex(data) != entry["npy_hash"]:
+        return None
+    try:
+        return np.load(io.BytesIO(data), allow_pickle=False)
+    except ValueError as e:
+        raise ValidationError(f"{npy} is not a readable .npy file: {e}") from None
+
+
+def _read_cohort(options: dict) -> DatasetIndex:
+    codes = _companion(options, options["data"])
+    if codes is None:
+        return _read_csv(read_index_csv, options["data"], options["schema"])
+    return DatasetIndex(options["schema"], codes)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +249,8 @@ def cmd_generate(args) -> int:
         spec = studydata.default_population_spec()
         maxima = dict(studydata.SCORE_MAXIMA)
     else:
-        doc = read_json(opts["spec"], {**POPULATION_SPEC_SHAPE, "score_maxima?": {str: float}})
-        spec = PopulationSpec.from_dict(doc)
+        doc = read_json(opts["spec"], {"score_maxima?": {str: float}})
+        spec = PopulationSpec.from_dict(doc, str(opts["spec"]))
         maxima = {k: float(v) for k, v in doc.get("score_maxima", {}).items()}
         maxima = maxima or dict(studydata.SCORE_MAXIMA)
     if opts["n"] is not None:
@@ -371,17 +411,25 @@ def cmd_stats(args) -> int:
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
         )
-    raw_dims, raw_matrix = _read_csv(parse_raw_csv, raw_path)
+    raw_matrix = _companion(opts, raw_path)
+    if raw_matrix is None:
+        raw_dims, raw_matrix = _read_csv(parse_raw_csv, raw_path)
+    else:
+        raw_dims = _read_csv(read_raw_header, raw_path)
+        if raw_matrix.dtype != np.float64 or raw_matrix.shape[1:] != (len(raw_dims),):
+            raise ValidationError(
+                f"the array saved for {raw_path.name} is {raw_matrix.dtype}{list(raw_matrix.shape)}, "
+                f"not a float64 table of its {len(raw_dims)} columns"
+            )
     if raw_matrix.shape[0] != len(index):
         raise ValidationError(
             f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}"
         )
     # only stats reads the sidecar's population spec, so only stats checks its shape
     sidecar = opts["data"].with_suffix(".meta.json")
-    meta = check(opts["meta"], {"population_spec?": POPULATION_SPEC_SHAPE}, str(sidecar))
     sections: dict = {}
-    if "population_spec" in meta:
-        spec = PopulationSpec.from_dict(meta["population_spec"])
+    if opts["meta"].get("population_spec") is not None:
+        spec = PopulationSpec.from_dict(opts["meta"]["population_spec"], f"{sidecar}.population_spec")
         try:
             z, checks = target_checks(spec, raw_dims, raw_matrix)
         except ValidationError as e:
@@ -508,10 +556,11 @@ REQUIRED_ARTIFACTS = (
 )
 
 
-# the fields of each JSON artifact that report reads; all of stats.json, target checks required
+# the fields of each JSON artifact that report reads; all of stats.json, target checks required;
+# PopulationSpec.from_dict holds the population spec to its shape
 REPORT_SHAPES = {
     "cohort.meta.json": {"config_hash": str, "master_seed": int, "generator": str,
-                         "schema": SCHEMA_SHAPE, "population_spec": POPULATION_SPEC_SHAPE},
+                         "schema": SCHEMA_SHAPE, "population_spec": object},
     "model.json": {"input_size": int, "hidden_size": int, "output_size": int, "metadata": {
         "config_hash": str, "inputs": _INPUTS, "final_mse": float, "epochs_run": int}},
     "train_log.json": {"config_hash": str, "final_mse": float, "epochs_run": int,
@@ -523,15 +572,24 @@ REPORT_SHAPES = {
 }
 
 
-def _check_rules_txt(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
-    """``rules.txt`` must parse back to ``ruleset.json``'s rules, in order, and its default."""
+def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
+    """No term of ``ruleset.json``'s rules may name the target, and
+    ``rules.txt`` (at ``path``) must parse back to those rules, in order, and
+    their default."""
+    recorded = ruleset_from_dict(ruleset)
+    for i, rule in enumerate(recorded.rules):
+        for j, (name, _) in enumerate(rule.terms):
+            if name == schema.target.name:
+                raise ValidationError(
+                    f"ruleset.json.rules[{i}].terms[{j}].attribute names the target {name!r}, "
+                    "which a rule can only conclude"
+                )
     try:
         text = path.read_text(encoding="utf-8")
         written = parse_ruleset(text, schema)
     except (UnicodeDecodeError, ValidationError) as e:
         raise ValidationError(f"{path.name} does not parse: {e}") from None
-    got, want = ([(r.terms, r.consequent) for r in rs.rules] + [rs.default]
-                 for rs in (written, ruleset_from_dict(ruleset)))
+    got, want = ([(r.terms, r.consequent) for r in rs.rules] + [rs.default] for rs in (written, recorded))
     # one entry per line, the default last, so a shorter list differs within its length
     for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
         if a != b:
@@ -545,6 +603,7 @@ def cmd_report(args) -> int:
         raise ValidationError(f"missing run artifacts: {', '.join(missing)}")
     docs = (read_json(run_dir / name, shape) for name, shape in REPORT_SHAPES.items())
     meta, model, train_log, ruleset, stats = docs
+    spec = PopulationSpec.from_dict(meta["population_spec"], f"{run_dir}/cohort.meta.json.population_spec")
     md = model["metadata"]
 
     # integrity: every recorded input is a file of this run, unchanged since
@@ -577,8 +636,7 @@ def cmd_report(args) -> int:
             raise ValidationError(
                 f"train_log.json {field} {value!r} does not match model.json metadata {key} {md[key]!r}"
             )
-    spec = PopulationSpec.from_dict(meta["population_spec"])
-    _check_rules_txt(run_dir / "rules.txt", ruleset, load_schema(meta["schema"]))
+    _check_ruleset(run_dir / "rules.txt", ruleset, load_schema(meta["schema"]))
 
     lines = ["edm-rulex run report", "====================", "", "Artifacts and config hashes"]
     for name, doc in (("cohort.meta.json", meta), ("model.json", md), ("ruleset.json", ruleset),

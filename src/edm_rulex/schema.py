@@ -233,17 +233,21 @@ class DatasetIndex:
 
     ``rows`` is either the records or their level codes, ``intp[N, A]`` with
     one column per schema attribute in schema order.  A record that
-    ``validate_record`` rejects raises its ValidationError."""
+    ``validate_record`` rejects raises its ValidationError.  The bits are
+    set one attribute column at a time, so the build holds no ``[N, A]``
+    temporary besides the codes."""
 
     def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
         codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))
         widths, predictive, offsets, target = schema.code_layout
-        fits = codes.ndim == 2 and codes.shape[1] == len(widths)
-        if not (fits and ((codes >= 0) & (codes < widths)).all()):
+        fits = codes.ndim == 2 and codes.shape[1] == len(widths) and codes.dtype.kind in "iu"
+        if not (fits and codes.min(initial=0) >= 0 and (codes.max(axis=0, initial=0) < widths).all()):
             raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
         self.schema = schema
         self.bits = np.zeros((len(codes), schema.total_predictive_bits), dtype=np.uint8)
-        self.bits[np.arange(len(codes))[:, None], codes[:, predictive] + offsets] = 1
+        rows = np.arange(len(codes))
+        for column, offset in zip(predictive, offsets):
+            self.bits[rows, codes[:, column] + offset] = 1
         self.target = codes[:, target].astype(np.intp)
 
     @classmethod

@@ -9,7 +9,8 @@ discretizing the target's raw score or from a planted rule list, matched
 over that index by ``RuleSet.predict_index``; the latter gives the
 extraction pipeline a known ground truth to recover.  ``write_cohort``
 writes the index's token CSV and the raw score table from the arrays,
-straight to their files, a chunk of rows at a time.
+straight to their files, a chunk of rows at a time, and saves both tables
+beside them as hash-checked ``.npy`` companions.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -39,7 +40,7 @@ from .schema import (
     schema_document,
     write_index_csv,
 )
-from .util import check, check_indexable, config_hash, write_json
+from .util import check, check_indexable, config_hash, file_sha256, write_json
 
 log = logging.getLogger(__name__)
 
@@ -112,8 +113,11 @@ class PopulationSpec:
         }
 
     @staticmethod
-    def from_dict(doc: Mapping) -> "PopulationSpec":
-        doc = check(doc, POPULATION_SPEC_SHAPE, "population spec")
+    def from_dict(doc: Mapping, where: str = "population spec") -> "PopulationSpec":
+        """The spec a JSON document describes; a document that does not fit
+        ``POPULATION_SPEC_SHAPE`` is a ValidationError naming ``where`` and
+        the field."""
+        doc = check(doc, POPULATION_SPEC_SHAPE, where)
         groups = doc["groups"]
         order = doc.get("group_order", list(groups))
         if sorted(order) != sorted(groups):
@@ -415,14 +419,9 @@ def write_raw_csv(cohort: RawCohort, out: TextIO) -> None:
         out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
-def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header and ``float[N, D]`` table of a raw score CSV stream, which must
-    be seekable.  A column named twice, a cell that is not a number, or a row
-    of the wrong width is a ValidationError naming the column, or the first
-    such row (1-based, blank lines counted) and column.
-
-    ``np.loadtxt`` reads the rows from the stream; only when it fails is the
-    stream read again from the first row, to find the row to report."""
+def read_raw_header(stream: TextIO) -> tuple[str, ...]:
+    """The column names on the first line of a raw score CSV stream.  An
+    empty stream or a column named twice is a ValidationError naming it."""
     header_line = stream.readline().removesuffix("\n")
     if not header_line:
         raise ValidationError("raw CSV is empty")
@@ -430,6 +429,18 @@ def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
     twice = sorted({name for name in header if header.count(name) > 1})
     if twice:
         raise ValidationError(f"raw CSV header names {', '.join(map(repr, twice))} more than once")
+    return header
+
+
+def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header (``read_raw_header``) and ``float[N, D]`` table of a raw score
+    CSV stream, which must be seekable.  A cell that is not a number, or a
+    row of the wrong width, is a ValidationError naming the first such row
+    (1-based, blank lines counted) and column.
+
+    ``np.loadtxt`` reads the rows from the stream; only when it fails is the
+    stream read again from the first row, to find the row to report."""
+    header = read_raw_header(stream)
     body = stream.tell()
     try:
         with warnings.catch_warnings():
@@ -459,25 +470,44 @@ def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
     raise ValidationError("raw CSV is not a table of numbers")
 
 
+# cohort.meta.json's companions: CSV file name -> its array's file name and both files' SHA-256
+COMPANIONS_SHAPE = {str: {"npy": str, "csv_hash": str, "npy_hash": str}}
+
+
 def write_cohort(
     stem: str | Path,
     index: DatasetIndex,
     cohort: RawCohort,
     meta: Mapping,
 ) -> dict[str, Path]:
-    """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``."""
+    """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``, and
+    beside each CSV its table as ``np.save`` writes it: the level codes
+    (``intp[N, A]``) in ``<stem>.npy`` and the raw scores in
+    ``<stem>.raw.npy``.  The meta gains ``companions``: per CSV file name,
+    its array's file name and both files' SHA-256, so a reader can tell that
+    the array still holds what the CSV holds."""
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     paths = {
-        "csv": stem.with_name(stem.name + ".csv"),
-        "raw": stem.with_name(stem.name + ".raw.csv"),
-        "meta": stem.with_name(stem.name + ".meta.json"),
+        key: stem.with_name(stem.name + suffix)
+        for key, suffix in (("csv", ".csv"), ("raw", ".raw.csv"), ("meta", ".meta.json"),
+                            ("npy", ".npy"), ("raw_npy", ".raw.npy"))
     }
     with open(paths["csv"], "w", encoding="utf-8") as out:
         write_index_csv(index, out)
     with open(paths["raw"], "w", encoding="utf-8") as out:
         write_raw_csv(cohort, out)
-    write_json(paths["meta"], dict(meta))
+    np.save(paths["npy"], np.column_stack([index.column(a.name) for a in index.schema.attributes]))
+    np.save(paths["raw_npy"], cohort.matrix)
+    companions = {
+        paths[table].name: {
+            "npy": paths[npy].name,
+            "csv_hash": file_sha256(paths[table]),
+            "npy_hash": file_sha256(paths[npy]),
+        }
+        for table, npy in (("csv", "npy"), ("raw", "raw_npy"))
+    }
+    write_json(paths["meta"], {**meta, "companions": companions})
     return paths
 
 

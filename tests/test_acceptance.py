@@ -278,6 +278,8 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         "cohort.csv",
         "cohort.raw.csv",
         "cohort.meta.json",
+        "cohort.npy",
+        "cohort.raw.npy",
         "model.json",
         "train_log.json",
         "ruleset.json",

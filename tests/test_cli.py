@@ -66,6 +66,15 @@ def test_generate_row_count(tmp_path):
     # the spec is recorded once: its seed, group order and sizes live only in population_spec
     assert set(meta) == {
         "config_hash", "master_seed", "generator", "population_spec", "schema", "discretization", "planted",
+        "companions",
+    }
+    # each CSV's companion array, with both files' hashes as written
+    names = ["cohort.csv", "cohort.meta.json", "cohort.npy", "cohort.raw.csv", "cohort.raw.npy"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    hashed = {name: util.file_sha256(tmp_path / name) for name in names}
+    assert meta["companions"] == {
+        csv: {"npy": npy, "csv_hash": hashed[csv], "npy_hash": hashed[npy]}
+        for csv, npy in (("cohort.csv", "cohort.npy"), ("cohort.raw.csv", "cohort.raw.npy"))
     }
     spec = meta["population_spec"]
     assert spec["group_order"] == ["Ma", "Fe"]
@@ -1322,6 +1331,21 @@ def test_report_checks_rules_txt_against_ruleset(full_run, tmp_path, capsys, edi
     assert run("report", broken) == 2
     err = capsys.readouterr().err
     assert line in err and "Traceback" not in err
+
+
+def test_report_rejects_a_rule_term_naming_the_target(full_run, tmp_path, capsys):
+    # RuleSet.predict matched such a term against each record's own label,
+    # while RuleSet.accuracy raised; report named only rules.txt
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    ruleset = json.loads((broken / "ruleset.json").read_text())
+    terms = ruleset["rules"][0]["terms"]
+    terms.append({"attribute": "Reasoning", "levels": ["G"]})
+    _write(broken / "ruleset.json", ruleset)
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    field = f"ruleset.json.rules[0].terms[{len(terms) - 1}].attribute names the target 'Reasoning'"
+    assert field in err and "Traceback" not in err
 
 
 def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):

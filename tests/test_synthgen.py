@@ -272,7 +272,8 @@ def test_write_cohort_appends_the_suffixes_to_a_dotted_stem(tmp_path):
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     index = discretize_cohort(cohort, disc, schema)
     paths = write_cohort(tmp_path / "cohort.v2", index, cohort, build_metadata(spec, schema, disc))
-    names = {"csv": "cohort.v2.csv", "raw": "cohort.v2.raw.csv", "meta": "cohort.v2.meta.json"}
+    names = {"csv": "cohort.v2.csv", "raw": "cohort.v2.raw.csv", "meta": "cohort.v2.meta.json",
+             "npy": "cohort.v2.npy", "raw_npy": "cohort.v2.raw.npy"}
     assert {key: path.name for key, path in paths.items()} == names
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names.values())
 
