@@ -1,9 +1,11 @@
 """Command-line pipeline: generate -> train -> extract -> stats -> report.
 
-Every stage writes JSON (plus CSV for cohorts) into a run directory, embeds
-the SHA-256 of its effective config and of its inputs, and derives its seed
-from one master seed, so a whole run is pinned by a single integer and two
-runs of the same config produce byte-identical artifacts.
+Every stage writes JSON (plus CSV for cohorts, each with the ``.npy`` copy
+that later stages read through ``_companion`` while the sidecar's hashes
+hold) into a run directory, embeds the SHA-256 of its effective config and
+of its inputs, and derives its seed from one master seed, so a whole run is
+pinned by a single integer and two runs of the same config produce
+byte-identical artifacts.
 
 Each stage's options are declared once, in ``OPTIONS``: the flag, the
 ``--config`` key, the type and the default (the library's) all come from it.
@@ -38,7 +40,7 @@ from .psychostats import (
     significance_label,
     t_test,
 )
-from .rulekit import extract_ruleset, format_ruleset, parse_ruleset
+from .rulekit import extract_ruleset, format_rule, format_ruleset, parse_ruleset
 from .rulekit import ruleset_from_dict, ruleset_to_dict
 from .schema import SCHEMA_SHAPE, AttributeSchema, DatasetIndex, load_schema, read_index_csv, schema_hash
 # perfbench/spans.py wraps cli.encode_dataset and cli.parse_dataset_csv; keep the names here
@@ -110,8 +112,8 @@ OPTIONS = {
 
 def _options(args, stage: str) -> dict:
     """The stage's options, each from its flag, else its ``--config`` key, else
-    its default, as its type.  ``meta`` is the cohort's sidecar meta, read
-    once (``{}`` without a cohort or a sidecar).  ``schema`` comes back as the
+    its default, as its type.  ``meta`` is the cohort's sidecar meta, read once
+    from ``sidecar`` (``{}`` without a cohort or a sidecar).  ``schema`` is the
     schema: the ``--schema`` file's, else the one in the sidecar meta, else
     the built-in student schema.  ``companions`` is the sidecar's when the
     schema is the sidecar's too, else ``{}``; ``hashes`` holds each input
@@ -147,7 +149,7 @@ def _options(args, stage: str) -> dict:
     sidecar = options.get("data") and options["data"].with_suffix(".meta.json")
     shape = {"schema?": SCHEMA_SHAPE, "companions?": COMPANIONS_SHAPE}
     meta = read_json(sidecar, shape) if sidecar and sidecar.exists() else {}
-    options.update(meta=meta, companions={}, hashes={})
+    options.update(sidecar=sidecar, meta=meta, companions={}, hashes={})
     if options["schema"]:
         options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
     elif "schema" in meta:
@@ -196,32 +198,31 @@ def _read_csv(read, path: Path, *args):
         raise ValidationError(f"{path} is not a readable CSV: {e}") from None
 
 
-def _companion(options: dict, path: Path) -> np.ndarray | None:
-    """The table of the CSV at ``path`` as ``generate`` saved it with
-    ``np.save``, or None, to read the CSV instead: when the sidecar's
-    ``companions`` name no array for the CSV's file name, when the array is
-    missing, or when either file's SHA-256 is not the one recorded there."""
-    entry = options["companions"].get(path.name)
-    if entry is None:
-        return None
-    name = entry["npy"]
-    if name in ("", "..") or Path(name).name != name:
-        where = f"{options['data'].with_suffix('.meta.json')}.companions[{path.name!r}].npy"
-        raise ValidationError(f"{where} {name!r} is not a file name")
-    npy = path.with_name(name)
-    if not npy.is_file() or _sha256(options, path) != entry["csv_hash"]:
+def _companion(options: dict, path: Path, kind: str, columns: int) -> np.ndarray | None:
+    """The table of the CSV at ``path`` as ``generate`` saved it, in
+    ``path.with_suffix(".npy")``, or None, to read the CSV instead: when
+    ``companions`` has no entry for the CSV, the array is missing, or either
+    file's SHA-256 is not the one recorded there.  An array that does not
+    load, or is not a table of ``columns`` columns whose dtype kind is in
+    ``kind``, is a ValidationError."""
+    entry, npy = options["companions"].get(path.name), path.with_suffix(".npy")
+    if entry is None or not npy.is_file() or _sha256(options, path) != entry["csv_hash"]:
         return None
     data = npy.read_bytes()
     if sha256_hex(data) != entry["npy_hash"]:
         return None
     try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
+        table = np.load(io.BytesIO(data), allow_pickle=False)
     except ValueError as e:
         raise ValidationError(f"{npy} is not a readable .npy file: {e}") from None
+    if table.dtype.kind not in kind or table.ndim != 2 or table.shape[1] != columns:
+        raise ValidationError(f"the array saved for {path.name} is {table.dtype}{list(table.shape)}, "
+                              f"not a table of {columns} columns of dtype kind {kind!r}")
+    return table
 
 
 def _read_cohort(options: dict) -> DatasetIndex:
-    codes = _companion(options, options["data"])
+    codes = _companion(options, options["data"], "iu", len(options["schema"].attributes))
     if codes is None:
         return _read_csv(read_index_csv, options["data"], options["schema"])
     return DatasetIndex(options["schema"], codes)
@@ -411,27 +412,24 @@ def cmd_stats(args) -> int:
         raise ValidationError(
             f"stats needs raw scores; no sidecar {raw_path.name} next to the dataset"
         )
-    raw_matrix = _companion(opts, raw_path)
+    raw_dims = _read_csv(read_raw_header, raw_path)
+    raw_matrix = _companion(opts, raw_path, "f", len(raw_dims))
     if raw_matrix is None:
-        raw_dims, raw_matrix = _read_csv(parse_raw_csv, raw_path)
-    else:
-        raw_dims = _read_csv(read_raw_header, raw_path)
-        if raw_matrix.dtype != np.float64 or raw_matrix.shape[1:] != (len(raw_dims),):
-            raise ValidationError(
-                f"the array saved for {raw_path.name} is {raw_matrix.dtype}{list(raw_matrix.shape)}, "
-                f"not a float64 table of its {len(raw_dims)} columns"
-            )
+        _, raw_matrix = _read_csv(parse_raw_csv, raw_path)
     if raw_matrix.shape[0] != len(index):
-        raise ValidationError(
-            f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}"
-        )
+        raise ValidationError(f"raw table has {raw_matrix.shape[0]} rows, dataset has {len(index)}")
+    bad = np.argwhere(~np.isfinite(raw_matrix))
+    if len(bad):
+        row, column = bad[0]
+        raise ValidationError(f"{raw_path.name} row {row + 1}, column {raw_dims[column]!r}: "
+                              f"score {float(raw_matrix[row, column])!r} is not finite")
     # only stats reads the sidecar's population spec, so only stats checks its shape
-    sidecar = opts["data"].with_suffix(".meta.json")
+    sidecar = opts["sidecar"]
     sections: dict = {}
     if opts["meta"].get("population_spec") is not None:
         spec = PopulationSpec.from_dict(opts["meta"]["population_spec"], f"{sidecar}.population_spec")
         try:
-            z, checks = target_checks(spec, raw_dims, raw_matrix)
+            z, checks = target_checks(spec, raw_dims, raw_matrix, index)
         except ValidationError as e:
             raise ValidationError(
                 f"{sidecar.name} population_spec does not fit {raw_path.name}: {e}"
@@ -573,9 +571,9 @@ REPORT_SHAPES = {
 
 
 def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
-    """No term of ``ruleset.json``'s rules may name the target, and
-    ``rules.txt`` (at ``path``) must parse back to those rules, in order, and
-    their default."""
+    """No term of ``ruleset.json``'s rules may name the target, ``rules.txt``
+    (at ``path``) must parse back to those rules, in order, and their
+    default, and each rule's ``text`` must be the rule's ``format_rule``."""
     recorded = ruleset_from_dict(ruleset)
     for i, rule in enumerate(recorded.rules):
         for j, (name, _) in enumerate(rule.terms):
@@ -594,6 +592,10 @@ def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
     for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
         if a != b:
             raise ValidationError(f"{path.name} line {n} {line!r} differs from ruleset.json")
+    for i, rule in enumerate(recorded.rules):  # parsed from rules.txt, so format_rule knows its terms
+        given, want = ruleset["rules"][i]["text"], format_rule(rule, schema)
+        if given != want:
+            raise ValidationError(f"ruleset.json.rules[{i}].text {given!r} differs from its rule, {want!r}")
 
 
 def cmd_report(args) -> int:

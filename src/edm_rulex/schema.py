@@ -10,8 +10,8 @@ A dataset is encoded once, into a ``DatasetIndex``: the bit matrix that
 training reads and rules are matched against, plus the class vector.  It is
 built from level codes, one integer column per attribute: ``discretize_column``
 turns a raw score column into codes, ``read_index_csv`` turns the token
-columns of a dataset CSV stream into codes, and ``write_index_csv`` writes an
-index back as tokens to a stream, both a chunk of rows at a time;
+columns of a dataset CSV stream into codes, and ``write_index_csv`` writes
+codes back as tokens to a stream, both a chunk of rows at a time;
 ``DatasetIndex.records`` gives the rows back as ``StudentRecord`` values, and
 ``parse_dataset_csv`` is the reader seen that way, on the CSV's text.
 """
@@ -231,24 +231,22 @@ class DatasetIndex:
     is ``intp[N]``, each record's class index.  Training reads the two
     arrays; a rule term is missed where none of its level bits is set.
 
-    ``rows`` is either the records or their level codes, ``intp[N, A]`` with
-    one column per schema attribute in schema order.  A record that
-    ``validate_record`` rejects raises its ValidationError.  The bits are
-    set one attribute column at a time, so the build holds no ``[N, A]``
-    temporary besides the codes."""
+    ``rows`` is either the records or their level codes, an integer
+    ``[N, A]`` array with one column per schema attribute in schema order
+    (``_fit_codes``).  A record that ``validate_record`` rejects raises its
+    ValidationError.  The bits are set one attribute column at a time, so
+    the build holds no ``[N, A]`` temporary besides the codes."""
 
     def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
         codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))
-        widths, predictive, offsets, target = schema.code_layout
-        fits = codes.ndim == 2 and codes.shape[1] == len(widths) and codes.dtype.kind in "iu"
-        if not (fits and codes.min(initial=0) >= 0 and (codes.max(axis=0, initial=0) < widths).all()):
-            raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
+        codes = _fit_codes(schema, codes)
+        _, predictive, offsets, target = schema.code_layout
         self.schema = schema
         self.bits = np.zeros((len(codes), schema.total_predictive_bits), dtype=np.uint8)
         rows = np.arange(len(codes))
         for column, offset in zip(predictive, offsets):
             self.bits[rows, codes[:, column] + offset] = 1
-        self.target = codes[:, target].astype(np.intp)
+        self.target = codes[:, target].copy()
 
     @classmethod
     def from_arrays(cls, schema: AttributeSchema, bits, target) -> "DatasetIndex":
@@ -273,17 +271,12 @@ class DatasetIndex:
             raise ValidationError(f"segment for {name!r} is not one-hot in every row")
         return segment.argmax(axis=1)
 
-    def tokens(self) -> list[list[str]]:
-        """One level-token column per schema attribute, in schema order."""
-        return [
-            np.asarray(a.levels, dtype=object)[self.column(a.name)].tolist()
-            for a in self.schema.attributes
-        ]
-
     def records(self) -> list[StudentRecord]:
         """The records the index encodes (bits must be one-hot)."""
-        names = [a.name for a in self.schema.attributes]
-        return [StudentRecord(values=dict(zip(names, row))) for row in zip(*self.tokens())]
+        attrs = self.schema.attributes
+        names = [a.name for a in attrs]
+        tokens = [np.asarray(a.levels, dtype=object)[self.column(a.name)].tolist() for a in attrs]
+        return [StudentRecord(values=dict(zip(names, row))) for row in zip(*tokens)]
 
     def term_misses(self, rule) -> np.ndarray:
         """``bool[N, T]``: true where record n has none of term j's level bits set."""
@@ -300,6 +293,15 @@ class DatasetIndex:
 
     def subset(self, keep: np.ndarray) -> "DatasetIndex":
         return DatasetIndex.from_arrays(self.schema, self.bits[keep], self.target[keep])
+
+
+def _fit_codes(schema: AttributeSchema, codes: np.ndarray) -> np.ndarray:
+    """Level codes of any integer dtype as ``intp[N, A]``; codes that do not fit are a ValidationError."""
+    widths = schema.code_layout[0]
+    fits = codes.ndim == 2 and codes.shape[1] == len(widths) and codes.dtype.kind in "iu"
+    if not (fits and codes.min(initial=0) >= 0 and (codes.max(axis=0, initial=0) < widths).all()):
+        raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
+    return codes.astype(np.intp, copy=False)
 
 
 def _record_codes(schema: AttributeSchema, records: list[StudentRecord]) -> np.ndarray:
@@ -379,15 +381,16 @@ def _raise_first_row_error(lines: list[list[str]], read: int, schema: AttributeS
                 )
 
 
-def write_index_csv(index: DatasetIndex, out: TextIO) -> None:
-    """Write an index to ``out`` as the schema-conformant token CSV
-    (byte-stable), ``CHUNK_ROWS`` rows at a time."""
+def write_index_csv(schema: AttributeSchema, codes: np.ndarray, out: TextIO) -> None:
+    """Write level codes, as ``DatasetIndex`` takes them, to ``out`` as the
+    schema-conformant token CSV (byte-stable), ``CHUNK_ROWS`` rows at a time."""
+    codes = _fit_codes(schema, codes)
+    levels = [np.asarray(a.levels, dtype=object) for a in schema.attributes]
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([a.name for a in index.schema.attributes])
-    for start in range(0, len(index), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        chunk = DatasetIndex.from_arrays(index.schema, index.bits[rows], index.target[rows])
-        writer.writerows(zip(*chunk.tokens()))
+    writer.writerow([a.name for a in schema.attributes])
+    for start in range(0, len(codes), CHUNK_ROWS):
+        chunk = codes[start : start + CHUNK_ROWS]
+        writer.writerows(zip(*(tokens[chunk[:, j]].tolist() for j, tokens in enumerate(levels))))
 
 
 def parse_dataset_csv(text: str, schema: AttributeSchema) -> list[StudentRecord]:

@@ -8,9 +8,9 @@ records are encoded once into a ``DatasetIndex``.  Labels come either from
 discretizing the target's raw score or from a planted rule list, matched
 over that index by ``RuleSet.predict_index``; the latter gives the
 extraction pipeline a known ground truth to recover.  ``write_cohort``
-writes the index's token CSV and the raw score table from the arrays,
-straight to their files, a chunk of rows at a time, and saves both tables
-beside them as hash-checked ``.npy`` companions.
+writes the token CSV and its ``.npy`` companion from one array of level
+codes, and the raw score table and its companion from the score matrix, the
+CSVs a chunk of rows at a time; the sidecar holds both pairs' hashes.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -271,32 +271,34 @@ def sample_population(spec: PopulationSpec) -> RawCohort:
 TARGET_CHECK_ERROR_RATE = 0.0027
 
 
-def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray):
+def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray, index: DatasetIndex):
     """The cohort's means against its generation targets: ``(z, checks)``,
     one check ``(group, dimension, sample mean, target mean, tolerance, ok)``
     per group and dimension of non-zero sd, in spec order; ok when the means
     differ by at most the tolerance.  Each tolerance is z standard errors at
-    the group's n, with z the Bonferroni bound that holds the family of m
-    checks to ``TARGET_CHECK_ERROR_RATE`` (3.00 at m = 1, 4.03 at m = 48).
-    The raw table's rows are in ``sample_population``'s order, the groups
-    stacked in spec order; its columns are read by name."""
+    the group's row count, with z the Bonferroni bound that holds the family
+    of m checks to ``TARGET_CHECK_ERROR_RATE`` (3.00 at m = 1, 4.03 at m = 48).
+    Raw row i is record i of ``index``, whose group attribute column groups
+    the rows, in any order; the table's columns are read by name."""
     col = {d: j for j, d in enumerate(raw_dims)}
     missing = [d for d in spec.dimensions if d not in col]
     if missing:
         raise ValidationError(f"the raw table lacks the spec's dimensions {', '.join(missing)}")
     spec_rows = sum(g.n for g in spec.groups.values())
-    if spec_rows != raw_matrix.shape[0]:
-        raise ValidationError(
-            f"the spec has {spec_rows} rows in its groups, the raw table has {raw_matrix.shape[0]}"
-        )
-    checks, offset = [], 0
+    if spec_rows != len(raw_matrix):
+        raise ValidationError(f"the spec has {spec_rows} rows in its groups, "
+                              f"the raw table has {len(raw_matrix)}")
+    attr = _group_attribute(spec.groups, index.schema)
+    group = index.column(attr.name)
+    checks = []
     for token, g in spec.groups.items():
-        rows = raw_matrix[offset : offset + g.n]
-        offset += g.n
+        rows = raw_matrix[group == attr.level_index(token)]
+        if not len(rows):
+            raise ValidationError(f"the table has no rows of the spec's group {token!r}")
         for j, dim in enumerate(spec.dimensions):
             if g.sds[j] != 0:
                 sample = float(rows[:, col[dim]].mean())
-                checks.append((token, dim, sample, g.means[j], g.sds[j] / g.n**0.5))
+                checks.append((token, dim, sample, g.means[j], g.sds[j] / len(rows) ** 0.5))
     z = statistics.NormalDist().inv_cdf(1 - TARGET_CHECK_ERROR_RATE / (2 * max(len(checks), 1)))
     return z, [
         (token, dim, sample, mean, z * se, abs(sample - mean) <= z * se)
@@ -338,9 +340,9 @@ def default_discretization(
     return cuts
 
 
-def _group_attribute(cohort: RawCohort, schema: AttributeSchema):
+def _group_attribute(groups: Mapping[str, object], schema: AttributeSchema):
     """The predictive attribute whose levels contain every group token."""
-    tokens = set(cohort.groups)
+    tokens = set(groups)
     candidates = [a for a in schema.predictive if tokens <= set(a.levels)]
     if len(candidates) != 1:
         raise ValidationError(
@@ -356,7 +358,7 @@ def _cohort_codes(
     """Level codes of the cohort's records, one column per schema attribute:
     the group token, or the codes of the attribute's raw dimension.  With
     ``labelled`` the caller supplies the target and its column stays 0."""
-    group_attr = _group_attribute(cohort, schema)
+    group_attr = _group_attribute(cohort.groups, schema)
     scored = {d for d in cohort.dimensions if d in disc} | {group_attr.name}
     if labelled:
         scored.add(schema.target.name)
@@ -470,22 +472,17 @@ def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
     raise ValidationError("raw CSV is not a table of numbers")
 
 
-# cohort.meta.json's companions: CSV file name -> its array's file name and both files' SHA-256
-COMPANIONS_SHAPE = {str: {"npy": str, "csv_hash": str, "npy_hash": str}}
+# cohort.meta.json's companions: CSV file name -> its and its array's (suffix .npy) SHA-256
+COMPANIONS_SHAPE = {str: {"csv_hash": str, "npy_hash": str}}
 
 
-def write_cohort(
-    stem: str | Path,
-    index: DatasetIndex,
-    cohort: RawCohort,
-    meta: Mapping,
-) -> dict[str, Path]:
+def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta: Mapping) -> dict[str, Path]:
     """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``, and
     beside each CSV its table as ``np.save`` writes it: the level codes
-    (``intp[N, A]``) in ``<stem>.npy`` and the raw scores in
-    ``<stem>.raw.npy``.  The meta gains ``companions``: per CSV file name,
-    its array's file name and both files' SHA-256, so a reader can tell that
-    the array still holds what the CSV holds."""
+    (``intp[N, A]``, taken from the index once for both files) in
+    ``<stem>.npy`` and the raw scores in ``<stem>.raw.npy``.  The meta gains
+    ``companions``: per CSV file name, the SHA-256 of the CSV and of its
+    array, so a reader can tell they still agree."""
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -493,18 +490,15 @@ def write_cohort(
         for key, suffix in (("csv", ".csv"), ("raw", ".raw.csv"), ("meta", ".meta.json"),
                             ("npy", ".npy"), ("raw_npy", ".raw.npy"))
     }
+    codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
     with open(paths["csv"], "w", encoding="utf-8") as out:
-        write_index_csv(index, out)
+        write_index_csv(index.schema, codes, out)
     with open(paths["raw"], "w", encoding="utf-8") as out:
         write_raw_csv(cohort, out)
-    np.save(paths["npy"], np.column_stack([index.column(a.name) for a in index.schema.attributes]))
+    np.save(paths["npy"], codes)
     np.save(paths["raw_npy"], cohort.matrix)
     companions = {
-        paths[table].name: {
-            "npy": paths[npy].name,
-            "csv_hash": file_sha256(paths[table]),
-            "npy_hash": file_sha256(paths[npy]),
-        }
+        paths[table].name: {"csv_hash": file_sha256(paths[table]), "npy_hash": file_sha256(paths[npy])}
         for table, npy in (("csv", "npy"), ("raw", "raw_npy"))
     }
     write_json(paths["meta"], {**meta, "companions": companions})

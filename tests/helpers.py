@@ -8,6 +8,7 @@ import numpy as np
 from edm_rulex.errors import NumericError
 from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, forward, train
 from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
+from edm_rulex.schema import write_index_csv
 
 
 def batch_loss(net: Network, dataset) -> float:
@@ -210,8 +211,14 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
     return TrainResult(network=net, mse_history=history)
 
 
-def written(write, obj) -> str:
-    """The text that a stream writer such as ``write_index_csv`` writes for ``obj``."""
+def written(write, *args) -> str:
+    """The text that a stream writer such as ``write_raw_csv`` writes for ``args``."""
     out = io.StringIO()
-    write(obj, out)
+    write(*args, out)
     return out.getvalue()
+
+
+def index_csv(index: DatasetIndex) -> str:
+    """The token CSV of an index: ``write_index_csv`` of its level codes."""
+    codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
+    return written(write_index_csv, index.schema, codes)

@@ -7,14 +7,15 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edm_rulex import cli, rulekit, util
 from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
-from edm_rulex.schema import DatasetIndex, load_schema, write_index_csv
+from edm_rulex.schema import DatasetIndex, load_schema
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
-from helpers import written
+from helpers import index_csv
 
 
 def run(*argv):
@@ -73,7 +74,7 @@ def test_generate_row_count(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     hashed = {name: util.file_sha256(tmp_path / name) for name in names}
     assert meta["companions"] == {
-        csv: {"npy": npy, "csv_hash": hashed[csv], "npy_hash": hashed[npy]}
+        csv: {"csv_hash": hashed[csv], "npy_hash": hashed[npy]}
         for csv, npy in (("cohort.csv", "cohort.npy"), ("cohort.raw.csv", "cohort.raw.npy"))
     }
     spec = meta["population_spec"]
@@ -148,7 +149,7 @@ def test_train_toy_separable_reaches_target(tmp_path):
         for a in ("a1", "a2")
         for b in ("b1", "b2")
     ]
-    (tmp_path / "toy.csv").write_text(written(write_index_csv, DatasetIndex(schema, records)))
+    (tmp_path / "toy.csv").write_text(index_csv(DatasetIndex(schema, records)))
     (tmp_path / "toy.schema.json").write_text(
         json.dumps(
             [
@@ -566,14 +567,17 @@ def test_target_checks_pass_correct_cohorts():
     # of the 48 checks at 3 SE, 20 of the seeds failed; the family-wise
     # tolerance fails a correct cohort about 1 time in 400
     from edm_rulex import studydata
-    from edm_rulex.synthgen import PopulationSpec, sample_population, target_checks
+    from edm_rulex.synthgen import PopulationSpec, default_discretization, discretize_cohort
+    from edm_rulex.synthgen import sample_population, target_checks
 
-    base = studydata.default_population_spec()
+    base, schema = studydata.default_population_spec(), studydata.default_student_schema()
     failed = 0
     for seed in range(200):
         spec = PopulationSpec(base.dimensions, base.groups, util.derive_seed(seed, "generate"))
         cohort = sample_population(spec)
-        z, checks = target_checks(spec, cohort.dimensions, cohort.matrix)
+        disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
+        index = discretize_cohort(cohort, disc, schema)
+        z, checks = target_checks(spec, cohort.dimensions, cohort.matrix, index)
         failed += not all(ok for *_, ok in checks)
     assert len(checks) == 48 and z == pytest.approx(4.03, abs=0.005)
     assert failed <= 4  # 2 %
@@ -652,12 +656,16 @@ def test_stats_reads_raw_columns_by_name(full_run, tmp_path, capsys, reshape):
 
 
 def test_stats_records_the_target_checks_of_the_raw_table(full_run):
+    from edm_rulex.schema import read_index_csv
     from edm_rulex.synthgen import PopulationSpec, parse_raw_csv, target_checks
 
     meta = json.loads((full_run / "cohort.meta.json").read_text())
     with open(full_run / "cohort.raw.csv", encoding="utf-8") as stream:
         raw_dims, raw_matrix = parse_raw_csv(stream)
-    z, checks = target_checks(PopulationSpec.from_dict(meta["population_spec"]), raw_dims, raw_matrix)
+    with open(full_run / "cohort.csv", encoding="utf-8") as stream:
+        index = read_index_csv(stream, load_schema(meta["schema"]))
+    spec = PopulationSpec.from_dict(meta["population_spec"])
+    z, checks = target_checks(spec, raw_dims, raw_matrix, index)
     stats = json.loads((full_run / "stats.json").read_text())
     assert stats["sections"]["target_checks"] == {"z": z, "checks": [list(c) for c in checks]}
     assert len(checks) == 48 and all(isinstance(c[5], bool) for c in checks)
@@ -1346,6 +1354,78 @@ def test_report_rejects_a_rule_term_naming_the_target(full_run, tmp_path, capsys
     err = capsys.readouterr().err
     field = f"ruleset.json.rules[0].terms[{len(terms) - 1}].attribute names the target 'Reasoning'"
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rule: rule.update(text="If Gender = Fe → Then Reasoning = V.G"),
+         "ruleset.json.rules[0].text 'If Gender = Fe → Then Reasoning = V.G' differs from its rule"),
+        # format_rule cannot place a term of an attribute the schema lacks
+        (lambda rule: rule["terms"].append({"attribute": "Shoe size", "levels": ["F"]}),
+         "rules.txt line 1"),
+    ],
+)
+def test_report_rejects_a_rule_text_that_is_not_its_rule(full_run, tmp_path, capsys, edit, message):
+    # report printed ruleset.json's text as it found it, while the rule's
+    # terms and rules.txt held another rule, and exited 0
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    ruleset = json.loads((broken / "ruleset.json").read_text())
+    edit(ruleset["rules"][0])
+    _write(broken / "ruleset.json", ruleset)
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert (broken / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("source", ["cohort.raw.csv", "cohort.raw.npy"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_stats_names_a_non_finite_raw_score(tmp_path, capsys, value, source):
+    # stats printed numpy's RuntimeWarnings, then "x must be in [0,1], got nan"
+    assert run("generate", "--n", "60", "--seed", "7", "--out", tmp_path) == 0
+    raw, npy = tmp_path / "cohort.raw.csv", tmp_path / "cohort.raw.npy"
+    header, *rows = raw.read_text(encoding="utf-8").splitlines(keepends=True)
+    if source == "cohort.raw.csv":
+        npy.unlink()
+        cells = rows[4].split(",")
+        cells[2] = value
+        raw.write_text("".join([header, *rows[:4], ",".join(cells), *rows[5:]]), encoding="utf-8")
+    else:
+        table = np.load(npy)
+        table[4, 2] = float(value)
+        np.save(npy, table)
+        meta = json.loads((tmp_path / "cohort.meta.json").read_text())
+        meta["companions"]["cohort.raw.csv"]["npy_hash"] = util.file_sha256(npy)
+        _write(tmp_path / "cohort.meta.json", meta)
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    column = header.split(",")[2]
+    assert err == f"error: cohort.raw.csv row 5, column {column!r}: score {float(value)!r} is not finite\n"
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_target_checks_split_a_shuffled_cohort_by_its_group_column(study_run, tmp_path):
+    # the checks took each group's rows by position, so shuffling the rows
+    # of both CSVs the same way moved the means and failed a check
+    shuffled = tmp_path / "shuffled"
+    shuffled.mkdir()
+    shutil.copy(study_run / "cohort.meta.json", shuffled)
+    order = np.random.default_rng(0).permutation(97)
+    for name in ("cohort.csv", "cohort.raw.csv"):
+        header, *rows = (study_run / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (shuffled / name).write_text("".join([header, *(rows[i] for i in order)]), encoding="utf-8")
+    checks = {}
+    for key, data in (("plain", study_run / "cohort.csv"), ("shuffled", shuffled / "cohort.csv")):
+        assert run("stats", "--data", data, "--out", tmp_path / key) == 0
+        stats = json.loads((tmp_path / key / "stats.json").read_text())
+        checks[key] = stats["sections"]["target_checks"]["checks"]
+    assert len(checks["plain"]) == len(checks["shuffled"]) == 48
+    for (*key, mean, target, tol, ok), (*key2, mean2, target2, tol2, ok2) in zip(*checks.values()):
+        assert (key, target, tol, ok) == (key2, target2, tol2, ok2)
+        assert abs(mean - mean2) <= 1e-12
 
 
 def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):

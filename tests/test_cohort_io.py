@@ -83,8 +83,9 @@ def test_write_read_round_trip_at_chunk_edges(n):
     schema = studydata.default_student_schema()
     rng = np.random.default_rng(n)
     widths = [len(a.levels) for a in schema.attributes]
-    index = DatasetIndex(schema, rng.integers(0, widths, size=(n, len(widths))))
-    text = written(write_index_csv, index)
+    codes = rng.integers(0, widths, size=(n, len(widths)))
+    index = DatasetIndex(schema, codes)
+    text = written(write_index_csv, schema, codes)
     assert text.count("\n") == n + 1
     back = read_index_csv(io.StringIO(text), schema)
     assert np.array_equal(back.bits, index.bits) and np.array_equal(back.target, index.target)

@@ -18,7 +18,7 @@ import pytest
 
 from edm_rulex import cli
 from edm_rulex.schema import load_schema, read_index_csv
-from edm_rulex.synthgen import parse_raw_csv
+from edm_rulex.synthgen import parse_raw_csv, read_raw_header
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
@@ -40,6 +40,15 @@ def _stage_options(data, *flags):
     return cli._options(args, "stats")
 
 
+def _loaded(opts, path):
+    """``cli._companion`` of a cohort CSV as a stage calls it: the codes
+    behind the dataset CSV, or the scores behind the ``.raw.csv``."""
+    if path.name.endswith(".raw.csv"):
+        with open(path, encoding="utf-8-sig") as stream:
+            return cli._companion(opts, path, "f", len(read_raw_header(stream)))
+    return cli._companion(opts, path, "iu", len(opts["schema"].attributes))
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_the_companions_hold_what_the_csvs_hold(tmp_path, workload):
     inputs = workloads.write_inputs(workload, 7, tmp_path / "inputs")
@@ -47,7 +56,7 @@ def test_the_companions_hold_what_the_csvs_hold(tmp_path, workload):
     assert stage == "generate" and cli.main(argv) == 0
     data, raw = tmp_path / "run" / "cohort.csv", tmp_path / "run" / "cohort.raw.csv"
     opts = _stage_options(data)
-    assert cli._companion(opts, data) is not None and cli._companion(opts, raw) is not None
+    assert _loaded(opts, data) is not None and _loaded(opts, raw) is not None
 
     index = cli._read_cohort(opts)
     with open(data, encoding="utf-8") as stream:
@@ -57,7 +66,7 @@ def test_the_companions_hold_what_the_csvs_hold(tmp_path, workload):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     with open(raw, encoding="utf-8") as stream:
         _, table = parse_raw_csv(stream)
-    saved = cli._companion(opts, raw)
+    saved = _loaded(opts, raw)
     assert (saved.dtype, saved.shape, saved.tobytes()) == (table.dtype, table.shape, table.tobytes())
 
 
@@ -150,7 +159,7 @@ def test_a_stage_reads_the_csv_when_a_companion_does_not_match(cohorts, tmp_path
             flags = ("--schema", run_dir / "schema.json")
         opts = _stage_options(data, *map(str, flags))
         for suffix in as_text:
-            assert cli._companion(opts, stem.with_name(f"{stem.name}.{suffix}")) is None
+            assert _loaded(opts, stem.with_name(f"{stem.name}.{suffix}")) is None
         _stages(run_dir, data, flags)
         runs[kind] = run_dir
     for name in ARTIFACTS:
@@ -173,12 +182,8 @@ def test_the_companions_give_the_bytes_of_the_csvs(cohorts, tmp_path):
     "edit, field",
     [
         (lambda entry: entry.pop("npy_hash"), "companions['cohort.csv'] lacks the field 'npy_hash'"),
-        (lambda entry: entry.update(npy=5), "companions['cohort.csv'].npy must be str, got 5"),
         (lambda entry: entry.update(csv_hash=None),
          "companions['cohort.csv'].csv_hash must be str, got None"),
-        (lambda entry: entry.update(npy="../cohort.npy"),
-         "companions['cohort.csv'].npy '../cohort.npy' is not a file name"),
-        (lambda entry: entry.update(npy=""), "companions['cohort.csv'].npy '' is not a file name"),
     ],
 )
 def test_a_malformed_companions_entry_exits_2(cohorts, tmp_path, capsys, edit, field):
@@ -200,13 +205,13 @@ def test_a_companion_that_does_not_fit_its_csv_exits_2(cohorts, tmp_path, capsys
     np.save(run_dir / "cohort.raw.npy", np.load(run_dir / "cohort.raw.npy")[:, :3])
     np.save(run_dir / "cohort.npy", np.load(run_dir / "cohort.npy").astype(float))
     meta = json.loads((run_dir / "cohort.meta.json").read_text())
-    for entry in meta["companions"].values():
-        entry["npy_hash"] = cli.file_sha256(run_dir / entry["npy"])
+    for name, entry in meta["companions"].items():
+        entry["npy_hash"] = cli.file_sha256((run_dir / name).with_suffix(".npy"))
     (run_dir / "cohort.meta.json").write_text(json.dumps(meta))
-    schema = load_schema(meta["schema"])
+    width = len(load_schema(meta["schema"]).attributes)
     assert run("train", "--data", run_dir / "cohort.csv", "--epochs", "1", "--out", tmp_path / "a") == 2
     err = capsys.readouterr().err
-    assert f"level codes of shape (97, {len(schema.attributes)}) do not fit the schema" in err
+    assert f"the array saved for cohort.csv is float64[97, {width}], not a table of {width} columns" in err
     np.save(run_dir / "cohort.npy", np.load(run_dir / "cohort.npy").astype(np.intp))
     meta["companions"]["cohort.csv"]["npy_hash"] = cli.file_sha256(run_dir / "cohort.npy")
     (run_dir / "cohort.meta.json").write_text(json.dumps(meta))

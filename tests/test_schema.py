@@ -26,7 +26,7 @@ from edm_rulex.schema import (
 )
 from edm_rulex.synthgen import RawCohort, discretize_cohort
 
-from helpers import written
+from helpers import index_csv, written
 
 
 def test_load_schema_layout(toy_schema):
@@ -258,8 +258,28 @@ def test_csv_round_trip(toy_schema):
         )
         for _ in range(50)
     ]
-    text = written(write_index_csv, DatasetIndex(toy_schema, records))
+    text = index_csv(DatasetIndex(toy_schema, records))
     assert parse_dataset_csv(text, toy_schema) == records
+
+
+def test_an_index_builds_from_level_codes_of_any_integer_dtype():
+    # uint64 codes passed the range check, then failed as indices
+    schema = studydata.default_student_schema()
+    widths = [len(a.levels) for a in schema.attributes]
+    codes = np.random.default_rng(4).integers(0, widths, size=(50, len(widths)))
+    want, text = DatasetIndex(schema, codes.astype(np.intp)), written(write_index_csv, schema, codes)
+    for dtype in (np.int32, np.uint8, np.uint64):
+        got = DatasetIndex(schema, codes.astype(dtype))
+        for name in ("bits", "target"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert written(write_index_csv, schema, codes.astype(dtype)) == text
+
+
+@pytest.mark.parametrize("codes", [[[0, -1, 0]], [[3, 0, 0]], [[0, 0]], [[0.0, 0.0, 0.0]]])
+def test_write_index_csv_rejects_codes_that_do_not_fit(toy_schema, codes):
+    with pytest.raises(ValidationError, match="do not fit the schema"):
+        written(write_index_csv, toy_schema, np.array(codes))
 
 
 def test_read_index_csv_equals_index_of_parsed_records():
@@ -269,13 +289,13 @@ def test_read_index_csv_equals_index_of_parsed_records():
         StudentRecord({a.name: a.levels[rng.integers(len(a.levels))] for a in schema.attributes})
         for _ in range(300)
     ]
-    text = written(write_index_csv, DatasetIndex(schema, records))
+    text = index_csv(DatasetIndex(schema, records))
     index = read_index_csv(io.StringIO(text), schema)
     expected = DatasetIndex(schema, parse_dataset_csv(text, schema))
     assert index.bits.dtype == np.uint8 and index.target.dtype == np.intp
     assert np.array_equal(index.bits, expected.bits)
     assert np.array_equal(index.target, expected.target)
-    assert written(write_index_csv, index) == text
+    assert index_csv(index) == text
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.rulekit import Rule, RuleSet
-from edm_rulex.schema import read_index_csv, write_index_csv
+from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, read_index_csv
 from edm_rulex.synthgen import (
     GroupSpec,
     PlantedRuleSpec,
@@ -26,7 +26,7 @@ from edm_rulex.synthgen import (
     write_raw_csv,
 )
 
-from helpers import written
+from helpers import index_csv, written
 
 
 def _spec(dims, n, means, sds, corr, seed=0, token="g"):
@@ -125,7 +125,7 @@ def test_generation_deterministic():
         cohort = sample_population(spec)
         disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
         index = discretize_cohort(cohort, disc, schema)
-        outputs.append(written(write_index_csv, index) + written(write_raw_csv, cohort))
+        outputs.append(index_csv(index) + written(write_raw_csv, cohort))
     assert outputs[0] == outputs[1]
 
 
@@ -298,7 +298,7 @@ def test_noisy_planted_cohort_bytes():
     )
     flipped = np.flatnonzero(clean.target != noisy.target).tolist()
     assert flipped == [3, 5, 31, 38, 45, 49, 50, 54, 56, 61, 64, 66, 67]
-    digest = hashlib.sha256(written(write_index_csv, noisy).encode()).hexdigest()
+    digest = hashlib.sha256(index_csv(noisy).encode()).hexdigest()
     assert digest == "c1a2fc8b4669c17a1a9ef7ae86e931827476d8f016dd86eff88f4fd6a2dc422e"
 
 
@@ -344,7 +344,9 @@ def test_parse_raw_csv_names_bad_row_and_column(body, message):
 )
 def test_target_checks_name_the_spec_and_table_not_files(dims, rows, message):
     spec = _spec(["x", "y"], 4, [0.0, 0.0], [1.0, 1.0], np.eye(2))
+    schema = AttributeSchema((Attribute("group", ("g",)), Attribute("t", ("t",), ROLE_TARGET)))
+    index = DatasetIndex(schema, np.zeros((rows, 2), dtype=int))
     with pytest.raises(ValidationError) as raised:
-        target_checks(spec, dims, np.zeros((rows, len(dims))))
+        target_checks(spec, dims, np.zeros((rows, len(dims))), index)
     assert str(raised.value) == message
     assert ".csv" not in message and ".json" not in message
