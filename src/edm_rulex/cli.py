@@ -117,7 +117,8 @@ def _options(args, stage: str) -> dict:
     schema: the ``--schema`` file's, else the one in the sidecar meta, else
     the built-in student schema.  ``companions`` is the sidecar's when the
     schema is the sidecar's too, else ``{}``; ``hashes`` holds each input
-    file's SHA-256 once ``_sha256`` has read it."""
+    file's SHA-256 once ``_sha256`` has read it.  ``cuts_hash`` is the
+    ``config_hash`` of the sidecar's cut points, None without them."""
     conf = {}
     if args.config:
         shape = {f"{s}?": {f"{name}?": str if kind is Path else kind for name, kind, *_ in options}
@@ -147,9 +148,11 @@ def _options(args, stage: str) -> dict:
             continue
         options[name] = kind(value)
     sidecar = options.get("data") and options["data"].with_suffix(".meta.json")
-    shape = {"schema?": SCHEMA_SHAPE, "companions?": COMPANIONS_SHAPE}
+    shape = {"schema?": SCHEMA_SHAPE, "companions?": COMPANIONS_SHAPE, "discretization?": {str: [float]}}
     meta = read_json(sidecar, shape) if sidecar and sidecar.exists() else {}
-    options.update(sidecar=sidecar, meta=meta, companions={}, hashes={})
+    cuts = meta.get("discretization")
+    cuts_hash = config_hash(cuts) if cuts else None
+    options.update(sidecar=sidecar, meta=meta, companions={}, hashes={}, cuts_hash=cuts_hash)
     if options["schema"]:
         options["schema"] = load_schema(read_json(options["schema"], SCHEMA_SHAPE))
     elif "schema" in meta:
@@ -303,12 +306,11 @@ def cmd_train(args) -> int:
         "train_seed": config.seed,
         "schema_hash": schema_hash(schema),
         "inputs": inputs,
-        "final_mse": result.final_mse,
-        "epochs_run": result.epochs_run,
+        "discretization_hash": opts["cuts_hash"],
     }
     write_json(out / "model.json", network_to_dict(net))
-    train_log = {k: net.metadata[k] for k in ("config_hash", "epochs_run", "final_mse")}
-    write_json(out / "train_log.json", {**train_log, "mse_history": result.mse_history})
+    train_log = {"config_hash": digest, "final_mse": result.final_mse, "mse_history": result.mse_history}
+    write_json(out / "train_log.json", train_log)
     print(f"wrote {out / 'model.json'} (mse {result.final_mse:.5f} after {result.epochs_run} epochs)")
     return 0
 
@@ -321,12 +323,11 @@ def cmd_extract(args) -> int:
     opts = _options(args, "extract")
     schema, index, out = opts["schema"], _read_cohort(opts), opts["out"]
     net = load_network(opts["model"])
-    trained_on = net.metadata.get("schema_hash")
-    if trained_on is not None and trained_on != schema_hash(schema):
-        raise ValidationError(
-            "schema mismatch between model and dataset: "
-            f"model has {trained_on[:12]}..., dataset has {schema_hash(schema)[:12]}..."
-        )
+    for what, ours in (("schema", schema_hash(schema)), ("discretization", opts["cuts_hash"])):
+        theirs = net.metadata.get(f"{what}_hash")
+        if theirs and ours and theirs != ours:
+            raise ValidationError(f"{what} mismatch between model and dataset: "
+                                  f"model has {theirs[:12]}..., dataset has {ours[:12]}...")
     ga = GaConfig(
         population_size=opts["pop"],
         generations=opts["generations"],
@@ -344,7 +345,7 @@ def cmd_extract(args) -> int:
         confidence_threshold=opts["confidence"],
         epsilon=opts["epsilon"],
     )
-    doc = ruleset_to_dict(ruleset, schema)
+    doc = ruleset_to_dict(ruleset)
     doc["config_hash"], doc["inputs"] = _provenance(
         "extract", opts, dataset=opts["data"], model=opts["model"]
     )
@@ -559,21 +560,19 @@ REQUIRED_ARTIFACTS = (
 REPORT_SHAPES = {
     "cohort.meta.json": {"config_hash": str, "master_seed": int, "generator": str,
                          "schema": SCHEMA_SHAPE, "population_spec": object},
-    "model.json": {"input_size": int, "hidden_size": int, "output_size": int, "metadata": {
-        "config_hash": str, "inputs": _INPUTS, "final_mse": float, "epochs_run": int}},
-    "train_log.json": {"config_hash": str, "final_mse": float, "epochs_run": int,
-                       "mse_history": [float]},
+    "model.json": {"input_size": int, "hidden_size": int, "output_size": int,
+                   "metadata": {"config_hash": str, "inputs": _INPUTS}},
+    "train_log.json": {"config_hash": str, "final_mse": float, "mse_history": [float]},
     "ruleset.json": {"config_hash": str, "inputs": _INPUTS, "default": str,
-                     "rules": [{"text": str, "confidence": float, "support": int}],
-                     "training_accuracy": float},
+                     "rules": [{"confidence": float, "support": int}], "training_accuracy": float},
     "stats.json": {**STATS_SHAPE, "sections": {**_STATS_SECTIONS, "target_checks": _TARGET_CHECKS}},
 }
 
 
-def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
-    """No term of ``ruleset.json``'s rules may name the target, ``rules.txt``
-    (at ``path``) must parse back to those rules, in order, and their
-    default, and each rule's ``text`` must be the rule's ``format_rule``."""
+def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> rulekit.RuleSet:
+    """``ruleset.json``'s ruleset, once no rule term names the target and
+    ``rules.txt`` at ``path`` (a byte order mark skipped) parses back to its
+    rules, in order, and its default, so ``format_rule`` writes their lines."""
     recorded = ruleset_from_dict(ruleset)
     for i, rule in enumerate(recorded.rules):
         for j, (name, _) in enumerate(rule.terms):
@@ -583,7 +582,7 @@ def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
                     "which a rule can only conclude"
                 )
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
         written = parse_ruleset(text, schema)
     except (UnicodeDecodeError, ValidationError) as e:
         raise ValidationError(f"{path.name} does not parse: {e}") from None
@@ -592,10 +591,7 @@ def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> None:
     for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
         if a != b:
             raise ValidationError(f"{path.name} line {n} {line!r} differs from ruleset.json")
-    for i, rule in enumerate(recorded.rules):  # parsed from rules.txt, so format_rule knows its terms
-        given, want = ruleset["rules"][i]["text"], format_rule(rule, schema)
-        if given != want:
-            raise ValidationError(f"ruleset.json.rules[{i}].text {given!r} differs from its rule, {want!r}")
+    return recorded
 
 
 def cmd_report(args) -> int:
@@ -626,19 +622,15 @@ def cmd_report(args) -> int:
                 problems.append(f"{artifact} was made from a different {name}")
     if problems:
         raise ValidationError("artifact hash mismatch: " + "; ".join(problems))
-    history = train_log["mse_history"]
-    for field, value, key in (
-        ("config_hash", train_log["config_hash"], "config_hash"),
-        ("final_mse", train_log["final_mse"], "final_mse"),
-        ("epochs_run", train_log["epochs_run"], "epochs_run"),
-        ("mse_history length", len(history), "epochs_run"),
-        ("mse_history[-1]", history[-1] if history else None, "final_mse"),
-    ):
-        if value != md[key]:
-            raise ValidationError(
-                f"train_log.json {field} {value!r} does not match model.json metadata {key} {md[key]!r}"
-            )
-    _check_ruleset(run_dir / "rules.txt", ruleset, load_schema(meta["schema"]))
+    if train_log["config_hash"] != md["config_hash"]:
+        raise ValidationError(f"train_log.json config_hash {train_log['config_hash']!r} does not match "
+                              f"model.json metadata config_hash {md['config_hash']!r}")
+    history, final_mse = train_log["mse_history"], train_log["final_mse"]
+    if not history or history[-1] != final_mse:
+        last = f"mse_history[-1] {history[-1]!r}" if history else "an empty mse_history"
+        raise ValidationError(f"train_log.json final_mse {final_mse!r} does not match {last}")
+    schema = load_schema(meta["schema"])
+    rules = _check_ruleset(run_dir / "rules.txt", ruleset, schema).rules
 
     lines = ["edm-rulex run report", "====================", "", "Artifacts and config hashes"]
     for name, doc in (("cohort.meta.json", meta), ("model.json", md), ("ruleset.json", ruleset),
@@ -652,11 +644,11 @@ def cmd_report(args) -> int:
     )
     lines.append(
         f"Model: {model['input_size']}-{model['hidden_size']}-{model['output_size']}, "
-        f"final mse {md['final_mse']:.5f} after {md['epochs_run']} epochs"
+        f"final mse {final_mse:.5f} after {len(history)} epochs"
     )
     lines += ["", "Extracted rules (confidence, support)"]
-    for rule in ruleset["rules"]:
-        lines.append(f"  {rule['text']}   ({rule['confidence']:.3f}, {rule['support']})")
+    for rule in rules:
+        lines.append(f"  {format_rule(rule, schema)}   ({rule.confidence:.3f}, {rule.support})")
     lines.append(f"  Default class: {ruleset['default']}")
     lines += [f"  Ruleset training accuracy: {ruleset['training_accuracy']:.3f}", ""]
 

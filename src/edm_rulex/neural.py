@@ -380,7 +380,8 @@ def network_to_dict(net: Network) -> dict:
 
 
 NETWORK_SHAPE = {"v": [[float]], "b_h": [float], "w": [[float]], "b_o": [float], "input_size?": int,
-                 "hidden_size?": int, "output_size?": int, "metadata?": {"schema_hash?": str}}
+                 "hidden_size?": int, "output_size?": int,
+                 "metadata?": {"schema_hash?": str, "discretization_hash?": str}}
 
 
 def network_from_dict(doc: Mapping) -> Network:

@@ -316,8 +316,14 @@ def format_rule(rule: Rule, schema: AttributeSchema) -> str:
     a term naming several levels is parenthesised, as in ``If (Unit 1 = F or
     Unit 1 = P) and Unit 3 = F → ...``, so AND-before-OR precedence reads it
     as written.  An empty antecedent renders as ``If true``.  ``parse_rule``
-    reads the text back.
+    reads the text back; a term or consequent outside the schema's predictive
+    attributes and levels, or a term of no levels, is a ValidationError.
     """
+    for attr_name, levels in rule.terms:
+        if not levels:
+            raise ValidationError(f"rule term on {attr_name!r} names no levels")
+        schema.level_bits(attr_name, levels)
+    schema.target.level_index(rule.consequent)
     order = {a.name: i for i, a in enumerate(schema.attributes)}
     parts = []
     for attr_name, levels in sorted(rule.terms, key=lambda t: order[t[0]]):
@@ -418,7 +424,9 @@ def parse_ruleset(text: str, schema: AttributeSchema) -> RuleSet:
     return RuleSet(rules=tuple(parse_rule(line, schema) for line in lines[:-1]), default=default)
 
 
-def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:
+def ruleset_to_dict(ruleset: RuleSet) -> dict:
+    """``ruleset.json``'s rules, default and audit.  A rule's text is not
+    recorded: ``format_rule`` derives it from the terms and consequent."""
     return {
         "rules": [
             {
@@ -427,10 +435,8 @@ def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:
                 "support": r.support,
                 "confidence": r.confidence,
                 "coverage": r.coverage,
-                "vacuous": r.vacuous,
                 "fitness": r.fitness,
                 "chromosome": list(r.chromosome) if r.chromosome is not None else None,
-                "text": format_rule(r, schema),
             }
             for r in ruleset.rules
         ],
@@ -441,7 +447,7 @@ def ruleset_to_dict(ruleset: RuleSet, schema: AttributeSchema) -> dict:
 
 RULESET_SHAPE = {"default": str, "audit?": [{str: object}], "rules": [{
     "terms": [{"attribute": str, "levels": [str]}], "consequent": str, "support?": int,
-    "confidence?": float, "coverage?": float, "vacuous?": bool, "fitness?": float, "chromosome?": [int]}]}
+    "confidence?": float, "coverage?": float, "fitness?": float, "chromosome?": [int]}]}
 
 
 def ruleset_from_dict(doc: Mapping) -> RuleSet:

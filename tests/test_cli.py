@@ -742,10 +742,9 @@ def test_report_rejects_a_raw_table_edited_after_stats(full_run, tmp_path, capsy
     [
         (lambda log: [], "train_log.json must be a JSON object"),
         (lambda log: {**log, "final_mse": log["final_mse"] * 2}, "final_mse"),
-        (lambda log: {k: v for k, v in log.items() if k != "epochs_run"}, "epochs_run"),
         # a train_log.json of another run, or a history that ends elsewhere, was accepted
         (lambda log: {**log, "config_hash": "0" * 64}, "train_log.json config_hash '0000"),
-        (lambda log: {**log, "mse_history": []}, "train_log.json mse_history length 0 does not match"),
+        (lambda log: {**log, "mse_history": []}, "does not match an empty mse_history"),
         (lambda log: {**log, "mse_history": log["mse_history"][:-1] + [0.5]}, "mse_history[-1] 0.5"),
         (lambda log: _without(log, "mse_history"), "train_log.json lacks the field 'mse_history'"),
     ],
@@ -959,6 +958,8 @@ def _without(doc, key):
         ("spec group n not a number", "spec.json.groups['Ma'].n must be int, got 'abc'"),
         ("sidecar spec group n not a number",
          "cohort.meta.json.population_spec.groups['Ma'].n must be int, got 'abc'"),
+        # every stage holds the sidecar's cut points to their shape, since extract hashes them
+        ("sidecar cut not a number", "cohort.meta.json.discretization['Unit 1'][0] must be float, got 'low'"),
     ],
 )
 def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
@@ -994,7 +995,10 @@ def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
         argv = ("train", "--config", config, "--data", data, "--out", out)
     elif case.startswith("sidecar"):
         meta = json.loads((run_dir / "cohort.meta.json").read_text())
-        meta["population_spec"]["groups"]["Ma"]["n"] = "abc"
+        if case == "sidecar cut not a number":
+            meta["discretization"]["Unit 1"][0] = "low"
+        else:
+            meta["population_spec"]["groups"]["Ma"]["n"] = "abc"
         _write(run_dir / "cohort.meta.json", meta)
         argv = ("stats", "--data", data, "--out", out)
     else:
@@ -1021,8 +1025,9 @@ def study_run(tmp_path_factory):
 
 def test_budget_5_ruleset_bytes(study_run, tmp_path):
     # SHA-256 of ruleset.json as written when each class's GA runs were
-    # evolved one at a time, class after class; with budget 5 the classes
-    # leave covering in different rounds, so it pins the round-major join
+    # evolved one at a time, class after class (less each rule's text and
+    # vacuous flag, which the document no longer records); with budget 5 the
+    # classes leave covering in different rounds, so it pins the round-major join
     for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
         shutil.copy(study_run / name, tmp_path / name)
     assert run(
@@ -1035,7 +1040,7 @@ def test_budget_5_ruleset_bytes(study_run, tmp_path):
         rounds[entry["class"]] = rounds.get(entry["class"], 0) + 1
     assert rounds == {"F": 3, "P": 3, "G": 5, "V.G": 3}
     digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
-    assert digest == "4feea41a85b15ce8853325a9906a2383e6e3bfba7226dfc7090cfaf3f650faa2"
+    assert digest == "e7c49195725d91163f465cf209ef7229ed7fe4286cb0f7742faa85d0adf48ff3"
 
 
 def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
@@ -1359,16 +1364,14 @@ def test_report_rejects_a_rule_term_naming_the_target(full_run, tmp_path, capsys
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rule: rule.update(text="If Gender = Fe → Then Reasoning = V.G"),
-         "ruleset.json.rules[0].text 'If Gender = Fe → Then Reasoning = V.G' differs from its rule"),
-        # format_rule cannot place a term of an attribute the schema lacks
+        # format_rule cannot write a term of an attribute the schema lacks
         (lambda rule: rule["terms"].append({"attribute": "Shoe size", "levels": ["F"]}),
          "rules.txt line 1"),
     ],
 )
 def test_report_rejects_a_rule_text_that_is_not_its_rule(full_run, tmp_path, capsys, edit, message):
-    # report printed ruleset.json's text as it found it, while the rule's
-    # terms and rules.txt held another rule, and exited 0
+    # report prints format_rule of each rule, so a rule that rules.txt does
+    # not hold stops it before any line is written
     broken = tmp_path / "broken"
     shutil.copytree(full_run, broken)
     ruleset = json.loads((broken / "ruleset.json").read_text())
@@ -1378,6 +1381,74 @@ def test_report_rejects_a_rule_text_that_is_not_its_rule(full_run, tmp_path, cap
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert (broken / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+@pytest.mark.parametrize("text", ["as written", "stale"])
+def test_report_reads_a_run_directory_in_the_earlier_format(full_run, tmp_path, text):
+    # ruleset.json's rules once held their text and vacuous flag, and
+    # train_log.json its epochs_run; no artifact records either file as an
+    # input, so such a run still reports, and it prints each rule from its
+    # terms, never a recorded text
+    old = tmp_path / "old"
+    shutil.copytree(full_run, old)
+    (old / "report.txt").unlink()
+    doc = json.loads((old / "ruleset.json").read_text())
+    lines = (old / "rules.txt").read_text().splitlines()
+    for rule, line in zip(doc["rules"], lines):
+        rule.update(text=line if text == "as written" else "If Gender = Fe → Then Reasoning = V.G",
+                    vacuous=rule["support"] == 0)
+    util.write_json(old / "ruleset.json", doc)
+    log = json.loads((old / "train_log.json").read_text())
+    util.write_json(old / "train_log.json", {**log, "epochs_run": len(log["mse_history"])})
+    assert run("report", old) == 0
+    assert (old / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+def test_report_reads_a_rules_txt_with_a_byte_order_mark(full_run, tmp_path):
+    # rules.txt was read as plain UTF-8, so its first line began with U+FEFF and did not parse
+    bom = tmp_path / "bom"
+    shutil.copytree(full_run, bom)
+    (bom / "report.txt").unlink()
+    (bom / "rules.txt").write_bytes(b"\xef\xbb\xbf" + (full_run / "rules.txt").read_bytes())
+    assert run("report", bom) == 0
+    assert (bom / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+_FAST_EXTRACT = ("--pop", "20", "--generations", "5", "--budget", "1", "--seed", "7")
+
+
+def test_extract_rejects_a_cohort_cut_at_other_points(study_run, tmp_path, capsys):
+    # two cohorts of one spec share a schema but not their tertile cuts, and a
+    # model trained on one read the other's levels as its own and exited 0
+    other = tmp_path / "seed8"
+    assert run("generate", "--n", "97", "--seed", "8", "--out", other) == 0
+    trained_on = json.loads((study_run / "model.json").read_text())["metadata"]["discretization_hash"]
+    given = util.config_hash(json.loads((other / "cohort.meta.json").read_text())["discretization"])
+    assert trained_on != given
+    out = tmp_path / "out"
+    model = study_run / "model.json"
+    assert run("extract", "--data", other / "cohort.csv", "--model", model, *_FAST_EXTRACT, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not out.exists()
+    assert err.splitlines() == [f"error: discretization mismatch between model and dataset: "
+                                f"model has {trained_on[:12]}..., dataset has {given[:12]}..."]
+    assert run("extract", "--data", study_run / "cohort.csv", "--model", model, *_FAST_EXTRACT, "--out", out) == 0
+
+
+@pytest.mark.parametrize("side", ["model", "dataset"])
+def test_extract_checks_no_cuts_that_one_side_lacks(study_run, tmp_path, side):
+    # a model from before the cuts were recorded, or a hand-made cohort with no sidecar
+    other = tmp_path / "seed8"
+    assert run("generate", "--n", "97", "--seed", "8", "--out", other) == 0
+    model = json.loads((study_run / "model.json").read_text())
+    data = other / "cohort.csv"
+    if side == "model":
+        del model["metadata"]["discretization_hash"]
+    else:
+        (other / "cohort.meta.json").unlink()
+    _write(tmp_path / "model.json", model)
+    assert run("extract", "--data", data, "--model", tmp_path / "model.json", *_FAST_EXTRACT,
+               "--out", tmp_path / "out") == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import random_records, reference_refine, twelve_bit_schema
@@ -606,6 +609,34 @@ def test_format_rule_groups_multi_level_terms():
     )
 
 
+@pytest.mark.parametrize(
+    "terms, consequent, message",
+    [
+        # each of these printed a line that parse_rule rejects or reads as another rule
+        ((("Unit 1", ("F", "X")),), "F", "unknown token 'X' for attribute 'Unit 1'"),
+        ((("Unit 1", ("F",)), ("Unit 2", ("X",))), "F", "unknown token 'X' for attribute 'Unit 2'"),
+        ((("Unit 1", ("F",)), ("Unit 2", ())), "F", "rule term on 'Unit 2' names no levels"),
+        ((("Reasoning", ("F",)),), "G", "attribute 'Reasoning' is the target"),
+        ((("Unit 1", ("F",)),), "Q", "unknown token 'Q' for attribute 'Reasoning'"),
+        # a bare KeyError
+        ((("Shoe size", ("F",)),), "F", "schema has no attribute named 'Shoe size'"),
+    ],
+)
+def test_format_rule_refuses_a_rule_it_cannot_write_back(terms, consequent, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        format_rule(Rule(terms=terms, consequent=consequent), studydata.default_student_schema())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_decoded_rule_reads_back_from_its_text(data):
+    schema = studydata.default_student_schema()
+    chromosome = data.draw(st.lists(st.integers(0, 1), min_size=schema.total_predictive_bits,
+                                    max_size=schema.total_predictive_bits))
+    rule = decode_chromosome(np.array(chromosome), schema, data.draw(st.integers(0, schema.target_bits - 1)))
+    assert parse_rule(format_rule(rule, schema), schema) == replace(rule, chromosome=None)
+
+
 @st.composite
 def study_rules(draw):
     schema = studydata.default_student_schema()
@@ -678,11 +709,11 @@ def test_ruleset_json_round_trip(toy_schema):
         default="t2",
         audit=({"class": "t1", "round": 0, "accepted": True},),
     )
-    doc = ruleset_to_dict(ruleset, toy_schema)
+    doc = ruleset_to_dict(ruleset)
     back = ruleset_from_dict(doc)
     assert back.rules == ruleset.rules
     assert back.default == ruleset.default
-    assert doc["rules"][0]["text"] == "If (A = a1 or A = a3) → Then T = t1"
+    assert format_rule(back.rules[0], toy_schema) == "If (A = a1 or A = a3) → Then T = t1"
 
 
 def test_ruleset_fidelity_to_network():
