@@ -572,7 +572,9 @@ REPORT_SHAPES = {
 def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> rulekit.RuleSet:
     """``ruleset.json``'s ruleset, once no rule term names the target and
     ``rules.txt`` at ``path`` (a byte order mark skipped) parses back to its
-    rules, in order, and its default, so ``format_rule`` writes their lines."""
+    rules, in order, and its default, so ``format_rule`` writes their lines.
+    Rules compare by their ``format_rule`` lines, which list terms and levels
+    in schema order, whatever order ``ruleset.json`` lists them in."""
     recorded = ruleset_from_dict(ruleset)
     for i, rule in enumerate(recorded.rules):
         for j, (name, _) in enumerate(rule.terms):
@@ -586,7 +588,14 @@ def _check_ruleset(path: Path, ruleset: dict, schema: AttributeSchema) -> ruleki
         written = parse_ruleset(text, schema)
     except (UnicodeDecodeError, ValidationError) as e:
         raise ValidationError(f"{path.name} does not parse: {e}") from None
-    got, want = ([(r.terms, r.consequent) for r in rs.rules] + [rs.default] for rs in (written, recorded))
+
+    def formatted(rule: rulekit.Rule) -> str | None:
+        try:
+            return format_rule(rule, schema)
+        except ValidationError:  # a rule format_rule cannot write is on no line of rules.txt
+            return None
+
+    got, want = ([formatted(r) for r in rs.rules] + [rs.default] for rs in (written, recorded))
     # one entry per line, the default last, so a shorter list differs within its length
     for n, (line, a, b) in enumerate(zip(text.splitlines(), got, want), start=1):
         if a != b:

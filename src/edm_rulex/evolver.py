@@ -11,7 +11,9 @@ generation makes one fitness call for the whole stack, and every operator is
 one array operation over it.  Each run keeps its own generator and draws from
 it the same shapes in the same order at any R, so with a fitness that scores
 a row the same in any batch, each run's result is bit for bit the one it
-gives alone, as the stack with R = 1.
+gives alone, as the stack with R = 1.  ``rulekit.extract_ruleset`` relies
+on this to split a covering round's runs over processes, one slice per CPU:
+the joined results are the same bits as one stack's.
 
 Chromosomes are unconstrained bit strings; segments may be multi-hot or
 empty, the decoder gives them meaning.  Fitness must be pure; runs are

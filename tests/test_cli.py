@@ -1383,6 +1383,31 @@ def test_report_rejects_a_rule_text_that_is_not_its_rule(full_run, tmp_path, cap
     assert (broken / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
 
 
+@pytest.mark.parametrize("repeat", [False, True])
+def test_report_reads_terms_and_levels_in_any_order(full_run, tmp_path, capsys, repeat):
+    # report compared each term's levels as listed, so a ruleset.json whose
+    # term ["P", "F"] format_rule writes as "(... = F or ... = P)" exited 2;
+    # a repeated term is still refused, as format_rule writes it twice
+    shuffled = tmp_path / "shuffled"
+    shutil.copytree(full_run, shuffled)
+    (shuffled / "report.txt").unlink()
+    doc = json.loads((shuffled / "ruleset.json").read_text())
+    for rule in doc["rules"]:
+        rule["terms"] = [{**t, "levels": t["levels"][::-1]} for t in rule["terms"][::-1]]
+    if repeat:
+        doc["rules"][0]["terms"] *= 2
+    assert doc != json.loads((full_run / "ruleset.json").read_text())
+    util.write_json(shuffled / "ruleset.json", doc)
+    if repeat:
+        assert run("report", shuffled) == 2
+        err = capsys.readouterr().err
+        assert "rules.txt line 1 " in err and "differs from ruleset.json" in err and "Traceback" not in err
+        assert not (shuffled / "report.txt").exists()
+    else:
+        assert run("report", shuffled) == 0
+        assert (shuffled / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
 @pytest.mark.parametrize("text", ["as written", "stale"])
 def test_report_reads_a_run_directory_in_the_earlier_format(full_run, tmp_path, text):
     # ruleset.json's rules once held their text and vacuous flag, and

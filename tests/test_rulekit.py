@@ -1,4 +1,6 @@
+import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edm_rulex import studydata
-from edm_rulex.errors import ValidationError
+from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.evolver import GaConfig
 from edm_rulex.neural import TrainConfig, forward, init_network, train
 from edm_rulex.rulekit import (
@@ -471,6 +473,7 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(rulekit, "evolve", counted_evolve)
     monkeypatch.setattr(rulekit, "class_score", counted_score)
+    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = extract_ruleset(
         net, DatasetIndex(schema, records),
         ga_config=GaConfig(population_size=20, generations=4, seed=8),
@@ -485,6 +488,138 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     for r in sorted(rounds):
         classes = [tokens.index(e["class"]) for e in ruleset.audit if e["round"] == r]
         assert classes in scored
+
+
+@pytest.fixture(scope="module")
+def split_case():
+    # four classes, so the first round has four runs to split
+    truth = RuleSet(rules=(
+        Rule(terms=(("Unit 1", ("F",)),), consequent="F"),
+        Rule(terms=(("Unit 3", ("V.G",)),), consequent="V.G"),
+        Rule(terms=(("Unit 5", ("G",)),), consequent="G"),
+    ), default="P")
+    schema, records = _planted_cohort(150, seed=3, truth=truth)
+    tc = TrainConfig(max_epochs=60, seed=2)
+    return train(init_network(schema, tc), encode_dataset(records, schema), tc).network, DatasetIndex(schema, records)
+
+
+@pytest.mark.parametrize("seed", [8, 21])
+@pytest.mark.parametrize("budget", [1, 3])
+def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case, monkeypatch, seed, budget):
+    # each round's runs are split over forked children; the joined results
+    # are the runs' own, so the ruleset is the one this process gives alone
+    from edm_rulex import rulekit
+
+    net, index = split_case
+    got = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rulekit, "_usable_cpus", lambda: workers)
+        got.append(extract_ruleset(
+            net, index, ga_config=GaConfig(population_size=20, generations=6, seed=seed),
+            per_class_rule_budget=budget,
+        ))
+    assert got[0].rules and len(got[0].audit) >= 4
+    assert got[1] == got[0] and got[2] == got[0]
+    assert [r.chromosome for r in got[2].rules] == [r.chromosome for r in got[0].rules]
+
+
+@pytest.mark.parametrize("workers, forks", [(2, 0), (3, 0), (4, 1), (4, 2)])
+def test_extract_evolves_the_slices_it_cannot_fork_itself(split_case, monkeypatch, workers, forks):
+    # once os.fork fails (no process id or memory to spare), this process
+    # evolves that slice and every later one; the ruleset is the same
+    from edm_rulex import rulekit
+
+    net, index = split_case
+    config = GaConfig(population_size=20, generations=6, seed=8)
+    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 1)
+    alone = extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3)
+    fork, made = os.fork, []
+
+    def fork_while_ids_last():
+        if len(made) == forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_while_ids_last)
+    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: workers)
+    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3) == alone
+    assert len(made) == forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _TwoPartError(Exception):
+    """An exception that pickles but does not unpickle: its one argument is
+    the joined message, and rebuilding it needs two."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+def _child_fails_numerically():
+    raise NumericError(f"fitness of class 1 overflowed in process {os.getpid()}")
+
+
+def _child_fails_unpicklably():
+    raise _TwoPartError("fitness of class 1 overflowed", f"process {os.getpid()}")
+
+
+@pytest.mark.parametrize(
+    "fail, raised, message",
+    [
+        (_child_fails_numerically, NumericError, r"fitness of class 1 overflowed in process (\d+)"),
+        (_child_fails_unpicklably, RuntimeError, r"_TwoPartError: fitness of class 1 overflowed in process (\d+)"),
+        (lambda: os._exit(1), ChildProcessError, r"a GA worker process ended without sending its results()"),
+    ],
+)
+def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeypatch, fail, raised, message):
+    # of the first round's four runs, run 1 (class P) is the first child's;
+    # the parent raises the child's error with its type and message, or
+    # names the child's death, and leaves no child to reap
+    from edm_rulex import rulekit
+
+    net, index = split_case
+    class_score = rulekit.class_score
+
+    def failing_score(net, pop, classes):
+        if list(classes) == [1]:
+            fail()
+        return class_score(net, pop, classes)
+
+    monkeypatch.setattr(rulekit, "class_score", failing_score)
+    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 4)
+    with pytest.raises(raised) as caught:
+        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
+    assert type(caught.value) is raised
+    found = re.fullmatch(message, str(caught.value))
+    assert found and found.group(1) != str(os.getpid())  # raised in a child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_extract_kills_its_children_when_its_own_slice_fails(split_case, monkeypatch):
+    # the children's fitness takes a minute, so the parent's error ends the
+    # call within seconds only when the parent kills them before it reaps them
+    from edm_rulex import rulekit
+
+    net, index = split_case
+    parent, class_score = os.getpid(), rulekit.class_score
+
+    def score(net, pop, classes):
+        if os.getpid() == parent:
+            raise ValidationError("the parent's slice fails")
+        time.sleep(60)
+        return class_score(net, pop, classes)
+
+    monkeypatch.setattr(rulekit, "class_score", score)
+    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 3)
+    start = time.monotonic()
+    with pytest.raises(ValidationError, match="the parent's slice fails"):
+        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_extract_single_class_dataset():
