@@ -5,27 +5,24 @@ attribute.  Set bits of a chromosome segment name the included levels;
 all-zero and all-one segments carry no constraint and yield no term, which is
 how attributes disappear from rules.  Extraction runs one genetic search per
 class per round under sequential covering, each round's searches in
-lockstep over one process per usable CPU, refines away redundant terms by
-greedy backward elimination, and keeps rules that clear a confidence
-threshold.
+lockstep over one process per usable CPU (``util.split_over_cpus``),
+refines away redundant terms by greedy backward elimination, and keeps
+rules that clear a confidence threshold.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-import pickle
-import threading
 from dataclasses import dataclass, replace
-from typing import Mapping, NoReturn
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ValidationError
-from .evolver import EvolutionResult, GaConfig, evolve
+from .evolver import GaConfig, evolve
 from .neural import Network, class_score
 from .schema import AttributeSchema, DatasetIndex, StudentRecord
-from .util import check, derive_seed
+from .util import check, derive_seed, split_over_cpus
 
 log = logging.getLogger(__name__)
 
@@ -203,124 +200,6 @@ def majority_class(index: DatasetIndex) -> str:
     return schema.target.levels[int(np.argmax(counts))]
 
 
-_SIGKILL = 9  # POSIX; the signal module is not otherwise loaded
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on, as ``taskset`` or a container leaves
-    them; 1 where a fork is unavailable or unsafe: no ``os.fork`` or
-    ``os.sched_getaffinity``, or other threads running, which a forked
-    child would not have."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _evolve_split(fitness, bit_length: int, cfgs: list[GaConfig]) -> list[EvolutionResult]:
-    """``evolve`` over one covering round's runs, split into at most one
-    contiguous slice per usable CPU; ``fitness(pop, runs)`` scores the stack
-    of the runs in the slice ``runs``.
-
-    This process evolves the first slice.  A child made with ``os.fork``
-    evolves each other slice in lockstep and pickles its results, or its
-    exception, into a pipe.  Where no pipe or child can be made (the host
-    is out of process ids, memory or file descriptors), this process
-    evolves that slice and every later one itself.  A run's result depends
-    only on its config, so the results joined in config order are bit for
-    bit those of one ``evolve`` over all the runs.  An exception in any
-    slice is raised here with its type and message, and no child outlives
-    the call: on an error the children are killed, and every child is
-    reaped.
-    """
-    workers = min(len(cfgs), _usable_cpus())
-    bounds = [len(cfgs) * i // workers for i in range(workers + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-    def run(runs: slice) -> list[EvolutionResult]:
-        return evolve(lambda pop: fitness(pop, runs), bit_length, cfgs[runs])
-
-    pids, pipes, rest = [], [], None
-    try:
-        for runs in slices[1:]:
-            try:
-                pid, read_end = _fork(lambda: run(runs), pipes)
-            except OSError:
-                rest = slice(runs.start, len(cfgs))
-                break
-            pids.append(pid)
-            pipes.append(read_end)
-        results = run(slices[0])
-        for read_end in pipes:
-            results += _received(read_end)
-        if rest is not None:
-            results += run(rest)
-    except BaseException:
-        for pid in pids:
-            os.kill(pid, _SIGKILL)
-        raise
-    finally:
-        for fd in pipes:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-    return results
-
-
-def _fork(work, read_ends: list[int]) -> tuple[int, int]:
-    """The pid of a forked child that sends ``work()`` back, and the read
-    end of its pipe; the child closes ``read_ends``, the parent's other
-    pipes.  An OSError, with no pipe end left open, where no pipe or
-    process can be made."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        _child(work, write_end, [*read_ends, read_end])
-    os.close(write_end)
-    return pid, read_end
-
-
-def _child(work, write_end: int, read_ends: list[int]) -> NoReturn:
-    """A forked child's whole life: close the parent's read ends, pickle
-    ``work()`` or its exception into ``write_end``, and leave by
-    ``os._exit``, so that nothing of the parent's (exit handlers, buffered
-    output, a test runner's hooks) runs twice."""
-    try:
-        for fd in read_ends:
-            os.close(fd)
-        try:
-            payload = work()
-        except BaseException as error:  # sent to the parent, which raises it
-            payload = error
-            try:
-                pickle.loads(pickle.dumps(error))
-            except Exception:  # a type its arguments do not rebuild
-                payload = RuntimeError(f"{type(error).__name__}: {error}")
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-    finally:
-        os._exit(0)
-
-
-def _received(read_end: int) -> list[EvolutionResult]:
-    """The results a child sent through ``read_end``; the exception it sent
-    is raised."""
-    chunks = []
-    while chunk := os.read(read_end, 1 << 16):
-        chunks.append(chunk)
-    try:
-        got = pickle.loads(b"".join(chunks))
-    except (pickle.UnpicklingError, EOFError):
-        raise ChildProcessError("a GA worker process ended without sending its results") from None
-    if isinstance(got, BaseException):
-        raise got
-    return got
-
-
 def extract_ruleset(
     net: Network,
     index: DatasetIndex,
@@ -344,12 +223,13 @@ def extract_ruleset(
     k and that seed, never on the working set.  So the loops go round by
     round: in round r, the GA runs of every class whose loop is still going
     evolve together, and each class then refines, accepts and covers on its
-    own.  The runs are cut into one contiguous slice per usable CPU (as
-    ``os.sched_getaffinity`` reports them, so ``taskset`` limits them); this
-    process evolves the first slice and a forked child each other, each
-    slice in lockstep (one forward pass over its populations per
-    generation).  Each run gives the same bits in any slice, so the ruleset
-    does not depend on the number of CPUs.
+    own.  ``util.split_over_cpus`` cuts the runs into one contiguous slice
+    per usable CPU (those ``os.sched_getaffinity`` lists, so ``taskset``
+    limits them, and no more than a CPU quota allows); this process evolves
+    the first slice and a forked child each other, each slice in lockstep
+    (one forward pass over its populations per generation).  Each run gives
+    the same bits in any slice, so the ruleset does not depend on the
+    number of CPUs.
     At the end the classes are joined in level order: each class's audit
     entries in round order, as class-by-class loops would give them, and its
     rules by descending confidence (a stable sort, so ties keep round order).
@@ -385,9 +265,12 @@ def extract_ruleset(
             break
         cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
         targets = np.array(live)
-        results = _evolve_split(
-            lambda pop, runs: class_score(net, pop, targets[runs]), schema.total_predictive_bits, cfgs
-        )
+        results = list(split_over_cpus(
+            lambda runs: evolve(
+                lambda pop: class_score(net, pop, targets[runs]), schema.total_predictive_bits, cfgs[runs]
+            ),
+            len(cfgs), 1, "GA worker",
+        ))
         going = []
         for k, cfg, result in zip(live, cfgs, results):
             class_token = schema.target.levels[k]

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .schema import (
     schema_document,
     write_index_csv,
 )
-from .util import check, check_indexable, config_hash, file_sha256, write_json
+from .util import check, check_indexable, config_hash, file_sha256, split_over_cpus, write_json
 
 log = logging.getLogger(__name__)
 
@@ -410,15 +410,30 @@ def plant_rules(
     return DatasetIndex.from_arrays(schema, index.bits, target)
 
 
+# Rows per piece of raw CSV text that write_raw_csv writes, or that a child
+# sends it: a piece of 64 rows holds far less than a chunk of rows as floats
+# and costs little to pickle.
+_PIECE_ROWS = 64
+
+
 def write_raw_csv(cohort: RawCohort, out: TextIO) -> None:
     """Write the raw score table to ``out`` as CSV with full float precision
-    (byte-stable), ``CHUNK_ROWS`` rows at a time."""
+    (byte-stable).  ``util.split_over_cpus`` cuts the rows into contiguous
+    slices of at least ``CHUNK_ROWS`` rows, one per usable CPU: this process
+    formats the first and a forked child each other, ``_PIECE_ROWS`` rows at
+    a time, and the pieces are written in row order, so the bytes do not
+    depend on the number of CPUs."""
     csv.writer(out, lineterminator="\n").writerow(cohort.dimensions)
     matrix = cohort.matrix
-    for start in range(0, len(matrix), CHUNK_ROWS):
-        rows = matrix[start : start + CHUNK_ROWS].tolist()
-        # a float's repr() never needs CSV quoting
-        out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+    def pieces(part: slice) -> Iterator[str]:
+        block = matrix[part]
+        for start in range(0, len(block), _PIECE_ROWS):
+            rows = block[start : start + _PIECE_ROWS].tolist()
+            # a float's repr() never needs CSV quoting
+            yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
+
+    out.writelines(split_over_cpus(pieces, len(matrix), CHUNK_ROWS, "CSV writer"))
 
 
 def read_raw_header(stream: TextIO) -> tuple[str, ...]:
@@ -482,7 +497,9 @@ def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta:
     (``intp[N, A]``, taken from the index once for both files) in
     ``<stem>.npy`` and the raw scores in ``<stem>.raw.npy``.  The meta gains
     ``companions``: per CSV file name, the SHA-256 of the CSV and of its
-    array, so a reader can tell they still agree."""
+    array, so a reader can tell they still agree.  The raw CSV's rows are
+    formatted on all usable CPUs (``write_raw_csv``), to the same bytes on
+    any number of them."""
     stem = Path(stem)
     stem.parent.mkdir(parents=True, exist_ok=True)
     paths = {

@@ -1,18 +1,21 @@
 """Cohort CSVs move through the readers and writers a chunk of rows at a time.
 
 The round trips run at lengths around the chunk length, where an off-by-one
-in the chunking would drop, repeat or misnumber a row.  The memory test pins
-what reading a 10 000-row cohort costs beyond its arrays.
+in the chunking would drop, repeat or misnumber a row.  The raw writer's
+tests also force one, two and three CPUs, over which it splits its rows
+into forked processes.  The memory test pins what reading a 10 000-row
+cohort costs beyond its arrays.
 """
 
 import io
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edm_rulex import studydata
+from edm_rulex import studydata, util
 from edm_rulex.errors import ValidationError
 from edm_rulex.schema import CHUNK_ROWS, DatasetIndex, read_index_csv, write_index_csv
 from edm_rulex.synthgen import (
@@ -95,6 +98,59 @@ def test_write_read_round_trip_at_chunk_edges(n):
     assert text.count("\n") == n + 1
     dims, matrix = parse_raw_csv(io.StringIO(text))
     assert dims == ("a", "b", "c") and matrix.tobytes() == values.tobytes()
+
+
+def _raw_cohort(n: int) -> tuple[RawCohort, str]:
+    """A cohort of ``n`` rows of three columns, and its raw CSV as one
+    process formats it, row by row."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    text = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+    return RawCohort(("a", "b", "c"), {"g": values}), text
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, CHUNK_ROWS - 1, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7]
+)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_raw_csv_is_the_same_on_any_number_of_cpus(monkeypatch, n, workers):
+    # one slice per CPU, each of at least CHUNK_ROWS rows: a forked child
+    # formats each slice after the first, fewer than 2 * CHUNK_ROWS rows fork
+    # nothing, and the bytes stay one process's
+    cohort, text = _raw_cohort(n)
+    fork, made = os.fork, []
+
+    def counted_fork():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
+    assert written(write_raw_csv, cohort) == text
+    assert len(made) == max(0, min(workers, n // CHUNK_ROWS) - 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_raw_csv_formats_the_slices_it_cannot_fork_itself(monkeypatch, forks):
+    # os.fork fails on the first or the second of three slices' forks; this
+    # process formats that slice and the rest, to the same bytes
+    cohort, text = _raw_cohort(3 * CHUNK_ROWS + 7)
+    fork, made = os.fork, []
+
+    def fork_while_ids_last():
+        if len(made) == forks:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_while_ids_last)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 3)
+    assert written(write_raw_csv, cohort) == text
+    assert len(made) == forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("bad_row", [CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])

@@ -454,7 +454,7 @@ def test_extract_recovers_planted_rule():
 def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     # one evolve call per covering round, over the classes still covering,
     # with the fitness reached through rulekit.class_score
-    from edm_rulex import rulekit
+    from edm_rulex import rulekit, util
 
     truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
     schema, records = _planted_cohort(150, seed=3, truth=truth)
@@ -473,7 +473,7 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
 
     monkeypatch.setattr(rulekit, "evolve", counted_evolve)
     monkeypatch.setattr(rulekit, "class_score", counted_score)
-    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 1)  # no child process: every call counts here
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = extract_ruleset(
         net, DatasetIndex(schema, records),
         ga_config=GaConfig(population_size=20, generations=4, seed=8),
@@ -508,12 +508,12 @@ def split_case():
 def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case, monkeypatch, seed, budget):
     # each round's runs are split over forked children; the joined results
     # are the runs' own, so the ruleset is the one this process gives alone
-    from edm_rulex import rulekit
+    from edm_rulex import util
 
     net, index = split_case
     got = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(rulekit, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
         got.append(extract_ruleset(
             net, index, ga_config=GaConfig(population_size=20, generations=6, seed=seed),
             per_class_rule_budget=budget,
@@ -527,11 +527,11 @@ def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case,
 def test_extract_evolves_the_slices_it_cannot_fork_itself(split_case, monkeypatch, workers, forks):
     # once os.fork fails (no process id or memory to spare), this process
     # evolves that slice and every later one; the ruleset is the same
-    from edm_rulex import rulekit
+    from edm_rulex import util
 
     net, index = split_case
     config = GaConfig(population_size=20, generations=6, seed=8)
-    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 1)
     alone = extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3)
     fork, made = os.fork, []
 
@@ -542,7 +542,7 @@ def test_extract_evolves_the_slices_it_cannot_fork_itself(split_case, monkeypatc
         return fork()
 
     monkeypatch.setattr(os, "fork", fork_while_ids_last)
-    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
     assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3) == alone
     assert len(made) == forks
     with pytest.raises(ChildProcessError):
@@ -577,7 +577,7 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
     # of the first round's four runs, run 1 (class P) is the first child's;
     # the parent raises the child's error with its type and message, or
     # names the child's death, and leaves no child to reap
-    from edm_rulex import rulekit
+    from edm_rulex import rulekit, util
 
     net, index = split_case
     class_score = rulekit.class_score
@@ -588,7 +588,7 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
         return class_score(net, pop, classes)
 
     monkeypatch.setattr(rulekit, "class_score", failing_score)
-    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 4)
     with pytest.raises(raised) as caught:
         extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
     assert type(caught.value) is raised
@@ -601,7 +601,7 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
 def test_extract_kills_its_children_when_its_own_slice_fails(split_case, monkeypatch):
     # the children's fitness takes a minute, so the parent's error ends the
     # call within seconds only when the parent kills them before it reaps them
-    from edm_rulex import rulekit
+    from edm_rulex import rulekit, util
 
     net, index = split_case
     parent, class_score = os.getpid(), rulekit.class_score
@@ -613,7 +613,7 @@ def test_extract_kills_its_children_when_its_own_slice_fails(split_case, monkeyp
         return class_score(net, pop, classes)
 
     monkeypatch.setattr(rulekit, "class_score", score)
-    monkeypatch.setattr(rulekit, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValidationError, match="the parent's slice fails"):
         extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
