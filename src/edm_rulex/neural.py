@@ -247,24 +247,28 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     The weights, their velocities and the per-pattern step each live in one
     flat vector, with the layers as views into it, and every update writes
     into buffers allocated once: 25 numpy calls per pattern, with the
-    functions bound to locals and the constants held as 0-d arrays, which
-    numpy takes without converting a Python object per call.  Each weight
-    sees the same floating-point operations in the same order as
-    ``vel = mom * vel - lr * grad; theta += vel`` on fresh arrays, so the
-    weights are the same bits.  Signs are laid out so that no negation costs
-    a call; rounding to nearest is symmetric under negation, so an operation
-    on negated operands gives the negated result:
+    functions bound to locals, the five matrix products as the bound ``dot``
+    methods of their fixed operands (the same routine as ``np.dot``, without
+    its dispatch), and the constants held as arrays, which numpy takes
+    without converting a Python object per call.  Each weight sees the same
+    floating-point operations in the same order as ``vel = mom * vel - lr *
+    grad; theta += vel`` on fresh arrays, so the weights are the same bits.
+    Signs are laid out so that no negation costs a call; rounding to nearest
+    is symmetric under negation, so an operation on negated operands gives
+    the negated result:
 
-    - the inputs are kept as ``-x``, so ``v @ (-x) - b_h`` is the negated
-      hidden pre-activation that the sigmoid's ``exp`` takes; the pass over
-      the dataset after each epoch reads the same ``-x``;
+    - the inputs are kept as ``-x``, the one float copy of the rows, so
+      ``v @ (-x) - b_h`` is the negated hidden pre-activation that the
+      sigmoid's ``exp`` takes; the outer product for ``v`` and the pass over
+      the dataset after each epoch read the same ``-x``;
     - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
       in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
       ``1 - y``;
-    - ``step`` holds ``-dE/dtheta``, so the momentum step is ``vel *= mom;
-      step *= lr; vel += step; theta += vel``; ``-h`` turns the deltas into
-      ``-dE/dw`` and ``-dE/db_h``, and ``+x`` (the dataset's own bits) then
-      gives ``-dE/dv``;
+    - ``step`` holds ``-dE/dtheta`` and, in ``v``'s block, ``+dE/dv``;
+      ``rate`` is ``-lr`` on that block and ``+lr`` elsewhere, so the
+      momentum step is ``vel *= mom; step *= rate; vel += step; theta +=
+      vel``; ``-h`` turns the deltas into ``-dE/dw`` and ``-dE/db_h``, and
+      ``-x`` then gives ``+dE/dv``;
     - ``theta`` stores ``-b_o``, so the output delta ``dE/db_o`` is its
       step, ``-dE/d(-b_o)``, and ``w @ (-h) + (-b_o)`` is the negated output
       pre-activation.
@@ -273,7 +277,11 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     one, so each element is the one rounded product.  Such a product and
     ``t - y`` may give a zero of the other sign than the textbook update; a
     zero's sign changes no nonzero value downstream, and reaches a weight
-    only where that weight and its velocity are both exactly zero.
+    only where that weight and its velocity are both exactly zero.  The
+    output bias can also take the other zero where it and its velocity
+    cancel exactly: the sum is ``+0.0``, which ``theta`` holds as ``-b_o``,
+    so ``b_o`` comes back as ``-0.0`` where the textbook update gives
+    ``+0.0``.
 
     The caller's arrays in ``net`` get the weights back after every epoch and
     hold the trained values at the end; ``dataset`` is not modified.
@@ -282,9 +290,11 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
         raise ValidationError("cannot train on an empty dataset")
     bits, t = _arrays(net, dataset)
     x_neg = np.negative(bits, dtype=float)  # the one float copy of the rows
-    bits_rows = bits[:, None, :]  # row i as a (1, B) matrix
+    x_neg_rows = x_neg[:, None, :]  # row i as a (1, B) matrix
+    one_hot = list(np.eye(net.output_size))
+    targets = [one_hot[k] for k in dataset.target.tolist()]  # references to the K rows
     rng = np.random.default_rng(config.seed)
-    lr, mom = np.array(config.learning_rate, dtype=float), np.array(config.momentum, dtype=float)
+    mom = np.array(config.momentum, dtype=float)
     one, minus_one, clip = np.array(1.0), np.array(-1.0), np.array(SIGMOID_CLIP)
     shapes = [a.shape for a in (net.v, net.b_h, net.w, net.b_o)]
     theta = np.concatenate([net.v.ravel(), net.b_h, net.w.ravel(), -net.b_o])
@@ -293,25 +303,31 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     v, b_h, w, b_o_neg = _views(theta, shapes)
     # the bias slots of the step are the deltas: -d_h for b_h, d_o for -b_o
     step_v, d_h_neg, step_w, d_o = _views(step, shapes)
+    # -lr on the v block, whose step is formed from -x, and +lr elsewhere
+    rate = np.full_like(theta, config.learning_rate)
+    rate[: step_v.size] *= -1.0
     hidden, outputs = len(b_h), len(d_o)
     act_neg, slope = np.empty(hidden + outputs), np.empty(hidden + outputs)
     h_neg, y_neg = act_neg[:hidden], act_neg[hidden:]
     slope_h, slope_o = slope[:hidden], slope[hidden:]
     s_h, s_o = np.empty(hidden), np.empty(outputs)
-    w_t, d_h_col, d_o_col, h_neg_row = w.T, d_h_neg[:, None], d_o[:, None], h_neg[None, :]
-    dot, add, sub, mul, div = np.dot, np.add, np.subtract, np.multiply, np.divide
+    h_neg_row = h_neg[None, :]
+    # bound ndarray.dot skips np.dot's __array_function__ dispatch
+    v_dot, w_dot, w_t_dot = v.dot, w.dot, w.T.dot
+    d_o_col_dot, d_h_col_dot = d_o[:, None].dot, d_h_neg[:, None].dot
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     exp, minimum = np.exp, np.minimum
     history: list[float] = []
     for epoch in range(config.max_epochs):
         for i in rng.permutation(len(dataset)).tolist():
             # s = 1 + exp(-u) and the activation -1 / s, hidden then output
-            dot(v, x_neg[i], s_h)
+            v_dot(x_neg[i], s_h)
             sub(s_h, b_h, s_h)
             minimum(s_h, clip, out=s_h)
             exp(s_h, s_h)
             add(s_h, one, s_h)
             div(minus_one, s_h, h_neg)
-            dot(w, h_neg, s_o)
+            w_dot(h_neg, s_o)
             add(s_o, b_o_neg, s_o)
             minimum(s_o, clip, out=s_o)
             exp(s_o, s_o)
@@ -319,17 +335,17 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
             div(minus_one, s_o, y_neg)
             add(act_neg, one, slope)
             # d_o = (t - y) * (-y) * (1 - y)
-            add(y_neg, t[i], d_o)
+            add(y_neg, targets[i], d_o)
             mul(d_o, y_neg, d_o)
             mul(d_o, slope_o, d_o)
             # -d_h = (w.T @ d_o) * (-h) * (1 - h)
-            dot(w_t, d_o, d_h_neg)
+            w_t_dot(d_o, d_h_neg)
             mul(d_h_neg, h_neg, d_h_neg)
             mul(d_h_neg, slope_h, d_h_neg)
-            dot(d_o_col, h_neg_row, step_w)
-            dot(d_h_col, bits_rows[i], step_v)
+            d_o_col_dot(h_neg_row, step_w)
+            d_h_col_dot(x_neg_rows[i], step_v)
             mul(vel, mom, vel)
-            mul(step, lr, step)
+            mul(step, rate, step)
             add(vel, step, vel)
             add(theta, vel, theta)
         net.v[...], net.b_h[...], net.w[...] = v, b_h, w

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from edm_rulex import cli, rulekit, util
+from edm_rulex.neural import TrainConfig, init_network, load_network
 from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
 from edm_rulex.schema import DatasetIndex, load_schema
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
-from helpers import index_csv
+from helpers import index_csv, reference_train
 
 
 def run(*argv):
@@ -85,6 +86,26 @@ def test_generate_row_count(tmp_path):
     assert set(meta["discretization"]) == set(spec["dimensions"])
     for dim, cuts in meta["discretization"].items():
         assert len(cuts) == len(levels[dim]) - 1 and all(isinstance(c, float) for c in cuts)
+
+
+def test_train_stage_writes_the_reference_weights(tmp_path):
+    # the stage reads the cohort from its .npy companion and seeds the network
+    # from derive_seed(seed, "train"); on the default 76-bit layout and hidden
+    # size its model is the per-pattern oracle's, bit for bit
+    assert run("generate", "--n", "97", "--seed", "7", "--out", tmp_path) == 0
+    assert (tmp_path / "cohort.npy").exists()
+    argv = ("train", "--data", tmp_path / "cohort.csv", "--epochs", "3", "--mse-target", "1e-9")
+    assert run(*argv, "--seed", "7", "--out", tmp_path) == 0
+    schema = load_schema(json.loads((tmp_path / "cohort.meta.json").read_text())["schema"])
+    assert schema.total_predictive_bits == 76
+    config = TrainConfig(max_epochs=3, target_mse=1e-9, seed=util.derive_seed(7, "train"))
+    index = DatasetIndex(schema, np.load(tmp_path / "cohort.npy"))
+    expected = reference_train(init_network(schema, config), index, config)
+    got = load_network(tmp_path / "model.json")
+    for name in ("v", "b_h", "w", "b_o"):
+        # tobytes also tells -0.0 from 0.0
+        assert getattr(got, name).tobytes() == getattr(expected.network, name).tobytes()
+    assert json.loads((tmp_path / "train_log.json").read_text())["mse_history"] == expected.mse_history
 
 
 def test_generate_deterministic(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import (
     enumerate_class_scores,
@@ -382,6 +382,12 @@ def test_sigmoid_matches_clipped_formula():
     target_mse=st.sampled_from([1e-9, 0.05, 0.2]),
     init_scale=st.sampled_from([0.5, 0.0, 50.0]),
     seed=st.integers(0, 2**32 - 1),
+)
+# all weights zero: each hidden update is a zero, and the oracle's b_h stays +0.0,
+# which a train that stored -b_h would give back as -0.0
+@example(
+    levels=[2], classes=2, n_records=1, hidden=1, learning_rate=1.0, momentum=0.0, max_epochs=1,
+    target_mse=1e-9, init_scale=0.0, seed=0,
 )
 def test_train_equals_reference_bit_for_bit(
     levels, classes, n_records, hidden, learning_rate, momentum, max_epochs, target_mse, init_scale, seed
