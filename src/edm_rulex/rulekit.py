@@ -65,9 +65,8 @@ class RuleSet:
         target = index.schema.target
         default = target.level_index(self.default)
         classes = [target.level_index(rule.consequent) for rule in self.rules] + [default]
-        matched = [index.antecedent_mask(rule) for rule in self.rules]
-        matched.append(np.ones(len(index), dtype=bool))  # the default matches every record
-        return np.array(classes, dtype=np.intp)[np.argmax(matched, axis=0)]
+        misses = index.misses([rule.terms for rule in self.rules] + [()])  # no record misses ()
+        return np.array(classes, dtype=np.intp)[np.argmin(misses, axis=1)]
 
     def predict(self, record: StudentRecord) -> str:
         """The class token of the first rule each of whose terms names the
@@ -132,20 +131,19 @@ def decode_chromosome(bits, schema: AttributeSchema, class_index: int) -> Rule:
 def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) -> Rule:
     """The rule with its support, confidence and coverage against a dataset.
 
-    A rule matching nothing has confidence 0 and is flagged vacuous.
+    A rule matching nothing has confidence 0 and is flagged vacuous.  A
+    consequent outside the target's levels is a ValidationError even then.
     """
     index = _as_index(dataset, schema)
     if len(index) == 0:
         raise ValidationError("evaluate_rule needs a non-empty dataset")
     ante = index.antecedent_mask(rule)
     support = int(ante.sum())
-    if support == 0:
-        return replace(rule, support=0, confidence=0.0, coverage=0.0)
     hits = int((ante & index.consequent_mask(rule)).sum())
     return replace(
         rule,
         support=support,
-        confidence=hits / support,
+        confidence=hits / max(support, 1),  # hits is 0 where support is
         coverage=support / len(index),
     )
 
@@ -158,23 +156,18 @@ def refine_rule(rule: Rule, index: DatasetIndex, epsilon: float = DEFAULT_EPSILO
     to the current rule; ties resolve to the earliest attribute in schema
     order.  The returned rule carries metrics recomputed on the index.
 
-    The term-miss matrix is built once.  A record matches the rule without
-    term j exactly when it misses no kept term other than j, so with a
-    per-record count of missed kept terms every drop is scored from the
+    The miss matrix is built once, one ``misses`` group per attribute, so
+    a repeated attribute's terms drop together.  A record matches the rule
+    without group j exactly when it misses no kept group but j, so with a
+    per-record count of missed kept groups every drop is scored from the
     records that miss none (they match every candidate) and those that
-    miss one (they match only the candidate dropping that term).
+    miss one (they match only the candidate dropping that group).
     """
-    names = [attr_name for attr_name, _ in rule.terms]
-    attrs = list(dict.fromkeys(names))
-    misses = index.term_misses(rule)
-    if len(attrs) < len(names):  # a repeated attribute's terms drop together
-        misses = np.stack([misses[:, [n == a for n in names]].any(axis=1) for a in attrs], axis=1)
+    attrs = list(dict.fromkeys(attr_name for attr_name, _ in rule.terms))
+    misses = index.misses([[t for t in rule.terms if t[0] == a] for a in attrs])
     target = index.consequent_mask(rule)
     miss_count = misses.sum(axis=1)
     kept = list(range(len(attrs)))
-
-    def confidence(hits, support):
-        return hits / support if support else 0.0
 
     while kept:
         matched, one_miss = miss_count == 0, miss_count == 1
@@ -182,9 +175,9 @@ def refine_rule(rule: Rule, index: DatasetIndex, epsilon: float = DEFAULT_EPSILO
         lone = misses[one_miss][:, kept]
         support = support_now + lone.sum(axis=0)
         hits = hits_now + lone[target[one_miss]].sum(axis=0)
-        confs = [confidence(h, s) for h, s in zip(hits.tolist(), support.tolist())]
+        confs = [h / max(s, 1) for h, s in zip(hits.tolist(), support.tolist())]
         best = int(np.argmax(confs))  # first maximum: the earliest term
-        if confs[best] < confidence(hits_now, support_now) - epsilon:
+        if confs[best] < hits_now / max(support_now, 1) - epsilon:
             break
         miss_count -= misses[:, kept[best]]
         del kept[best]

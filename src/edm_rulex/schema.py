@@ -229,7 +229,7 @@ class DatasetIndex:
     """A dataset encoded once: ``bits`` is ``uint8[N, B]``, each record's
     one-hot-per-segment bit string in the chromosome layout, and ``target``
     is ``intp[N]``, each record's class index.  Training reads the two
-    arrays; a rule term is missed where none of its level bits is set.
+    arrays, and every rule is matched against the bits through ``misses``.
 
     ``rows`` is either the records or their level codes, an integer
     ``[N, A]`` array with one column per schema attribute in schema order
@@ -278,15 +278,18 @@ class DatasetIndex:
         tokens = [np.asarray(a.levels, dtype=object)[self.column(a.name)].tolist() for a in attrs]
         return [StudentRecord(values=dict(zip(names, row))) for row in zip(*tokens)]
 
-    def term_misses(self, rule) -> np.ndarray:
-        """``bool[N, T]``: true where record n has none of term j's level bits set."""
-        misses = np.empty((len(self), len(rule.terms)), dtype=bool)
-        for j, (name, levels) in enumerate(rule.terms):
-            misses[:, j] = ~self.bits[:, self.schema.level_bits(name, levels)].any(axis=1)
-        return misses
+    def misses(self, groups: Sequence[Iterable[tuple[str, Iterable[str]]]]) -> np.ndarray:
+        """``bool[N, G]``: true where record n has none of the level bits of some
+        ``(attribute, levels)`` term of ``groups[g]`` set; no record misses an empty
+        group.  Built as ``[G, N]`` and transposed, so each column is contiguous."""
+        misses = np.zeros((len(groups), len(self)), dtype=bool)
+        for row, terms in zip(misses, groups):
+            for name, levels in terms:
+                row |= ~self.bits[:, self.schema.level_bits(name, levels)].any(axis=1)
+        return misses.T
 
     def antecedent_mask(self, rule) -> np.ndarray:
-        return ~self.term_misses(rule).any(axis=1)
+        return ~self.misses([rule.terms])[:, 0]
 
     def consequent_mask(self, rule) -> np.ndarray:
         return self.target == self.schema.target.level_index(rule.consequent)

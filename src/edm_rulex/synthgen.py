@@ -399,6 +399,9 @@ def plant_rules(
     record in order draws whether it flips and, if so, which other level
     it takes, so the draws do not depend on how the labels were matched.
     """
+    if planted.noise > 0 and schema.target_bits == 1:
+        raise ValidationError(f"planted noise {planted.noise} flips labels to another level, "
+                              f"but target {schema.target.name!r} has only one")
     index = DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=True))
     target = planted.truth.predict_index(index)
     if planted.noise > 0:

@@ -955,6 +955,22 @@ def test_generate_rejects_a_planted_catch_all_before_the_last_rule(tmp_path, cap
     assert not out.exists()
 
 
+def test_generate_rejects_planted_noise_on_a_one_level_target(tmp_path, capsys):
+    # a noisy label flips to another target level, and this target has none
+    schema = _write(tmp_path / "schema.json", [
+        {"name": "Gender", "levels": ["Ma", "Fe"]},
+        {"name": "Challenge", "levels": ["L", "M", "H"]},
+        {"name": "Reasoning", "levels": ["G"], "role": "target"},
+    ])
+    planted = _write(tmp_path / "planted.json", {"rules": [{"when": {}, "then": "G"}], "noise": 0.1})
+    out = tmp_path / "out"
+    argv = ("--schema", schema, "--planted", planted, "--out", out, "--seed", "1", "--n", "60")
+    assert run("generate", *argv) == 2
+    err = capsys.readouterr().err
+    assert "planted noise 0.1" in err and "target 'Reasoning'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _write(path, doc):
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return path

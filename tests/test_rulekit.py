@@ -148,6 +148,13 @@ def test_evaluate_vacuous(toy_schema):
     assert m.vacuous and m.support == 0 and m.confidence == 0.0
 
 
+def test_evaluate_rejects_an_unknown_consequent_whether_or_not_it_matches(toy_schema):
+    index = DatasetIndex(toy_schema, [StudentRecord({"A": "a1", "B": "b1", "T": "t1"})])
+    for levels in (("a3",), ("a1",)):  # matches no record, then the one record
+        with pytest.raises(ValidationError, match="unknown token 'zzz'"):
+            evaluate_rule(Rule(terms=(("A", levels),), consequent="zzz"), index)
+
+
 def test_refine_drops_redundant_term(toy_schema):
     # T depends only on A; the B term is redundant
     rng = np.random.default_rng(3)
@@ -370,12 +377,126 @@ def test_term_misses_columns(toy_schema):
     ]
     index = DatasetIndex(toy_schema, records)
     rule = Rule(terms=(("A", ("a1", "a3")), ("B", ("b1",))), consequent="t1")
-    misses = index.term_misses(rule)
+    misses = index.misses([[t] for t in rule.terms])
     assert misses.dtype == bool
     assert misses.tolist() == [[False, False], [True, True], [False, False]]
     assert index.antecedent_mask(rule).tolist() == [True, False, True]
-    assert index.term_misses(Rule(terms=(), consequent="t1")).shape == (3, 0)
+    assert index.misses([[t] for t in Rule(terms=(), consequent="t1").terms]).shape == (3, 0)
     assert index.antecedent_mask(Rule(terms=(), consequent="t1")).all()
+
+
+# a term on any predictive attribute of twelve_bit_schema, naming any subset of
+# its levels: none, some or all of them
+TERM = st.sampled_from(twelve_bit_schema().predictive).flatmap(
+    lambda a: st.tuples(st.just(a.name), st.lists(st.sampled_from(a.levels), unique=True).map(tuple))
+)
+# groups of up to five terms over four attributes, so attributes often repeat
+GROUPS = st.lists(st.lists(TERM, max_size=5), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=twelve_bit_records(), groups=GROUPS)
+def test_misses_matches_token_membership(data, groups):
+    schema, records = data
+    got = DatasetIndex(schema, records).misses(groups)
+    want = [
+        [any(r.values[name] not in levels for name, levels in group) for group in groups]
+        for r in records
+    ]
+    assert got.dtype == bool and got.shape == (len(records), len(groups))
+    assert got.tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 1), min_size=12, max_size=12), min_size=1, max_size=30),
+    groups=GROUPS,
+)
+def test_misses_reads_bits_that_are_not_one_hot(rows, groups):
+    # a record misses a term when no level bit of the term is set in its row,
+    # read bit by bit, whether its segment is one-hot, multi-hot or all zero
+    schema = twelve_bit_schema()
+    index = DatasetIndex.from_arrays(schema, rows, [0] * len(rows))
+
+    def missed(row, name, levels):
+        offset, _ = schema.segments[name]
+        return not any(row[offset + schema.attribute(name).level_index(t)] for t in levels)
+
+    want = [[any(missed(row, *term) for term in group) for group in groups] for row in rows]
+    assert index.misses(groups).tolist() == want
+
+
+def test_misses_on_multi_hot_and_all_zero_segments(toy_schema):
+    # row 0: A's segment sets a1 and a3; row 1: A's segment is all zero, so it
+    # misses even the term naming every level of A
+    index = DatasetIndex.from_arrays(toy_schema, [[1, 0, 1, 1, 0], [0, 0, 0, 0, 1]], [0, 1])
+    groups = [
+        [("A", ("a1",))],
+        [("A", ("a2",))],
+        [("A", ("a2", "a3"))],
+        [("A", ("a1", "a2", "a3"))],
+        [("B", ("b2",))],
+        [("A", ("a3",)), ("B", ("b1",))],
+        [("A", ())],
+        [],
+    ]
+    assert index.misses(groups).tolist() == [
+        [False, True, False, False, True, False, True, False],
+        [True, True, True, True, False, True, True, False],
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=twelve_bit_records(),
+    rules=st.lists(st.tuples(st.lists(TERM, max_size=4), st.integers(0, 1)), max_size=6),
+    default=st.integers(0, 1),
+)
+def test_predict_index_takes_the_first_matching_rule(data, rules, default):
+    schema, records = data
+    levels = schema.target.levels
+    ruleset = RuleSet(
+        rules=tuple(Rule(terms=tuple(terms), consequent=levels[k]) for terms, k in rules),
+        default=levels[default],
+    )
+    want = []
+    for r in records:
+        first = [k for terms, k in rules if all(r.values[name] in ls for name, ls in terms)]
+        want.append(first[0] if first else default)
+    assert ruleset.predict_index(DatasetIndex(schema, records)).tolist() == want
+
+
+def test_predict_index_order_decides_overlapping_rules(toy_schema):
+    records = [StudentRecord({"A": "a1", "B": "b1", "T": "t1"})]
+    index = DatasetIndex(toy_schema, records)
+    a1 = Rule(terms=(("A", ("a1",)),), consequent="t1")
+    b1 = Rule(terms=(("B", ("b1",)),), consequent="t2")
+    assert RuleSet(rules=(a1, b1), default="t1").predict_index(index).tolist() == [0]
+    assert RuleSet(rules=(b1, a1), default="t1").predict_index(index).tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        (("Z", ("z1",)), "schema has no attribute named 'Z'"),
+        (("T", ("t1",)), "attribute 'T' is the target and has no bits"),
+    ],
+)
+def test_a_term_off_the_bits_raises_one_error_from_every_matcher(toy_schema, term, message):
+    index = DatasetIndex(toy_schema, random_records(toy_schema, 5, np.random.default_rng(0)))
+    rule = Rule(terms=(("A", ("a1",)), term), consequent="t1")
+    calls = [
+        lambda: index.misses([[], [term]]),
+        lambda: index.antecedent_mask(rule),
+        lambda: RuleSet(rules=(rule,), default="t2").predict_index(index),
+        lambda: RuleSet(rules=(rule,), default="t2").accuracy(index, toy_schema),
+        lambda: evaluate_rule(rule, index),
+        lambda: refine_rule(rule, index),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 @settings(max_examples=200, deadline=None)

@@ -313,6 +313,20 @@ def test_plant_rules_rejects_unknown_planted_token():
         plant_rules(cohort, planted, disc, schema, seed=0)
 
 
+def test_plant_rules_with_noise_needs_a_second_target_level():
+    # a flip draws one of the target's other levels, of which there are none
+    schema = AttributeSchema(
+        (Attribute("g", ("g",)), Attribute("x", ("L", "M", "H")), Attribute("y", ("only",), ROLE_TARGET))
+    )
+    cohort = sample_population(_spec(["x", "y"], 6, [0.0, 0.0], [1.0, 1.0], np.eye(2)))
+    disc = {"x": tertile_cuts(cohort.matrix[:, 0])}
+    truth = RuleSet(rules=(), default="only")
+    with pytest.raises(ValidationError, match=r"planted noise 0\.1 .* target 'y' has only one"):
+        plant_rules(cohort, PlantedRuleSpec(truth=truth, noise=0.1), disc, schema, seed=0)
+    labelled = plant_rules(cohort, PlantedRuleSpec(truth=truth, noise=0.0), disc, schema, seed=0)
+    assert labelled.target.tolist() == [0] * 6
+
+
 def test_raw_csv_round_trips_doubles_exactly():
     rng = np.random.default_rng(8)
     values = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 300, (200, 3))
