@@ -2,8 +2,13 @@
 
 Maximizes an arbitrary pure population fitness with tournament selection,
 single-point crossover, per-bit mutation, and elitism.  Each generation is
-array code over the whole population: one fitness call, one matrix of
-tournament draws, one crossover mask, one mutation mask.
+array code over the whole population: one fitness call, one stable sort of
+the fitnesses, which ranks the population for both the elites and the
+tournaments, one matrix of tournament draws, one crossover mask, one
+mutation mask.  The next population is built in place in one of two
+buffers allocated per call: the elites and the tournament winners are
+gathered into it, each pair of winners is crossed there and the mutation
+mask XORed onto the children, and the buffers swap.
 
 ``evolve`` takes runs that differ only in their seeds and runs them in
 lockstep: their populations form one stack ``uint8[R, P, B]``, each
@@ -83,46 +88,49 @@ class _Lockstep:
     def integers(self, low, high, size, dtype=np.int64) -> np.ndarray:
         return np.array([rng.integers(low, high, size=size[1:], dtype=dtype) for rng in self._rngs])
 
-    def random(self, size) -> np.ndarray:
-        out = np.empty(size)
+    def random(self, out: np.ndarray) -> np.ndarray:
         for rng, row in zip(self._rngs, out):
             rng.random(out=row)
         return out
 
 
 def select_tournament(
-    fitnesses: Sequence[float] | np.ndarray,
+    order: Sequence[int] | np.ndarray,
     k: int,
     n: int,
     rng: np.random.Generator | _Lockstep,
 ) -> np.ndarray:
-    """Indices of n tournament winners, each the best of k uniform draws with
-    replacement, from ``float[P]`` fitnesses or from each row of a stack
-    ``float[R, P]``.  The draws are one ``(n, k)`` matrix per row; ties go to
-    the lowest drawn index."""
-    fits = np.asarray(fitnesses, dtype=float)
-    size = fits.shape[-1]
+    """Indices of n tournament winners from a population ranked best first,
+    ``order`` of shape ``int[P]`` or, for a stack of runs, ``int[R, P]``:
+    each winner is the best-ranked of k uniform draws of indices with
+    replacement.  With ``order`` the stable ``argsort(-fitnesses)``, that is
+    the draw of highest fitness, ties to the lowest index.  The draws are one
+    ``(n, k)`` matrix per row."""
+    order = np.asarray(order)
+    size = order.shape[-1]
     if size == 0:
         raise ValidationError("cannot select from an empty population")
     if k < 1:
         raise ValidationError(f"tournament size must be >= 1, got {k}")
-    draws = rng.integers(0, size, size=(*fits.shape[:-1], n, k))
-    rows = np.arange(0, fits.size, size).reshape(*fits.shape[:-1], 1, 1)
-    drawn = fits.ravel()[draws + rows]
-    is_best = drawn == drawn.max(axis=-1, keepdims=True)
-    return np.where(is_best, draws, size).min(axis=-1)
+    draws = rng.integers(0, size, size=(*order.shape[:-1], n, k))
+    rows = np.arange(0, order.size, size).reshape(*order.shape[:-1], 1)
+    # each chromosome's place in the flattened ranking: row r's j-th best is r * P + j
+    place = np.empty(order.size, dtype=np.intp)
+    place[(order + rows).ravel()] = np.arange(order.size)
+    draws += rows[..., None]
+    drawn = place[draws]
+    best = drawn[..., 0].copy()  # k - 1 minimums of columns beat one reduction over short rows
+    for j in range(1, k):
+        np.minimum(best, drawn[..., j], out=best)
+    return order.ravel()[best]
 
 
-def crossover_point(
-    a: np.ndarray, b: np.ndarray, cuts, coins
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-point crossover of paired bit rows: pair i swaps its suffixes from
-    cuts[i] on where coins[i] is set and passes through unchanged otherwise.
-    The pairs are ``(..., pairs, B)`` with one cut and coin each, so a stack
-    of runs crosses in one call.  The bits at each position are conserved
-    across the pair."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+def crossover_point(a: np.ndarray, b: np.ndarray, cuts, coins) -> None:
+    """Single-point crossover of paired bit rows, in place: pair i swaps its
+    suffixes from cuts[i] on where coins[i] is set and is left as it is
+    otherwise.  The pairs are ``(..., pairs, B)`` arrays with one cut and
+    coin each, so a stack of runs crosses in one call.  The bits at each
+    position are conserved across the pair."""
     if a.ndim < 2 or a.shape != b.shape:
         raise ValidationError(f"parent batches differ in shape: {a.shape} vs {b.shape}")
     cuts = np.asarray(cuts)
@@ -134,18 +142,26 @@ def crossover_point(
         )
     if cuts.size and not (cuts.min() >= 1 and cuts.max() < a.shape[-1]):
         raise ValidationError(f"cuts must be in [1, {a.shape[-1]}), got {cuts.tolist()}")
-    swap = (np.arange(a.shape[-1]) >= cuts[..., None]) & coins[..., None]
-    differ = (a ^ b) & swap  # the bits each child takes from the other parent
-    return a ^ differ, b ^ differ
+    # the suffix masks, compared in the narrowest integers that hold the length
+    narrow = np.min_scalar_type(a.shape[-1])
+    starts = np.where(coins, cuts, a.shape[-1]).astype(narrow)
+    swap = np.arange(a.shape[-1], dtype=narrow) >= starts[..., None]
+    differ = a ^ b
+    differ &= swap  # the bits each child takes from the other parent
+    a ^= differ
+    b ^= differ
 
 
-def mutate_bits(pop: np.ndarray, p: float, rng: np.random.Generator | _Lockstep) -> np.ndarray:
-    """Flip each bit independently with probability p: one Bernoulli mask of
-    the population's shape, XORed onto it."""
+def mutate_bits(
+    pop: np.ndarray, p: float, rng: np.random.Generator | _Lockstep, draws: np.ndarray | None = None
+) -> None:
+    """Flip each bit of ``pop`` in place independently with probability p: one
+    Bernoulli mask of its shape, from uniform draws made into ``draws`` (a
+    float array of that shape, or a new one), XORed onto it."""
     if not 0 <= p <= 1:
         raise ValidationError(f"mutation probability must be in [0,1], got {p}")
-    pop = np.asarray(pop, dtype=np.uint8)
-    return pop ^ (rng.random(pop.shape) < p).astype(np.uint8)
+    draws = rng.random(out=np.empty(pop.shape) if draws is None else draws)
+    pop ^= (draws < p).view(np.uint8)
 
 
 def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
@@ -176,9 +192,10 @@ def evolve(
 
     The configs may differ only in their seeds, and the runs go in lockstep:
     ``fitness`` takes the stack ``uint8[R, P, B]`` and returns
-    ``float[R, P]``, so each generation costs one call.  The result has one
-    entry per config, each equal to that config's run in a stack of one,
-    ``evolve(fitness, B, [config])[0]``.
+    ``float[R, P]``, so each generation costs one call.  The stack is a view
+    of a buffer that a later generation overwrites, so a fitness that keeps
+    it must copy it.  The result has one entry per config, each equal to
+    that config's run in a stack of one, ``evolve(fitness, B, [config])[0]``.
 
     The history records the best fitness seen so far after each generation,
     so it is non-decreasing; the returned best never exceeds the true
@@ -192,32 +209,48 @@ def evolve(
         raise ValidationError("runs in lockstep may differ only in their seeds")
     if bit_length < 1:
         raise ValidationError(f"bit length must be >= 1, got {bit_length}")
-    runs, size = len(configs), cfg.population_size
-    n_children = size - cfg.elitism
+    runs, size, elites = len(configs), cfg.population_size, cfg.elitism
+    n_children = size - elites
     pairs = (n_children + 1) // 2
-    check_indexable(f"population size {size}", (runs, size, bit_length))
+    # Two population buffers, swapped each generation.  A run's rows are its
+    # elites, then the crossed tournament winners: the first of each pair,
+    # then the second.  With an odd child count the last row is the last
+    # pair's second child, crossed and dropped, one past the population.
+    depth = elites + 2 * pairs
+    check_indexable(f"population size {size}", (runs, depth, bit_length))
     check_indexable(f"tournament size {cfg.tournament_size}", (runs, 2 * pairs, cfg.tournament_size))
     rng = _Lockstep([c.seed for c in configs])
+    # allocated one at a time and before the float draws, so a population
+    # past the memory fails as a MemoryError, not as numpy's ValueError
+    # for an array of more bytes than it can index
+    pop = np.empty((runs, depth, bit_length), dtype=np.uint8)
+    nxt = np.empty_like(pop)
+    sources = np.empty((runs, depth), dtype=np.intp)  # each next row's row in pop
+    coins = np.empty((runs, pairs))
+    draws = np.empty((runs, n_children, bit_length))
     each = np.arange(runs)
-    first = (each * size)[:, None]  # each run's first row in the flattened stack
+    first = (each * depth)[:, None]  # each run's first row in the flattened buffer
 
-    pop = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
-    fits = _evaluate(fitness, pop)
+    pop[:, :size] = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
+    fits = _evaluate(fitness, pop[:, :size])
     best = fits.argmax(axis=1)
     champion, champion_fitness = pop[each, best], fits[each, best]
     history: list[np.ndarray] = []
     for gen in range(cfg.generations):
-        rows = pop.reshape(-1, bit_length)
-        elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : cfg.elitism] + first]
-        parents = rows[select_tournament(fits, cfg.tournament_size, 2 * pairs, rng) + first]
-        p1, p2 = parents[:, :pairs], parents[:, pairs:]
+        order = np.argsort(-fits, axis=1, kind="stable")
+        sources[:, :elites] = order[:, :elites]
+        sources[:, elites:] = select_tournament(order, cfg.tournament_size, 2 * pairs, rng)
+        sources += first
+        # every source is a row of pop, so "clip" clips nothing; it spares the
+        # bounds check a copy through a temporary
+        np.take(pop.reshape(-1, bit_length), sources, axis=0, out=nxt, mode="clip")
         if bit_length > 1:
-            coins = rng.random((runs, pairs)) < cfg.crossover_prob
+            crossed = rng.random(out=coins) < cfg.crossover_prob
             cuts = rng.integers(1, bit_length, size=(runs, pairs))
-            p1, p2 = crossover_point(p1, p2, cuts, coins)
-        children = np.concatenate([p1, p2], axis=1)[:, :n_children]
-        pop = np.concatenate([elite, mutate_bits(children, cfg.mutation_prob, rng)], axis=1)
-        fits = _evaluate(fitness, pop)
+            crossover_point(nxt[:, elites : elites + pairs], nxt[:, elites + pairs :], cuts, crossed)
+        mutate_bits(nxt[:, elites:size], cfg.mutation_prob, rng, draws)
+        pop, nxt = nxt, pop
+        fits = _evaluate(fitness, pop[:, :size])
         best = fits.argmax(axis=1)
         best_fitness = fits[each, best]
         better = best_fitness > champion_fitness

@@ -41,7 +41,11 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     the 1 it is added to, so clipped or not the result is exactly 1.0.  A NaN
     stays NaN.
     """
-    s = np.negative(u)
+    return _sigmoid_of_negated(np.negative(u))
+
+
+def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
+    """``sigmoid(-s)``, computed in place in the float array ``s``."""
     np.minimum(s, SIGMOID_CLIP, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -163,6 +167,15 @@ def _as_input(net: Network, bits) -> np.ndarray:
     return x
 
 
+def _hidden(net: Network, x: np.ndarray) -> np.ndarray:
+    """The hidden activations ``float[N, H]`` of float rows ``x`` ``[N, I]``.
+    The pre-activation is formed negated, as ``-b_h - x·v``, which is exactly
+    ``-(x·v + b_h)``, and the sigmoid is applied in place to the product."""
+    s = np.einsum("pi,hi->ph", x, net.v)
+    np.subtract(-net.b_h, s, out=s)
+    return _sigmoid_of_negated(s)
+
+
 def forward(net: Network, bits) -> np.ndarray:
     """Output activations, every component in (0,1): ``(O,)`` for one bit
     string ``(B,)``, ``(..., O)`` for a batch ``(..., B)`` such as a
@@ -173,8 +186,7 @@ def forward(net: Network, bits) -> np.ndarray:
     whether it is passed alone or with any number of others.
     """
     x = _as_input(net, bits)
-    rows = x.reshape(-1, x.shape[-1])
-    h = sigmoid(np.einsum("pi,hi->ph", rows, net.v) + net.b_h)
+    h = _hidden(net, x.reshape(-1, x.shape[-1]))
     y = sigmoid(np.einsum("ph,oh->po", h, net.w) + net.b_o)
     return y.reshape(*x.shape[:-1], net.output_size)
 
@@ -183,8 +195,10 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
     """One class node's activations per run: for a stack of populations
     ``(R, P, B)`` and ``classes`` of shape ``intp[R]``, row r of the
     ``float[R, P]`` result is class ``classes[r]``'s output over run r's
-    population.  One chromosome's score is ``forward(net, bits)[..., k]``.
-    Pure, safe to call concurrently."""
+    population.  One chromosome's score is ``forward(net, bits)[..., k]``,
+    to the bit: only each run's class output is computed, by the same
+    einsum reduction over the hidden layer.  Pure, safe to call
+    concurrently."""
     k = np.asarray(classes)
     if k.ndim != 1:
         raise ValidationError(
@@ -192,12 +206,16 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
         )
     if ((k < 0) | (k >= net.output_size)).any():
         raise ValidationError(f"class index {classes} out of range for {net.output_size} outputs")
-    y = forward(net, stack)
-    if y.ndim < 2 or y.shape[0] != k.shape[0]:
+    x = _as_input(net, stack)
+    if x.ndim < 2 or x.shape[0] != k.shape[0]:
         raise ValidationError(
-            f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {y.shape[:-1]}"
+            f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {x.shape[:-1]}"
         )
-    return y[np.arange(k.shape[0]), ..., k]
+    h = _hidden(net, x.reshape(-1, x.shape[-1]))
+    h = h.reshape(len(k), math.prod(x.shape[1:-1]), net.hidden_size)  # (R, P, H)
+    s = np.einsum("rph,rh->rp", h, net.w[k])
+    np.subtract(-net.b_o[k, None], s, out=s)
+    return _sigmoid_of_negated(s).reshape(x.shape[:-1])
 
 
 def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:

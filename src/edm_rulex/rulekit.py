@@ -282,16 +282,13 @@ def extract_ruleset(
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
             }
-            explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
             entry["accepted"] = refined.confidence >= confidence_threshold
-            entry["outcome"] = (
-                f"accepted, removed {int(explained.sum())} records"
-                if entry["accepted"]
-                else "rejected: confidence below threshold"
-            )
             audit[k].append(entry)
             if not entry["accepted"]:
+                entry["outcome"] = "rejected: confidence below threshold"
                 continue
+            explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
+            entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
             rules[k].append(evaluate_rule(refined, index))
             working[k] = working[k].subset(~explained)
             going.append(k)

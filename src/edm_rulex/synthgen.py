@@ -380,8 +380,12 @@ def _cohort_codes(
 def discretize_cohort(
     cohort: RawCohort, disc: Mapping[str, Sequence[float]], schema: AttributeSchema
 ) -> DatasetIndex:
-    """Encode the cohort; each target level comes from the target's raw score."""
-    return DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=False))
+    """Encode the cohort; each target level comes from the target's raw score.
+    The index keeps its level codes (``codes``)."""
+    codes = _cohort_codes(cohort, disc, schema, labelled=False)
+    index = DatasetIndex(schema, codes)
+    index.codes = codes
+    return index
 
 
 def plant_rules(
@@ -398,11 +402,14 @@ def plant_rules(
     discretize_cohort; only the target is overridden.  With noise, each
     record in order draws whether it flips and, if so, which other level
     it takes, so the draws do not depend on how the labels were matched.
+    The index keeps its level codes (``codes``), the labels in the target's
+    column.
     """
     if planted.noise > 0 and schema.target_bits == 1:
         raise ValidationError(f"planted noise {planted.noise} flips labels to another level, "
                               f"but target {schema.target.name!r} has only one")
-    index = DatasetIndex(schema, _cohort_codes(cohort, disc, schema, labelled=True))
+    codes = _cohort_codes(cohort, disc, schema, labelled=True)
+    index = DatasetIndex(schema, codes)
     target = planted.truth.predict_index(index)
     if planted.noise > 0:
         rng = np.random.default_rng(seed)
@@ -410,7 +417,10 @@ def plant_rules(
             if rng.random() < planted.noise:
                 other = int(rng.integers(0, schema.target_bits - 1))
                 target[i] = other + (other >= label)  # the other levels, in level order
-    return DatasetIndex.from_arrays(schema, index.bits, target)
+    codes[:, schema.attributes.index(schema.target)] = target
+    labelled = DatasetIndex.from_arrays(schema, index.bits, target)
+    labelled.codes = codes
+    return labelled
 
 
 # Rows per piece of raw CSV text that write_raw_csv writes, or that a child
@@ -497,8 +507,9 @@ COMPANIONS_SHAPE = {str: {"csv_hash": str, "npy_hash": str}}
 def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta: Mapping) -> dict[str, Path]:
     """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``, and
     beside each CSV its table as ``np.save`` writes it: the level codes
-    (``intp[N, A]``, taken from the index once for both files) in
-    ``<stem>.npy`` and the raw scores in ``<stem>.raw.npy``.  The meta gains
+    (``intp[N, A]``: the index's ``codes``, or else read off its bits, once
+    for both files) in ``<stem>.npy`` and the raw scores in
+    ``<stem>.raw.npy``.  The meta gains
     ``companions``: per CSV file name, the SHA-256 of the CSV and of its
     array, so a reader can tell they still agree.  The raw CSV's rows are
     formatted on all usable CPUs (``write_raw_csv``), to the same bytes on
@@ -510,7 +521,9 @@ def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta:
         for key, suffix in (("csv", ".csv"), ("raw", ".raw.csv"), ("meta", ".meta.json"),
                             ("npy", ".npy"), ("raw_npy", ".raw.npy"))
     }
-    codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
+    codes = index.codes
+    if codes is None:
+        codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
     with open(paths["csv"], "w", encoding="utf-8") as out:
         write_index_csv(index.schema, codes, out)
     with open(paths["raw"], "w", encoding="utf-8") as out:

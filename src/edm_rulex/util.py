@@ -110,6 +110,19 @@ def read_json(path: str | Path, shape: Any = object) -> Any:
     return check(doc, shape, str(path))
 
 
+def _all_fit(items: list, shape: Any) -> bool:
+    """Whether every item fits the scalar shape ``float``, ``int`` or
+    ``str`` as ``check`` reads it, tested in one comprehension; False for
+    any other shape."""
+    if shape is float:
+        return all([type(x) in (int, float) and abs(x) <= sys.float_info.max for x in items])
+    if shape is int:
+        return all([type(x) is int for x in items])
+    if shape is str:
+        return all([isinstance(x, str) for x in items])
+    return False
+
+
 def check(value: Any, shape: Any, where: str) -> Any:
     """``value`` held to ``shape``: ``str``, ``bool``, ``int`` (not a bool),
     ``float`` (a finite int or float, not a bool), ``object`` (any value),
@@ -128,6 +141,8 @@ def check(value: Any, shape: Any, where: str) -> Any:
         ok, kind = type(value) is int if shape is int else isinstance(value, shape), shape.__name__
     if not ok:
         raise ValidationError(f"{where} must be {kind}, got {reprlib.repr(value)}")
+    if isinstance(shape, list) and _all_fit(value, shape[0]):
+        return list(value)  # recursing would only name the first item that does not fit
     if isinstance(shape, (list, tuple)):
         items = shape * len(value) if isinstance(shape, list) else shape
         return [check(x, s, f"{where}[{i}]") for i, (x, s) in enumerate(zip(value, items))]

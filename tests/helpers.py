@@ -2,10 +2,12 @@
 
 import copy
 import io
+from dataclasses import replace
 
 import numpy as np
 
 from edm_rulex.errors import NumericError
+from edm_rulex.evolver import EvolutionResult
 from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, forward, train
 from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
 from edm_rulex.schema import write_index_csv
@@ -135,8 +137,6 @@ def reference_refine(rule, records, schema: AttributeSchema, epsilon: float = 0.
     drop is accepted when confidence falls by at most epsilon.  Returns the
     rule with support, confidence, coverage and vacuity of the final terms.
     """
-    from dataclasses import replace
-
     target = schema.target.name
     current = rule
     current_conf = _confidence(current, records, target)
@@ -222,3 +222,88 @@ def index_csv(index: DatasetIndex) -> str:
     """The token CSV of an index: ``write_index_csv`` of its level codes."""
     codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
     return written(write_index_csv, index.schema, codes)
+
+
+class _ReferenceLockstep:
+    """One generator per run; a draw of shape ``(R, *s)`` stacks a draw of
+    shape ``s`` from each run's own generator."""
+
+    def __init__(self, seeds):
+        self._rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def integers(self, low, high, size, dtype=np.int64):
+        return np.array([rng.integers(low, high, size=size[1:], dtype=dtype) for rng in self._rngs])
+
+    def random(self, size):
+        out = np.empty(size)
+        for rng, row in zip(self._rngs, out):
+            rng.random(out=row)
+        return out
+
+
+def _reference_tournament(fits, k, n, rng):
+    """Each row's n winners of k draws with replacement: the best fitness,
+    ties to the lowest drawn index."""
+    size = fits.shape[-1]
+    draws = rng.integers(0, size, size=(*fits.shape[:-1], n, k))
+    rows = np.arange(0, fits.size, size).reshape(*fits.shape[:-1], 1, 1)
+    drawn = fits.ravel()[draws + rows]
+    is_best = drawn == drawn.max(axis=-1, keepdims=True)
+    return np.where(is_best, draws, size).min(axis=-1)
+
+
+def _reference_crossover(a, b, cuts, coins):
+    swap = (np.arange(a.shape[-1]) >= cuts[..., None]) & coins[..., None]
+    differ = (a ^ b) & swap
+    return a ^ differ, b ^ differ
+
+
+def _reference_mutate(pop, p, rng):
+    return pop ^ (rng.random(pop.shape) < p).astype(np.uint8)
+
+
+def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]:
+    """The lockstep GA with a fresh array for every step of every generation:
+    the oracle for evolver.evolve, which must give the same champions, best
+    fitnesses and histories bit for bit.  Each generation takes the elites
+    by a stable sort of the fitnesses, 2 * ceil(children / 2) tournament
+    winners by fitness, one crossover coin and cut per pair (when there are
+    two bits or more) and one mutation draw per child bit, each run from its
+    own generator in that order."""
+    cfg = configs[0]
+    assert all(replace(c, seed=cfg.seed) == cfg for c in configs)
+    runs, size = len(configs), cfg.population_size
+    n_children = size - cfg.elitism
+    pairs = (n_children + 1) // 2
+    rng = _ReferenceLockstep([c.seed for c in configs])
+    each = np.arange(runs)
+    first = (each * size)[:, None]
+
+    pop = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
+    fits = np.asarray(fitness(pop), dtype=float)
+    best = fits.argmax(axis=1)
+    champion, champion_fitness = pop[each, best], fits[each, best]
+    history = []
+    for _ in range(cfg.generations):
+        rows = pop.reshape(-1, bit_length)
+        elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : cfg.elitism] + first]
+        parents = rows[_reference_tournament(fits, cfg.tournament_size, 2 * pairs, rng) + first]
+        p1, p2 = parents[:, :pairs], parents[:, pairs:]
+        if bit_length > 1:
+            coins = rng.random((runs, pairs)) < cfg.crossover_prob
+            cuts = rng.integers(1, bit_length, size=(runs, pairs))
+            p1, p2 = _reference_crossover(p1, p2, cuts, coins)
+        children = np.concatenate([p1, p2], axis=1)[:, :n_children]
+        pop = np.concatenate([elite, _reference_mutate(children, cfg.mutation_prob, rng)], axis=1)
+        fits = np.asarray(fitness(pop), dtype=float)
+        best = fits.argmax(axis=1)
+        best_fitness = fits[each, best]
+        better = best_fitness > champion_fitness
+        champion = np.where(better[:, None], pop[each, best], champion)
+        champion_fitness = np.where(better, best_fitness, champion_fitness)
+        history.append(champion_fitness)
+    histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
+    return [
+        EvolutionResult(best_chromosome=champion[r], best_fitness=float(champion_fitness[r]), history=histories[r])
+        for r in range(runs)
+    ]

@@ -1118,6 +1118,45 @@ def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
     ]
 
 
+def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
+    # in each covering round refine_rule matches the rule once for its miss
+    # matrix and evaluate_rule once per call; the round itself matches the
+    # refined rule again only when it accepts it, to drop the records it explains
+    from edm_rulex.evolver import GaConfig
+    from edm_rulex.schema import read_index_csv
+
+    schema = load_schema(json.loads((study_run / "cohort.meta.json").read_text())["schema"])
+    with open(study_run / "cohort.csv", encoding="utf-8") as stream:
+        index = read_index_csv(stream, schema)
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(DatasetIndex, "misses")
+    counted(rulekit, "refine_rule")
+    counted(rulekit, "evaluate_rule")
+    ruleset = rulekit.extract_ruleset(
+        load_network(study_run / "model.json"), index,
+        ga_config=GaConfig(seed=util.derive_seed(7, "extract")), per_class_rule_budget=5,
+    )
+    # the rounds in the order they ran: round by round, each in class order
+    levels = schema.target.levels
+    entries = sorted(ruleset.audit, key=lambda e: (e["round"], levels.index(e["class"])))
+    assert {e["accepted"] for e in entries} == {True, False}
+    starts = [i for i, name in enumerate(calls) if name == "refine_rule"]
+    assert starts[0] == 0 and len(starts) == len(entries)
+    for entry, start, end in zip(entries, starts, starts[1:] + [len(calls)]):
+        made = calls[start:end]
+        assert made.count("misses") == 1 + made.count("evaluate_rule") + entry["accepted"], (entry, made)
+
+
 def test_train_saturated_short_of_the_clip_exits_3(study_run, tmp_path, capsys):
     # at rate 5 every output sinks to about 0 for every record long before
     # the sigmoid clip: mse 0.25 and one answer for a four-class cohort

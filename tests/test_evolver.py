@@ -14,10 +14,17 @@ from edm_rulex.evolver import (
     mutate_bits,
     select_tournament,
 )
+from edm_rulex.neural import Network, class_score
+from helpers import reference_evolve
 
 
 def popcount(pop):
     return pop.sum(axis=-1).astype(float)
+
+
+def ranked(fitnesses):
+    """A population's indices best first, ties in index order, as evolve ranks it."""
+    return np.argsort(-np.asarray(fitnesses, dtype=float), axis=-1, kind="stable")
 
 
 def test_onemax_reaches_all_ones():
@@ -104,78 +111,90 @@ def test_soundness_against_enumeration():
 def test_tournament_prefers_best():
     rng = np.random.default_rng(0)
     fitnesses = [0.1, 0.9, 0.4, 0.2]
-    winners = select_tournament(fitnesses, 64, 10**4, rng)
+    winners = select_tournament(ranked(fitnesses), 64, 10**4, rng)
     # P(best in 64 draws with replacement) = 1 - (3/4)^64 ~ 1 - 1e-8
     assert (winners == 1).sum() >= 9900
 
 
 def test_tournament_single_member():
     rng = np.random.default_rng(0)
-    assert select_tournament([0.5], 3, 10, rng).tolist() == [0] * 10
+    assert select_tournament(ranked([0.5]), 3, 10, rng).tolist() == [0] * 10
 
 
 def test_tournament_tie_lowest_index():
     # with equal fitnesses the winner is the lowest drawn index
     for seed in range(50):
         draws = np.random.default_rng(seed).integers(0, 5, size=(20, 7))
-        winners = select_tournament([1.0] * 5, 7, 20, np.random.default_rng(seed))
+        winners = select_tournament(ranked([1.0] * 5), 7, 20, np.random.default_rng(seed))
         assert np.array_equal(winners, draws.min(axis=1))
     # and among tied best draws only, not the lowest draw overall
     fitnesses = np.array([0.0, 2.0, 0.0, 2.0, 1.0])
     for seed in range(50):
         draws = np.random.default_rng(seed).integers(0, 5, size=(20, 4))
-        winners = select_tournament(fitnesses, 4, 20, np.random.default_rng(seed))
+        winners = select_tournament(ranked(fitnesses), 4, 20, np.random.default_rng(seed))
         for row, winner in zip(draws, winners):
             best = fitnesses[row].max()
             assert winner == row[fitnesses[row] == best].min()
 
 
+def crossed(a, b, cuts, coins):
+    """The children of ``crossover_point``, which crosses copies of the parents in place."""
+    a, b = np.array(a, dtype=np.uint8), np.array(b, dtype=np.uint8)
+    crossover_point(a, b, cuts, coins)
+    return a, b
+
+
 def test_crossover_examples():
     a = np.array([[1, 1, 1, 1]], dtype=np.uint8)
     b = np.array([[0, 0, 0, 0]], dtype=np.uint8)
-    c1, c2 = crossover_point(a, b, [2], [True])
+    c1, c2 = crossed(a, b, [2], [True])
     assert c1.tolist() == [[1, 1, 0, 0]]
     assert c2.tolist() == [[0, 0, 1, 1]]
-    c1, c2 = crossover_point(a, a, [1], [True])
+    c1, c2 = crossed(a, a, [1], [True])
     assert np.array_equal(c1, a) and np.array_equal(c2, a)
-    c1, c2 = crossover_point(np.vstack([a, a]), np.vstack([b, b]), [1, 3], [False, True])
+    c1, c2 = crossed(np.vstack([a, a]), np.vstack([b, b]), [1, 3], [False, True])
     assert c1.tolist() == [[1, 1, 1, 1], [1, 1, 1, 0]]
     assert c2.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1]]
     with pytest.raises(ValidationError):
-        crossover_point(a, b, [0], [True])
+        crossed(a, b, [0], [True])
     with pytest.raises(ValidationError):
-        crossover_point(a, b, [4], [True])
+        crossed(a, b, [4], [True])
     with pytest.raises(ValidationError):
-        crossover_point(a, b[:, :3], [1], [True])
+        crossed(a, b[:, :3], [1], [True])
     with pytest.raises(ValidationError):
-        crossover_point(a, b, [1, 2], [True, True])
+        crossed(a, b, [1, 2], [True, True])
 
 
 def test_crossover_conserves_bits():
     rng = np.random.default_rng(4)
     for _ in range(10**4):
-        length = int(rng.integers(2, 20))
+        length = int(rng.integers(2, 300))
         pairs = int(rng.integers(1, 12))
         a = rng.integers(0, 2, (pairs, length), dtype=np.uint8)
         b = rng.integers(0, 2, (pairs, length), dtype=np.uint8)
         cuts = rng.integers(1, length, pairs)
         coins = rng.random(pairs) < 0.5
-        c1, c2 = crossover_point(a, b, cuts, coins)
+        c1, c2 = crossed(a, b, cuts, coins)
         assert np.array_equal(c1 + c2, a + b)
+        for i, (cut, coin) in enumerate(zip(cuts, coins)):
+            assert np.array_equal(c1[i], np.r_[a[i, :cut], (b if coin else a)[i, cut:]])
 
 
 def test_mutate_edges():
     rng = np.random.default_rng(0)
     c = rng.integers(0, 2, (8, 64), dtype=np.uint8)
-    assert np.array_equal(mutate_bits(c, 0.0, rng), c)
-    assert np.array_equal(mutate_bits(c, 1.0, rng), 1 - c)
+    m = c.copy()
+    mutate_bits(m, 0.0, rng)
+    assert np.array_equal(m, c)
+    mutate_bits(m, 1.0, rng, np.empty(c.shape))
+    assert np.array_equal(m, 1 - c)
 
 
 def test_mutate_flip_rate():
     rng = np.random.default_rng(8)
     c = np.zeros((1000, 1000), dtype=np.uint8)
-    flips = mutate_bits(c, 0.02, rng).sum(axis=1)
-    assert 15 <= np.mean(flips) <= 25
+    mutate_bits(c, 0.02, rng)
+    assert 15 <= np.mean(c.sum(axis=1)) <= 25
 
 
 @pytest.mark.parametrize(
@@ -249,6 +268,77 @@ def test_lockstep_runs_equal_lone_runs(
         assert got.best_fitness == alone.best_fitness
         assert got.history == alone.history
         assert got.generations == alone.generations == generations
+
+
+probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6, unique=True),
+    size=st.integers(2, 24),
+    bits=st.integers(1, 20),
+    generations=st.integers(0, 8),
+    elitism=st.integers(0, 23),
+    tournament=st.integers(1, 4),
+    crossover=probabilities,
+    mutation=probabilities,
+    by_network=st.booleans(),
+)
+@example(  # an odd child count, crossover and mutation always
+    seeds=[1, 2, 3], size=9, bits=7, generations=5, elitism=0, tournament=1, crossover=1.0,
+    mutation=1.0, by_network=False,
+)
+@example(  # an even child count, crossover and mutation never
+    seeds=[4, 5], size=12, bits=9, generations=5, elitism=2, tournament=4, crossover=0.0,
+    mutation=0.0, by_network=True,
+)
+@example(  # one child, one bit: no crossover draws
+    seeds=[0, 1, 2, 3, 4, 5], size=24, bits=1, generations=6, elitism=23, tournament=3,
+    crossover=0.5, mutation=0.1, by_network=True,
+)
+@example(
+    seeds=[6], size=2, bits=3, generations=4, elitism=1, tournament=2, crossover=1.0, mutation=0.0,
+    by_network=False,
+)
+def test_evolve_equals_reference(
+    seeds, size, bits, generations, elitism, tournament, crossover, mutation, by_network
+):
+    # bit for bit the lockstep GA that built a fresh array for every step
+    config = GaConfig(
+        population_size=size,
+        generations=generations,
+        elitism=min(elitism, size - 1),
+        tournament_size=tournament,
+        crossover_prob=crossover,
+        mutation_prob=mutation,
+    )
+    configs = [replace(config, seed=seed) for seed in seeds]
+    if by_network:
+        rng = np.random.default_rng(seeds[0])
+        hidden, outputs = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        net = Network(
+            v=rng.normal(scale=2.0, size=(hidden, bits)),
+            b_h=rng.normal(size=hidden),
+            w=rng.normal(scale=2.0, size=(outputs, hidden)),
+            b_o=rng.normal(size=outputs),
+        )
+        classes = rng.integers(outputs, size=len(seeds))
+
+        def fitness(pop):
+            return class_score(net, pop, classes)
+    else:
+        mults = np.array([2654435761 + 2 * r for r in range(len(seeds))])
+
+        def fitness(pop):
+            return _hashed(pop, mults[:, None]) % 4  # many distinct chromosomes tie
+
+    got, want = evolve(fitness, bits, configs), reference_evolve(fitness, bits, configs)
+    assert len(got) == len(want) == len(configs)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.best_chromosome, w.best_chromosome)
+        assert g.best_fitness == w.best_fitness
+        assert g.history == w.history
 
 
 def test_lockstep_non_finite_fitness_names_run_and_chromosome():

@@ -167,11 +167,16 @@ def test_class_score_one_class_per_run():
     bits=st.integers(1, 60),
     hidden=st.integers(1, 20),
     outputs=st.integers(1, 5),
+    runs=st.integers(1, 5),
     rows=st.integers(1, 130),
     scale=st.floats(0.1, 5.0),
 )
-def test_class_score_batch_equals_single(seed, bits, hidden, outputs, rows, scale):
-    # each row's score is the same bits whether scored alone or in a batch of any size
+@example(seed=1, bits=9, hidden=1, outputs=3, runs=2, rows=7, scale=2.0)
+@example(seed=2, bits=12, hidden=6, outputs=1, runs=3, rows=5, scale=1.0)
+@example(seed=3, bits=33, hidden=17, outputs=4, runs=5, rows=100, scale=3.0)
+def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows, scale):
+    # each row's score is the same bits whether scored alone or in a stack of
+    # runs of any size, each run on its own class
     rng = np.random.default_rng(seed)
     net = Network(
         v=rng.normal(scale=scale, size=(hidden, bits)),
@@ -179,12 +184,13 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, rows, scal
         w=rng.normal(scale=scale, size=(outputs, hidden)),
         b_o=rng.normal(size=outputs),
     )
-    pop = rng.integers(0, 2, (rows, bits), dtype=np.uint8)
-    k = int(rng.integers(outputs))
-    batch = class_score(net, pop[None], [k])[0]
-    assert batch.shape == (rows,)
-    for i in range(rows):
-        assert batch[i] == forward(net, pop[i])[k]
+    stack = rng.integers(0, 2, (runs, rows, bits), dtype=np.uint8)
+    classes = rng.integers(outputs, size=runs)
+    batch = class_score(net, stack, classes)
+    assert batch.shape == (runs, rows)
+    for r, k in enumerate(classes):
+        for i in range(rows):
+            assert batch[r, i] == forward(net, stack[r, i])[k]
 
 
 def test_class_score_argmax_matches_enumeration():

@@ -184,6 +184,23 @@ def test_plant_rules_noise_fraction():
     assert 0.08 <= flipped / len(clean) <= 0.12
 
 
+@pytest.mark.parametrize("noise", [None, 0.0, 0.3])
+def test_cohort_index_keeps_the_codes_of_its_bits_and_labels(noise):
+    # write_cohort writes the codes a cohort's index keeps; they are the
+    # codes its one-hot bits and its labels (noisy ones too) encode
+    schema = studydata.default_student_schema()
+    spec = studydata.default_population_spec(n_male=40, n_female=40, seed=5)
+    cohort = sample_population(spec)
+    disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
+    if noise is None:
+        index = discretize_cohort(cohort, disc, schema)
+    else:
+        index = plant_rules(cohort, _unit1_planted(noise), disc, schema, seed=3)
+    decoded = np.column_stack([index.column(a.name) for a in schema.attributes])
+    assert index.codes.dtype == np.intp and np.array_equal(index.codes, decoded)
+    assert index.subset(np.arange(len(index)) < 10).codes is None
+
+
 def test_plant_rules_catch_all_only():
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_male=5, n_female=5, seed=2)
