@@ -8,7 +8,7 @@ fixed seed.
 
 import numpy as np
 
-from edm_rulex import default_population_spec, default_student_schema, sample_population
+from edm_rulex import DatasetIndex, default_population_spec, default_student_schema, sample_population
 from edm_rulex import studydata
 from edm_rulex.synthgen import default_discretization, discretize_cohort
 
@@ -21,7 +21,8 @@ for token, rows in cohort.groups.items():
     print(f"  group {token}: {rows.shape[0]} rows x {rows.shape[1]} raw dimensions")
 
 disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-index = discretize_cohort(cohort, disc, schema)  # the encoded cohort: bits and class indices
+codes = discretize_cohort(cohort, disc, schema)  # level codes, one column per attribute
+index = DatasetIndex(schema, codes)  # the encoded cohort: bits and class indices
 counts = np.bincount(index.target, minlength=schema.target_bits).tolist()
 print(f"  reasoning level counts: { dict(zip(schema.target.levels, counts)) }")
 print()

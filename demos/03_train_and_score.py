@@ -33,7 +33,7 @@ planted = PlantedRuleSpec(
     truth=RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P"),
     noise=0.0,
 )
-encoded = plant_rules(cohort, planted, disc, schema, seed=4)  # a DatasetIndex
+encoded = DatasetIndex(schema, plant_rules(cohort, planted, disc, schema, seed=4))
 
 config = TrainConfig(max_epochs=300, target_mse=0.005, seed=0)
 net = init_network(schema, config)

@@ -8,12 +8,14 @@ repeats.
 """
 
 from edm_rulex import (
+    DatasetIndex,
     GaConfig,
     PlantedRuleSpec,
     Rule,
     RuleSet,
     TrainConfig,
     default_population_spec,
+    decode_chromosome,
     default_student_schema,
     extract_ruleset,
     format_rule,
@@ -36,7 +38,7 @@ truth = RuleSet(
     ),
     default="P",
 )
-encoded = plant_rules(cohort, PlantedRuleSpec(truth=truth), disc, schema, seed=1)  # a DatasetIndex
+encoded = DatasetIndex(schema, plant_rules(cohort, PlantedRuleSpec(truth=truth), disc, schema, seed=1))
 print("planted ground truth:")
 for rule in truth.rules:
     print(f"  {format_rule(rule, schema)}")
@@ -60,6 +62,9 @@ print(f"  default class: {ruleset.default}")
 print(f"  training accuracy: {ruleset.accuracy(encoded, schema):.3f}")
 print()
 
-print("extraction audit:")
+print("extraction audit (each round's GA champion, decoded):")
 for entry in ruleset.audit:
-    print(f"  class {entry['class']} round {entry['round']}: {entry['outcome']}")
+    k = schema.target.levels.index(entry["class"])
+    champion = decode_chromosome(entry["chromosome"], schema, k)
+    print(f"  class {entry['class']} round {entry['round']}: {entry['outcome']}; "
+          f"champion of {len(champion.terms)} terms at fitness {entry['best_fitness']:.4f}")

@@ -31,7 +31,7 @@ import numpy as np
 from . import rulekit, studydata
 from .errors import NumericError, ValidationError
 from .evolver import GaConfig
-from .neural import TrainConfig, init_network, load_network, network_to_dict, train
+from .neural import TrainConfig, init_network, load_network, network_from_dict, network_to_dict, train
 from .psychostats import (
     cronbach_alpha,
     levene_w,
@@ -269,16 +269,16 @@ def cmd_generate(args) -> int:
     disc = default_discretization(cohort, schema, maxima)
     if planted is not None:
         seed = derive_seed(opts["seed"], "generate-labels")
-        index = plant_rules(cohort, planted, disc, schema, seed)
+        codes = plant_rules(cohort, planted, disc, schema, seed)
     else:
-        index = discretize_cohort(cohort, disc, schema)
+        codes = discretize_cohort(cohort, disc, schema)
     meta = build_metadata(spec, schema, disc, planted)
     meta["master_seed"] = opts["seed"]
     meta["config_hash"], _ = _provenance(
         "generate", opts, spec=meta["population_spec"], planted=meta["planted"], score_maxima=maxima
     )
-    paths = write_cohort(opts["out"] / "cohort", index, cohort, meta)
-    print(f"wrote {paths['csv']} ({len(index)} rows), {paths['raw']}, {paths['meta']}")
+    paths = write_cohort(opts["out"] / "cohort", schema, codes, cohort, meta)
+    print(f"wrote {paths['csv']} ({len(codes)} rows), {paths['raw']}, {paths['meta']}")
     return 0
 
 
@@ -556,12 +556,11 @@ REQUIRED_ARTIFACTS = (
 
 
 # the fields of each JSON artifact that report reads; all of stats.json, target checks required;
-# PopulationSpec.from_dict holds the population spec to its shape
+# PopulationSpec.from_dict holds the population spec to its shape, network_from_dict the model
 REPORT_SHAPES = {
     "cohort.meta.json": {"config_hash": str, "master_seed": int, "generator": str,
                          "schema": SCHEMA_SHAPE, "population_spec": object},
-    "model.json": {"input_size": int, "hidden_size": int, "output_size": int,
-                   "metadata": {"config_hash": str, "inputs": _INPUTS}},
+    "model.json": {"metadata": {"config_hash": str, "inputs": _INPUTS}},
     "train_log.json": {"config_hash": str, "final_mse": float, "mse_history": [float]},
     "ruleset.json": {"config_hash": str, "inputs": _INPUTS, "default": str,
                      "rules": [{"confidence": float, "support": int}], "training_accuracy": float},
@@ -611,6 +610,10 @@ def cmd_report(args) -> int:
     docs = (read_json(run_dir / name, shape) for name, shape in REPORT_SHAPES.items())
     meta, model, train_log, ruleset, stats = docs
     spec = PopulationSpec.from_dict(meta["population_spec"], f"{run_dir}/cohort.meta.json.population_spec")
+    try:
+        net = network_from_dict(model)
+    except ValidationError as e:
+        raise ValidationError(f"{run_dir}/model.json: {e}") from None
     md = model["metadata"]
 
     # integrity: every recorded input is a file of this run, unchanged since
@@ -652,7 +655,7 @@ def cmd_report(args) -> int:
         + f"; generator {meta['generator']}; spec {spec_hash(spec)[:12]}"
     )
     lines.append(
-        f"Model: {model['input_size']}-{model['hidden_size']}-{model['output_size']}, "
+        f"Model: {net.input_size}-{net.hidden_size}-{net.output_size}, "
         f"final mse {final_mse:.5f} after {len(history)} epochs"
     )
     lines += ["", "Extracted rules (confidence, support)"]

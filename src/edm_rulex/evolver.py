@@ -71,6 +71,10 @@ class EvolutionResult:
     best_chromosome: np.ndarray
     best_fitness: float
     history: list[float]  # running best per generation; non-decreasing
+    # distinct chromosomes of the last population whose fitness equals
+    # best_fitness, counted after the loop: above 1, the GA chose the champion
+    # among ties (as where an output saturates at 1.0); 0 when elitism 0 lost it
+    champion_ties: int
 
     @property
     def generations(self) -> int:
@@ -217,8 +221,9 @@ def evolve(
     # then the second.  With an odd child count the last row is the last
     # pair's second child, crossed and dropped, one past the population.
     depth = elites + 2 * pairs
-    check_indexable(f"population size {size}", (runs, depth, bit_length))
-    check_indexable(f"tournament size {cfg.tournament_size}", (runs, 2 * pairs, cfg.tournament_size))
+    check_indexable(f"population size {size}", (runs, depth, bit_length), np.uint8)
+    tournaments = (runs, 2 * pairs, cfg.tournament_size)
+    check_indexable(f"tournament size {cfg.tournament_size}", tournaments, np.int64)
     rng = _Lockstep([c.seed for c in configs])
     # allocated one at a time and before the float draws, so a population
     # past the memory fails as a MemoryError, not as numpy's ValueError
@@ -259,11 +264,13 @@ def evolve(
         history.append(champion_fitness)
         log.debug("generation %d best %s", gen + 1, champion_fitness)
     histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
+    last = pop[:, :size]
     return [
         EvolutionResult(
             best_chromosome=champion[r],
             best_fitness=float(champion_fitness[r]),
             history=histories[r],
+            champion_ties=len(np.unique(last[r][fits[r] == champion_fitness[r]], axis=0)),
         )
         for r in range(runs)
     ]

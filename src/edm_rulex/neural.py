@@ -145,7 +145,7 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
     input_size = schema.total_predictive_bits
     output_size = schema.target_bits
     hidden = config.resolve_hidden(input_size)
-    check_indexable(f"hidden size {hidden}", (hidden, max(input_size, output_size)))
+    check_indexable(f"hidden size {hidden}", (hidden, max(input_size, output_size)), float)
     rng = np.random.default_rng(config.seed)
     r_v = config.init_scale / math.sqrt(input_size)
     r_w = config.init_scale / math.sqrt(hidden)
@@ -401,10 +401,9 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
 
 
 def network_to_dict(net: Network) -> dict:
+    """``model.json``: the weights, biases and metadata.  The layer sizes are
+    not recorded: they are the arrays' shapes."""
     return {
-        "input_size": net.input_size,
-        "hidden_size": net.hidden_size,
-        "output_size": net.output_size,
         "v": net.v.tolist(),
         "b_h": net.b_h.tolist(),
         "w": net.w.tolist(),
@@ -413,8 +412,7 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-NETWORK_SHAPE = {"v": [[float]], "b_h": [float], "w": [[float]], "b_o": [float], "input_size?": int,
-                 "hidden_size?": int, "output_size?": int,
+NETWORK_SHAPE = {"v": [[float]], "b_h": [float], "w": [[float]], "b_o": [float],
                  "metadata?": {"schema_hash?": str, "discretization_hash?": str}}
 
 
@@ -424,12 +422,7 @@ def network_from_dict(doc: Mapping) -> Network:
         arrays = {name: np.asarray(doc[name], dtype=float) for name in ("v", "b_h", "w", "b_o")}
     except ValueError:
         raise ValidationError("network document: v and w must be rectangular matrices") from None
-    net = Network(**arrays, metadata=doc.get("metadata", {}))
-    declared = (doc.get("input_size"), doc.get("hidden_size"), doc.get("output_size"))
-    actual = (net.input_size, net.hidden_size, net.output_size)
-    if tuple(d for d in declared if d is not None) and declared != actual:
-        raise ValidationError(f"declared sizes {declared} do not match arrays {actual}")
-    return net
+    return Network(**arrays, metadata=doc.get("metadata", {}))
 
 
 def load_network(path: str | Path) -> Network:

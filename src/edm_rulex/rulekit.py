@@ -34,15 +34,14 @@ DEFAULT_RULE_BUDGET = 5
 @dataclass(frozen=True)
 class Rule:
     """Antecedent terms (attribute, allowed levels), a consequent class token,
-    and the metrics ``evaluate_rule`` sets and extraction records."""
+    and the metrics ``evaluate_rule`` sets.  How a rule was found (a GA
+    champion and its fitness) is recorded in its round's audit entry."""
 
     terms: tuple[tuple[str, tuple[str, ...]], ...]
     consequent: str
     support: int | None = None
     confidence: float | None = None
     coverage: float | None = None
-    fitness: float | None = None
-    chromosome: tuple[int, ...] | None = None
 
     @property
     def vacuous(self) -> bool:
@@ -121,11 +120,7 @@ def decode_chromosome(bits, schema: AttributeSchema, class_index: int) -> Rule:
         on = np.flatnonzero(seg)
         if 0 < len(on) < width:
             terms.append((attr.name, tuple(attr.levels[int(i)] for i in on)))
-    return Rule(
-        terms=tuple(terms),
-        consequent=schema.target.levels[class_index],
-        chromosome=tuple(int(b) for b in bits),
-    )
+    return Rule(terms=tuple(terms), consequent=schema.target.levels[class_index])
 
 
 def evaluate_rule(rule: Rule, dataset, schema: AttributeSchema | None = None) -> Rule:
@@ -228,8 +223,11 @@ def extract_ruleset(
     rules by descending confidence (a stable sort, so ties keep round order).
 
     Accepted rules carry metrics recomputed against the full index;
-    working-set confidences live in the audit entries.  Rules are decoded
-    under ``index.schema``.
+    working-set confidences live in the audit entries.  Each round's entry,
+    accepted or not, records its GA champion (``chromosome``, whose
+    ``decode_chromosome`` under ``index.schema`` is the rule refined), its
+    ``best_fitness`` and its ``champion_ties`` (``EvolutionResult``); a
+    round whose champion ties with other chromosomes logs a warning.
     """
     if len(index) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
@@ -267,23 +265,27 @@ def extract_ruleset(
         going = []
         for k, cfg, result in zip(live, cfgs, results):
             class_token = schema.target.levels[k]
-            raw_rule = replace(
-                decode_chromosome(result.best_chromosome, schema, k),
-                fitness=result.best_fitness,
-            )
-            refined = refine_rule(raw_rule, working[k], epsilon=epsilon)
+            decoded = decode_chromosome(result.best_chromosome, schema, k)
+            refined = refine_rule(decoded, working[k], epsilon=epsilon)
             entry = {
                 "class": class_token,
                 "round": round_no,
                 "ga_seed": cfg.seed,
                 "ga_generations": result.generations,
                 "best_fitness": result.best_fitness,
-                "decoded_terms": [list(t) for t in raw_rule.terms],
+                "chromosome": result.best_chromosome.tolist(),
+                "champion_ties": result.champion_ties,
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
             }
             entry["accepted"] = refined.confidence >= confidence_threshold
             audit[k].append(entry)
+            if result.champion_ties > 1:
+                log.warning(
+                    "class %s round %d: %d distinct chromosomes of the last population tie "
+                    "with the champion's fitness %r; the GA chose among them",
+                    class_token, round_no, result.champion_ties, result.best_fitness,
+                )
             if not entry["accepted"]:
                 entry["outcome"] = "rejected: confidence below threshold"
                 continue
@@ -435,8 +437,6 @@ def ruleset_to_dict(ruleset: RuleSet) -> dict:
                 "support": r.support,
                 "confidence": r.confidence,
                 "coverage": r.coverage,
-                "fitness": r.fitness,
-                "chromosome": list(r.chromosome) if r.chromosome is not None else None,
             }
             for r in ruleset.rules
         ],
@@ -447,7 +447,7 @@ def ruleset_to_dict(ruleset: RuleSet) -> dict:
 
 RULESET_SHAPE = {"default": str, "audit?": [{str: object}], "rules": [{
     "terms": [{"attribute": str, "levels": [str]}], "consequent": str, "support?": int,
-    "confidence?": float, "coverage?": float, "fitness?": float, "chromosome?": [int]}]}
+    "confidence?": float, "coverage?": float}]}
 
 
 def ruleset_from_dict(doc: Mapping) -> RuleSet:
@@ -459,8 +459,6 @@ def ruleset_from_dict(doc: Mapping) -> RuleSet:
             support=r.get("support"),
             confidence=r.get("confidence"),
             coverage=r.get("coverage"),
-            fitness=r.get("fitness"),
-            chromosome=tuple(r["chromosome"]) if "chromosome" in r else None,
         )
         for r in doc["rules"]
     )

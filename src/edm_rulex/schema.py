@@ -235,14 +235,9 @@ class DatasetIndex:
     ``[N, A]`` array with one column per schema attribute in schema order
     (``_fit_codes``).  A record that ``validate_record`` rejects raises its
     ValidationError.  The bits are set one attribute column at a time, so
-    the build holds no ``[N, A]`` temporary besides the codes.
-
-    ``codes`` is None unless a builder that has the level codes at hand
-    sets it (``synthgen``'s cohorts, which ``write_cohort`` writes as they
-    are).  The index does not keep the codes it is built from, so a cohort
-    read for training holds no second copy of its table."""
-
-    codes: np.ndarray | None = None
+    the build holds no ``[N, A]`` temporary besides the codes.  The index
+    does not keep the codes it is built from, so a cohort read for training
+    holds no second copy of its table."""
 
     def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
         codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))

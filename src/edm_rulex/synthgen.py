@@ -3,14 +3,14 @@
 Cohorts are drawn per group (gender) from a correlated Gaussian whose means,
 spreads, and correlation matrix are explicit inputs.  The cohort then moves
 as columns: each raw dimension is discretized into a level-code column in
-one step, the group token fills the group attribute's column, and the
-records are encoded once into a ``DatasetIndex``.  Labels come either from
-discretizing the target's raw score or from a planted rule list, matched
-over that index by ``RuleSet.predict_index``; the latter gives the
-extraction pipeline a known ground truth to recover.  ``write_cohort``
-writes the token CSV and its ``.npy`` companion from one array of level
-codes, and the raw score table and its companion from the score matrix, the
-CSVs a chunk of rows at a time; the sidecar holds both pairs' hashes.
+one step and the group token fills the group attribute's column, giving the
+records' level codes ``intp[N, A]``, from which ``DatasetIndex`` encodes
+them.  Labels come either from discretizing the target's raw score or from
+a planted rule list, matched by ``RuleSet.predict_index``; the latter gives
+the extraction pipeline a known ground truth to recover.  ``write_cohort``
+writes the token CSV and its ``.npy`` companion from the level codes, and
+the raw score table and its companion from the score matrix, the CSVs a
+chunk of rows at a time; the sidecar holds both pairs' hashes.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -80,7 +80,7 @@ class PopulationSpec:
         for token, g in self.groups.items():
             if g.n < 1:
                 raise ValidationError(f"group {token!r}: n must be >= 1, got {g.n}")
-            check_indexable(f"group {token!r}: n {g.n}", (g.n, d))
+            check_indexable(f"group {token!r}: n {g.n}", (g.n, d), float)
             if len(g.means) != d or len(g.sds) != d:
                 raise ValidationError(f"group {token!r}: means/sds length != {d}")
             if any(s < 0 for s in g.sds):
@@ -379,13 +379,10 @@ def _cohort_codes(
 
 def discretize_cohort(
     cohort: RawCohort, disc: Mapping[str, Sequence[float]], schema: AttributeSchema
-) -> DatasetIndex:
-    """Encode the cohort; each target level comes from the target's raw score.
-    The index keeps its level codes (``codes``)."""
-    codes = _cohort_codes(cohort, disc, schema, labelled=False)
-    index = DatasetIndex(schema, codes)
-    index.codes = codes
-    return index
+) -> np.ndarray:
+    """The cohort's level codes ``intp[N, A]``; each target level comes from
+    the target's raw score."""
+    return _cohort_codes(cohort, disc, schema, labelled=False)
 
 
 def plant_rules(
@@ -394,23 +391,22 @@ def plant_rules(
     disc: Mapping[str, Sequence[float]],
     schema: AttributeSchema,
     seed: int,
-) -> DatasetIndex:
-    """Label records by the planted truth's first matching rule, else its
-    default, with optional noise.
+) -> np.ndarray:
+    """The cohort's level codes ``intp[N, A]``, each record labelled by the
+    planted truth's first matching rule, else its default, with optional
+    noise.
 
     Predictive levels come from discretization exactly as in
-    discretize_cohort; only the target is overridden.  With noise, each
-    record in order draws whether it flips and, if so, which other level
-    it takes, so the draws do not depend on how the labels were matched.
-    The index keeps its level codes (``codes``), the labels in the target's
-    column.
+    discretize_cohort; only the target column is overridden.  With noise,
+    each record in order draws whether it flips and, if so, which other
+    level it takes, so the draws do not depend on how the labels were
+    matched.
     """
     if planted.noise > 0 and schema.target_bits == 1:
         raise ValidationError(f"planted noise {planted.noise} flips labels to another level, "
                               f"but target {schema.target.name!r} has only one")
     codes = _cohort_codes(cohort, disc, schema, labelled=True)
-    index = DatasetIndex(schema, codes)
-    target = planted.truth.predict_index(index)
+    target = planted.truth.predict_index(DatasetIndex(schema, codes))
     if planted.noise > 0:
         rng = np.random.default_rng(seed)
         for i, label in enumerate(target.tolist()):
@@ -418,9 +414,7 @@ def plant_rules(
                 other = int(rng.integers(0, schema.target_bits - 1))
                 target[i] = other + (other >= label)  # the other levels, in level order
     codes[:, schema.attributes.index(schema.target)] = target
-    labelled = DatasetIndex.from_arrays(schema, index.bits, target)
-    labelled.codes = codes
-    return labelled
+    return codes
 
 
 # Rows per piece of raw CSV text that write_raw_csv writes, or that a child
@@ -504,11 +498,12 @@ def parse_raw_csv(stream: TextIO) -> tuple[tuple[str, ...], np.ndarray]:
 COMPANIONS_SHAPE = {str: {"csv_hash": str, "npy_hash": str}}
 
 
-def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta: Mapping) -> dict[str, Path]:
+def write_cohort(
+    stem: str | Path, schema: AttributeSchema, codes: np.ndarray, cohort: RawCohort, meta: Mapping
+) -> dict[str, Path]:
     """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``, and
     beside each CSV its table as ``np.save`` writes it: the level codes
-    (``intp[N, A]``: the index's ``codes``, or else read off its bits, once
-    for both files) in ``<stem>.npy`` and the raw scores in
+    ``intp[N, A]`` in ``<stem>.npy`` and the raw scores in
     ``<stem>.raw.npy``.  The meta gains
     ``companions``: per CSV file name, the SHA-256 of the CSV and of its
     array, so a reader can tell they still agree.  The raw CSV's rows are
@@ -521,11 +516,8 @@ def write_cohort(stem: str | Path, index: DatasetIndex, cohort: RawCohort, meta:
         for key, suffix in (("csv", ".csv"), ("raw", ".raw.csv"), ("meta", ".meta.json"),
                             ("npy", ".npy"), ("raw_npy", ".raw.npy"))
     }
-    codes = index.codes
-    if codes is None:
-        codes = np.column_stack([index.column(a.name) for a in index.schema.attributes])
     with open(paths["csv"], "w", encoding="utf-8") as out:
-        write_index_csv(index.schema, codes, out)
+        write_index_csv(schema, codes, out)
     with open(paths["raw"], "w", encoding="utf-8") as out:
         write_raw_csv(cohort, out)
     np.save(paths["npy"], codes)

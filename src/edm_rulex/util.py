@@ -88,13 +88,16 @@ def _non_finite(obj: Any, where: str) -> str | None:
     return next(filter(None, (_non_finite(v, f"{where}[{k!r}]") for k, v in items)), None)
 
 
-def check_indexable(what: str, shape: tuple[int, ...]) -> None:
-    """A ValidationError ``what is too large`` when an array of ``shape`` has
-    more elements than numpy can index, so no such array is ever asked for."""
-    if math.prod(shape) > np.iinfo(np.intp).max:
+def check_indexable(what: str, shape: tuple[int, ...], dtype) -> None:
+    """A ValidationError ``what is too large`` when an array of ``shape`` and
+    ``dtype`` takes more bytes than numpy can index, for which numpy itself
+    raises a bare ValueError; so no such array is ever asked for."""
+    dtype = np.dtype(dtype)
+    size, limit = math.prod(shape) * dtype.itemsize, np.iinfo(np.intp).max
+    if size > limit:
         raise ValidationError(
-            f"{what} is too large: an array of {' x '.join(map(str, shape))} "
-            "exceeds the largest array numpy can index"
+            f"{what} is too large: an array of {' x '.join(map(str, shape))} exceeds the largest "
+            f"array numpy can index ({size} bytes of {dtype}, over its limit of {limit})"
         )
 
 

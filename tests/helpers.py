@@ -269,7 +269,8 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     by a stable sort of the fitnesses, 2 * ceil(children / 2) tournament
     winners by fitness, one crossover coin and cut per pair (when there are
     two bits or more) and one mutation draw per child bit, each run from its
-    own generator in that order."""
+    own generator in that order.  A run's ties are the distinct rows of its
+    last population whose fitness equals its champion's."""
     cfg = configs[0]
     assert all(replace(c, seed=cfg.seed) == cfg for c in configs)
     runs, size = len(configs), cfg.population_size
@@ -303,7 +304,12 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
         champion_fitness = np.where(better, best_fitness, champion_fitness)
         history.append(champion_fitness)
     histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
+    ties = [
+        len({tuple(row) for row, fit in zip(pop[r].tolist(), fits[r].tolist()) if fit == champion_fitness[r]})
+        for r in range(runs)
+    ]
     return [
-        EvolutionResult(best_chromosome=champion[r], best_fitness=float(champion_fitness[r]), history=histories[r])
+        EvolutionResult(best_chromosome=champion[r], best_fitness=float(champion_fitness[r]),
+                        history=histories[r], champion_ties=ties[r])
         for r in range(runs)
     ]

@@ -597,7 +597,7 @@ def test_target_checks_pass_correct_cohorts():
         spec = PopulationSpec(base.dimensions, base.groups, util.derive_seed(seed, "generate"))
         cohort = sample_population(spec)
         disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-        index = discretize_cohort(cohort, disc, schema)
+        index = DatasetIndex(schema, discretize_cohort(cohort, disc, schema))
         z, checks = target_checks(spec, cohort.dimensions, cohort.matrix, index)
         failed += not all(ok for *_, ok in checks)
     assert len(checks) == 48 and z == pytest.approx(4.03, abs=0.005)
@@ -1063,8 +1063,10 @@ def study_run(tmp_path_factory):
 def test_budget_5_ruleset_bytes(study_run, tmp_path):
     # SHA-256 of ruleset.json as written when each class's GA runs were
     # evolved one at a time, class after class (less each rule's text and
-    # vacuous flag, which the document no longer records); with budget 5 the
-    # classes leave covering in different rounds, so it pins the round-major join
+    # vacuous flag, which the document no longer records, and with each
+    # round's champion in its audit entry rather than on its rule); with
+    # budget 5 the classes leave covering in different rounds, so it pins
+    # the round-major join
     for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
         shutil.copy(study_run / name, tmp_path / name)
     assert run(
@@ -1077,7 +1079,37 @@ def test_budget_5_ruleset_bytes(study_run, tmp_path):
         rounds[entry["class"]] = rounds.get(entry["class"], 0) + 1
     assert rounds == {"F": 3, "P": 3, "G": 5, "V.G": 3}
     digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
-    assert digest == "e7c49195725d91163f465cf209ef7229ed7fe4286cb0f7742faa85d0adf48ff3"
+    assert digest == "e36f147ddc5c872ff0fbed877542698d875bbbe29712145f47a892bcfc311a84"
+
+
+def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):
+    # accepted and rejected rounds alike: re-evolving an entry's one run
+    # alone, from its ga_seed, gives its chromosome, best fitness and ties;
+    # the rules record no chromosome or fitness of their own
+    from edm_rulex.evolver import GaConfig, evolve
+    from edm_rulex.neural import class_score
+
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
+        shutil.copy(study_run / name, tmp_path / name)
+    assert run(
+        "extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
+        "--budget", "5", "--seed", "7", "--out", tmp_path,
+    ) == 0
+    doc = json.loads((tmp_path / "ruleset.json").read_text())
+    schema = load_schema(json.loads((tmp_path / "cohort.meta.json").read_text())["schema"])
+    net = load_network(tmp_path / "model.json")
+    assert {e["accepted"] for e in doc["audit"]} == {True, False}
+    for entry in doc["audit"]:
+        k = schema.target.levels.index(entry["class"])
+        alone = evolve(
+            lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits, [GaConfig(seed=entry["ga_seed"])]
+        )[0]
+        assert entry["chromosome"] == alone.best_chromosome.tolist()
+        assert len(entry["chromosome"]) == schema.total_predictive_bits
+        assert entry["best_fitness"] == alone.best_fitness
+        assert entry["champion_ties"] == alone.champion_ties
+        assert "decoded_terms" not in entry
+    assert {key for rule in doc["rules"] for key in rule} == {"terms", "consequent", "support", "confidence", "coverage"}
 
 
 def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
@@ -1486,10 +1518,10 @@ def test_report_reads_terms_and_levels_in_any_order(full_run, tmp_path, capsys, 
 
 @pytest.mark.parametrize("text", ["as written", "stale"])
 def test_report_reads_a_run_directory_in_the_earlier_format(full_run, tmp_path, text):
-    # ruleset.json's rules once held their text and vacuous flag, and
-    # train_log.json its epochs_run; no artifact records either file as an
-    # input, so such a run still reports, and it prints each rule from its
-    # terms, never a recorded text
+    # ruleset.json's rules once held their text, vacuous flag, fitness and
+    # chromosome, and train_log.json its epochs_run; no artifact records
+    # either file as an input, so such a run still reports, and it prints
+    # each rule from its terms, never a recorded text
     old = tmp_path / "old"
     shutil.copytree(full_run, old)
     (old / "report.txt").unlink()
@@ -1497,12 +1529,36 @@ def test_report_reads_a_run_directory_in_the_earlier_format(full_run, tmp_path, 
     lines = (old / "rules.txt").read_text().splitlines()
     for rule, line in zip(doc["rules"], lines):
         rule.update(text=line if text == "as written" else "If Gender = Fe → Then Reasoning = V.G",
-                    vacuous=rule["support"] == 0)
+                    vacuous=rule["support"] == 0, fitness=0.9, chromosome=[0, 1])
     util.write_json(old / "ruleset.json", doc)
     log = json.loads((old / "train_log.json").read_text())
     util.write_json(old / "train_log.json", {**log, "epochs_run": len(log["mse_history"])})
     assert run("report", old) == 0
     assert (old / "report.txt").read_bytes() == (full_run / "report.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda model: model["b_h"].pop(), "inconsistent layer shapes"),
+        (lambda model: model["w"][0].pop(), "v and w must be rectangular matrices"),
+    ],
+)
+def test_report_reads_the_layer_sizes_off_the_model_arrays(full_run, tmp_path, capsys, edit, message):
+    # model.json records no sizes; report reads them off the arrays, so
+    # arrays that do not make a network exit 2 naming the file
+    broken = tmp_path / "broken"
+    shutil.copytree(full_run, broken)
+    model = json.loads((broken / "model.json").read_text())
+    assert not {"input_size", "hidden_size", "output_size"} & set(model)
+    net = load_network(broken / "model.json")
+    report = (broken / "report.txt").read_text()
+    assert f"Model: {net.input_size}-{net.hidden_size}-{net.output_size}, " in report
+    edit(model)
+    _write(broken / "model.json", model)
+    assert run("report", broken) == 2
+    err = capsys.readouterr().err
+    assert "model.json" in err and message in err and "Traceback" not in err
 
 
 def test_report_reads_a_rules_txt_with_a_byte_order_mark(full_run, tmp_path):
@@ -1685,6 +1741,31 @@ def test_a_size_past_the_address_space_exits_3(full_run, tmp_path, capsys, stage
     assert run(stage, *argv, "--seed", "7", "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "stage, option, size, elements, message",
+    [
+        # a half cohort's float64 scores of 24 dimensions
+        ("generate", "n", 2 * 10**17, 10**17 * 24, "group 'Ma': n "),
+        # a hidden layer's float64 weights on 76 inputs
+        ("train", "hidden", 2 * 10**16, 2 * 10**16 * 76, f"hidden size {2 * 10**16} is too large"),
+    ],
+)
+def test_a_size_whose_bytes_pass_numpy_index_range_exits_2(
+    study_run, tmp_path, capsys, stage, option, size, elements, message
+):
+    # inside numpy's index range by elements, but not by bytes; each ended
+    # in a ValueError traceback, exit 1
+    assert elements < np.iinfo(np.intp).max < elements * 8
+    argv = [f"--{option}", size]
+    if stage == "train":
+        argv += ["--data", study_run / "cohort.csv"]
+    out = tmp_path / "out"
+    assert run(stage, *argv, "--seed", "7", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert message in err and "is too large" in err and "bytes of float64" in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -55,8 +55,8 @@ def test_readers_hold_one_chunk(tmp_path):
     spec = studydata.default_population_spec(n_male=5000, n_female=5000, seed=7)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    index = discretize_cohort(cohort, disc, schema)
-    paths = write_cohort(tmp_path / "cohort", index, cohort, build_metadata(spec, schema, disc))
+    codes = discretize_cohort(cohort, disc, schema)
+    paths = write_cohort(tmp_path / "cohort", schema, codes, cohort, build_metadata(spec, schema, disc))
     assert paths["raw"].stat().st_size > 4e6  # the raw table's text is larger than the bound
     assert _peak(parse_raw_csv, paths["raw"]) < RAW_PEAK_BOUND
     assert _peak(read_index_csv, paths["csv"], schema) < INDEX_PEAK_BOUND

@@ -32,6 +32,7 @@ def test_onemax_reaches_all_ones():
         result = evolve(popcount, 16, [GaConfig(seed=seed)])[0]
         assert result.best_fitness == 16.0
         assert result.best_chromosome.sum() == 16
+        assert result.champion_ties == 1  # copies of the one all-ones string are one chromosome
 
 
 def test_constant_fitness_terminates():
@@ -41,6 +42,20 @@ def test_constant_fitness_terminates():
     assert result.best_fitness == 1.0
     assert result.history == [1.0] * 15
     assert result.generations == 15
+
+
+def test_constant_fitness_ties_every_distinct_chromosome_of_the_last_population():
+    # a flat fitness is saturation at its extreme: every chromosome of the
+    # last population ties with the champion, each distinct one counted once
+    populations = []
+
+    def flat(pop):
+        populations.append(pop.copy())
+        return np.ones(pop.shape[:-1])
+
+    result = evolve(flat, 8, [GaConfig(population_size=10, generations=15, seed=0)])[0]
+    distinct = {tuple(row) for row in populations[-1][0].tolist()}
+    assert result.champion_ties == len(distinct) > 1
 
 
 def test_history_non_decreasing():
@@ -339,6 +354,7 @@ def test_evolve_equals_reference(
         assert np.array_equal(g.best_chromosome, w.best_chromosome)
         assert g.best_fitness == w.best_fitness
         assert g.history == w.history
+        assert g.champion_ties == w.champion_ties
 
 
 def test_lockstep_non_finite_fitness_names_run_and_chromosome():

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import time
@@ -546,7 +547,7 @@ def _planted_cohort(n_per_gender, seed, truth, noise=0.0):
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     planted = PlantedRuleSpec(truth=truth, noise=noise)
-    records = plant_rules(cohort, planted, disc, schema, seed=seed + 1).records()
+    records = DatasetIndex(schema, plant_rules(cohort, planted, disc, schema, seed=seed + 1)).records()
     return schema, records
 
 
@@ -640,8 +641,7 @@ def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case,
             per_class_rule_budget=budget,
         ))
     assert got[0].rules and len(got[0].audit) >= 4
-    assert got[1] == got[0] and got[2] == got[0]
-    assert [r.chromosome for r in got[2].rules] == [r.chromosome for r in got[0].rules]
+    assert got[1] == got[0] and got[2] == got[0]  # audit entries, champions included
 
 
 @pytest.mark.parametrize("workers, forks", [(2, 0), (3, 0), (4, 1), (4, 2)])
@@ -801,10 +801,10 @@ def test_ruleset_text_round_trip():
     )
     assert ruleset.rules
     back = parse_ruleset(format_ruleset(ruleset, schema), schema)
-    assert [(r.terms, r.consequent) for r in back.rules] == [
-        (r.terms, r.consequent) for r in ruleset.rules
-    ]
+    # a rule is its terms, its consequent and its metrics, which the text does not hold
+    assert back.rules == tuple(replace(r, support=None, confidence=None, coverage=None) for r in ruleset.rules)
     assert back.default == ruleset.default
+    assert ruleset_from_dict(json.loads(json.dumps(ruleset_to_dict(ruleset)))) == ruleset
 
 
 @pytest.mark.parametrize(
@@ -890,7 +890,7 @@ def test_a_decoded_rule_reads_back_from_its_text(data):
     chromosome = data.draw(st.lists(st.integers(0, 1), min_size=schema.total_predictive_bits,
                                     max_size=schema.total_predictive_bits))
     rule = decode_chromosome(np.array(chromosome), schema, data.draw(st.integers(0, schema.target_bits - 1)))
-    assert parse_rule(format_rule(rule, schema), schema) == replace(rule, chromosome=None)
+    assert parse_rule(format_rule(rule, schema), schema) == rule
 
 
 @st.composite
@@ -958,17 +958,15 @@ def test_ruleset_json_round_trip(toy_schema):
                 support=10,
                 confidence=0.9,
                 coverage=0.2,
-                fitness=0.88,
-                chromosome=(1, 0, 1, 0, 0),
             ),
         ),
         default="t2",
-        audit=({"class": "t1", "round": 0, "accepted": True},),
+        audit=({"class": "t1", "round": 0, "accepted": True, "chromosome": [1, 0, 1, 0, 0],
+                "best_fitness": 0.88, "champion_ties": 1},),
     )
     doc = ruleset_to_dict(ruleset)
     back = ruleset_from_dict(doc)
-    assert back.rules == ruleset.rules
-    assert back.default == ruleset.default
+    assert back == ruleset
     assert format_rule(back.rules[0], toy_schema) == "If (A = a1 or A = a3) → Then T = t1"
 
 
@@ -982,7 +980,7 @@ def test_ruleset_fidelity_to_network():
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     from edm_rulex.synthgen import discretize_cohort
 
-    records = discretize_cohort(cohort, disc, schema).records()
+    records = DatasetIndex(schema, discretize_cohort(cohort, disc, schema)).records()
     encoded = encode_dataset(records, schema)
     tc = TrainConfig(max_epochs=3, seed=0)
     net = train(init_network(schema, tc), encoded, tc).network

@@ -8,7 +8,7 @@ import pytest
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.rulekit import Rule, RuleSet
-from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, read_index_csv
+from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, read_index_csv, write_index_csv
 from edm_rulex.synthgen import (
     GroupSpec,
     PlantedRuleSpec,
@@ -26,7 +26,7 @@ from edm_rulex.synthgen import (
     write_raw_csv,
 )
 
-from helpers import index_csv, written
+from helpers import written
 
 
 def _spec(dims, n, means, sds, corr, seed=0, token="g"):
@@ -124,8 +124,8 @@ def test_generation_deterministic():
         spec = studydata.default_population_spec(seed=21)
         cohort = sample_population(spec)
         disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-        index = discretize_cohort(cohort, disc, schema)
-        outputs.append(index_csv(index) + written(write_raw_csv, cohort))
+        codes = discretize_cohort(cohort, disc, schema)
+        outputs.append(written(write_index_csv, schema, codes) + written(write_raw_csv, cohort))
     assert outputs[0] == outputs[1]
 
 
@@ -164,7 +164,7 @@ def test_plant_rules_noiseless():
     spec = studydata.default_population_spec(n_male=300, n_female=300, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    records = plant_rules(cohort, _unit1_planted(), disc, schema, seed=0).records()
+    records = DatasetIndex(schema, plant_rules(cohort, _unit1_planted(), disc, schema, seed=0)).records()
     assert len(records) == 600
     for r in records:
         expected = "F" if r.values["Unit 1"] == "F" else "P"
@@ -176,29 +176,31 @@ def test_plant_rules_noise_fraction():
     spec = studydata.default_population_spec(n_male=5000, n_female=5000, seed=2)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    clean = plant_rules(cohort, _unit1_planted(0.0), disc, schema, seed=0).records()
-    noisy = plant_rules(cohort, _unit1_planted(0.1), disc, schema, seed=123).records()
-    flipped = sum(
-        a.values["Reasoning"] != b.values["Reasoning"] for a, b in zip(clean, noisy)
-    )
+    target = schema.attributes.index(schema.target)
+    clean = plant_rules(cohort, _unit1_planted(0.0), disc, schema, seed=0)
+    noisy = plant_rules(cohort, _unit1_planted(0.1), disc, schema, seed=123)
+    assert np.array_equal(np.delete(clean, target, axis=1), np.delete(noisy, target, axis=1))
+    flipped = int((clean[:, target] != noisy[:, target]).sum())
     assert 0.08 <= flipped / len(clean) <= 0.12
 
 
 @pytest.mark.parametrize("noise", [None, 0.0, 0.3])
 def test_cohort_index_keeps_the_codes_of_its_bits_and_labels(noise):
-    # write_cohort writes the codes a cohort's index keeps; they are the
-    # codes its one-hot bits and its labels (noisy ones too) encode
+    # the level codes a cohort builder returns, which write_cohort writes,
+    # are the codes that an index built from them encodes in its one-hot
+    # bits and its labels (noisy ones too); the index keeps no copy of them
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_male=40, n_female=40, seed=5)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     if noise is None:
-        index = discretize_cohort(cohort, disc, schema)
+        codes = discretize_cohort(cohort, disc, schema)
     else:
-        index = plant_rules(cohort, _unit1_planted(noise), disc, schema, seed=3)
+        codes = plant_rules(cohort, _unit1_planted(noise), disc, schema, seed=3)
+    index = DatasetIndex(schema, codes)
     decoded = np.column_stack([index.column(a.name) for a in schema.attributes])
-    assert index.codes.dtype == np.intp and np.array_equal(index.codes, decoded)
-    assert index.subset(np.arange(len(index)) < 10).codes is None
+    assert codes.dtype == np.intp and np.array_equal(codes, decoded)
+    assert not hasattr(index, "codes")
 
 
 def test_plant_rules_catch_all_only():
@@ -207,8 +209,8 @@ def test_plant_rules_catch_all_only():
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
     planted = PlantedRuleSpec(truth=RuleSet(rules=(), default="G"), noise=0.0)
-    records = plant_rules(cohort, planted, disc, schema, seed=0).records()
-    assert {r.values["Reasoning"] for r in records} == {"G"}
+    codes = plant_rules(cohort, planted, disc, schema, seed=0)
+    assert set(codes[:, schema.attributes.index(schema.target)].tolist()) == {schema.target.level_index("G")}
 
 
 def test_planted_spec_requires_catch_all():
@@ -263,9 +265,10 @@ def test_cohort_write_read_round_trip(tmp_path):
     spec = studydata.default_population_spec(n_male=250, n_female=250, seed=7)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    index = discretize_cohort(cohort, disc, schema)
+    codes = discretize_cohort(cohort, disc, schema)
+    index = DatasetIndex(schema, codes)
     records = index.records()
-    paths = write_cohort(tmp_path / "cohort", index, cohort, build_metadata(spec, schema, disc))
+    paths = write_cohort(tmp_path / "cohort", schema, codes, cohort, build_metadata(spec, schema, disc))
     parsed = parse_dataset_csv(paths["csv"].read_text(), schema)
     assert len(parsed) == 500
     assert [r.values for r in parsed] == [r.values for r in records]
@@ -287,8 +290,8 @@ def test_write_cohort_appends_the_suffixes_to_a_dotted_stem(tmp_path):
     spec = studydata.default_population_spec(n_male=20, n_female=20, seed=7)
     cohort = sample_population(spec)
     disc = default_discretization(cohort, schema, studydata.SCORE_MAXIMA)
-    index = discretize_cohort(cohort, disc, schema)
-    paths = write_cohort(tmp_path / "cohort.v2", index, cohort, build_metadata(spec, schema, disc))
+    codes = discretize_cohort(cohort, disc, schema)
+    paths = write_cohort(tmp_path / "cohort.v2", schema, codes, cohort, build_metadata(spec, schema, disc))
     names = {"csv": "cohort.v2.csv", "raw": "cohort.v2.raw.csv", "meta": "cohort.v2.meta.json",
              "npy": "cohort.v2.npy", "raw_npy": "cohort.v2.raw.npy"}
     assert {key: path.name for key, path in paths.items()} == names
@@ -313,9 +316,10 @@ def test_noisy_planted_cohort_bytes():
         plant_rules(cohort, PlantedRuleSpec.from_dict({"rules": rules, "noise": noise}), disc, schema, seed=11)
         for noise in (0.0, 0.1)
     )
-    flipped = np.flatnonzero(clean.target != noisy.target).tolist()
+    target = schema.attributes.index(schema.target)
+    flipped = np.flatnonzero(clean[:, target] != noisy[:, target]).tolist()
     assert flipped == [3, 5, 31, 38, 45, 49, 50, 54, 56, 61, 64, 66, 67]
-    digest = hashlib.sha256(index_csv(noisy).encode()).hexdigest()
+    digest = hashlib.sha256(written(write_index_csv, schema, noisy).encode()).hexdigest()
     assert digest == "c1a2fc8b4669c17a1a9ef7ae86e931827476d8f016dd86eff88f4fd6a2dc422e"
 
 
@@ -341,7 +345,7 @@ def test_plant_rules_with_noise_needs_a_second_target_level():
     with pytest.raises(ValidationError, match=r"planted noise 0\.1 .* target 'y' has only one"):
         plant_rules(cohort, PlantedRuleSpec(truth=truth, noise=0.1), disc, schema, seed=0)
     labelled = plant_rules(cohort, PlantedRuleSpec(truth=truth, noise=0.0), disc, schema, seed=0)
-    assert labelled.target.tolist() == [0] * 6
+    assert labelled[:, 2].tolist() == [0] * 6
 
 
 def test_raw_csv_round_trips_doubles_exactly():
