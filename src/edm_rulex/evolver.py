@@ -8,7 +8,11 @@ tournaments, one matrix of tournament draws, one crossover mask, one
 mutation mask.  The next population is built in place in one of two
 buffers allocated per call: the elites and the tournament winners are
 gathered into it, each pair of winners is crossed there and the mutation
-mask XORed onto the children, and the buffers swap.
+mask XORed onto the children, and the buffers swap.  The operators' masks
+and index arrays are scratch allocated per call too: ``evolve`` calls each
+operator's unchecked core (``_tournament``, ``_cross``, ``_mutate``) on
+arrays it built itself, and the public functions check their arguments and
+allocate for the outside caller.
 
 ``evolve`` takes runs that differ only in their seeds and runs them in
 lockstep: their populations form one stack ``uint8[R, P, B]``, each
@@ -118,15 +122,25 @@ def select_tournament(
         raise ValidationError(f"tournament size must be >= 1, got {k}")
     draws = rng.integers(0, size, size=(*order.shape[:-1], n, k))
     rows = np.arange(0, order.size, size).reshape(*order.shape[:-1], 1)
+    winners = np.empty(draws.shape[:-1], dtype=np.intp)
+    _tournament(order, draws, rows, np.empty(order.size, dtype=np.intp), np.arange(order.size), winners)
+    return order.ravel()[winners]
+
+
+def _tournament(order, draws, rows, place, rank, winners) -> None:
+    """``select_tournament``'s work, unchecked: the place in the flattened
+    ranking ``order`` ``int[..., P]`` of each row's tournament winners, into
+    ``winners`` ``intp[..., n]``.  ``draws`` ``int[..., n, k]`` are indices
+    into their row, shifted here by ``rows``, each row's first flattened
+    index; ``place`` is scratch of ``order.size`` and ``rank`` is
+    ``arange(order.size)``."""
     # each chromosome's place in the flattened ranking: row r's j-th best is r * P + j
-    place = np.empty(order.size, dtype=np.intp)
-    place[(order + rows).ravel()] = np.arange(order.size)
+    place[(order + rows).ravel()] = rank
     draws += rows[..., None]
     drawn = place[draws]
-    best = drawn[..., 0].copy()  # k - 1 minimums of columns beat one reduction over short rows
-    for j in range(1, k):
-        np.minimum(best, drawn[..., j], out=best)
-    return order.ravel()[best]
+    winners[...] = drawn[..., 0]  # k - 1 minimums of columns beat one reduction over short rows
+    for j in range(1, drawn.shape[-1]):
+        np.minimum(winners, drawn[..., j], out=winners)
 
 
 def crossover_point(a: np.ndarray, b: np.ndarray, cuts, coins) -> None:
@@ -146,12 +160,18 @@ def crossover_point(a: np.ndarray, b: np.ndarray, cuts, coins) -> None:
         )
     if cuts.size and not (cuts.min() >= 1 and cuts.max() < a.shape[-1]):
         raise ValidationError(f"cuts must be in [1, {a.shape[-1]}), got {cuts.tolist()}")
-    # the suffix masks, compared in the narrowest integers that hold the length
-    narrow = np.min_scalar_type(a.shape[-1])
-    starts = np.where(coins, cuts, a.shape[-1]).astype(narrow)
-    swap = np.arange(a.shape[-1], dtype=narrow) >= starts[..., None]
-    differ = a ^ b
-    differ &= swap  # the bits each child takes from the other parent
+    positions = np.arange(a.shape[-1], dtype=np.min_scalar_type(a.shape[-1]))
+    _cross(a, b, cuts, coins, positions, np.empty(a.shape, dtype=bool), np.empty_like(a))
+
+
+def _cross(a, b, cuts, coins, positions, swap, differ) -> None:
+    """``crossover_point``'s work, unchecked, with ``positions`` the
+    ``arange(B)`` in the narrowest unsigned integers that hold B, and
+    ``swap`` (bool) and ``differ`` (uint8) scratch of the pairs' shape."""
+    starts = np.where(coins, cuts, a.shape[-1]).astype(positions.dtype)
+    np.greater_equal(positions, starts[..., None], out=swap)
+    np.bitwise_xor(a, b, out=differ)
+    differ &= swap.view(np.uint8)  # the bits each child takes from the other parent
     a ^= differ
     b ^= differ
 
@@ -164,8 +184,14 @@ def mutate_bits(
     float array of that shape, or a new one), XORed onto it."""
     if not 0 <= p <= 1:
         raise ValidationError(f"mutation probability must be in [0,1], got {p}")
-    draws = rng.random(out=np.empty(pop.shape) if draws is None else draws)
-    pop ^= (draws < p).view(np.uint8)
+    _mutate(pop, p, rng, np.empty(pop.shape) if draws is None else draws, np.empty(pop.shape, dtype=bool))
+
+
+def _mutate(pop, p, rng, draws, flip) -> None:
+    """``mutate_bits``' work, unchecked, with ``draws`` (float) and ``flip``
+    (bool) scratch of ``pop``'s shape."""
+    np.less(rng.random(out=draws), p, out=flip)
+    pop ^= flip.view(np.uint8)
 
 
 def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
@@ -227,13 +253,23 @@ def evolve(
     rng = _Lockstep([c.seed for c in configs])
     # allocated one at a time and before the float draws, so a population
     # past the memory fails as a MemoryError, not as numpy's ValueError
-    # for an array of more bytes than it can index
+    # for an array of more bytes than it can index; each is reused by
+    # every generation
     pop = np.empty((runs, depth, bit_length), dtype=np.uint8)
     nxt = np.empty_like(pop)
+    differ = np.empty((runs, pairs, bit_length), dtype=np.uint8)
+    swap = np.empty(differ.shape, dtype=bool)
+    flip = np.empty((runs, n_children, bit_length), dtype=bool)
     sources = np.empty((runs, depth), dtype=np.intp)  # each next row's row in pop
+    winners = np.empty((runs, 2 * pairs), dtype=np.intp)
+    place, rank = np.empty(runs * size, dtype=np.intp), np.arange(runs * size)
+    negated = np.empty((runs, size))
     coins = np.empty((runs, pairs))
+    crossed = np.empty((runs, pairs), dtype=bool)
     draws = np.empty((runs, n_children, bit_length))
+    positions = np.arange(bit_length, dtype=np.min_scalar_type(bit_length))
     each = np.arange(runs)
+    rows = (each * size)[:, None]  # each run's first place in the flattened ranking
     first = (each * depth)[:, None]  # each run's first row in the flattened buffer
 
     pop[:, :size] = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
@@ -242,18 +278,19 @@ def evolve(
     champion, champion_fitness = pop[each, best], fits[each, best]
     history: list[np.ndarray] = []
     for gen in range(cfg.generations):
-        order = np.argsort(-fits, axis=1, kind="stable")
+        order = np.argsort(np.negative(fits, out=negated), axis=1, kind="stable")
+        _tournament(order, rng.integers(0, size, size=tournaments), rows, place, rank, winners)
         sources[:, :elites] = order[:, :elites]
-        sources[:, elites:] = select_tournament(order, cfg.tournament_size, 2 * pairs, rng)
+        np.take(order, winners, out=sources[:, elites:])
         sources += first
         # every source is a row of pop, so "clip" clips nothing; it spares the
         # bounds check a copy through a temporary
         np.take(pop.reshape(-1, bit_length), sources, axis=0, out=nxt, mode="clip")
         if bit_length > 1:
-            crossed = rng.random(out=coins) < cfg.crossover_prob
+            np.less(rng.random(out=coins), cfg.crossover_prob, out=crossed)
             cuts = rng.integers(1, bit_length, size=(runs, pairs))
-            crossover_point(nxt[:, elites : elites + pairs], nxt[:, elites + pairs :], cuts, crossed)
-        mutate_bits(nxt[:, elites:size], cfg.mutation_prob, rng, draws)
+            _cross(nxt[:, elites : elites + pairs], nxt[:, elites + pairs :], cuts, crossed, positions, swap, differ)
+        _mutate(nxt[:, elites:size], cfg.mutation_prob, rng, draws, flip)
         pop, nxt = nxt, pop
         fits = _evaluate(fitness, pop[:, :size])
         best = fits.argmax(axis=1)

@@ -229,13 +229,23 @@ def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray
     return dataset.bits, np.eye(net.output_size)[dataset.target]
 
 
-def _batch_pass(net: Network, x_neg: np.ndarray):
-    """Hidden and output pre-activations and the outputs for a batch given
-    as its negated float rows ``-x``.  Negation is exact, so ``b_h - (-x) @
-    v.T`` is the same bits as ``x @ v.T + b_h``."""
-    u_h = net.b_h - x_neg @ net.v.T
-    u_o = sigmoid(u_h) @ net.w.T + net.b_o
-    return u_h, u_o, sigmoid(u_o)
+def _batch_pass(net: Network, x_neg: np.ndarray) -> tuple[str | None, np.ndarray]:
+    """The outputs for a batch given as its negated float rows ``-x``, and
+    the first layer, "hidden" or "output", one of whose pre-activations
+    reaches the sigmoid clip, else None.  The hidden layer lives in one
+    ``float[N, H]`` buffer: the pre-activation is tested for the clip, then
+    turned into the activation in place.  Negation is exact, so ``b_h - (-x)
+    @ v.T`` is the same bits as ``x @ v.T + b_h``."""
+    clipped = None
+    u_h = x_neg @ net.v.T
+    np.subtract(net.b_h, u_h, out=u_h)
+    if u_h.max() >= SIGMOID_CLIP or u_h.min() <= -SIGMOID_CLIP:  # |u| >= clip; a NaN is neither
+        clipped = "hidden"
+    h = _sigmoid_of_negated(np.negative(u_h, out=u_h))
+    u_o = h @ net.w.T + net.b_o
+    if clipped is None and (u_o.max() >= SIGMOID_CLIP or u_o.min() <= -SIGMOID_CLIP):
+        clipped = "output"
+    return clipped, sigmoid(u_o)
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -368,20 +378,19 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
             add(theta, vel, theta)
         net.v[...], net.b_h[...], net.w[...] = v, b_h, w
         np.negative(b_o_neg, out=net.b_o)
-        u_h, u_o, y_all = _batch_pass(net, x_neg)
+        clipped, y_all = _batch_pass(net, x_neg)
         mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(
                 f"training diverged at epoch {epoch + 1} (non-finite loss); "
                 "try a smaller learning rate"
             )
-        for layer, u in (("hidden", u_h), ("output", u_o)):
-            if np.abs(u).max() >= SIGMOID_CLIP:
-                raise NumericError(
-                    f"training saturated at epoch {epoch + 1}: a {layer} layer "
-                    f"pre-activation reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
-                    "try a smaller learning rate"
-                )
+        if clipped:
+            raise NumericError(
+                f"training saturated at epoch {epoch + 1}: a {clipped} layer "
+                f"pre-activation reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
+                "try a smaller learning rate"
+            )
         history.append(mse)
         if mse <= config.target_mse:
             break

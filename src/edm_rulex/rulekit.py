@@ -4,10 +4,10 @@ A rule is an AND across attributes of OR-sets of levels within each
 attribute.  Set bits of a chromosome segment name the included levels;
 all-zero and all-one segments carry no constraint and yield no term, which is
 how attributes disappear from rules.  Extraction runs one genetic search per
-class per round under sequential covering, each round's searches in
-lockstep over one process per usable CPU (``util.split_over_cpus``),
-refines away redundant terms by greedy backward elimination, and keeps
-rules that clear a confidence threshold.
+class per round under sequential covering, refines away redundant terms by
+greedy backward elimination, and keeps rules that clear a confidence
+threshold; each round's searches and refinements are spread over one
+process per usable CPU (``util.split_over_cpus``).
 """
 
 from __future__ import annotations
@@ -213,11 +213,14 @@ def extract_ruleset(
     evolve together, and each class then refines, accepts and covers on its
     own.  ``util.split_over_cpus`` cuts the runs into one contiguous slice
     per usable CPU (those ``os.sched_getaffinity`` lists, so ``taskset``
-    limits them, and no more than a CPU quota allows); this process evolves
-    the first slice and a forked child each other, each slice in lockstep
-    (one forward pass over its populations per generation).  Each run gives
-    the same bits in any slice, so the ruleset does not depend on the
-    number of CPUs.
+    limits them, and no more than a CPU quota allows); this process does
+    the first slice and a forked child each other.  A slice evolves its
+    runs in lockstep (one forward pass over its populations per
+    generation), then decodes, refines and tests each champion against its
+    class's working set, fixed before the round, and measures each
+    accepted rule on the index; this process joins the slices in class
+    order, records the audit and covers.  Each run gives the same bits in
+    any slice, so the ruleset does not depend on the number of CPUs.
     At the end the classes are joined in level order: each class's audit
     entries in round order, as class-by-class loops would give them, and its
     rules by descending confidence (a stable sort, so ties keep round order).
@@ -256,17 +259,30 @@ def extract_ruleset(
             break
         cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
         targets = np.array(live)
-        results = list(split_over_cpus(
-            lambda runs: evolve(
+
+        def finish(runs: slice) -> list:
+            """The slice's runs evolved in lockstep, then each class's round
+            finished against its working set: the GA result, the refined rule
+            and, where accepted, the records it explains and its measurement
+            on the full index."""
+            results = evolve(
                 lambda pop: class_score(net, pop, targets[runs]), schema.total_predictive_bits, cfgs[runs]
-            ),
-            len(cfgs), 1, "GA worker",
-        ))
+            )
+            rounds = []
+            for k, result in zip(live[runs], results):
+                decoded = decode_chromosome(result.best_chromosome, schema, k)
+                refined = refine_rule(decoded, working[k], epsilon=epsilon)
+                explained = measured = None
+                if refined.confidence >= confidence_threshold:
+                    explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
+                    measured = evaluate_rule(refined, index)
+                rounds.append((result, refined, explained, measured))
+            return rounds
+
+        finished = list(split_over_cpus(finish, len(cfgs), 1, "GA worker"))
         going = []
-        for k, cfg, result in zip(live, cfgs, results):
+        for k, cfg, (result, refined, explained, measured) in zip(live, cfgs, finished):
             class_token = schema.target.levels[k]
-            decoded = decode_chromosome(result.best_chromosome, schema, k)
-            refined = refine_rule(decoded, working[k], epsilon=epsilon)
             entry = {
                 "class": class_token,
                 "round": round_no,
@@ -278,7 +294,7 @@ def extract_ruleset(
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
             }
-            entry["accepted"] = refined.confidence >= confidence_threshold
+            entry["accepted"] = explained is not None
             audit[k].append(entry)
             if result.champion_ties > 1:
                 log.warning(
@@ -289,9 +305,8 @@ def extract_ruleset(
             if not entry["accepted"]:
                 entry["outcome"] = "rejected: confidence below threshold"
                 continue
-            explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
             entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
-            rules[k].append(evaluate_rule(refined, index))
+            rules[k].append(measured)
             working[k] = working[k].subset(~explained)
             going.append(k)
             log.info(

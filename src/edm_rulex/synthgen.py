@@ -260,8 +260,9 @@ def sample_population(spec: PopulationSpec) -> RawCohort:
         except NumericError:
             log.info("group %s: correlation repaired to nearest PD", token)
             lower = cholesky_factor(nearest_pd_correlation(corr))
-        z = rng.standard_normal((g.n, len(spec.dimensions)))
-        rows = np.asarray(g.means) + (z @ lower.T) * np.asarray(g.sds)
+        rows = rng.standard_normal((g.n, len(spec.dimensions))) @ lower.T
+        rows *= g.sds
+        rows += g.means  # the same bits as means + rows: addition commutes
         groups[token] = rows
     return RawCohort(dimensions=spec.dimensions, groups=groups)
 

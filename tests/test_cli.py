@@ -1174,6 +1174,7 @@ def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
     counted(DatasetIndex, "misses")
     counted(rulekit, "refine_rule")
     counted(rulekit, "evaluate_rule")
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = rulekit.extract_ruleset(
         load_network(study_run / "model.json"), index,
         ga_config=GaConfig(seed=util.derive_seed(7, "extract")), per_class_rule_budget=5,

@@ -455,6 +455,20 @@ def test_train_through_the_sigmoid_clip_equals_reference():
     assert_same_weights(net, oracle)
 
 
+@pytest.mark.parametrize("layer", ["hidden", "output"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_train_names_the_one_layer_whose_pre_activation_reaches_the_clip(layer, sign):
+    # one unit's bias alone puts its pre-activation past one sign of the
+    # clip, on every record; the learning rate is too small to move it back
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 10, np.random.default_rng(3)), schema)
+    net = zero_net(schema.total_predictive_bits, 2, schema.target_bits)
+    (net.b_h if layer == "hidden" else net.b_o)[1] = sign * (SIGMOID_CLIP + 100.0)
+    cfg = TrainConfig(learning_rate=1e-9, momentum=0.0, hidden_size=2, max_epochs=3, seed=1)
+    with pytest.raises(NumericError, match=f"saturated at epoch 1: a {layer} layer pre-activation reached"):
+        train(net, encoded, cfg)
+
+
 def test_train_equals_reference_when_stopping_at_target():
     schema = twelve_bit_schema()
     encoded = encode_dataset(random_records(schema, 1, np.random.default_rng(0)), schema)

@@ -678,12 +678,19 @@ class _TwoPartError(Exception):
         super().__init__(f"{what} in {where}")
 
 
-def _child_fails_numerically():
-    raise NumericError(f"fitness of class 1 overflowed in process {os.getpid()}")
+def _child_fails_numerically(stage):
+    if stage == "fitness":
+        raise NumericError(f"fitness of class 1 overflowed in process {os.getpid()}")
 
 
-def _child_fails_unpicklably():
-    raise _TwoPartError("fitness of class 1 overflowed", f"process {os.getpid()}")
+def _child_fails_unpicklably(stage):
+    if stage == "fitness":
+        raise _TwoPartError("fitness of class 1 overflowed", f"process {os.getpid()}")
+
+
+def _child_fails_to_refine(stage):
+    if stage == "refine":
+        raise ValidationError(f"refining class 1 failed in process {os.getpid()}")
 
 
 @pytest.mark.parametrize(
@@ -691,24 +698,35 @@ def _child_fails_unpicklably():
     [
         (_child_fails_numerically, NumericError, r"fitness of class 1 overflowed in process (\d+)"),
         (_child_fails_unpicklably, RuntimeError, r"_TwoPartError: fitness of class 1 overflowed in process (\d+)"),
-        (lambda: os._exit(1), ChildProcessError, r"a GA worker process ended without sending its results()"),
+        (lambda stage: stage == "fitness" and os._exit(1), ChildProcessError,
+         r"a GA worker process ended without sending its results()"),
+        # a child also decodes and refines its runs' champions
+        (_child_fails_to_refine, ValidationError, r"refining class 1 failed in process (\d+)"),
     ],
 )
 def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeypatch, fail, raised, message):
     # of the first round's four runs, run 1 (class P) is the first child's;
-    # the parent raises the child's error with its type and message, or
-    # names the child's death, and leaves no child to reap
+    # ``fail`` is called with "fitness" as the run is scored and with
+    # "refine" as its champion is refined; the parent raises the child's
+    # error with its type and message, or names the child's death, and
+    # leaves no child to reap
     from edm_rulex import rulekit, util
 
     net, index = split_case
-    class_score = rulekit.class_score
+    class_score, refine_rule = rulekit.class_score, rulekit.refine_rule
 
     def failing_score(net, pop, classes):
         if list(classes) == [1]:
-            fail()
+            fail("fitness")
         return class_score(net, pop, classes)
 
+    def failing_refine(rule, *args, **kwargs):
+        if rule.consequent == index.schema.target.levels[1]:
+            fail("refine")
+        return refine_rule(rule, *args, **kwargs)
+
     monkeypatch.setattr(rulekit, "class_score", failing_score)
+    monkeypatch.setattr(rulekit, "refine_rule", failing_refine)
     monkeypatch.setattr(util, "_usable_cpus", lambda: 4)
     with pytest.raises(raised) as caught:
         extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
