@@ -10,9 +10,10 @@ buffers allocated per call: the elites and the tournament winners are
 gathered into it, each pair of winners is crossed there and the mutation
 mask XORed onto the children, and the buffers swap.  The operators' masks
 and index arrays are scratch allocated per call too: ``evolve`` calls each
-operator's unchecked core (``_tournament``, ``_cross``, ``_mutate``) on
-arrays it built itself, and the public functions check their arguments and
-allocate for the outside caller.
+operator (``_tournament``, ``_cross``, ``_mutate``) unchecked, on arrays it
+built itself.  ``tests/helpers.reference_evolve`` pins these steps: it runs
+the same GA with a fresh array for every step, and ``evolve`` must match it
+bit for bit.
 
 ``evolve`` takes runs that differ only in their seeds and runs them in
 lockstep: their populations form one stack ``uint8[R, P, B]``, each
@@ -87,8 +88,7 @@ class EvolutionResult:
 
 class _Lockstep:
     """One generator per run, drawn together: a draw of shape ``(R, *s)``
-    stacks a draw of shape ``s`` from each run's own generator.  The operators
-    take this or a plain ``np.random.Generator``."""
+    stacks a draw of shape ``s`` from each run's own generator."""
 
     def __init__(self, seeds: Sequence[int]):
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -102,38 +102,13 @@ class _Lockstep:
         return out
 
 
-def select_tournament(
-    order: Sequence[int] | np.ndarray,
-    k: int,
-    n: int,
-    rng: np.random.Generator | _Lockstep,
-) -> np.ndarray:
-    """Indices of n tournament winners from a population ranked best first,
-    ``order`` of shape ``int[P]`` or, for a stack of runs, ``int[R, P]``:
-    each winner is the best-ranked of k uniform draws of indices with
-    replacement.  With ``order`` the stable ``argsort(-fitnesses)``, that is
-    the draw of highest fitness, ties to the lowest index.  The draws are one
-    ``(n, k)`` matrix per row."""
-    order = np.asarray(order)
-    size = order.shape[-1]
-    if size == 0:
-        raise ValidationError("cannot select from an empty population")
-    if k < 1:
-        raise ValidationError(f"tournament size must be >= 1, got {k}")
-    draws = rng.integers(0, size, size=(*order.shape[:-1], n, k))
-    rows = np.arange(0, order.size, size).reshape(*order.shape[:-1], 1)
-    winners = np.empty(draws.shape[:-1], dtype=np.intp)
-    _tournament(order, draws, rows, np.empty(order.size, dtype=np.intp), np.arange(order.size), winners)
-    return order.ravel()[winners]
-
-
 def _tournament(order, draws, rows, place, rank, winners) -> None:
-    """``select_tournament``'s work, unchecked: the place in the flattened
-    ranking ``order`` ``int[..., P]`` of each row's tournament winners, into
-    ``winners`` ``intp[..., n]``.  ``draws`` ``int[..., n, k]`` are indices
-    into their row, shifted here by ``rows``, each row's first flattened
-    index; ``place`` is scratch of ``order.size`` and ``rank`` is
-    ``arange(order.size)``."""
+    """Tournament selection: each winner is the best-ranked of its row's k
+    ``draws`` ``int[..., n, k]``, so with ``order`` ``int[..., P]`` the stable
+    ``argsort(-fitnesses)``, the draw of highest fitness, ties to the lowest
+    drawn index.  Each winner's place in the flattened ranking goes into
+    ``winners`` ``intp[..., n]``; ``rows`` is each row's first flattened
+    index, ``place`` scratch of ``order.size`` and ``rank`` ``arange(order.size)``."""
     # each chromosome's place in the flattened ranking: row r's j-th best is r * P + j
     place[(order + rows).ravel()] = rank
     draws += rows[..., None]
@@ -143,31 +118,13 @@ def _tournament(order, draws, rows, place, rank, winners) -> None:
         np.minimum(winners, drawn[..., j], out=winners)
 
 
-def crossover_point(a: np.ndarray, b: np.ndarray, cuts, coins) -> None:
-    """Single-point crossover of paired bit rows, in place: pair i swaps its
-    suffixes from cuts[i] on where coins[i] is set and is left as it is
-    otherwise.  The pairs are ``(..., pairs, B)`` arrays with one cut and
-    coin each, so a stack of runs crosses in one call.  The bits at each
-    position are conserved across the pair."""
-    if a.ndim < 2 or a.shape != b.shape:
-        raise ValidationError(f"parent batches differ in shape: {a.shape} vs {b.shape}")
-    cuts = np.asarray(cuts)
-    coins = np.asarray(coins, dtype=bool)
-    if cuts.shape != a.shape[:-1] or coins.shape != a.shape[:-1]:
-        raise ValidationError(
-            f"need one cut and one coin per pair {a.shape[:-1]}, "
-            f"got shapes {cuts.shape} and {coins.shape}"
-        )
-    if cuts.size and not (cuts.min() >= 1 and cuts.max() < a.shape[-1]):
-        raise ValidationError(f"cuts must be in [1, {a.shape[-1]}), got {cuts.tolist()}")
-    positions = np.arange(a.shape[-1], dtype=np.min_scalar_type(a.shape[-1]))
-    _cross(a, b, cuts, coins, positions, np.empty(a.shape, dtype=bool), np.empty_like(a))
-
-
 def _cross(a, b, cuts, coins, positions, swap, differ) -> None:
-    """``crossover_point``'s work, unchecked, with ``positions`` the
+    """Single-point crossover of paired bit rows ``(..., pairs, B)``, in
+    place: pair i swaps its suffixes from ``cuts[i]`` (in ``[1, B)``) on
+    where ``coins[i]`` is set and is left as it is otherwise, so the bits at
+    each position are conserved across the pair.  ``positions`` is
     ``arange(B)`` in the narrowest unsigned integers that hold B, and
-    ``swap`` (bool) and ``differ`` (uint8) scratch of the pairs' shape."""
+    ``swap`` (bool) and ``differ`` (uint8) are scratch of the pairs' shape."""
     starts = np.where(coins, cuts, a.shape[-1]).astype(positions.dtype)
     np.greater_equal(positions, starts[..., None], out=swap)
     np.bitwise_xor(a, b, out=differ)
@@ -176,20 +133,10 @@ def _cross(a, b, cuts, coins, positions, swap, differ) -> None:
     b ^= differ
 
 
-def mutate_bits(
-    pop: np.ndarray, p: float, rng: np.random.Generator | _Lockstep, draws: np.ndarray | None = None
-) -> None:
-    """Flip each bit of ``pop`` in place independently with probability p: one
-    Bernoulli mask of its shape, from uniform draws made into ``draws`` (a
-    float array of that shape, or a new one), XORed onto it."""
-    if not 0 <= p <= 1:
-        raise ValidationError(f"mutation probability must be in [0,1], got {p}")
-    _mutate(pop, p, rng, np.empty(pop.shape) if draws is None else draws, np.empty(pop.shape, dtype=bool))
-
-
 def _mutate(pop, p, rng, draws, flip) -> None:
-    """``mutate_bits``' work, unchecked, with ``draws`` (float) and ``flip``
-    (bool) scratch of ``pop``'s shape."""
+    """Per-bit mutation: flip each bit of ``pop`` in place independently with
+    probability p, as one Bernoulli mask of uniform draws XORed onto it.
+    ``draws`` (float) and ``flip`` (bool) are scratch of ``pop``'s shape."""
     np.less(rng.random(out=draws), p, out=flip)
     pop ^= flip.view(np.uint8)
 

@@ -387,8 +387,8 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
             )
         if clipped:
             raise NumericError(
-                f"training saturated at epoch {epoch + 1}: a {clipped} layer "
-                f"pre-activation reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
+                f"training saturated at epoch {epoch + 1}: a pre-activation of the "
+                f"{clipped} layer reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
                 "try a smaller learning rate"
             )
         history.append(mse)

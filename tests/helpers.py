@@ -224,7 +224,7 @@ def index_csv(index: DatasetIndex) -> str:
     return written(write_index_csv, index.schema, codes)
 
 
-class _ReferenceLockstep:
+class ReferenceLockstep:
     """One generator per run; a draw of shape ``(R, *s)`` stacks a draw of
     shape ``s`` from each run's own generator."""
 
@@ -241,7 +241,7 @@ class _ReferenceLockstep:
         return out
 
 
-def _reference_tournament(fits, k, n, rng):
+def reference_tournament(fits, k, n, rng):
     """Each row's n winners of k draws with replacement: the best fitness,
     ties to the lowest drawn index."""
     size = fits.shape[-1]
@@ -252,13 +252,16 @@ def _reference_tournament(fits, k, n, rng):
     return np.where(is_best, draws, size).min(axis=-1)
 
 
-def _reference_crossover(a, b, cuts, coins):
+def reference_crossover(a, b, cuts, coins):
+    """The children of paired rows: pair i swaps its suffixes from cuts[i]
+    on where coins[i] is set."""
     swap = (np.arange(a.shape[-1]) >= cuts[..., None]) & coins[..., None]
     differ = (a ^ b) & swap
     return a ^ differ, b ^ differ
 
 
-def _reference_mutate(pop, p, rng):
+def reference_mutate(pop, p, rng):
+    """pop with each bit flipped where its uniform draw is below p."""
     return pop ^ (rng.random(pop.shape) < p).astype(np.uint8)
 
 
@@ -276,7 +279,7 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     runs, size = len(configs), cfg.population_size
     n_children = size - cfg.elitism
     pairs = (n_children + 1) // 2
-    rng = _ReferenceLockstep([c.seed for c in configs])
+    rng = ReferenceLockstep([c.seed for c in configs])
     each = np.arange(runs)
     first = (each * size)[:, None]
 
@@ -288,14 +291,14 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     for _ in range(cfg.generations):
         rows = pop.reshape(-1, bit_length)
         elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : cfg.elitism] + first]
-        parents = rows[_reference_tournament(fits, cfg.tournament_size, 2 * pairs, rng) + first]
+        parents = rows[reference_tournament(fits, cfg.tournament_size, 2 * pairs, rng) + first]
         p1, p2 = parents[:, :pairs], parents[:, pairs:]
         if bit_length > 1:
             coins = rng.random((runs, pairs)) < cfg.crossover_prob
             cuts = rng.integers(1, bit_length, size=(runs, pairs))
-            p1, p2 = _reference_crossover(p1, p2, cuts, coins)
+            p1, p2 = reference_crossover(p1, p2, cuts, coins)
         children = np.concatenate([p1, p2], axis=1)[:, :n_children]
-        pop = np.concatenate([elite, _reference_mutate(children, cfg.mutation_prob, rng)], axis=1)
+        pop = np.concatenate([elite, reference_mutate(children, cfg.mutation_prob, rng)], axis=1)
         fits = np.asarray(fitness(pop), dtype=float)
         best = fits.argmax(axis=1)
         best_fitness = fits[each, best]

@@ -1,4 +1,4 @@
-"""Every narrative demo, and the README's library quickstart, runs to completion."""
+"""Every narrative demo, and every python block of the README, runs to completion."""
 
 import os
 import re
@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,9 +29,16 @@ def test_demo_runs(demo, tmp_path):
     assert proc.stdout.strip()
 
 
-def test_readme_quickstart_runs(capsys):
+def test_readme_code_blocks_run(capsys):
+    # every python block, in order, in one namespace: the genetic-search
+    # block evolves on the network the quickstart trained
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library quickstart", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md (Library quickstart)", "exec"), {})
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for i, code in enumerate(blocks):
+        exec(compile(code, f"README.md (python block {i + 1})", "exec"), namespace)
     assert "→ Then Reasoning =" in capsys.readouterr().out
+    best, runs = namespace["best"], namespace["runs"]
+    assert np.array_equal(runs[0].best_chromosome, best.best_chromosome)  # "runs[0] equals best"
+    assert runs[0].best_fitness == best.best_fitness

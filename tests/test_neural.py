@@ -465,7 +465,7 @@ def test_train_names_the_one_layer_whose_pre_activation_reaches_the_clip(layer, 
     net = zero_net(schema.total_predictive_bits, 2, schema.target_bits)
     (net.b_h if layer == "hidden" else net.b_o)[1] = sign * (SIGMOID_CLIP + 100.0)
     cfg = TrainConfig(learning_rate=1e-9, momentum=0.0, hidden_size=2, max_epochs=3, seed=1)
-    with pytest.raises(NumericError, match=f"saturated at epoch 1: a {layer} layer pre-activation reached"):
+    with pytest.raises(NumericError, match=f"saturated at epoch 1: a pre-activation of the {layer} layer reached"):
         train(net, encoded, cfg)
 
 
