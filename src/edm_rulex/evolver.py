@@ -9,11 +9,15 @@ mutation mask.  The next population is built in place in one of two
 buffers allocated per call: the elites and the tournament winners are
 gathered into it, each pair of winners is crossed there and the mutation
 mask XORed onto the children, and the buffers swap.  The operators' masks
-and index arrays are scratch allocated per call too: ``evolve`` calls each
-operator (``_tournament``, ``_cross``, ``_mutate``) unchecked, on arrays it
-built itself.  ``tests/helpers.reference_evolve`` pins these steps: it runs
-the same GA with a fresh array for every step, and ``evolve`` must match it
-bit for bit.
+and index arrays are scratch allocated per call too, and so is every draw's
+buffer: the tournament draws, the crossing coins and cuts and the mutation
+draws; the initial population is drawn into the first population buffer.
+``evolve`` calls each operator (``_tournament``, ``_cross``, ``_mutate``)
+unchecked, on arrays it built itself.  The champions change only in a
+generation where some run's best fitness beats its champion's, so only then
+are the best chromosomes found and copied.  ``tests/helpers.reference_evolve``
+pins these steps: it runs the same GA with a fresh array for every step, and
+``evolve`` must match it bit for bit.
 
 ``evolve`` takes runs that differ only in their seeds and runs them in
 lockstep: their populations form one stack ``uint8[R, P, B]``, each
@@ -87,14 +91,17 @@ class EvolutionResult:
 
 
 class _Lockstep:
-    """One generator per run, drawn together: a draw of shape ``(R, *s)``
-    stacks a draw of shape ``s`` from each run's own generator."""
+    """One generator per run, drawn together: a draw into ``out`` of shape
+    ``(R, *s)`` fills row r with a draw of shape ``s`` and ``out``'s dtype
+    from run r's own generator."""
 
     def __init__(self, seeds: Sequence[int]):
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
 
-    def integers(self, low, high, size, dtype=np.int64) -> np.ndarray:
-        return np.array([rng.integers(low, high, size=size[1:], dtype=dtype) for rng in self._rngs])
+    def integers(self, low, high, out: np.ndarray) -> np.ndarray:
+        for rng, row in zip(self._rngs, out):
+            row[...] = rng.integers(low, high, size=row.shape, dtype=out.dtype)
+        return out
 
     def random(self, out: np.ndarray) -> np.ndarray:
         for rng, row in zip(self._rngs, out):
@@ -206,27 +213,29 @@ def evolve(
     nxt = np.empty_like(pop)
     differ = np.empty((runs, pairs, bit_length), dtype=np.uint8)
     swap = np.empty(differ.shape, dtype=bool)
+    entrants = np.empty(tournaments, dtype=np.int64)  # each tournament's k draws
     flip = np.empty((runs, n_children, bit_length), dtype=bool)
     sources = np.empty((runs, depth), dtype=np.intp)  # each next row's row in pop
     winners = np.empty((runs, 2 * pairs), dtype=np.intp)
     place, rank = np.empty(runs * size, dtype=np.intp), np.arange(runs * size)
     negated = np.empty((runs, size))
     coins = np.empty((runs, pairs))
+    cuts = np.empty((runs, pairs), dtype=np.int64)
     crossed = np.empty((runs, pairs), dtype=bool)
     draws = np.empty((runs, n_children, bit_length))
     positions = np.arange(bit_length, dtype=np.min_scalar_type(bit_length))
     each = np.arange(runs)
     rows = (each * size)[:, None]  # each run's first place in the flattened ranking
     first = (each * depth)[:, None]  # each run's first row in the flattened buffer
+    debug = log.isEnabledFor(logging.DEBUG)
 
-    pop[:, :size] = rng.integers(0, 2, size=(runs, size, bit_length), dtype=np.uint8)
-    fits = _evaluate(fitness, pop[:, :size])
+    fits = _evaluate(fitness, rng.integers(0, 2, out=pop[:, :size]))
     best = fits.argmax(axis=1)
     champion, champion_fitness = pop[each, best], fits[each, best]
     history: list[np.ndarray] = []
     for gen in range(cfg.generations):
         order = np.argsort(np.negative(fits, out=negated), axis=1, kind="stable")
-        _tournament(order, rng.integers(0, size, size=tournaments), rows, place, rank, winners)
+        _tournament(order, rng.integers(0, size, out=entrants), rows, place, rank, winners)
         sources[:, :elites] = order[:, :elites]
         np.take(order, winners, out=sources[:, elites:])
         sources += first
@@ -235,18 +244,19 @@ def evolve(
         np.take(pop.reshape(-1, bit_length), sources, axis=0, out=nxt, mode="clip")
         if bit_length > 1:
             np.less(rng.random(out=coins), cfg.crossover_prob, out=crossed)
-            cuts = rng.integers(1, bit_length, size=(runs, pairs))
+            rng.integers(1, bit_length, out=cuts)
             _cross(nxt[:, elites : elites + pairs], nxt[:, elites + pairs :], cuts, crossed, positions, swap, differ)
         _mutate(nxt[:, elites:size], cfg.mutation_prob, rng, draws, flip)
         pop, nxt = nxt, pop
         fits = _evaluate(fitness, pop[:, :size])
-        best = fits.argmax(axis=1)
-        best_fitness = fits[each, best]
-        better = best_fitness > champion_fitness
-        champion = np.where(better[:, None], pop[each, best], champion)
-        champion_fitness = np.where(better, best_fitness, champion_fitness)
+        better = fits.max(axis=1) > champion_fitness
+        if better.any():  # champions rarely change, so most generations copy nothing
+            best = fits.argmax(axis=1)
+            np.copyto(champion, pop[each, best], where=better[:, None])
+            champion_fitness = np.where(better, fits[each, best], champion_fitness)
         history.append(champion_fitness)
-        log.debug("generation %d best %s", gen + 1, champion_fitness)
+        if debug:
+            log.debug("generation %d best %s", gen + 1, champion_fitness)
     histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
     last = pop[:, :size]
     return [

@@ -204,8 +204,13 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
         raise ValidationError(
             f"classes must hold one class index per run, shape (R,); got shape {k.shape}"
         )
-    if ((k < 0) | (k >= net.output_size)).any():
-        raise ValidationError(f"class index {classes} out of range for {net.output_size} outputs")
+    if k.dtype.kind not in "iu":
+        raise ValidationError(f"class indices must be integers, got dtype {k.dtype}")
+    if k.size and (k.min() < 0 or k.max() >= net.output_size):
+        r = int(np.flatnonzero((k < 0) | (k >= net.output_size))[0])
+        raise ValidationError(
+            f"class index {k[r]} of run {r} out of range for {net.output_size} outputs"
+        )
     x = _as_input(net, stack)
     if x.ndim < 2 or x.shape[0] != k.shape[0]:
         raise ValidationError(

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -301,6 +302,10 @@ probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
     seeds=[7, 8], size=10, bits=300, generations=3, elitism=1, tournament=7, crossover=1.0,
     mutation=0.01, by_network=True,
 )
+@example(  # a long run: 14 generations in which no run improves, 33 in which only some do
+    seeds=[10, 11, 12, 13, 14, 15], size=20, bits=16, generations=48, elitism=0, tournament=2,
+    crossover=0.8, mutation=0.05, by_network=True,
+)
 def test_evolve_equals_reference(
     seeds, size, bits, generations, elitism, tournament, crossover, mutation, by_network
 ):
@@ -340,6 +345,19 @@ def test_evolve_equals_reference(
         assert g.best_fitness == w.best_fitness
         assert g.history == w.history
         assert g.champion_ties == w.champion_ties
+
+
+def test_debug_log_one_record_per_generation(caplog):
+    configs = [GaConfig(population_size=8, generations=6, seed=s) for s in (0, 1)]
+    with caplog.at_level(logging.INFO, logger="edm_rulex.evolver"):
+        evolve(popcount, 5, configs)
+    assert caplog.records == []
+    with caplog.at_level(logging.DEBUG, logger="edm_rulex.evolver"):
+        results = evolve(popcount, 5, configs)
+    messages = [r.getMessage() for r in caplog.records]
+    assert [m.split(" best ")[0] for m in messages] == [f"generation {g}" for g in range(1, 7)]
+    # each record holds that generation's running best of every run
+    assert [r.args[1].tolist() for r in caplog.records] == [list(h) for h in zip(*(r.history for r in results))]
 
 
 def test_lockstep_non_finite_fitness_names_run_and_chromosome():

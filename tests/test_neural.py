@@ -119,6 +119,22 @@ def test_class_score_takes_one_class_per_run_only(classes):
         class_score(net, np.zeros((1, 3, 6), dtype=np.uint8), classes)
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        ([0.0, 1.0], "must be integers, got dtype float64"),
+        ([True, False], "must be integers, got dtype bool"),
+        ([0, 7], "class index 7 of run 1 out of range for 2 outputs"),
+        ([-1, 0], "class index -1 of run 0 out of range for 2 outputs"),
+    ],
+    ids=["float", "bool", "past-last", "negative"],
+)
+def test_class_score_rejects_class_indices(classes, message):
+    # each is a ValidationError naming the dtype or the first bad index and its run
+    with pytest.raises(ValidationError, match=message):
+        class_score(zero_net(6, 2, 2), np.zeros((2, 3, 6), dtype=np.uint8), classes)
+
+
 def test_forward_population_shapes():
     rng = np.random.default_rng(3)
     net = Network(
