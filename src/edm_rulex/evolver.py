@@ -264,7 +264,8 @@ def evolve(
             best_chromosome=champion[r],
             best_fitness=float(champion_fitness[r]),
             history=histories[r],
-            champion_ties=len(np.unique(last[r][fits[r] == champion_fitness[r]], axis=0)),
+            # a set of the rows' bytes: np.unique(axis=0) would import numpy.ma
+            champion_ties=len({row.tobytes() for row in last[r][fits[r] == champion_fitness[r]]}),
         )
         for r in range(runs)
     ]

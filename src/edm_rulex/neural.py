@@ -39,9 +39,11 @@ def sigmoid(u: np.ndarray) -> np.ndarray:
     Only the lower clip is applied, to ``-u``: above +SIGMOID_CLIP,
     ``exp(-u)`` is below ``exp(-500)``, about 7e-218, which vanishes against
     the 1 it is added to, so clipped or not the result is exactly 1.0.  A NaN
-    stays NaN.
+    stays NaN.  A scalar or 0-d ``u`` gives a 0-d float array.
     """
-    return _sigmoid_of_negated(np.negative(u))
+    # negated into a fresh float array: of a 0-d array np.negative alone
+    # returns a scalar, which the in-place steps cannot write into
+    return _sigmoid_of_negated(np.negative(u, out=np.empty(np.shape(u))))
 
 
 def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
@@ -280,41 +282,52 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     The weights, their velocities and the per-pattern step each live in one
     flat vector, with the layers as views into it, and every update writes
     into buffers allocated once: 25 numpy calls per pattern, with the
-    functions bound to locals, the five matrix products as the bound ``dot``
-    methods of their fixed operands (the same routine as ``np.dot``, without
-    its dispatch), and the constants held as arrays, which numpy takes
-    without converting a Python object per call.  Each weight sees the same
-    floating-point operations in the same order as ``vel = mom * vel - lr *
-    grad; theta += vel`` on fresh arrays, so the weights are the same bits.
+    functions bound to locals.  The five matrix products are ``dot``
+    methods, the routine of ``np.dot`` without its dispatch: four are bound
+    to their fixed operands, and the hidden one is ``(-x) @ v.T`` on the
+    pattern's row, indexed once per pattern as a ``(1, B)`` matrix that the
+    ``v`` outer product reads too; it is the same BLAS call as ``v @ (-x)``.
+    The constants 1, -1 and the clip are vectors of each layer's shape,
+    which numpy takes without converting a Python object or broadcasting a
+    0-d array per call.  Each weight sees the same floating-point
+    operations in the same order as ``vel = mom * vel - lr * grad; theta +=
+    vel`` on fresh arrays, so the weights are the same bits.
     Signs are laid out so that no negation costs a call; rounding to nearest
     is symmetric under negation, so an operation on negated operands gives
     the negated result:
 
-    - the inputs are kept as ``-x``, the one float copy of the rows, so
-      ``v @ (-x) - b_h`` is the negated hidden pre-activation that the
-      sigmoid's ``exp`` takes; the outer product for ``v`` and the pass over
-      the dataset after each epoch read the same ``-x``;
+    - ``theta`` holds ``v, -b_h, w, -b_o`` and the inputs are kept as
+      ``-x``, the one float copy of the rows, so ``v @ (-x) + (-b_h)`` is
+      the negated hidden pre-activation that the sigmoid's ``exp`` takes,
+      and ``w @ (-h) + (-b_o)`` the negated output one; the outer product
+      for ``v`` and the pass over the dataset after each epoch read the
+      same ``-x``;
     - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
       in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
       ``1 - y``;
-    - ``step`` holds ``-dE/dtheta`` and, in ``v``'s block, ``+dE/dv``;
-      ``rate`` is ``-lr`` on that block and ``+lr`` elsewhere, so the
-      momentum step is ``vel *= mom; step *= rate; vel += step; theta +=
-      vel``; ``-h`` turns the deltas into ``-dE/dw`` and ``-dE/db_h``, and
-      ``-x`` then gives ``+dE/dv``;
-    - ``theta`` stores ``-b_o``, so the output delta ``dE/db_o`` is its
-      step, ``-dE/d(-b_o)``, and ``w @ (-h) + (-b_o)`` is the negated output
-      pre-activation.
+    - the bias slots of ``step`` are the deltas: ``-d_h`` for ``-b_h`` and
+      ``d_o`` for ``-b_o``; ``-h`` turns ``d_o`` into ``-dE/dw``;
+    - only the contiguous tail ``-b_h | w | -b_o`` of ``step`` is scaled by
+      the learning rate, one multiply by ``rate``, which is ``-lr`` on the
+      ``-b_h`` slot and ``+lr`` on the rest: the slot then holds ``lr *
+      d_h``, the step of ``-b_h``, and the ``v`` block's outer product is
+      formed from it against ``-x``.  Every input bit is 0 or 1, so ``(lr *
+      d_h) * x`` is exactly ``lr * (d_h * x)``, the textbook step (while
+      ``lr * d_h`` is finite; if not, neither is ``b_h``), and no
+      multiply by ``lr`` runs over the ``v`` block; the momentum step is
+      then ``vel *= mom; vel += step; theta += vel``;
+    - after each epoch the biases are written back as ``0.0 - stored``
+      rather than negated: a bias that cancels exactly with its velocity
+      sums to ``+0.0``, which comes back ``+0.0``, as the textbook update
+      gives.  Only a caller-built network whose bias starts at ``-0.0`` can
+      keep a ``-0.0`` bias in the textbook update; ``init_network`` never
+      draws one.
 
     The two outer products are matrix products with an inner dimension of
     one, so each element is the one rounded product.  Such a product and
     ``t - y`` may give a zero of the other sign than the textbook update; a
     zero's sign changes no nonzero value downstream, and reaches a weight
-    only where that weight and its velocity are both exactly zero.  The
-    output bias can also take the other zero where it and its velocity
-    cancel exactly: the sum is ``+0.0``, which ``theta`` holds as ``-b_o``,
-    so ``b_o`` comes back as ``-0.0`` where the textbook update gives
-    ``+0.0``.
+    only where that weight and its velocity are both exactly zero.
 
     The caller's arrays in ``net`` get the weights back after every epoch and
     hold the trained values at the end; ``dataset`` is not modified.
@@ -328,44 +341,53 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     targets = [one_hot[k] for k in dataset.target.tolist()]  # references to the K rows
     rng = np.random.default_rng(config.seed)
     mom = np.array(config.momentum, dtype=float)
-    one, minus_one, clip = np.array(1.0), np.array(-1.0), np.array(SIGMOID_CLIP)
     shapes = [a.shape for a in (net.v, net.b_h, net.w, net.b_o)]
-    theta = np.concatenate([net.v.ravel(), net.b_h, net.w.ravel(), -net.b_o])
+    theta = np.concatenate([net.v.ravel(), -net.b_h, net.w.ravel(), -net.b_o])
     vel = np.zeros_like(theta)
     step = np.empty_like(theta)
-    v, b_h, w, b_o_neg = _views(theta, shapes)
-    # the bias slots of the step are the deltas: -d_h for b_h, d_o for -b_o
+    v, b_h_neg, w, b_o_neg = _views(theta, shapes)
+    # the bias slots of the step are the deltas: -d_h for -b_h, d_o for -b_o
     step_v, d_h_neg, step_w, d_o = _views(step, shapes)
-    # -lr on the v block, whose step is formed from -x, and +lr elsewhere
-    rate = np.full_like(theta, config.learning_rate)
-    rate[: step_v.size] *= -1.0
-    hidden, outputs = len(b_h), len(d_o)
+    # the tail -b_h | w | -b_o of the step, scaled by -lr on -b_h and +lr on the rest
+    tail = step[step_v.size :]
+    rate = np.full_like(tail, config.learning_rate)
+    rate[: d_h_neg.size] *= -1.0
+    hidden, outputs = len(b_h_neg), len(d_o)
+    # the constants as vectors of their operands' shapes, not 0-d arrays
+    one = np.ones(hidden + outputs)
+    one_h, one_o = one[:hidden], one[hidden:]
+    minus_one_h, minus_one_o = np.full(hidden, -1.0), np.full(outputs, -1.0)
+    clip_h, clip_o = np.full(hidden, SIGMOID_CLIP), np.full(outputs, SIGMOID_CLIP)
     act_neg, slope = np.empty(hidden + outputs), np.empty(hidden + outputs)
     h_neg, y_neg = act_neg[:hidden], act_neg[hidden:]
     slope_h, slope_o = slope[:hidden], slope[hidden:]
     s_h, s_o = np.empty(hidden), np.empty(outputs)
-    h_neg_row = h_neg[None, :]
-    # bound ndarray.dot skips np.dot's __array_function__ dispatch
-    v_dot, w_dot, w_t_dot = v.dot, w.dot, w.T.dot
-    d_o_col_dot, d_h_col_dot = d_o[:, None].dot, d_h_neg[:, None].dot
-    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    s_h_row, h_neg_row = s_h[None, :], h_neg[None, :]
+    # bound ndarray.dot skips np.dot's __array_function__ dispatch; the v
+    # block's outer product reads the b_h slot after it is scaled, lr * d_h
+    v_t, w_dot, w_t_dot = v.T, w.dot, w.T.dot
+    d_o_col_dot, lr_d_h_col_dot = d_o[:, None].dot, d_h_neg[:, None].dot
+    add, mul, div = np.add, np.multiply, np.divide
     exp, minimum = np.exp, np.minimum
     history: list[float] = []
     for epoch in range(config.max_epochs):
         for i in rng.permutation(len(dataset)).tolist():
+            # row i, indexed once: (-x) @ v.T is the one BLAS call of v @ (-x),
+            # and the same (1, B) row is the v block's outer product operand
+            x_row = x_neg_rows[i]
             # s = 1 + exp(-u) and the activation -1 / s, hidden then output
-            v_dot(x_neg[i], s_h)
-            sub(s_h, b_h, s_h)
-            minimum(s_h, clip, out=s_h)
+            x_row.dot(v_t, s_h_row)
+            add(s_h, b_h_neg, s_h)
+            minimum(s_h, clip_h, out=s_h)
             exp(s_h, s_h)
-            add(s_h, one, s_h)
-            div(minus_one, s_h, h_neg)
+            add(s_h, one_h, s_h)
+            div(minus_one_h, s_h, h_neg)
             w_dot(h_neg, s_o)
             add(s_o, b_o_neg, s_o)
-            minimum(s_o, clip, out=s_o)
+            minimum(s_o, clip_o, out=s_o)
             exp(s_o, s_o)
-            add(s_o, one, s_o)
-            div(minus_one, s_o, y_neg)
+            add(s_o, one_o, s_o)
+            div(minus_one_o, s_o, y_neg)
             add(act_neg, one, slope)
             # d_o = (t - y) * (-y) * (1 - y)
             add(y_neg, targets[i], d_o)
@@ -376,13 +398,15 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
             mul(d_h_neg, h_neg, d_h_neg)
             mul(d_h_neg, slope_h, d_h_neg)
             d_o_col_dot(h_neg_row, step_w)
-            d_h_col_dot(x_neg_rows[i], step_v)
+            mul(tail, rate, tail)
+            lr_d_h_col_dot(x_row, step_v)
             mul(vel, mom, vel)
-            mul(step, rate, step)
             add(vel, step, vel)
             add(theta, vel, theta)
-        net.v[...], net.b_h[...], net.w[...] = v, b_h, w
-        np.negative(b_o_neg, out=net.b_o)
+        net.v[...], net.w[...] = v, w
+        # 0.0 - (+0.0) is +0.0: a bias that cancels exactly comes back +0.0
+        np.subtract(0.0, b_h_neg, out=net.b_h)
+        np.subtract(0.0, b_o_neg, out=net.b_o)
         clipped, y_all = _batch_pass(net, x_neg)
         mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -1110,6 +1112,25 @@ def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):
         assert entry["champion_ties"] == alone.champion_ties
         assert "decoded_terms" not in entry
     assert {key for rule in doc["rules"] for key in rule} == {"terms", "consequent", "support", "confidence", "coverage"}
+
+
+def test_extract_does_not_import_numpy_ma(study_run, tmp_path):
+    # numpy.ma costs about 9 ms to import, in the parent and in each forked
+    # child; np.unique(..., axis=0) would import it, so champion ties are
+    # counted without it.  A fresh interpreter, since this one may hold it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; from edm_rulex import cli; "
+        "assert cli.main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "extract", "--data", str(study_run / "cohort.csv"),
+         "--model", str(study_run / "model.json"), "--budget", "2", "--seed", "7", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"  # numpy.ma not in sys.modules
 
 
 def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):

@@ -28,7 +28,7 @@ from edm_rulex.neural import (
     sigmoid,
     train,
 )
-from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, encode_dataset
+from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, StudentRecord, encode_dataset
 from edm_rulex.util import write_json
 
 
@@ -385,6 +385,10 @@ def test_sigmoid_matches_clipped_formula():
     expected = 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
     assert sigmoid(u).tobytes() == expected.tobytes()
     assert np.isnan(sigmoid(np.array([np.nan]))).all()
+    # a scalar and a 0-d array, which np.negative alone turns into a scalar
+    for scalar in (0.5, np.array(0.5)):
+        assert sigmoid(scalar).shape == ()
+        assert sigmoid(scalar).tobytes() == (1.0 / (1.0 + np.exp(-0.5))).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -400,8 +404,11 @@ def test_sigmoid_matches_clipped_formula():
     init_scale=st.sampled_from([0.5, 0.0, 50.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-# all weights zero: each hidden update is a zero, and the oracle's b_h stays +0.0,
-# which a train that stored -b_h would give back as -0.0
+# all weights zero: each hidden update is a zero, and the oracle's b_h stays +0.0;
+# train stores -b_h and writes it back as 0.0 - (-b_h), +0.0 too, where negation would
+# give -0.0.  The one bias this leaves at the other zero is one that starts at -0.0,
+# which the oracle can keep: only a caller-built network holds one, as init_network
+# draws +0.0 (uniform(-0.0, 0.0) is +0.0)
 @example(
     levels=[2], classes=2, n_records=1, hidden=1, learning_rate=1.0, momentum=0.0, max_epochs=1,
     target_mse=1e-9, init_scale=0.0, seed=0,
@@ -441,6 +448,25 @@ def test_train_equals_reference_bit_for_bit(
         assert_same_weights(net, oracle)
         return
     assert_same_training(result, expected)
+
+
+def test_train_gives_back_an_output_bias_that_cancels_as_plus_zero():
+    # with these weights and this rate the first output bias and its
+    # velocity cancel exactly: the textbook update's sum is +0.0, and train,
+    # which stores -b_o, must give back +0.0 too, not the negation -0.0
+    schema = AttributeSchema(
+        (Attribute("A", ("a0", "a1")), Attribute("T", ("t0", "t1"), ROLE_TARGET))
+    )
+    encoded = encode_dataset([StudentRecord({"A": "a0", "T": "t0"})], schema)
+    cfg = TrainConfig(
+        learning_rate=21.62675517505845, momentum=0.0, max_epochs=1, target_mse=1e-9, hidden_size=1,
+    )
+    start = zero_net(2, 1, 2)
+    start.b_o[:] = [-2.0, 0.3]
+    oracle, net = copy.deepcopy(start), copy.deepcopy(start)
+    expected = reference_train(oracle, encoded, cfg)
+    assert oracle.b_o[0] == 0.0 and not np.signbit(oracle.b_o[0])
+    assert_same_training(train(net, encoded, cfg), expected)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
