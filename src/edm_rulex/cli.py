@@ -476,7 +476,10 @@ def cmd_stats(args) -> int:
             continue
         idx = [col[d] for d in present]
         per_group = [groups[t][:, idx] for t in tokens]
-        wres = manova_wilks(per_group)
+        try:  # the block's first statistic: a singular or overflowing scatter is named by its block
+            wres = manova_wilks(per_group)
+        except NumericError as e:
+            raise NumericError(f"stats block {block_name!r}: {e}") from None
         series = {d: [groups[t][:, col[d]] for t in tokens] for d in present}
         series["Total"] = [g.sum(axis=1) for g in per_group]
         univariate, levene = {}, {}

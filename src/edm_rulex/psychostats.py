@@ -347,20 +347,24 @@ def manova_wilks(groups: Sequence[np.ndarray]) -> ManovaResult:
         raise ValidationError(
             f"too few observations ({n_total}) for {p} variables; need N - 2 >= p"
         )
-    grand = np.vstack(mats).mean(axis=0)
     e = np.zeros((p, p))
     h = np.zeros((p, p))
-    for m in mats:
-        centered = m - m.mean(axis=0)
-        e += centered.T @ centered
-        diff = (m.mean(axis=0) - grand).reshape(-1, 1)
-        h += m.shape[0] * (diff @ diff.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        grand = np.vstack(mats).mean(axis=0)
+        for m in mats:
+            centered = m - m.mean(axis=0)
+            e += centered.T @ centered
+            diff = (m.mean(axis=0) - grand).reshape(-1, 1)
+            h += m.shape[0] * (diff @ diff.T)
+        total = e + h
+    if not np.isfinite(total).all():  # a non-finite e or h makes total non-finite too
+        raise NumericError("scatter matrices overflow float64; rescale the variables")
     sign_e, logdet_e = np.linalg.slogdet(e)
     if sign_e <= 0:
         raise NumericError(
             "within-group scatter matrix is singular; remove linearly dependent variables"
         )
-    sign_t, logdet_t = np.linalg.slogdet(e + h)
+    sign_t, logdet_t = np.linalg.slogdet(total)
     if sign_t <= 0:
         raise NumericError("total scatter matrix is singular")
     wilks = float(np.exp(logdet_e - logdet_t))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -261,8 +262,16 @@ def sample_population(spec: PopulationSpec) -> RawCohort:
             log.info("group %s: correlation repaired to nearest PD", token)
             lower = cholesky_factor(nearest_pd_correlation(corr))
         rows = rng.standard_normal((g.n, len(spec.dimensions))) @ lower.T
-        rows *= g.sds
-        rows += g.means  # the same bits as means + rows: addition commutes
+        with np.errstate(over="ignore"):  # an overflow is reported below, by group and dimension
+            rows *= g.sds
+            rows += g.means  # the same bits as means + rows: addition commutes
+        finite = np.isfinite(rows).all(axis=0)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ValidationError(
+                f"group {token!r}, dimension {spec.dimensions[j]!r}: mean {g.means[j]!r} and "
+                f"sd {g.sds[j]!r} give scores past float64's range"
+            )
         groups[token] = rows
     return RawCohort(dimensions=spec.dimensions, groups=groups)
 
@@ -308,9 +317,30 @@ def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray, index:
 
 
 def tertile_cuts(values: np.ndarray) -> tuple[float, float]:
-    """Empirical tertile boundaries of a sample."""
-    q = np.quantile(np.asarray(values, dtype=float), [1 / 3, 2 / 3])
-    return float(q[0]), float(q[1])
+    """Empirical tertile boundaries of a sample: ``np.quantile(values, [1/3,
+    2/3])`` bit for bit, without its ``np.unique`` step, which imports
+    ``numpy.ma``.  For each q the virtual index (n - 1)·q lies between the
+    order statistics a and b at positions lo = floor(index) and lo + 1, both
+    taken from one ``np.partition``; at or past the last position numpy
+    takes lo = -1 for both, the largest value.  The cut is a + (b - a)·g
+    with g = index - lo, or b - (b - a)·(1 - g) where g >= 0.5, as numpy
+    interpolates.  A sample that holds NaN gives NaN cuts."""
+    sample = np.asarray(values, dtype=float).ravel()
+    n = len(sample)
+    sides = []
+    for q in (1 / 3, 2 / 3):
+        index = (n - 1) * q
+        lo, hi = (math.floor(index), math.floor(index) + 1) if index < n - 1 else (-1, -1)
+        sides.append((index - lo, lo, hi))
+    # numpy's kth list, so that values which compare equal (0.0 and -0.0) land where numpy's do
+    ordered = np.partition(sample, sorted({0, -1, *(i for _, lo, hi in sides for i in (lo, hi))}))
+    if math.isnan(ordered[-1]):  # NaN sorts last
+        return float(ordered[-1]), float(ordered[-1])
+    cuts = []
+    for g, lo, hi in sides:
+        a, b = float(ordered[lo]), float(ordered[hi])
+        cuts.append(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
+    return cuts[0], cuts[1]
 
 
 def default_discretization(

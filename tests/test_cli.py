@@ -118,20 +118,59 @@ def test_generate_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_generate_names_the_dimension_whose_cuts_coincide(tmp_path, capsys):
-    # with sd 0 both tertiles of Challenge are 20, so its three levels get no cut between them
+def _spec_with(tmp_path, dim, mean, sd):
+    """The default population spec with ``dim``'s mean and sd set in both
+    groups, written to ``tmp_path / "spec.json"``."""
     from edm_rulex import studydata
 
     spec = studydata.default_population_spec().to_dict()
-    j = spec["dimensions"].index("Challenge")
+    j = spec["dimensions"].index(dim)
     for group in spec["groups"].values():
-        group["means"][j], group["sds"][j] = 20.0, 0.0
+        group["means"][j], group["sds"][j] = mean, sd
     (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return tmp_path / "spec.json"
+
+
+def test_generate_names_the_dimension_whose_cuts_coincide(tmp_path, capsys):
+    # with sd 0 both tertiles of Challenge are 20, so its three levels get no cut between them
+    spec = _spec_with(tmp_path, "Challenge", 20.0, 0.0)
     out = tmp_path / "out"
-    assert run("generate", "--spec", tmp_path / "spec.json", "--n", "60", "--seed", "1", "--out", out) == 2
+    assert run("generate", "--spec", spec, "--n", "60", "--seed", "1", "--out", out) == 2
     err = capsys.readouterr().err
     assert "dimension 'Challenge'" in err and "[20.0, 20.0]" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_generate_names_the_group_and_dimension_whose_scores_overflow(tmp_path):
+    # mean + sd * z passes float64's 1.8e308; the sampler reports it before any
+    # cut is taken, and warns of no overflow on the way, so even under
+    # -W error::RuntimeWarning the stage exits 2 with its message
+    spec = _spec_with(tmp_path, "Challenge", 1.7e308, 1.7e308)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "edm_rulex.cli", "generate",
+         "--spec", str(spec), "--n", "60", "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "group 'Ma', dimension 'Challenge'" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_stats_names_the_block_whose_scatter_overflows(tmp_path, capsys):
+    # scores near 1e300 are finite, but their squares are not: the learning
+    # skills block's MANOVA scatter overflows, a numeric failure of that block
+    spec = _spec_with(tmp_path, "Management of dispersants", 1e300, 1e299)
+    assert run("generate", "--spec", spec, "--n", "97", "--seed", "7", "--out", tmp_path) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert "stats block 'learning_skills'" in err and "overflow" in err
+    assert not (tmp_path / "stats.json").exists()
 
 
 def test_generate_rejects_empty_cohort(tmp_path, capsys):
@@ -1114,20 +1153,31 @@ def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):
     assert {key for rule in doc["rules"] for key in rule} == {"terms", "consequent", "support", "confidence", "coverage"}
 
 
-def test_extract_does_not_import_numpy_ma(study_run, tmp_path):
-    # numpy.ma costs about 9 ms to import, in the parent and in each forked
-    # child; np.unique(..., axis=0) would import it, so champion ties are
-    # counted without it.  A fresh interpreter, since this one may hold it
+def test_no_stage_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB of resident memory and 9 ms to import, in the
+    # parent and in each forked child; np.quantile and np.unique(..., axis=0)
+    # would import it, so tertile cuts are taken by selection and champion
+    # ties are counted without it.  Every stage in one fresh interpreter, as
+    # perfbench runs them, since this one may hold it
     src = Path(cli.__file__).resolve().parents[1]
+    d = str(tmp_path)
+    stages = [
+        ["generate", "--n", "97", "--seed", "7", "--out", d],
+        ["train", "--data", f"{d}/cohort.csv", "--epochs", "5", "--seed", "7", "--out", d],
+        ["extract", "--data", f"{d}/cohort.csv", "--model", f"{d}/model.json", "--budget", "2",
+         "--seed", "7", "--out", d],
+        ["stats", "--data", f"{d}/cohort.csv", "--out", d],
+        ["report", d],
+    ]
     code = (
-        "import sys; from edm_rulex import cli; "
-        "assert cli.main(sys.argv[1:]) == 0; print('numpy.ma' in sys.modules)"
+        "import json, sys; from edm_rulex import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", code, "extract", "--data", str(study_run / "cohort.csv"),
-         "--model", str(study_run / "model.json"), "--budget", "2", "--seed", "7", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", code, json.dumps(stages)], env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "False"  # numpy.ma not in sys.modules

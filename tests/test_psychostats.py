@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -361,6 +362,17 @@ def test_manova_singular_error():
     b = np.column_stack([b, b[:, 0] + b[:, 1]])
     with pytest.raises(NumericError, match="singular"):
         manova_wilks([a, b])
+
+
+def test_manova_scatter_overflow_is_a_numeric_error():
+    # finite scores near 1e300 whose squared deviations pass float64's range:
+    # an error, and no RuntimeWarning on the way
+    rng = np.random.default_rng(1)
+    a, b = (rng.normal(1e300, 1e299, size=(10, 2)) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="overflow"):
+            manova_wilks([a, b])
 
 
 def test_manova_group_count_and_size():

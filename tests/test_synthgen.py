@@ -1,9 +1,12 @@
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edm_rulex import studydata
 from edm_rulex.errors import NumericError, ValidationError
@@ -248,6 +251,36 @@ def test_tertile_example():
     rng = np.random.default_rng(0)
     lo, hi = tertile_cuts(rng.random(10**5))
     assert abs(lo - 1 / 3) < 0.01 and abs(hi - 2 / 3) < 0.01
+
+
+# any float, NaNs of any sign and payload included; values rounded to a tenth,
+# which tie; and the values whose order or sign numpy's arithmetic treats apart
+_SAMPLE_VALUES = st.one_of(
+    st.floats(),
+    st.floats(-3, 3).map(lambda x: round(x, 1)),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.integers(1, 300).flatmap(lambda n: st.lists(_SAMPLE_VALUES, min_size=n, max_size=n)),
+    st.tuples(_SAMPLE_VALUES, st.integers(1, 300)).map(lambda pair: [pair[0]] * pair[1]),
+))
+@example([math.inf])  # one value: both cuts at it, as (inf - inf)·0 makes them NaN
+@example([1.0, math.inf, 2.0, 3.0])  # an index on an order statistic: g = 0 next to inf
+@example([0.0, -0.0] * 5)  # zeros of both signs, which compare equal
+def test_tertile_cuts_equal_numpy_quantile(values):
+    sample = np.array(values)
+    with np.errstate(all="ignore"):  # numpy's interpolation warns of inf - inf; the cuts do not
+        expected = np.quantile(sample, [1 / 3, 2 / 3])
+    assert np.array(tertile_cuts(sample)).tobytes() == expected.tobytes()  # -0.0 and NaN bits too
+
+
+def test_sample_population_names_the_group_and_dimension_whose_scores_overflow():
+    spec = _spec(["a", "b"], 10, [0.0, 1.7e308], [1.0, 1.7e308], np.eye(2))
+    with pytest.raises(ValidationError, match=r"group 'g', dimension 'b': mean 1\.7e\+308"):
+        sample_population(spec)
 
 
 def test_sample_population_repairs_a_non_pd_correlation():
