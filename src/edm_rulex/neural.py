@@ -169,11 +169,49 @@ def _as_input(net: Network, bits) -> np.ndarray:
     return x
 
 
+def _grid_weights(v: np.ndarray) -> np.ndarray:
+    """The input weights ``v`` ``[H, I]``, transposed to a C-contiguous
+    ``[I, H]`` and each hidden unit's rounded onto a grid on which sums of
+    bit-string rows are exact.
+
+    Unit h's weights are rounded to the nearest multiple of ``2**(e_h - 52)``,
+    where ``Σ_i |v[h, i]| = m · 2**e_h`` with ``m`` in [0.5, 1)
+    (``np.frexp``): each weight moves by at most half a step, about 2**-53
+    of the unit's absolute sum, the size of one float64 rounding of it.
+    Every sum of a subset of the unit's rounded weights is then a multiple
+    of the step below ``2**(e_h + 1)`` in magnitude, which float64 holds
+    exactly, so for a row of 0s and 1s every partial sum of ``x @
+    _grid_weights(v)`` is exact, in whatever order BLAS adds (the
+    pre-rounding of Demmel and Nguyen's reproducible summation).  A unit of
+    zero weights stays zero.  A unit whose absolute sum reaches ``2**1023``
+    could have partial sums past float64's range, and is a NumericError
+    naming it; such weights come only from a hand-written model, since
+    training stops long before, at a pre-activation of SIGMOID_CLIP.
+    """
+    with np.errstate(over="ignore"):  # an infinite sum is reported below
+        total = np.abs(v).sum(axis=1)
+    if total.max(initial=0.0) >= 2.0**1023:  # a NaN passes, and scores NaN
+        h = int(np.argmax(total >= 2.0**1023))
+        raise NumericError(
+            f"hidden layer: the input weights of hidden unit {h} sum to {total[h]:g} "
+            "in magnitude, past the 2**1023 that exact hidden-layer sums allow"
+        )
+    _, e = np.frexp(total)
+    vq = np.ldexp(v.T, 52 - e, order="C")  # each unit's grid step is now 1
+    np.rint(vq, out=vq)
+    return np.ldexp(vq, e - 52, out=vq)
+
+
 def _hidden(net: Network, x: np.ndarray) -> np.ndarray:
     """The hidden activations ``float[N, H]`` of float rows ``x`` ``[N, I]``.
-    The pre-activation is formed negated, as ``-b_h - x·v``, which is exactly
-    ``-(x·v + b_h)``, and the sigmoid is applied in place to the product."""
-    s = np.einsum("pi,hi->ph", x, net.v)
+
+    The product is one BLAS matrix product over ``_grid_weights``, rebuilt
+    on every call because ``train`` writes ``net.v`` in place; for
+    bit-string rows its sums are exact.  The pre-activation is formed
+    negated, as ``-b_h - x·v``, which is exactly ``-(x·v + b_h)``, and the
+    sigmoid is applied in place to the product.
+    """
+    s = x @ _grid_weights(net.v)
     np.subtract(-net.b_h, s, out=s)
     return _sigmoid_of_negated(s)
 
@@ -183,9 +221,11 @@ def forward(net: Network, bits) -> np.ndarray:
     string ``(B,)``, ``(..., O)`` for a batch ``(..., B)`` such as a
     population ``(P, B)`` or a stack of them ``(R, P, B)``.
 
-    The products are ``np.einsum`` rather than BLAS, whose reduction order
-    can depend on the batch size; here each row's result is the same bits
-    whether it is passed alone or with any number of others.
+    For bit strings (every entry 0 or 1) each row's result is the same bits
+    whether it is passed alone or with any number of others, under any
+    number of BLAS threads: the hidden layer's sums are exact (``_hidden``)
+    and the output layer is one ``np.einsum``, whose reduction order is
+    fixed.  Other inputs are computed as well, without that promise.
     """
     x = _as_input(net, bits)
     h = _hidden(net, x.reshape(-1, x.shape[-1]))
@@ -197,10 +237,11 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
     """One class node's activations per run: for a stack of populations
     ``(R, P, B)`` and ``classes`` of shape ``intp[R]``, row r of the
     ``float[R, P]`` result is class ``classes[r]``'s output over run r's
-    population.  One chromosome's score is ``forward(net, bits)[..., k]``,
-    to the bit: only each run's class output is computed, by the same
-    einsum reduction over the hidden layer.  Pure, safe to call
-    concurrently."""
+    population.  For bit strings one chromosome's score is
+    ``forward(net, bits)[..., k]``, to the bit, at any stack size and BLAS
+    thread count: the hidden layer is ``forward``'s exact one, and only
+    each run's class output is computed, by the same einsum reduction over
+    the hidden units.  Pure, safe to call concurrently."""
     k = np.asarray(classes)
     if k.ndim != 1:
         raise ValidationError(
@@ -265,6 +306,21 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return out
 
 
+def _aligned_vectors(*sizes: int) -> list[np.ndarray]:
+    """Zeroed float vectors of ``sizes``, carved from one buffer so that each
+    starts on a 64-byte boundary, a cache line: where numpy places a small
+    array otherwise follows the process's allocation history, and with it
+    the speed of every call that reads the array."""
+    padded = [-(-n // 8) * 8 for n in sizes]
+    buf = np.zeros(sum(padded) + 7)
+    at = -buf.ctypes.data % 64 // 8
+    out = []
+    for n, pad in zip(sizes, padded):
+        out.append(buf[at : at + n])
+        at += pad
+    return out
+
+
 def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResult:
     """Per-pattern gradient descent with momentum until the mse target or the
     epoch budget.
@@ -281,7 +337,8 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
 
     The weights, their velocities and the per-pattern step each live in one
     flat vector, with the layers as views into it, and every update writes
-    into buffers allocated once: 25 numpy calls per pattern, with the
+    into buffers allocated once, each vector on a cache line's boundary
+    (``_aligned_vectors``): 25 numpy calls per pattern, with the
     functions bound to locals.  The five matrix products are ``dot``
     methods, the routine of ``np.dot`` without its dispatch: four are bound
     to their fixed operands, and the hidden one is ``(-x) @ v.T`` on the
@@ -342,26 +399,30 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     rng = np.random.default_rng(config.seed)
     mom = np.array(config.momentum, dtype=float)
     shapes = [a.shape for a in (net.v, net.b_h, net.w, net.b_o)]
-    theta = np.concatenate([net.v.ravel(), -net.b_h, net.w.ravel(), -net.b_o])
-    vel = np.zeros_like(theta)
-    step = np.empty_like(theta)
+    hidden, outputs = net.hidden_size, net.output_size
+    size, both = sum(math.prod(shape) for shape in shapes), hidden + outputs
+    (
+        theta, vel, step, rate, one, act_neg, slope, s_h, s_o,
+        minus_one_h, minus_one_o, clip_h, clip_o,
+    ) = _aligned_vectors(
+        size, size, size, size - net.v.size, both, both, both, hidden, outputs,
+        hidden, outputs, hidden, outputs,
+    )
+    np.concatenate([net.v.ravel(), -net.b_h, net.w.ravel(), -net.b_o], out=theta)
     v, b_h_neg, w, b_o_neg = _views(theta, shapes)
     # the bias slots of the step are the deltas: -d_h for -b_h, d_o for -b_o
     step_v, d_h_neg, step_w, d_o = _views(step, shapes)
     # the tail -b_h | w | -b_o of the step, scaled by -lr on -b_h and +lr on the rest
     tail = step[step_v.size :]
-    rate = np.full_like(tail, config.learning_rate)
-    rate[: d_h_neg.size] *= -1.0
-    hidden, outputs = len(b_h_neg), len(d_o)
+    rate.fill(config.learning_rate)
+    rate[:hidden] *= -1.0
     # the constants as vectors of their operands' shapes, not 0-d arrays
-    one = np.ones(hidden + outputs)
+    for const, value in ((one, 1.0), (minus_one_h, -1.0), (minus_one_o, -1.0),
+                         (clip_h, SIGMOID_CLIP), (clip_o, SIGMOID_CLIP)):
+        const.fill(value)
     one_h, one_o = one[:hidden], one[hidden:]
-    minus_one_h, minus_one_o = np.full(hidden, -1.0), np.full(outputs, -1.0)
-    clip_h, clip_o = np.full(hidden, SIGMOID_CLIP), np.full(outputs, SIGMOID_CLIP)
-    act_neg, slope = np.empty(hidden + outputs), np.empty(hidden + outputs)
     h_neg, y_neg = act_neg[:hidden], act_neg[hidden:]
     slope_h, slope_o = slope[:hidden], slope[hidden:]
-    s_h, s_o = np.empty(hidden), np.empty(outputs)
     s_h_row, h_neg_row = s_h[None, :], h_neg[None, :]
     # bound ndarray.dot skips np.dot's __array_function__ dispatch; the v
     # block's outer product reads the b_h slot after it is scaled, lr * d_h

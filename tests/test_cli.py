@@ -1275,6 +1275,23 @@ def test_train_saturated_short_of_the_clip_exits_3(study_run, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extract_names_a_hidden_unit_whose_weights_sum_past_float64(study_run, tmp_path, capsys):
+    # a hand-written model.json whose hidden unit 3 has input weights summing
+    # past float64's range: exit 3 naming the layer and unit, not NaN fitness
+    model = json.loads((study_run / "model.json").read_text())
+    model["v"][3] = [1e308] * len(model["v"][3])
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    rc = run(
+        "extract", "--data", study_run / "cohort.csv", "--model", tmp_path / "model.json",
+        "--budget", "1", "--generations", "2", "--seed", "7", "--out", tmp_path,
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "hidden layer: the input weights of hidden unit 3 sum to inf" in err
+    assert "Traceback" not in err and not (tmp_path / "ruleset.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "flag, value, name",
     [

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from edm_rulex.neural import (
     SIGMOID_CLIP,
     Network,
     TrainConfig,
+    _grid_weights,
     class_score,
     forward,
     init_network,
@@ -206,6 +208,63 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows
     for r, k in enumerate(classes):
         for i in range(rows):
             assert batch[r, i] == forward(net, stack[r, i])[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.integers(1, 24),
+    inputs=st.integers(1, 90),
+    rows=st.integers(1, 300),
+    low=st.floats(-300.0, 300.0),
+    span=st.floats(0.0, 600.0),
+    zero_share=st.floats(0.0, 1.0),
+)
+@example(seed=1, hidden=24, inputs=90, rows=300, low=-300.0, span=600.0, zero_share=0.3)
+@example(seed=2, hidden=1, inputs=1, rows=1, low=300.0, span=0.0, zero_share=0.0)
+@example(seed=3, hidden=5, inputs=76, rows=200, low=-320.0, span=10.0, zero_share=0.0)
+def test_grid_weights_give_exact_sums_for_bit_strings(seed, hidden, inputs, rows, low, span, zero_share):
+    # each hidden unit's weights at its own scale, from 1e-300 to 1e300 (and
+    # subnormal in one example), some units all zero: for 0/1 rows the BLAS
+    # product equals the exactly rounded sum of the selected rounded weights
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(low, min(low + span, 300.0), size=(hidden, 1))
+    v = rng.normal(size=(hidden, inputs)) * scales
+    v[rng.random(hidden) < zero_share] = 0.0
+    vq = _grid_weights(v)
+    assert vq.shape == (inputs, hidden) and vq.flags.c_contiguous
+    x = rng.integers(0, 2, (rows, inputs)).astype(float)
+    s = x @ vq
+    for r in range(rows):
+        picked = vq[x[r] == 1.0]
+        for h in range(hidden):
+            assert s[r, h] == math.fsum(picked[:, h]), (r, h)
+    # each weight lies within half a grid step of the original, and a zero
+    # unit stays zero
+    _, e = np.frexp(np.abs(v).sum(axis=1))
+    assert (np.abs(vq - v.T) <= np.ldexp(0.5, e - 52)).all()
+    assert (vq[:, ~v.any(axis=1)] == 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "weights, total",
+    [([1e308, 1e308], "inf"), ([2.0**1022, 2.0**1022], "8.98847e+307")],
+    ids=["overflowing", "at-2**1023"],
+)
+def test_hidden_unit_whose_weights_sum_past_float64_is_a_numeric_error(weights, total):
+    # only a hand-written model holds such a unit; its sums of bit strings
+    # could leave float64's range, so it is named rather than scored
+    v = np.zeros((3, 2))
+    v[1] = weights
+    net = Network(v=v, b_h=np.zeros(3), w=np.ones((2, 3)), b_o=np.zeros(2))
+    message = re.escape(f"hidden layer: the input weights of hidden unit 1 sum to {total} in magnitude")
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(NumericError, match=message):
+            class_score(net, np.ones((1, 4, 2), dtype=np.uint8), [0])
+        with pytest.raises(NumericError, match=message):
+            forward(net, np.ones(2, dtype=np.uint8))
+        v[1] = np.nextafter(2.0**1022, 0.0)
+        assert np.isfinite(class_score(net, np.ones((1, 4, 2), dtype=np.uint8), [0])).all()
 
 
 def test_class_score_argmax_matches_enumeration():
