@@ -229,8 +229,9 @@ def extract_ruleset(
     working-set confidences live in the audit entries.  Each round's entry,
     accepted or not, records its GA champion (``chromosome``, whose
     ``decode_chromosome`` under ``index.schema`` is the rule refined), its
-    ``best_fitness`` and its ``champion_ties`` (``EvolutionResult``); a
-    round whose champion ties with other chromosomes logs a warning.
+    ``best_fitness``, its ``champion_ties`` and its ``champion_generation``
+    (``EvolutionResult``); a round whose champion ties with other
+    chromosomes logs a warning.
     """
     if len(index) == 0:
         raise ValidationError("cannot extract rules from an empty dataset")
@@ -291,6 +292,7 @@ def extract_ruleset(
                 "best_fitness": result.best_fitness,
                 "chromosome": result.best_chromosome.tolist(),
                 "champion_ties": result.champion_ties,
+                "champion_generation": result.champion_generation,
                 "working_confidence": refined.confidence,
                 "working_support": refined.support,
             }

@@ -2,6 +2,7 @@
 
 import copy
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -225,31 +226,33 @@ def index_csv(index: DatasetIndex) -> str:
 
 
 class ReferenceLockstep:
-    """One generator per run; a draw of shape ``(R, *s)`` stacks a draw of
-    shape ``s`` from each run's own generator."""
+    """One generator per run, each drawn from on its own: a draw stacks one
+    draw per run, in run order."""
 
     def __init__(self, seeds):
-        self._rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def integers(self, low, high, size, dtype=np.int64):
-        return np.array([rng.integers(low, high, size=size[1:], dtype=dtype) for rng in self._rngs])
+        return np.array([rng.integers(low, high, size=size[1:], dtype=dtype) for rng in self.rngs])
 
-    def random(self, size):
-        out = np.empty(size)
-        for rng, row in zip(self._rngs, out):
-            rng.random(out=row)
-        return out
+    def random(self, count):
+        """Each run's block of ``count`` uniforms, one row per run."""
+        return np.array([rng.random(count) for rng in self.rngs])
 
 
-def reference_tournament(fits, k, n, rng):
-    """Each row's n winners of k draws with replacement: the best fitness,
-    ties to the lowest drawn index."""
+def reference_winners(fits, draws):
+    """Each row's winners of its tournaments ``draws[..., n, k]``: the draw of
+    best fitness, ties to the lowest drawn index."""
     size = fits.shape[-1]
-    draws = rng.integers(0, size, size=(*fits.shape[:-1], n, k))
     rows = np.arange(0, fits.size, size).reshape(*fits.shape[:-1], 1, 1)
     drawn = fits.ravel()[draws + rows]
     is_best = drawn == drawn.max(axis=-1, keepdims=True)
     return np.where(is_best, draws, size).min(axis=-1)
+
+
+def reference_tournament(fits, k, n, rng):
+    """Each row's n winners of k draws with replacement from ``rng``."""
+    return reference_winners(fits, rng.integers(0, fits.shape[-1], size=(*fits.shape[:-1], n, k)))
 
 
 def reference_crossover(a, b, cuts, coins):
@@ -261,22 +264,43 @@ def reference_crossover(a, b, cuts, coins):
 
 
 def reference_mutate(pop, p, rng):
-    """pop with each bit flipped where its uniform draw is below p."""
-    return pop ^ (rng.random(pop.shape) < p).astype(np.uint8)
+    """pop with its bits, read in row order, flipped by the mutation clock:
+    from position -1, each geometric(p) gap from ``rng`` moves to the next
+    bit to flip, until the walk leaves the n bits.  The gaps come in blocks
+    of int(n p + 8 sqrt(n p)) + 16, as many as the walk uses, each drawn
+    whole; at p = 0 none is drawn and no bit flips."""
+    out = pop.copy()
+    if p == 0:
+        return out
+    bits = out.reshape(-1)
+    n = bits.size
+    block = int(n * p + 8 * math.sqrt(n * p)) + 16
+    site = -1
+    while True:
+        for gap in rng.geometric(p, size=block).tolist():
+            site += gap
+            if site >= n:
+                return out
+            bits[site] ^= 1
 
 
 def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]:
     """The lockstep GA with a fresh array for every step of every generation:
     the oracle for evolver.evolve, which must give the same champions, best
-    fitnesses and histories bit for bit.  Each generation takes the elites
-    by a stable sort of the fitnesses, 2 * ceil(children / 2) tournament
-    winners by fitness, one crossover coin and cut per pair (when there are
-    two bits or more) and one mutation draw per child bit, each run from its
-    own generator in that order.  A run's ties are the distinct rows of its
-    last population whose fitness equals its champion's."""
+    fitnesses, histories, ties and champion generations bit for bit.  Each
+    generation takes the elites by a stable sort of the fitnesses.  Each
+    run then draws one block of 2 pairs (k + 1) uniforms, where pairs is
+    ceil(children / 2): the k entrants of each of its 2 pairs tournaments,
+    floor(u P), then each pair's crossover coin, u < the crossover
+    probability, then each pair's cut, 1 + floor(u (B - 1)), used when there
+    are two bits or more.  Each tournament's winner is its entrant of best
+    fitness.  Then each run's children go through ``reference_mutate`` with
+    its own generator.  A run's ties are the distinct rows of its last
+    population whose fitness equals its champion's; its champion generation
+    is the last generation in which its best fitness rose, 0 if none did."""
     cfg = configs[0]
     assert all(replace(c, seed=cfg.seed) == cfg for c in configs)
-    runs, size = len(configs), cfg.population_size
+    runs, size, k = len(configs), cfg.population_size, cfg.tournament_size
     n_children = size - cfg.elitism
     pairs = (n_children + 1) // 2
     rng = ReferenceLockstep([c.seed for c in configs])
@@ -287,24 +311,30 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     fits = np.asarray(fitness(pop), dtype=float)
     best = fits.argmax(axis=1)
     champion, champion_fitness = pop[each, best], fits[each, best]
+    found = [0] * runs
     history = []
-    for _ in range(cfg.generations):
+    for gen in range(cfg.generations):
         rows = pop.reshape(-1, bit_length)
         elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : cfg.elitism] + first]
-        parents = rows[reference_tournament(fits, cfg.tournament_size, 2 * pairs, rng) + first]
+        entrants, coins, cuts = [], [], []
+        for u in rng.random(2 * pairs * (k + 1)).tolist():
+            entrants.append([[int(u[i * k + j] * size) for j in range(k)] for i in range(2 * pairs)])
+            coins.append([x < cfg.crossover_prob for x in u[2 * pairs * k : 2 * pairs * k + pairs]])
+            cuts.append([1 + int(x * (bit_length - 1)) for x in u[2 * pairs * k + pairs :]])
+        parents = rows[reference_winners(fits, np.array(entrants)) + first]
         p1, p2 = parents[:, :pairs], parents[:, pairs:]
         if bit_length > 1:
-            coins = rng.random((runs, pairs)) < cfg.crossover_prob
-            cuts = rng.integers(1, bit_length, size=(runs, pairs))
-            p1, p2 = reference_crossover(p1, p2, cuts, coins)
+            p1, p2 = reference_crossover(p1, p2, np.array(cuts), np.array(coins))
         children = np.concatenate([p1, p2], axis=1)[:, :n_children]
-        pop = np.concatenate([elite, reference_mutate(children, cfg.mutation_prob, rng)], axis=1)
+        children = np.array([reference_mutate(c, cfg.mutation_prob, g) for c, g in zip(children, rng.rngs)])
+        pop = np.concatenate([elite, children], axis=1)
         fits = np.asarray(fitness(pop), dtype=float)
         best = fits.argmax(axis=1)
         best_fitness = fits[each, best]
         better = best_fitness > champion_fitness
         champion = np.where(better[:, None], pop[each, best], champion)
         champion_fitness = np.where(better, best_fitness, champion_fitness)
+        found = [gen + 1 if b else f for b, f in zip(better.tolist(), found)]
         history.append(champion_fitness)
     histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
     ties = [
@@ -313,6 +343,6 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     ]
     return [
         EvolutionResult(best_chromosome=champion[r], best_fitness=float(champion_fitness[r]),
-                        history=histories[r], champion_ties=ties[r])
+                        history=histories[r], champion_ties=ties[r], champion_generation=found[r])
         for r in range(runs)
     ]

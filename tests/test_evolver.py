@@ -1,13 +1,15 @@
 import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edm_rulex.errors import NumericError, ValidationError
-from edm_rulex.evolver import EvolutionResult, GaConfig, evolve
+from edm_rulex.evolver import EvolutionResult, GaConfig, _flip_sites, _mutate, _split_block, evolve
 from edm_rulex.neural import Network, class_score
 from helpers import reference_crossover, reference_evolve, reference_mutate, reference_tournament
 
@@ -194,6 +196,204 @@ def test_mutate_flip_rate():
     assert 15 <= np.mean(c.sum(axis=1)) <= 25
 
 
+# The mutation clock and the uniform block, tested on evolve's own helpers.
+
+
+def clock_block(n, p):
+    """The length of evolve's block of mutation gaps for n child bits."""
+    return int(n * p + 8 * math.sqrt(n * p)) + 16
+
+
+def stack(runs, elites, size, bits):
+    """A zero buffer laid out as evolve's population buffers, each run's
+    elites, children and, for an odd child count, one row past them; with
+    each run's first child bit in the flat buffer and its child bit count."""
+    depth = elites + 2 * ((size - elites + 1) // 2)
+    starts = ((np.arange(runs) * depth + elites) * bits).tolist()
+    return np.zeros((runs, depth, bits), dtype=np.uint8), starts, (size - elites) * bits
+
+
+def recorded(bits, config, seeds):
+    """Every population that evolve scores, in order, under a popcount fitness."""
+    seen = []
+
+    def fitness(pop):
+        seen.append(pop.copy())
+        return popcount(pop)
+
+    evolve(fitness, bits, [replace(config, seed=s) for s in seeds])
+    return seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mutation_0_draws_no_gaps():
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).geometric(0.0)
+    buf, starts, n = stack(2, 1, 6, 7)
+    rngs = [np.random.default_rng(s) for s in (0, 1)]
+    states = [rng.bit_generator.state for rng in rngs]
+    _mutate(buf.reshape(-1), starts, n, 0.0, rngs, np.empty(16, dtype=np.int64))
+    assert not buf.any()
+    assert [rng.bit_generator.state for rng in rngs] == states
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mutation_1_flips_every_child_bit():
+    buf, starts, n = stack(3, 2, 9, 11)
+    rngs = [np.random.default_rng(s) for s in (0, 1, 2)]
+    _mutate(buf.reshape(-1), starts, n, 1.0, rngs, np.empty(clock_block(n, 1.0), dtype=np.int64))
+    assert buf[:, 2:9].all() and not buf[:, :2].any() and not buf[:, 9:].any()
+    # in evolve, without crossover each child is the complement of a row before it
+    config = GaConfig(population_size=9, generations=6, elitism=2, crossover_prob=0.0, mutation_prob=1.0)
+    seen = recorded(12, config, (3, 4))
+    for before, after in zip(seen, seen[1:]):
+        for r in range(2):
+            rows = {row.tobytes() for row in before[r]}
+            assert all((1 - child).tobytes() in rows for child in after[r, 2:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", [5e-324, 1e-300])
+def test_tiny_mutation_gaps_are_clipped_before_they_are_summed(p):
+    # numpy's gaps saturate at INT64_MAX, whose sums would wrap negative and
+    # flip bits counted from the end of the run
+    assert (np.random.default_rng(5).geometric(p, size=16) == np.iinfo(np.int64).max).all()
+    assert _flip_sites(np.random.default_rng(5), p, 7448, np.empty(16, dtype=np.int64)).size == 0
+    buf, starts, n = stack(2, 2, 100, 76)
+    _mutate(buf.reshape(-1), starts, n, p, [np.random.default_rng(s) for s in (5, 6)], np.empty(16, dtype=np.int64))
+    assert not buf.any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mutation", [0.0, 5e-324, 1e-300])
+def test_without_crossover_no_mutation_keeps_every_chromosome_of_the_start(mutation):
+    config = GaConfig(population_size=12, generations=30, crossover_prob=0.0, mutation_prob=mutation)
+    seen = recorded(40, config, (3, 4))
+    for r in range(2):
+        start = {row.tobytes() for row in seen[0][r]}
+        assert all(row.tobytes() in start for pop in seen for row in pop[r])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("p", [0.02, 0.3, 0.5, 1.0])  # numpy draws p < 1/3 by inversion, the rest by search
+def test_a_short_block_draws_on_from_the_same_generator(p, block):
+    n = 500
+    for seed in range(5):
+        sites = _flip_sites(np.random.default_rng(seed), p, n, np.empty(block, dtype=np.int64))
+        walk = np.cumsum(np.random.default_rng(seed).geometric(p, size=2 * n + 100)) - 1
+        assert np.array_equal(sites, walk[walk < n])
+        whole = _flip_sites(np.random.default_rng(seed), p, n, np.empty(clock_block(n, p), dtype=np.int64))
+        assert np.array_equal(sites, whole)
+        flipped = reference_mutate(np.zeros(n, dtype=np.uint8), p, np.random.default_rng(seed))
+        assert np.array_equal(sites, np.flatnonzero(flipped))
+
+
+def test_a_mutation_block_past_numpy_index_range_is_a_validation_error():
+    # the stack of 2 * 10**16 76-bit chromosomes is inside numpy's index
+    # range, but at mutation 1 its block of int64 gaps is not; it is sized
+    # before anything is allocated, so this is no MemoryError
+    size = 2 * 10**16
+    assert size * 76 < np.iinfo(np.intp).max < clock_block((size - 2) * 76, 1.0) * 8
+    with pytest.raises(ValidationError, match=f"population size {size} is too large"):
+        evolve(popcount, 76, [GaConfig(population_size=size, mutation_prob=1.0)])
+
+
+def split_blocks(rng, blocks, runs, size, bits, k, pairs, crossover):
+    """``_split_block`` over ``blocks`` fresh uniform blocks: the counts of
+    each entrant and each cut, and the number of coins set."""
+    entrants = np.empty((runs, 2 * pairs, k), dtype=np.int64)
+    crossed = np.empty((runs, pairs), dtype=bool)
+    cuts = np.empty((runs, pairs), dtype=np.int64)
+    drawn, cut, coins = np.zeros(size, dtype=int), np.zeros(bits, dtype=int), 0
+    for _ in range(blocks):
+        _split_block(rng.random((runs, 2 * pairs * (k + 1))), size, bits, crossover, entrants, crossed, cuts)
+        drawn += np.bincount(entrants.ravel(), minlength=size)  # longer, and unequal, if one is out of range
+        cut += np.bincount(cuts.ravel(), minlength=bits)
+        coins += int(crossed.sum())
+    return drawn, cut, coins
+
+
+@pytest.mark.parametrize("size, bits", [(2, 2), (13, 9), (100, 76), (37, 300)])
+def test_entrants_and_cuts_are_uniform(size, bits):
+    drawn, cut, _ = split_blocks(np.random.default_rng(size), 2000, 3, size, bits, 3, 5, 0.8)
+    assert drawn.sum() == 2000 * 3 * 10 * 3 and cut.sum() == 2000 * 3 * 5
+    assert cut[0] == 0  # cuts lie in [1, B)
+    assert scipy.stats.chisquare(drawn).pvalue > 1e-3
+    if bits > 2:
+        assert scipy.stats.chisquare(cut[1:]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("crossover", [0.0, 0.3, 0.8, 1.0])
+def test_coin_rate(crossover):
+    _, _, coins = split_blocks(np.random.default_rng(7), 2000, 3, 10, 9, 2, 5, crossover)
+    trials = 2000 * 3 * 5
+    assert abs(coins - trials * crossover) <= 5 * math.sqrt(trials * crossover * (1 - crossover))
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 2**31), bits=st.integers(2, 2**31))
+@example(size=2**31, bits=2**31)
+@example(size=2**31 - 1, bits=3)
+@example(size=1, bits=2)
+def test_the_largest_uniform_maps_inside_the_ranges(size, bits):
+    # rng.random's largest value is 1 - 2**-53; row 0 draws only it, row 1 only 0
+    uniform = np.array([[1 - 2**-53] * 4, [0.0] * 4])
+    entrants = np.empty((2, 2, 1), dtype=np.int64)
+    crossed = np.empty((2, 1), dtype=bool)
+    cuts = np.empty((2, 1), dtype=np.int64)
+    _split_block(uniform, size, bits, 1.0, entrants, crossed, cuts)
+    assert entrants.ravel().tolist() == [size - 1, size - 1, 0, 0]
+    assert cuts.ravel().tolist() == [bits - 1, 1]
+
+
+def test_every_child_bit_flips_at_the_mutation_rate():
+    # 3 runs of 2 elites and 7 children of 11 bits, as evolve lays them out:
+    # each run's elites, then its children, then one row past them
+    runs, elites, size, bits, p, trials = 3, 2, 9, 11, 0.05, 4000
+    buf, starts, n = stack(runs, elites, size, bits)
+    rngs = [np.random.default_rng(s) for s in range(runs)]
+    ends = np.empty(clock_block(n, p), dtype=np.int64)
+    flips, both = np.zeros(buf.shape), 0
+    for _ in range(trials):
+        buf[...] = 0
+        _mutate(buf.reshape(-1), starts, n, p, rngs, ends)
+        flips += buf
+        run_bits = buf[:, elites:size].reshape(runs, -1)
+        both += int((run_bits[:, 1:] & run_bits[:, :-1]).sum())  # neighbours, across rows too
+    assert not flips[:, :elites].any() and not flips[:, size:].any()
+    children = flips[:, elites:size]
+    bound = 5 * math.sqrt(trials * p * (1 - p))
+    assert np.abs(children - trials * p).max() < bound  # every position
+    for edge in (children[..., 0], children[..., -1], children[:, 0, 0], children[:, -1, -1]):
+        # each child's first and last bit; each run's first and last child bit
+        assert np.abs(edge - trials * p).max() < bound
+    assert scipy.stats.chisquare(children.ravel()).pvalue > 1e-3
+    # neighbouring bits flip independently: together at rate p**2
+    pairs = trials * runs * (n - 1)
+    assert abs(both - pairs * p**2) < 5 * math.sqrt(pairs * p**2)
+
+
+def test_champion_generation_is_where_the_history_reaches_the_best():
+    def lumpy(pop):
+        x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[-1])[::-1])
+        return ((x * 2654435761) % 997).astype(float)
+
+    generations = set()
+    results = evolve(lumpy, 14, [GaConfig(population_size=30, generations=40, seed=s) for s in range(12)])
+    for result in results:
+        g, best, history = result.champion_generation, result.best_fitness, result.history
+        generations.add(g)
+        if g == 0:
+            assert history == [best] * 40
+        else:
+            assert history[g - 1] == best and (g == 1 or history[g - 2] < best)
+    assert len(generations) > 1
+    flat = evolve(lambda pop: np.ones(pop.shape[:-1]), 8, [GaConfig(population_size=10, generations=5)])[0]
+    assert flat.champion_generation == 0
+    assert evolve(popcount, 6, [GaConfig(population_size=12, generations=0)])[0].champion_generation == 0
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -345,6 +545,7 @@ def test_evolve_equals_reference(
         assert g.best_fitness == w.best_fitness
         assert g.history == w.history
         assert g.champion_ties == w.champion_ties
+        assert g.champion_generation == w.champion_generation
 
 
 def test_debug_log_one_record_per_generation(caplog):
