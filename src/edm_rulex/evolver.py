@@ -31,8 +31,10 @@ run's children in turn.  Each run keeps its own generator and draws from
 it the same blocks in the same order at any R, so with a fitness that scores
 a row the same in any batch, each run's result is bit for bit the one it
 gives alone, as the stack with R = 1.  ``rulekit.extract_ruleset`` relies
-on this to split a covering round's runs over processes, one slice per CPU:
-the joined results are the same bits as one stack's.
+on this to evolve several covering rounds of a class in one stack, before
+it knows which of them it will use, and to split the classes over
+processes, one slice per CPU: the joined results are the same bits as
+those of one run at a time.
 
 Chromosomes are unconstrained bit strings; segments may be multi-hot or
 empty, the decoder gives them meaning.  Fitness must be pure; runs are
@@ -237,9 +239,12 @@ def evolve(
     check_indexable(f"population size {size}", (runs, depth, bit_length), np.uint8)
     # each run's uniform block per generation: its k tournament entrants per
     # winner, then a crossing coin and a cut per pair; it outsizes the int64
-    # entrants drawn from it
+    # entrants drawn from it.  It holds about P (k + 1) draws, so it names the
+    # larger of the two sizes: with a small schema a population whose uint8
+    # stack passes can still take a block past the limit
     entries = 2 * pairs * cfg.tournament_size
-    check_indexable(f"tournament size {cfg.tournament_size}", (runs, entries + 2 * pairs), np.float64)
+    blamed = f"tournament size {cfg.tournament_size}" if cfg.tournament_size > size else f"population size {size}"
+    check_indexable(blamed, (runs, entries + 2 * pairs), np.float64)
     # a run's block of mutation gaps: its n = children x B bits flip about
     # n·p times, and a block of 8 standard deviations and 16 more past that
     # falls short of the n bits in fewer than one generation in 10**15

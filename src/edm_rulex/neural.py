@@ -29,6 +29,9 @@ SIGMOID_CLIP = 500.0
 # An output activation within this of 0 or 1 is saturated: its slope y(1-y)
 # is below it too, so per-pattern updates barely move it.
 SATURATION_TOL = 1e-3
+# class_score scores at most this many chromosomes at a time: at 76 bits and
+# 18 hidden units a block's float input and hidden layer take about 3 MB
+SCORE_BLOCK_ROWS = 4096
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -159,8 +162,8 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
     )
 
 
-def _as_input(net: Network, bits) -> np.ndarray:
-    x = np.asarray(bits, dtype=float)
+def _as_input(net: Network, bits, dtype=float) -> np.ndarray:
+    x = np.asarray(bits, dtype=dtype)
     if x.ndim == 0 or x.shape[-1] != net.input_size:
         raise ValidationError(
             f"input length {x.shape[-1] if x.ndim else 0} does not match "
@@ -203,11 +206,13 @@ def _grid_weights(v: np.ndarray) -> np.ndarray:
 
 
 def _hidden(net: Network, x: np.ndarray) -> np.ndarray:
-    """The hidden activations ``float[N, H]`` of float rows ``x`` ``[N, I]``.
+    """The hidden activations ``float[..., H]`` of float rows ``x`` ``[..., I]``.
 
-    The product is one BLAS matrix product over ``_grid_weights``, rebuilt
-    on every call because ``train`` writes ``net.v`` in place; for
-    bit-string rows its sums are exact.  The pre-activation is formed
+    The product is one BLAS matrix product over ``_grid_weights`` for rows
+    ``[N, I]``, and one per leading index for a stack ``[R, N, I]``
+    (numpy's matmul loops over it).  The weights are rebuilt on every call
+    because ``train`` writes ``net.v`` in place; for bit-string rows the
+    sums are exact.  The pre-activation is formed
     negated, as ``-b_h - x·v``, which is exactly ``-(x·v + b_h)``, and the
     sigmoid is applied in place to the product.
     """
@@ -241,7 +246,11 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
     ``forward(net, bits)[..., k]``, to the bit, at any stack size and BLAS
     thread count: the hidden layer is ``forward``'s exact one, and only
     each run's class output is computed, by the same einsum reduction over
-    the hidden units.  Pure, safe to call concurrently."""
+    the hidden units.  The stack is scored in blocks of at most
+    ``SCORE_BLOCK_ROWS`` chromosomes, whole runs or, for a run longer than
+    that, parts of one, so the float copy of the input and the hidden layer
+    stay bounded however many runs the stack holds; a row's score does not
+    depend on its block.  Pure, safe to call concurrently."""
     k = np.asarray(classes)
     if k.ndim != 1:
         raise ValidationError(
@@ -254,16 +263,29 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
         raise ValidationError(
             f"class index {k[r]} of run {r} out of range for {net.output_size} outputs"
         )
-    x = _as_input(net, stack)
+    x = _as_input(net, stack, dtype=None)
     if x.ndim < 2 or x.shape[0] != k.shape[0]:
         raise ValidationError(
             f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {x.shape[:-1]}"
         )
-    h = _hidden(net, x.reshape(-1, x.shape[-1]))
-    h = h.reshape(len(k), math.prod(x.shape[1:-1]), net.hidden_size)  # (R, P, H)
-    s = np.einsum("rph,rh->rp", h, net.w[k])
-    np.subtract(-net.b_o[k, None], s, out=s)
-    return _sigmoid_of_negated(s).reshape(x.shape[:-1])
+    shape, size = x.shape[:-1], math.prod(x.shape[1:-1])
+    x = x.reshape(len(k), size, net.input_size)
+    scores = np.empty((len(k), size))
+    rows = min(size, SCORE_BLOCK_ROWS) or 1  # a block's rows of each of its runs
+    runs = SCORE_BLOCK_ROWS // rows
+    for r in range(0, len(k), runs):
+        w, b_o = net.w[k[r : r + runs]], net.b_o[k[r : r + runs], None]
+        for p in range(0, size, rows):
+            s = scores[r : r + runs, p : p + rows]
+            # one BLAS product per run: OpenBLAS runs a product as small as
+            # one population on one thread, where one product over a wide
+            # stack took two in each of extract's processes, which already
+            # fill the CPUs, and at times doubled a batch's time
+            h = _hidden(net, x[r : r + runs, p : p + rows].astype(float))
+            np.einsum("rph,rh->rp", h, w, out=s)
+            np.subtract(-b_o, s, out=s)
+            _sigmoid_of_negated(s)
+    return scores.reshape(shape)
 
 
 def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,12 @@ all-zero and all-one segments carry no constraint and yield no term, which is
 how attributes disappear from rules.  Extraction runs one genetic search per
 class per round under sequential covering, refines away redundant terms by
 greedy backward elimination, and keeps rules that clear a confidence
-threshold; each round's searches and refinements are spread over one
-process per usable CPU (``util.split_over_cpus``).
+threshold.  A run depends only on the network, its class and its seed, so
+the rounds go in batches of 2, 2, 4, 8, ...: the classes still covering are
+spread over one process per usable CPU (``util.split_over_cpus``), and each
+process evolves every round of the batch for its classes in one lockstep
+stack, then covers with them in order; a class's runs past its last round
+are dropped.
 """
 
 from __future__ import annotations
@@ -208,22 +212,29 @@ def extract_ruleset(
 
     The GA seed for class k, round r derives from the config seed as
     derive_seed(seed, "class-k", r), and a run depends only on the network,
-    k and that seed, never on the working set.  So the loops go round by
-    round: in round r, the GA runs of every class whose loop is still going
-    evolve together, and each class then refines, accepts and covers on its
-    own.  ``util.split_over_cpus`` cuts the runs into one contiguous slice
-    per usable CPU (those ``os.sched_getaffinity`` lists, so ``taskset``
-    limits them, and no more than a CPU quota allows); this process does
-    the first slice and a forked child each other.  A slice evolves its
-    runs in lockstep (one forward pass over its populations per
-    generation), then decodes, refines and tests each champion against its
-    class's working set, fixed before the round, and measures each
-    accepted rule on the index; this process joins the slices in class
-    order, records the audit and covers.  Each run gives the same bits in
-    any slice, so the ruleset does not depend on the number of CPUs.
-    At the end the classes are joined in level order: each class's audit
-    entries in round order, as class-by-class loops would give them, and its
-    rules by descending confidence (a stable sort, so ties keep round order).
+    k and that seed, never on the working set.  So a class's later runs can
+    be evolved before its earlier rounds are finished, and the rounds go in
+    batches: the batch that starts at round r holds rounds [r, r + m), with
+    m = min(budget - r, max(2, r)): batches of 2, 2, 4, 8, ... rounds,
+    each as long as all the batches before it and at least 2 rounds.  ``util.split_over_cpus`` cuts the
+    classes still covering at the start of a batch into one contiguous
+    slice per usable CPU (those ``os.sched_getaffinity`` lists, so
+    ``taskset`` limits them, and no more than a CPU quota allows); this
+    process does the first slice and a forked child each other.  A slice
+    evolves every round of the batch of each of its classes in one lockstep
+    stack (one forward pass over its populations per generation), then
+    finishes each class's rounds in order: it decodes, refines and tests
+    each champion against the class's working set, covers with each
+    accepted rule and measures it on the index, and stops the class at its
+    first rejected round or at a working set with no record of its class.
+    The runs of the rounds after that are dropped, so a batch may evolve
+    more runs than it uses; an INFO line per batch gives both counts.  This
+    process joins the slices in class order, records the audit and covers
+    in turn.  Each run gives the same bits in any slice and any batch, so
+    the ruleset does not depend on the number of CPUs, and is the one that
+    covering round by round gives.  At the end the classes are joined in
+    level order: each class's audit entries in round order, and its rules
+    by descending confidence (a stable sort, so ties keep round order).
 
     Accepted rules carry metrics recomputed against the full index;
     working-set confidences live in the audit entries.  Each round's entry,
@@ -254,70 +265,94 @@ def extract_ruleset(
     rules: list[list[Rule]] = [[] for _ in classes]
     audit: list[list[dict]] = [[] for _ in classes]
     live = list(classes)
-    for round_no in range(per_class_rule_budget):
+    first = 0
+    while first < per_class_rule_budget:
+        batch = range(first, min(per_class_rule_budget, first + max(2, first)))
+        first = batch.stop
         live = [k for k in live if (working[k].target == k).any()]
         if not live:
             break
-        cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
-        targets = np.array(live)
+        cfgs = [
+            [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", r)) for r in batch]
+            for k in live
+        ]
 
-        def finish(runs: slice) -> list:
-            """The slice's runs evolved in lockstep, then each class's round
-            finished against its working set: the GA result, the refined rule
-            and, where accepted, the records it explains and its measurement
-            on the full index."""
+        def cover(part: slice) -> list:
+            """For each of the slice's classes, the rounds of the batch it
+            uses: every run of the slice evolved in one lockstep stack, then
+            each class's champions finished round by round against its
+            working set, up to its first rejected round or a working set
+            with no record of its class.  A round is its GA result, refined
+            rule and, where accepted, the records it explains and its
+            measurement on the full index."""
+            mine = live[part]
+            targets = np.repeat(mine, len(batch))
             results = evolve(
-                lambda pop: class_score(net, pop, targets[runs]), schema.total_predictive_bits, cfgs[runs]
+                lambda pop: class_score(net, pop, targets),
+                schema.total_predictive_bits,
+                [cfg for per_class in cfgs[part] for cfg in per_class],
             )
-            rounds = []
-            for k, result in zip(live[runs], results):
-                decoded = decode_chromosome(result.best_chromosome, schema, k)
-                refined = refine_rule(decoded, working[k], epsilon=epsilon)
-                explained = measured = None
-                if refined.confidence >= confidence_threshold:
-                    explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
-                    measured = evaluate_rule(refined, index)
-                rounds.append((result, refined, explained, measured))
-            return rounds
+            covered = []
+            for i, k in enumerate(mine):
+                rounds, records = [], working[k]
+                for result in results[i * len(batch) : (i + 1) * len(batch)]:
+                    if not (records.target == k).any():
+                        break
+                    decoded = decode_chromosome(result.best_chromosome, schema, k)
+                    refined = refine_rule(decoded, records, epsilon=epsilon)
+                    if refined.confidence < confidence_threshold:
+                        rounds.append((result, refined, None, None))
+                        break
+                    explained = records.antecedent_mask(refined) & records.consequent_mask(refined)
+                    rounds.append((result, refined, explained, evaluate_rule(refined, index)))
+                    records = records.subset(~explained)
+                covered.append(rounds)
+            return covered
 
-        finished = list(split_over_cpus(finish, len(cfgs), 1, "GA worker"))
+        covered = list(split_over_cpus(cover, len(live), 1, "GA worker"))
         going = []
-        for k, cfg, (result, refined, explained, measured) in zip(live, cfgs, finished):
+        for k, per_class, rounds in zip(live, cfgs, covered):
             class_token = schema.target.levels[k]
-            entry = {
-                "class": class_token,
-                "round": round_no,
-                "ga_seed": cfg.seed,
-                "ga_generations": result.generations,
-                "best_fitness": result.best_fitness,
-                "chromosome": result.best_chromosome.tolist(),
-                "champion_ties": result.champion_ties,
-                "champion_generation": result.champion_generation,
-                "working_confidence": refined.confidence,
-                "working_support": refined.support,
-            }
-            entry["accepted"] = explained is not None
-            audit[k].append(entry)
-            if result.champion_ties > 1:
-                log.warning(
-                    "class %s round %d: %d distinct chromosomes of the last population tie "
-                    "with the champion's fitness %r; the GA chose among them",
-                    class_token, round_no, result.champion_ties, result.best_fitness,
+            for cfg, round_no, (result, refined, explained, measured) in zip(per_class, batch, rounds):
+                entry = {
+                    "class": class_token,
+                    "round": round_no,
+                    "ga_seed": cfg.seed,
+                    "ga_generations": result.generations,
+                    "best_fitness": result.best_fitness,
+                    "chromosome": result.best_chromosome.tolist(),
+                    "champion_ties": result.champion_ties,
+                    "champion_generation": result.champion_generation,
+                    "working_confidence": refined.confidence,
+                    "working_support": refined.support,
+                }
+                entry["accepted"] = explained is not None
+                audit[k].append(entry)
+                if result.champion_ties > 1:
+                    log.warning(
+                        "class %s round %d: %d distinct chromosomes of the last population tie "
+                        "with the champion's fitness %r; the GA chose among them",
+                        class_token, round_no, result.champion_ties, result.best_fitness,
+                    )
+                if not entry["accepted"]:
+                    entry["outcome"] = "rejected: confidence below threshold"
+                    break
+                entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
+                rules[k].append(measured)
+                working[k] = working[k].subset(~explained)
+                log.info(
+                    "class %s round %d: %s (confidence %.3f)",
+                    class_token,
+                    round_no,
+                    entry["outcome"],
+                    refined.confidence,
                 )
-            if not entry["accepted"]:
-                entry["outcome"] = "rejected: confidence below threshold"
-                continue
-            entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
-            rules[k].append(measured)
-            working[k] = working[k].subset(~explained)
-            going.append(k)
-            log.info(
-                "class %s round %d: %s (confidence %.3f)",
-                class_token,
-                round_no,
-                entry["outcome"],
-                refined.confidence,
-            )
+            else:
+                going.append(k)
+        log.info(
+            "rounds [%d, %d): %d GA runs evolved, %d used",
+            batch.start, batch.stop, len(live) * len(batch), sum(map(len, covered)),
+        )
         live = going
     return RuleSet(
         rules=tuple(

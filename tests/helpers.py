@@ -8,10 +8,12 @@ from dataclasses import replace
 import numpy as np
 
 from edm_rulex.errors import NumericError
-from edm_rulex.evolver import EvolutionResult
-from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, forward, train
+from edm_rulex.evolver import EvolutionResult, evolve
+from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, class_score, forward, train
+from edm_rulex.rulekit import RuleSet, decode_chromosome, evaluate_rule, majority_class, refine_rule
 from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
 from edm_rulex.schema import write_index_csv
+from edm_rulex.util import derive_seed
 
 
 def batch_loss(net: Network, dataset) -> float:
@@ -346,3 +348,48 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
                         history=histories[r], champion_ties=ties[r], champion_generation=found[r])
         for r in range(runs)
     ]
+
+
+def reference_extract(net: Network, index: DatasetIndex, ga_config, budget: int,
+                      confidence_threshold: float = 0.7, epsilon: float = 0.0) -> RuleSet:
+    """Sequential covering round by round in this process: the oracle for
+    rulekit.extract_ruleset, which must give the same rules, default and
+    audit.  Round r makes one ``evolve`` call over the runs of every class
+    still covering, seeded derive_seed(seed, "class-k", r); a class covers
+    until a round is rejected or its working set holds no record of it."""
+    schema = index.schema
+    classes = range(schema.target_bits)
+    working = [index for _ in classes]
+    rules, audit = [[] for _ in classes], [[] for _ in classes]
+    live = list(classes)
+    for round_no in range(budget):
+        live = [k for k in live if (working[k].target == k).any()]
+        if not live:
+            break
+        cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
+        results = evolve(lambda pop: class_score(net, pop, live), schema.total_predictive_bits, cfgs)
+        going = []
+        for k, cfg, result in zip(live, cfgs, results):
+            refined = refine_rule(decode_chromosome(result.best_chromosome, schema, k), working[k], epsilon=epsilon)
+            accepted = refined.confidence >= confidence_threshold
+            entry = {
+                "class": schema.target.levels[k], "round": round_no, "ga_seed": cfg.seed,
+                "ga_generations": result.generations, "best_fitness": result.best_fitness,
+                "chromosome": result.best_chromosome.tolist(), "champion_ties": result.champion_ties,
+                "champion_generation": result.champion_generation,
+                "working_confidence": refined.confidence, "working_support": refined.support,
+                "accepted": accepted, "outcome": "rejected: confidence below threshold",
+            }
+            audit[k].append(entry)
+            if accepted:
+                explained = working[k].antecedent_mask(refined) & working[k].consequent_mask(refined)
+                entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
+                rules[k].append(evaluate_rule(refined, index))
+                working[k] = working[k].subset(~explained)
+                going.append(k)
+        live = going
+    return RuleSet(
+        rules=tuple(rule for per_class in rules for rule in sorted(per_class, key=lambda r: -r.confidence)),
+        default=majority_class(index),
+        audit=tuple(entry for per_class in audit for entry in per_class),
+    )

@@ -15,7 +15,7 @@ import pytest
 from edm_rulex import cli, rulekit, util
 from edm_rulex.neural import TrainConfig, init_network, load_network
 from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
-from edm_rulex.schema import DatasetIndex, load_schema
+from edm_rulex.schema import DatasetIndex, load_schema, schema_document
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
 from helpers import index_csv, reference_train
@@ -899,7 +899,6 @@ def small_run(tmp_path_factory):
     that calls Gender "Sex" and drops Unit 5, with no sidecar meta, so only
     --schema names it."""
     from edm_rulex import studydata
-    from edm_rulex.schema import schema_document
 
     d = tmp_path_factory.mktemp("small")
     spec = studydata.default_population_spec().to_dict()
@@ -1276,9 +1275,14 @@ def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
         load_network(study_run / "model.json"), index,
         ga_config=GaConfig(seed=util.derive_seed(7, "extract")), per_class_rule_budget=5,
     )
-    # the rounds in the order they ran: round by round, each in class order
+    # the rounds in the order they ran: batch by batch (rounds 0-1, 2-3 and
+    # 4, each batch starting at a power of two), class by class in each
+    # batch, and round by round in each class
     levels = schema.target.levels
-    entries = sorted(ruleset.audit, key=lambda e: (e["round"], levels.index(e["class"])))
+    entries = sorted(
+        ruleset.audit,
+        key=lambda e: (max(e["round"], 1).bit_length(), levels.index(e["class"]), e["round"]),
+    )
     assert {e["accepted"] for e in entries} == {True, False}
     starts = [i for i, name in enumerate(calls) if name == "refine_rule"]
     assert starts[0] == 0 and len(starts) == len(entries)
@@ -1837,6 +1841,25 @@ def test_a_size_past_numpy_index_range_exits_2(full_run, tmp_path, capsys, stage
     err = capsys.readouterr().err
     assert message in err and "is too large" in err and "exceeds the largest array numpy can index" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_a_population_past_numpy_index_range_on_a_small_schema_exits_2(tmp_path, capsys):
+    # on 4 bits the uint8 stack of 5 * 10**17 chromosomes fits numpy's index
+    # range, but the GA's float64 uniform block does not; the message named
+    # the default tournament size, 3, rather than the population
+    schema = AttributeSchema((
+        Attribute("A", ("a1", "a2")), Attribute("B", ("b1", "b2")), Attribute("T", ("t1", "t2"), ROLE_TARGET),
+    ))
+    records = [StudentRecord({"A": a, "B": b, "T": "t1" if a == "a1" else "t2"}) for a in ("a1", "a2") for b in ("b1", "b2")]
+    (tmp_path / "toy.csv").write_text(index_csv(DatasetIndex(schema, records)))
+    _write(tmp_path / "toy.schema.json", schema_document(schema))
+    cohort = ["--data", tmp_path / "toy.csv", "--schema", tmp_path / "toy.schema.json", "--seed", "1"]
+    assert run("train", *cohort, "--out", tmp_path) == 0
+    out = tmp_path / "out"
+    assert run("extract", *cohort, "--model", tmp_path / "model.json", "--pop", 5 * 10**17, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"population size {5 * 10**17} is too large" in err and "bytes of float64" in err
+    assert "tournament" not in err and "Traceback" not in err and not out.exists()
 
 
 # Inside numpy's index range, but every array of it that generate or extract

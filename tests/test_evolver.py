@@ -299,6 +299,23 @@ def test_a_mutation_block_past_numpy_index_range_is_a_validation_error():
         evolve(popcount, 76, [GaConfig(population_size=size, mutation_prob=1.0)])
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (GaConfig(population_size=5 * 10**17), f"population size {5 * 10**17}"),
+        (GaConfig(tournament_size=10**17), f"tournament size {10**17}"),
+    ],
+    ids=["population", "tournament"],
+)
+def test_a_uniform_block_past_numpy_index_range_names_the_larger_size(config, named):
+    # on 12 bits the stack of 5 * 10**17 chromosomes passes, but the float64
+    # block of about P (k + 1) draws does not; the population drives it at the
+    # default tournament of 3, and a tournament larger than the population does
+    assert config.population_size * 12 < np.iinfo(np.intp).max
+    with pytest.raises(ValidationError, match=f"^{named} is too large"):
+        evolve(popcount, 12, [config])
+
+
 def split_blocks(rng, blocks, runs, size, bits, k, pairs, crossover):
     """``_split_block`` over ``blocks`` fresh uniform blocks: the counts of
     each entrant and each cut, and the number of coins set."""

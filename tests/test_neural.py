@@ -210,6 +210,57 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows
             assert batch[r, i] == forward(net, stack[r, i])[k]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    runs=st.integers(1, 6),
+    rows=st.integers(1, 40),
+    block=st.integers(1, 250),
+    middle=st.booleans(),
+)
+@example(seed=4, runs=3, rows=7, block=5, middle=False)  # blocks end inside runs
+@example(seed=5, runs=5, rows=6, block=13, middle=False)  # blocks of two whole runs
+@example(seed=6, runs=2, rows=12, block=1, middle=True)  # one chromosome per block
+def test_class_score_blocks_give_the_unblocked_bits(seed, runs, rows, block, middle):
+    # scored SCORE_BLOCK_ROWS chromosomes at a time, whole runs or parts of
+    # one, a stack gives the same bits as scored in one block
+    from edm_rulex import neural
+
+    rng = np.random.default_rng(seed)
+    net = Network(
+        v=rng.normal(size=(9, 30)), b_h=rng.normal(size=9),
+        w=rng.normal(size=(4, 9)), b_o=rng.normal(size=4),
+    )
+    shape = (runs, 2, rows, 30) if middle else (runs, rows, 30)  # a run may span several axes
+    stack = rng.integers(0, 2, shape, dtype=np.uint8)
+    classes = rng.integers(4, size=runs)
+    whole = class_score(net, stack, classes)
+    default, neural.SCORE_BLOCK_ROWS = neural.SCORE_BLOCK_ROWS, block
+    try:
+        blocked = class_score(net, stack, classes)
+    finally:
+        neural.SCORE_BLOCK_ROWS = default
+    assert whole.size <= default and blocked.shape == whole.shape == shape[:-1]
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def test_class_score_memory_does_not_grow_with_the_stack():
+    # four runs of 10 000 chromosomes of 76 bits: their float copy alone
+    # would take 24 MB; scored a block at a time, the peak stays near the
+    # 0.3 MB of the float64 scores
+    import tracemalloc
+
+    net = init_network(studydata.default_student_schema(), TrainConfig(seed=1))
+    stack = np.random.default_rng(0).integers(0, 2, (4, 10_000, 76), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        class_score(net, stack, [0, 1, 2, 3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

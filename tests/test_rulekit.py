@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import random_records, reference_refine, twelve_bit_schema
+from helpers import random_records, reference_extract, reference_refine, twelve_bit_schema
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +37,7 @@ from edm_rulex.synthgen import (
     plant_rules,
     sample_population,
 )
+from edm_rulex.util import derive_seed
 
 
 def bits(s):
@@ -574,8 +575,9 @@ def test_extract_recovers_planted_rule():
 
 
 def test_extract_evolves_each_round_in_lockstep(monkeypatch):
-    # one evolve call per covering round, over the classes still covering,
-    # with the fitness reached through rulekit.class_score
+    # one evolve call per batch of covering rounds (rounds 0-1, 2-3, then 4),
+    # over every round of the batch of each class still covering at its
+    # start, with the fitness reached through rulekit.class_score
     from edm_rulex import rulekit, util
 
     truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
@@ -598,23 +600,22 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = extract_ruleset(
         net, DatasetIndex(schema, records),
-        ga_config=GaConfig(population_size=20, generations=4, seed=8),
-        per_class_rule_budget=3,
+        ga_config=GaConfig(population_size=20, generations=4, seed=20),
+        per_class_rule_budget=5,
     )
-    rounds = {}
-    for entry in ruleset.audit:
-        rounds.setdefault(entry["round"], []).append(entry["ga_seed"])
-    assert batches == [rounds[r] for r in sorted(rounds)]
-    assert len(scored) == 5 * len(batches)
     tokens = schema.target.levels
-    for r in sorted(rounds):
-        classes = [tokens.index(e["class"]) for e in ruleset.audit if e["round"] == r]
-        assert classes in scored
+    expected = []
+    for rounds in (range(0, 2), range(2, 4), range(4, 5)):
+        classes = [tokens.index(e["class"]) for e in ruleset.audit if e["round"] == rounds[0]]
+        expected.append([(k, r) for k in classes for r in rounds])
+    assert all(expected)  # some class is still covering in round 4
+    assert batches == [[derive_seed(20, f"class-{k}", r) for k, r in runs] for runs in expected]
+    assert scored == [[k for k, _ in runs] for runs in expected for _ in range(5)]
 
 
 @pytest.fixture(scope="module")
 def split_case():
-    # four classes, so the first round has four runs to split
+    # four classes, so the first batch has four classes to split
     truth = RuleSet(rules=(
         Rule(terms=(("Unit 1", ("F",)),), consequent="F"),
         Rule(terms=(("Unit 3", ("V.G",)),), consequent="V.G"),
@@ -623,6 +624,50 @@ def split_case():
     schema, records = _planted_cohort(150, seed=3, truth=truth)
     tc = TrainConfig(max_epochs=60, seed=2)
     return train(init_network(schema, tc), encode_dataset(records, schema), tc).network, DatasetIndex(schema, records)
+
+
+@pytest.fixture(scope="module")
+def small_case():
+    # split_case's truth on 20 records: class P is rejected in round 2, the
+    # first round of the second batch of rounds
+    truth = RuleSet(rules=(
+        Rule(terms=(("Unit 1", ("F",)),), consequent="F"),
+        Rule(terms=(("Unit 3", ("V.G",)),), consequent="V.G"),
+        Rule(terms=(("Unit 5", ("G",)),), consequent="G"),
+    ), default="P")
+    schema, records = _planted_cohort(10, seed=3, truth=truth)
+    tc = TrainConfig(max_epochs=60, seed=2)
+    return train(init_network(schema, tc), encode_dataset(records, schema), tc).network, DatasetIndex(schema, records)
+
+
+BATCH_STARTS = (0, 2, 4, 8)  # the first rounds of extract_ruleset's batches, up to round 15
+
+
+@pytest.mark.parametrize("seed", [8, 21])
+@pytest.mark.parametrize("case", ["split_case", "small_case"])
+def test_extract_equals_the_round_by_round_reference(case, seed, request, monkeypatch):
+    # extract_ruleset evolves each class's rounds in batches and drops the
+    # runs a class does not use; its rules and audit are those of covering
+    # round by round, at any budget and over any number of processes
+    from edm_rulex import util
+
+    net, index = request.getfixturevalue(case)
+    config = GaConfig(population_size=20, generations=6, seed=seed)
+    for budget in (0, 1, 2, 3, 5, 9):
+        expected = reference_extract(net, index, config, budget)
+        for workers in (1, 2, 3, 5):
+            monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
+            assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget) == expected
+    # at budget 9 some class leaves covering inside a batch: in split_case one
+    # whose working set empties after a round followed by one of its batch, in
+    # small_case one rejected in the first round of a batch after the first
+    last = {}
+    for entry in expected.audit:
+        last[entry["class"]] = entry
+    if case == "split_case":
+        assert any(e["accepted"] and e["round"] + 1 not in (*BATCH_STARTS, 9) for e in last.values())
+    else:
+        assert any(not e["accepted"] and e["round"] in BATCH_STARTS[1:] for e in last.values())
 
 
 @pytest.mark.parametrize("seed", [8, 21])
@@ -705,7 +750,7 @@ def _child_fails_to_refine(stage):
     ],
 )
 def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeypatch, fail, raised, message):
-    # of the first round's four runs, run 1 (class P) is the first child's;
+    # of the first batch's four classes, class 1 (P) is the first child's;
     # ``fail`` is called with "fitness" as the run is scored and with
     # "refine" as its champion is refined; the parent raises the child's
     # error with its type and message, or names the child's death, and
@@ -716,7 +761,7 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
     class_score, refine_rule = rulekit.class_score, rulekit.refine_rule
 
     def failing_score(net, pop, classes):
-        if list(classes) == [1]:
+        if 1 in classes:
             fail("fitness")
         return class_score(net, pop, classes)
 
