@@ -6,12 +6,10 @@ all-zero and all-one segments carry no constraint and yield no term, which is
 how attributes disappear from rules.  Extraction runs one genetic search per
 class per round under sequential covering, refines away redundant terms by
 greedy backward elimination, and keeps rules that clear a confidence
-threshold.  A run depends only on the network, its class and its seed, so
-the rounds go in batches of 2, 2, 4, 8, ...: the classes still covering are
-spread over one process per usable CPU (``util.split_over_cpus``), and each
-process evolves every round of the batch for its classes in one lockstep
-stack, then covers with them in order; a class's runs past its last round
-are dropped.
+threshold.  A class's covering never reads another class's working set,
+so the classes are split once over one process per usable CPU
+(``util.split_over_cpus``), and each process covers its classes to the
+end, evolving their rounds in lockstep batches of 2, 2, 4, 8, ... rounds.
 """
 
 from __future__ import annotations
@@ -212,29 +210,22 @@ def extract_ruleset(
 
     The GA seed for class k, round r derives from the config seed as
     derive_seed(seed, "class-k", r), and a run depends only on the network,
-    k and that seed, never on the working set.  So a class's later runs can
-    be evolved before its earlier rounds are finished, and the rounds go in
-    batches: the batch that starts at round r holds rounds [r, r + m), with
-    m = min(budget - r, max(2, r)): batches of 2, 2, 4, 8, ... rounds,
-    each as long as all the batches before it and at least 2 rounds.  ``util.split_over_cpus`` cuts the
-    classes still covering at the start of a batch into one contiguous
-    slice per usable CPU (those ``os.sched_getaffinity`` lists, so
-    ``taskset`` limits them, and no more than a CPU quota allows); this
-    process does the first slice and a forked child each other.  A slice
-    evolves every round of the batch of each of its classes in one lockstep
-    stack (one forward pass over its populations per generation), then
-    finishes each class's rounds in order: it decodes, refines and tests
-    each champion against the class's working set, covers with each
-    accepted rule and measures it on the index, and stops the class at its
-    first rejected round or at a working set with no record of its class.
-    The runs of the rounds after that are dropped, so a batch may evolve
-    more runs than it uses; an INFO line per batch gives both counts.  This
-    process joins the slices in class order, records the audit and covers
-    in turn.  Each run gives the same bits in any slice and any batch, so
-    the ruleset does not depend on the number of CPUs, and is the one that
-    covering round by round gives.  At the end the classes are joined in
-    level order: each class's audit entries in round order, and its rules
-    by descending confidence (a stable sort, so ties keep round order).
+    k and that seed, never on the working set.  ``util.split_over_cpus``
+    cuts the classes once into one contiguous slice per usable CPU (those
+    ``os.sched_getaffinity`` lists, so ``taskset`` limits them, and no more
+    than a CPU quota allows); this process covers the first slice and a
+    forked child each other.  A slice covers its classes in batches of
+    rounds: the batch from round r holds rounds [r, r + m), m = min(budget
+    - r, max(2, r)), so 2, 2, 4, 8, ... rounds.  It evolves the batch's
+    rounds of each class still covering in one lockstep stack, then covers
+    class by class and round by round, and stops a class at its first
+    rejected round or at a working set with no record of it; the class's
+    later runs of the batch are dropped.  This process joins the slices in
+    class order and logs each round's outcome and, per class, the GA runs
+    evolved and used.  So the ruleset does not depend on the number of
+    CPUs, and is the one covering round by round gives: each class's audit
+    entries in round order, and its rules by descending confidence (a
+    stable sort, so ties keep round order), the classes in level order.
 
     Accepted rules carry metrics recomputed against the full index;
     working-set confidences live in the audit entries.  Each round's entry,
@@ -260,62 +251,43 @@ def extract_ruleset(
             "network sizes do not match the schema; was it trained on this layout?"
         )
     ga_config = ga_config or GaConfig()
-    classes = range(schema.target_bits)
-    working = [index for _ in classes]  # each class's records not yet explained
-    rules: list[list[Rule]] = [[] for _ in classes]
-    audit: list[list[dict]] = [[] for _ in classes]
-    live = list(classes)
-    first = 0
-    while first < per_class_rule_budget:
-        batch = range(first, min(per_class_rule_budget, first + max(2, first)))
-        first = batch.stop
-        live = [k for k in live if (working[k].target == k).any()]
-        if not live:
-            break
-        cfgs = [
-            [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", r)) for r in batch]
-            for k in live
-        ]
 
-        def cover(part: slice) -> list:
-            """For each of the slice's classes, the rounds of the batch it
-            uses: every run of the slice evolved in one lockstep stack, then
-            each class's champions finished round by round against its
-            working set, up to its first rejected round or a working set
-            with no record of its class.  A round is its GA result, refined
-            rule and, where accepted, the records it explains and its
-            measurement on the full index."""
-            mine = live[part]
-            targets = np.repeat(mine, len(batch))
-            results = evolve(
-                lambda pop: class_score(net, pop, targets),
-                schema.total_predictive_bits,
-                [cfg for per_class in cfgs[part] for cfg in per_class],
-            )
-            covered = []
-            for i, k in enumerate(mine):
-                rounds, records = [], working[k]
-                for result in results[i * len(batch) : (i + 1) * len(batch)]:
-                    if not (records.target == k).any():
-                        break
-                    decoded = decode_chromosome(result.best_chromosome, schema, k)
-                    refined = refine_rule(decoded, records, epsilon=epsilon)
-                    if refined.confidence < confidence_threshold:
-                        rounds.append((result, refined, None, None))
-                        break
-                    explained = records.antecedent_mask(refined) & records.consequent_mask(refined)
-                    rounds.append((result, refined, explained, evaluate_rule(refined, index)))
-                    records = records.subset(~explained)
-                covered.append(rounds)
-            return covered
+    def cover(part: slice) -> list[tuple[list[dict], list[Rule], int]]:
+        """For each class of the slice, in order: its audit entries, its
+        accepted rules measured on the index, and the GA runs evolved for it.
+        Each batch's runs of every class still covering go in one lockstep
+        stack, and each class then covers with them round by round."""
+        mine = range(schema.target_bits)[part]
+        working = {k: index for k in mine}  # each class's records not yet explained
+        audit: dict[int, list[dict]] = {k: [] for k in mine}
+        rules: dict[int, list[Rule]] = {k: [] for k in mine}
+        evolved = dict.fromkeys(mine, 0)
 
-        covered = list(split_over_cpus(cover, len(live), 1, "GA worker"))
-        going = []
-        for k, per_class, rounds in zip(live, cfgs, covered):
-            class_token = schema.target.levels[k]
-            for cfg, round_no, (result, refined, explained, measured) in zip(per_class, batch, rounds):
+        def covering(k: int) -> bool:
+            """No round of class k is rejected yet, and its working set holds
+            a record of it."""
+            return (not audit[k] or audit[k][-1]["accepted"]) and bool((working[k].target == k).any())
+
+        first = 0
+        while first < per_class_rule_budget:
+            batch = range(first, min(per_class_rule_budget, first + max(2, first)))
+            first = batch.stop
+            live = [k for k in mine if covering(k)]
+            if not live:
+                break
+            runs = [(k, r) for k in live for r in batch]  # class by class, round by round
+            cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", r)) for k, r in runs]
+            targets = np.repeat(live, len(batch))
+            results = evolve(lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, cfgs)
+            for (k, round_no), cfg, result in zip(runs, cfgs, results):
+                evolved[k] += 1
+                if not covering(k):
+                    continue  # the class stopped in an earlier round of this batch
+                records = working[k]
+                decoded = decode_chromosome(result.best_chromosome, schema, k)
+                refined = refine_rule(decoded, records, epsilon=epsilon)
                 entry = {
-                    "class": class_token,
+                    "class": schema.target.levels[k],
                     "round": round_no,
                     "ga_seed": cfg.seed,
                     "ga_generations": result.generations,
@@ -325,41 +297,37 @@ def extract_ruleset(
                     "champion_generation": result.champion_generation,
                     "working_confidence": refined.confidence,
                     "working_support": refined.support,
+                    "accepted": refined.confidence >= confidence_threshold,
+                    "outcome": "rejected: confidence below threshold",
                 }
-                entry["accepted"] = explained is not None
                 audit[k].append(entry)
-                if result.champion_ties > 1:
-                    log.warning(
-                        "class %s round %d: %d distinct chromosomes of the last population tie "
-                        "with the champion's fitness %r; the GA chose among them",
-                        class_token, round_no, result.champion_ties, result.best_fitness,
-                    )
-                if not entry["accepted"]:
-                    entry["outcome"] = "rejected: confidence below threshold"
-                    break
-                entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
-                rules[k].append(measured)
-                working[k] = working[k].subset(~explained)
-                log.info(
-                    "class %s round %d: %s (confidence %.3f)",
-                    class_token,
-                    round_no,
-                    entry["outcome"],
-                    refined.confidence,
+                if entry["accepted"]:
+                    explained = records.antecedent_mask(refined) & records.consequent_mask(refined)
+                    entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
+                    rules[k].append(evaluate_rule(refined, index))
+                    working[k] = records.subset(~explained)
+        return [(audit[k], rules[k], evolved[k]) for k in mine]
+
+    covered = list(split_over_cpus(cover, schema.target_bits, 1, "GA worker"))
+    for class_token, (entries, _, evolved) in zip(schema.target.levels, covered):
+        for entry in entries:
+            if entry["champion_ties"] > 1:
+                log.warning(
+                    "class %s round %d: %d distinct chromosomes of the last population tie "
+                    "with the champion's fitness %r; the GA chose among them",
+                    class_token, entry["round"], entry["champion_ties"], entry["best_fitness"],
                 )
-            else:
-                going.append(k)
-        log.info(
-            "rounds [%d, %d): %d GA runs evolved, %d used",
-            batch.start, batch.stop, len(live) * len(batch), sum(map(len, covered)),
-        )
-        live = going
+            log.info(
+                "class %s round %d: %s (confidence %.3f)",
+                class_token, entry["round"], entry["outcome"], entry["working_confidence"],
+            )
+        log.info("class %s: %d GA runs evolved, %d used", class_token, evolved, len(entries))
     return RuleSet(
         rules=tuple(
-            rule for per_class in rules for rule in sorted(per_class, key=lambda r: -r.confidence)
+            rule for _, per_class, _ in covered for rule in sorted(per_class, key=lambda r: -r.confidence)
         ),
         default=majority_class(index),
-        audit=tuple(entry for per_class in audit for entry in per_class),
+        audit=tuple(entry for entries, _, _ in covered for entry in entries),
     )
 
 

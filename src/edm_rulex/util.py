@@ -5,7 +5,7 @@ that produced it, and all stage seeds are derived from one master seed so a
 single integer pins the whole pipeline.  Every JSON artifact is written and
 read through ``write_json`` and ``read_json``, which holds the document to
 the shape its reader declares (``check``): no value is converted on read.
-``split_over_cpus`` is the one place that forks: ``extract``'s GA rounds and
+``split_over_cpus`` is the one place that forks: ``extract``'s classes and
 ``generate``'s raw score CSV run through it.
 """
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import time
@@ -687,6 +688,70 @@ def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case,
         ))
     assert got[0].rules and len(got[0].audit) >= 4
     assert got[1] == got[0] and got[2] == got[0]  # audit entries, champions included
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("budget", [5, 9])
+def test_extract_forks_once_per_call(split_case, monkeypatch, workers, budget):
+    # the classes are split once and each process covers its own classes to
+    # the end, so split_case's four classes make min(workers, 4) - 1
+    # children however many batches of rounds the budget holds
+    from edm_rulex import util
+
+    net, index = split_case
+    config = GaConfig(population_size=20, generations=6, seed=8)
+    expected = reference_extract(net, index, config, budget)
+    fork, made = os.fork, []
+
+    def counted_fork():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
+    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget) == expected
+    assert len(made) == min(workers, 4) - 1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_extract_logs_each_class_in_class_and_round_order(split_case, monkeypatch, caplog, workers):
+    # this process logs from the entries the slices return: class by class in
+    # level order, each round's outcome in round order (a rejected round too)
+    # after its champion_ties warning, then the class's GA runs evolved and
+    # used, where used is its audit entries and evolved counts dropped runs
+    from edm_rulex import util
+
+    net, index = split_case
+    monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
+    with caplog.at_level(logging.INFO, logger="edm_rulex.rulekit"):
+        ruleset = extract_ruleset(
+            net, index, ga_config=GaConfig(population_size=20, generations=6, seed=8), per_class_rule_budget=9,
+        )
+    messages = [r.getMessage() for r in caplog.records if r.name == "edm_rulex.rulekit"]
+    patterns, counts = [], []
+    for token in index.schema.target.levels:
+        entries = [e for e in ruleset.audit if e["class"] == token]
+        for e in entries:
+            if e["champion_ties"] > 1:
+                patterns.append(re.escape(
+                    f"class {token} round {e['round']}: {e['champion_ties']} distinct chromosomes of the last "
+                    f"population tie with the champion's fitness {e['best_fitness']!r}; the GA chose among them"
+                ))
+            patterns.append(re.escape(
+                f"class {token} round {e['round']}: {e['outcome']} (confidence {e['working_confidence']:.3f})"
+            ))
+        patterns.append(rf"class {re.escape(token)}: (\d+) GA runs evolved, (\d+) used")
+        counts.append(len(entries))
+    assert len(messages) == len(patterns)
+    evolved = []
+    for message, pattern in zip(messages, patterns):
+        found = re.fullmatch(pattern, message)
+        assert found, (message, pattern)
+        if found.groups():
+            evolved.append(tuple(map(int, found.groups())))
+    assert [used for _, used in evolved] == counts
+    assert all(n >= m for n, m in evolved) and any(n > m for n, m in evolved)
+    assert any("rejected" in m for m in messages)
 
 
 @pytest.mark.parametrize("workers, forks", [(2, 0), (3, 0), (4, 1), (4, 2)])
