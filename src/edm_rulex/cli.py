@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import io
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -207,7 +208,8 @@ def _companion(options: dict, path: Path, kind: str, columns: int) -> np.ndarray
     ``companions`` has no entry for the CSV, the array is missing, or either
     file's SHA-256 is not the one recorded there.  An array that does not
     load, or is not a table of ``columns`` columns whose dtype kind is in
-    ``kind``, is a ValidationError."""
+    ``kind``, is a ValidationError.  The table is a read-only view of the
+    bytes that were hashed (``_npy_view``), so it is held once."""
     entry, npy = options["companions"].get(path.name), path.with_suffix(".npy")
     if entry is None or not npy.is_file() or _sha256(options, path) != entry["csv_hash"]:
         return None
@@ -215,13 +217,28 @@ def _companion(options: dict, path: Path, kind: str, columns: int) -> np.ndarray
     if sha256_hex(data) != entry["npy_hash"]:
         return None
     try:
-        table = np.load(io.BytesIO(data), allow_pickle=False)
+        table = _npy_view(data)
     except ValueError as e:
         raise ValidationError(f"{npy} is not a readable .npy file: {e}") from None
     if table.dtype.kind not in kind or table.ndim != 2 or table.shape[1] != columns:
         raise ValidationError(f"the array saved for {path.name} is {table.dtype}{list(table.shape)}, "
                               f"not a table of {columns} columns of dtype kind {kind!r}")
     return table
+
+
+def _npy_view(data: bytes) -> np.ndarray:
+    """The array of the ``.npy`` file ``data``, as a read-only view of its
+    bytes where ``np.load`` would copy them.  A file that is not in format
+    1.0 or 2.0, the ones ``np.save`` writes for an int or float table, or
+    whose data does not fit its header, is a ValueError."""
+    stream, fmt = io.BytesIO(data), np.lib.format
+    version = fmt.read_magic(stream)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"format version {version[0]}.{version[1]} is not 1.0 or 2.0")
+    read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    shape, fortran_order, dtype = read_header(stream)
+    flat = np.frombuffer(data, dtype, count=math.prod(shape), offset=stream.tell())
+    return flat.reshape(shape, order="F" if fortran_order else "C")
 
 
 def _read_cohort(options: dict) -> DatasetIndex:

@@ -32,6 +32,9 @@ SATURATION_TOL = 1e-3
 # class_score scores at most this many chromosomes at a time: at 76 bits and
 # 18 hidden units a block's float input and hidden layer take about 3 MB
 SCORE_BLOCK_ROWS = 4096
+# train reads the dataset's rows through a float window of at most this many:
+# at 76 bits it takes 0.6 MB, where a float copy of 100 000 rows would take 61 MB
+TRAIN_BLOCK_ROWS = 1024
 
 
 def sigmoid(u: np.ndarray) -> np.ndarray:
@@ -299,23 +302,33 @@ def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray
     return dataset.bits, np.eye(net.output_size)[dataset.target]
 
 
-def _batch_pass(net: Network, x_neg: np.ndarray) -> tuple[str | None, np.ndarray]:
-    """The outputs for a batch given as its negated float rows ``-x``, and
-    the first layer, "hidden" or "output", one of whose pre-activations
-    reaches the sigmoid clip, else None.  The hidden layer lives in one
-    ``float[N, H]`` buffer: the pre-activation is tested for the clip, then
-    turned into the activation in place.  Negation is exact, so ``b_h - (-x)
-    @ v.T`` is the same bits as ``x @ v.T + b_h``."""
-    clipped = None
-    u_h = x_neg @ net.v.T
-    np.subtract(net.b_h, u_h, out=u_h)
-    if u_h.max() >= SIGMOID_CLIP or u_h.min() <= -SIGMOID_CLIP:  # |u| >= clip; a NaN is neither
-        clipped = "hidden"
-    h = _sigmoid_of_negated(np.negative(u_h, out=u_h))
-    u_o = h @ net.w.T + net.b_o
-    if clipped is None and (u_o.max() >= SIGMOID_CLIP or u_o.min() <= -SIGMOID_CLIP):
-        clipped = "output"
-    return clipped, sigmoid(u_o)
+def _batch_pass(net: Network, bits: np.ndarray, window: np.ndarray, y_all: np.ndarray) -> str | None:
+    """Write the outputs for the rows ``bits`` ``[N, B]`` into ``y_all``
+    ``float[N, O]`` and give the first layer, "hidden" or "output", one of
+    whose pre-activations reaches the sigmoid clip, else None: "hidden" if
+    any row's hidden pre-activation does, whatever block it lies in.
+
+    The rows are taken in order, a block of ``len(window)`` at a time, each
+    negated into the float buffer ``window``, so the pass holds no float
+    copy of the dataset, only a block's hidden layer besides ``y_all``: the
+    pre-activation is tested for the clip, then turned into the activation
+    in place.  Negation is exact, so ``b_h - (-x) @ v.T`` is the same bits
+    as ``x @ v.T + b_h``.  A block's products are not always the same bits
+    as a whole-dataset product (on some BLAS kernels a block of a few rows
+    rounds differently), so the test oracle takes the same blocks."""
+    hidden = output = False
+    for lo in range(0, len(bits), len(window)):
+        part = bits[lo : lo + len(window)]
+        x_neg = np.negative(part, dtype=float, out=window[: len(part)])
+        u_h = x_neg @ net.v.T
+        np.subtract(net.b_h, u_h, out=u_h)
+        hidden |= u_h.max() >= SIGMOID_CLIP or u_h.min() <= -SIGMOID_CLIP  # a NaN is neither
+        h = _sigmoid_of_negated(np.negative(u_h, out=u_h))
+        u_o = np.matmul(h, net.w.T, out=y_all[lo : lo + len(part)])
+        u_o += net.b_o
+        output |= u_o.max() >= SIGMOID_CLIP or u_o.min() <= -SIGMOID_CLIP
+        _sigmoid_of_negated(np.negative(u_o, out=u_o))
+    return "hidden" if hidden else "output" if output else None
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -364,8 +377,9 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     functions bound to locals.  The five matrix products are ``dot``
     methods, the routine of ``np.dot`` without its dispatch: four are bound
     to their fixed operands, and the hidden one is ``(-x) @ v.T`` on the
-    pattern's row, indexed once per pattern as a ``(1, B)`` matrix that the
-    ``v`` outer product reads too; it is the same BLAS call as ``v @ (-x)``.
+    pattern's row of the window (below), one of the window's ``(1, B)`` row
+    views made once per call, which the ``v`` outer product reads too; it
+    is the same BLAS call as ``v @ (-x)``.
     The constants 1, -1 and the clip are vectors of each layer's shape,
     which numpy takes without converting a Python object or broadcasting a
     0-d array per call.  Each weight sees the same floating-point
@@ -375,12 +389,11 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     is symmetric under negation, so an operation on negated operands gives
     the negated result:
 
-    - ``theta`` holds ``v, -b_h, w, -b_o`` and the inputs are kept as
-      ``-x``, the one float copy of the rows, so ``v @ (-x) + (-b_h)`` is
-      the negated hidden pre-activation that the sigmoid's ``exp`` takes,
-      and ``w @ (-h) + (-b_o)`` the negated output one; the outer product
-      for ``v`` and the pass over the dataset after each epoch read the
-      same ``-x``;
+    - ``theta`` holds ``v, -b_h, w, -b_o`` and the inputs are read as
+      ``-x``, so ``v @ (-x) + (-b_h)`` is the negated hidden pre-activation
+      that the sigmoid's ``exp`` takes, and ``w @ (-h) + (-b_o)`` the
+      negated output one; the outer product for ``v`` and the pass over the
+      dataset after each epoch read the same ``-x``;
     - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
       in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
       ``1 - y``;
@@ -408,14 +421,25 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     zero's sign changes no nonzero value downstream, and reaches a weight
     only where that weight and its velocity are both exactly zero.
 
+    The rows are read through a window: one float buffer of at most
+    ``TRAIN_BLOCK_ROWS`` rows, so training holds ``TRAIN_BLOCK_ROWS * B``
+    floats of input however many records the dataset has, where a float
+    copy of the dataset takes 8 bytes per bit.  Each epoch fills it with
+    ``-x`` from ``dataset.bits`` one block of the permutation at a time,
+    and the updates run over its row views in that order, so no pattern
+    pays for indexing; the values and the BLAS calls on them are those of
+    a whole copy, and so are the weights.  The pass after each epoch
+    (``_batch_pass``) refills the window block by block in row order.
+
     The caller's arrays in ``net`` get the weights back after every epoch and
     hold the trained values at the end; ``dataset`` is not modified.
     """
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
     bits, t = _arrays(net, dataset)
-    x_neg = np.negative(bits, dtype=float)  # the one float copy of the rows
-    x_neg_rows = x_neg[:, None, :]  # row i as a (1, B) matrix
+    window = np.empty((min(len(dataset), TRAIN_BLOCK_ROWS), net.input_size))
+    rows = list(window[:, None, :])  # each row of the window as a (1, B) matrix
+    y_all = np.empty((len(dataset), net.output_size))
     one_hot = list(np.eye(net.output_size))
     targets = [one_hot[k] for k in dataset.target.tolist()]  # references to the K rows
     rng = np.random.default_rng(config.seed)
@@ -454,43 +478,46 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     exp, minimum = np.exp, np.minimum
     history: list[float] = []
     for epoch in range(config.max_epochs):
-        for i in rng.permutation(len(dataset)).tolist():
-            # row i, indexed once: (-x) @ v.T is the one BLAS call of v @ (-x),
-            # and the same (1, B) row is the v block's outer product operand
-            x_row = x_neg_rows[i]
-            # s = 1 + exp(-u) and the activation -1 / s, hidden then output
-            x_row.dot(v_t, s_h_row)
-            add(s_h, b_h_neg, s_h)
-            minimum(s_h, clip_h, out=s_h)
-            exp(s_h, s_h)
-            add(s_h, one_h, s_h)
-            div(minus_one_h, s_h, h_neg)
-            w_dot(h_neg, s_o)
-            add(s_o, b_o_neg, s_o)
-            minimum(s_o, clip_o, out=s_o)
-            exp(s_o, s_o)
-            add(s_o, one_o, s_o)
-            div(minus_one_o, s_o, y_neg)
-            add(act_neg, one, slope)
-            # d_o = (t - y) * (-y) * (1 - y)
-            add(y_neg, targets[i], d_o)
-            mul(d_o, y_neg, d_o)
-            mul(d_o, slope_o, d_o)
-            # -d_h = (w.T @ d_o) * (-h) * (1 - h)
-            w_t_dot(d_o, d_h_neg)
-            mul(d_h_neg, h_neg, d_h_neg)
-            mul(d_h_neg, slope_h, d_h_neg)
-            d_o_col_dot(h_neg_row, step_w)
-            mul(tail, rate, tail)
-            lr_d_h_col_dot(x_row, step_v)
-            mul(vel, mom, vel)
-            add(vel, step, vel)
-            add(theta, vel, theta)
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(order), len(window)):
+            part = order[lo : lo + len(window)]
+            np.negative(bits.take(part, axis=0), dtype=float, out=window[: len(part)])
+            # (-x) @ v.T on the row's (1, B) view is the one BLAS call of
+            # v @ (-x), and the same view is the v block's outer product operand
+            for x_row, i in zip(rows, part.tolist()):
+                # s = 1 + exp(-u) and the activation -1 / s, hidden then output
+                x_row.dot(v_t, s_h_row)
+                add(s_h, b_h_neg, s_h)
+                minimum(s_h, clip_h, out=s_h)
+                exp(s_h, s_h)
+                add(s_h, one_h, s_h)
+                div(minus_one_h, s_h, h_neg)
+                w_dot(h_neg, s_o)
+                add(s_o, b_o_neg, s_o)
+                minimum(s_o, clip_o, out=s_o)
+                exp(s_o, s_o)
+                add(s_o, one_o, s_o)
+                div(minus_one_o, s_o, y_neg)
+                add(act_neg, one, slope)
+                # d_o = (t - y) * (-y) * (1 - y)
+                add(y_neg, targets[i], d_o)
+                mul(d_o, y_neg, d_o)
+                mul(d_o, slope_o, d_o)
+                # -d_h = (w.T @ d_o) * (-h) * (1 - h)
+                w_t_dot(d_o, d_h_neg)
+                mul(d_h_neg, h_neg, d_h_neg)
+                mul(d_h_neg, slope_h, d_h_neg)
+                d_o_col_dot(h_neg_row, step_w)
+                mul(tail, rate, tail)
+                lr_d_h_col_dot(x_row, step_v)
+                mul(vel, mom, vel)
+                add(vel, step, vel)
+                add(theta, vel, theta)
         net.v[...], net.w[...] = v, w
         # 0.0 - (+0.0) is +0.0: a bias that cancels exactly comes back +0.0
         np.subtract(0.0, b_h_neg, out=net.b_h)
         np.subtract(0.0, b_o_neg, out=net.b_o)
-        clipped, y_all = _batch_pass(net, x_neg)
+        clipped = _batch_pass(net, bits, window, y_all)
         mse = float(np.mean((y_all - t) ** 2))
         if not np.isfinite(mse):
             raise NumericError(

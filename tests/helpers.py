@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from edm_rulex import neural
 from edm_rulex.errors import NumericError
 from edm_rulex.evolver import EvolutionResult, evolve
 from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, class_score, forward, train
@@ -167,10 +168,20 @@ def _reference_sigmoid(u):
     return 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
 
 
+def _by_blocks(a, m):
+    """``a @ m`` over the row blocks of ``neural.TRAIN_BLOCK_ROWS`` that
+    train's pass after each epoch takes: on some BLAS kernels a product over
+    a few rows is not the same bits as over many (OpenBLAS 0.3.31's Haswell
+    kernels change some bits in blocks of up to 66 rows of 76 bits)."""
+    step = neural.TRAIN_BLOCK_ROWS
+    return np.concatenate([a[lo : lo + step] @ m for lo in range(0, len(a), step)])
+
+
 def reference_train(net: Network, dataset, config) -> TrainResult:
     """Per-pattern gradient descent with momentum on fresh arrays for every
     update, with a dict of velocities: the oracle for neural.train, which
-    must give the same weights and mse history bit for bit."""
+    must give the same weights and mse history bit for bit.  The mse after
+    each epoch is taken over train's row blocks (``_by_blocks``)."""
     x = dataset.bits.astype(float)
     t = np.zeros((len(dataset), net.output_size))
     for i, target_index in enumerate(dataset.target):
@@ -203,8 +214,8 @@ def reference_train(net: Network, dataset, config) -> TrainResult:
             net.b_o += vel["b_o"]
             net.v += vel["v"]
             net.b_h += vel["b_h"]
-        u_h = x @ net.v.T + net.b_h
-        u_o = _reference_sigmoid(u_h) @ net.w.T + net.b_o
+        u_h = _by_blocks(x, net.v.T) + net.b_h
+        u_o = _by_blocks(_reference_sigmoid(u_h), net.w.T) + net.b_o
         mse = float(np.mean((_reference_sigmoid(u_o) - t) ** 2))
         if not np.isfinite(mse) or max(np.abs(u_h).max(), np.abs(u_o).max()) >= SIGMOID_CLIP:
             raise NumericError(f"reference training failed at epoch {epoch + 1}")

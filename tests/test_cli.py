@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -108,6 +109,44 @@ def test_train_stage_writes_the_reference_weights(tmp_path):
         # tobytes also tells -0.0 from 0.0
         assert getattr(got, name).tobytes() == getattr(expected.network, name).tobytes()
     assert json.loads((tmp_path / "train_log.json").read_text())["mse_history"] == expected.mse_history
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.arange(12, dtype=np.int8).reshape(3, 4),
+        np.asfortranarray(np.arange(12, dtype=">i8").reshape(4, 3)),
+        np.linspace(-1.0, 1.0, 10).reshape(5, 2),
+    ],
+    ids=["int8", "fortran-big-endian-int64", "float64"],
+)
+def test_a_companion_table_is_a_read_only_view_of_the_hashed_bytes(array, version):
+    stream = io.BytesIO()
+    np.lib.format.write_array(stream, array, version=version)
+    data = stream.getvalue()
+    table, loaded = cli._npy_view(data), np.load(io.BytesIO(data))
+    assert (table.dtype, table.shape, table.tobytes()) == (loaded.dtype, loaded.shape, loaded.tobytes())
+    assert np.shares_memory(table, np.frombuffer(data, np.uint8))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+
+
+def test_a_companion_in_npy_format_3_exits_2(tmp_path, capsys):
+    # np.save writes format 3.0 only for structured dtypes with non-latin-1
+    # field names, never for a table of codes or scores
+    assert run("generate", "--n", "97", "--seed", "7", "--out", tmp_path) == 0
+    npy = tmp_path / "cohort.npy"
+    codes = np.load(npy)
+    with open(npy, "wb") as stream:
+        np.lib.format.write_array(stream, codes, version=(3, 0))
+    meta = json.loads((tmp_path / "cohort.meta.json").read_text())
+    meta["companions"]["cohort.csv"]["npy_hash"] = util.file_sha256(npy)
+    (tmp_path / "cohort.meta.json").write_text(json.dumps(meta))
+    assert run("train", "--data", tmp_path / "cohort.csv", "--epochs", "1", "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert "cohort.npy is not a readable .npy file: format version 3.0 is not 1.0 or 2.0" in err
+    assert "Traceback" not in err
 
 
 def test_generate_deterministic(tmp_path):

@@ -15,7 +15,7 @@ from helpers import (
     twelve_bit_schema,
 )
 
-from edm_rulex import studydata
+from edm_rulex import neural, studydata
 from edm_rulex.errors import NumericError, ValidationError
 from edm_rulex.neural import (
     SIGMOID_CLIP,
@@ -30,7 +30,7 @@ from edm_rulex.neural import (
     sigmoid,
     train,
 )
-from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, StudentRecord, encode_dataset
+from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord, encode_dataset
 from edm_rulex.util import write_json
 
 
@@ -224,8 +224,6 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows
 def test_class_score_blocks_give_the_unblocked_bits(seed, runs, rows, block, middle):
     # scored SCORE_BLOCK_ROWS chromosomes at a time, whole runs or parts of
     # one, a stack gives the same bits as scored in one block
-    from edm_rulex import neural
-
     rng = np.random.default_rng(seed)
     net = Network(
         v=rng.normal(size=(9, 30)), b_h=rng.normal(size=9),
@@ -255,6 +253,27 @@ def test_class_score_memory_does_not_grow_with_the_stack():
     tracemalloc.start()
     try:
         class_score(net, stack, [0, 1, 2, 3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+def test_train_memory_does_not_grow_with_the_dataset():
+    # 20 000 records of 76 bits: a float copy of the rows alone would take
+    # 12 MB; read through the window of TRAIN_BLOCK_ROWS rows, the peak stays
+    # near the per-record outputs, targets and squared errors
+    import tracemalloc
+
+    schema = studydata.default_student_schema()
+    widths = schema.code_layout[0]
+    codes = np.random.default_rng(0).integers(0, widths, (20_000, len(widths)))
+    index = DatasetIndex(schema, codes)
+    cfg = TrainConfig(max_epochs=1, seed=1)
+    net = init_network(schema, cfg)
+    tracemalloc.start()
+    try:
+        train(net, index, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -558,6 +577,36 @@ def test_train_equals_reference_bit_for_bit(
         assert_same_weights(net, oracle)
         return
     assert_same_training(result, expected)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 7])
+@pytest.mark.parametrize("n_records, seed", [(1, 0), (6, 1), (8, 2), (23, 3), (40, 4)])
+def test_train_in_blocks_equals_reference_bit_for_bit(monkeypatch, block, n_records, seed):
+    # the window is refilled at every block of the permutation and of the
+    # pass after each epoch; the oracle takes that pass over the same blocks
+    schema = studydata.default_student_schema()
+    encoded = encode_dataset(random_records(schema, n_records, np.random.default_rng(seed)), schema)
+    cfg = TrainConfig(max_epochs=3, target_mse=1e-9, seed=seed)
+    monkeypatch.setattr(neural, "TRAIN_BLOCK_ROWS", block)
+    expected = reference_train(init_network(schema, cfg), encoded, cfg)
+    assert_same_training(train(init_network(schema, cfg), encoded, cfg), expected)
+
+
+def test_train_names_the_hidden_layer_when_it_clips_only_in_a_later_block(monkeypatch):
+    # blocks of two rows: record 0 drives the output pre-activation past the
+    # clip (800) in the first block, record 2 the hidden one (600) in the
+    # second, where the output's stays at 400; the rate is too small to move
+    # either back
+    schema = AttributeSchema((Attribute("A", ("a0", "a1")), Attribute("T", ("t0", "t1"), ROLE_TARGET)))
+    encoded = DatasetIndex.from_arrays(schema, [[0, 1], [0, 0], [1, 0], [0, 0]], [0, 1, 0, 1])
+    net = zero_net(2, 2, 2)
+    net.v[0, 0] = SIGMOID_CLIP + 100.0  # hidden unit 0 clips on bit 0
+    net.v[1, 1] = 50.0  # hidden unit 1 is 1.0 on bit 1 and 0.5 without it
+    net.w[0, 1] = 1.6 * SIGMOID_CLIP
+    cfg = TrainConfig(learning_rate=1e-9, momentum=0.0, hidden_size=2, max_epochs=3, seed=1)
+    monkeypatch.setattr(neural, "TRAIN_BLOCK_ROWS", 2)
+    with pytest.raises(NumericError, match="saturated at epoch 1: a pre-activation of the hidden layer reached"):
+        train(net, encoded, cfg)
 
 
 def test_train_gives_back_an_output_bias_that_cancels_as_plus_zero():
