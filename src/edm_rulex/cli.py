@@ -380,20 +380,30 @@ def cmd_extract(args) -> int:
 # stats
 
 
-def _gender_split(index, raw_matrix, group_by: str):
+def _group_split(index: DatasetIndex, group_by: str) -> dict[str, np.ndarray]:
+    """Per level of attribute ``group_by`` that some record takes, in level
+    order: the indices of its records, the rows of the raw table each group
+    statistic reads."""
     codes = index.column(group_by)
     groups: dict[str, np.ndarray] = {}
     for k, token in enumerate(index.schema.attribute(group_by).levels):
-        rows = raw_matrix[codes == k]
+        rows = np.flatnonzero(codes == k)
         if len(rows):
             groups[token] = rows
     if len(groups) < 2:
         raise ValidationError(
             f"need at least 2 non-empty {group_by!r} groups for group statistics"
         )
-    if any(rows.shape[0] < 2 for rows in groups.values()):
+    if any(len(rows) < 2 for rows in groups.values()):
         raise ValidationError("insufficient data: every group needs at least 2 records")
     return groups
+
+
+def _gather(raw_matrix: np.ndarray, rows: np.ndarray, columns: list[int]) -> np.ndarray:
+    """``raw_matrix[rows][:, columns]``, without a copy of the whole rows:
+    the same values in the same column-major layout, so each reduction and
+    product over the block adds in the same order and gives the same bits."""
+    return raw_matrix.T[np.ix_(columns, rows)].T
 
 
 _PAIR = (int, int)  # integer degrees of freedom (hypothesis, error)
@@ -457,20 +467,16 @@ def cmd_stats(args) -> int:
     target_dim = schema.target.name
     if target_dim not in col:
         raise ValidationError(f"raw table lacks the target dimension {target_dim!r}")
-    groups = _gender_split(index, raw_matrix, opts["group_by"])
+    groups = _group_split(index, opts["group_by"])
     tokens = list(groups)
 
     # target comparison across the first two groups
-    a, b = groups[tokens[0]][:, col[target_dim]], groups[tokens[1]][:, col[target_dim]]
-    tres = t_test(a, b, method="welch")
+    target = {token: raw_matrix[rows, col[target_dim]] for token, rows in groups.items()}
+    tres = t_test(target[tokens[0]], target[tokens[1]], method="welch")
     sections["target_group_ttest"] = {
         "groups": {
-            token: {
-                "n": int(rows.shape[0]),
-                "mean": float(rows[:, col[target_dim]].mean()),
-                "sd": float(rows[:, col[target_dim]].std(ddof=1)),
-            }
-            for token, rows in groups.items()
+            token: {"n": len(y), "mean": float(y.mean()), "sd": float(y.std(ddof=1))}
+            for token, y in target.items()
         },
         "t": tres.t,
         "df": tres.df,
@@ -492,15 +498,16 @@ def cmd_stats(args) -> int:
             )
             continue
         idx = [col[d] for d in present]
-        per_group = [groups[t][:, idx] for t in tokens]
+        per_group = [_gather(raw_matrix, groups[t], idx) for t in tokens]
         try:  # the block's first statistic: a singular or overflowing scatter is named by its block
             wres = manova_wilks(per_group)
         except NumericError as e:
             raise NumericError(f"stats block {block_name!r}: {e}") from None
-        series = {d: [groups[t][:, col[d]] for t in tokens] for d in present}
-        series["Total"] = [g.sum(axis=1) for g in per_group]
+        totals = [g.sum(axis=1) for g in per_group]
+        del per_group  # each dimension's samples are gathered when its statistics need them
         univariate, levene = {}, {}
-        for d, samples in series.items():
+        for d in [*present, "Total"]:
+            samples = totals if d == "Total" else [raw_matrix[groups[t], col[d]] for t in tokens]
             univariate[d] = _anova_from_groups(samples)
             lv = levene_w(samples)
             levene[d] = {"w": lv.w, "df": list(lv.df), "p": lv.p}
@@ -524,16 +531,15 @@ def cmd_stats(args) -> int:
     partials: dict = {"control": "+".join(control_dims) or "none", "groups": {}}
     if control_dims:
         for token in tokens:
-            rows = groups[token]
-            control = rows[:, [col[d] for d in control_dims]].sum(axis=1)
-            y = rows[:, col[target_dim]]
+            rows, y = groups[token], target[token]
+            control = _gather(raw_matrix, rows, [col[d] for d in control_dims]).sum(axis=1)
             entry = {}
             for block_name in [b for b in blocks if b != "interaction"]:
                 dims = studydata.MEASURE_BLOCKS[block_name]
                 for d in dims:
-                    entry[d] = partial_r(rows[:, col[d]], y, control)
+                    entry[d] = partial_r(raw_matrix[rows, col[d]], y, control)
                 entry[f"Total ({block_name})"] = partial_r(
-                    rows[:, [col[d] for d in dims]].sum(axis=1), y, control
+                    _gather(raw_matrix, rows, [col[d] for d in dims]).sum(axis=1), y, control
                 )
             partials["groups"][token] = entry
     sections["partial_correlations"] = partials

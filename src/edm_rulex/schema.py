@@ -8,10 +8,11 @@ search its chromosome layout.
 
 A dataset is encoded once, into a ``DatasetIndex``: the bit matrix that
 training reads and rules are matched against, plus the class vector.  It is
-built from level codes, one integer column per attribute: ``discretize_column``
-turns a raw score column into codes, ``read_index_csv`` turns the token
-columns of a dataset CSV stream into codes, and ``write_index_csv`` writes
-codes back as tokens to a stream, both a chunk of rows at a time;
+built from level codes, one column per attribute, held in the schema's
+narrow unsigned ``code_dtype``: ``discretize_column`` turns a raw score
+column into codes, ``read_index_csv`` turns the token columns of a dataset
+CSV stream into codes, and ``write_index_csv`` writes codes back as tokens
+to a stream, both a chunk of rows at a time;
 ``DatasetIndex.records`` gives the rows back as ``StudentRecord`` values, and
 ``parse_dataset_csv`` is the reader seen that way, on the CSV's text.
 """
@@ -116,8 +117,15 @@ class AttributeSchema:
         return sum(len(a.levels) for a in self.predictive)
 
     @cached_property
+    def code_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds every attribute's largest
+        level index, in which the schema's level codes are held: uint8 for
+        attributes of up to 256 levels, uint16 for up to 65 536."""
+        return np.min_scalar_type(max(len(a.levels) for a in self.attributes) - 1)
+
+    @cached_property
     def code_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """For level codes ``intp[N, A]``: every attribute's level count, the
+        """For level codes ``[N, A]``: every attribute's level count, the
         predictive columns, their segment offsets, and the target column."""
         widths = np.array([len(a.levels) for a in self.attributes], dtype=np.intp)
         predictive = np.flatnonzero([a.role == ROLE_PREDICTIVE for a in self.attributes])
@@ -231,13 +239,16 @@ class DatasetIndex:
     is ``intp[N]``, each record's class index.  Training reads the two
     arrays, and every rule is matched against the bits through ``misses``.
 
-    ``rows`` is either the records or their level codes, an integer
-    ``[N, A]`` array with one column per schema attribute in schema order
-    (``_fit_codes``).  A record that ``validate_record`` rejects raises its
-    ValidationError.  The bits are set one attribute column at a time, so
-    the build holds no ``[N, A]`` temporary besides the codes.  The index
-    does not keep the codes it is built from, so a cohort read for training
-    holds no second copy of its table."""
+    ``rows`` is either the records or their level codes, an ``[N, A]``
+    array of any integer dtype (the schema's ``code_dtype`` as the readers
+    and generators give them) with one column per schema attribute in schema
+    order (``_fit_codes``).  A record that ``validate_record`` rejects raises
+    its ValidationError.  The bits are set one attribute column at a time,
+    each column widened to ``intp`` before its segment offset is added, so
+    the build holds no ``[N, A]`` temporary besides the codes, and narrow
+    codes never wrap past a segment offset of 256 or more.  The index does
+    not keep the codes it is built from, so a cohort read for training holds
+    no second copy of its table."""
 
     def __init__(self, schema: AttributeSchema, rows: Iterable[StudentRecord] | np.ndarray):
         codes = rows if isinstance(rows, np.ndarray) else _record_codes(schema, list(rows))
@@ -247,8 +258,8 @@ class DatasetIndex:
         self.bits = np.zeros((len(codes), schema.total_predictive_bits), dtype=np.uint8)
         rows = np.arange(len(codes))
         for column, offset in zip(predictive, offsets):
-            self.bits[rows, codes[:, column] + offset] = 1
-        self.target = codes[:, target].copy()
+            self.bits[rows, np.add(codes[:, column], offset, dtype=np.intp)] = 1
+        self.target = codes[:, target].astype(np.intp)
 
     @classmethod
     def from_arrays(cls, schema: AttributeSchema, bits, target) -> "DatasetIndex":
@@ -301,18 +312,20 @@ class DatasetIndex:
 
 
 def _fit_codes(schema: AttributeSchema, codes: np.ndarray) -> np.ndarray:
-    """Level codes of any integer dtype as ``intp[N, A]``; codes that do not fit are a ValidationError."""
+    """Level codes ``[N, A]`` of any integer dtype, as they are, once each
+    code is one of its attribute's level indices; codes that do not fit are
+    a ValidationError."""
     widths = schema.code_layout[0]
     fits = codes.ndim == 2 and codes.shape[1] == len(widths) and codes.dtype.kind in "iu"
     if not (fits and codes.min(initial=0) >= 0 and (codes.max(axis=0, initial=0) < widths).all()):
         raise ValidationError(f"level codes of shape {codes.shape} do not fit the schema")
-    return codes.astype(np.intp, copy=False)
+    return codes
 
 
 def _record_codes(schema: AttributeSchema, records: list[StudentRecord]) -> np.ndarray:
     """Level codes of records, one attribute column at a time; the first record
     ``validate_record`` rejects raises its own error."""
-    codes = np.empty((len(records), len(schema.attributes)), dtype=np.intp)
+    codes = np.empty((len(records), len(schema.attributes)), dtype=schema.code_dtype)
     try:
         for j, attr in enumerate(schema.attributes):
             code, name = attr.code, attr.name
@@ -336,10 +349,11 @@ def read_index_csv(stream: TextIO, schema: AttributeSchema) -> DatasetIndex:
     """Read a level-token CSV whose header is the schema's attribute names.
 
     The rows are read ``CHUNK_ROWS`` at a time, and each chunk's tokens
-    become level codes one column at a time, so the stream's text is never
-    held whole.  The first bad row (in row order; blank lines count as rows
-    and are skipped) is reported with its data row number (1-based) and, for
-    an unknown token, the earliest offending attribute.
+    become level codes of the schema's ``code_dtype`` one column at a time,
+    so the stream's text is never held whole.  The first bad row (in row
+    order; blank lines count as rows and are skipped) is reported with its
+    data row number (1-based) and, for an unknown token, the earliest
+    offending attribute.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -348,7 +362,7 @@ def read_index_csv(stream: TextIO, schema: AttributeSchema) -> DatasetIndex:
     expected = [a.name for a in schema.attributes]
     if header != expected:
         raise ValidationError(f"header mismatch: expected {expected}, got {header}")
-    chunks = [np.empty((0, len(expected)), dtype=np.intp)]
+    chunks = [np.empty((0, len(expected)), dtype=schema.code_dtype)]
     read = 0  # data rows before the chunk, blank lines included
     while lines := list(itertools.islice(reader, CHUNK_ROWS)):
         chunks.append(_chunk_codes(lines, read, schema))
@@ -361,7 +375,7 @@ def _chunk_codes(lines: list[list[str]], read: int, schema: AttributeSchema) -> 
     rows = [row for row in lines if row]
     if any(len(row) != len(schema.attributes) for row in rows):
         _raise_first_row_error(lines, read, schema)
-    codes = np.empty((len(rows), len(schema.attributes)), dtype=np.intp)
+    codes = np.empty((len(rows), len(schema.attributes)), dtype=schema.code_dtype)
     try:
         for j, (attr, column) in enumerate(zip(schema.attributes, zip(*rows))):
             codes[:, j] = list(map(attr.code.__getitem__, column))

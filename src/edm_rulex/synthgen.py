@@ -1,16 +1,18 @@
 """Synthetic cohort generation from per-group summary statistics.
 
 Cohorts are drawn per group (gender) from a correlated Gaussian whose means,
-spreads, and correlation matrix are explicit inputs.  The cohort then moves
-as columns: each raw dimension is discretized into a level-code column in
-one step and the group token fills the group attribute's column, giving the
-records' level codes ``intp[N, A]``, from which ``DatasetIndex`` encodes
-them.  Labels come either from discretizing the target's raw score or from
-a planted rule list, matched by ``RuleSet.predict_index``; the latter gives
-the extraction pipeline a known ground truth to recover.  ``write_cohort``
-writes the token CSV and its ``.npy`` companion from the level codes, and
-the raw score table and its companion from the score matrix, the CSVs a
-chunk of rows at a time; the sidecar holds both pairs' hashes.
+spreads, and correlation matrix are explicit inputs, each group into its own
+rows of one raw score matrix.  The cohort then moves as columns: each raw
+dimension is discretized into a level-code column in one step and the group
+token fills the group attribute's column, giving the records' level codes
+``[N, A]`` in the schema's narrow unsigned ``code_dtype``, from which
+``DatasetIndex`` encodes them.  Labels come either from discretizing the
+target's raw score or from a planted rule list, matched by
+``RuleSet.predict_index``; the latter gives the extraction pipeline a known
+ground truth to recover.  ``write_cohort`` writes the token CSV and its
+``.npy`` companion from the level codes, and the raw score table and its
+companion from the score matrix, the CSVs a chunk of rows at a time; the
+sidecar holds both pairs' hashes.
 
 Generation is deterministic for a fixed spec and seed and records its
 pseudo-random algorithm identifier in the sidecar metadata; byte equality is
@@ -95,6 +97,8 @@ class PopulationSpec:
                 raise ValidationError(f"group {token!r}: correlation diagonal must be 1")
             if np.any(np.abs(c) > 1 + 1e-12):
                 raise ValidationError(f"group {token!r}: correlation entries must be in [-1,1]")
+        total = sum(g.n for g in self.groups.values())
+        check_indexable(f"cohort of {total} rows", (total, d), float)
 
     def to_dict(self) -> dict:
         # group_order survives key-sorting JSON writers; from_dict restores it
@@ -145,15 +149,24 @@ def spec_hash(spec: PopulationSpec) -> str:
 
 @dataclass(frozen=True)
 class RawCohort:
-    """Sampled raw scores: one (n, d) matrix per group, shared dimension list."""
+    """Sampled raw scores: the ``(N, d)`` matrix over the dimension list, in
+    the cohort's record order, whose rows are each group's in group order,
+    ``sizes[token]`` rows per group."""
 
     dimensions: tuple[str, ...]
-    groups: Mapping[str, np.ndarray]
+    matrix: np.ndarray
+    sizes: Mapping[str, int]
+
+    def __post_init__(self):
+        if sum(self.sizes.values()) != len(self.matrix):
+            raise ValidationError(f"the groups have {sum(self.sizes.values())} rows in all, "
+                                  f"the raw matrix has {len(self.matrix)}")
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Every group's rows stacked in group order: the cohort's record order."""
-        return np.concatenate(list(self.groups.values()), axis=0)
+    def groups(self) -> dict[str, np.ndarray]:
+        """Each group's ``(n, d)`` rows, a view of ``matrix``."""
+        ends = np.cumsum(list(self.sizes.values())).tolist()
+        return {token: self.matrix[end - n : end] for (token, n), end in zip(self.sizes.items(), ends)}
 
 
 @dataclass(frozen=True)
@@ -246,22 +259,27 @@ def nearest_pd_correlation(matrix: np.ndarray) -> np.ndarray:
 
 
 def sample_population(spec: PopulationSpec) -> RawCohort:
-    """Draw each group's raw score table from its correlated Gaussian.
+    """Draw each group's raw score table from its correlated Gaussian, into
+    the group's rows of the cohort's one raw matrix.
 
     Rows are ``mean + sd * (L @ z)`` with z standard normal from the seeded
     generator; deterministic for a fixed spec.  A correlation matrix that is
     not positive definite is first repaired by eigenvalue clipping.
     """
     rng = np.random.default_rng(spec.seed)
-    groups: dict[str, np.ndarray] = {}
-    for token, g in spec.groups.items():
+    cohort = RawCohort(
+        spec.dimensions,
+        np.empty((sum(g.n for g in spec.groups.values()), len(spec.dimensions))),
+        {token: g.n for token, g in spec.groups.items()},
+    )
+    for (token, g), rows in zip(spec.groups.items(), cohort.groups.values()):
         corr = np.asarray(g.correlation, dtype=float)
         try:
             lower = cholesky_factor(corr)
         except NumericError:
             log.info("group %s: correlation repaired to nearest PD", token)
             lower = cholesky_factor(nearest_pd_correlation(corr))
-        rows = rng.standard_normal((g.n, len(spec.dimensions))) @ lower.T
+        np.matmul(rng.standard_normal((g.n, len(spec.dimensions))), lower.T, out=rows)
         with np.errstate(over="ignore"):  # an overflow is reported below, by group and dimension
             rows *= g.sds
             rows += g.means  # the same bits as means + rows: addition commutes
@@ -272,8 +290,7 @@ def sample_population(spec: PopulationSpec) -> RawCohort:
                 f"group {token!r}, dimension {spec.dimensions[j]!r}: mean {g.means[j]!r} and "
                 f"sd {g.sds[j]!r} give scores past float64's range"
             )
-        groups[token] = rows
-    return RawCohort(dimensions=spec.dimensions, groups=groups)
+    return cohort
 
 
 # A correct cohort fails the whole family of target checks at this rate, the
@@ -289,7 +306,8 @@ def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray, index:
     the group's row count, with z the Bonferroni bound that holds the family
     of m checks to ``TARGET_CHECK_ERROR_RATE`` (3.00 at m = 1, 4.03 at m = 48).
     Raw row i is record i of ``index``, whose group attribute column groups
-    the rows, in any order; the table's columns are read by name."""
+    the rows, in any order; the table's columns are read by name, each
+    group's mean from that group's rows of the one column alone."""
     col = {d: j for j, d in enumerate(raw_dims)}
     missing = [d for d in spec.dimensions if d not in col]
     if missing:
@@ -302,12 +320,12 @@ def target_checks(spec: PopulationSpec, raw_dims, raw_matrix: np.ndarray, index:
     group = index.column(attr.name)
     checks = []
     for token, g in spec.groups.items():
-        rows = raw_matrix[group == attr.level_index(token)]
+        rows = np.flatnonzero(group == attr.level_index(token))
         if not len(rows):
             raise ValidationError(f"the table has no rows of the spec's group {token!r}")
         for j, dim in enumerate(spec.dimensions):
             if g.sds[j] != 0:
-                sample = float(rows[:, col[dim]].mean())
+                sample = float(raw_matrix[rows, col[dim]].mean())
                 checks.append((token, dim, sample, g.means[j], g.sds[j] / len(rows) ** 0.5))
     z = statistics.NormalDist().inv_cdf(1 - TARGET_CHECK_ERROR_RATE / (2 * max(len(checks), 1)))
     return z, [
@@ -389,7 +407,7 @@ def _cohort_codes(
     """Level codes of the cohort's records, one column per schema attribute:
     the group token, or the codes of the attribute's raw dimension.  With
     ``labelled`` the caller supplies the target and its column stays 0."""
-    group_attr = _group_attribute(cohort.groups, schema)
+    group_attr = _group_attribute(cohort.sizes, schema)
     scored = {d for d in cohort.dimensions if d in disc} | {group_attr.name}
     if labelled:
         scored.add(schema.target.name)
@@ -397,11 +415,11 @@ def _cohort_codes(
     if missing:
         raise ValidationError(f"raw cohort provides no scores for attributes {missing}")
     matrix = cohort.matrix
-    codes = np.zeros((len(matrix), len(schema.attributes)), dtype=np.intp)
+    codes = np.zeros((len(matrix), len(schema.attributes)), dtype=schema.code_dtype)
     for j, attr in enumerate(schema.attributes):
         if attr is group_attr:
-            group_codes = [attr.level_index(token) for token in cohort.groups]
-            codes[:, j] = np.repeat(group_codes, [len(rows) for rows in cohort.groups.values()])
+            group_codes = [attr.level_index(token) for token in cohort.sizes]
+            codes[:, j] = np.repeat(group_codes, list(cohort.sizes.values()))
         elif not (labelled and attr is schema.target):
             scores = matrix[:, cohort.dimensions.index(attr.name)]
             codes[:, j] = discretize_column(scores, disc[attr.name], attr)
@@ -411,8 +429,8 @@ def _cohort_codes(
 def discretize_cohort(
     cohort: RawCohort, disc: Mapping[str, Sequence[float]], schema: AttributeSchema
 ) -> np.ndarray:
-    """The cohort's level codes ``intp[N, A]``; each target level comes from
-    the target's raw score."""
+    """The cohort's level codes ``[N, A]``, of the schema's ``code_dtype``;
+    each target level comes from the target's raw score."""
     return _cohort_codes(cohort, disc, schema, labelled=False)
 
 
@@ -423,9 +441,9 @@ def plant_rules(
     schema: AttributeSchema,
     seed: int,
 ) -> np.ndarray:
-    """The cohort's level codes ``intp[N, A]``, each record labelled by the
-    planted truth's first matching rule, else its default, with optional
-    noise.
+    """The cohort's level codes ``[N, A]``, of the schema's ``code_dtype``,
+    each record labelled by the planted truth's first matching rule, else its
+    default, with optional noise.
 
     Predictive levels come from discretization exactly as in
     discretize_cohort; only the target column is overridden.  With noise,
@@ -534,7 +552,8 @@ def write_cohort(
 ) -> dict[str, Path]:
     """Write ``<stem>.csv``, ``<stem>.raw.csv`` and ``<stem>.meta.json``, and
     beside each CSV its table as ``np.save`` writes it: the level codes
-    ``intp[N, A]`` in ``<stem>.npy`` and the raw scores in
+    ``[N, A]`` as given (the schema's ``code_dtype`` from the cohort
+    builders) in ``<stem>.npy`` and the raw scores in
     ``<stem>.raw.npy``.  The meta gains
     ``companions``: per CSV file name, the SHA-256 of the CSV and of its
     array, so a reader can tell they still agree.  The raw CSV's rows are

@@ -2,18 +2,21 @@
 
 import copy
 import io
+import json
 import math
+import statistics
 from dataclasses import replace
 
 import numpy as np
 
-from edm_rulex import neural
+from edm_rulex import neural, psychostats, studydata
 from edm_rulex.errors import NumericError
 from edm_rulex.evolver import EvolutionResult, evolve
 from edm_rulex.neural import SIGMOID_CLIP, Network, TrainConfig, TrainResult, class_score, forward, train
 from edm_rulex.rulekit import RuleSet, decode_chromosome, evaluate_rule, majority_class, refine_rule
 from edm_rulex.schema import Attribute, AttributeSchema, DatasetIndex, ROLE_TARGET, StudentRecord
 from edm_rulex.schema import write_index_csv
+from edm_rulex.synthgen import TARGET_CHECK_ERROR_RATE
 from edm_rulex.util import derive_seed
 
 
@@ -404,3 +407,80 @@ def reference_extract(net: Network, index: DatasetIndex, ga_config, budget: int,
         default=majority_class(index),
         audit=tuple(entry for per_class in audit for entry in per_class),
     )
+
+
+def reference_stats_sections(index: DatasetIndex, raw_dims, raw_matrix, group_by: str, spec=None) -> dict:
+    """The ``sections`` of ``stats.json``, as JSON reads them back, computed
+    from copies of each group's whole rows, ``raw_matrix[mask]``, and of a
+    block's columns of them, ``[:, idx]``: a column-major copy, in whose
+    layout each product and reduction over a block adds.  Target checks when
+    ``spec`` is given, with ``group_by`` its group attribute; every measure
+    block must be in the raw table."""
+    col = {d: j for j, d in enumerate(raw_dims)}
+    codes = index.column(group_by)
+    groups = {}
+    for k, token in enumerate(index.schema.attribute(group_by).levels):
+        if (codes == k).any():
+            groups[token] = raw_matrix[codes == k]
+    tokens, target = list(groups), col[index.schema.target.name]
+    sections = {}
+    if spec is not None:
+        checks = [
+            (token, dim, float(groups[token][:, col[dim]].mean()), g.means[j],
+             g.sds[j] / len(groups[token]) ** 0.5)
+            for token, g in spec.groups.items() for j, dim in enumerate(spec.dimensions) if g.sds[j] != 0
+        ]
+        z = statistics.NormalDist().inv_cdf(1 - TARGET_CHECK_ERROR_RATE / (2 * len(checks)))
+        sections["target_checks"] = {"z": z, "checks": [
+            (token, dim, sample, mean, z * se, abs(sample - mean) <= z * se)
+            for token, dim, sample, mean, se in checks
+        ]}
+    tres = psychostats.t_test(groups[tokens[0]][:, target], groups[tokens[1]][:, target])
+    sections["target_group_ttest"] = {
+        "groups": {
+            token: {"n": len(rows), "mean": float(rows[:, target].mean()),
+                    "sd": float(rows[:, target].std(ddof=1))}
+            for token, rows in groups.items()
+        },
+        "t": tres.t, "df": tres.df, "p": tres.p, "method": tres.method,
+        "significance": psychostats.significance_label(tres.p),
+    }
+    blocks = {}
+    for name, dims in studydata.MEASURE_BLOCKS.items():
+        idx = [col[d] for d in dims]
+        per_group = [groups[t][:, idx] for t in tokens]
+        wres = psychostats.manova_wilks(per_group)
+        series = {d: [groups[t][:, col[d]] for t in tokens] for d in dims}
+        series["Total"] = [g.sum(axis=1) for g in per_group]
+        univariate, levene = {}, {}
+        for d, samples in series.items():
+            row = psychostats.anova_oneway(samples)
+            univariate[d] = {
+                "ss_h": row.ss_hypothesis, "ss_e": row.ss_error, "df": [row.df_hypothesis, row.df_error],
+                "ms_h": row.ms_hypothesis, "ms_e": row.ms_error, "f": row.f, "p": row.p,
+                "eta_squared": row.eta_squared, "significance": psychostats.significance_label(row.p),
+            }
+            lv = psychostats.levene_w(samples)
+            levene[d] = {"w": lv.w, "df": list(lv.df), "p": lv.p}
+        blocks[name] = {
+            "wilks": {"lambda": wres.wilks_lambda, "f": wres.f, "df": list(wres.df), "p": wres.p,
+                      "eta_squared": wres.eta_squared},
+            "univariate": univariate,
+            "levene": levene,
+            "alpha": psychostats.cronbach_alpha(raw_matrix[:, idx]),
+        }
+    sections["blocks"] = blocks
+    control_dims = studydata.MEASURE_BLOCKS["interaction"]
+    partials = {"control": "+".join(control_dims), "groups": {}}
+    for token, rows in groups.items():
+        control = rows[:, [col[d] for d in control_dims]].sum(axis=1)
+        y = rows[:, target]
+        entry = {}
+        for name in [b for b in blocks if b != "interaction"]:
+            dims = studydata.MEASURE_BLOCKS[name]
+            for d in dims:
+                entry[d] = psychostats.partial_r(rows[:, col[d]], y, control)
+            entry[f"Total ({name})"] = psychostats.partial_r(rows[:, [col[d] for d in dims]].sum(axis=1), y, control)
+        partials["groups"][token] = entry
+    sections["partial_correlations"] = partials
+    return json.loads(json.dumps(sections))

@@ -19,7 +19,7 @@ from edm_rulex.rulekit import parse_rule, parse_ruleset, ruleset_from_dict
 from edm_rulex.schema import DatasetIndex, load_schema, schema_document
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET, StudentRecord
 
-from helpers import index_csv, reference_train
+from helpers import index_csv, reference_stats_sections, reference_train
 
 
 def run(*argv):
@@ -1814,6 +1814,38 @@ def test_target_checks_split_a_shuffled_cohort_by_its_group_column(study_run, tm
         assert abs(mean - mean2) <= 1e-12
 
 
+def test_stats_of_interleaved_groups_equal_the_row_copy_oracle(tmp_path):
+    # stats gathers each statistic's columns of a group's rows by index; with
+    # the groups' rows interleaved, every number equals the computation on
+    # copies of each group's whole rows, down to the last bit
+    from edm_rulex.schema import read_index_csv
+    from edm_rulex.synthgen import PopulationSpec, parse_raw_csv
+
+    assert run("generate", "--n", "400", "--seed", "7", "--out", tmp_path) == 0
+    order = np.random.default_rng(4).permutation(400)
+    for name in ("cohort.csv", "cohort.raw.csv"):
+        header, *rows = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / name).write_text("".join([header, *(rows[i] for i in order)]), encoding="utf-8")
+        npy = (tmp_path / name).with_suffix(".npy")
+        np.save(npy, np.load(npy)[order])
+    meta = json.loads((tmp_path / "cohort.meta.json").read_text())
+    for name, entry in meta["companions"].items():
+        entry.update(csv_hash=cli.file_sha256(tmp_path / name),
+                     npy_hash=cli.file_sha256((tmp_path / name).with_suffix(".npy")))
+    (tmp_path / "cohort.meta.json").write_text(json.dumps(meta))
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 0
+
+    schema = load_schema(meta["schema"])
+    with open(tmp_path / "cohort.csv", encoding="utf-8") as stream:
+        index = read_index_csv(stream, schema)
+    with open(tmp_path / "cohort.raw.csv", encoding="utf-8") as stream:
+        raw_dims, raw_matrix = parse_raw_csv(stream)
+    assert (np.diff(index.column("Gender")) != 0).sum() > 100  # the groups interleave
+    spec = PopulationSpec.from_dict(meta["population_spec"])
+    want = reference_stats_sections(index, raw_dims, raw_matrix, "Gender", spec)
+    assert json.loads((tmp_path / "stats.json").read_text())["sections"] == want
+
+
 def test_stats_with_a_non_finite_statistic_exits_3(tmp_path, capsys):
     # equal within-group deviations make Levene's W infinite; stats wrote
     # the bare token Infinity into stats.json and exited 0
@@ -1955,6 +1987,22 @@ def test_a_spec_group_size_past_numpy_index_range_exits_2(tmp_path, capsys):
     assert run("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out) == 2
     err = capsys.readouterr().err
     assert f"group 'Fe': n {HUGE} is too large: an array of {HUGE} x 24 exceeds" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_cohort_past_numpy_index_range_exits_2(tmp_path, capsys):
+    # each group's table fits numpy's index range but the one raw matrix of
+    # both does not; sample_population would ask numpy for it before any draw
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec().to_dict()
+    n = np.iinfo(np.intp).max // (24 * 8) // 2 + 1
+    for group in spec["groups"].values():
+        group["n"] = n
+    out = tmp_path / "out"
+    assert run("generate", "--spec", _write(tmp_path / "spec.json", spec), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"cohort of {2 * n} rows is too large: an array of {2 * n} x 24 exceeds" in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -3,8 +3,9 @@
 The round trips run at lengths around the chunk length, where an off-by-one
 in the chunking would drop, repeat or misnumber a row.  The raw writer's
 tests also force one, two and three CPUs, over which it splits its rows
-into forked processes.  The memory test pins what reading a 10 000-row
-cohort costs beyond its arrays.
+into forked processes.  The memory tests pin what reading a 10 000-row
+cohort costs beyond its arrays, and what the generate and stats stages hold
+for a 20 000-row one.
 """
 
 import io
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edm_rulex import studydata, util
+from edm_rulex import cli, studydata, util
 from edm_rulex.errors import ValidationError
 from edm_rulex.schema import CHUNK_ROWS, DatasetIndex, read_index_csv, write_index_csv
 from edm_rulex.synthgen import (
@@ -38,6 +39,15 @@ from helpers import written
 # the index build held [N, A] temporaries.
 RAW_PEAK_BOUND = 4.5e6
 INDEX_PEAK_BOUND = 6.5e6
+
+# tracemalloc peaks of the generate and stats stages at 20 000 records of the
+# default spec, seed 7: 3.7 MiB of raw scores, 0.5 MiB of uint8 level codes
+# and 1.4 MiB of bits.  Measured 6.4 MiB and 8.3 MiB with numpy 2.4 on
+# Python 3.11.  Holding the raw table twice (the groups and their stacked
+# copy, or the table and each group's rows) and the codes as int64 peaked at
+# 12.3 MiB and 12.9 MiB.
+GENERATE_PEAK_BOUND = 8 * 2**20
+STATS_PEAK_BOUND = 11 * 2**20
 
 
 def _peak(read, path, *args):
@@ -81,6 +91,35 @@ def test_an_index_build_holds_one_column_of_temporaries():
     assert np.array_equal(index.bits, bits)
 
 
+def _stage_peak(*argv):
+    tracemalloc.start()
+    try:
+        assert cli.main([str(a) for a in argv]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_holds_each_table_once(tmp_path):
+    assert _stage_peak("generate", "--n", 20_000, "--seed", 7, "--out", tmp_path) < GENERATE_PEAK_BOUND
+
+
+def test_stats_holds_each_table_once(tmp_path):
+    assert cli.main(["generate", "--n", "20000", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert _stage_peak("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) < STATS_PEAK_BOUND
+
+
+def test_the_groups_of_a_sampled_cohort_are_rows_of_its_matrix():
+    spec = studydata.default_population_spec(n_male=30, n_female=20, seed=7)
+    cohort = sample_population(spec)
+    assert [len(rows) for rows in cohort.groups.values()] == [30, 20]
+    for rows in cohort.groups.values():
+        assert np.shares_memory(rows, cohort.matrix)
+    assert np.array_equal(np.concatenate(list(cohort.groups.values())), cohort.matrix)
+    with pytest.raises(ValidationError, match="the groups have 49 rows in all, the raw matrix has 50"):
+        RawCohort(cohort.dimensions, cohort.matrix, {"Ma": 30, "Fe": 19})
+
+
 @pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
 def test_write_read_round_trip_at_chunk_edges(n):
     schema = studydata.default_student_schema()
@@ -94,7 +133,7 @@ def test_write_read_round_trip_at_chunk_edges(n):
     assert np.array_equal(back.bits, index.bits) and np.array_equal(back.target, index.target)
 
     values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
-    text = written(write_raw_csv, RawCohort(("a", "b", "c"), {"g": values}))
+    text = written(write_raw_csv, RawCohort(("a", "b", "c"), values, {"g": len(values)}))
     assert text.count("\n") == n + 1
     dims, matrix = parse_raw_csv(io.StringIO(text))
     assert dims == ("a", "b", "c") and matrix.tobytes() == values.tobytes()
@@ -106,7 +145,7 @@ def _raw_cohort(n: int) -> tuple[RawCohort, str]:
     rng = np.random.default_rng(n)
     values = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
     text = "a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
-    return RawCohort(("a", "b", "c"), {"g": values}), text
+    return RawCohort(("a", "b", "c"), values, {"g": len(values)}), text
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,26 @@ def test_the_companions_give_the_bytes_of_the_csvs(cohorts, tmp_path):
         assert (kept / name).read_bytes() == (deleted / name).read_bytes(), name
 
 
+def test_a_cohort_saved_with_int64_codes_gives_the_same_artifacts(cohorts, tmp_path):
+    # earlier versions saved the level codes as int64, not uint8; a run
+    # directory of theirs, hashes and all, reads to the same model, rules and
+    # statistics (stats.json's inputs name the edited sidecar's hash)
+    new, old = tmp_path / "uint8", tmp_path / "int64"
+    for run_dir in (new, old):
+        shutil.copytree(cohorts / "7", run_dir)
+    np.save(old / "cohort.npy", np.load(old / "cohort.npy").astype(np.int64))
+    meta = json.loads((old / "cohort.meta.json").read_text())
+    meta["companions"]["cohort.csv"]["npy_hash"] = cli.file_sha256(old / "cohort.npy")
+    (old / "cohort.meta.json").write_text(json.dumps(meta))
+    for run_dir, dtype in ((new, np.uint8), (old, np.int64)):
+        assert _loaded(_stage_options(run_dir / "cohort.csv"), run_dir / "cohort.csv").dtype == dtype
+        _stages(run_dir, run_dir / "cohort.csv", ())
+    for name in ("model.json", "train_log.json", "ruleset.json", "rules.txt"):
+        assert (new / name).read_bytes() == (old / name).read_bytes(), name
+    new_stats, old_stats = (json.loads((d / "stats.json").read_text()) for d in (new, old))
+    assert new_stats["sections"] == old_stats["sections"]
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [

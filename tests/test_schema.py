@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -15,6 +16,7 @@ from edm_rulex.schema import (
     AttributeSchema,
     StudentRecord,
     DatasetIndex,
+    _chunk_codes,
     discretize_column,
     encode_dataset,
     encode_record,
@@ -108,9 +110,33 @@ def test_discretize_missing_entry():
             Attribute("T", ("lo", "hi"), ROLE_TARGET),
         )
     )
-    cohort = RawCohort(("x", "y", "T"), {"g": np.array([[0.1, 0.2, 0.7]])})
+    cohort = RawCohort(("x", "y", "T"), np.array([[0.1, 0.2, 0.7]]), {"g": 1})
     with pytest.raises(ValidationError, match="y"):
         discretize_cohort(cohort, {"x": (0.5,), "T": (0.5,)}, schema)
+
+
+@pytest.mark.parametrize("levels, dtype", [(300, np.uint16), (3, np.uint8)])
+def test_narrow_level_codes_give_the_index_intp_codes_give(levels, dtype):
+    # an attribute of 300 levels makes the schema's codes uint16, and 90 more
+    # of three levels lay out past 255 bits while keeping them uint8; every
+    # later segment's offset is past 255, more than a uint8 code holds, so
+    # each column is widened before its offset is added
+    attrs = (
+        Attribute("A", tuple(f"a{k}" for k in range(levels))),
+        *(Attribute(f"B{j}", ("x", "y", "z")) for j in range(90)),
+        Attribute("T", ("t0", "t1"), ROLE_TARGET),
+    )
+    schema = AttributeSchema(attrs)
+    assert schema.code_dtype == dtype and schema.total_predictive_bits > 255
+    widths = schema.code_layout[0]
+    codes = np.random.default_rng(3).integers(0, widths, (200, len(widths)))
+    want = DatasetIndex(schema, codes.astype(np.intp))
+    text = written(write_index_csv, schema, codes)
+    read = _chunk_codes(list(csv.reader(io.StringIO(text)))[1:], 0, schema)
+    assert read.dtype == dtype and np.array_equal(read, codes)
+    for index in (DatasetIndex(schema, read), read_index_csv(io.StringIO(text), schema)):
+        assert index.bits.tobytes() == want.bits.tobytes()
+        assert index.target.dtype == np.intp and np.array_equal(index.target, want.target)
 
 
 def test_discretize_column_names_dimension_of_non_finite_score():

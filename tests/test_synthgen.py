@@ -191,7 +191,8 @@ def test_plant_rules_noise_fraction():
 def test_cohort_index_keeps_the_codes_of_its_bits_and_labels(noise):
     # the level codes a cohort builder returns, which write_cohort writes,
     # are the codes that an index built from them encodes in its one-hot
-    # bits and its labels (noisy ones too); the index keeps no copy of them
+    # bits and its labels (noisy ones too); the index keeps no copy of them.
+    # The codes are uint8, the narrowest dtype for the schema's four levels
     schema = studydata.default_student_schema()
     spec = studydata.default_population_spec(n_male=40, n_female=40, seed=5)
     cohort = sample_population(spec)
@@ -202,7 +203,7 @@ def test_cohort_index_keeps_the_codes_of_its_bits_and_labels(noise):
         codes = plant_rules(cohort, _unit1_planted(noise), disc, schema, seed=3)
     index = DatasetIndex(schema, codes)
     decoded = np.column_stack([index.column(a.name) for a in schema.attributes])
-    assert codes.dtype == np.intp and np.array_equal(codes, decoded)
+    assert codes.dtype == schema.code_dtype == np.uint8 and np.array_equal(codes, decoded)
     assert not hasattr(index, "codes")
 
 
@@ -384,7 +385,7 @@ def test_plant_rules_with_noise_needs_a_second_target_level():
 def test_raw_csv_round_trips_doubles_exactly():
     rng = np.random.default_rng(8)
     values = rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-300, 300, (200, 3))
-    cohort = RawCohort(("a", "b", "c"), {"g": values})
+    cohort = RawCohort(("a", "b", "c"), values, {"g": len(values)})
     dims, matrix = parse_raw_csv(io.StringIO(written(write_raw_csv, cohort)))
     assert dims == ("a", "b", "c")
     assert matrix.tobytes() == values.tobytes()
