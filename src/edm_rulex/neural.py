@@ -29,31 +29,22 @@ SIGMOID_CLIP = 500.0
 # An output activation within this of 0 or 1 is saturated: its slope y(1-y)
 # is below it too, so per-pattern updates barely move it.
 SATURATION_TOL = 1e-3
-# class_score scores at most this many chromosomes at a time: at 76 bits and
-# 18 hidden units a block's float input and hidden layer take about 3 MB
-SCORE_BLOCK_ROWS = 4096
-# train reads the dataset's rows through a float window of at most this many:
-# at 76 bits it takes 0.6 MB, where a float copy of 100 000 rows would take 61 MB
-TRAIN_BLOCK_ROWS = 1024
-
-
-def sigmoid(u: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-u))`` with ``u`` clipped to +-SIGMOID_CLIP.
-
-    Each step works in place on the first step's result; the values are the
-    same bits as ``1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))``.
-    Only the lower clip is applied, to ``-u``: above +SIGMOID_CLIP,
-    ``exp(-u)`` is below ``exp(-500)``, about 7e-218, which vanishes against
-    the 1 it is added to, so clipped or not the result is exactly 1.0.  A NaN
-    stays NaN.  A scalar or 0-d ``u`` gives a 0-d float array.
-    """
-    # negated into a fresh float array: of a 0-d array np.negative alone
-    # returns a scalar, which the in-place steps cannot write into
-    return _sigmoid_of_negated(np.negative(u, out=np.empty(np.shape(u))))
+# forward, class_score and train take rows into float buffers at most this
+# many at a time: at 76 bits and 18 hidden units a block's float input and
+# hidden layer take 0.8 MB, where a float copy of 100 000 rows would take 61 MB
+BLOCK_ROWS = 1024
 
 
 def _sigmoid_of_negated(s: np.ndarray) -> np.ndarray:
-    """``sigmoid(-s)``, computed in place in the float array ``s``."""
+    """``1 / (1 + exp(-u))`` for ``s = -u``, computed in place in the float
+    array ``s``, with ``u`` clipped to +-SIGMOID_CLIP.
+
+    Only the lower clip is applied, to ``-u``: above +SIGMOID_CLIP,
+    ``exp(-u)`` is below ``exp(-500)``, about 7e-218, which vanishes against
+    the 1 it is added to, so clipped or not the result is exactly 1.0.  The
+    values are the same bits as ``1.0 / (1.0 + np.exp(-np.clip(u,
+    -SIGMOID_CLIP, SIGMOID_CLIP)))``, and a NaN stays NaN.
+    """
     np.minimum(s, SIGMOID_CLIP, out=s)
     np.exp(s, out=s)
     s += 1.0
@@ -165,8 +156,8 @@ def init_network(schema: AttributeSchema, config: TrainConfig) -> Network:
     )
 
 
-def _as_input(net: Network, bits, dtype=float) -> np.ndarray:
-    x = np.asarray(bits, dtype=dtype)
+def _as_input(net: Network, bits) -> np.ndarray:
+    x = np.asarray(bits)
     if x.ndim == 0 or x.shape[-1] != net.input_size:
         raise ValidationError(
             f"input length {x.shape[-1] if x.ndim else 0} does not match "
@@ -191,8 +182,9 @@ def _grid_weights(v: np.ndarray) -> np.ndarray:
     pre-rounding of Demmel and Nguyen's reproducible summation).  A unit of
     zero weights stays zero.  A unit whose absolute sum reaches ``2**1023``
     could have partial sums past float64's range, and is a NumericError
-    naming it; such weights come only from a hand-written model, since
-    training stops long before, at a pre-activation of SIGMOID_CLIP.
+    naming it; training reports it as saturation, which only a learning
+    rate large enough to skip past the SIGMOID_CLIP check within one epoch
+    reaches.
     """
     with np.errstate(over="ignore"):  # an infinite sum is reported below
         total = np.abs(v).sum(axis=1)
@@ -208,36 +200,54 @@ def _grid_weights(v: np.ndarray) -> np.ndarray:
     return np.ldexp(vq, e - 52, out=vq)
 
 
-def _hidden(net: Network, x: np.ndarray) -> np.ndarray:
-    """The hidden activations ``float[..., H]`` of float rows ``x`` ``[..., I]``.
+def _pass(net: Network, rows: np.ndarray, window: np.ndarray, out: np.ndarray) -> str | None:
+    """Write the output activations of ``rows`` ``[N, I]`` into ``out``
+    ``float[N, O]`` and give the first layer, "hidden" or "output", one of
+    whose pre-activations reaches the sigmoid clip, else None: "hidden" if
+    any row's hidden pre-activation does, whatever block it lies in.
 
-    The product is one BLAS matrix product over ``_grid_weights`` for rows
-    ``[N, I]``, and one per leading index for a stack ``[R, N, I]``
-    (numpy's matmul loops over it).  The weights are rebuilt on every call
-    because ``train`` writes ``net.v`` in place; for bit-string rows the
-    sums are exact.  The pre-activation is formed
-    negated, as ``-b_h - x·v``, which is exactly ``-(x·v + b_h)``, and the
-    sigmoid is applied in place to the product.
+    The rows are taken in order, ``len(window)`` at a time, each block copied
+    into the float buffer ``window``, so the pass holds no float copy of all
+    rows, only a block's hidden layer besides ``out``.  The hidden layer is
+    one BLAS product over ``_grid_weights``, whose sums are exact for bit
+    strings, with the pre-activation formed negated, as ``-b_h - x·v``,
+    which is exactly ``-(x·v + b_h)``; the output layer is one
+    ``np.einsum``, whose reduction order is fixed.  So for bit strings each
+    row's outputs are the same bits in any block and under any number of
+    BLAS threads.  Each layer's pre-activation is tested for the clip, then
+    turned into the activation in place.
     """
-    s = x @ _grid_weights(net.v)
-    np.subtract(-net.b_h, s, out=s)
-    return _sigmoid_of_negated(s)
+    g, b_h_neg = _grid_weights(net.v), -net.b_h
+    hidden = output = False
+    for lo in range(0, len(rows), len(window)):
+        part = rows[lo : lo + len(window)]
+        x = window[: len(part)]
+        x[...] = part
+        s = x @ g
+        np.subtract(b_h_neg, s, out=s)
+        hidden |= s.max() >= SIGMOID_CLIP or s.min() <= -SIGMOID_CLIP  # a NaN is neither
+        u = np.einsum("ph,oh->po", _sigmoid_of_negated(s), net.w, out=out[lo : lo + len(part)])
+        u += net.b_o
+        output |= u.max() >= SIGMOID_CLIP or u.min() <= -SIGMOID_CLIP
+        _sigmoid_of_negated(np.negative(u, out=u))
+    return "hidden" if hidden else "output" if output else None
 
 
 def forward(net: Network, bits) -> np.ndarray:
-    """Output activations, every component in (0,1): ``(O,)`` for one bit
+    """Output activations, every component in (0, 1]: ``(O,)`` for one bit
     string ``(B,)``, ``(..., O)`` for a batch ``(..., B)`` such as a
-    population ``(P, B)`` or a stack of them ``(R, P, B)``.
+    population ``(P, B)`` or a stack of them ``(R, P, B)``.  An output whose
+    pre-activation passes about 37 is exactly 1.0.
 
     For bit strings (every entry 0 or 1) each row's result is the same bits
     whether it is passed alone or with any number of others, under any
-    number of BLAS threads: the hidden layer's sums are exact (``_hidden``)
-    and the output layer is one ``np.einsum``, whose reduction order is
-    fixed.  Other inputs are computed as well, without that promise.
+    number of BLAS threads (``_pass``).  Other inputs are computed as well,
+    without that promise.
     """
     x = _as_input(net, bits)
-    h = _hidden(net, x.reshape(-1, x.shape[-1]))
-    y = sigmoid(np.einsum("ph,oh->po", h, net.w) + net.b_o)
+    rows = x.reshape(-1, x.shape[-1])
+    y = np.empty((len(rows), net.output_size))
+    _pass(net, rows, np.empty((min(len(rows), BLOCK_ROWS) or 1, net.input_size)), y)
     return y.reshape(*x.shape[:-1], net.output_size)
 
 
@@ -250,10 +260,11 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
     thread count: the hidden layer is ``forward``'s exact one, and only
     each run's class output is computed, by the same einsum reduction over
     the hidden units.  The stack is scored in blocks of at most
-    ``SCORE_BLOCK_ROWS`` chromosomes, whole runs or, for a run longer than
-    that, parts of one, so the float copy of the input and the hidden layer
-    stay bounded however many runs the stack holds; a row's score does not
-    depend on its block.  Pure, safe to call concurrently."""
+    ``BLOCK_ROWS`` chromosomes, whole runs or, for a run longer than that,
+    parts of one, so the float copy of the input and the hidden layer stay
+    bounded however many runs the stack holds; a row's score does not
+    depend on its block, and the grid weights are built once per call.
+    Pure, safe to call concurrently."""
     k = np.asarray(classes)
     if k.ndim != 1:
         raise ValidationError(
@@ -266,7 +277,7 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
         raise ValidationError(
             f"class index {k[r]} of run {r} out of range for {net.output_size} outputs"
         )
-    x = _as_input(net, stack, dtype=None)
+    x = _as_input(net, stack)
     if x.ndim < 2 or x.shape[0] != k.shape[0]:
         raise ValidationError(
             f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {x.shape[:-1]}"
@@ -274,17 +285,20 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
     shape, size = x.shape[:-1], math.prod(x.shape[1:-1])
     x = x.reshape(len(k), size, net.input_size)
     scores = np.empty((len(k), size))
-    rows = min(size, SCORE_BLOCK_ROWS) or 1  # a block's rows of each of its runs
-    runs = SCORE_BLOCK_ROWS // rows
+    rows = min(size, BLOCK_ROWS) or 1  # a block's rows of each of its runs
+    runs = BLOCK_ROWS // rows
+    g, b_h_neg = _grid_weights(net.v), -net.b_h
     for r in range(0, len(k), runs):
         w, b_o = net.w[k[r : r + runs]], net.b_o[k[r : r + runs], None]
         for p in range(0, size, rows):
             s = scores[r : r + runs, p : p + rows]
-            # one BLAS product per run: OpenBLAS runs a product as small as
-            # one population on one thread, where one product over a wide
-            # stack took two in each of extract's processes, which already
-            # fill the CPUs, and at times doubled a batch's time
-            h = _hidden(net, x[r : r + runs, p : p + rows].astype(float))
+            # one BLAS product per run (matmul loops over the runs): OpenBLAS
+            # runs a product as small as one population on one thread, where
+            # one product over a wide stack took two in each of extract's
+            # processes, which already fill the CPUs, and at times doubled a
+            # batch's time
+            u_h = x[r : r + runs, p : p + rows].astype(float) @ g
+            h = _sigmoid_of_negated(np.subtract(b_h_neg, u_h, out=u_h))
             np.einsum("rph,rh->rp", h, w, out=s)
             np.subtract(-b_o, s, out=s)
             _sigmoid_of_negated(s)
@@ -300,35 +314,6 @@ def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray
             f"network expects {net.input_size} and {net.output_size}"
         )
     return dataset.bits, np.eye(net.output_size)[dataset.target]
-
-
-def _batch_pass(net: Network, bits: np.ndarray, window: np.ndarray, y_all: np.ndarray) -> str | None:
-    """Write the outputs for the rows ``bits`` ``[N, B]`` into ``y_all``
-    ``float[N, O]`` and give the first layer, "hidden" or "output", one of
-    whose pre-activations reaches the sigmoid clip, else None: "hidden" if
-    any row's hidden pre-activation does, whatever block it lies in.
-
-    The rows are taken in order, a block of ``len(window)`` at a time, each
-    negated into the float buffer ``window``, so the pass holds no float
-    copy of the dataset, only a block's hidden layer besides ``y_all``: the
-    pre-activation is tested for the clip, then turned into the activation
-    in place.  Negation is exact, so ``b_h - (-x) @ v.T`` is the same bits
-    as ``x @ v.T + b_h``.  A block's products are not always the same bits
-    as a whole-dataset product (on some BLAS kernels a block of a few rows
-    rounds differently), so the test oracle takes the same blocks."""
-    hidden = output = False
-    for lo in range(0, len(bits), len(window)):
-        part = bits[lo : lo + len(window)]
-        x_neg = np.negative(part, dtype=float, out=window[: len(part)])
-        u_h = x_neg @ net.v.T
-        np.subtract(net.b_h, u_h, out=u_h)
-        hidden |= u_h.max() >= SIGMOID_CLIP or u_h.min() <= -SIGMOID_CLIP  # a NaN is neither
-        h = _sigmoid_of_negated(np.negative(u_h, out=u_h))
-        u_o = np.matmul(h, net.w.T, out=y_all[lo : lo + len(part)])
-        u_o += net.b_o
-        output |= u_o.max() >= SIGMOID_CLIP or u_o.min() <= -SIGMOID_CLIP
-        _sigmoid_of_negated(np.negative(u_o, out=u_o))
-    return "hidden" if hidden else "output" if output else None
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -362,13 +347,13 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
 
     Pattern order is reshuffled once per epoch from the seeded generator, so
     training is deterministic for a fixed config.  The mse history records the
-    full-dataset mse after each epoch; only the final value is a contract.
-    A non-finite mse, or a pre-activation over the dataset that reaches the
-    sigmoid clip after an epoch, is a NumericError.  So is a network that
-    ends saturated short of the clip: every output activation over the
-    dataset within SATURATION_TOL of 0 or 1, with the same rounded outputs,
-    and so one prediction, for every record of a dataset with several
-    classes.
+    full-dataset mse after each epoch, the mse of ``forward``'s outputs to the
+    bit; only the final value is a contract.  A non-finite mse, or a
+    pre-activation over the dataset that reaches the sigmoid clip after an
+    epoch, is a NumericError.  So is a network that ends saturated short of
+    the clip: every output activation over the dataset within SATURATION_TOL
+    of 0 or 1, with the same rounded outputs, and so one prediction, for
+    every record of a dataset with several classes.
 
     The weights, their velocities and the per-pattern step each live in one
     flat vector, with the layers as views into it, and every update writes
@@ -392,8 +377,7 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     - ``theta`` holds ``v, -b_h, w, -b_o`` and the inputs are read as
       ``-x``, so ``v @ (-x) + (-b_h)`` is the negated hidden pre-activation
       that the sigmoid's ``exp`` takes, and ``w @ (-h) + (-b_o)`` the
-      negated output one; the outer product for ``v`` and the pass over the
-      dataset after each epoch read the same ``-x``;
+      negated output one; the outer product for ``v`` reads the same ``-x``;
     - both layers' activations are kept negated, as ``-1 / (1 + exp(-u))``,
       in one buffer, so one ``1 + (-a)`` gives both slopes ``1 - h`` and
       ``1 - y``;
@@ -422,14 +406,18 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     only where that weight and its velocity are both exactly zero.
 
     The rows are read through a window: one float buffer of at most
-    ``TRAIN_BLOCK_ROWS`` rows, so training holds ``TRAIN_BLOCK_ROWS * B``
-    floats of input however many records the dataset has, where a float
-    copy of the dataset takes 8 bytes per bit.  Each epoch fills it with
-    ``-x`` from ``dataset.bits`` one block of the permutation at a time,
-    and the updates run over its row views in that order, so no pattern
-    pays for indexing; the values and the BLAS calls on them are those of
-    a whole copy, and so are the weights.  The pass after each epoch
-    (``_batch_pass``) refills the window block by block in row order.
+    ``BLOCK_ROWS`` rows, so training holds ``BLOCK_ROWS * B`` floats of
+    input however many records the dataset has, where a float copy of the
+    dataset takes 8 bytes per bit.  Each epoch fills it with ``-x`` from
+    ``dataset.bits`` one block of the permutation at a time, and the
+    updates run over its row views in that order, so no pattern pays for
+    indexing; the values and the BLAS calls on them are those of a whole
+    copy, and so are the weights.  The pass after each epoch is
+    ``forward``'s own (``_pass``), which refills the window block by block
+    in row order; the weights never read it.  The epochs run with float
+    overflow ignored: a step large enough to overflow drives the network to
+    the clip, past the range of exact hidden sums (``_grid_weights``) or to
+    a non-finite mse, which the pass after the epoch reports.
 
     The caller's arrays in ``net`` get the weights back after every epoch and
     hold the trained values at the end; ``dataset`` is not modified.
@@ -437,7 +425,7 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     if len(dataset) == 0:
         raise ValidationError("cannot train on an empty dataset")
     bits, t = _arrays(net, dataset)
-    window = np.empty((min(len(dataset), TRAIN_BLOCK_ROWS), net.input_size))
+    window = np.empty((min(len(dataset), BLOCK_ROWS), net.input_size))
     rows = list(window[:, None, :])  # each row of the window as a (1, B) matrix
     y_all = np.empty((len(dataset), net.output_size))
     one_hot = list(np.eye(net.output_size))
@@ -477,62 +465,68 @@ def train(net: Network, dataset: DatasetIndex, config: TrainConfig) -> TrainResu
     add, mul, div = np.add, np.multiply, np.divide
     exp, minimum = np.exp, np.minimum
     history: list[float] = []
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(dataset))
-        for lo in range(0, len(order), len(window)):
-            part = order[lo : lo + len(window)]
-            np.negative(bits.take(part, axis=0), dtype=float, out=window[: len(part)])
-            # (-x) @ v.T on the row's (1, B) view is the one BLAS call of
-            # v @ (-x), and the same view is the v block's outer product operand
-            for x_row, i in zip(rows, part.tolist()):
-                # s = 1 + exp(-u) and the activation -1 / s, hidden then output
-                x_row.dot(v_t, s_h_row)
-                add(s_h, b_h_neg, s_h)
-                minimum(s_h, clip_h, out=s_h)
-                exp(s_h, s_h)
-                add(s_h, one_h, s_h)
-                div(minus_one_h, s_h, h_neg)
-                w_dot(h_neg, s_o)
-                add(s_o, b_o_neg, s_o)
-                minimum(s_o, clip_o, out=s_o)
-                exp(s_o, s_o)
-                add(s_o, one_o, s_o)
-                div(minus_one_o, s_o, y_neg)
-                add(act_neg, one, slope)
-                # d_o = (t - y) * (-y) * (1 - y)
-                add(y_neg, targets[i], d_o)
-                mul(d_o, y_neg, d_o)
-                mul(d_o, slope_o, d_o)
-                # -d_h = (w.T @ d_o) * (-h) * (1 - h)
-                w_t_dot(d_o, d_h_neg)
-                mul(d_h_neg, h_neg, d_h_neg)
-                mul(d_h_neg, slope_h, d_h_neg)
-                d_o_col_dot(h_neg_row, step_w)
-                mul(tail, rate, tail)
-                lr_d_h_col_dot(x_row, step_v)
-                mul(vel, mom, vel)
-                add(vel, step, vel)
-                add(theta, vel, theta)
-        net.v[...], net.w[...] = v, w
-        # 0.0 - (+0.0) is +0.0: a bias that cancels exactly comes back +0.0
-        np.subtract(0.0, b_h_neg, out=net.b_h)
-        np.subtract(0.0, b_o_neg, out=net.b_o)
-        clipped = _batch_pass(net, bits, window, y_all)
-        mse = float(np.mean((y_all - t) ** 2))
-        if not np.isfinite(mse):
-            raise NumericError(
-                f"training diverged at epoch {epoch + 1} (non-finite loss); "
-                "try a smaller learning rate"
-            )
-        if clipped:
-            raise NumericError(
-                f"training saturated at epoch {epoch + 1}: a pre-activation of the "
-                f"{clipped} layer reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
-                "try a smaller learning rate"
-            )
-        history.append(mse)
-        if mse <= config.target_mse:
-            break
+    with np.errstate(over="ignore"):  # the pass after each epoch reports the failure
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(len(dataset))
+            for lo in range(0, len(order), len(window)):
+                part = order[lo : lo + len(window)]
+                np.negative(bits.take(part, axis=0), dtype=float, out=window[: len(part)])
+                # (-x) @ v.T on the row's (1, B) view is the one BLAS call of
+                # v @ (-x), and the same view is the v block's outer product operand
+                for x_row, i in zip(rows, part.tolist()):
+                    # s = 1 + exp(-u) and the activation -1 / s, hidden then output
+                    x_row.dot(v_t, s_h_row)
+                    add(s_h, b_h_neg, s_h)
+                    minimum(s_h, clip_h, out=s_h)
+                    exp(s_h, s_h)
+                    add(s_h, one_h, s_h)
+                    div(minus_one_h, s_h, h_neg)
+                    w_dot(h_neg, s_o)
+                    add(s_o, b_o_neg, s_o)
+                    minimum(s_o, clip_o, out=s_o)
+                    exp(s_o, s_o)
+                    add(s_o, one_o, s_o)
+                    div(minus_one_o, s_o, y_neg)
+                    add(act_neg, one, slope)
+                    # d_o = (t - y) * (-y) * (1 - y)
+                    add(y_neg, targets[i], d_o)
+                    mul(d_o, y_neg, d_o)
+                    mul(d_o, slope_o, d_o)
+                    # -d_h = (w.T @ d_o) * (-h) * (1 - h)
+                    w_t_dot(d_o, d_h_neg)
+                    mul(d_h_neg, h_neg, d_h_neg)
+                    mul(d_h_neg, slope_h, d_h_neg)
+                    d_o_col_dot(h_neg_row, step_w)
+                    mul(tail, rate, tail)
+                    lr_d_h_col_dot(x_row, step_v)
+                    mul(vel, mom, vel)
+                    add(vel, step, vel)
+                    add(theta, vel, theta)
+            net.v[...], net.w[...] = v, w
+            # 0.0 - (+0.0) is +0.0: a bias that cancels exactly comes back +0.0
+            np.subtract(0.0, b_h_neg, out=net.b_h)
+            np.subtract(0.0, b_o_neg, out=net.b_o)
+            try:
+                clipped = _pass(net, bits, window, y_all)
+            except NumericError as e:  # a step so large that weights sum past 2**1023
+                raise NumericError(
+                    f"training saturated at epoch {epoch + 1}: {e}; try a smaller learning rate"
+                ) from None
+            mse = float(np.mean((y_all - t) ** 2))
+            if not np.isfinite(mse):
+                raise NumericError(
+                    f"training diverged at epoch {epoch + 1} (non-finite loss); "
+                    "try a smaller learning rate"
+                )
+            if clipped:
+                raise NumericError(
+                    f"training saturated at epoch {epoch + 1}: a pre-activation of the "
+                    f"{clipped} layer reached the sigmoid clip (+-{SIGMOID_CLIP:g}); "
+                    "try a smaller learning rate"
+                )
+            history.append(mse)
+            if mse <= config.target_mse:
+                break
     given = y_all > 0.5  # what a saturated output says for each record
     if (
         (np.minimum(y_all, 1.0 - y_all) < SATURATION_TOL).all()

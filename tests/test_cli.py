@@ -274,12 +274,15 @@ def test_train_toy_separable_reaches_target(tmp_path):
     assert log["final_mse"] < 0.01
 
 
-def test_train_reports_saturation(full_run, tmp_path, capsys):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", ["1e6", "1e308"])
+def test_train_reports_saturation(full_run, tmp_path, capsys, rate):
     # a huge step drives pre-activations to the sigmoid clip, which used to
-    # hide the divergence behind a finite mse and exit 0
+    # hide the divergence behind a finite mse and exit 0; at 1e308 the
+    # updates overflow, which is reported the same way, with no warning
     rc = run(
         "train", "--data", full_run / "cohort.csv", "--out", tmp_path, "--seed", "0",
-        "--rate", "1e6", "--epochs", "5",
+        "--rate", rate, "--epochs", "5",
     )
     assert rc == 3
     err = capsys.readouterr().err

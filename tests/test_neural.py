@@ -10,6 +10,7 @@ from helpers import (
     enumerate_class_scores,
     random_bit_dataset,
     random_records,
+    reference_sigmoid,
     reference_train,
     train_step_gradient_error,
     twelve_bit_schema,
@@ -27,7 +28,6 @@ from edm_rulex.neural import (
     init_network,
     load_network,
     network_to_dict,
-    sigmoid,
     train,
 )
 from edm_rulex.schema import ROLE_TARGET, Attribute, AttributeSchema, DatasetIndex, StudentRecord, encode_dataset
@@ -222,8 +222,8 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows
 @example(seed=5, runs=5, rows=6, block=13, middle=False)  # blocks of two whole runs
 @example(seed=6, runs=2, rows=12, block=1, middle=True)  # one chromosome per block
 def test_class_score_blocks_give_the_unblocked_bits(seed, runs, rows, block, middle):
-    # scored SCORE_BLOCK_ROWS chromosomes at a time, whole runs or parts of
-    # one, a stack gives the same bits as scored in one block
+    # scored BLOCK_ROWS chromosomes at a time, whole runs or parts of one, a
+    # stack gives the same bits as scored in one block
     rng = np.random.default_rng(seed)
     net = Network(
         v=rng.normal(size=(9, 30)), b_h=rng.normal(size=9),
@@ -233,11 +233,11 @@ def test_class_score_blocks_give_the_unblocked_bits(seed, runs, rows, block, mid
     stack = rng.integers(0, 2, shape, dtype=np.uint8)
     classes = rng.integers(4, size=runs)
     whole = class_score(net, stack, classes)
-    default, neural.SCORE_BLOCK_ROWS = neural.SCORE_BLOCK_ROWS, block
+    default, neural.BLOCK_ROWS = neural.BLOCK_ROWS, block
     try:
         blocked = class_score(net, stack, classes)
     finally:
-        neural.SCORE_BLOCK_ROWS = default
+        neural.BLOCK_ROWS = default
     assert whole.size <= default and blocked.shape == whole.shape == shape[:-1]
     assert blocked.tobytes() == whole.tobytes()
 
@@ -261,7 +261,7 @@ def test_class_score_memory_does_not_grow_with_the_stack():
 
 def test_train_memory_does_not_grow_with_the_dataset():
     # 20 000 records of 76 bits: a float copy of the rows alone would take
-    # 12 MB; read through the window of TRAIN_BLOCK_ROWS rows, the peak stays
+    # 12 MB; read through the window of BLOCK_ROWS rows, the peak stays
     # near the per-record outputs, targets and squared errors
     import tracemalloc
 
@@ -505,19 +505,22 @@ def assert_same_training(got, expected):
     assert got.epochs_run == expected.epochs_run
 
 
-def test_sigmoid_matches_clipped_formula():
+def test_forward_output_layer_matches_clipped_formula():
+    # two hidden units whose biases hold them at exactly 1.0, so output k's
+    # pre-activation is w[k, 0] + w[k, 1] + 0.0: u itself for a finite u
+    # beside a zero, and +-inf for two +-1e308
     rng = np.random.default_rng(12)
     edges = [0.0, -0.0, 1e-300, -1e-300, SIGMOID_CLIP, -SIGMOID_CLIP, 499.999, -499.999, 1e6, -1e6]
     # exp overflows past 709.78 and underflows to 0 past 745.13
-    edges += [np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0]
+    edges += [709.0, -709.0, 745.0, -745.0]
     u = np.concatenate([edges, rng.normal(scale=40, size=500), rng.normal(scale=800, size=500)])
+    w = np.vstack([np.column_stack([u, np.zeros_like(u)]), [[1e308, 1e308], [-1e308, -1e308]]])
+    u = np.append(u, [np.inf, -np.inf])
+    net = Network(v=np.zeros((2, 1)), b_h=np.full(2, 100.0), w=w, b_o=np.zeros(len(w)))
     expected = 1.0 / (1.0 + np.exp(-np.clip(u, -SIGMOID_CLIP, SIGMOID_CLIP)))
-    assert sigmoid(u).tobytes() == expected.tobytes()
-    assert np.isnan(sigmoid(np.array([np.nan]))).all()
-    # a scalar and a 0-d array, which np.negative alone turns into a scalar
-    for scalar in (0.5, np.array(0.5)):
-        assert sigmoid(scalar).shape == ()
-        assert sigmoid(scalar).tobytes() == (1.0 / (1.0 + np.exp(-0.5))).tobytes()
+    with np.errstate(over="ignore"):  # 1e308 + 1e308
+        assert forward(net, [1]).tobytes() == expected.tobytes()
+    assert np.isnan(forward(net, [np.nan])).all()
 
 
 @settings(max_examples=80, deadline=None)
@@ -583,13 +586,32 @@ def test_train_equals_reference_bit_for_bit(
 @pytest.mark.parametrize("n_records, seed", [(1, 0), (6, 1), (8, 2), (23, 3), (40, 4)])
 def test_train_in_blocks_equals_reference_bit_for_bit(monkeypatch, block, n_records, seed):
     # the window is refilled at every block of the permutation and of the
-    # pass after each epoch; the oracle takes that pass over the same blocks
+    # pass after each epoch, which is forward's, exact at any block size, so
+    # the oracle's mse is forward's over all rows at once
     schema = studydata.default_student_schema()
     encoded = encode_dataset(random_records(schema, n_records, np.random.default_rng(seed)), schema)
     cfg = TrainConfig(max_epochs=3, target_mse=1e-9, seed=seed)
-    monkeypatch.setattr(neural, "TRAIN_BLOCK_ROWS", block)
+    monkeypatch.setattr(neural, "BLOCK_ROWS", block)
     expected = reference_train(init_network(schema, cfg), encoded, cfg)
     assert_same_training(train(init_network(schema, cfg), encoded, cfg), expected)
+
+
+def test_train_logs_the_mse_of_forward(monkeypatch):
+    # the pass after each epoch is forward's own, so the logged mse is the
+    # mse of forward's outputs to the bit, at any block size; a raw product
+    # over a block of rows may round otherwise than over more rows
+    schema = studydata.default_student_schema()
+    widths = schema.code_layout[0]
+    index = DatasetIndex(schema, np.random.default_rng(97).integers(0, widths, (97, len(widths))))
+    cfg = TrainConfig(max_epochs=3, seed=1)
+    histories = []
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(neural, "BLOCK_ROWS", block)
+        result = train(init_network(schema, cfg), index, cfg)
+        y = forward(result.network, index.bits)
+        assert result.final_mse == float(np.mean((y - np.eye(4)[index.target]) ** 2))
+        histories.append(result.mse_history)
+    assert histories[0] == histories[1] == histories[2]
 
 
 def test_train_names_the_hidden_layer_when_it_clips_only_in_a_later_block(monkeypatch):
@@ -604,7 +626,7 @@ def test_train_names_the_hidden_layer_when_it_clips_only_in_a_later_block(monkey
     net.v[1, 1] = 50.0  # hidden unit 1 is 1.0 on bit 1 and 0.5 without it
     net.w[0, 1] = 1.6 * SIGMOID_CLIP
     cfg = TrainConfig(learning_rate=1e-9, momentum=0.0, hidden_size=2, max_epochs=3, seed=1)
-    monkeypatch.setattr(neural, "TRAIN_BLOCK_ROWS", 2)
+    monkeypatch.setattr(neural, "BLOCK_ROWS", 2)
     with pytest.raises(NumericError, match="saturated at epoch 1: a pre-activation of the hidden layer reached"):
         train(net, encoded, cfg)
 
@@ -641,10 +663,10 @@ def test_train_through_the_sigmoid_clip_equals_reference():
     start.v[:2] *= 4000.0
     start.w[:, :2] *= 4000.0
     u_h = encoded.bits @ start.v.T + start.b_h
-    u_o = sigmoid(u_h) @ start.w.T + start.b_o
+    u_o = reference_sigmoid(u_h) @ start.w.T + start.b_o
     for u in (u_h, u_o):
         assert u.max() > SIGMOID_CLIP and u.min() < -SIGMOID_CLIP
-    assert (sigmoid(u_o) == 1.0).any()
+    assert (forward(start, encoded.bits) == 1.0).any()
     oracle, net = copy.deepcopy(start), copy.deepcopy(start)
     with pytest.raises(NumericError, match="reference training failed at epoch 1"):
         reference_train(oracle, encoded, cfg)
