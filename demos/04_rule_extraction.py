@@ -51,8 +51,9 @@ net = train(init_network(schema, tc), encoded, tc).network
 ruleset = extract_ruleset(
     net,
     encoded,  # the same bit matrix the network was trained on; rules decode under its schema
-    ga_config=GaConfig(population_size=100, generations=60, seed=2),
+    ga_config=GaConfig(population_size=100, generations=60),
     per_class_rule_budget=4,
+    seed=2,
 )
 
 print("extracted rules (confidence / support):")

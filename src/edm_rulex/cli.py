@@ -352,7 +352,6 @@ def cmd_extract(args) -> int:
         mutation_prob=opts["mutation"],
         tournament_size=opts["tournament"],
         elitism=opts["elitism"],
-        seed=derive_seed(opts["seed"], "extract"),
     )
     ruleset = extract_ruleset(
         net,
@@ -361,6 +360,7 @@ def cmd_extract(args) -> int:
         per_class_rule_budget=opts["budget"],
         confidence_threshold=opts["confidence"],
         epsilon=opts["epsilon"],
+        seed=derive_seed(opts["seed"], "extract"),
     )
     doc = ruleset_to_dict(ruleset)
     doc["config_hash"], doc["inputs"] = _provenance(
@@ -381,21 +381,16 @@ def cmd_extract(args) -> int:
 
 
 def _group_split(index: DatasetIndex, group_by: str) -> dict[str, np.ndarray]:
-    """Per level of attribute ``group_by`` that some record takes, in level
-    order: the indices of its records, the rows of the raw table each group
-    statistic reads."""
+    """Per level of attribute ``group_by``, in level order: the indices of
+    its records, the rows of the raw table each group statistic reads.  Each
+    level needs at least 2 records."""
     codes = index.column(group_by)
     groups: dict[str, np.ndarray] = {}
     for k, token in enumerate(index.schema.attribute(group_by).levels):
-        rows = np.flatnonzero(codes == k)
-        if len(rows):
-            groups[token] = rows
-    if len(groups) < 2:
-        raise ValidationError(
-            f"need at least 2 non-empty {group_by!r} groups for group statistics"
-        )
-    if any(len(rows) < 2 for rows in groups.values()):
-        raise ValidationError("insufficient data: every group needs at least 2 records")
+        groups[token] = rows = np.flatnonzero(codes == k)
+        if len(rows) < 2:
+            raise ValidationError(f"insufficient data: group {token!r} of {group_by!r} has {len(rows)} record"
+                                  f"{'' if len(rows) == 1 else 's'}; the group statistics need at least 2 in each")
     return groups
 
 
@@ -499,10 +494,10 @@ def cmd_stats(args) -> int:
             continue
         idx = [col[d] for d in present]
         per_group = [_gather(raw_matrix, groups[t], idx) for t in tokens]
-        try:  # the block's first statistic: a singular or overflowing scatter is named by its block
+        try:  # the block's first statistic: a scatter too small, singular or overflowing is named by its block
             wres = manova_wilks(per_group)
-        except NumericError as e:
-            raise NumericError(f"stats block {block_name!r}: {e}") from None
+        except (ValidationError, NumericError) as e:
+            raise type(e)(f"stats block {block_name!r}: {e}") from None
         totals = [g.sum(axis=1) for g in per_group]
         del per_group  # each dimension's samples are gathered when its statistics need them
         univariate, levene = {}, {}
@@ -536,11 +531,13 @@ def cmd_stats(args) -> int:
             entry = {}
             for block_name in [b for b in blocks if b != "interaction"]:
                 dims = studydata.MEASURE_BLOCKS[block_name]
-                for d in dims:
-                    entry[d] = partial_r(raw_matrix[rows, col[d]], y, control)
-                entry[f"Total ({block_name})"] = partial_r(
-                    _gather(raw_matrix, rows, [col[d] for d in dims]).sum(axis=1), y, control
-                )
+                columns = {d: raw_matrix[rows, col[d]] for d in dims}
+                columns[f"Total ({block_name})"] = _gather(raw_matrix, rows, [col[d] for d in dims]).sum(axis=1)
+                for name, x in columns.items():
+                    try:
+                        entry[name] = partial_r(x, y, control)
+                    except (ValidationError, NumericError) as e:
+                        raise type(e)(f"stats partial correlation {name!r}, group {token!r}: {e}") from None
             partials["groups"][token] = entry
     sections["partial_correlations"] = partials
 

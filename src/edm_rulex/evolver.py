@@ -23,18 +23,18 @@ its champion's, so only then are the best chromosomes found and copied.
 with a fresh array for every step and per-run Python loops for the draws,
 and ``evolve`` must match it bit for bit.
 
-``evolve`` takes runs that differ only in their seeds and runs them in
-lockstep: their populations form one stack ``uint8[R, P, B]``, each
-generation makes one fitness call for the whole stack, and every operator is
-one array operation over it, but for the mutation clock, which walks each
-run's children in turn.  Each run keeps its own generator and draws from
-it the same blocks in the same order at any R, so with a fitness that scores
-a row the same in any batch, each run's result is bit for bit the one it
-gives alone, as the stack with R = 1.  ``rulekit.extract_ruleset`` relies
-on this to evolve several covering rounds of a class in one stack, before
-it knows which of them it will use, and to split the classes over
-processes, one slice per CPU: the joined results are the same bits as
-those of one run at a time.
+``evolve`` takes one config that all its runs share and one seed per
+run, and runs them in lockstep: their populations form one stack
+``uint8[R, P, B]``, each generation makes one fitness call for the whole
+stack, and every operator is one array operation over it, but for the
+mutation clock, which walks each run's children in turn.  Each run keeps
+its own generator and draws from it the same blocks in the same order at
+any R, so with a fitness that scores a row the same in any batch, each
+run's result is bit for bit the one it gives alone, as the stack with
+R = 1.  ``rulekit.extract_ruleset`` relies on this to evolve several
+covering rounds of a class in one stack, before it knows which of them
+it will use, and to split the classes over processes, one slice per CPU:
+the joined results are the same bits as those of one run at a time.
 
 Chromosomes are unconstrained bit strings; segments may be multi-hot or
 empty, the decoder gives them meaning.  Fitness must be pure; runs are
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,7 +64,6 @@ class GaConfig:
     mutation_prob: float = 0.02  # per bit
     tournament_size: int = 3
     elitism: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -204,31 +203,29 @@ def _evaluate(fitness, population: np.ndarray) -> np.ndarray:
 def evolve(
     fitness: Callable[[np.ndarray], np.ndarray],
     bit_length: int,
-    configs: Sequence[GaConfig],
+    config: GaConfig,
+    seeds: Sequence[int],
 ) -> list[EvolutionResult]:
     """Run the full loop: initialize, then (select, cross, mutate, elitism)
-    per generation, for one run per config.
+    per generation, for one run of ``config`` per seed.
 
-    The configs may differ only in their seeds, and the runs go in lockstep:
-    ``fitness`` takes the stack ``uint8[R, P, B]`` and returns
-    ``float[R, P]``, so each generation costs one call.  The stack is a view
-    of a buffer that a later generation overwrites, so a fitness that keeps
-    it must copy it.  The result has one entry per config, each equal to
-    that config's run in a stack of one, ``evolve(fitness, B, [config])[0]``.
+    The runs go in lockstep: ``fitness`` takes the stack ``uint8[R, P, B]``
+    and returns ``float[R, P]``, so each generation costs one call.  The
+    stack is a view of a buffer that a later generation overwrites, so a
+    fitness that keeps it must copy it.  The result has one entry per seed,
+    each equal to that seed's run in a stack of one,
+    ``evolve(fitness, B, config, [seed])[0]``.
 
     The history records the best fitness seen so far after each generation,
     so it is non-decreasing; the returned best never exceeds the true
     maximum because it is always one of the evaluated chromosomes.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValidationError("evolve needs at least one config")
-    cfg = configs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
-        raise ValidationError("runs in lockstep may differ only in their seeds")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValidationError("evolve needs at least one seed")
     if bit_length < 1:
         raise ValidationError(f"bit length must be >= 1, got {bit_length}")
-    runs, size, elites = len(configs), cfg.population_size, cfg.elitism
+    runs, size, elites = len(seeds), config.population_size, config.elitism
     n_children = size - elites
     pairs = (n_children + 1) // 2
     # Two population buffers, swapped each generation.  A run's rows are its
@@ -242,17 +239,17 @@ def evolve(
     # entrants drawn from it.  It holds about P (k + 1) draws, so it names the
     # larger of the two sizes: with a small schema a population whose uint8
     # stack passes can still take a block past the limit
-    entries = 2 * pairs * cfg.tournament_size
-    blamed = f"tournament size {cfg.tournament_size}" if cfg.tournament_size > size else f"population size {size}"
+    entries = 2 * pairs * config.tournament_size
+    blamed = f"tournament size {config.tournament_size}" if config.tournament_size > size else f"population size {size}"
     check_indexable(blamed, (runs, entries + 2 * pairs), np.float64)
     # a run's block of mutation gaps: its n = children x B bits flip about
     # n·p times, and a block of 8 standard deviations and 16 more past that
     # falls short of the n bits in fewer than one generation in 10**15
     mutable = n_children * bit_length
-    flips = mutable * cfg.mutation_prob
+    flips = mutable * config.mutation_prob
     block = int(flips + 8 * math.sqrt(flips)) + 16
     check_indexable(f"population size {size}", (block,), np.int64)
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # allocated one at a time and before the float draws, so a population
     # past the memory fails as a MemoryError, not as numpy's ValueError
     # for an array of more bytes than it can index; each is reused by
@@ -263,7 +260,7 @@ def evolve(
     swap = np.empty(differ.shape, dtype=bool)
     uniform = np.empty((runs, entries + 2 * pairs))
     ends = np.empty(block, dtype=np.int64)
-    entrants = np.empty((runs, 2 * pairs, cfg.tournament_size), dtype=np.int64)  # each tournament's k draws
+    entrants = np.empty((runs, 2 * pairs, config.tournament_size), dtype=np.int64)  # each tournament's k draws
     sources = np.empty((runs, depth), dtype=np.intp)  # each next row's row in pop
     winners = np.empty((runs, 2 * pairs), dtype=np.intp)
     place, rank = np.empty(runs * size, dtype=np.intp), np.arange(runs * size)
@@ -284,11 +281,11 @@ def evolve(
     best = fits.argmax(axis=1)
     champion, champion_fitness = pop[each, best], fits[each, best]
     history: list[np.ndarray] = []
-    for gen in range(cfg.generations):
+    for gen in range(config.generations):
         for rng, row in zip(rngs, uniform):
             rng.random(out=row)
         order = np.argsort(np.negative(fits, out=negated), axis=1, kind="stable")
-        _split_block(uniform, size, bit_length, cfg.crossover_prob, entrants, crossed, cuts)
+        _split_block(uniform, size, bit_length, config.crossover_prob, entrants, crossed, cuts)
         _tournament(order, entrants, rows, place, rank, winners)
         sources[:, :elites] = order[:, :elites]
         np.take(order, winners, out=sources[:, elites:])
@@ -298,7 +295,7 @@ def evolve(
         np.take(pop.reshape(-1, bit_length), sources, axis=0, out=nxt, mode="clip")
         if bit_length > 1:
             _cross(nxt[:, elites : elites + pairs], nxt[:, elites + pairs :], cuts, crossed, positions, swap, differ)
-        _mutate(nxt.reshape(-1), starts, mutable, cfg.mutation_prob, rngs, ends)
+        _mutate(nxt.reshape(-1), starts, mutable, config.mutation_prob, rngs, ends)
         pop, nxt = nxt, pop
         fits = _evaluate(fitness, pop[:, :size])
         better = fits.max(axis=1) > champion_fitness
@@ -310,7 +307,7 @@ def evolve(
         history.append(champion_fitness)
         if debug:
             log.debug("generation %d best %s", gen + 1, champion_fitness)
-    histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
+    histories = np.reshape(history, (config.generations, runs)).T.tolist()
     last = pop[:, :size]
     return [
         EvolutionResult(

@@ -197,6 +197,7 @@ def extract_ruleset(
     per_class_rule_budget: int = DEFAULT_RULE_BUDGET,
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
     epsilon: float = DEFAULT_EPSILON,
+    seed: int = 0,
 ) -> RuleSet:
     """Sequential covering driven by the trained network.
 
@@ -208,8 +209,9 @@ def extract_ruleset(
     every term dropped the confidence is the class's share of the working
     set.  So each accepted rule shrinks the working set and none repeats.
 
-    The GA seed for class k, round r derives from the config seed as
-    derive_seed(seed, "class-k", r), and a run depends only on the network,
+    Every GA run shares ``ga_config``.  The seed of class k, round r
+    derives from the master ``seed`` as derive_seed(seed, "class-k", r),
+    the audit entry's ``ga_seed``, and a run depends only on the network,
     k and that seed, never on the working set.  ``util.split_over_cpus``
     cuts the classes once into one contiguous slice per usable CPU (those
     ``os.sched_getaffinity`` lists, so ``taskset`` limits them, and no more
@@ -276,10 +278,10 @@ def extract_ruleset(
             if not live:
                 break
             runs = [(k, r) for k in live for r in batch]  # class by class, round by round
-            cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", r)) for k, r in runs]
+            seeds = [derive_seed(seed, f"class-{k}", r) for k, r in runs]
             targets = np.repeat(live, len(batch))
-            results = evolve(lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, cfgs)
-            for (k, round_no), cfg, result in zip(runs, cfgs, results):
+            results = evolve(lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, ga_config, seeds)
+            for (k, round_no), ga_seed, result in zip(runs, seeds, results):
                 evolved[k] += 1
                 if not covering(k):
                     continue  # the class stopped in an earlier round of this batch
@@ -289,7 +291,7 @@ def extract_ruleset(
                 entry = {
                     "class": schema.target.levels[k],
                     "round": round_no,
-                    "ga_seed": cfg.seed,
+                    "ga_seed": ga_seed,
                     "ga_generations": result.generations,
                     "best_fitness": result.best_fitness,
                     "chromosome": result.best_chromosome.tolist(),

@@ -291,26 +291,25 @@ def reference_mutate(pop, p, rng):
             bits[site] ^= 1
 
 
-def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]:
+def reference_evolve(fitness, bit_length: int, config, seeds) -> list[EvolutionResult]:
     """The lockstep GA with a fresh array for every step of every generation:
     the oracle for evolver.evolve, which must give the same champions, best
-    fitnesses, histories, ties and champion generations bit for bit.  Each
-    generation takes the elites by a stable sort of the fitnesses.  Each
-    run then draws one block of 2 pairs (k + 1) uniforms, where pairs is
-    ceil(children / 2): the k entrants of each of its 2 pairs tournaments,
-    floor(u P), then each pair's crossover coin, u < the crossover
-    probability, then each pair's cut, 1 + floor(u (B - 1)), used when there
-    are two bits or more.  Each tournament's winner is its entrant of best
-    fitness.  Then each run's children go through ``reference_mutate`` with
-    its own generator.  A run's ties are the distinct rows of its last
-    population whose fitness equals its champion's; its champion generation
-    is the last generation in which its best fitness rose, 0 if none did."""
-    cfg = configs[0]
-    assert all(replace(c, seed=cfg.seed) == cfg for c in configs)
-    runs, size, k = len(configs), cfg.population_size, cfg.tournament_size
-    n_children = size - cfg.elitism
+    fitnesses, histories, ties and champion generations bit for bit, one run
+    of ``config`` per seed.  Each generation takes the elites by a stable
+    sort of the fitnesses.  Each run then draws one block of 2 pairs (k + 1)
+    uniforms, where pairs is ceil(children / 2): the k entrants of each of
+    its 2 pairs tournaments, floor(u P), then each pair's crossover coin,
+    u < the crossover probability, then each pair's cut, 1 + floor(u (B - 1)),
+    used when there are two bits or more.  Each tournament's winner is its
+    entrant of best fitness.  Then each run's children go through
+    ``reference_mutate`` with its own generator.  A run's ties are the
+    distinct rows of its last population whose fitness equals its
+    champion's; its champion generation is the last generation in which its
+    best fitness rose, 0 if none did."""
+    runs, size, k = len(seeds), config.population_size, config.tournament_size
+    n_children = size - config.elitism
     pairs = (n_children + 1) // 2
-    rng = ReferenceLockstep([c.seed for c in configs])
+    rng = ReferenceLockstep(seeds)
     each = np.arange(runs)
     first = (each * size)[:, None]
 
@@ -320,20 +319,20 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
     champion, champion_fitness = pop[each, best], fits[each, best]
     found = [0] * runs
     history = []
-    for gen in range(cfg.generations):
+    for gen in range(config.generations):
         rows = pop.reshape(-1, bit_length)
-        elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : cfg.elitism] + first]
+        elite = rows[np.argsort(-fits, axis=1, kind="stable")[:, : config.elitism] + first]
         entrants, coins, cuts = [], [], []
         for u in rng.random(2 * pairs * (k + 1)).tolist():
             entrants.append([[int(u[i * k + j] * size) for j in range(k)] for i in range(2 * pairs)])
-            coins.append([x < cfg.crossover_prob for x in u[2 * pairs * k : 2 * pairs * k + pairs]])
+            coins.append([x < config.crossover_prob for x in u[2 * pairs * k : 2 * pairs * k + pairs]])
             cuts.append([1 + int(x * (bit_length - 1)) for x in u[2 * pairs * k + pairs :]])
         parents = rows[reference_winners(fits, np.array(entrants)) + first]
         p1, p2 = parents[:, :pairs], parents[:, pairs:]
         if bit_length > 1:
             p1, p2 = reference_crossover(p1, p2, np.array(cuts), np.array(coins))
         children = np.concatenate([p1, p2], axis=1)[:, :n_children]
-        children = np.array([reference_mutate(c, cfg.mutation_prob, g) for c, g in zip(children, rng.rngs)])
+        children = np.array([reference_mutate(c, config.mutation_prob, g) for c, g in zip(children, rng.rngs)])
         pop = np.concatenate([elite, children], axis=1)
         fits = np.asarray(fitness(pop), dtype=float)
         best = fits.argmax(axis=1)
@@ -343,7 +342,7 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
         champion_fitness = np.where(better, best_fitness, champion_fitness)
         found = [gen + 1 if b else f for b, f in zip(better.tolist(), found)]
         history.append(champion_fitness)
-    histories = np.reshape(history, (cfg.generations, runs)).T.tolist()
+    histories = np.reshape(history, (config.generations, runs)).T.tolist()
     ties = [
         len({tuple(row) for row, fit in zip(pop[r].tolist(), fits[r].tolist()) if fit == champion_fitness[r]})
         for r in range(runs)
@@ -356,7 +355,7 @@ def reference_evolve(fitness, bit_length: int, configs) -> list[EvolutionResult]
 
 
 def reference_extract(net: Network, index: DatasetIndex, ga_config, budget: int,
-                      confidence_threshold: float = 0.7, epsilon: float = 0.0) -> RuleSet:
+                      confidence_threshold: float = 0.7, epsilon: float = 0.0, seed: int = 0) -> RuleSet:
     """Sequential covering round by round in this process: the oracle for
     rulekit.extract_ruleset, which must give the same rules, default and
     audit.  Round r makes one ``evolve`` call over the runs of every class
@@ -371,14 +370,14 @@ def reference_extract(net: Network, index: DatasetIndex, ga_config, budget: int,
         live = [k for k in live if (working[k].target == k).any()]
         if not live:
             break
-        cfgs = [replace(ga_config, seed=derive_seed(ga_config.seed, f"class-{k}", round_no)) for k in live]
-        results = evolve(lambda pop: class_score(net, pop, live), schema.total_predictive_bits, cfgs)
+        seeds = [derive_seed(seed, f"class-{k}", round_no) for k in live]
+        results = evolve(lambda pop: class_score(net, pop, live), schema.total_predictive_bits, ga_config, seeds)
         going = []
-        for k, cfg, result in zip(live, cfgs, results):
+        for k, ga_seed, result in zip(live, seeds, results):
             refined = refine_rule(decode_chromosome(result.best_chromosome, schema, k), working[k], epsilon=epsilon)
             accepted = refined.confidence >= confidence_threshold
             entry = {
-                "class": schema.target.levels[k], "round": round_no, "ga_seed": cfg.seed,
+                "class": schema.target.levels[k], "round": round_no, "ga_seed": ga_seed,
                 "ga_generations": result.generations, "best_fitness": result.best_fitness,
                 "chromosome": result.best_chromosome.tolist(), "champion_ties": result.champion_ties,
                 "champion_generation": result.champion_generation,

@@ -97,7 +97,8 @@ def test_criterion_4_ga_optimality_oracle():
         result = evolve(
             lambda stack: class_score(net, stack, [0]),
             12,
-            [GaConfig(population_size=100, generations=60, mutation_prob=0.05, seed=seed)],
+            GaConfig(population_size=100, generations=60, mutation_prob=0.05),
+            [seed],
         )[0]
         sound = sound and result.best_fitness <= true_max
         if result.best_fitness == true_max:

@@ -212,6 +212,51 @@ def test_stats_names_the_block_whose_scatter_overflows(tmp_path, capsys):
     assert not (tmp_path / "stats.json").exists()
 
 
+def test_stats_names_the_block_too_small_for_its_manova(tmp_path, capsys):
+    # 8 records leave 6 error degrees of freedom, fewer than the learning
+    # skills block's 7 dimensions: a validation failure of that block
+    assert run("generate", "--n", "8", "--seed", "3", "--out", tmp_path) == 0
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "stats block 'learning_skills'" in err and "too few observations (8)" in err
+    assert not (tmp_path / "stats.json").exists()
+
+
+def _group_sizes_spec(tmp_path, sizes):
+    """The default population spec at seed 3 with scale maxima, holding
+    only the groups of ``sizes``, each of that many records."""
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec(seed=3).to_dict()
+    spec["groups"] = {token: dict(spec["groups"][token], n=n) for token, n in sizes.items()}
+    spec["group_order"] = list(sizes)
+    spec["score_maxima"] = studydata.SCORE_MAXIMA
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return tmp_path / "spec.json"
+
+
+def test_stats_names_the_group_and_entry_of_a_partial_correlation_it_cannot_take(tmp_path, capsys):
+    # 2 records in group Ma pass the group statistics but leave a
+    # correlation fewer than its 3 pairs
+    spec = _group_sizes_spec(tmp_path, {"Ma": 2, "Fe": 30})
+    assert run("generate", "--spec", spec, "--seed", "3", "--out", tmp_path) == 0
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "stats partial correlation 'Management of dispersants', group 'Ma': " in err
+    assert "at least 3 pairs" in err and "Traceback" not in err
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_stats_names_an_empty_group(tmp_path, capsys):
+    # a spec of group Ma alone leaves the schema's level Fe with no record
+    spec = _group_sizes_spec(tmp_path, {"Ma": 30})
+    assert run("generate", "--spec", spec, "--seed", "3", "--out", tmp_path) == 0
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "group 'Fe' of 'Gender' has 0 records; the group statistics need at least 2 in each" in err
+    assert not (tmp_path / "stats.json").exists()
+
+
 def test_generate_rejects_empty_cohort(tmp_path, capsys):
     out = tmp_path / "bad"
     assert run("generate", "--n", "0", "--seed", "1", "--out", out) == 2
@@ -574,9 +619,11 @@ def test_stats_names_skipped_blocks(tmp_path, capsys):
 
 
 def test_stats_insufficient_data(tmp_path, capsys):
+    # one record in each group: the first, Ma, is named with its count
     assert run("generate", "--out", tmp_path, "--seed", "2", "--n", "2") == 0
     assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 2
-    assert "insufficient" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "insufficient" in err and "group 'Ma' of 'Gender' has 1 record;" in err
 
 
 def test_stats_requires_raw_sidecar(full_run, tmp_path, capsys):
@@ -1184,7 +1231,7 @@ def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):
     for entry in doc["audit"]:
         k = schema.target.levels.index(entry["class"])
         alone = evolve(
-            lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits, [GaConfig(seed=entry["ga_seed"])]
+            lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits, GaConfig(), [entry["ga_seed"]]
         )[0]
         assert entry["chromosome"] == alone.best_chromosome.tolist()
         assert len(entry["chromosome"]) == schema.total_predictive_bits
@@ -1214,7 +1261,7 @@ def test_each_audit_entry_records_the_generation_of_its_champion(study_run, tmp_
         k = schema.target.levels.index(entry["class"])
         alone = evolve(
             lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits,
-            [GaConfig(generations=60, seed=entry["ga_seed"])],
+            GaConfig(generations=60), [entry["ga_seed"]],
         )[0]
         assert entry["champion_generation"] == alone.champion_generation
         assert 0 <= entry["champion_generation"] <= entry["ga_generations"] == 60
@@ -1253,7 +1300,6 @@ def test_no_stage_imports_numpy_ma(tmp_path):
 def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
     # extract_ruleset orders each class's rules by confidence itself, so
     # ruleset.json holds its rules in the order the library returns them
-    from edm_rulex.evolver import GaConfig
     from edm_rulex.neural import load_network
     from edm_rulex.schema import read_index_csv
 
@@ -1271,10 +1317,10 @@ def test_library_ruleset_is_the_written_ruleset(study_run, tmp_path):
         index = read_index_csv(stream, schema)
     ruleset = rulekit.extract_ruleset(
         load_network(tmp_path / "model.json"), index,
-        ga_config=GaConfig(seed=util.derive_seed(7, "extract")),
         per_class_rule_budget=settings["budget"],
         confidence_threshold=settings["confidence"],
         epsilon=settings["epsilon"],
+        seed=util.derive_seed(7, "extract"),
     )
     confidences = {}
     for rule in ruleset.rules:
@@ -1292,7 +1338,6 @@ def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
     # in each covering round refine_rule matches the rule once for its miss
     # matrix and evaluate_rule once per call; the round itself matches the
     # refined rule again only when it accepts it, to drop the records it explains
-    from edm_rulex.evolver import GaConfig
     from edm_rulex.schema import read_index_csv
 
     schema = load_schema(json.loads((study_run / "cohort.meta.json").read_text())["schema"])
@@ -1315,7 +1360,7 @@ def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
     monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = rulekit.extract_ruleset(
         load_network(study_run / "model.json"), index,
-        ga_config=GaConfig(seed=util.derive_seed(7, "extract")), per_class_rule_budget=5,
+        per_class_rule_budget=5, seed=util.derive_seed(7, "extract"),
     )
     # the rounds in the order they ran: batch by batch (rounds 0-1, 2-3 and
     # 4, each batch starting at a power of two), class by class in each

@@ -1,6 +1,5 @@
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ def popcount(pop):
 
 def test_onemax_reaches_all_ones():
     for seed in range(20):
-        result = evolve(popcount, 16, [GaConfig(seed=seed)])[0]
+        result = evolve(popcount, 16, GaConfig(), [seed])[0]
         assert result.best_fitness == 16.0
         assert result.best_chromosome.sum() == 16
         assert result.champion_ties == 1  # copies of the one all-ones string are one chromosome
@@ -28,7 +27,7 @@ def test_onemax_reaches_all_ones():
 
 def test_constant_fitness_terminates():
     result = evolve(
-        lambda pop: np.ones(pop.shape[:-1]), 8, [GaConfig(population_size=10, generations=15, seed=0)]
+        lambda pop: np.ones(pop.shape[:-1]), 8, GaConfig(population_size=10, generations=15), [0]
     )[0]
     assert result.best_fitness == 1.0
     assert result.history == [1.0] * 15
@@ -44,7 +43,7 @@ def test_constant_fitness_ties_every_distinct_chromosome_of_the_last_population(
         populations.append(pop.copy())
         return np.ones(pop.shape[:-1])
 
-    result = evolve(flat, 8, [GaConfig(population_size=10, generations=15, seed=0)])[0]
+    result = evolve(flat, 8, GaConfig(population_size=10, generations=15), [0])[0]
     distinct = {tuple(row) for row in populations[-1][0].tolist()}
     assert result.champion_ties == len(distinct) > 1
 
@@ -54,14 +53,14 @@ def test_history_non_decreasing():
         x = pop.astype(np.int64) @ (1 << np.arange(pop.shape[-1])[::-1])
         return ((x * 2654435761) % 997).astype(float)
 
-    result = evolve(lumpy, 14, [GaConfig(population_size=30, generations=40, seed=3)])[0]
+    result = evolve(lumpy, 14, GaConfig(population_size=30, generations=40), [3])[0]
     assert all(a <= b for a, b in zip(result.history, result.history[1:]))
 
 
 def test_deterministic():
-    cfg = GaConfig(population_size=20, generations=25, seed=1234)
-    a = evolve(popcount, 12, [cfg])[0]
-    b = evolve(popcount, 12, [cfg])[0]
+    cfg = GaConfig(population_size=20, generations=25)
+    a = evolve(popcount, 12, cfg, [1234])[0]
+    b = evolve(popcount, 12, cfg, [1234])[0]
     assert a.best_fitness == b.best_fitness
     assert np.array_equal(a.best_chromosome, b.best_chromosome)
     assert a.history == b.history
@@ -72,7 +71,7 @@ def test_non_finite_fitness_aborts():
         return np.where(pop[..., 0] == 1, np.nan, 0.0)
 
     with pytest.raises(NumericError, match="chromosome"):
-        evolve(bad, 4, [GaConfig(population_size=8, generations=5, seed=0)])
+        evolve(bad, 4, GaConfig(population_size=8, generations=5), [0])
 
 
 @pytest.mark.parametrize(
@@ -86,7 +85,7 @@ def test_non_finite_fitness_aborts():
 )
 def test_fitness_wrong_shape_rejected(wrong):
     with pytest.raises(ValidationError, match="shape"):
-        evolve(wrong, 6, [GaConfig(population_size=8, generations=3, seed=0)])
+        evolve(wrong, 6, GaConfig(population_size=8, generations=3), [0])
 
 
 def test_one_fitness_call_per_generation():
@@ -96,7 +95,7 @@ def test_one_fitness_call_per_generation():
         calls.append(pop.shape)
         return popcount(pop)
 
-    evolve(counted, 5, [GaConfig(population_size=9, generations=7, seed=0)])
+    evolve(counted, 5, GaConfig(population_size=9, generations=7), [0])
     assert calls == [(1, 9, 5)] * 8
 
 
@@ -110,7 +109,7 @@ def test_soundness_against_enumeration():
     everything = (np.arange(2**12)[:, None] >> np.arange(12)) & 1
     exhaustive = fitness(everything).max()
     for seed in range(5):
-        result = evolve(fitness, 12, [GaConfig(population_size=40, generations=40, seed=seed)])[0]
+        result = evolve(fitness, 12, GaConfig(population_size=40, generations=40), [seed])[0]
         assert result.best_fitness <= exhaustive + 1e-12
 
 
@@ -221,7 +220,7 @@ def recorded(bits, config, seeds):
         seen.append(pop.copy())
         return popcount(pop)
 
-    evolve(fitness, bits, [replace(config, seed=s) for s in seeds])
+    evolve(fitness, bits, config, seeds)
     return seen
 
 
@@ -296,7 +295,7 @@ def test_a_mutation_block_past_numpy_index_range_is_a_validation_error():
     size = 2 * 10**16
     assert size * 76 < np.iinfo(np.intp).max < clock_block((size - 2) * 76, 1.0) * 8
     with pytest.raises(ValidationError, match=f"population size {size} is too large"):
-        evolve(popcount, 76, [GaConfig(population_size=size, mutation_prob=1.0)])
+        evolve(popcount, 76, GaConfig(population_size=size, mutation_prob=1.0), [0])
 
 
 @pytest.mark.parametrize(
@@ -313,7 +312,7 @@ def test_a_uniform_block_past_numpy_index_range_names_the_larger_size(config, na
     # default tournament of 3, and a tournament larger than the population does
     assert config.population_size * 12 < np.iinfo(np.intp).max
     with pytest.raises(ValidationError, match=f"^{named} is too large"):
-        evolve(popcount, 12, [config])
+        evolve(popcount, 12, config, [0])
 
 
 def split_blocks(rng, blocks, runs, size, bits, k, pairs, crossover):
@@ -397,7 +396,7 @@ def test_champion_generation_is_where_the_history_reaches_the_best():
         return ((x * 2654435761) % 997).astype(float)
 
     generations = set()
-    results = evolve(lumpy, 14, [GaConfig(population_size=30, generations=40, seed=s) for s in range(12)])
+    results = evolve(lumpy, 14, GaConfig(population_size=30, generations=40), range(12))
     for result in results:
         g, best, history = result.champion_generation, result.best_fitness, result.history
         generations.add(g)
@@ -406,9 +405,9 @@ def test_champion_generation_is_where_the_history_reaches_the_best():
         else:
             assert history[g - 1] == best and (g == 1 or history[g - 2] < best)
     assert len(generations) > 1
-    flat = evolve(lambda pop: np.ones(pop.shape[:-1]), 8, [GaConfig(population_size=10, generations=5)])[0]
+    flat = evolve(lambda pop: np.ones(pop.shape[:-1]), 8, GaConfig(population_size=10, generations=5), [0])[0]
     assert flat.champion_generation == 0
-    assert evolve(popcount, 6, [GaConfig(population_size=12, generations=0)])[0].champion_generation == 0
+    assert evolve(popcount, 6, GaConfig(population_size=12, generations=0), [0])[0].champion_generation == 0
 
 
 @pytest.mark.parametrize(
@@ -428,7 +427,7 @@ def test_config_validation(kwargs):
 
 
 def test_zero_generations_returns_initial_best():
-    result = evolve(popcount, 6, [GaConfig(population_size=12, generations=0, seed=2)])[0]
+    result = evolve(popcount, 6, GaConfig(population_size=12, generations=0), [2])[0]
     assert isinstance(result, EvolutionResult)
     assert result.history == []
     assert result.best_fitness == popcount(result.best_chromosome[None])[0]
@@ -464,7 +463,7 @@ def _hashed(pop, mult):
 def test_lockstep_runs_equal_lone_runs(
     seeds, size, bits, generations, elitism, tournament, crossover, mutation
 ):
-    base = GaConfig(
+    config = GaConfig(
         population_size=size,
         generations=generations,
         elitism=min(elitism, size - 1),
@@ -472,12 +471,11 @@ def test_lockstep_runs_equal_lone_runs(
         crossover_prob=crossover,
         mutation_prob=mutation,
     )
-    configs = [replace(base, seed=seed) for seed in seeds]
     mults = np.array([2654435761 + 2 * r for r in range(len(seeds))])  # a surface per run
-    batch = evolve(lambda pop: _hashed(pop, mults[:, None]), bits, configs)
-    assert len(batch) == len(configs)
-    for config, mult, got in zip(configs, mults, batch):
-        alone = evolve(lambda pop: _hashed(pop, mult), bits, [config])[0]
+    batch = evolve(lambda pop: _hashed(pop, mults[:, None]), bits, config, seeds)
+    assert len(batch) == len(seeds)
+    for seed, mult, got in zip(seeds, mults, batch):
+        alone = evolve(lambda pop: _hashed(pop, mult), bits, config, [seed])[0]
         assert np.array_equal(got.best_chromosome, alone.best_chromosome)
         assert got.best_fitness == alone.best_fitness
         assert got.history == alone.history
@@ -535,7 +533,6 @@ def test_evolve_equals_reference(
         crossover_prob=crossover,
         mutation_prob=mutation,
     )
-    configs = [replace(config, seed=seed) for seed in seeds]
     if by_network:
         rng = np.random.default_rng(seeds[0])
         hidden, outputs = int(rng.integers(1, 6)), int(rng.integers(1, 4))
@@ -555,8 +552,8 @@ def test_evolve_equals_reference(
         def fitness(pop):
             return _hashed(pop, mults[:, None]) % 4  # many distinct chromosomes tie
 
-    got, want = evolve(fitness, bits, configs), reference_evolve(fitness, bits, configs)
-    assert len(got) == len(want) == len(configs)
+    got, want = evolve(fitness, bits, config, seeds), reference_evolve(fitness, bits, config, seeds)
+    assert len(got) == len(want) == len(seeds)
     for g, w in zip(got, want):
         assert np.array_equal(g.best_chromosome, w.best_chromosome)
         assert g.best_fitness == w.best_fitness
@@ -566,12 +563,12 @@ def test_evolve_equals_reference(
 
 
 def test_debug_log_one_record_per_generation(caplog):
-    configs = [GaConfig(population_size=8, generations=6, seed=s) for s in (0, 1)]
+    config = GaConfig(population_size=8, generations=6)
     with caplog.at_level(logging.INFO, logger="edm_rulex.evolver"):
-        evolve(popcount, 5, configs)
+        evolve(popcount, 5, config, [0, 1])
     assert caplog.records == []
     with caplog.at_level(logging.DEBUG, logger="edm_rulex.evolver"):
-        results = evolve(popcount, 5, configs)
+        results = evolve(popcount, 5, config, [0, 1])
     messages = [r.getMessage() for r in caplog.records]
     assert [m.split(" best ")[0] for m in messages] == [f"generation {g}" for g in range(1, 7)]
     # each record holds that generation's running best of every run
@@ -587,9 +584,8 @@ def test_lockstep_non_finite_fitness_names_run_and_chromosome():
         fits[1][pop[1, :, 0] == 1] = np.inf
         return fits
 
-    configs = [GaConfig(population_size=8, generations=5, seed=s) for s in (0, 1, 2)]
     with pytest.raises(NumericError) as err:
-        evolve(bad_in_run_1, 4, configs)
+        evolve(bad_in_run_1, 4, GaConfig(population_size=8, generations=5), [0, 1, 2])
     first = seen[-1][1][seen[-1][1][:, 0] == 1][0]
     assert f"chromosome {first.tolist()} of run 1" in str(err.value)
     assert "inf" in str(err.value)
@@ -602,24 +598,15 @@ def test_lockstep_one_fitness_call_per_generation():
         calls.append(pop.shape)
         return pop.sum(axis=-1).astype(float)
 
-    configs = [GaConfig(population_size=9, generations=7, seed=s) for s in range(3)]
-    evolve(counted, 5, configs)
+    evolve(counted, 5, GaConfig(population_size=9, generations=7), range(3))
     assert calls == [(3, 9, 5)] * 8
 
 
-@pytest.mark.parametrize(
-    "configs, message",
-    [
-        ([], "at least one config"),
-        ([GaConfig(seed=1), GaConfig(seed=2, generations=3)], "only in their seeds"),
-    ],
-)
-def test_lockstep_rejects_configs(configs, message):
-    with pytest.raises(ValidationError, match=message):
-        evolve(lambda pop: pop.sum(axis=-1).astype(float), 4, configs)
+def test_lockstep_needs_a_seed():
+    with pytest.raises(ValidationError, match="at least one seed"):
+        evolve(popcount, 4, GaConfig(), [])
 
 
 def test_lockstep_fitness_wrong_shape_rejected():
-    configs = [GaConfig(population_size=6, generations=2, seed=s) for s in range(2)]
     with pytest.raises(ValidationError, match=r"shape \(2, 6\)"):
-        evolve(lambda pop: pop[0].sum(axis=-1).astype(float), 4, configs)
+        evolve(lambda pop: pop[0].sum(axis=-1).astype(float), 4, GaConfig(population_size=6, generations=2), [0, 1])

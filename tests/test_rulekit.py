@@ -562,7 +562,7 @@ def test_extract_recovers_planted_rule():
     ruleset = extract_ruleset(
         net,
         encoded,
-        ga_config=GaConfig(population_size=60, generations=40, seed=5),
+        ga_config=GaConfig(population_size=60, generations=40), seed=5,
         per_class_rule_budget=3,
     )
     index = DatasetIndex(schema, records)
@@ -588,9 +588,9 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     batches, scored = [], []
     evolve, class_score = rulekit.evolve, rulekit.class_score
 
-    def counted_evolve(fitness, bit_length, configs):
-        batches.append([c.seed for c in configs])
-        return evolve(fitness, bit_length, configs)
+    def counted_evolve(fitness, bit_length, config, seeds):
+        batches.append(list(seeds))
+        return evolve(fitness, bit_length, config, seeds)
 
     def counted_score(net, pop, classes):
         scored.append(list(classes))
@@ -601,7 +601,7 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
     ruleset = extract_ruleset(
         net, DatasetIndex(schema, records),
-        ga_config=GaConfig(population_size=20, generations=4, seed=20),
+        ga_config=GaConfig(population_size=20, generations=4), seed=20,
         per_class_rule_budget=5,
     )
     tokens = schema.target.levels
@@ -653,12 +653,12 @@ def test_extract_equals_the_round_by_round_reference(case, seed, request, monkey
     from edm_rulex import util
 
     net, index = request.getfixturevalue(case)
-    config = GaConfig(population_size=20, generations=6, seed=seed)
+    config = GaConfig(population_size=20, generations=6)
     for budget in (0, 1, 2, 3, 5, 9):
-        expected = reference_extract(net, index, config, budget)
+        expected = reference_extract(net, index, config, budget, seed=seed)
         for workers in (1, 2, 3, 5):
             monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
-            assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget) == expected
+            assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget, seed=seed) == expected
     # at budget 9 some class leaves covering inside a batch: in split_case one
     # whose working set empties after a round followed by one of its batch, in
     # small_case one rejected in the first round of a batch after the first
@@ -683,7 +683,7 @@ def test_extract_gives_the_same_ruleset_over_any_number_of_processes(split_case,
     for workers in (1, 2, 3):
         monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
         got.append(extract_ruleset(
-            net, index, ga_config=GaConfig(population_size=20, generations=6, seed=seed),
+            net, index, ga_config=GaConfig(population_size=20, generations=6), seed=seed,
             per_class_rule_budget=budget,
         ))
     assert got[0].rules and len(got[0].audit) >= 4
@@ -699,8 +699,8 @@ def test_extract_forks_once_per_call(split_case, monkeypatch, workers, budget):
     from edm_rulex import util
 
     net, index = split_case
-    config = GaConfig(population_size=20, generations=6, seed=8)
-    expected = reference_extract(net, index, config, budget)
+    config = GaConfig(population_size=20, generations=6)
+    expected = reference_extract(net, index, config, budget, seed=8)
     fork, made = os.fork, []
 
     def counted_fork():
@@ -709,7 +709,7 @@ def test_extract_forks_once_per_call(split_case, monkeypatch, workers, budget):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
-    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget) == expected
+    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=budget, seed=8) == expected
     assert len(made) == min(workers, 4) - 1
 
 
@@ -725,7 +725,7 @@ def test_extract_logs_each_class_in_class_and_round_order(split_case, monkeypatc
     monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
     with caplog.at_level(logging.INFO, logger="edm_rulex.rulekit"):
         ruleset = extract_ruleset(
-            net, index, ga_config=GaConfig(population_size=20, generations=6, seed=8), per_class_rule_budget=9,
+            net, index, ga_config=GaConfig(population_size=20, generations=6), seed=8, per_class_rule_budget=9,
         )
     messages = [r.getMessage() for r in caplog.records if r.name == "edm_rulex.rulekit"]
     patterns, counts = [], []
@@ -761,9 +761,9 @@ def test_extract_evolves_the_slices_it_cannot_fork_itself(split_case, monkeypatc
     from edm_rulex import util
 
     net, index = split_case
-    config = GaConfig(population_size=20, generations=6, seed=8)
+    config = GaConfig(population_size=20, generations=6)
     monkeypatch.setattr(util, "_usable_cpus", lambda: 1)
-    alone = extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3)
+    alone = extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3, seed=8)
     fork, made = os.fork, []
 
     def fork_while_ids_last():
@@ -774,7 +774,7 @@ def test_extract_evolves_the_slices_it_cannot_fork_itself(split_case, monkeypatc
 
     monkeypatch.setattr(os, "fork", fork_while_ids_last)
     monkeypatch.setattr(util, "_usable_cpus", lambda: workers)
-    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3) == alone
+    assert extract_ruleset(net, index, ga_config=config, per_class_rule_budget=3, seed=8) == alone
     assert len(made) == forks
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -839,7 +839,7 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
     monkeypatch.setattr(rulekit, "refine_rule", failing_refine)
     monkeypatch.setattr(util, "_usable_cpus", lambda: 4)
     with pytest.raises(raised) as caught:
-        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
+        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3), seed=8)
     assert type(caught.value) is raised
     found = re.fullmatch(message, str(caught.value))
     assert found and found.group(1) != str(os.getpid())  # raised in a child
@@ -865,7 +865,7 @@ def test_extract_kills_its_children_when_its_own_slice_fails(split_case, monkeyp
     monkeypatch.setattr(util, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValidationError, match="the parent's slice fails"):
-        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3, seed=8))
+        extract_ruleset(net, index, ga_config=GaConfig(population_size=20, generations=3), seed=8)
     assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -880,7 +880,7 @@ def test_extract_single_class_dataset():
     ruleset = extract_ruleset(
         net,
         encoded,
-        ga_config=GaConfig(population_size=30, generations=15, seed=2),
+        ga_config=GaConfig(population_size=30, generations=15), seed=2,
         per_class_rule_budget=2,
     )
     assert ruleset.default == "G"
@@ -899,7 +899,7 @@ def test_extract_metrics_match_recount():
     ruleset = extract_ruleset(
         net,
         encoded,
-        ga_config=GaConfig(population_size=40, generations=25, seed=8),
+        ga_config=GaConfig(population_size=40, generations=25), seed=8,
         per_class_rule_budget=2,
     )
     assert ruleset.rules
@@ -925,7 +925,7 @@ def test_ruleset_text_round_trip():
     net = train(init_network(schema, tc), encode_dataset(records, schema), tc).network
     ruleset = extract_ruleset(
         net, DatasetIndex(schema, records),
-        ga_config=GaConfig(population_size=30, generations=15, seed=3)
+        ga_config=GaConfig(population_size=30, generations=15), seed=3
     )
     assert ruleset.rules
     back = parse_ruleset(format_ruleset(ruleset, schema), schema)
@@ -1120,7 +1120,7 @@ def test_ruleset_fidelity_to_network():
     ruleset = extract_ruleset(
         net,
         encoded,
-        ga_config=GaConfig(population_size=100, generations=60, seed=1),
+        ga_config=GaConfig(population_size=100, generations=60), seed=1,
         per_class_rule_budget=12,
     )
     assert ruleset.accuracy(records, schema) >= net_accuracy - 0.15
