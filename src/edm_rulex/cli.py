@@ -37,6 +37,7 @@ from .psychostats import (
     cronbach_alpha,
     levene_w,
     manova_wilks,
+    mean_sd,
     partial_r,
     significance_label,
     t_test,
@@ -467,78 +468,59 @@ def cmd_stats(args) -> int:
 
     # target comparison across the first two groups
     target = {token: raw_matrix[rows, col[target_dim]] for token, rows in groups.items()}
-    tres = t_test(target[tokens[0]], target[tokens[1]], method="welch")
+    try:
+        tres = t_test(target[tokens[0]], target[tokens[1]], method="welch")
+    except (ValidationError, NumericError) as e:
+        raise type(e)(f"stats target t-test of {target_dim!r} by {opts['group_by']!r}: {e}") from None
     sections["target_group_ttest"] = {
-        "groups": {
-            token: {"n": len(y), "mean": float(y.mean()), "sd": float(y.std(ddof=1))}
-            for token, y in target.items()
-        },
-        "t": tres.t,
-        "df": tres.df,
-        "p": tres.p,
-        "method": tres.method,
-        "significance": significance_label(tres.p),
-    }
+        "groups": {token: dict(zip(("n", "mean", "sd"), (len(y), *mean_sd(y)))) for token, y in target.items()},
+        "t": tres.t, "df": tres.df, "p": tres.p, "method": tres.method, "significance": significance_label(tres.p)}
 
-    blocks: dict = {}
-    skipped: dict = {}
+    # with every interaction scale, each other block's columns and total are
+    # correlated with the target, controlling for each group's interaction total
+    control_dims = studydata.MEASURE_BLOCKS["interaction"]
+    controls = None
+    if all(d in col for d in control_dims):
+        controls = [_gather(raw_matrix, groups[t], [col[d] for d in control_dims]).sum(axis=1) for t in tokens]
+    partials = {"control": "+".join(control_dims) if controls else "none",
+                "groups": {t: {} for t in tokens} if controls else {}}
+    blocks, skipped = {}, {}
     for block_name, dims in studydata.MEASURE_BLOCKS.items():
-        present = [d for d in dims if d in col]
-        if len(present) != len(dims):
-            skipped[block_name] = [d for d in dims if d not in col]
-            print(
-                f"warning: stats skips block {block_name!r}; the raw table lacks "
-                f"{', '.join(skipped[block_name])}",
-                file=sys.stderr,
-            )
+        missing = [d for d in dims if d not in col]
+        if missing:
+            skipped[block_name] = missing
+            print(f"warning: stats skips block {block_name!r}; the raw table lacks {', '.join(missing)}",
+                  file=sys.stderr)
             continue
-        idx = [col[d] for d in present]
+        idx = [col[d] for d in dims]
         per_group = [_gather(raw_matrix, groups[t], idx) for t in tokens]
         try:  # the block's first statistic: a scatter too small, singular or overflowing is named by its block
             wres = manova_wilks(per_group)
         except (ValidationError, NumericError) as e:
             raise type(e)(f"stats block {block_name!r}: {e}") from None
-        totals = [g.sum(axis=1) for g in per_group]
-        del per_group  # each dimension's samples are gathered when its statistics need them
+        # each dimension's samples are its columns of the groups' gathered blocks
+        series = {d: [g[:, j] for g in per_group] for j, d in enumerate(dims)}
+        series["Total"] = [g.sum(axis=1) for g in per_group]
         univariate, levene = {}, {}
-        for d in [*present, "Total"]:
-            samples = totals if d == "Total" else [raw_matrix[groups[t], col[d]] for t in tokens]
+        for d, samples in series.items():
             univariate[d] = _anova_from_groups(samples)
             lv = levene_w(samples)
             levene[d] = {"w": lv.w, "df": list(lv.df), "p": lv.p}
+        for i, token in enumerate(tokens if controls and block_name != "interaction" else ()):
+            for d, samples in series.items():
+                name = f"Total ({block_name})" if d == "Total" else d
+                try:
+                    partials["groups"][token][name] = partial_r(samples[i], target[token], controls[i])
+                except (ValidationError, NumericError) as e:
+                    raise type(e)(f"stats partial correlation {name!r}, group {token!r}: {e}") from None
+        del per_group, series  # the block's matrices and their column views go before cronbach_alpha's copy
         blocks[block_name] = {
-            "wilks": {
-                "lambda": wres.wilks_lambda,
-                "f": wres.f,
-                "df": list(wres.df),
-                "p": wres.p,
-                "eta_squared": wres.eta_squared,
-            },
-            "univariate": univariate,
-            "levene": levene,
-            "alpha": cronbach_alpha(raw_matrix[:, idx]),
-        }
+            "wilks": {"lambda": wres.wilks_lambda, "f": wres.f, "df": list(wres.df), "p": wres.p,
+                      "eta_squared": wres.eta_squared},
+            "univariate": univariate, "levene": levene, "alpha": cronbach_alpha(raw_matrix[:, idx])}
     sections["blocks"] = blocks
     if skipped:
         sections["skipped_blocks"] = skipped
-
-    control_dims = studydata.MEASURE_BLOCKS["interaction"] if "interaction" in blocks else ()
-    partials: dict = {"control": "+".join(control_dims) or "none", "groups": {}}
-    if control_dims:
-        for token in tokens:
-            rows, y = groups[token], target[token]
-            control = _gather(raw_matrix, rows, [col[d] for d in control_dims]).sum(axis=1)
-            entry = {}
-            for block_name in [b for b in blocks if b != "interaction"]:
-                dims = studydata.MEASURE_BLOCKS[block_name]
-                columns = {d: raw_matrix[rows, col[d]] for d in dims}
-                columns[f"Total ({block_name})"] = _gather(raw_matrix, rows, [col[d] for d in dims]).sum(axis=1)
-                for name, x in columns.items():
-                    try:
-                        entry[name] = partial_r(x, y, control)
-                    except (ValidationError, NumericError) as e:
-                        raise type(e)(f"stats partial correlation {name!r}, group {token!r}: {e}") from None
-            partials["groups"][token] = entry
     sections["partial_correlations"] = partials
 
     files = {"dataset": opts["data"], "raw": raw_path}

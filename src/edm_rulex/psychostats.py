@@ -8,6 +8,14 @@ varimax rotation.  P-values come from the regularized incomplete beta
 function implemented here, so there is no table lookup and no external
 dependency.
 
+A sample, or a column of a group's matrix, whose min equals its max is
+exactly constant: it takes its own value as its mean, so its deviations are
+exactly zero and its variance is 0.  numpy's pairwise mean need not give that
+value (30 x 11.84 averages to 11.839999999999995), and deviations near 1e-15
+would slip past every exact-zero guard, writing a t of 1e15 or an F of 1e30
+where the statistic is undefined.  Every other sample keeps numpy's mean and
+variance, bit for bit.
+
 All functions are pure over immutable inputs and safe to call from any
 number of threads.
 """
@@ -116,6 +124,29 @@ def significance_label(p: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# moments
+
+
+def _mean(a: np.ndarray, axis: int | None = None):
+    """``a.mean(axis)``, with a constant sample (column, along ``axis=0``)
+    taking its own value; see the module docstring."""
+    lo = a.min(axis=axis)
+    return np.where(lo == a.max(axis=axis), lo, a.mean(axis=axis))
+
+
+def _var(a: np.ndarray, axis: int | None = None):
+    """``a.var(axis, ddof=1)``, exactly 0 for a constant sample (column)."""
+    return np.where(a.min(axis=axis) == a.max(axis=axis), 0.0, a.var(axis=axis, ddof=1))
+
+
+def mean_sd(sample: Sequence[float]) -> tuple[float, float]:
+    """Mean and sample standard deviation (n - 1 denominator) of a 1-D
+    sample of at least 2 values; a constant sample has sd exactly 0."""
+    a = np.asarray(sample, dtype=float)
+    return float(_mean(a)), math.sqrt(float(_var(a)))
+
+
+# ---------------------------------------------------------------------------
 # mean comparison
 
 
@@ -162,18 +193,15 @@ def t_test_from_summary(
 
 
 def t_test(sample_a: Sequence[float], sample_b: Sequence[float], method: str = "welch") -> TTestResult:
-    """Independent-samples t on raw values; see t_test_from_summary."""
+    """Independent-samples t on raw values, each sample's mean and sd by
+    ``mean_sd``; see t_test_from_summary."""
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValidationError("each sample needs at least 2 values")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("samples must be finite")
-    return t_test_from_summary(
-        float(a.mean()), float(a.std(ddof=1)), a.size,
-        float(b.mean()), float(b.std(ddof=1)), b.size,
-        method=method,
-    )
+    return t_test_from_summary(*mean_sd(a), a.size, *mean_sd(b), b.size, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +209,16 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float], method: str = "
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation in [-1, 1]."""
+    """Product-moment correlation in [-1, 1]; undefined for a constant
+    sample, by the exact rule of the module docstring."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 3:
         raise ValidationError("correlation needs at least 3 pairs")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx = x - _mean(x)
+    dy = y - _mean(y)
     sxx, syy = float(dx @ dx), float(dy @ dy)
     if sxx == 0 or syy == 0:
         raise NumericError("correlation is undefined for constant input")
@@ -218,8 +247,9 @@ def cronbach_alpha(items: np.ndarray) -> float:
     """Cronbach's alpha of a persons x items score matrix.
 
     alpha = k/(k-1) * (1 - sum of item variances / variance of total score),
-    sample variances with the n-1 denominator.  May be negative; it is
-    returned as computed, never clamped.
+    sample variances with the n-1 denominator, exactly 0 for a constant
+    item or total.  May be negative; it is returned as computed, never
+    clamped.
     """
     m = np.asarray(items, dtype=float)
     if m.ndim != 2:
@@ -229,10 +259,10 @@ def cronbach_alpha(items: np.ndarray) -> float:
         raise ValidationError(f"need at least 2 items, got {k}")
     if n < 2:
         raise ValidationError(f"need at least 2 persons, got {n}")
-    total_var = float(m.sum(axis=1).var(ddof=1))
+    total_var = float(_var(m.sum(axis=1)))
     if total_var == 0:
         raise NumericError("alpha is undefined: total-score variance is zero")
-    item_var = float(m.var(axis=0, ddof=1).sum())
+    item_var = float(_var(m, axis=0).sum())
     return k / (k - 1.0) * (1.0 - item_var / total_var)
 
 
@@ -250,9 +280,10 @@ def _checked_groups(groups: Sequence[Sequence[float]], test: str) -> list[np.nda
 
 
 def _ss_split(arrs: list[np.ndarray]) -> tuple[float, float, tuple[int, int]]:
-    # Between-group sum n_i (mean_i - grand)^2, within-group sum sum (x_ij - mean_i)^2, their df.
-    grand = np.concatenate(arrs).mean()
-    means = [a.mean() for a in arrs]
+    # Between-group sum n_i (mean_i - grand)^2, within-group sum sum (x_ij - mean_i)^2, their df;
+    # a constant group (or pooled sample) adds exactly 0 to the within (between) sum.
+    grand = _mean(np.concatenate(arrs))
+    means = [_mean(a) for a in arrs]
     between = float(sum(a.size * (m - grand) ** 2 for a, m in zip(arrs, means)))
     within = float(sum(((a - m) ** 2).sum() for a, m in zip(arrs, means)))
     return between, within, (len(arrs) - 1, sum(a.size for a in arrs) - len(arrs))
@@ -269,10 +300,11 @@ def levene_w(groups: Sequence[Sequence[float]]) -> LeveneResult:
 
     z_ij = |x_ij - group mean|;
     W = ((N-k)/(k-1)) * sum n_i (zbar_i - zbar)^2 / sum sum (z_ij - zbar_i)^2.
-    When every deviation is identical W = 0 with p = 1 by convention.
+    When every deviation is identical W = 0 with p = 1 by convention, as for
+    groups that are each constant.
     """
     arrs = _checked_groups(groups, "Levene test")
-    num, den, df = _ss_split([np.abs(a - a.mean()) for a in arrs])
+    num, den, df = _ss_split([np.abs(a - _mean(a)) for a in arrs])
     if den == 0:
         if num == 0:
             return LeveneResult(w=0.0, df=df, p=1.0)
@@ -335,6 +367,8 @@ def manova_wilks(groups: Sequence[np.ndarray]) -> ManovaResult:
     lambda = det(E)/det(E+H) where E is the pooled within-group scatter and H
     the between-group scatter; for two groups
     F = ((N-p-1)/p) * (1-lambda)/lambda on (p, N-p-1) df and eta^2 = 1-lambda.
+    A variable constant within a group adds exactly nothing to E, so one
+    constant in every group makes E singular.
     """
     mats = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
     if len(mats) != 2:
@@ -342,6 +376,8 @@ def manova_wilks(groups: Sequence[np.ndarray]) -> ManovaResult:
     p = mats[0].shape[1]
     if any(m.shape[1] != p for m in mats):
         raise ValidationError("groups must share the same variables")
+    if any(m.shape[0] == 0 for m in mats):
+        raise ValidationError("every group needs at least 1 observation")
     n_total = sum(m.shape[0] for m in mats)
     if n_total - 2 < p:
         raise ValidationError(
@@ -350,11 +386,12 @@ def manova_wilks(groups: Sequence[np.ndarray]) -> ManovaResult:
     e = np.zeros((p, p))
     h = np.zeros((p, p))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        grand = np.vstack(mats).mean(axis=0)
+        grand = _mean(np.vstack(mats), axis=0)
         for m in mats:
-            centered = m - m.mean(axis=0)
+            mean = _mean(m, axis=0)
+            centered = m - mean
             e += centered.T @ centered
-            diff = (m.mean(axis=0) - grand).reshape(-1, 1)
+            diff = (mean - grand).reshape(-1, 1)
             h += m.shape[0] * (diff @ diff.T)
         total = e + h
     if not np.isfinite(total).all():  # a non-finite e or h makes total non-finite too

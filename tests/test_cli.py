@@ -222,6 +222,38 @@ def test_stats_names_the_block_too_small_for_its_manova(tmp_path, capsys):
     assert not (tmp_path / "stats.json").exists()
 
 
+def _flat_spec(tmp_path, dim):
+    """The default population spec at seed 3 with ``dim``'s sd 0 in both
+    groups, written to ``tmp_path / "spec.json"``: every record of a group
+    scores that group's mean on ``dim``."""
+    from edm_rulex import studydata
+
+    spec = studydata.default_population_spec(seed=3).to_dict()
+    j = spec["dimensions"].index(dim)
+    for group in spec["groups"].values():
+        group["sds"][j] = 0.0
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    return tmp_path / "spec.json"
+
+
+@pytest.mark.parametrize("dim, message", [
+    # Reasoning is 11.84 for every Ma and 13.73 for every Fe: no variance,
+    # so no t (numpy's mean of the Ma scores is 11.839999999999995)
+    ("Reasoning", "stats target t-test of 'Reasoning' by 'Gender': t is undefined: zero variance in both samples"),
+    # a Challenge constant in each group leaves the motivation block's
+    # within-group scatter singular, before any ANOVA or Levene row of it
+    ("Challenge", "stats block 'motivation': within-group scatter matrix is singular"),
+])
+def test_stats_names_the_statistic_a_constant_raw_score_leaves_undefined(tmp_path, capsys, dim, message):
+    spec = _flat_spec(tmp_path, dim)
+    assert run("generate", "--spec", spec, "--n", "60", "--seed", "3", "--out", tmp_path) == 0
+    capsys.readouterr()
+    assert run("stats", "--data", tmp_path / "cohort.csv", "--out", tmp_path) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "stats.json").exists()
+
+
 def _group_sizes_spec(tmp_path, sizes):
     """The default population spec at seed 3 with scale maxima, holding
     only the groups of ``sizes``, each of that many records."""
@@ -616,6 +648,20 @@ def test_stats_names_skipped_blocks(tmp_path, capsys):
     assert partials["control"] == "+".join(studydata.INTERACTION)
     for entry in partials["groups"].values():
         assert set(entry) == {*studydata.LEARNING_SKILLS, "Total (learning_skills)"}
+
+
+def test_stats_of_the_interaction_scales_alone_takes_no_partial_correlation(tmp_path):
+    from edm_rulex import studydata
+
+    # the control's block is the only one, so each group's entry is empty
+    _generate_with_scales(tmp_path / "run", studydata.INTERACTION)
+    assert run("stats", "--data", tmp_path / "run" / "cohort.csv", "--out", tmp_path / "run") == 0
+    sections = json.loads((tmp_path / "run" / "stats.json").read_text())["sections"]
+    assert list(sections["blocks"]) == ["interaction"]
+    assert sections["partial_correlations"] == {
+        "control": "Potential of the classroom+Student's positivity+Teacher's positivity",
+        "groups": {"Fe": {}, "Ma": {}},
+    }
 
 
 def test_stats_insufficient_data(tmp_path, capsys):

@@ -21,6 +21,7 @@ from edm_rulex.psychostats import (
     pearson_r,
     reg_inc_beta,
     significance_label,
+    mean_sd,
     t_test,
     t_test_from_summary,
     varimax_rotate,
@@ -381,6 +382,56 @@ def test_manova_group_count_and_size():
         manova_wilks([rng.normal(size=(5, 2))])
     with pytest.raises(ValidationError):
         manova_wilks([rng.normal(size=(3, 4)), rng.normal(size=(2, 4))])
+    with pytest.raises(ValidationError, match="at least 1 observation"):
+        manova_wilks([np.empty((0, 2)), rng.normal(size=(9, 2))])
+
+
+# ---------------------------------------------------------------------------
+# exactly constant samples: numpy's pairwise mean of 30 x 11.84 is
+# 11.839999999999995, so deviations near 1e-15 would pass every zero guard
+
+MA, FE = np.full(30, 11.84), np.full(30, 13.73)
+
+
+def test_constant_samples_have_no_t():
+    assert MA.mean() != 11.84
+    with pytest.raises(NumericError, match="zero variance in both samples"):
+        t_test(MA, FE)
+
+
+def test_a_constant_sample_has_no_correlation():
+    y = np.random.default_rng(4).normal(size=30)
+    with pytest.raises(NumericError, match="undefined for constant input"):
+        pearson_r(MA, y)
+    with pytest.raises(NumericError, match="undefined for constant input"):
+        partial_r(y, MA, y + 1.0)
+
+
+def test_constant_groups_have_no_error_sum_of_squares():
+    with pytest.raises(NumericError, match="zero error sum of squares"):
+        anova_oneway([MA, FE])
+
+
+def test_constant_groups_have_equal_deviations():
+    assert levene_w([MA, FE]) == (0.0, (1, 58), 1.0)
+
+
+def test_constant_items_have_no_alpha():
+    with pytest.raises(NumericError, match="total-score variance is zero"):
+        cronbach_alpha(np.column_stack([np.full(30, 1.1), np.full(30, 2.3)]))
+
+
+def test_a_variable_constant_in_each_group_makes_the_within_scatter_singular():
+    rng = np.random.default_rng(6)
+    a, b = (np.column_stack([rng.normal(size=30), c]) for c in (MA, FE))
+    with pytest.raises(NumericError, match="within-group scatter matrix is singular"):
+        manova_wilks([a, b])
+
+
+def test_mean_sd_is_exact_for_a_constant_and_numpy_for_the_rest():
+    assert mean_sd(MA) == (11.84, 0.0)
+    for x in np.random.default_rng(8).normal(3.0, 2.0, size=(20, 30)):
+        assert mean_sd(x) == (x.mean(), x.std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
