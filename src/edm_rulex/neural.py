@@ -3,7 +3,9 @@
 Trained by per-pattern gradient descent with momentum against one-hot
 targets.  A trained network is immutable in practice (nothing mutates it
 outside train) and its per-class output activation is the fitness surface
-the genetic search climbs.
+the genetic search climbs: ``class_score(net, classes)`` builds that fitness
+once per search, from the network as it is then, and the search calls it
+once per generation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -251,25 +253,34 @@ def forward(net: Network, bits) -> np.ndarray:
     return y.reshape(*x.shape[:-1], net.output_size)
 
 
-def class_score(net: Network, stack, classes) -> np.ndarray:
-    """One class node's activations per run: for a stack of populations
-    ``(R, P, B)`` and ``classes`` of shape ``intp[R]``, row r of the
-    ``float[R, P]`` result is class ``classes[r]``'s output over run r's
-    population.  For bit strings one chromosome's score is
-    ``forward(net, bits)[..., k]``, to the bit, at any stack size and BLAS
-    thread count: the hidden layer is ``forward``'s exact one, and only
-    each run's class output is computed, by the same einsum reduction over
-    the hidden units.  The stack is scored in blocks of at most
-    ``BLOCK_ROWS`` chromosomes, whole runs or, for a run longer than that,
-    parts of one, so the float copy of the input and the hidden layer stay
-    bounded however many runs the stack holds; a row's score does not
-    depend on its block, and the grid weights are built once per call.
-    Pure, safe to call concurrently."""
+def class_score(net: Network, classes) -> Callable[[np.ndarray], np.ndarray]:
+    """The GA's fitness for one class node per run: for ``classes`` of shape
+    ``intp[R]``, a function ``score(stack)`` that maps a stack of
+    populations ``(R, P, B)`` to the ``float[R, P]`` array whose row r is
+    class ``classes[r]``'s output over run r's population.  For bit strings
+    one chromosome's score is ``forward(net, bits)[..., k]``, to the bit, at
+    any stack size and BLAS thread count: the hidden layer is ``forward``'s
+    exact one, and only each run's class output is computed, by the same
+    einsum reduction over the hidden units.  An empty ``classes`` scores a
+    stack of 0 runs as a ``(0, P)`` array.
+
+    The classes are checked, and the grid weights, ``-b_h`` and each run's
+    class weights and negated bias are built, once here, not once per
+    generation; so ``score`` works from a snapshot of the network as it was
+    when built, and a later in-place edit of ``net`` does not reach it.
+    ``score`` takes the stack in blocks of at most ``BLOCK_ROWS``
+    chromosomes, whole runs or, for a run longer than that, parts of one,
+    so the float copy of the input and the hidden layer stay bounded
+    however many runs the stack holds; a row's score does not depend on its
+    block.  ``score`` holds no buffer between calls: it is pure, safe to
+    call concurrently."""
     k = np.asarray(classes)
     if k.ndim != 1:
         raise ValidationError(
             f"classes must hold one class index per run, shape (R,); got shape {k.shape}"
         )
+    if not k.size:
+        k = k.astype(np.intp)  # np.asarray([]) is float64
     if k.dtype.kind not in "iu":
         raise ValidationError(f"class indices must be integers, got dtype {k.dtype}")
     if k.size and (k.min() < 0 or k.max() >= net.output_size):
@@ -277,32 +288,36 @@ def class_score(net: Network, stack, classes) -> np.ndarray:
         raise ValidationError(
             f"class index {k[r]} of run {r} out of range for {net.output_size} outputs"
         )
-    x = _as_input(net, stack)
-    if x.ndim < 2 or x.shape[0] != k.shape[0]:
-        raise ValidationError(
-            f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {x.shape[:-1]}"
-        )
-    shape, size = x.shape[:-1], math.prod(x.shape[1:-1])
-    x = x.reshape(len(k), size, net.input_size)
-    scores = np.empty((len(k), size))
-    rows = min(size, BLOCK_ROWS) or 1  # a block's rows of each of its runs
-    runs = BLOCK_ROWS // rows
     g, b_h_neg = _grid_weights(net.v), -net.b_h
-    for r in range(0, len(k), runs):
-        w, b_o = net.w[k[r : r + runs]], net.b_o[k[r : r + runs], None]
-        for p in range(0, size, rows):
-            s = scores[r : r + runs, p : p + rows]
-            # one BLAS product per run (matmul loops over the runs): OpenBLAS
-            # runs a product as small as one population on one thread, where
-            # one product over a wide stack took two in each of extract's
-            # processes, which already fill the CPUs, and at times doubled a
-            # batch's time
-            u_h = x[r : r + runs, p : p + rows].astype(float) @ g
-            h = _sigmoid_of_negated(np.subtract(b_h_neg, u_h, out=u_h))
-            np.einsum("rph,rh->rp", h, w, out=s)
-            np.subtract(-b_o, s, out=s)
-            _sigmoid_of_negated(s)
-    return scores.reshape(shape)
+    w, b_o_neg = net.w[k], -net.b_o[k, None]
+
+    def score(stack) -> np.ndarray:
+        x = _as_input(net, stack)
+        if x.ndim < 2 or x.shape[0] != k.shape[0]:
+            raise ValidationError(
+                f"{k.shape[0]} class indices need a stack of {k.shape[0]} runs, got shape {x.shape[:-1]}"
+            )
+        shape, size = x.shape[:-1], math.prod(x.shape[1:-1])
+        x = x.reshape(len(k), size, net.input_size)
+        scores = np.empty((len(k), size))
+        rows = min(size, BLOCK_ROWS) or 1  # a block's rows of each of its runs
+        runs = BLOCK_ROWS // rows
+        for r in range(0, len(k), runs):
+            for p in range(0, size, rows):
+                s = scores[r : r + runs, p : p + rows]
+                # one BLAS product per run (matmul loops over the runs):
+                # OpenBLAS runs a product as small as one population on one
+                # thread, where one product over a wide stack took two in each
+                # of extract's processes, which already fill the CPUs, and at
+                # times doubled a batch's time
+                u_h = x[r : r + runs, p : p + rows].astype(float) @ g
+                h = _sigmoid_of_negated(np.subtract(b_h_neg, u_h, out=u_h))
+                np.einsum("rph,rh->rp", h, w[r : r + runs], out=s)
+                np.subtract(b_o_neg[r : r + runs], s, out=s)
+                _sigmoid_of_negated(s)
+        return scores.reshape(shape)
+
+    return score
 
 
 def _arrays(net: Network, dataset: DatasetIndex) -> tuple[np.ndarray, np.ndarray]:

@@ -280,7 +280,7 @@ def extract_ruleset(
             runs = [(k, r) for k in live for r in batch]  # class by class, round by round
             seeds = [derive_seed(seed, f"class-{k}", r) for k, r in runs]
             targets = np.repeat(live, len(batch))
-            results = evolve(lambda pop: class_score(net, pop, targets), schema.total_predictive_bits, ga_config, seeds)
+            results = evolve(class_score(net, targets), schema.total_predictive_bits, ga_config, seeds)
             for (k, round_no), ga_seed, result in zip(runs, seeds, results):
                 evolved[k] += 1
                 if not covering(k):

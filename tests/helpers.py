@@ -371,7 +371,7 @@ def reference_extract(net: Network, index: DatasetIndex, ga_config, budget: int,
         if not live:
             break
         seeds = [derive_seed(seed, f"class-{k}", round_no) for k in live]
-        results = evolve(lambda pop: class_score(net, pop, live), schema.total_predictive_bits, ga_config, seeds)
+        results = evolve(class_score(net, live), schema.total_predictive_bits, ga_config, seeds)
         going = []
         for k, ga_seed, result in zip(live, seeds, results):
             refined = refine_rule(decode_chromosome(result.best_chromosome, schema, k), working[k], epsilon=epsilon)

@@ -95,7 +95,7 @@ def test_criterion_4_ga_optimality_oracle():
     sound = True
     for seed in range(100):
         result = evolve(
-            lambda stack: class_score(net, stack, [0]),
+            class_score(net, [0]),
             12,
             GaConfig(population_size=100, generations=60, mutation_prob=0.05),
             [seed],

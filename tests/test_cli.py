@@ -1277,7 +1277,7 @@ def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):
     for entry in doc["audit"]:
         k = schema.target.levels.index(entry["class"])
         alone = evolve(
-            lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits, GaConfig(), [entry["ga_seed"]]
+            class_score(net, [k]), schema.total_predictive_bits, GaConfig(), [entry["ga_seed"]]
         )[0]
         assert entry["chromosome"] == alone.best_chromosome.tolist()
         assert len(entry["chromosome"]) == schema.total_predictive_bits
@@ -1306,7 +1306,7 @@ def test_each_audit_entry_records_the_generation_of_its_champion(study_run, tmp_
     for entry in doc["audit"]:
         k = schema.target.levels.index(entry["class"])
         alone = evolve(
-            lambda pop: class_score(net, pop, [k]), schema.total_predictive_bits,
+            class_score(net, [k]), schema.total_predictive_bits,
             GaConfig(generations=60), [entry["ga_seed"]],
         )[0]
         assert entry["champion_generation"] == alone.champion_generation

@@ -542,10 +542,7 @@ def test_evolve_equals_reference(
             w=rng.normal(scale=2.0, size=(outputs, hidden)),
             b_o=rng.normal(size=outputs),
         )
-        classes = rng.integers(outputs, size=len(seeds))
-
-        def fitness(pop):
-            return class_score(net, pop, classes)
+        fitness = class_score(net, rng.integers(outputs, size=len(seeds)))
     else:
         mults = np.array([2654435761 + 2 * r for r in range(len(seeds))])
 

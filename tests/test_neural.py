@@ -108,17 +108,17 @@ def test_class_score_matches_forward():
         b_o=rng.normal(size=2),
     )
     bits = rng.integers(0, 2, 6)
-    assert class_score(net, bits[None, None], [1])[0, 0] == forward(net, bits)[1]
-    assert class_score(zero_net(6, 2, 2), bits[None, None], [0])[0, 0] == 0.5
+    assert class_score(net, [1])(bits[None, None])[0, 0] == forward(net, bits)[1]
+    assert class_score(zero_net(6, 2, 2), [0])(bits[None, None])[0, 0] == 0.5
     with pytest.raises(ValidationError):
-        class_score(net, bits[None, None], [2])
+        class_score(net, [2])(bits[None, None])
 
 
 @pytest.mark.parametrize("classes", [1, np.intp(1), [[1]]], ids=["int", "0-d", "2-d"])
 def test_class_score_takes_one_class_per_run_only(classes):
     net = zero_net(6, 2, 2)
     with pytest.raises(ValidationError, match="one class index per run"):
-        class_score(net, np.zeros((1, 3, 6), dtype=np.uint8), classes)
+        class_score(net, classes)(np.zeros((1, 3, 6), dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
@@ -134,7 +134,7 @@ def test_class_score_takes_one_class_per_run_only(classes):
 def test_class_score_rejects_class_indices(classes, message):
     # each is a ValidationError naming the dtype or the first bad index and its run
     with pytest.raises(ValidationError, match=message):
-        class_score(zero_net(6, 2, 2), np.zeros((2, 3, 6), dtype=np.uint8), classes)
+        class_score(zero_net(6, 2, 2), classes)(np.zeros((2, 3, 6), dtype=np.uint8))
 
 
 def test_forward_population_shapes():
@@ -149,7 +149,7 @@ def test_forward_population_shapes():
     y = forward(net, pop)
     assert y.shape == (9, 3)
     assert np.array_equal(y[4], forward(net, pop[4]))
-    scores = class_score(net, pop[None], [2])
+    scores = class_score(net, [2])(pop[None])
     assert isinstance(scores, np.ndarray) and scores.shape == (1, 9)
     with pytest.raises(ValidationError, match="length"):
         forward(net, pop[:, :6])
@@ -167,15 +167,15 @@ def test_class_score_one_class_per_run():
     stack = rng.integers(0, 2, (4, 9, 7), dtype=np.uint8)
     classes = [2, 0, 2, 1]
     assert forward(net, stack).shape == (4, 9, 3)
-    scores = class_score(net, stack, classes)
+    scores = class_score(net, classes)(stack)
     assert scores.shape == (4, 9)
     for r, k in enumerate(classes):
-        assert np.array_equal(scores[r], class_score(net, stack[r : r + 1], [k])[0])
-    assert np.array_equal(class_score(net, stack[:, 0], classes), scores[:, 0])
+        assert np.array_equal(scores[r], class_score(net, [k])(stack[r : r + 1])[0])
+    assert np.array_equal(class_score(net, classes)(stack[:, 0]), scores[:, 0])
     with pytest.raises(ValidationError, match="out of range"):
-        class_score(net, stack, [0, 1, 3, 0])
+        class_score(net, [0, 1, 3, 0])(stack)
     with pytest.raises(ValidationError, match="stack of 3 runs"):
-        class_score(net, stack, [0, 1, 2])
+        class_score(net, [0, 1, 2])(stack)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,7 +203,7 @@ def test_class_score_batch_equals_single(seed, bits, hidden, outputs, runs, rows
     )
     stack = rng.integers(0, 2, (runs, rows, bits), dtype=np.uint8)
     classes = rng.integers(outputs, size=runs)
-    batch = class_score(net, stack, classes)
+    batch = class_score(net, classes)(stack)
     assert batch.shape == (runs, rows)
     for r, k in enumerate(classes):
         for i in range(rows):
@@ -232,10 +232,10 @@ def test_class_score_blocks_give_the_unblocked_bits(seed, runs, rows, block, mid
     shape = (runs, 2, rows, 30) if middle else (runs, rows, 30)  # a run may span several axes
     stack = rng.integers(0, 2, shape, dtype=np.uint8)
     classes = rng.integers(4, size=runs)
-    whole = class_score(net, stack, classes)
+    whole = class_score(net, classes)(stack)
     default, neural.BLOCK_ROWS = neural.BLOCK_ROWS, block
     try:
-        blocked = class_score(net, stack, classes)
+        blocked = class_score(net, classes)(stack)
     finally:
         neural.BLOCK_ROWS = default
     assert whole.size <= default and blocked.shape == whole.shape == shape[:-1]
@@ -252,11 +252,64 @@ def test_class_score_memory_does_not_grow_with_the_stack():
     stack = np.random.default_rng(0).integers(0, 2, (4, 10_000, 76), dtype=np.uint8)
     tracemalloc.start()
     try:
-        class_score(net, stack, [0, 1, 2, 3])
+        class_score(net, [0, 1, 2, 3])(stack)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_class_score_of_no_classes_scores_a_stack_of_no_runs():
+    # np.asarray([]) is float64, which is no reason to reject it
+    scores = class_score(zero_net(6, 2, 2), [])(np.zeros((0, 5, 6), dtype=np.uint8))
+    assert scores.shape == (0, 5) and scores.dtype == np.float64
+
+
+def test_class_score_scores_the_network_as_it_was_built():
+    # the scorer keeps its own grid weights, biases and class rows, so an
+    # in-place edit of the network after the build does not reach it
+    rng = np.random.default_rng(8)
+    net = Network(
+        v=rng.normal(size=(4, 7)), b_h=rng.normal(size=4),
+        w=rng.normal(size=(3, 4)), b_o=rng.normal(size=3),
+    )
+    stack = rng.integers(0, 2, (2, 9, 7), dtype=np.uint8)
+    want = class_score(copy.deepcopy(net), [2, 0])(stack)
+    score = class_score(net, [2, 0])
+    for arr in (net.v, net.b_h, net.w, net.b_o):
+        arr += 1.0
+    assert score(stack).tobytes() == want.tobytes()
+    assert not np.array_equal(class_score(net, [2, 0])(stack), want)
+
+
+def test_extract_builds_the_class_score_once_per_evolve_call(monkeypatch):
+    # the grid weights are built once per batch of covering rounds, not
+    # once per generation
+    from edm_rulex import rulekit, util
+    from edm_rulex.evolver import GaConfig
+
+    schema = twelve_bit_schema()
+    encoded = encode_dataset(random_records(schema, 60, np.random.default_rng(9)), schema)
+    cfg = TrainConfig(max_epochs=30, hidden_size=6, seed=4)
+    net = train(init_network(schema, cfg), encoded, cfg).network
+    calls = {"evolve": 0, "grid": 0}
+    evolve, grid_weights = rulekit.evolve, neural._grid_weights
+
+    def counted_evolve(*args):
+        calls["evolve"] += 1
+        return evolve(*args)
+
+    def counted_grid_weights(v):
+        calls["grid"] += 1
+        return grid_weights(v)
+
+    monkeypatch.setattr(rulekit, "evolve", counted_evolve)
+    monkeypatch.setattr(neural, "_grid_weights", counted_grid_weights)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: 1)  # no child process: every call counts here
+    rulekit.extract_ruleset(
+        net, encoded, ga_config=GaConfig(population_size=20, generations=4), seed=3, per_class_rule_budget=3
+    )
+    assert calls["evolve"] >= 2 and calls["grid"] == calls["evolve"]
 
 
 def test_train_memory_does_not_grow_with_the_dataset():
@@ -330,11 +383,11 @@ def test_hidden_unit_whose_weights_sum_past_float64_is_a_numeric_error(weights, 
     message = re.escape(f"hidden layer: the input weights of hidden unit 1 sum to {total} in magnitude")
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(NumericError, match=message):
-            class_score(net, np.ones((1, 4, 2), dtype=np.uint8), [0])
+            class_score(net, [0])(np.ones((1, 4, 2), dtype=np.uint8))
         with pytest.raises(NumericError, match=message):
             forward(net, np.ones(2, dtype=np.uint8))
         v[1] = np.nextafter(2.0**1022, 0.0)
-        assert np.isfinite(class_score(net, np.ones((1, 4, 2), dtype=np.uint8), [0])).all()
+        assert np.isfinite(class_score(net, [0])(np.ones((1, 4, 2), dtype=np.uint8))).all()
 
 
 def test_class_score_argmax_matches_enumeration():

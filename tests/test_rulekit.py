@@ -578,7 +578,8 @@ def test_extract_recovers_planted_rule():
 def test_extract_evolves_each_round_in_lockstep(monkeypatch):
     # one evolve call per batch of covering rounds (rounds 0-1, 2-3, then 4),
     # over every round of the batch of each class still covering at its
-    # start, with the fitness reached through rulekit.class_score
+    # start, with the fitness built through rulekit.class_score once per
+    # batch and called once per generation
     from edm_rulex import rulekit, util
 
     truth = RuleSet(rules=(Rule(terms=(("Unit 1", ("F",)),), consequent="F"),), default="P")
@@ -592,9 +593,14 @@ def test_extract_evolves_each_round_in_lockstep(monkeypatch):
         batches.append(list(seeds))
         return evolve(fitness, bit_length, config, seeds)
 
-    def counted_score(net, pop, classes):
-        scored.append(list(classes))
-        return class_score(net, pop, classes)
+    def counted_score(net, classes):
+        score = class_score(net, classes)
+
+        def counted(pop):
+            scored.append(list(classes))
+            return score(pop)
+
+        return counted
 
     monkeypatch.setattr(rulekit, "evolve", counted_evolve)
     monkeypatch.setattr(rulekit, "class_score", counted_score)
@@ -825,10 +831,15 @@ def test_extract_raises_a_childs_error_and_leaves_no_process(split_case, monkeyp
     net, index = split_case
     class_score, refine_rule = rulekit.class_score, rulekit.refine_rule
 
-    def failing_score(net, pop, classes):
-        if 1 in classes:
-            fail("fitness")
-        return class_score(net, pop, classes)
+    def failing_score(net, classes):
+        score = class_score(net, classes)
+
+        def failing(pop):
+            if 1 in classes:
+                fail("fitness")
+            return score(pop)
+
+        return failing
 
     def failing_refine(rule, *args, **kwargs):
         if rule.consequent == index.schema.target.levels[1]:
@@ -855,13 +866,18 @@ def test_extract_kills_its_children_when_its_own_slice_fails(split_case, monkeyp
     net, index = split_case
     parent, class_score = os.getpid(), rulekit.class_score
 
-    def score(net, pop, classes):
-        if os.getpid() == parent:
-            raise ValidationError("the parent's slice fails")
-        time.sleep(60)
-        return class_score(net, pop, classes)
+    def slow_score(net, classes):
+        score = class_score(net, classes)
 
-    monkeypatch.setattr(rulekit, "class_score", score)
+        def slow(pop):
+            if os.getpid() == parent:
+                raise ValidationError("the parent's slice fails")
+            time.sleep(60)
+            return score(pop)
+
+        return slow
+
+    monkeypatch.setattr(rulekit, "class_score", slow_score)
     monkeypatch.setattr(util, "_usable_cpus", lambda: 3)
     start = time.monotonic()
     with pytest.raises(ValidationError, match="the parent's slice fails"):
