@@ -1,5 +1,6 @@
 import pytest
 
+from edm_rulex import cli
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET
 
 
@@ -13,3 +14,15 @@ def toy_schema():
             Attribute("T", ("t1", "t2"), ROLE_TARGET),
         )
     )
+
+
+@pytest.fixture(scope="module")
+def study_run(tmp_path_factory):
+    """The paper-sized default cohort at seed 7, trained a pinned 20 epochs."""
+    d = tmp_path_factory.mktemp("study")
+    assert cli.main(["generate", "--n", "97", "--seed", "7", "--out", str(d)]) == 0
+    assert cli.main([
+        "train", "--data", str(d / "cohort.csv"), "--epochs", "20", "--mse-target", "1e-9",
+        "--seed", "7", "--out", str(d),
+    ]) == 0
+    return d

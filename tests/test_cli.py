@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -373,6 +374,8 @@ def test_extract_recovers_planted_rule_text(full_run):
     assert "If Unit 1 = F → Then Reasoning = F" in text.splitlines()
     ruleset = json.loads((full_run / "ruleset.json").read_text())
     assert ruleset["training_accuracy"] >= 0.98
+    # cohort.meta.json records the planted truth as it was given
+    assert json.loads((full_run / "cohort.meta.json").read_text())["planted"]["rules"] == PLANTED["rules"]
 
 
 def test_extract_rules_sorted_by_class_then_confidence(full_run):
@@ -719,6 +722,10 @@ def test_report_complete(full_run):
     # the report is about the run: the paper's constant reference rows are tested elsewhere
     assert "Reference target checks" not in text
     assert "Recomputed reference rows" not in text
+    # it prints each rule as rules.txt writes it, in the same order, then its "   (conf, support)"
+    *rules, _ = (full_run / "rules.txt").read_text(encoding="utf-8").splitlines()
+    printed = [line[2:].rsplit("   (", 1)[0] for line in text.splitlines() if line.startswith("  If ")]
+    assert rules and printed == rules
 
 
 def test_stats_rejects_a_population_spec_that_does_not_fit_the_raw_table(
@@ -1223,31 +1230,19 @@ def test_malformed_json_inputs_exit_2(full_run, tmp_path, capsys, case, field):
     assert not out.exists()
 
 
-@pytest.fixture(scope="module")
-def study_run(tmp_path_factory):
-    """The paper-sized default cohort at seed 7, trained a pinned 20 epochs."""
-    d = tmp_path_factory.mktemp("study")
-    assert run("generate", "--n", "97", "--seed", "7", "--out", d) == 0
-    assert run(
-        "train", "--data", d / "cohort.csv", "--epochs", "20", "--mse-target", "1e-9",
-        "--seed", "7", "--out", d,
-    ) == 0
-    return d
-
-
-def test_budget_5_ruleset_bytes(study_run, tmp_path):
+def test_budget_5_ruleset_bytes(study_run, tmp_path, caplog):
     # SHA-256 of ruleset.json as written when each class's GA runs were
     # evolved one at a time, class after class, under the GA's draws since
     # the mutation clock (one uniform block and one block of geometric gaps
     # per run and generation), and checked then to be the same bytes on one
-    # CPU, on two and under DEBUG logging; with budget 5 the classes leave
-    # covering in different rounds, so it pins the round-major join
+    # CPU and on two; with budget 5 the classes leave covering in different
+    # rounds, so it pins the round-major join.  CI runs it under one and two
+    # BLAS threads as well
     for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
         shutil.copy(study_run / name, tmp_path / name)
-    assert run(
-        "extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
-        "--budget", "5", "--seed", "7", "--out", tmp_path,
-    ) == 0
+    argv = ("extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
+            "--budget", "5", "--seed", "7")
+    assert run(*argv, "--out", tmp_path) == 0
     doc = json.loads((tmp_path / "ruleset.json").read_text())
     rounds = {}
     for entry in doc["audit"]:
@@ -1255,6 +1250,16 @@ def test_budget_5_ruleset_bytes(study_run, tmp_path):
     assert rounds == {"F": 5, "P": 4, "G": 5, "V.G": 3}
     digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
     assert digest == "2efe7feae160217f7b0664e7293f7d9703d5a345db670e8a830c0fbe92b17c70"
+    # DEBUG logging logs each GA generation's running best and each class's
+    # run counts, and changes no byte; cli.main's basicConfig does nothing
+    # under pytest's log handlers, so the level comes from caplog
+    with caplog.at_level(logging.DEBUG, logger="edm_rulex"):
+        assert run(*argv, "--out", tmp_path / "debug") == 0
+    messages = [record.getMessage() for record in caplog.records]
+    assert any(m.startswith("generation 1 best") for m in messages)
+    assert any("GA runs evolved" in m for m in messages)
+    for name in ("ruleset.json", "rules.txt"):
+        assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_each_audit_entry_records_its_runs_champion(study_run, tmp_path):

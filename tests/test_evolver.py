@@ -460,6 +460,11 @@ def _hashed(pop, mult):
     seeds=[9, 4], size=10, bits=12, generations=8, elitism=0, tournament=2, crossover=0.5,
     mutation=0.05,
 )
+# an odd child count, no elites and tournaments of one, at the mutation
+# clock's edges: no gaps drawn, every child bit flipped, gaps clipped
+@example(seeds=[1, 2, 3], size=51, bits=20, generations=5, elitism=0, tournament=1, crossover=0.8, mutation=0.0)
+@example(seeds=[1, 2, 3], size=51, bits=20, generations=5, elitism=0, tournament=1, crossover=0.8, mutation=1.0)
+@example(seeds=[1, 2, 3], size=51, bits=20, generations=5, elitism=0, tournament=1, crossover=0.8, mutation=1e-300)
 def test_lockstep_runs_equal_lone_runs(
     seeds, size, bits, generations, elitism, tournament, crossover, mutation
 ):
