@@ -747,10 +747,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        level = os.environ.get("EDM_RULEX_LOG", "WARNING")
-        if not isinstance(logging.getLevelName(level.upper()), int):  # a level's name gives its number
-            raise ValidationError(f"EDM_RULEX_LOG={level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
-        logging.basicConfig(level=level.upper())
+        level = os.environ.get("EDM_RULEX_LOG")
+        if level is not None:  # on the package's logger, so it holds where the host configured logging
+            if not isinstance(logging.getLevelName(level.upper()), int):  # a level's name gives its number
+                raise ValidationError(f"EDM_RULEX_LOG={level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
+            logging.getLogger("edm_rulex").setLevel(level.upper())
+        logging.basicConfig()  # a stderr handler, where the host has none
         return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,13 +3,12 @@
 A rule is an AND across attributes of OR-sets of levels within each
 attribute.  Set bits of a chromosome segment name the included levels;
 all-zero and all-one segments carry no constraint and yield no term, which is
-how attributes disappear from rules.  Extraction runs one genetic search per
-class per round under sequential covering, refines away redundant terms by
-greedy backward elimination, and keeps rules that clear a confidence
-threshold.  A class's covering never reads another class's working set,
-so the classes are split once over one process per usable CPU
-(``util.split_over_cpus``), and each process covers its classes to the
-end, evolving their rounds in lockstep batches of 2, 2, 4, 8, ... rounds.
+how attributes disappear from rules.  Extraction covers sequentially
+(``cover``), each round's rule a GA champion refined by greedy backward
+elimination and kept when it clears a confidence threshold.  No class
+reads another's working set, so the classes are split once over one
+process per usable CPU (``util.split_over_cpus``), each covering its
+classes to the end in lockstep batches of 2, 2, 4, 8, ... rounds.
 """
 
 from __future__ import annotations
@@ -190,6 +189,48 @@ def majority_class(index: DatasetIndex) -> str:
     return schema.target.levels[int(np.argmax(counts))]
 
 
+def cover(index: DatasetIndex, classes, propose, budget: int, confidence_threshold: float) -> tuple[dict, dict]:
+    """Sequential covering (separate and conquer) of ``classes`` for at most
+    ``budget`` rounds: each class's audit entries in round order and its
+    accepted rules, keyed by class.
+
+    Each round, ``propose(round, live, working)`` yields, for each class k
+    of ``live`` (those still covering) in order, a rule for k refined and
+    measured on its working set ``working[k]``, and a dict of how the rule
+    was found, which the round's audit entry holds after its class and
+    round.  A rule of confidence at least ``confidence_threshold`` is
+    accepted: the records it explains (antecedent and consequent both
+    match) leave k's working set, no other, and it is measured again on
+    ``index``; the entry keeps its working-set support and confidence.  A
+    class covers until a round of it is rejected or its working set holds
+    no record of it.  A refined rule explains a remaining record (it never
+    stops at confidence 0, and with no term left its confidence is the
+    class's share of the working set), so no accepted rule repeats.
+    """
+    levels = index.schema.target.levels
+    working = dict.fromkeys(classes, index)
+    audit, rules = {k: [] for k in classes}, {k: [] for k in classes}
+    live = list(classes)
+    for round_no in range(budget):
+        live = [k for k in live if (working[k].target == k).any()]
+        if not live:
+            break
+        for k, (rule, found) in zip(live, propose(round_no, live, working), strict=True):
+            entry = {
+                "class": levels[k], "round": round_no, **found, "working_confidence": rule.confidence,
+                "working_support": rule.support, "accepted": rule.confidence >= confidence_threshold,
+                "outcome": "rejected: confidence below threshold",
+            }
+            audit[k].append(entry)
+            if entry["accepted"]:
+                explained = working[k].antecedent_mask(rule) & working[k].consequent_mask(rule)
+                entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
+                rules[k].append(evaluate_rule(rule, index))
+                working[k] = working[k].subset(~explained)
+        live = [k for k in live if audit[k][-1]["accepted"]]
+    return audit, rules
+
+
 def extract_ruleset(
     net: Network,
     index: DatasetIndex,
@@ -199,15 +240,9 @@ def extract_ruleset(
     epsilon: float = DEFAULT_EPSILON,
     seed: int = 0,
 ) -> RuleSet:
-    """Sequential covering driven by the trained network.
-
-    Per class: evolve a chromosome maximizing that class's output, decode,
-    refine against the class's working set, accept if confidence clears the
-    threshold, then drop the records the accepted rule explains (antecedent
-    and consequent both match) and repeat.  A refined rule always explains
-    a remaining record: refinement never stops at confidence 0, and with
-    every term dropped the confidence is the class's share of the working
-    set.  So each accepted rule shrinks the working set and none repeats.
+    """Sequential covering (``cover``) driven by the trained network: each
+    round's rule for class k decodes a GA champion maximizing k's output and
+    is refined against k's working set.
 
     Every GA run shares ``ga_config``.  The seed of class k, round r
     derives from the master ``seed`` as derive_seed(seed, "class-k", r),
@@ -216,24 +251,21 @@ def extract_ruleset(
     cuts the classes once into one contiguous slice per usable CPU (those
     ``os.sched_getaffinity`` lists, so ``taskset`` limits them, and no more
     than a CPU quota allows); this process covers the first slice and a
-    forked child each other.  A slice covers its classes in batches of
-    rounds: the batch from round r holds rounds [r, r + m), m = min(budget
-    - r, max(2, r)), so 2, 2, 4, 8, ... rounds.  It evolves the batch's
-    rounds of each class still covering in one lockstep stack, then covers
-    class by class and round by round, and stops a class at its first
-    rejected round or at a working set with no record of it; the class's
-    later runs of the batch are dropped.  This process joins the slices in
-    class order and logs each round's outcome and, per class, the GA runs
-    evolved and used.  So the ruleset does not depend on the number of
-    CPUs, and is the one covering round by round gives: each class's audit
-    entries in round order, and its rules by descending confidence (a
-    stable sort, so ties keep round order), the classes in level order.
+    forked child each other, to the end.  A slice evolves its rounds in
+    batches: the batch from round r holds rounds [r, r + m), m = min(budget
+    - r, max(2, r)), so 2, 2, 4, 8, ... rounds, and at its first round the
+    batch's rounds of each class still covering go in one lockstep stack; a
+    class that stops covering drops its later runs of the batch.  This
+    process joins the slices in class order and logs each round's outcome
+    and, per class, the GA runs evolved and used.  So the ruleset does not
+    depend on the number of CPUs, and is the one covering round by round
+    gives: each class's audit entries in round order, and its rules by
+    descending confidence (a stable sort, so ties keep round order), the
+    classes in level order.
 
-    Accepted rules carry metrics recomputed against the full index;
-    working-set confidences live in the audit entries.  Each round's entry,
-    accepted or not, records its GA champion (``chromosome``, whose
+    Each round's audit entry records its GA champion (``chromosome``, whose
     ``decode_chromosome`` under ``index.schema`` is the rule refined), its
-    ``best_fitness``, its ``champion_ties`` and its ``champion_generation``
+    ``best_fitness``, ``champion_ties`` and ``champion_generation``
     (``EvolutionResult``); a round whose champion ties with other
     chromosomes logs a warning.
     """
@@ -242,75 +274,41 @@ def extract_ruleset(
     if per_class_rule_budget < 0:
         raise ValidationError(f"rule budget must be >= 0, got {per_class_rule_budget}")
     if not 0 <= confidence_threshold <= 1:
-        raise ValidationError(
-            f"confidence threshold must be in [0,1], got {confidence_threshold}"
-        )
+        raise ValidationError(f"confidence threshold must be in [0,1], got {confidence_threshold}")
     if not epsilon >= 0:
         raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
     schema = index.schema
     if net.input_size != schema.total_predictive_bits or net.output_size != schema.target_bits:
-        raise ValidationError(
-            "network sizes do not match the schema; was it trained on this layout?"
-        )
+        raise ValidationError("network sizes do not match the schema; was it trained on this layout?")
     ga_config = ga_config or GaConfig()
 
-    def cover(part: slice) -> list[tuple[list[dict], list[Rule], int]]:
-        """For each class of the slice, in order: its audit entries, its
-        accepted rules measured on the index, and the GA runs evolved for it.
-        Each batch's runs of every class still covering go in one lockstep
-        stack, and each class then covers with them round by round."""
+    def cover_slice(part: slice) -> list[tuple[list[dict], list[Rule], int]]:
+        """Per class of the slice: its audit entries, accepted rules and GA runs evolved."""
         mine = range(schema.target_bits)[part]
-        working = {k: index for k in mine}  # each class's records not yet explained
-        audit: dict[int, list[dict]] = {k: [] for k in mine}
-        rules: dict[int, list[Rule]] = {k: [] for k in mine}
-        evolved = dict.fromkeys(mine, 0)
+        champions: dict[int, dict] = {}  # round -> class -> (ga_seed, EvolutionResult)
 
-        def covering(k: int) -> bool:
-            """No round of class k is rejected yet, and its working set holds
-            a record of it."""
-            return (not audit[k] or audit[k][-1]["accepted"]) and bool((working[k].target == k).any())
-
-        first = 0
-        while first < per_class_rule_budget:
-            batch = range(first, min(per_class_rule_budget, first + max(2, first)))
-            first = batch.stop
-            live = [k for k in mine if covering(k)]
-            if not live:
-                break
-            runs = [(k, r) for k in live for r in batch]  # class by class, round by round
-            seeds = [derive_seed(seed, f"class-{k}", r) for k, r in runs]
-            targets = np.repeat(live, len(batch))
-            results = evolve(class_score(net, targets), schema.total_predictive_bits, ga_config, seeds)
-            for (k, round_no), ga_seed, result in zip(runs, seeds, results):
-                evolved[k] += 1
-                if not covering(k):
-                    continue  # the class stopped in an earlier round of this batch
-                records = working[k]
+        def propose(round_no: int, live: list[int], working: dict):
+            if round_no not in champions:  # a batch's first round
+                batch = range(round_no, min(per_class_rule_budget, round_no + max(2, round_no)))
+                runs = [(k, r) for k in live for r in batch]  # class by class, round by round
+                seeds = [derive_seed(seed, f"class-{k}", r) for k, r in runs]
+                targets = np.repeat(live, len(batch))
+                results = evolve(class_score(net, targets), schema.total_predictive_bits, ga_config, seeds)
+                for (k, r), ga_seed, result in zip(runs, seeds, results):
+                    champions.setdefault(r, {})[k] = ga_seed, result
+            for k in live:
+                ga_seed, result = champions[round_no][k]
                 decoded = decode_chromosome(result.best_chromosome, schema, k)
-                refined = refine_rule(decoded, records, epsilon=epsilon)
-                entry = {
-                    "class": schema.target.levels[k],
-                    "round": round_no,
-                    "ga_seed": ga_seed,
-                    "ga_generations": result.generations,
-                    "best_fitness": result.best_fitness,
-                    "chromosome": result.best_chromosome.tolist(),
-                    "champion_ties": result.champion_ties,
-                    "champion_generation": result.champion_generation,
-                    "working_confidence": refined.confidence,
-                    "working_support": refined.support,
-                    "accepted": refined.confidence >= confidence_threshold,
-                    "outcome": "rejected: confidence below threshold",
+                yield refine_rule(decoded, working[k], epsilon=epsilon), {
+                    "ga_seed": ga_seed, "ga_generations": result.generations,
+                    "best_fitness": result.best_fitness, "chromosome": result.best_chromosome.tolist(),
+                    "champion_ties": result.champion_ties, "champion_generation": result.champion_generation,
                 }
-                audit[k].append(entry)
-                if entry["accepted"]:
-                    explained = records.antecedent_mask(refined) & records.consequent_mask(refined)
-                    entry["outcome"] = f"accepted, removed {int(explained.sum())} records"
-                    rules[k].append(evaluate_rule(refined, index))
-                    working[k] = records.subset(~explained)
-        return [(audit[k], rules[k], evolved[k]) for k in mine]
 
-    covered = list(split_over_cpus(cover, schema.target_bits, 1, "GA worker"))
+        audit, rules = cover(index, mine, propose, per_class_rule_budget, confidence_threshold)
+        return [(audit[k], rules[k], sum(k in by_class for by_class in champions.values())) for k in mine]
+
+    covered = list(split_over_cpus(cover_slice, schema.target_bits, 1, "GA worker"))
     for class_token, (entries, _, evolved) in zip(schema.target.levels, covered):
         for entry in entries:
             if entry["champion_ties"] > 1:

@@ -1,7 +1,19 @@
+import logging
+
 import pytest
 
 from edm_rulex import cli
 from edm_rulex.schema import Attribute, AttributeSchema, ROLE_TARGET
+
+
+@pytest.fixture(autouse=True)
+def package_log_level():
+    """Each test starts at the package logger's level of the session:
+    cli.main sets that level where EDM_RULEX_LOG is set."""
+    logger = logging.getLogger("edm_rulex")
+    level = logger.level
+    yield
+    logger.setLevel(level)
 
 
 @pytest.fixture

@@ -708,6 +708,22 @@ def test_edm_rulex_log_must_name_a_level(full_run, capsys, monkeypatch, level, c
         assert err.splitlines() == ["error: EDM_RULEX_LOG='verbose' is not DEBUG, INFO, WARNING, ERROR or CRITICAL"]
 
 
+def test_edm_rulex_log_holds_where_the_host_configured_logging(study_run, tmp_path, caplog, monkeypatch):
+    # pytest has put its handlers on the root logger, whose level stays
+    # WARNING, so logging.basicConfig does nothing: the level must be set on
+    # the package's logger (conftest restores it after each test)
+    for name in ("cohort.csv", "cohort.raw.csv", "cohort.meta.json", "model.json"):
+        shutil.copy(study_run / name, tmp_path / name)
+    monkeypatch.setenv("EDM_RULEX_LOG", "DEBUG")
+    assert run(
+        "extract", "--data", tmp_path / "cohort.csv", "--model", tmp_path / "model.json",
+        "--budget", "1", "--seed", "7", "--out", tmp_path,
+    ) == 0
+    messages = [record.getMessage() for record in caplog.records if record.name.startswith("edm_rulex")]
+    assert any(m.startswith("generation 1 best") for m in messages)
+    assert any("GA runs evolved" in m for m in messages)
+
+
 def test_report_complete(full_run):
     text = (full_run / "report.txt").read_text()
     for section in (
@@ -1251,8 +1267,8 @@ def test_budget_5_ruleset_bytes(study_run, tmp_path, caplog):
     digest = hashlib.sha256((tmp_path / "ruleset.json").read_bytes()).hexdigest()
     assert digest == "2efe7feae160217f7b0664e7293f7d9703d5a345db670e8a830c0fbe92b17c70"
     # DEBUG logging logs each GA generation's running best and each class's
-    # run counts, and changes no byte; cli.main's basicConfig does nothing
-    # under pytest's log handlers, so the level comes from caplog
+    # run counts, and changes no byte; with EDM_RULEX_LOG unset cli.main
+    # leaves every logger's level alone, so caplog's level holds
     with caplog.at_level(logging.DEBUG, logger="edm_rulex"):
         assert run(*argv, "--out", tmp_path / "debug") == 0
     messages = [record.getMessage() for record in caplog.records]
@@ -1413,14 +1429,10 @@ def test_extract_matches_each_refined_rule_once(study_run, monkeypatch):
         load_network(study_run / "model.json"), index,
         per_class_rule_budget=5, seed=util.derive_seed(7, "extract"),
     )
-    # the rounds in the order they ran: batch by batch (rounds 0-1, 2-3 and
-    # 4, each batch starting at a power of two), class by class in each
-    # batch, and round by round in each class
+    # the rounds in the order they ran: round by round, and class by class
+    # in each round
     levels = schema.target.levels
-    entries = sorted(
-        ruleset.audit,
-        key=lambda e: (max(e["round"], 1).bit_length(), levels.index(e["class"]), e["round"]),
-    )
+    entries = sorted(ruleset.audit, key=lambda e: (e["round"], levels.index(e["class"])))
     assert {e["accepted"] for e in entries} == {True, False}
     starts = [i for i, name in enumerate(calls) if name == "refine_rule"]
     assert starts[0] == 0 and len(starts) == len(entries)

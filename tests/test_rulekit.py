@@ -19,6 +19,7 @@ from edm_rulex.rulekit import (
     DatasetIndex,
     Rule,
     RuleSet,
+    cover,
     decode_chromosome,
     evaluate_rule,
     extract_ruleset,
@@ -573,6 +574,118 @@ def test_extract_recovers_planted_rule():
         if r.consequent == "F" and np.array_equal(index.antecedent_mask(r), truth)
     ]
     assert equivalent, [format_rule(r, schema) for r in ruleset.rules]
+
+
+# records of toy_schema (A, B, target T), in index order 0-7
+COVER_ROWS = ("a1 b1 t1", "a1 b2 t1", "a1 b1 t2", "a2 b1 t1", "a2 b2 t2", "a3 b2 t2", "a3 b1 t2", "a2 b2 t1")
+
+
+def _cover_index(schema):
+    return DatasetIndex(schema, [StudentRecord(dict(zip("ABT", row.split()))) for row in COVER_ROWS])
+
+
+def _scripted(script):
+    """A propose whose rule for class k in round r has the terms
+    ``script[r, k]``, measured on k's working set, with the working set's
+    size as how it was found; and the list of its calls' rounds, live
+    classes and working sets."""
+    calls = []
+
+    def propose(round_no, live, working):
+        calls.append((round_no, list(live), {k: working[k] for k in live}))
+        for k in live:
+            rule = Rule(terms=script[round_no, k], consequent=working[k].schema.target.levels[k])
+            yield evaluate_rule(rule, working[k]), {"proposed": len(working[k])}
+
+    return propose, calls
+
+
+A1, A2, A3 = (("A", ("a1",)),), (("A", ("a2",)),), (("A", ("a3",)),)
+B1, B2 = (("B", ("b1",)),), (("B", ("b2",)),)
+# at threshold 0.5: t1's A = a3 (0 of 2) is rejected in round 0; t2's A = a3
+# (2 of 2) and A = a1 and B = b1 (1 of 2) are accepted, and its A = a2 (1 of
+# 3) is rejected in round 2
+COVER_SCRIPT = {(0, 0): A3, (0, 1): A3, (1, 1): A1 + B1, (2, 1): A2}
+
+
+def test_cover_stops_a_class_at_its_first_rejected_round(toy_schema):
+    propose, calls = _scripted(COVER_SCRIPT)
+    audit, rules = cover(_cover_index(toy_schema), range(2), propose, 5, 0.5)
+    assert [(r, live) for r, live, _ in calls] == [(0, [0, 1]), (1, [1]), (2, [1])]
+    assert [e["accepted"] for e in audit[0]] == [False] and rules[0] == []
+    assert [e["accepted"] for e in audit[1]] == [True, True, False]
+    assert [rule.terms for rule in rules[1]] == [A3, A1 + B1]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2])
+def test_cover_runs_at_most_budget_rounds(toy_schema, budget):
+    propose, calls = _scripted(COVER_SCRIPT)
+    audit, rules = cover(_cover_index(toy_schema), range(2), propose, budget, 0.5)
+    assert [(r, live) for r, live, _ in calls] == [(0, [0, 1]), (1, [1])][:budget]
+    assert len(audit[1]) == len(rules[1]) == budget
+    assert len(audit[0]) == min(budget, 1)
+
+
+def test_cover_never_proposes_for_a_class_with_no_record_left(toy_schema):
+    # t2's empty rule explains every t2 record in round 0, and t1's two
+    # rules every t1 record by round 1; no class has a record in round 2
+    propose, calls = _scripted({(0, 0): A1, (0, 1): (), (1, 0): A2})
+    audit, rules = cover(_cover_index(toy_schema), range(2), propose, 5, 0.5)
+    assert [(r, live) for r, live, _ in calls] == [(0, [0, 1]), (1, [0])]
+    assert [len(audit[k]) for k in range(2)] == [2, 1] and all(e["accepted"] for e in audit[0] + audit[1])
+    # a slice whose index holds no record of a class never proposes for it
+    index = _cover_index(toy_schema)
+    propose, calls = _scripted({(0, 0): ()})
+    cover(index.subset(index.target == 0), range(2), propose, 5, 0.5)
+    assert [(r, live) for r, live, _ in calls] == [(0, [0])]
+
+
+def test_cover_removes_what_an_accepted_rule_explains_from_its_class_alone(toy_schema):
+    # t1's A = a1 explains records 0 and 1, not record 2 (a t2 record it
+    # matches), then B = b2 explains record 7; t2's A = a3 explains 5 and 6,
+    # then A = a2 and B = b2 explains 4
+    index = _cover_index(toy_schema)
+    propose, calls = _scripted({
+        (0, 0): A1, (0, 1): A3, (1, 0): B2, (1, 1): A2 + B2, (2, 0): B1, (2, 1): A1 + B1,
+    })
+    audit, _ = cover(index, range(2), propose, 3, 0.3)
+    assert len(calls) == 3
+    left = {0: [0, 1, 2, 3, 4, 5, 6, 7], 1: [0, 1, 2, 3, 4, 5, 6, 7]}
+    gone = [{0: [0, 1], 1: [5, 6]}, {0: [7], 1: [4]}]
+    for round_no, (_, live, working) in enumerate(calls):
+        assert live == [0, 1]
+        for k in live:
+            rows = left[k]
+            assert np.array_equal(working[k].bits, index.bits[rows]), (round_no, k)
+            assert np.array_equal(working[k].target, index.target[rows]), (round_no, k)
+            assert audit[k][round_no]["proposed"] == len(rows)
+            if round_no < 2:
+                left[k] = [i for i in rows if i not in gone[round_no][k]]
+                assert audit[k][round_no]["outcome"] == f"accepted, removed {len(gone[round_no][k])} records"
+
+
+def test_cover_measures_accepted_rules_on_the_index_and_audits_the_working_set(toy_schema):
+    # t1's B = b2 in round 1 holds 1 of its 3 working records (7 of 4, 5
+    # and 7), but 2 of its 4 records of the index (1, 4, 5 and 7)
+    propose, _ = _scripted({(0, 0): A1, (1, 0): B2, (2, 0): A3})
+    audit, rules = cover(_cover_index(toy_schema), range(1), propose, 3, 0.3)
+    assert rules == {0: [
+        Rule(terms=A1, consequent="t1", support=3, confidence=2 / 3, coverage=3 / 8),
+        Rule(terms=B2, consequent="t1", support=4, confidence=0.5, coverage=0.5),
+    ]}
+    assert audit[0][1] == {
+        "class": "t1", "round": 1, "proposed": 6, "working_confidence": 1 / 3, "working_support": 3,
+        "accepted": True, "outcome": "accepted, removed 1 records",
+    }
+    assert audit[0][2]["working_support"] == 2 and not audit[0][2]["accepted"]
+
+
+def test_cover_accepts_a_rule_exactly_at_the_threshold(toy_schema):
+    # t2's empty rule holds 4 of 8 records: confidence 0.5 exactly
+    propose, _ = _scripted({(0, 0): A1, (0, 1): ()})
+    audit, rules = cover(_cover_index(toy_schema), range(2), propose, 1, 0.5)
+    assert audit[1][0]["working_confidence"] == 0.5 and audit[1][0]["accepted"]
+    assert rules[1] == [Rule(terms=(), consequent="t2", support=8, confidence=0.5, coverage=1.0)]
 
 
 def test_extract_evolves_each_round_in_lockstep(monkeypatch):
